@@ -90,17 +90,33 @@ def _emit_csv(rows, path: str) -> None:
             writer.writerow([repr(t), repr(best), repr(defect)])
 
 
-def _parse_pairs(text: str) -> list[PointPair]:
+def _parse_pairs(text: str, n: int) -> list[PointPair]:
+    """Semicolon-separated pairs of distinct point indices below n."""
     pairs = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise MalformedInput("--pairs", f"cannot parse pair {chunk!r}")
-        pairs.append(PointPair(int(parts[0]), int(parts[1])))
+        try:
+            x, y = (int(part) for part in chunk.split(","))
+            if not (0 <= x < n and 0 <= y < n):
+                raise ValueError(f"indices must lie in 0..{n - 1}")
+            pairs.append(PointPair(x, y))
+        except ValueError as exc:
+            raise MalformedInput("--pairs", f"cannot use pair {chunk!r}: {exc}") from None
+    if not pairs:
+        raise MalformedInput("--pairs", "no pairs given")
     return pairs
+
+
+def _certify(phi: LipschitzMap, args, pairs=None):
+    """Certify as the flags ask: (certificate, operator norm, certification
+    wall time, metric tolerance in force)."""
+    started = time.perf_counter()
+    cert = certify_isometry(phi, method=args.method, pairs=pairs, tol=args.tol)
+    wall = time.perf_counter() - started
+    tol = args.tol if args.tol is not None else max(phi.domain.tol, phi.codomain.tol)
+    return cert.to_dict(), operator_norm(phi), wall, tol
 
 
 def _resolve_experiment_map(spec_text: str, mesh: int | None):
@@ -256,14 +272,9 @@ def _cmd_freenorm(args):
         "maximizer": maximizer.values.tolist(),
     }
     if not agree:
-        raise MethodDisagreementJSON(results)
+        raise MethodDisagreement("primal and dual norms disagree beyond tolerance",
+                                 results)
     return inputs, tolerances, results
-
-
-class MethodDisagreementJSON(InternalCheckError):
-    def __init__(self, results: dict):
-        self.results = results
-        super().__init__("primal and dual norms disagree beyond tolerance")
 
 
 def _cmd_extremes(args):
@@ -278,8 +289,7 @@ def _cmd_extremes(args):
 
 def _cmd_norming(args):
     space = load_space(args.space, tol=args.tol)
-    pairs = _parse_pairs(args.pairs)
-    result = is_norming(space, pairs)
+    result = is_norming(space, _parse_pairs(args.pairs, space.n))
     return (
         [_input_record("space", args.space)],
         {"tol_metric": space.tol},
@@ -293,19 +303,15 @@ def _cmd_isometry(args):
     domain = load_space(args.domain, tol=args.tol) if args.domain else None
     codomain = load_space(args.codomain, tol=args.tol) if args.codomain else None
     phi = load_map(args.map_path, domain=domain, codomain=codomain)
-    pairs = _parse_pairs(args.pairs) if args.pairs else None
-    started = time.perf_counter()
-    cert = certify_isometry(phi, method=args.method, pairs=pairs, tol=args.tol)
-    wall = time.perf_counter() - started
-    results = cert.to_dict()
-    results["operator_norm"] = operator_norm(phi)
+    pairs = _parse_pairs(args.pairs, phi.codomain.n) if args.pairs else None
+    results, norm, wall, tol = _certify(phi, args, pairs)
+    results["operator_norm"] = norm
     results["wall_time_s"] = wall
     inputs = [_input_record("map", args.map_path)]
     if args.domain:
         inputs.append(_input_record("domain", args.domain))
     if args.codomain:
         inputs.append(_input_record("codomain", args.codomain))
-    tol = args.tol if args.tol is not None else max(phi.domain.tol, phi.codomain.tol)
     return inputs, {"tol_metric": tol}, results
 
 
@@ -337,14 +343,12 @@ def _cmd_experiment_interval(args):
     necessary = check_interval_necessary(phi, r_loc=args.r_loc, eps=args.eps)
     r = args.r_loc if args.r_loc is not None else 4.0 * necessary.extra["mesh"]
     sufficient = check_interval_sufficient(phi, r=r, eps=args.eps)
-    started = time.perf_counter()
-    cert = certify_isometry(phi, method=args.method, tol=args.tol)
-    wall = time.perf_counter() - started
+    cert, norm, wall, tol = _certify(phi, args)
     results = {
-        "operator_norm": operator_norm(phi),
+        "operator_norm": norm,
         "necessary": necessary.to_dict(),
         "sufficient": sufficient.to_dict(),
-        "certificate": cert.to_dict(),
+        "certificate": cert,
         "wall_time_s": wall,
     }
     if args.probe:
@@ -357,8 +361,7 @@ def _cmd_experiment_interval(args):
                 best = max(best, lipschitz_norm(compose(phi, f)).value / fn)
         results["random_probe"] = {"samples": args.probe, "seed": args.seed,
                                    "max_ratio": best}
-    tolerances = {"r_loc": necessary.r_loc, "eps": necessary.eps,
-                  "tol_metric": args.tol}
+    tolerances = {"r_loc": necessary.r_loc, "eps": necessary.eps, "tol_metric": tol}
     if args.csv:
         _emit_csv(necessary.rows, args.csv)
     elif args.out:
@@ -378,29 +381,25 @@ def _cmd_experiment_geodesic(args):
                 if args.map_spec.startswith("file:") else args.map_spec)
         phi = load_map(path, codomain=gspace.space)
         inputs = [_input_record("space", args.space), _input_record("map", path)]
-    started = time.perf_counter()
-    cert = certify_isometry(phi, method=args.method, tol=args.tol)
-    wall = time.perf_counter() - started
-    profiles = []
-    for (x, y) in sorted(gspace.paths):
-        profile = check_geodesic_necessary(phi, gspace, PointPair(x, y),
-                                           r_loc=args.r_loc, eps=args.eps)
-        profiles.append(profile)
-    r = args.r_loc if args.r_loc is not None else 4.0 * gspace.mesh
+    cert, norm, wall, tol = _certify(phi, args)
+    r_loc = args.r_loc if args.r_loc is not None else 4.0 * gspace.mesh
+    eps = args.eps if args.eps is not None else 4.0 * gspace.mesh
+    profiles = [check_geodesic_necessary(phi, gspace, PointPair(x, y), r_loc=r_loc, eps=eps)
+                for (x, y) in sorted(gspace.paths)]
     try:
-        sufficient = check_geodesic_sufficient(phi, gspace, r=r, eps=args.eps).to_dict()
+        sufficient = check_geodesic_sufficient(phi, gspace, r=r_loc, eps=eps).to_dict()
     except RangeNotDense as exc:
         sufficient = {"range_not_dense": {"worst_point": exc.worst_point,
                                           "gap": exc.gap}}
     results = {
-        "operator_norm": operator_norm(phi),
+        "operator_norm": norm,
         "mesh": gspace.mesh,
         "necessary": [p.to_dict() for p in profiles],
         "sufficient": sufficient,
-        "certificate": cert.to_dict(),
+        "certificate": cert,
         "wall_time_s": wall,
     }
-    tolerances = {"r_loc": args.r_loc, "eps": args.eps, "tol_metric": args.tol}
+    tolerances = {"r_loc": r_loc, "eps": eps, "tol_metric": tol}
     if args.csv:
         rows = [row for p in profiles for row in p.rows]
         _emit_csv(rows, args.csv)
@@ -437,15 +436,8 @@ def run(argv: list[str] | None = None) -> int:
                 return 2
         else:
             inputs, tolerances, results = _COMMANDS[args.command](args)
-    except MethodDisagreementJSON as exc:
-        report = _envelope(args, [], {}, exc.results, started)
-        report["error"] = {"kind": "MethodDisagreement", "message": str(exc)}
-        _emit(report, args.out)
-        return 3
     except MethodDisagreement as exc:
-        report = _envelope(args, [], {}, {
-            "dual": exc.dual_cert.to_dict(), "primal": exc.primal_cert.to_dict(),
-        }, started)
+        report = _envelope(args, [], {}, exc.results, started)
         report["error"] = {"kind": "MethodDisagreement", "message": str(exc)}
         _emit(report, args.out)
         return 3

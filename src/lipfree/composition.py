@@ -12,7 +12,8 @@ against a norm-one map preserves every function's norm:
   the codomain, for a preimage pair realizing the same distance;
 * the primal route checks, vertex by vertex, that the codomain unit
   ball is contained in the push-forward image of the domain unit ball,
-  by LP feasibility over convex combinations of pushed molecules.
+  asking the hull-membership kernel :func:`freespace.hull_combination`
+  for a convex combination of pushed molecules.
 
 The two routes are provably equivalent, so the ``both`` method fails
 loudly on disagreement: that outcome falsifies the implementation,
@@ -25,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
+from . import freespace
 from ._parallel import thread_map
 from .errors import (
     BasePointNotPreserved,
@@ -38,19 +39,13 @@ from .errors import (
 )
 from .freespace import (
     FreeVector,
-    exposing_function,
+    _ordered_pairs,
     extreme_molecules,
-    face_support_mask,
+    hull_combination,
     is_norming,
 )
 from .lipschitz import LipschitzFunction
 from .metric_core import PointedMetricSpace, PointPair, intermediate_points
-
-PRIMAL_FEAS_TOL = 1e-8
-_PRIMAL_OPTIONS = {
-    "primal_feasibility_tolerance": PRIMAL_FEAS_TOL,
-    "dual_feasibility_tolerance": PRIMAL_FEAS_TOL,
-}
 
 
 class MapNorm(NamedTuple):
@@ -308,55 +303,25 @@ def certify_isometry_primal(
     if norm.value < 1.0 - tol:
         return _norm_deficit_certificate(phi, norm, "primal_polytope", tol)
 
-    domain, codomain = phi.domain, phi.codomain
-    n_dom, n_cod = domain.n, codomain.n
-    grid = ~np.eye(n_dom, dtype=bool)
-    u, v = np.nonzero(grid)
-    d_uv = domain.dist[u, v]
+    u, v = _ordered_pairs(phi.domain.n)
     img = np.asarray(phi.image)
-    img_u, img_v = img[u], img[v]
-
+    img_u, img_v, d_uv = img[u], img[v], phi.domain.dist[u, v]
+    codomain = phi.codomain
     vertices = extreme_molecules(codomain)
-
-    def reachable(vertex: PointPair) -> bool:
-        # only pushed molecules on the face exposed by the vertex can carry
-        # weight; pairing 1 is exact for true support, so filtering is safe
-        h = exposing_function(codomain, vertex)
-        keep = face_support_mask(h, img_u, img_v, d_uv)
-        idx = np.flatnonzero(keep)
-        if idx.size == 0:
-            return False
-        cols = np.zeros((n_cod + 1, idx.size))
-        ar = np.arange(idx.size)
-        np.add.at(cols, (img_u[idx], ar), 1.0 / d_uv[idx])
-        np.add.at(cols, (img_v[idx], ar), -1.0 / d_uv[idx])
-        cols[n_cod, :] = 1.0
-        b = np.zeros(n_cod + 1)
-        s = 1.0 / codomain.d(vertex.x, vertex.y)
-        b[vertex.x] = s
-        b[vertex.y] = -s
-        b[n_cod] = 1.0
-        res = linprog(np.zeros(idx.size), A_eq=cols, b_eq=b,
-                      bounds=(0.0, None), method="highs", options=_PRIMAL_OPTIONS)
-        if res.status == 2:
-            return False
-        if res.status != 0:
-            raise InvariantFailure(f"primal vertex LP failed with status {res.status}")
-        return True
-
-    results = thread_map(reachable, vertices)
-    for vertex, ok in zip(vertices, results):
-        if not ok:
+    results = thread_map(
+        lambda vertex: hull_combination(codomain, vertex, img_u, img_v, d_uv), vertices)
+    tolerances = {"tol_metric": tol, "lp_feasibility": freespace.LP_FEAS_TOL}
+    for vertex, found in zip(vertices, results):
+        if found is None:
             return IsometryCertificate(
                 verdict="not_isometric", method="primal_polytope",
-                failing_pair=vertex.as_tuple(),
-                tolerances={"tol_metric": tol, "lp_feasibility": PRIMAL_FEAS_TOL},
+                failing_pair=vertex.as_tuple(), tolerances=tolerances,
                 notes="codomain vertex is outside the pushed unit ball",
             )
     return IsometryCertificate(
         verdict="isometric", method="primal_polytope",
         witnesses=tuple({"pair": v.as_tuple()} for v in vertices),
-        tolerances={"tol_metric": tol, "lp_feasibility": PRIMAL_FEAS_TOL},
+        tolerances=tolerances,
     )
 
 
@@ -369,8 +334,8 @@ def certify_isometry(
     """Run one or both certifiers; with ``both``, verdicts must agree.
 
     Disagreement raises :class:`MethodDisagreement` carrying both
-    certificates; it indicates an implementation bug and is surfaced
-    loudly rather than resolved silently.
+    certificates as dictionaries; it indicates an implementation bug and
+    is surfaced loudly rather than resolved silently.
     """
     if method == "dual":
         return certify_isometry_dual(phi, pairs=pairs, tol=tol)
@@ -381,5 +346,9 @@ def certify_isometry(
     dual = certify_isometry_dual(phi, pairs=pairs, tol=tol)
     primal = certify_isometry_primal(phi, tol=tol)
     if dual.verdict != primal.verdict:
-        raise MethodDisagreement(dual, primal)
+        raise MethodDisagreement(
+            f"certifiers disagree: dual says {dual.verdict}, "
+            f"primal says {primal.verdict}",
+            {"dual": dual.to_dict(), "primal": primal.to_dict()},
+        )
     return AgreementReport(dual.verdict, dual, primal)

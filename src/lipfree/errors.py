@@ -129,15 +129,14 @@ class NotNorming(InputError):
 
 
 class MethodDisagreement(InternalCheckError):
-    """The two isometry certifiers disagreed. This falsifies the implementation."""
+    """Two independent methods disagreed. This falsifies the implementation.
 
-    def __init__(self, dual_cert, primal_cert):
-        self.dual_cert = dual_cert
-        self.primal_cert = primal_cert
-        super().__init__(
-            f"certifiers disagree: dual says {dual_cert.verdict}, "
-            f"primal says {primal_cert.verdict}"
-        )
+    ``results`` holds what each method computed, keyed by method.
+    """
+
+    def __init__(self, message: str, results: dict):
+        self.results = results
+        super().__init__(message)
 
 
 # -- geodesic -----------------------------------------------------------------
@@ -178,9 +177,5 @@ class CodomainNotInterval(InputError):
 class MalformedInput(InputError):
     def __init__(self, json_path: str, reason: str):
         self.json_path = json_path
+        self.reason = reason
         super().__init__(f"{json_path}: {reason}")
-
-
-class UnknownCommand(InputError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown command {name!r}")

@@ -25,6 +25,7 @@ from .metric_core import (
     PointedMetricSpace,
     from_weighted_graph,
     interval_net,
+    shortest_path_closure,
     snowflake,
     validate_space,
 )
@@ -232,15 +233,8 @@ def _random_quotient_map(rng: np.random.Generator, domain_n: int,
                 fa = np.flatnonzero(img == a)
                 fb = np.flatnonzero(img == b)
                 d_min[a, b] = n_space.dist[np.ix_(fa, fb)].min()
-        # largest metric below the fiber distance: shortest-path closure
-        changed = True
-        while changed:
-            changed = False
-            for k in range(m):
-                relaxed = np.minimum(d_min, d_min[:, k][:, None] + d_min[k, :][None, :])
-                if np.any(relaxed < d_min):
-                    d_min = relaxed
-                    changed = True
+        # largest metric below the fiber distance
+        d_min = shortest_path_closure(d_min)
         off = d_min[~np.eye(m, dtype=bool)]
         if off.min() > 1e-6 * max(off.max(), 1.0):
             m_space = validate_space(d_min, meta={"family": "quotient"})

@@ -18,9 +18,11 @@ instances is part of the acceptance suite, so neither route may be
 rewritten in terms of the other.
 
 The unit ball of the span of the molecules is the convex hull of the
-molecules and their negatives. All geometric questions about it are
-answered by membership/feasibility linear programs; the polytope is
-never enumerated.
+molecules and their negatives. All geometric questions about it (is a
+molecule a vertex, is a pair set norming, does a pushed ball cover it)
+are answered by one face-filtered hull-membership LP,
+:func:`hull_combination`, solved with the single feasibility tolerance
+``LP_FEAS_TOL``; the polytope is never enumerated.
 """
 
 from __future__ import annotations
@@ -360,13 +362,40 @@ def face_support_mask(h: np.ndarray, u: np.ndarray, v: np.ndarray,
     return pairing >= 1.0 - FACE_PAIRING_TOL
 
 
-def _molecule_rhs(space: PointedMetricSpace, pair: PointPair) -> np.ndarray:
-    b = np.zeros(space.n + 1)
-    s = 1.0 / space.d(pair.x, pair.y)
-    b[pair.x] = s
-    b[pair.y] = -s
-    b[space.n] = 1.0
-    return b
+def hull_combination(space: PointedMetricSpace, pair: PointPair, u: np.ndarray,
+                     v: np.ndarray, d_uv: np.ndarray):
+    """Write the pair's molecule as a convex combination of the column
+    molecules (delta_u - delta_v) / d_uv, or return None when it lies
+    outside their convex hull.
+
+    This one feasibility LP answers every hull question in the package:
+    the vertex test, the norming test and the primal isometry
+    certificate. Columns off the face exposed by the pair's exposing
+    function are dropped first, which preserves the decision exactly and
+    keeps the LP small. Column endpoints are indices of ``space`` and
+    may coincide across columns (pushed molecules), in which case their
+    coefficients add. Returns the kept column indices and their weights.
+    """
+    idx = np.flatnonzero(face_support_mask(exposing_function(space, pair), u, v, d_uv))
+    if idx.size == 0:
+        return None
+    n = space.n
+    cols = np.zeros((n + 1, idx.size))
+    ar = np.arange(idx.size)
+    np.add.at(cols, (u[idx], ar), 1.0 / d_uv[idx])
+    np.add.at(cols, (v[idx], ar), -1.0 / d_uv[idx])
+    cols[n, :] = 1.0
+    b = np.zeros(n + 1)
+    b[pair.x] = 1.0 / space.d(pair.x, pair.y)
+    b[pair.y] = -b[pair.x]
+    b[n] = 1.0
+    res = linprog(np.zeros(idx.size), A_eq=cols, b_eq=b,
+                  bounds=(0.0, None), method="highs", options=_LP_OPTIONS)
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise InvariantFailure(f"hull LP failed with status {res.status}")
+    return idx, res.x
 
 
 class ExtremeResult(NamedTuple):
@@ -374,49 +403,24 @@ class ExtremeResult(NamedTuple):
     certificate: tuple[tuple[tuple[int, int], float], ...] | None
 
 
-def _vertex_test(space, pair) -> ExtremeResult:
-    """Feasibility LP: is the pair's molecule a convex combination of the
-    other molecules (negatives included via the reversed pairs)?
-
-    Candidates are first restricted to the face exposed by the pair's
-    distance-difference function, which preserves the decision exactly
-    and keeps the LP small.
-    """
-    n = space.n
-    u, v = _ordered_pairs(n)
-    d_uv = space.dist[u, v]
-    keep = face_support_mask(exposing_function(space, pair), u, v, d_uv)
-    keep &= ~((u == pair.x) & (v == pair.y))
-    idx = np.flatnonzero(keep)
-    if idx.size == 0:
-        return ExtremeResult(True, None)
-    uk, vk, dk = u[idx], v[idx], d_uv[idx]
-    cols = np.zeros((n + 1, idx.size))
-    cols[uk, np.arange(idx.size)] = 1.0 / dk
-    cols[vk, np.arange(idx.size)] -= 1.0 / dk
-    cols[n, :] = 1.0
-    res = linprog(np.zeros(idx.size), A_eq=cols, b_eq=_molecule_rhs(space, pair),
-                  bounds=(0.0, None), method="highs", options=_LP_OPTIONS)
-    if res.status == 2:
-        return ExtremeResult(True, None)
-    if res.status != 0:
-        raise InvariantFailure(f"vertex LP failed with status {res.status}")
-    support = [
-        ((int(uk[k]), int(vk[k])), float(w))
-        for k, w in enumerate(res.x) if w > 1e-10
-    ]
-    return ExtremeResult(False, tuple(support))
-
-
 def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeResult:
     """Vertex test for a molecule on the unit ball polytope.
 
-    The ball is the convex hull of all molecules and their negatives, so
-    the molecule is a vertex exactly when it is not a convex combination
-    of the others; the test is a feasibility LP, and the combination is
-    returned as a certificate in the negative case.
+    The ball is the convex hull of all molecules and their negatives
+    (the reversed pairs), so the molecule is a vertex exactly when it is
+    not a convex combination of the others; the combination is returned
+    as a certificate in the negative case.
     """
-    return _vertex_test(space, pair)
+    u, v = _ordered_pairs(space.n)
+    others = (u != pair.x) | (v != pair.y)
+    u, v = u[others], v[others]
+    found = hull_combination(space, pair, u, v, space.dist[u, v])
+    if found is None:
+        return ExtremeResult(True, None)
+    idx, weights = found
+    return ExtremeResult(False, tuple(
+        ((int(u[k]), int(v[k])), float(w)) for k, w in zip(idx, weights) if w > 1e-10
+    ))
 
 
 _extreme_cache: WeakKeyDictionary = WeakKeyDictionary()
@@ -433,7 +437,7 @@ def extreme_molecules(space: PointedMetricSpace) -> list[PointPair]:
     if cached is not None:
         return list(cached)
     candidates = list(space.pairs())
-    results = thread_map(lambda pr: _vertex_test(space, pr), candidates)
+    results = thread_map(lambda pr: is_extreme_molecule(space, pr), candidates)
     found = [pr for pr, res in zip(candidates, results) if res.is_extreme]
     if not found:
         raise InvariantFailure("polytope reported no vertices")
@@ -455,7 +459,6 @@ def is_norming(space: PointedMetricSpace, pairs: Sequence[PointPair]) -> Norming
     """
     if not pairs:
         raise ValueError("the pair set must be nonempty")
-    n = space.n
     signed: list[tuple[int, int]] = []
     for pr in pairs:
         signed.append(pr.as_tuple())
@@ -465,22 +468,7 @@ def is_norming(space: PointedMetricSpace, pairs: Sequence[PointPair]) -> Norming
     d_uv = space.dist[u, v]
 
     def member(vertex: PointPair) -> bool:
-        keep = face_support_mask(exposing_function(space, vertex), u, v, d_uv)
-        idx = np.flatnonzero(keep)
-        if idx.size == 0:
-            return False
-        cols = np.zeros((n + 1, idx.size))
-        cols[u[idx], np.arange(idx.size)] = 1.0 / d_uv[idx]
-        cols[v[idx], np.arange(idx.size)] -= 1.0 / d_uv[idx]
-        cols[n, :] = 1.0
-        res = linprog(np.zeros(idx.size), A_eq=cols,
-                      b_eq=_molecule_rhs(space, vertex),
-                      bounds=(0.0, None), method="highs", options=_LP_OPTIONS)
-        if res.status == 2:
-            return False
-        if res.status != 0:
-            raise InvariantFailure(f"norming LP failed with status {res.status}")
-        return True
+        return hull_combination(space, vertex, u, v, d_uv) is not None
 
     vertices = extreme_molecules(space)
     results = thread_map(member, vertices)

@@ -195,17 +195,30 @@ class DefectProfile:
         }
 
 
-def _best_localized_ratio(values: np.ndarray, t: float, r_loc: float,
-                          num: np.ndarray, den: np.ndarray) -> float:
-    """Largest num/den over pairs of points whose value sits within r_loc
-    of the target t."""
-    sel = np.flatnonzero(np.abs(values - t) <= r_loc)
-    if sel.size < 2:
-        return 0.0
-    block_num = num[np.ix_(sel, sel)]
-    block_den = den[np.ix_(sel, sel)]
-    mask = ~np.eye(sel.size, dtype=bool)
-    return float(np.max(block_num[mask] / block_den[mask]))
+def _defect_profile(kind: str, values: np.ndarray, num: np.ndarray,
+                    den: np.ndarray, grid: Sequence[float], mesh: float,
+                    r_loc: float | None, eps: float | None,
+                    extra: dict[str, Any]) -> DefectProfile:
+    """Per target t, the largest num/den over pairs of points whose value
+    sits within r_loc of t (0 when fewer than two do). ``r_loc`` and
+    ``eps`` default to four times the mesh."""
+    if r_loc is None:
+        r_loc = 4.0 * mesh
+    if eps is None:
+        eps = 4.0 * mesh
+    rows = []
+    for t in grid:
+        t = float(t)
+        sel = np.flatnonzero(np.abs(values - t) <= r_loc)
+        best = 0.0
+        if sel.size >= 2:
+            block, mask = np.ix_(sel, sel), ~np.eye(sel.size, dtype=bool)
+            best = float(np.max(num[block][mask] / den[block][mask]))
+        rows.append((t, best, 1.0 - best))
+    max_defect = max(r[2] for r in rows)
+    return DefectProfile(kind=kind, rows=tuple(rows), max_defect=max_defect,
+                         r_loc=r_loc, eps=eps, holds=max_defect <= eps,
+                         extra={"mesh": mesh, **extra})
 
 
 def _interval_values(phi: LipschitzMap) -> tuple[np.ndarray, float]:
@@ -230,29 +243,12 @@ def check_interval_necessary(
     acts isometrically must bring every defect below eps at mesh scale.
     """
     values, mesh = _interval_values(phi)
-    if r_loc is None:
-        r_loc = 4.0 * mesh
-    if eps is None:
-        eps = 4.0 * mesh
     if grid is None:
         grid = interval_coordinates(phi.codomain).tolist()
     img = np.asarray(phi.image)
-    num = phi.codomain.dist[np.ix_(img, img)]
-    den = phi.domain.dist
-    rows = []
-    for t in grid:
-        best = _best_localized_ratio(values, float(t), r_loc, num, den)
-        rows.append((float(t), best, 1.0 - best))
-    max_defect = max(r[2] for r in rows)
-    return DefectProfile(
-        kind="interval_necessary",
-        rows=tuple(rows),
-        max_defect=max_defect,
-        r_loc=r_loc,
-        eps=eps,
-        holds=max_defect <= eps,
-        extra={"mesh": mesh},
-    )
+    return _defect_profile("interval_necessary", values,
+                           phi.codomain.dist[np.ix_(img, img)], phi.domain.dist,
+                           grid, mesh, r_loc, eps, {})
 
 
 def check_geodesic_necessary(
@@ -273,31 +269,13 @@ def check_geodesic_necessary(
     if phi.codomain is not gspace.space:
         raise ValueError("map codomain is not the geodesic space")
     proj = inverse_projection(gspace, pair)
-    if r_loc is None:
-        r_loc = 4.0 * gspace.mesh
-    if eps is None:
-        eps = 4.0 * gspace.mesh
     if grid is None:
         grid = list(proj.cumulative)
-    img = np.asarray(phi.image)
-    values = proj.function.values[img]
-    num = np.abs(values[:, None] - values[None, :])
-    den = phi.domain.dist
-    rows = []
-    for t in grid:
-        best = _best_localized_ratio(values, float(t), r_loc, num, den)
-        rows.append((float(t), best, 1.0 - best))
-    max_defect = max(r[2] for r in rows)
-    return DefectProfile(
-        kind="geodesic_necessary",
-        rows=tuple(rows),
-        max_defect=max_defect,
-        r_loc=r_loc,
-        eps=eps,
-        holds=max_defect <= eps,
-        extra={"mesh": gspace.mesh, "pair": pair.as_tuple(),
-               "path_length": proj.length},
-    )
+    values = proj.function.values[np.asarray(phi.image)]
+    return _defect_profile("geodesic_necessary", values,
+                           np.abs(values[:, None] - values[None, :]), phi.domain.dist,
+                           grid, gspace.mesh, r_loc, eps,
+                           {"pair": pair.as_tuple(), "path_length": proj.length})
 
 
 # ---------------------------------------------------------------------------

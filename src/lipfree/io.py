@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -36,11 +37,6 @@ from .metric_core import PointedMetricSpace, from_weighted_graph, validate_space
 
 def sha256_of_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def sha256_of_obj(obj: Any) -> str:
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
 
 
 def read_json(path: str | Path) -> Any:
@@ -66,32 +62,40 @@ def space_from_dict(obj: dict, where: str = "space",
     metric = _require(obj, "metric", where)
     base = int(obj.get("base", 0))
     labels = obj.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise MalformedInput(f"{where}.labels", "expected a list of labels")
     kind = _require(metric, "type", f"{where}.metric")
     if kind == "matrix":
         d = _require(metric, "d", f"{where}.metric")
         try:
-            return validate_space(np.asarray(d, dtype=float), base=base,
-                                  labels=labels, tol=tol)
+            d = np.asarray(d, dtype=float)
         except (TypeError, ValueError) as exc:
             raise MalformedInput(f"{where}.metric.d", str(exc)) from None
-    if kind == "graph":
+        build = partial(validate_space, d, base=base, labels=labels, tol=tol)
+    elif kind == "graph":
         n = int(_require(metric, "n", f"{where}.metric"))
         edges = _require(metric, "edges", f"{where}.metric")
         try:
             triples = [(int(i), int(j), float(w)) for i, j, w in edges]
         except (TypeError, ValueError) as exc:
             raise MalformedInput(f"{where}.metric.edges", str(exc)) from None
-        return from_weighted_graph(n, triples, base=base, labels=labels)
-    raise MalformedInput(f"{where}.metric.type", f"unknown metric type {kind!r}")
+        build = partial(from_weighted_graph, n, triples, base=base, labels=labels)
+    else:
+        raise MalformedInput(f"{where}.metric.type", f"unknown metric type {kind!r}")
+    try:
+        return build()
+    except MalformedInput as exc:  # located relative to the space object
+        raise MalformedInput(f"{where}.{exc.json_path}", exc.reason) from None
 
 
-def _resolve_space(ref: Any, anchor: Path | None, where: str) -> PointedMetricSpace:
+def _resolve_space(obj: dict, key: str, anchor: Path, where: str) -> PointedMetricSpace:
+    ref = _require(obj, key, where)
     if isinstance(ref, str):
         path = Path(ref)
-        if anchor is not None and not path.is_absolute():
+        if not path.is_absolute():
             path = anchor / path
         return space_from_dict(read_json(path), where=str(path))
-    return space_from_dict(ref, where=where)
+    return space_from_dict(ref, where=f"{where}.{key}")
 
 
 def load_space(path: str | Path, tol: float | None = None) -> PointedMetricSpace:
@@ -109,7 +113,7 @@ def space_to_dict(space: PointedMetricSpace) -> dict:
 def load_function(path: str | Path) -> LipschitzFunction:
     obj = read_json(path)
     where = str(path)
-    space = _resolve_space(_require(obj, "space", where), Path(path).parent, where)
+    space = _resolve_space(obj, "space", Path(path).parent, where)
     values = np.asarray(_require(obj, "values", where), dtype=float)
     if values.shape != (space.n,):
         raise MalformedInput(f"{where}.values",
@@ -120,7 +124,7 @@ def load_function(path: str | Path) -> LipschitzFunction:
 def load_free_vector(path: str | Path) -> FreeVector:
     obj = read_json(path)
     where = str(path)
-    space = _resolve_space(_require(obj, "space", where), Path(path).parent, where)
+    space = _resolve_space(obj, "space", Path(path).parent, where)
     coeffs = np.asarray(_require(obj, "coeffs", where), dtype=float)
     try:
         return FreeVector(space, coeffs)
@@ -137,9 +141,9 @@ def load_map(path: str | Path,
     where = str(path)
     anchor = Path(path).parent
     if domain is None:
-        domain = _resolve_space(_require(obj, "domain", where), anchor, where)
+        domain = _resolve_space(obj, "domain", anchor, where)
     if codomain is None:
-        codomain = _resolve_space(_require(obj, "codomain", where), anchor, where)
+        codomain = _resolve_space(obj, "codomain", anchor, where)
     image = _require(obj, "image", where)
     try:
         return LipschitzMap(domain, codomain, tuple(int(i) for i in image))

@@ -22,6 +22,7 @@ from .errors import (
     AsymmetricDistance,
     BadBaseIndex,
     DisconnectedGraph,
+    MalformedInput,
     NegativeDistance,
     TriangleViolation,
     ZeroDistanceDistinctPoints,
@@ -105,11 +106,16 @@ def validate_space(
     The triangle inequality is checked with tolerance ``REL_TOL * max(d)``,
     or with an explicit absolute ``tol`` when given. Violations are
     reported with a witnessing index triple; nothing is ever repaired.
+    A matrix that is not square, or a label list of the wrong length, is
+    malformed input, reported at its path in a space file (``metric.d``
+    or ``labels``).
     """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise NegativeDistance(-1, -1, float("nan"))
+        raise MalformedInput("metric.d", f"expected a square matrix, got shape {d.shape}")
     n = d.shape[0]
+    if labels is not None and len(labels) != n:
+        raise MalformedInput("labels", f"expected {n} labels, got {len(labels)}")
     if n < 2:
         raise BadBaseIndex(base, n)
     if not (0 <= base < n):
@@ -147,6 +153,21 @@ def validate_space(
     return PointedMetricSpace(tuple(labels), base, d, dict(meta or {}))
 
 
+def shortest_path_closure(d: np.ndarray) -> np.ndarray:
+    """Relax d through every intermediate point (Floyd-Warshall) until a
+    floating-point fixpoint, so the result satisfies the triangle
+    inequality with zero tolerance. Infinite entries mark missing edges."""
+    changed = True
+    while changed:
+        changed = False
+        for k in range(d.shape[0]):
+            relaxed = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
+            if np.any(relaxed < d):
+                d = relaxed
+                changed = True
+    return d
+
+
 def from_weighted_graph(
     n: int,
     edges: Sequence[tuple[int, int, float]],
@@ -156,8 +177,8 @@ def from_weighted_graph(
 ) -> PointedMetricSpace:
     """Shortest-path metric of a connected positively weighted graph.
 
-    Runs Floyd-Warshall to a floating-point fixpoint, so the returned
-    matrix satisfies the triangle inequality with zero tolerance.
+    The closure is :func:`shortest_path_closure`, so the returned matrix
+    satisfies the triangle inequality with zero tolerance.
     """
     if not (0 <= base < n) or n < 2:
         raise BadBaseIndex(base, n)
@@ -171,14 +192,7 @@ def from_weighted_graph(
             continue
         if w < d[i, j]:
             d[i, j] = d[j, i] = w
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n):
-            relaxed = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
-            if np.any(relaxed < d):
-                d = relaxed
-                changed = True
+    d = shortest_path_closure(d)
     if np.any(np.isinf(d)):
         unreachable = sorted(int(i) for i in np.argwhere(np.isinf(d[0]))[:, 0])
         raise DisconnectedGraph(unreachable)

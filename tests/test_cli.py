@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,9 @@ import sys
 
 import pytest
 
+from lipfree import cli, composition
 from lipfree.fixtures import tripod
+from lipfree.freespace import DualResult
 from lipfree.io import geodesic_space_to_dict, space_to_dict
 from lipfree.metric_core import interval_net
 
@@ -31,6 +34,13 @@ def report_of(proc):
     return json.loads(proc.stdout)
 
 
+def run_in_process(capsys, *args):
+    """Exit code, report (or None) and stderr of one in-process CLI call."""
+    code = cli.run(list(args))
+    out, err = capsys.readouterr()
+    return code, json.loads(out) if out else None, err
+
+
 def strip_timing(report):
     report = copy.deepcopy(report)
     report.pop("timing", None)
@@ -52,12 +62,19 @@ def files(tmp_path):
     mp = write(tmp_path / "map.json", {
         "domain": "two.json", "codomain": "two.json", "image": [0, 1],
     })
+    three = write(tmp_path / "three.json", {
+        "labels": ["a", "b", "c"], "base": 0,
+        "metric": {"type": "matrix", "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+    })
+    map3 = write(tmp_path / "map3.json", {
+        "domain": "three.json", "codomain": "three.json", "image": [0, 1, 2],
+    })
     net = write(tmp_path / "net4.json", space_to_dict(interval_net(4)))
     fn = write(tmp_path / "f.json", {"space": "net4.json",
                                      "values": [0, 0.25, 0.5, 0.75, 1.0]})
     geo = write(tmp_path / "tripod.json", geodesic_space_to_dict(tripod()))
     return {"two": two, "bad": bad, "vec": vec, "map": mp, "net": net,
-            "fn": fn, "geo": geo, "dir": tmp_path}
+            "fn": fn, "geo": geo, "three": three, "map3": map3, "dir": tmp_path}
 
 
 class TestExitCodes:
@@ -89,6 +106,59 @@ class TestExitCodes:
     def test_unknown_command_exits_2(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("space, where", [
+        ({"metric": {"type": "matrix", "d": [[0, 1, 2], [1, 0, 1]]}}, "metric.d"),
+        ({"labels": ["a"], "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}}, "labels"),
+    ])
+    def test_malformed_space_exits_2_without_traceback(self, files, space, where):
+        path = write(files["dir"] / "malformed.json", space)
+        proc = run_cli("validate", path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"MalformedInput: {path}.{where}:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("pairs", ["a,b", "0,0", "0,7", "-1,2", "0,1,2", "0", ";"])
+    @pytest.mark.parametrize("command", ["norming", "isometry"])
+    def test_bad_pairs_exit_2(self, files, capsys, command, pairs):
+        argv = (["norming", files["three"]] if command == "norming"
+                else ["isometry", "--map", files["map3"], "--method", "dual"])
+        code, report, err = run_in_process(capsys, *argv, f"--pairs={pairs}")
+        assert code == 2
+        assert report is None
+        assert "MalformedInput: --pairs:" in err
+
+    def test_flow_lp_disagreement_exits_3(self, files, capsys, monkeypatch):
+        real = cli.free_norm_dual
+
+        def shifted(mu):
+            value, maximizer = real(mu)
+            return DualResult(value + 1.0, maximizer)
+
+        monkeypatch.setattr(cli, "free_norm_dual", shifted)
+        code, report, _ = run_in_process(capsys, "freenorm", files["vec"], "--method", "both")
+        assert code == 3
+        assert report["error"]["kind"] == "MethodDisagreement"
+        assert report["results"]["flow"] == pytest.approx(1.0)
+        assert report["results"]["lp"] == pytest.approx(2.0)
+        assert report["results"]["agree"] is False
+
+    def test_certifier_disagreement_exits_3(self, files, capsys, monkeypatch):
+        real = composition.certify_isometry_primal
+
+        def flipped(phi, tol=None):
+            cert = real(phi, tol=tol)
+            return dataclasses.replace(
+                cert, verdict="not_isometric" if cert.isometric else "isometric")
+
+        monkeypatch.setattr(composition, "certify_isometry_primal", flipped)
+        code, report, _ = run_in_process(capsys, "isometry", "--map", files["map"],
+                                         "--method", "both")
+        assert code == 3
+        assert report["error"]["kind"] == "MethodDisagreement"
+        assert report["results"]["dual"]["verdict"] == "isometric"
+        assert report["results"]["primal"]["verdict"] == "not_isometric"
 
 
 class TestCommands:
@@ -174,6 +244,22 @@ class TestExperiments:
         results = report_of(proc)["results"]
         assert results["certificate"]["verdict"] == "isometric"
         assert all(p["max_defect"] <= p["eps"] for p in results["necessary"])
+
+    def test_tolerances_in_force_are_never_null(self, files, capsys):
+        runs = [
+            ("experiment", "interval", "--mesh", "4", "--map", "builtin:identity"),
+            ("experiment", "geodesic", "--space", files["geo"], "--map", "builtin:identity"),
+        ]
+        for argv in runs:
+            code, report, _ = run_in_process(capsys, *argv)
+            assert code == 0
+            tolerances = report["tolerances"]
+            assert set(tolerances) == {"r_loc", "eps", "tol_metric"}
+            assert all(v is not None for v in tolerances.values())
+        # the geodesic defaults are the ones its profiles used: four meshes
+        for profile in report["results"]["necessary"]:
+            assert profile["r_loc"] == tolerances["r_loc"] == 4 * report["results"]["mesh"]
+            assert profile["eps"] == tolerances["eps"]
 
     def test_builtin_requires_mesh(self):
         proc = run_cli("experiment", "interval", "--map", "builtin:fold")

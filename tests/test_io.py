@@ -58,6 +58,33 @@ class TestSpaceFiles:
         with pytest.raises(MalformedInput):
             load_space(path)
 
+    def test_non_square_matrix_names_json_path(self, tmp_path):
+        path = write(tmp_path / "bad.json", {
+            "metric": {"type": "matrix", "d": [[0, 1, 2], [1, 0, 1]]}})
+        with pytest.raises(MalformedInput) as exc:
+            load_space(path)
+        assert exc.value.json_path == f"{path}.metric.d"
+
+    @pytest.mark.parametrize("metric", [
+        {"type": "matrix", "d": [[0, 1], [1, 0]]},
+        {"type": "graph", "n": 2, "edges": [[0, 1, 1.0]]},
+    ])
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"], "ab"])
+    def test_label_count_names_json_path(self, tmp_path, metric, labels):
+        path = write(tmp_path / "bad.json", {"labels": labels, "metric": metric})
+        with pytest.raises(MalformedInput) as exc:
+            load_space(path)
+        assert exc.value.json_path == f"{path}.labels"
+
+    def test_inline_space_error_names_its_field(self, tmp_path):
+        path = write(tmp_path / "f.json", {
+            "space": {"labels": ["a"], "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}},
+            "values": [0.0, 0.5],
+        })
+        with pytest.raises(MalformedInput) as exc:
+            load_function(path)
+        assert exc.value.json_path == f"{path}.space.labels"
+
     def test_field_order_irrelevant(self, tmp_path):
         a = write(tmp_path / "a.json", {
             "metric": {"d": [[0, 1], [1, 0]], "type": "matrix"},

@@ -6,6 +6,7 @@ from lipfree.errors import (
     AsymmetricDistance,
     BadBaseIndex,
     DisconnectedGraph,
+    MalformedInput,
     NegativeDistance,
     TriangleViolation,
     ZeroDistanceDistinctPoints,
@@ -56,6 +57,22 @@ class TestValidateSpace:
     def test_single_point_rejected(self):
         with pytest.raises(BadBaseIndex):
             validate_space([[0]])
+
+    @pytest.mark.parametrize("d", [[[0, 1, 2], [1, 0, 1]], [0, 1], [[[0]]]])
+    def test_non_square_matrix_is_malformed(self, d):
+        with pytest.raises(MalformedInput) as exc:
+            validate_space(d)
+        assert exc.value.json_path == "metric.d"
+
+    def test_label_count_must_match(self):
+        with pytest.raises(MalformedInput) as exc:
+            validate_space([[0, 1], [1, 0]], labels=["a"])
+        assert exc.value.json_path == "labels"
+
+    def test_graph_label_count_must_match(self):
+        with pytest.raises(MalformedInput) as exc:
+            from_weighted_graph(3, [(0, 1, 1.0), (1, 2, 1.0)], labels=["a", "b"])
+        assert exc.value.json_path == "labels"
 
 
 class TestFromWeightedGraph:
