@@ -5,7 +5,8 @@ The package makes three kinds of questions computable at desk scale:
 * transport norms of zero-sum vectors over a finite metric space, by
   min-cost flow and by a dual linear program that must agree;
 * the extremal structure of the unit ball of those vectors (a polytope),
-  by LP vertex tests that match a purely metric betweenness criterion;
+  by a purely metric betweenness criterion, checked against an LP
+  vertex test that serves as its independent oracle;
 * whether composition against a norm-one base-preserving map preserves
   every Lipschitz function's norm, certified by two independent
   algorithms, with discretized geodesic experiments quantifying the

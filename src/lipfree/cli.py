@@ -3,8 +3,8 @@
 Every command emits a single JSON report with the same envelope:
 command, artifact version, input digests, the tolerances that were in
 force, the command-specific results, and a timing block. Reports are
-deterministic for identical inputs and flags, independent of the
-LIPFREE_THREADS setting; only the timing block varies between runs.
+deterministic for identical inputs and flags; only the timing block
+varies between runs.
 
 Exit codes: 0 for any computed verdict (a negative verdict is still a
 successful computation), 2 for input errors, and 3 for internal
@@ -90,20 +90,27 @@ def _emit_csv(rows, path: str) -> None:
             writer.writerow([repr(t), repr(best), repr(defect)])
 
 
+def _parse_indices(flag: str, text: str, n: int) -> list[int]:
+    """Comma-separated distinct point indices below n."""
+    try:
+        indices = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise MalformedInput(flag, f"{text!r} is not a list of integers") from None
+    if not all(0 <= i < n for i in indices):
+        raise MalformedInput(flag, f"{text!r}: indices must lie in 0..{n - 1}")
+    if len(set(indices)) != len(indices):
+        raise MalformedInput(flag, f"{text!r}: indices must be distinct")
+    return indices
+
+
 def _parse_pairs(text: str, n: int) -> list[PointPair]:
     """Semicolon-separated pairs of distinct point indices below n."""
     pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            x, y = (int(part) for part in chunk.split(","))
-            if not (0 <= x < n and 0 <= y < n):
-                raise ValueError(f"indices must lie in 0..{n - 1}")
-            pairs.append(PointPair(x, y))
-        except ValueError as exc:
-            raise MalformedInput("--pairs", f"cannot use pair {chunk!r}: {exc}") from None
+    for chunk in filter(str.strip, text.split(";")):
+        indices = _parse_indices("--pairs", chunk, n)
+        if len(indices) != 2:
+            raise MalformedInput("--pairs", f"{chunk!r} is not a pair")
+        pairs.append(PointPair(*indices))
     if not pairs:
         raise MalformedInput("--pairs", "no pairs given")
     return pairs
@@ -317,7 +324,9 @@ def _cmd_isometry(args):
 
 def _cmd_extend(args):
     f = load_function(args.function)
-    subset = [int(s) for s in args.subset.split(",") if s.strip()]
+    subset = _parse_indices("--subset", args.subset, f.space.n)
+    if f.space.base not in subset:
+        raise MalformedInput("--subset", f"must contain the base point {f.space.base}")
     floor = load_function(args.floor) if args.floor else None
     if floor is not None and floor.space.n != f.space.n:
         raise MalformedInput("--floor", "floor lives on a different-size space")

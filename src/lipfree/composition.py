@@ -28,10 +28,8 @@ from typing import Any, NamedTuple, Sequence
 import numpy as np
 
 from . import freespace
-from ._parallel import thread_map
 from .errors import (
     BasePointNotPreserved,
-    InvariantFailure,
     MapNormExceedsOne,
     MethodDisagreement,
     NotNorming,
@@ -45,7 +43,7 @@ from .freespace import (
     is_norming,
 )
 from .lipschitz import LipschitzFunction
-from .metric_core import PointedMetricSpace, PointPair, intermediate_points
+from .metric_core import PointedMetricSpace, PointPair
 
 
 class MapNorm(NamedTuple):
@@ -199,20 +197,12 @@ def _check_map_norm(phi: LipschitzMap, tol: float) -> MapNorm:
     return norm
 
 
-def _first_extreme_by_betweenness(space: PointedMetricSpace) -> PointPair:
-    # representative only; verdicts never depend on this shortcut
-    for pair in space.pairs():
-        if not intermediate_points(space, pair):
-            return pair
-    raise InvariantFailure("no strict pair found in a validated space")
-
-
 def _norm_deficit_certificate(phi: LipschitzMap, norm: MapNorm, method: str,
                               tol: float) -> IsometryCertificate:
     return IsometryCertificate(
         verdict="not_isometric",
         method=method,
-        failing_pair=_first_extreme_by_betweenness(phi.codomain).as_tuple(),
+        failing_pair=extreme_molecules(phi.codomain)[0].as_tuple(),
         tolerances={"tol_metric": tol},
         notes=f"operator norm {norm.value!r} is strictly below one",
     )
@@ -306,13 +296,10 @@ def certify_isometry_primal(
     u, v = _ordered_pairs(phi.domain.n)
     img = np.asarray(phi.image)
     img_u, img_v, d_uv = img[u], img[v], phi.domain.dist[u, v]
-    codomain = phi.codomain
-    vertices = extreme_molecules(codomain)
-    results = thread_map(
-        lambda vertex: hull_combination(codomain, vertex, img_u, img_v, d_uv), vertices)
+    vertices = extreme_molecules(phi.codomain)
     tolerances = {"tol_metric": tol, "lp_feasibility": freespace.LP_FEAS_TOL}
-    for vertex, found in zip(vertices, results):
-        if found is None:
+    for vertex in vertices:
+        if hull_combination(phi.codomain, vertex, img_u, img_v, d_uv) is None:
             return IsometryCertificate(
                 verdict="not_isometric", method="primal_polytope",
                 failing_pair=vertex.as_tuple(), tolerances=tolerances,

@@ -18,23 +18,24 @@ instances is part of the acceptance suite, so neither route may be
 rewritten in terms of the other.
 
 The unit ball of the span of the molecules is the convex hull of the
-molecules and their negatives. All geometric questions about it (is a
-molecule a vertex, is a pair set norming, does a pushed ball cover it)
-are answered by one face-filtered hull-membership LP,
+molecules and their negatives. Its vertices are the molecules with no
+third point metrically between their endpoints (Aliaga-Guirao), which
+:func:`extreme_molecules` tests directly; the LP vertex test
+:func:`is_extreme_molecule` is its independent oracle. The other hull
+questions (is a pair set norming, does a pushed ball cover it) are
+answered by one face-filtered hull-membership LP,
 :func:`hull_combination`, solved with the single feasibility tolerance
-``LP_FEAS_TOL``; the polytope is never enumerated.
+``LP_FEAS_TOL``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 from scipy.optimize import linprog
 
-from ._parallel import thread_map
 from .errors import InvariantFailure, NotZeroSum, SpaceMismatch
 from .lipschitz import LipschitzFunction
 from .metric_core import PointedMetricSpace, PointPair
@@ -409,7 +410,8 @@ def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeRe
     The ball is the convex hull of all molecules and their negatives
     (the reversed pairs), so the molecule is a vertex exactly when it is
     not a convex combination of the others; the combination is returned
-    as a certificate in the negative case.
+    as a certificate in the negative case. This is the independent
+    oracle for :func:`extreme_molecules`.
     """
     u, v = _ordered_pairs(space.n)
     others = (u != pair.x) | (v != pair.y)
@@ -423,25 +425,24 @@ def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeRe
     ))
 
 
-_extreme_cache: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def extreme_molecules(space: PointedMetricSpace) -> list[PointPair]:
     """All pairs (canonical order x < y) whose molecule is a vertex.
 
+    That is, no third point z has d(x,z) + d(z,y) <= d(x,y) + space.tol,
+    the test of :func:`metric_core.intermediate_points` over all pairs.
     Never empty: a polytope has vertices and every vertex of the ball is
-    itself a molecule or the negative of one. Results are cached per
-    space instance (spaces are immutable).
+    itself a molecule or the negative of one.
     """
-    cached = _extreme_cache.get(space)
-    if cached is not None:
-        return list(cached)
-    candidates = list(space.pairs())
-    results = thread_map(lambda pr: is_extreme_molecule(space, pr), candidates)
-    found = [pr for pr, res in zip(candidates, results) if res.is_extreme]
+    d = space.dist
+    between = np.zeros(d.shape, dtype=bool)
+    for z in range(space.n):
+        through = d[:, z][:, None] + d[z, :][None, :] <= d + space.tol
+        through[z, :] = through[:, z] = False
+        between |= through
+    xs, ys = np.nonzero(np.triu(~between, k=1))
+    found = [PointPair(int(x), int(y)) for x, y in zip(xs, ys)]
     if not found:
         raise InvariantFailure("polytope reported no vertices")
-    _extreme_cache[space] = list(found)
     return found
 
 
@@ -466,13 +467,7 @@ def is_norming(space: PointedMetricSpace, pairs: Sequence[PointPair]) -> Norming
     u = np.array([s[0] for s in signed])
     v = np.array([s[1] for s in signed])
     d_uv = space.dist[u, v]
-
-    def member(vertex: PointPair) -> bool:
-        return hull_combination(space, vertex, u, v, d_uv) is not None
-
-    vertices = extreme_molecules(space)
-    results = thread_map(member, vertices)
-    for vertex, ok in zip(vertices, results):
-        if not ok:
+    for vertex in extreme_molecules(space):
+        if hull_combination(space, vertex, u, v, d_uv) is None:
             return NormingResult(False, vertex)
     return NormingResult(True, None)

@@ -178,13 +178,17 @@ def from_weighted_graph(
     """Shortest-path metric of a connected positively weighted graph.
 
     The closure is :func:`shortest_path_closure`, so the returned matrix
-    satisfies the triangle inequality with zero tolerance.
+    satisfies the triangle inequality with zero tolerance. An edge with
+    an endpoint outside 0..n-1 is malformed input at ``metric.edges``.
     """
     if not (0 <= base < n) or n < 2:
         raise BadBaseIndex(base, n)
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
     for i, j, w in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise MalformedInput("metric.edges",
+                                 f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
         w = float(w)
         if not (w > 0) or not math.isfinite(w):
             raise NegativeDistance(int(i), int(j), w)

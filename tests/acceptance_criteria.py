@@ -37,6 +37,7 @@ from lipfree.freespace import (
     extreme_molecules,
     free_norm_dual,
     free_norm_primal,
+    is_extreme_molecule,
     molecule,
     molecule_distance,
 )
@@ -166,7 +167,12 @@ def _canonical_metric_matrices(n: int, max_d: int = 4) -> np.ndarray:
 
 
 def criterion_3_extremality_oracle() -> dict:
-    """LP vertex oracle agrees with empty betweenness, exhaustively."""
+    """LP vertex oracle agrees with empty betweenness, exhaustively.
+
+    The LP (``is_extreme_molecule``) runs on every pair; both the
+    per-pair betweenness test and the vertex enumeration, which is built
+    on betweenness, must match it.
+    """
     started = time.perf_counter()
     spaces = 0
     pairs_checked = 0
@@ -176,11 +182,12 @@ def criterion_3_extremality_oracle() -> dict:
             space = PointedMetricSpace(tuple(f"p{i}" for i in range(n)), 0,
                                        mat.astype(float))
             spaces += 1
-            lp_extreme = {p.as_tuple() for p in extreme_molecules(space)}
+            enumerated = {p.as_tuple() for p in extreme_molecules(space)}
             for pair in space.pairs():
                 pairs_checked += 1
+                lp_extreme = is_extreme_molecule(space, pair).is_extreme
                 metric_extreme = not intermediate_points(space, pair)
-                if (pair.as_tuple() in lp_extreme) != metric_extreme:
+                if not lp_extreme == metric_extreme == (pair.as_tuple() in enumerated):
                     disagreements.append([n, mat.tolist(), pair.as_tuple()])
     runtime = time.perf_counter() - started
     return {

@@ -110,6 +110,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("space, where", [
         ({"metric": {"type": "matrix", "d": [[0, 1, 2], [1, 0, 1]]}}, "metric.d"),
         ({"labels": ["a"], "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}}, "labels"),
+        ({"metric": {"type": "graph", "n": 2, "edges": [[0, 5, 1.0]]}}, "metric.edges"),
+        ({"metric": {"type": "graph", "n": 3, "edges": [[0, 1, 1], [1, -1, 1]]}},
+         "metric.edges"),
     ])
     def test_malformed_space_exits_2_without_traceback(self, files, space, where):
         path = write(files["dir"] / "malformed.json", space)
@@ -128,6 +131,14 @@ class TestExitCodes:
         assert code == 2
         assert report is None
         assert "MalformedInput: --pairs:" in err
+
+    @pytest.mark.parametrize("subset", ["a", "0,9", "0,1,1", "0,-1", "1,2", ","])
+    def test_bad_subset_exits_2(self, files, capsys, subset):
+        code, report, err = run_in_process(capsys, "extend", files["fn"],
+                                           f"--subset={subset}")
+        assert code == 2
+        assert report is None
+        assert "MalformedInput: --subset:" in err
 
     def test_flow_lp_disagreement_exits_3(self, files, capsys, monkeypatch):
         real = cli.free_norm_dual

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lipfree import freespace
 from lipfree.errors import NotZeroSum, SpaceMismatch
-from lipfree.fixtures import random_space, random_zero_sum
+from lipfree.fixtures import random_space, random_zero_sum, tripod
 from lipfree.freespace import (
     FreeVector,
     extreme_molecules,
@@ -17,6 +18,7 @@ from lipfree.freespace import (
 )
 from lipfree.lipschitz import LipschitzFunction, lipschitz_norm
 from lipfree.metric_core import (
+    REL_TOL,
     PointPair,
     circle_net,
     from_weighted_graph,
@@ -193,12 +195,37 @@ class TestExtremeMolecules:
 
     def test_oracle_matches_betweenness_on_random_spaces(self):
         rng = np.random.default_rng(13)
-        for _ in range(10):
-            space = random_space(rng, int(rng.integers(3, 7)))
+        spaces = [random_space(rng, int(rng.integers(3, 7))) for _ in range(10)]
+        spaces += [interval_net(12), circle_net(10), tripod(1.0, 3).space,
+                   random_space(rng, 12), random_space(rng, 12)]
+        for space in spaces:
+            lp_vertices = []
             for pair in space.pairs():
                 lp_says = is_extreme_molecule(space, pair).is_extreme
                 metric_says = not intermediate_points(space, pair)
                 assert lp_says == metric_says
+                if lp_says:
+                    lp_vertices.append(pair)
+            assert extreme_molecules(space) == lp_vertices
+
+    def test_enumeration_solves_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("extreme_molecules called linprog")
+
+        monkeypatch.setattr(freespace, "linprog", no_lp)
+        assert len(extreme_molecules(interval_net(64))) == 64
+
+    @pytest.mark.parametrize("factor, is_vertex", [(0.5, False), (2.0, True)])
+    def test_betweenness_decided_by_space_tol(self, factor, is_vertex):
+        # point 2 sits off the midpoint of the segment [0, 1] so that
+        # d(0,2) + d(2,1) - d(0,1) = delta, a multiple of space.tol
+        tol = REL_TOL  # the diameter is 1
+        delta = factor * tol
+        space = validate_space([[0.0, 1.0, 0.5 + delta / 2],
+                                [1.0, 0.0, 0.5 + delta / 2],
+                                [0.5 + delta / 2, 0.5 + delta / 2, 0.0]])
+        assert space.tol == tol
+        assert (PointPair(0, 1) in extreme_molecules(space)) == is_vertex
 
 
 class TestIsNorming:

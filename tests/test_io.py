@@ -76,6 +76,17 @@ class TestSpaceFiles:
             load_space(path)
         assert exc.value.json_path == f"{path}.labels"
 
+    @pytest.mark.parametrize("n, edges", [
+        (2, [[0, 5, 1.0]]),
+        (3, [[0, 1, 1], [1, -1, 1]]),
+    ])
+    def test_graph_edge_endpoint_out_of_range(self, tmp_path, n, edges):
+        path = write(tmp_path / "g.json",
+                     {"metric": {"type": "graph", "n": n, "edges": edges}})
+        with pytest.raises(MalformedInput) as exc:
+            load_space(path)
+        assert exc.value.json_path == f"{path}.metric.edges"
+
     def test_inline_space_error_names_its_field(self, tmp_path):
         path = write(tmp_path / "f.json", {
             "space": {"labels": ["a"], "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}},
