@@ -5,10 +5,10 @@ part onto its negative part, with the distance as unit cost. Two
 independent routes compute it:
 
 * :func:`free_norm_primal` solves the transportation problem directly
-  with a network simplex (northwest-corner start, Bland pivoting), and
-  returns an optimal plan. Because distances satisfy the triangle
-  inequality, shipping along direct arcs is optimal, so the bipartite
-  formulation loses nothing.
+  with a spanning-tree network simplex (artificial-root start, Dantzig
+  pricing, strongly feasible trees), and returns one optimal plan.
+  Because distances satisfy the triangle inequality, shipping along
+  direct arcs is optimal, so the bipartite formulation loses nothing.
 * :func:`free_norm_dual` maximizes the pairing against the vector over
   all functions with difference quotients at most 1, as a linear
   program, and returns a maximizing function.
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import InvariantFailure, NotZeroSum, SpaceMismatch
@@ -142,119 +143,105 @@ class DualResult(NamedTuple):
 _SIMPLEX_CAP = 200_000
 
 
-def _northwest_corner(p: np.ndarray, q: np.ndarray):
-    """Initial basic feasible plan with exactly m+n-1 basic cells."""
-    m, n = p.size, q.size
-    alloc = {}
-    basis = []
-    p_rem = p.copy()
-    q_rem = q.copy()
-    i = j = 0
-    for _ in range(m + n - 1):
-        a = min(p_rem[i], q_rem[j])
-        basis.append((i, j))
-        alloc[(i, j)] = a
-        p_rem[i] -= a
-        q_rem[j] -= a
-        if i == m - 1 and j == n - 1:
-            break
-        if (p_rem[i] <= q_rem[j] and i < m - 1) or j == n - 1:
-            i += 1
-        else:
-            j += 1
-    return alloc, basis
-
-
-def _tree_duals(basis, cost, m, n):
-    """Node potentials from the basis tree, rooted at row 0 with u[0]=0."""
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    by_row = [[] for _ in range(m)]
-    by_col = [[] for _ in range(n)]
-    for (i, j) in basis:
-        by_row[i].append(j)
-        by_col[j].append(i)
-    u[0] = 0.0
-    stack = [("r", 0)]
-    while stack:
-        kind, k = stack.pop()
-        if kind == "r":
-            for j in by_row[k]:
-                if np.isnan(v[j]):
-                    v[j] = cost[k, j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in by_col[k]:
-                if np.isnan(u[i]):
-                    u[i] = cost[i, k] - v[k]
-                    stack.append(("r", i))
-    if np.any(np.isnan(u)) or np.any(np.isnan(v)):
-        raise InvariantFailure("transportation basis is not a spanning tree")
-    return u, v
-
-
-def _find_cycle(basis, enter, m):
-    """Path in the basis tree from the entering arc's row to its column."""
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for (i, j) in basis:
-        r, c = i, m + j
-        adj.setdefault(r, []).append((c, (i, j)))
-        adj.setdefault(c, []).append((r, (i, j)))
-    start, goal = enter[0], m + enter[1]
-    parent = {start: (None, None)}
-    queue = [start]
-    while queue:
-        node = queue.pop(0)
-        if node == goal:
-            break
-        for nxt, arc in adj.get(node, []):
-            if nxt not in parent:
-                parent[nxt] = (node, arc)
-                queue.append(nxt)
-    if goal not in parent:
-        raise InvariantFailure("entering arc does not close a cycle")
-    path_arcs = []
-    node = goal
-    while node != start:
-        prev, arc = parent[node]
-        path_arcs.append(arc)
-        node = prev
-    return path_arcs[::-1]  # from row-side to column-side
-
-
 def _transport(p: np.ndarray, q: np.ndarray, cost: np.ndarray):
-    """Optimal transportation plan by network simplex with Bland pivoting."""
-    m, n = p.size, q.size
-    alloc, basis = _northwest_corner(p, q)
-    pivot_eps = 1e-13 * (1.0 + float(cost.max(initial=0.0)))
-    basis_set = set(basis)
+    """Optimal transportation plan by a spanning-tree network simplex.
+
+    Nodes are the m sources, the n sinks and an artificial root (node
+    m+n). Costs are priced in units of the largest one, so the pivot
+    tolerance is relative. The start tree hangs every node from the
+    root: source i ships p[i] to it at cost 0 and it ships q[j] to sink
+    j at cost 2, dearer than any direct arc, so an optimal plan leaves
+    the artificial arcs empty (up to the vector's rounding imbalance)
+    and none of them ever enters again. Each non-root node stores its
+    parent, depth and children, and the flow, direction and signed cost
+    of the arc to its parent: its potential is its parent's plus that
+    signed cost.
+
+    Each pivot enters the real arc of most negative reduced cost
+    (Dantzig), priced as one matrix. Its cycle is found by walking both
+    endpoints up to their common ancestor, and the leaving arc is the
+    last blocking arc met when the cycle is walked from that ancestor
+    in the entering arc's direction (Cunningham). This keeps every tree
+    strongly feasible, so no tree repeats and the loop terminates;
+    ``_SIMPLEX_CAP`` only guards that invariant. Only the subtree cut
+    off by the leaving arc changes depth and potential: it is re-hung
+    from the entering arc and its potentials are recomputed from its new
+    parent down, which shifts them by the entering arc's reduced cost
+    without accumulating rounding across pivots.
+    """
+    m, n = cost.shape
+    root = m + n
+    unit = cost / cost.max()
+    art, pivot_eps = 2.0, 2e-13
+    parent = [root] * root + [-1]
+    depth = [1] * root + [0]
+    up = [True] * m + [False] * (n + 1)  # the arc to the parent leaves the node
+    flow = p.tolist() + q.tolist() + [0.0]
+    scost = [0.0] * m + [art] * n + [0.0]
+    children = [set() for _ in range(root)] + [set(range(root))]
+    pi = np.array(scost)
     for _ in range(_SIMPLEX_CAP):
-        u, v = _tree_duals(basis, cost, m, n)
-        reduced = cost - u[:, None] - v[None, :]
-        entering = None
-        flat = np.flatnonzero(reduced.ravel() < -pivot_eps)
-        for f in flat:  # Bland: smallest index first
-            cand = (int(f) // n, int(f) % n)
-            if cand not in basis_set:
-                entering = cand
-                break
-        if entering is None:
+        reduced = unit + pi[:m, None] - pi[None, m:root]
+        k = int(reduced.argmin())
+        if reduced.flat[k] >= -pivot_eps:
             break
-        path = _find_cycle(basis, entering, m)
-        # entering arc is +; arcs along the tree path alternate -, +, -, ...
-        minus_arcs = path[0::2]
-        theta = min(alloc[a] for a in minus_arcs)
-        leaving = min(a for a in minus_arcs if alloc[a] == theta)
-        for k, a in enumerate(path):
-            alloc[a] += theta if k % 2 else -theta
-        alloc[entering] = theta
-        alloc.pop(leaving)
-        basis[basis.index(leaving)] = entering
-        basis_set.discard(leaving)
-        basis_set.add(entering)
+        i, j = divmod(k, n)
+        a, b = i, m + j
+        join, w = a, b
+        while join != w:
+            if depth[join] >= depth[w]:
+                join = parent[join]
+            else:
+                w = parent[w]
+        # Flow runs join -> a -> b -> join: arcs pointing up block on
+        # a's side, arcs pointing down on b's side.
+        delta, out = np.inf, -1
+        w = a
+        while w != join:
+            if up[w] and flow[w] < delta:
+                delta, out = flow[w], w
+            w = parent[w]
+        out_on_a_side = True
+        w = b
+        while w != join:
+            if not up[w] and flow[w] <= delta:
+                delta, out, out_on_a_side = flow[w], w, False
+            w = parent[w]
+        if delta > 0:
+            for start, sign in ((a, -1.0), (b, 1.0)):
+                w = start
+                while w != join:
+                    flow[w] += sign * delta if up[w] else -sign * delta
+                    w = parent[w]
+        # Re-hang the subtree below the leaving arc from the entering
+        # arc, reversing the stem from its new root up to the old one.
+        w, par = (a, b) if out_on_a_side else (b, a)
+        top = w
+        arc = (delta, out_on_a_side, -unit[i, j] if out_on_a_side else unit[i, j])
+        while True:
+            old = parent[w]
+            stem = (flow[w], not up[w], -scost[w])
+            children[old].discard(w)
+            children[par].add(w)
+            parent[w] = par
+            flow[w], up[w], scost[w] = arc
+            if w == out:
+                break
+            par, w, arc = w, old, stem
+        stack = [top]
+        while stack:
+            w = stack.pop()
+            depth[w] = depth[parent[w]] + 1
+            pi[w] = pi[parent[w]] + scost[w]
+            stack.extend(children[w])
     else:
         raise InvariantFailure("transportation simplex exceeded its pivot cap")
-    value = float(sum(a * cost[i, j] for (i, j), a in alloc.items()))
+    alloc = {}
+    for w in range(root):
+        if parent[w] != root:
+            src, dst = (w, parent[w]) if up[w] else (parent[w], w)
+            alloc[(src, dst - m)] = flow[w]
+    value = float(sum(f * cost[i, j] for (i, j), f in alloc.items()))
     return value, alloc
 
 
@@ -287,38 +274,32 @@ def free_norm_primal(mu: FreeVector) -> FlowResult:
 # dual: Lipschitz-constrained maximization LP
 # ---------------------------------------------------------------------------
 
-def _pair_constraint_matrix(n: int, base: int) -> np.ndarray:
-    """Rows f(i) - f(j) <= d(i,j) over ordered pairs, base column removed."""
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            row = np.zeros(n)
-            row[i] += 1.0
-            row[j] -= 1.0
-            rows.append(row)
-    a = np.array(rows)
-    return np.delete(a, base, axis=1)
+def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.nonzero(~np.eye(n, dtype=bool))
 
 
 def free_norm_dual(mu: FreeVector) -> DualResult:
     """Transport norm as the best pairing against a 1-Lipschitz function.
 
-    Maximizes sum f * mu subject to f(i) - f(j) <= d(i,j) for all ordered
+    Maximizes sum f * mu subject to f(u) - f(v) <= d(u,v) for all ordered
     pairs, with f pinned to 0 at the base point. Returns the value and
     one maximizer.
     """
     space = mu.space
-    n = space.n
-    a_ub = _pair_constraint_matrix(n, space.base)
-    b_ub = np.array([space.d(i, j) for i in range(n) for j in range(n) if i != j])
-    obj = -np.delete(mu.coeffs, space.base)
-    res = linprog(obj, A_ub=a_ub, b_ub=b_ub, bounds=(None, None),
+    n, base = space.n, space.base
+    u, v = _ordered_pairs(n)
+    rows, cols = np.tile(np.arange(u.size), 2), np.concatenate([u, v])
+    signs = np.repeat([1.0, -1.0], u.size)
+    kept = cols != base  # f(base) = 0 drops the base column
+    a_ub = sparse.csr_array(
+        (signs[kept], (rows[kept], cols[kept] - (cols[kept] > base))),
+        shape=(u.size, n - 1))
+    obj = -np.delete(mu.coeffs, base)
+    res = linprog(obj, A_ub=a_ub, b_ub=space.dist[u, v], bounds=(None, None),
                   method="highs", options=_LP_OPTIONS)
     if res.status != 0:
         raise InvariantFailure(f"dual norm LP failed with status {res.status}")
-    values = np.insert(res.x, space.base, 0.0)
+    values = np.insert(res.x, base, 0.0)
     return DualResult(-float(res.fun), LipschitzFunction(space, values))
 
 
@@ -334,12 +315,6 @@ def molecule_distance(a: Molecule, b: Molecule) -> float:
 # ---------------------------------------------------------------------------
 
 FACE_PAIRING_TOL = 1e-9
-
-
-def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    grid = ~np.eye(n, dtype=bool)
-    u, v = np.nonzero(grid)
-    return u, v
 
 
 def exposing_function(space: PointedMetricSpace, pair: PointPair) -> np.ndarray:

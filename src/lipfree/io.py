@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InputError, MalformedInput, NotZeroSum
+from .errors import MalformedInput, NotZeroSum
 from .freespace import FreeVector
 from .geodesic import DiscretizedGeodesicSpace
 from .lipschitz import LipschitzFunction
@@ -50,35 +50,51 @@ def read_json(path: str | Path) -> Any:
 
 
 def _require(obj: dict, key: str, where: str) -> Any:
+    if not isinstance(obj, dict):
+        raise MalformedInput(where, "expected an object")
     if key not in obj:
         raise MalformedInput(f"{where}.{key}", "missing required field")
     return obj[key]
 
 
+def _integer(value: Any, where: str) -> int:
+    """A JSON integer; a float is accepted only when it is whole."""
+    whole = isinstance(value, float) and value.is_integer()
+    if whole or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise MalformedInput(where, f"expected an integer, got {value!r}")
+
+
+def _floats(obj: dict, key: str, where: str) -> np.ndarray:
+    raw = _require(obj, key, where)
+    try:
+        values = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"{where}.{key}", str(exc)) from None
+    if not np.all(np.isfinite(values)):
+        raise MalformedInput(f"{where}.{key}", "entries must be finite numbers")
+    return values
+
+
 def space_from_dict(obj: dict, where: str = "space",
                     tol: float | None = None) -> PointedMetricSpace:
-    if not isinstance(obj, dict):
-        raise MalformedInput(where, "expected an object")
     metric = _require(obj, "metric", where)
-    base = int(obj.get("base", 0))
+    base = _integer(obj.get("base", 0), f"{where}.base")
     labels = obj.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise MalformedInput(f"{where}.labels", "expected a list of labels")
     kind = _require(metric, "type", f"{where}.metric")
     if kind == "matrix":
-        d = _require(metric, "d", f"{where}.metric")
-        try:
-            d = np.asarray(d, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise MalformedInput(f"{where}.metric.d", str(exc)) from None
+        d = _floats(metric, "d", f"{where}.metric")
         build = partial(validate_space, d, base=base, labels=labels, tol=tol)
     elif kind == "graph":
-        n = int(_require(metric, "n", f"{where}.metric"))
+        n = _integer(_require(metric, "n", f"{where}.metric"), f"{where}.metric.n")
         edges = _require(metric, "edges", f"{where}.metric")
+        at = f"{where}.metric.edges"
         try:
-            triples = [(int(i), int(j), float(w)) for i, j, w in edges]
+            triples = [(_integer(i, at), _integer(j, at), float(w)) for i, j, w in edges]
         except (TypeError, ValueError) as exc:
-            raise MalformedInput(f"{where}.metric.edges", str(exc)) from None
+            raise MalformedInput(at, str(exc)) from None
         build = partial(from_weighted_graph, n, triples, base=base, labels=labels)
     else:
         raise MalformedInput(f"{where}.metric.type", f"unknown metric type {kind!r}")
@@ -114,7 +130,7 @@ def load_function(path: str | Path) -> LipschitzFunction:
     obj = read_json(path)
     where = str(path)
     space = _resolve_space(obj, "space", Path(path).parent, where)
-    values = np.asarray(_require(obj, "values", where), dtype=float)
+    values = _floats(obj, "values", where)
     if values.shape != (space.n,):
         raise MalformedInput(f"{where}.values",
                              f"expected {space.n} values, got {values.shape}")
@@ -125,12 +141,10 @@ def load_free_vector(path: str | Path) -> FreeVector:
     obj = read_json(path)
     where = str(path)
     space = _resolve_space(obj, "space", Path(path).parent, where)
-    coeffs = np.asarray(_require(obj, "coeffs", where), dtype=float)
+    coeffs = _floats(obj, "coeffs", where)
     try:
         return FreeVector(space, coeffs)
-    except NotZeroSum as exc:
-        raise MalformedInput(f"{where}.coeffs", str(exc)) from None
-    except ValueError as exc:
+    except (NotZeroSum, ValueError) as exc:
         raise MalformedInput(f"{where}.coeffs", str(exc)) from None
 
 
@@ -146,10 +160,9 @@ def load_map(path: str | Path,
         codomain = _resolve_space(obj, "codomain", anchor, where)
     image = _require(obj, "image", where)
     try:
-        return LipschitzMap(domain, codomain, tuple(int(i) for i in image))
-    except (InputError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
+        return LipschitzMap(domain, codomain,
+                            tuple(_integer(i, f"{where}.image") for i in image))
+    except (TypeError, ValueError) as exc:
         raise MalformedInput(f"{where}.image", str(exc)) from None
 
 
@@ -158,12 +171,24 @@ def load_geodesic_space(path: str | Path) -> DiscretizedGeodesicSpace:
     where = str(path)
     space = space_from_dict(obj, where=where)
     paths_field = _require(obj, "paths", where)
+    if not isinstance(paths_field, list):
+        raise MalformedInput(f"{where}.paths", "expected a list of paths")
     paths = {}
     for k, entry in enumerate(paths_field):
-        pair = _require(entry, "pair", f"{where}.paths[{k}]")
-        points = _require(entry, "points", f"{where}.paths[{k}]")
-        paths[(int(pair[0]), int(pair[1]))] = tuple(int(p) for p in points)
-    return DiscretizedGeodesicSpace(space, paths)
+        at = f"{where}.paths[{k}]"
+        pair = _require(entry, "pair", at)
+        points = _require(entry, "points", at)
+        try:
+            key = (_integer(pair[0], at), _integer(pair[1], at))
+            paths[key] = tuple(_integer(p, at) for p in points)
+        except (TypeError, KeyError, IndexError) as exc:
+            raise MalformedInput(at, str(exc)) from None
+        if not all(0 <= p < space.n for p in key + paths[key]):
+            raise MalformedInput(at, f"point index outside 0..{space.n - 1}")
+    try:
+        return DiscretizedGeodesicSpace(space, paths)
+    except (ValueError, IndexError) as exc:  # a path that is empty or misses its pair
+        raise MalformedInput(f"{where}.paths", str(exc)) from None
 
 
 def geodesic_space_to_dict(gspace: DiscretizedGeodesicSpace) -> dict:

@@ -113,6 +113,9 @@ class TestExitCodes:
         ({"metric": {"type": "graph", "n": 2, "edges": [[0, 5, 1.0]]}}, "metric.edges"),
         ({"metric": {"type": "graph", "n": 3, "edges": [[0, 1, 1], [1, -1, 1]]}},
          "metric.edges"),
+        ({"base": "x", "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}}, "base"),
+        ({"metric": {"type": "graph", "n": "two", "edges": [[0, 1, 1.0]]}}, "metric.n"),
+        ({"metric": 5}, "metric"),
     ])
     def test_malformed_space_exits_2_without_traceback(self, files, space, where):
         path = write(files["dir"] / "malformed.json", space)
@@ -121,6 +124,29 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert f"MalformedInput: {path}.{where}:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command, field, entries", [
+        ("norm", "values", [0, "a"]),
+        ("norm", "values", [0, None]),
+        ("freenorm", "coeffs", [1, "b"]),
+        ("freenorm", "coeffs", [1, None]),
+    ])
+    def test_non_numeric_entries_exit_2(self, files, capsys, command, field, entries):
+        path = write(files["dir"] / "malformed.json", {"space": "two.json", field: entries})
+        code, report, err = run_in_process(capsys, command, path)
+        assert code == 2
+        assert report is None
+        assert f"MalformedInput: {path}.{field}:" in err
+
+    def test_out_of_range_geodesic_path_exits_2(self, files, capsys):
+        path = write(files["dir"] / "g.json", {
+            "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]},
+            "paths": [{"pair": [0, 9], "points": [0, 9]}]})
+        code, report, err = run_in_process(
+            capsys, "experiment", "geodesic", "--space", path, "--map", "builtin:identity")
+        assert code == 2
+        assert report is None
+        assert f"MalformedInput: {path}.paths[0]:" in err
 
     @pytest.mark.parametrize("pairs", ["a,b", "0,0", "0,7", "-1,2", "0,1,2", "0", ";"])
     @pytest.mark.parametrize("command", ["norming", "isometry"])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipfree import freespace
-from lipfree.errors import NotZeroSum, SpaceMismatch
+from lipfree.errors import InvariantFailure, NotZeroSum, SpaceMismatch
 from lipfree.fixtures import random_space, random_zero_sum, tripod
 from lipfree.freespace import (
     FreeVector,
@@ -26,6 +26,59 @@ from lipfree.metric_core import (
     interval_net,
     validate_space,
 )
+
+
+def assert_optimal_plan(mu, flow):
+    """The plan ships positive points to negative points, moves exactly
+    the vector, costs the returned value, and that value is the dual's."""
+    c = mu.coeffs
+    moved = np.zeros(c.size)
+    for src, dst, mass in flow.plan:
+        assert mass > 0 and c[src] > 0 and c[dst] < 0
+        moved[src] += mass
+        moved[dst] -= mass
+    assert np.allclose(moved, c, rtol=0, atol=1e-12 * np.abs(c).sum())
+    cost = sum(m * mu.space.d(s, t) for s, t, m in flow.plan)
+    assert flow.value == pytest.approx(cost, abs=1e-12)
+    assert abs(flow.value - free_norm_dual(mu).value) <= 1e-8 * max(1.0, flow.value)
+
+
+def integer_graph_vectors():
+    # integer weights and masses give many tied costs and empty tree arcs
+    rng = np.random.default_rng(17)
+    n = 60
+    edges = [(int(rng.integers(v)), v, int(rng.integers(1, 4))) for v in range(1, n)]
+    edges += [(int(u), int(v), int(rng.integers(1, 4)))
+              for u, v in rng.integers(0, n, size=(60, 2)) if u != v]
+    space = from_weighted_graph(n, edges)
+    for _ in range(5):
+        c = rng.integers(-3, 4, size=n).astype(float)
+        c[space.base] -= c.sum()
+        yield FreeVector(space, c)
+
+
+def _unit_masses(net, positive):
+    c = np.where(positive, 1.0, -1.0)
+    c[net.base] -= c.sum()
+    return [FreeVector(net, c)]
+
+
+def alternating_interval_vector():
+    net = interval_net(64)
+    return _unit_masses(net, np.arange(net.n) % 2 == 0)
+
+
+def halves_interval_vector():
+    net = interval_net(64)
+    return _unit_masses(net, np.arange(net.n) < net.n // 2)
+
+
+def dense_euclidean_vector():
+    rng = np.random.default_rng(160)
+    pts = rng.normal(size=(160, 2))
+    space = validate_space(np.linalg.norm(pts[:, None] - pts[None], axis=-1))
+    c = rng.normal(size=space.n)
+    return [FreeVector(space, c - c.mean())]
 
 
 @pytest.fixture
@@ -64,17 +117,42 @@ class TestFreeNormPrimal:
 
     def test_plan_is_a_feasible_transport(self):
         rng = np.random.default_rng(5)
-        space = random_space(rng, 9)
+        for _ in range(20):
+            mu = random_zero_sum(rng, random_space(rng, int(rng.integers(2, 16))))
+            assert_optimal_plan(mu, free_norm_primal(mu))
+
+    @pytest.mark.parametrize("vectors", [
+        integer_graph_vectors, alternating_interval_vector, halves_interval_vector,
+        dense_euclidean_vector,
+    ])
+    def test_degenerate_and_dense_plans_are_optimal(self, monkeypatch, vectors):
+        monkeypatch.setattr(freespace, "_SIMPLEX_CAP", 5_000)
+        for mu in vectors():
+            assert_optimal_plan(mu, free_norm_primal(mu))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-20, 1e13, 1e15, 1e300])
+    def test_value_scales_with_the_distance(self, scale):
+        # pricing is relative, so neither tiny nor huge units stall the simplex
+        two = validate_space([[0.0, scale], [scale, 0.0]])
+        assert free_norm_primal(FreeVector(two, [1.0, -1.0])) == (scale, ((0, 1, 1.0),))
+        rng = np.random.default_rng(11)
+        space = random_space(rng, 12)
         mu = random_zero_sum(rng, space)
-        value, plan = free_norm_primal(mu)
-        moved = np.zeros(space.n)
-        for src, dst, mass in plan:
-            assert mass > 0
-            moved[src] += mass
-            moved[dst] -= mass
-        assert np.allclose(moved, mu.coeffs, atol=1e-12 * np.abs(mu.coeffs).sum())
-        assert value == pytest.approx(
-            sum(m * space.d(s, t) for s, t, m in plan), abs=1e-12)
+        scaled = FreeVector(validate_space(space.dist * scale), mu.coeffs)
+        assert free_norm_primal(scaled).value == pytest.approx(
+            scale * free_norm_primal(mu).value, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("scale", [1e13, 1e15])
+    def test_large_distances_match_the_dual(self, scale):
+        mu = FreeVector(validate_space([[0.0, scale], [scale, 0.0]]), [1.0, -1.0])
+        assert_optimal_plan(mu, free_norm_primal(mu))
+
+    def test_pivot_cap_is_an_invariant_failure(self, monkeypatch):
+        monkeypatch.setattr(freespace, "_SIMPLEX_CAP", 1)
+        rng = np.random.default_rng(5)
+        mu = random_zero_sum(rng, random_space(rng, 12, "euclidean"))
+        with pytest.raises(InvariantFailure):
+            free_norm_primal(mu)
 
 
 class TestFreeNormDual:

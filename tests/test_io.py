@@ -87,6 +87,28 @@ class TestSpaceFiles:
             load_space(path)
         assert exc.value.json_path == f"{path}.metric.edges"
 
+    @pytest.mark.parametrize("obj, where", [
+        ({"base": "x", "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}}, "base"),
+        ({"metric": {"type": "graph", "n": "two", "edges": [[0, 1, 1.0]]}}, "metric.n"),
+        ({"metric": 5}, "metric"),
+        ({"base": 1.5, "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}}, "base"),
+        ({"base": True, "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}}, "base"),
+        ({"metric": {"type": "graph", "n": "2", "edges": [[0, 1, 1.0]]}}, "metric.n"),
+        ({"metric": {"type": "graph", "n": 2, "edges": [[0, 1.5, 1.0]]}}, "metric.edges"),
+        ({"metric": {"type": "matrix", "d": [[0, None], [None, 0]]}}, "metric.d"),
+    ])
+    def test_mistyped_field_names_json_path(self, tmp_path, obj, where):
+        path = write(tmp_path / "bad.json", obj)
+        with pytest.raises(MalformedInput) as exc:
+            load_space(path)
+        assert exc.value.json_path == f"{path}.{where}"
+
+    def test_whole_float_indices_are_integers(self, tmp_path):
+        path = write(tmp_path / "s.json", {
+            "base": 1.0, "metric": {"type": "graph", "n": 3.0, "edges": [[0, 1.0, 1], [1, 2, 1]]}})
+        space = load_space(path)
+        assert (space.n, space.base, space.d(0, 2)) == (3, 1, 2.0)
+
     def test_inline_space_error_names_its_field(self, tmp_path):
         path = write(tmp_path / "f.json", {
             "space": {"labels": ["a"], "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}},
@@ -123,6 +145,16 @@ class TestFunctionAndVectorFiles:
         with pytest.raises(MalformedInput):
             load_function(path)
 
+    @pytest.mark.parametrize("entry", ["a", None])
+    @pytest.mark.parametrize("load, field", [(load_function, "values"),
+                                             (load_free_vector, "coeffs")])
+    def test_non_numeric_entry_names_json_path(self, tmp_path, space_file, load, field,
+                                               entry):
+        path = write(tmp_path / "x.json", {"space": "space.json", field: [1, entry, -1]})
+        with pytest.raises(MalformedInput) as exc:
+            load(path)
+        assert exc.value.json_path == f"{path}.{field}"
+
     def test_vector_zero_sum_enforced_not_rebalanced(self, tmp_path, space_file):
         path = write(tmp_path / "v.json", {"space": "space.json",
                                            "coeffs": [1.0, 0.0, -0.5]})
@@ -144,6 +176,16 @@ class TestMapFiles:
         phi = load_map(path)
         assert phi.image == (0, 1, 2)
 
+    @pytest.mark.parametrize("image", [[0, None, 2], [0, "a", 2], [0, 1.5, 2],
+                                       [0, True, 2], [0, 1], 5])
+    def test_malformed_image_names_json_path(self, tmp_path, space_file, image):
+        path = write(tmp_path / "m.json", {
+            "domain": "space.json", "codomain": "space.json", "image": image,
+        })
+        with pytest.raises(MalformedInput) as exc:
+            load_map(path)
+        assert exc.value.json_path == f"{path}.image"
+
     def test_map_base_violation_surfaces(self, tmp_path, space_file):
         path = write(tmp_path / "m.json", {
             "domain": "space.json", "codomain": "space.json", "image": [1, 1, 2],
@@ -154,6 +196,33 @@ class TestMapFiles:
 
 
 class TestGeodesicFiles:
+    @pytest.mark.parametrize("entry", [
+        {"pair": ["a", 1], "points": [0, 1]},
+        {"pair": [0], "points": [0, 1]},
+        {"pair": [0, 1], "points": [0, None]},
+        {"pair": [0, 1], "points": [0, 0.5]},
+        {"pair": [0, 9], "points": [0, 9]},
+        {"pair": [0, 1], "points": [-1, 0, 1]},
+    ])
+    def test_malformed_path_names_json_path(self, tmp_path, entry):
+        path = write(tmp_path / "g.json", {
+            "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}, "paths": [entry]})
+        with pytest.raises(MalformedInput) as exc:
+            load_geodesic_space(path)
+        assert exc.value.json_path == f"{path}.paths[0]"
+
+    @pytest.mark.parametrize("paths", [
+        [{"pair": [0, 1], "points": [1, 0]}],
+        [{"pair": [0, 1], "points": []}],
+        5,
+    ])
+    def test_path_off_its_pair_names_paths(self, tmp_path, paths):
+        path = write(tmp_path / "g.json", {
+            "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}, "paths": paths})
+        with pytest.raises(MalformedInput) as exc:
+            load_geodesic_space(path)
+        assert exc.value.json_path == f"{path}.paths"
+
     def test_round_trip(self, tmp_path):
         gs = tripod()
         path = write(tmp_path / "t.json", geodesic_space_to_dict(gs))
