@@ -13,7 +13,10 @@ against a norm-one map preserves every function's norm:
 * the primal route checks, vertex by vertex, that the codomain unit
   ball is contained in the push-forward image of the domain unit ball,
   asking the hull-membership kernel :func:`freespace.hull_combination`
-  for a convex combination of pushed molecules.
+  for a convex combination of pushed molecules. These lie in the ball,
+  and a vertex is in the hull of points of the ball only if it is one
+  of them, so the kernel answers a pushed molecule equal to the vertex
+  without a solve and solves an LP only for the other vertices.
 
 The two routes are provably equivalent, so the ``both`` method fails
 loudly on disagreement: that outcome falsifies the implementation,
@@ -285,7 +288,8 @@ def certify_isometry_primal(
     push-forward image of the domain unit ball covers the codomain unit
     ball; both balls are polytopes, so it is enough to reach every
     extreme molecule of the codomain by a convex combination of pushed
-    domain molecules (an LP feasibility problem per vertex).
+    domain molecules (a pushed molecule equal to the vertex, or else an
+    LP feasibility problem).
     """
     if tol is None:
         tol = _cert_tol(phi)

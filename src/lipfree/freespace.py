@@ -23,9 +23,12 @@ third point metrically between their endpoints (Aliaga-Guirao), which
 :func:`extreme_molecules` tests directly; the LP vertex test
 :func:`is_extreme_molecule` is its independent oracle. The other hull
 questions (is a pair set norming, does a pushed ball cover it) are
-answered by one face-filtered hull-membership LP,
-:func:`hull_combination`, solved with the single feasibility tolerance
-``LP_FEAS_TOL``.
+answered by one face-filtered hull-membership kernel,
+:func:`hull_combination`. A vertex lies in the hull of points of the
+ball only if it is one of them, so the kernel first looks for a column
+equal to the target and returns it without a solve; otherwise it solves
+one LP with the single feasibility tolerance ``LP_FEAS_TOL``. scipy is
+imported only when an LP is actually solved.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import InvariantFailure, NotZeroSum, SpaceMismatch
 from .lipschitz import LipschitzFunction
@@ -285,6 +286,8 @@ def free_norm_dual(mu: FreeVector) -> DualResult:
     pairs, with f pinned to 0 at the base point. Returns the value and
     one maximizer.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
     space = mu.space
     n, base = space.n, space.base
     u, v = _ordered_pairs(n)
@@ -317,44 +320,41 @@ def molecule_distance(a: Molecule, b: Molecule) -> float:
 FACE_PAIRING_TOL = 1e-9
 
 
-def exposing_function(space: PointedMetricSpace, pair: PointPair) -> np.ndarray:
-    """The norm-one function (d(., y) - d(., x)) / 2, which pairs to
-    exactly 1 with the pair's molecule."""
-    return 0.5 * (space.dist[:, pair.y] - space.dist[:, pair.x])
-
-
-def face_support_mask(h: np.ndarray, u: np.ndarray, v: np.ndarray,
-                      d_uv: np.ndarray) -> np.ndarray:
-    """Columns allowed to carry weight in a convex combination equal to
-    the molecule exposed by h.
-
-    Any convex combination of points pairing at most 1 with h can itself
-    pair to 1 only if every support point pairs to exactly 1, so columns
-    pairing strictly below 1 are dropped. True support columns pair to 1
-    in exact arithmetic; the threshold only absorbs rounding.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pairing = np.where(d_uv > 0, (h[u] - h[v]) / d_uv, 0.0)
-    return pairing >= 1.0 - FACE_PAIRING_TOL
-
-
 def hull_combination(space: PointedMetricSpace, pair: PointPair, u: np.ndarray,
                      v: np.ndarray, d_uv: np.ndarray):
     """Write the pair's molecule as a convex combination of the column
     molecules (delta_u - delta_v) / d_uv, or return None when it lies
     outside their convex hull.
 
-    This one feasibility LP answers every hull question in the package:
-    the vertex test, the norming test and the primal isometry
-    certificate. Columns off the face exposed by the pair's exposing
-    function are dropped first, which preserves the decision exactly and
-    keeps the LP small. Column endpoints are indices of ``space`` and
-    may coincide across columns (pushed molecules), in which case their
-    coefficients add. Returns the kept column indices and their weights.
+    This one kernel answers every hull question in the package: the
+    vertex test, the norming test and the primal isometry certificate.
+    The norm-one function h = (d(., y) - d(., x)) / 2 pairs to exactly 1
+    with the target, and a convex combination of points pairing at most
+    1 with h pairs to 1 only if every support point does; columns
+    pairing below 1 are dropped first (the threshold only absorbs
+    rounding), which preserves the decision and keeps the LP small.
+
+    A vertex of a convex set lies in the hull of other points of the set
+    only if it equals one of them. So when the target is a vertex and
+    the columns lie in the ball (the norming test, the primal
+    certificate), it is covered exactly when some column equals it: a
+    column with the pair's endpoints and bitwise its distance is
+    returned with weight 1, and no LP is solved; anything else, a
+    near-equal column included, goes to the feasibility LP. Columns may
+    share endpoints (pushed molecules); their coefficients then add.
+    Returns the kept column indices and their weights.
     """
-    idx = np.flatnonzero(face_support_mask(exposing_function(space, pair), u, v, d_uv))
+    h = 0.5 * (space.dist[:, pair.y] - space.dist[:, pair.x])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        face = np.where(d_uv > 0, (h[u] - h[v]) / d_uv, 0.0)
+    idx = np.flatnonzero(face >= 1.0 - FACE_PAIRING_TOL)
     if idx.size == 0:
         return None
+    d_xy = space.dist[pair.x, pair.y]
+    hit = (u[idx] == pair.x) & (v[idx] == pair.y) & (d_uv[idx] == d_xy)
+    if hit.any():
+        return idx, np.eye(1, idx.size, int(hit.argmax()))[0]  # one-hot
+    from scipy.optimize import linprog
     n = space.n
     cols = np.zeros((n + 1, idx.size))
     ar = np.arange(idx.size)
@@ -362,7 +362,7 @@ def hull_combination(space: PointedMetricSpace, pair: PointPair, u: np.ndarray,
     np.add.at(cols, (v[idx], ar), -1.0 / d_uv[idx])
     cols[n, :] = 1.0
     b = np.zeros(n + 1)
-    b[pair.x] = 1.0 / space.d(pair.x, pair.y)
+    b[pair.x] = 1.0 / d_xy
     b[pair.y] = -b[pair.x]
     b[n] = 1.0
     res = linprog(np.zeros(idx.size), A_eq=cols, b_eq=b,
@@ -386,7 +386,8 @@ def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeRe
     (the reversed pairs), so the molecule is a vertex exactly when it is
     not a convex combination of the others; the combination is returned
     as a certificate in the negative case. This is the independent
-    oracle for :func:`extreme_molecules`.
+    oracle for :func:`extreme_molecules`; the molecule's own column is
+    excluded, so the kernel never answers it by an exact hit.
     """
     u, v = _ordered_pairs(space.n)
     others = (u != pair.x) | (v != pair.y)
@@ -430,17 +431,14 @@ def is_norming(space: PointedMetricSpace, pairs: Sequence[PointPair]) -> Norming
     """Does the hull of +-molecules over the given pairs contain every
     vertex of the full unit ball?
 
-    Checked by one membership LP per vertex; the first vertex outside
-    the hull is reported in the negative case.
+    Checked vertex by vertex with :func:`hull_combination` (a listed
+    pair equal to the vertex, or else one membership LP); the first
+    vertex outside the hull is reported in the negative case.
     """
     if not pairs:
         raise ValueError("the pair set must be nonempty")
-    signed: list[tuple[int, int]] = []
-    for pr in pairs:
-        signed.append(pr.as_tuple())
-        signed.append((pr.y, pr.x))
-    u = np.array([s[0] for s in signed])
-    v = np.array([s[1] for s in signed])
+    signed = np.array([(pr.x, pr.y, pr.y, pr.x) for pr in pairs]).reshape(-1, 2)
+    u, v = signed[:, 0], signed[:, 1]
     d_uv = space.dist[u, v]
     for vertex in extreme_molecules(space):
         if hull_combination(space, vertex, u, v, d_uv) is None:

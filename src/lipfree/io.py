@@ -65,12 +65,21 @@ def _integer(value: Any, where: str) -> int:
     raise MalformedInput(where, f"expected an integer, got {value!r}")
 
 
+def _number(value: Any, where: str) -> float:
+    """A JSON number; strings and booleans are rejected, not parsed."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise MalformedInput(where, f"expected a number, got {value!r}")
+
+
 def _floats(obj: dict, key: str, where: str) -> np.ndarray:
     raw = _require(obj, key, where)
     try:
         values = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"{where}.{key}", str(exc)) from None
+    for entry in np.asarray(raw, dtype=object).flat:
+        _number(entry, f"{where}.{key}")
     if not np.all(np.isfinite(values)):
         raise MalformedInput(f"{where}.{key}", "entries must be finite numbers")
     return values
@@ -92,8 +101,8 @@ def space_from_dict(obj: dict, where: str = "space",
         edges = _require(metric, "edges", f"{where}.metric")
         at = f"{where}.metric.edges"
         try:
-            triples = [(_integer(i, at), _integer(j, at), float(w)) for i, j, w in edges]
-        except (TypeError, ValueError) as exc:
+            triples = [(_integer(i, at), _integer(j, at), _number(w, at)) for i, j, w in edges]
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedInput(at, str(exc)) from None
         build = partial(from_weighted_graph, n, triples, base=base, labels=labels)
     else:

@@ -106,9 +106,9 @@ def validate_space(
     The triangle inequality is checked with tolerance ``REL_TOL * max(d)``,
     or with an explicit absolute ``tol`` when given. Violations are
     reported with a witnessing index triple; nothing is ever repaired.
-    A matrix that is not square, or a label list of the wrong length, is
-    malformed input, reported at its path in a space file (``metric.d``
-    or ``labels``).
+    A matrix that is not square or has fewer than two points, or a label
+    list of the wrong length, is malformed input, reported at its path in
+    a space file (``metric.d`` or ``labels``).
     """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -117,7 +117,7 @@ def validate_space(
     if labels is not None and len(labels) != n:
         raise MalformedInput("labels", f"expected {n} labels, got {len(labels)}")
     if n < 2:
-        raise BadBaseIndex(base, n)
+        raise MalformedInput("metric.d", f"expected at least two points, got {n}")
     if not (0 <= base < n):
         raise BadBaseIndex(base, n)
     if not np.all(np.isfinite(d)):
@@ -179,9 +179,12 @@ def from_weighted_graph(
 
     The closure is :func:`shortest_path_closure`, so the returned matrix
     satisfies the triangle inequality with zero tolerance. An edge with
-    an endpoint outside 0..n-1 is malformed input at ``metric.edges``.
+    an endpoint outside 0..n-1 is malformed input at ``metric.edges``,
+    and n below 2 at ``metric.n``.
     """
-    if not (0 <= base < n) or n < 2:
+    if n < 2:
+        raise MalformedInput("metric.n", f"expected at least two points, got {n}")
+    if not (0 <= base < n):
         raise BadBaseIndex(base, n)
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)

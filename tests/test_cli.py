@@ -116,6 +116,11 @@ class TestExitCodes:
         ({"base": "x", "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}}, "base"),
         ({"metric": {"type": "graph", "n": "two", "edges": [[0, 1, 1.0]]}}, "metric.n"),
         ({"metric": 5}, "metric"),
+        ({"metric": {"type": "matrix", "d": [[0, "1"], ["1", 0]]}}, "metric.d"),
+        ({"metric": {"type": "matrix", "d": [[0, True], [True, 0]]}}, "metric.d"),
+        ({"metric": {"type": "graph", "n": 2, "edges": [[0, 1, "2"]]}}, "metric.edges"),
+        ({"metric": {"type": "matrix", "d": [[0]]}}, "metric.d"),
+        ({"metric": {"type": "graph", "n": 1, "edges": []}}, "metric.n"),
     ])
     def test_malformed_space_exits_2_without_traceback(self, files, space, where):
         path = write(files["dir"] / "malformed.json", space)
@@ -130,6 +135,10 @@ class TestExitCodes:
         ("norm", "values", [0, None]),
         ("freenorm", "coeffs", [1, "b"]),
         ("freenorm", "coeffs", [1, None]),
+        ("norm", "values", [0, "1"]),
+        ("norm", "values", [0, True]),
+        ("freenorm", "coeffs", ["1", -1]),
+        ("freenorm", "coeffs", [True, -1]),
     ])
     def test_non_numeric_entries_exit_2(self, files, capsys, command, field, entries):
         path = write(files["dir"] / "malformed.json", {"space": "two.json", field: entries})
@@ -316,3 +325,11 @@ class TestDeterminism:
         a = strip_timing(report_of(run_cli("extremes", files["net"])))
         b = strip_timing(report_of(run_cli("extremes", files["net"])))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import lipfree.cli, sys; "
+            "print(sorted({'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

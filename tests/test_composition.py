@@ -220,6 +220,12 @@ class TestCertifyPrimal:
         assert cert.verdict == "not_isometric"
         assert cert.failing_pair == (1, 2)
 
+    @pytest.mark.parametrize("name", ["identity", "fold"])
+    def test_isometric_builtins_solve_no_lp(self, lp_results, name):
+        cert = certify_isometry_primal(builtin_map(name, 16))
+        assert cert.verdict == "isometric"
+        assert lp_results == []
+
     def test_strictly_contractive_short_circuits(self):
         cert = certify_isometry_primal(builtin_map("halving", 4))
         assert cert.verdict == "not_isometric"

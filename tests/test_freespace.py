@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from lipfree import freespace
 from lipfree.errors import InvariantFailure, NotZeroSum, SpaceMismatch
-from lipfree.fixtures import random_space, random_zero_sum, tripod
+from lipfree.fixtures import (
+    random_one_lipschitz_map,
+    random_space,
+    random_zero_sum,
+    tripod,
+)
 from lipfree.freespace import (
     FreeVector,
+    _ordered_pairs,
     extreme_molecules,
     free_norm_dual,
     free_norm_primal,
+    hull_combination,
     is_extreme_molecule,
     is_norming,
     molecule,
@@ -290,7 +298,7 @@ class TestExtremeMolecules:
         def no_lp(*args, **kwargs):
             raise AssertionError("extreme_molecules called linprog")
 
-        monkeypatch.setattr(freespace, "linprog", no_lp)
+        monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
         assert len(extreme_molecules(interval_net(64))) == 64
 
     @pytest.mark.parametrize("factor, is_vertex", [(0.5, False), (2.0, True)])
@@ -304,6 +312,65 @@ class TestExtremeMolecules:
                                 [0.5 + delta / 2, 0.5 + delta / 2, 0.0]])
         assert space.tol == tol
         assert (PointPair(0, 1) in extreme_molecules(space)) == is_vertex
+
+
+class TestHullExactHit:
+    def test_answers_without_a_solve_are_exact_columns(self, lp_results):
+        rng = np.random.default_rng(5)
+        unsolved = 0
+        for _ in range(40):
+            phi = random_one_lipschitz_map(rng, int(rng.integers(2, 8)),
+                                           int(rng.integers(2, 7)))
+            u, v = _ordered_pairs(phi.domain.n)
+            img = np.asarray(phi.image)
+            img_u, img_v, d_uv = img[u], img[v], phi.domain.dist[u, v]
+            for vertex in extreme_molecules(phi.codomain):
+                solves = len(lp_results)
+                found = hull_combination(phi.codomain, vertex, img_u, img_v, d_uv)
+                if found is None or len(lp_results) > solves:
+                    continue
+                unsolved += 1
+                idx, weights = found
+                assert sorted(weights.tolist()) == [0.0] * (idx.size - 1) + [1.0]
+                k = idx[int(np.argmax(weights))]
+                column = np.zeros(phi.codomain.n)
+                column[img_u[k]] += 1.0 / d_uv[k]
+                column[img_v[k]] -= 1.0 / d_uv[k]
+                target = molecule(phi.codomain, vertex.x, vertex.y).to_free_vector()
+                assert np.array_equal(column, target.coeffs)
+        assert unsolved > 0
+
+    def test_near_hit_is_solved(self, lp_results):
+        two = validate_space([[0, 1], [1, 0]])
+        u, v = np.array([0, 1]), np.array([1, 0])
+        d_uv = np.full(2, np.nextafter(1.0, np.inf))
+        idx, weights = hull_combination(two, PointPair(0, 1), u, v, d_uv)
+        assert len(lp_results) == 1
+        assert idx.tolist() == [0]
+        assert np.array_equal(weights, lp_results[0].x)
+
+    @pytest.mark.parametrize("near, column", [(1, (0, 2)), (0, (2, 1))])
+    def test_other_molecule_at_the_same_distance_is_no_hit(self, lp_results, near,
+                                                           column):
+        # point 2 sits 1e-12 from one end of the pair (0, 1), so a column
+        # sharing the other end lies on the exposed face and has the pair's
+        # distance, but is another molecule
+        d = 1.0 - np.eye(3)
+        d[2, near] = d[near, 2] = 1e-12
+        u, v = np.array([column[0]]), np.array([column[1]])
+        found = hull_combination(validate_space(d), PointPair(0, 1), u, v, np.ones(1))
+        assert found is None
+        assert len(lp_results) == 1
+
+    def test_vertex_oracle_never_skips_the_solve(self, lp_results):
+        # the pair's own column is excluded, so no column equals the target:
+        # every combination the oracle reports comes from one LP
+        net = interval_net(5)
+        for pair in net.pairs():
+            solves = len(lp_results)
+            result = is_extreme_molecule(net, pair)
+            assert len(lp_results) - solves == (0 if result.is_extreme else 1)
+        assert len(lp_results) == 10  # the 15 pairs less the 5 adjacent ones
 
 
 class TestIsNorming:

@@ -96,6 +96,14 @@ class TestSpaceFiles:
         ({"metric": {"type": "graph", "n": "2", "edges": [[0, 1, 1.0]]}}, "metric.n"),
         ({"metric": {"type": "graph", "n": 2, "edges": [[0, 1.5, 1.0]]}}, "metric.edges"),
         ({"metric": {"type": "matrix", "d": [[0, None], [None, 0]]}}, "metric.d"),
+        ({"metric": {"type": "matrix", "d": [[0, "1"], ["1", 0]]}}, "metric.d"),
+        ({"metric": {"type": "matrix", "d": [[0, True], [True, 0]]}}, "metric.d"),
+        ({"metric": {"type": "graph", "n": 2, "edges": [[0, 1, "2"]]}}, "metric.edges"),
+        ({"metric": {"type": "graph", "n": 2, "edges": [[0, 1, True]]}}, "metric.edges"),
+        ({"metric": {"type": "matrix", "d": [[0, 10 ** 400], [10 ** 400, 0]]}}, "metric.d"),
+        ({"metric": {"type": "graph", "n": 2, "edges": [[0, 1, 10 ** 400]]}}, "metric.edges"),
+        ({"metric": {"type": "matrix", "d": [[0]]}}, "metric.d"),
+        ({"metric": {"type": "graph", "n": 1, "edges": []}}, "metric.n"),
     ])
     def test_mistyped_field_names_json_path(self, tmp_path, obj, where):
         path = write(tmp_path / "bad.json", obj)
@@ -145,7 +153,8 @@ class TestFunctionAndVectorFiles:
         with pytest.raises(MalformedInput):
             load_function(path)
 
-    @pytest.mark.parametrize("entry", ["a", None])
+    @pytest.mark.parametrize("entry", ["a", None, "1", True, False,
+                                       pytest.param(10 ** 400, id="beyond-float")])
     @pytest.mark.parametrize("load, field", [(load_function, "values"),
                                              (load_free_vector, "coeffs")])
     def test_non_numeric_entry_names_json_path(self, tmp_path, space_file, load, field,

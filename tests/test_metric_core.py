@@ -55,8 +55,16 @@ class TestValidateSpace:
             validate_space([[0, 1], [1, 0]], base=5)
 
     def test_single_point_rejected(self):
-        with pytest.raises(BadBaseIndex):
+        with pytest.raises(MalformedInput) as exc:
             validate_space([[0]])
+        assert exc.value.json_path == "metric.d"
+        assert "at least two points" in exc.value.reason
+
+    def test_single_point_graph_rejected(self):
+        with pytest.raises(MalformedInput) as exc:
+            from_weighted_graph(1, [])
+        assert exc.value.json_path == "metric.n"
+        assert "at least two points" in exc.value.reason
 
     @pytest.mark.parametrize("d", [[[0, 1, 2], [1, 0, 1]], [0, 1], [[[0]]]])
     def test_non_square_matrix_is_malformed(self, d):
