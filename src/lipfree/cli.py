@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -26,6 +27,7 @@ import numpy as np
 from . import __version__
 from .composition import (
     LipschitzMap,
+    _cert_tol,
     certify_isometry,
     compose,
     operator_norm,
@@ -119,11 +121,24 @@ def _parse_pairs(text: str, n: int) -> list[PointPair]:
 def _certify(phi: LipschitzMap, args, pairs=None):
     """Certify as the flags ask: (certificate, operator norm, certification
     wall time, metric tolerance in force)."""
+    tol = _cert_tol(phi) if args.tol is None else args.tol
     started = time.perf_counter()
-    cert = certify_isometry(phi, method=args.method, pairs=pairs, tol=args.tol)
+    cert = certify_isometry(phi, method=args.method, pairs=pairs, tol=tol)
     wall = time.perf_counter() - started
-    tol = args.tol if args.tol is not None else max(phi.domain.tol, phi.codomain.tol)
     return cert.to_dict(), operator_norm(phi), wall, tol
+
+
+def _check_numeric_flags(args) -> None:
+    """Reject a numeric flag that is not finite or lies outside its range."""
+    for flag, least, closed in (("--tol", 0.0, True), ("--mesh", 1, True),
+                                ("--r-loc", 0.0, False), ("--eps", 0.0, True),
+                                ("--probe", 0, True), ("--seed", 0, True)):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None or (math.isfinite(value)
+                             and (value >= least if closed else value > least)):
+            continue
+        bound = f"at least {least}" if closed else f"above {least}"
+        raise MalformedInput(flag, f"{value!r} must be finite and {bound}")
 
 
 def _resolve_experiment_map(spec_text: str, mesh: int | None):
@@ -148,12 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, method=False):
+    certifiers = ("dual", "primal", "both")
+
+    def common(p, tol=True, methods=None):
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--tol", type=float, default=None,
-                       help="absolute metric tolerance override")
-        if method:
-            p.add_argument("--method", default="both",
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help="absolute metric tolerance override")
+        if methods:
+            p.add_argument("--method", default="both", choices=methods,
                            help="which algorithm(s) to run")
 
     p = sub.add_parser("validate", help="check a space file against the metric axioms")
@@ -162,11 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norm", help="Lipschitz norm of a function file")
     p.add_argument("function")
-    common(p)
+    common(p, tol=False)
 
     p = sub.add_parser("freenorm", help="transport norm of a zero-sum vector file")
     p.add_argument("vector")
-    common(p, method=True)
+    common(p, tol=False, methods=("flow", "lp", "both"))
 
     p = sub.add_parser("extremes", help="extreme molecule pairs of a space")
     p.add_argument("space")
@@ -184,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codomain", default=None)
     p.add_argument("--pairs", default=None,
                    help="optional norming pair set for the dual method")
-    common(p, method=True)
+    common(p, methods=certifiers)
 
     p = sub.add_parser("extend", help="norm-preserving extension from a subset")
     p.add_argument("function")
@@ -206,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--probe", type=int, default=0,
                     help="number of random functions for the norm probe")
     pi.add_argument("--csv", default=None, help="write the defect profile as CSV")
-    common(pi, method=True)
+    common(pi, methods=certifiers)
 
     pg = exp.add_parser("geodesic", help="run the geodesic checks on a map")
     pg.add_argument("--space", required=True, help="geodesic space file (with paths)")
@@ -215,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--r-loc", type=float, default=None, dest="r_loc")
     pg.add_argument("--eps", type=float, default=None)
     pg.add_argument("--csv", default=None, help="write the defect profiles as CSV")
-    common(pg, method=True)
+    common(pg, methods=certifiers)
 
     return parser
 
@@ -263,8 +281,6 @@ def _cmd_freenorm(args):
         value, maximizer = free_norm_dual(mu)
         return inputs, tolerances, {"method": "lp", "value": value,
                                     "maximizer": maximizer.values.tolist()}
-    if args.method != "both":
-        raise MalformedInput("--method", f"unknown method {args.method!r}")
     flow_value, plan = free_norm_primal(mu)
     lp_value, maximizer = free_norm_dual(mu)
     gap = abs(flow_value - lp_value)
@@ -350,8 +366,7 @@ def _cmd_experiment_interval(args):
     phi, map_record = _resolve_experiment_map(args.map_spec, args.mesh)
     inputs = [_input_record("map", map_record.get("path"), map_record)]
     necessary = check_interval_necessary(phi, r_loc=args.r_loc, eps=args.eps)
-    r = args.r_loc if args.r_loc is not None else 4.0 * necessary.extra["mesh"]
-    sufficient = check_interval_sufficient(phi, r=r, eps=args.eps)
+    sufficient = check_interval_sufficient(phi, r=necessary.r_loc, eps=args.eps)
     cert, norm, wall, tol = _certify(phi, args)
     results = {
         "operator_norm": norm,
@@ -423,6 +438,8 @@ _COMMANDS = {
     "norming": _cmd_norming,
     "isometry": _cmd_isometry,
     "extend": _cmd_extend,
+    "experiment.interval": _cmd_experiment_interval,
+    "experiment.geodesic": _cmd_experiment_geodesic,
 }
 
 
@@ -432,21 +449,18 @@ def run(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
+    command = args.command
+    if command == "experiment":
+        if args.experiment_kind is None:
+            print("experiment requires a kind: interval | geodesic", file=sys.stderr)
+            return 2
+        command = f"experiment.{args.experiment_kind}"
     started = time.perf_counter()
     try:
-        if args.command == "experiment":
-            if args.experiment_kind == "interval":
-                inputs, tolerances, results = _cmd_experiment_interval(args)
-            elif args.experiment_kind == "geodesic":
-                inputs, tolerances, results = _cmd_experiment_geodesic(args)
-            else:
-                print("experiment requires a kind: interval | geodesic",
-                      file=sys.stderr)
-                return 2
-        else:
-            inputs, tolerances, results = _COMMANDS[args.command](args)
+        _check_numeric_flags(args)
+        inputs, tolerances, results = _COMMANDS[command](args)
     except MethodDisagreement as exc:
-        report = _envelope(args, [], {}, exc.results, started)
+        report = _envelope(command, [], {}, exc.results, started)
         report["error"] = {"kind": "MethodDisagreement", "message": str(exc)}
         _emit(report, args.out)
         return 3
@@ -456,15 +470,12 @@ def run(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    report = _envelope(args, inputs, tolerances, results, started)
+    report = _envelope(command, inputs, tolerances, results, started)
     _emit(report, args.out)
     return 0
 
 
-def _envelope(args, inputs, tolerances, results, started) -> dict:
-    command = args.command
-    if command == "experiment":
-        command = f"experiment.{args.experiment_kind}"
+def _envelope(command, inputs, tolerances, results, started) -> dict:
     return {
         "command": command,
         "version": __version__,

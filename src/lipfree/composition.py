@@ -5,11 +5,14 @@ functions and the induced push-forward on zero-sum vectors are adjoint
 to each other, which is why the operator norm of the composition
 operator equals the Lipschitz constant of the map.
 
-Two independent certification algorithms decide whether composition
-against a norm-one map preserves every function's norm:
+:func:`certify_isometry` is the one certification pass: it computes the
+map norm and enumerates the codomain ball's vertices (its extreme
+molecules) once, and two independent algorithms then decide over that
+one vertex list whether composition against a norm-one map preserves
+every function's norm:
 
-* the dual route searches, for every extreme molecule pair (x, y) of
-  the codomain, for a preimage pair realizing the same distance;
+* the dual route searches, for every vertex (x, y), for a preimage pair
+  realizing the same distance;
 * the primal route checks, vertex by vertex, that the codomain unit
   ball is contained in the push-forward image of the domain unit ball,
   asking the hull-membership kernel :func:`freespace.hull_combination`
@@ -40,10 +43,10 @@ from .errors import (
 )
 from .freespace import (
     FreeVector,
+    _first_outside_hull,
+    _norming_failure,
     _ordered_pairs,
     extreme_molecules,
-    hull_combination,
-    is_norming,
 )
 from .lipschitz import LipschitzFunction
 from .metric_core import PointedMetricSpace, PointPair
@@ -193,55 +196,32 @@ def _cert_tol(phi: LipschitzMap) -> float:
     return max(phi.domain.tol, phi.codomain.tol)
 
 
-def _check_map_norm(phi: LipschitzMap, tol: float) -> MapNorm:
-    norm = phi.norm_with_witness()
-    if norm.value > 1.0 + tol:
-        raise MapNormExceedsOne(norm.value, norm.witness)
-    return norm
-
-
-def _norm_deficit_certificate(phi: LipschitzMap, norm: MapNorm, method: str,
-                              tol: float) -> IsometryCertificate:
-    return IsometryCertificate(
-        verdict="not_isometric",
-        method=method,
-        failing_pair=extreme_molecules(phi.codomain)[0].as_tuple(),
-        tolerances={"tol_metric": tol},
-        notes=f"operator norm {norm.value!r} is strictly below one",
-    )
-
-
-def certify_isometry_dual(
-    phi: LipschitzMap,
-    pairs: Sequence[PointPair] | None = None,
-    tol: float | None = None,
-) -> IsometryCertificate:
+def _dual_certificate(phi: LipschitzMap, vertices: list[PointPair],
+                      pairs: Sequence[PointPair] | None,
+                      tol: float) -> IsometryCertificate:
     """Preimage-distance criterion over a norming pair set.
 
-    For every pair (x, y) in the set (default: all extreme molecule
-    pairs of the codomain) a preimage pair (x', y') with equal distance
-    up to the metric tolerance must exist; since the map is norm-one,
-    d(x', y') >= d(x, y) always, so the bound is the attained form of
-    the ratio-one condition. With the default pair set the verdict is
-    conclusive in both directions; a caller-supplied set must be
-    norming, and then only the positive direction is conclusive.
+    For every pair (x, y) in the set (default: the codomain's vertices)
+    a preimage pair (x', y') with equal distance up to the metric
+    tolerance must exist; since the map is norm-one, d(x', y') >= d(x, y)
+    always, so the bound is the attained form of the ratio-one
+    condition. With the default pair set the verdict is conclusive in
+    both directions; a caller-supplied set must be norming (checked
+    against the same vertices), and then only the positive direction is
+    conclusive.
     """
-    if tol is None:
-        tol = _cert_tol(phi)
-    norm = _check_map_norm(phi, tol)
-    if norm.value < 1.0 - tol:
-        return _norm_deficit_certificate(phi, norm, "dual_preimage", tol)
-
-    codomain = phi.codomain
     if pairs is None:
-        pair_list = extreme_molecules(codomain)
-        scope = "necessary_and_sufficient"
+        pair_list, scope = vertices, "necessary_and_sufficient"
     else:
-        pair_list = list(pairs)
-        norming = is_norming(codomain, pair_list)
-        if not norming.is_norming:
-            raise NotNorming(norming.failing_vertex.as_tuple())
-        scope = "sufficient_only"
+        pair_list, scope = list(pairs), "sufficient_only"
+        failing = _norming_failure(phi.codomain, pair_list, vertices)
+        if failing is not None:
+            raise NotNorming(failing.as_tuple())
+
+    def failed(pair: PointPair, notes: str) -> IsometryCertificate:
+        return IsometryCertificate(
+            verdict="not_isometric", method="dual_preimage", scope=scope,
+            failing_pair=pair.as_tuple(), tolerances={"tol_metric": tol}, notes=notes)
 
     img = np.asarray(phi.image)
     witnesses = []
@@ -249,24 +229,14 @@ def certify_isometry_dual(
         xs = np.flatnonzero(img == pair.x)
         ys = np.flatnonzero(img == pair.y)
         if xs.size == 0 or ys.size == 0:
-            return IsometryCertificate(
-                verdict="not_isometric", method="dual_preimage", scope=scope,
-                failing_pair=pair.as_tuple(),
-                tolerances={"tol_metric": tol},
-                notes="pair has no preimage on one side",
-            )
+            return failed(pair, "pair has no preimage on one side")
         block = phi.domain.dist[np.ix_(xs, ys)]
         k = int(np.argmin(block))
         i, j = divmod(k, ys.size)
         best = float(block[i, j])
-        target = codomain.d(pair.x, pair.y)
+        target = phi.codomain.d(pair.x, pair.y)
         if best > target + tol:
-            return IsometryCertificate(
-                verdict="not_isometric", method="dual_preimage", scope=scope,
-                failing_pair=pair.as_tuple(),
-                tolerances={"tol_metric": tol},
-                notes=f"best preimage distance {best!r} exceeds {target!r}",
-            )
+            return failed(pair, f"best preimage distance {best!r} exceeds {target!r}")
         witnesses.append({
             "pair": pair.as_tuple(),
             "preimage": (int(xs[i]), int(ys[j])),
@@ -279,41 +249,45 @@ def certify_isometry_dual(
     )
 
 
-def certify_isometry_primal(
-    phi: LipschitzMap, tol: float | None = None
-) -> IsometryCertificate:
+def _primal_certificate(phi: LipschitzMap, vertices: list[PointPair],
+                        tol: float) -> IsometryCertificate:
     """Polytope-containment criterion, vertex by vertex.
 
     Composition against the map is isometric exactly when the
     push-forward image of the domain unit ball covers the codomain unit
     ball; both balls are polytopes, so it is enough to reach every
-    extreme molecule of the codomain by a convex combination of pushed
+    vertex of the codomain ball by a convex combination of pushed
     domain molecules (a pushed molecule equal to the vertex, or else an
     LP feasibility problem).
     """
-    if tol is None:
-        tol = _cert_tol(phi)
-    norm = _check_map_norm(phi, tol)
-    if norm.value < 1.0 - tol:
-        return _norm_deficit_certificate(phi, norm, "primal_polytope", tol)
-
     u, v = _ordered_pairs(phi.domain.n)
     img = np.asarray(phi.image)
-    img_u, img_v, d_uv = img[u], img[v], phi.domain.dist[u, v]
-    vertices = extreme_molecules(phi.codomain)
+    failing = _first_outside_hull(phi.codomain, vertices, img[u], img[v],
+                                  phi.domain.dist[u, v])
     tolerances = {"tol_metric": tol, "lp_feasibility": freespace.LP_FEAS_TOL}
-    for vertex in vertices:
-        if hull_combination(phi.codomain, vertex, img_u, img_v, d_uv) is None:
-            return IsometryCertificate(
-                verdict="not_isometric", method="primal_polytope",
-                failing_pair=vertex.as_tuple(), tolerances=tolerances,
-                notes="codomain vertex is outside the pushed unit ball",
-            )
+    if failing is not None:
+        return IsometryCertificate(
+            verdict="not_isometric", method="primal_polytope",
+            failing_pair=failing.as_tuple(), tolerances=tolerances,
+            notes="codomain vertex is outside the pushed unit ball",
+        )
     return IsometryCertificate(
         verdict="isometric", method="primal_polytope",
         witnesses=tuple({"pair": v.as_tuple()} for v in vertices),
         tolerances=tolerances,
     )
+
+
+def certify_isometry_dual(phi: LipschitzMap, pairs: Sequence[PointPair] | None = None,
+                          tol: float | None = None) -> IsometryCertificate:
+    """The dual (preimage) certificate alone; see :func:`certify_isometry`."""
+    return certify_isometry(phi, "dual", pairs, tol)
+
+
+def certify_isometry_primal(phi: LipschitzMap,
+                            tol: float | None = None) -> IsometryCertificate:
+    """The primal (polytope) certificate alone; see :func:`certify_isometry`."""
+    return certify_isometry(phi, "primal", tol=tol)
 
 
 def certify_isometry(
@@ -328,14 +302,25 @@ def certify_isometry(
     certificates as dictionaries; it indicates an implementation bug and
     is surfaced loudly rather than resolved silently.
     """
-    if method == "dual":
-        return certify_isometry_dual(phi, pairs=pairs, tol=tol)
-    if method == "primal":
-        return certify_isometry_primal(phi, tol=tol)
-    if method != "both":
+    if method not in ("dual", "primal", "both"):
         raise ValueError(f"unknown certification method {method!r}")
-    dual = certify_isometry_dual(phi, pairs=pairs, tol=tol)
-    primal = certify_isometry_primal(phi, tol=tol)
+    if tol is None:
+        tol = _cert_tol(phi)
+    norm = phi.norm_with_witness()
+    if norm.value > 1.0 + tol:
+        raise MapNormExceedsOne(norm.value, norm.witness)
+    vertices = extreme_molecules(phi.codomain)
+    if norm.value < 1.0 - tol:
+        dual, primal = (IsometryCertificate(
+            verdict="not_isometric", method=name,
+            failing_pair=vertices[0].as_tuple(), tolerances={"tol_metric": tol},
+            notes=f"operator norm {norm.value!r} is strictly below one",
+        ) for name in ("dual_preimage", "primal_polytope"))
+    else:
+        dual = _dual_certificate(phi, vertices, pairs, tol) if method != "primal" else None
+        primal = _primal_certificate(phi, vertices, tol) if method != "dual" else None
+    if method != "both":
+        return dual if method == "dual" else primal
     if dual.verdict != primal.verdict:
         raise MethodDisagreement(
             f"certifiers disagree: dual says {dual.verdict}, "

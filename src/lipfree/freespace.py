@@ -427,6 +427,24 @@ class NormingResult(NamedTuple):
     failing_vertex: PointPair | None
 
 
+def _first_outside_hull(space: PointedMetricSpace, vertices: list[PointPair],
+                       u: np.ndarray, v: np.ndarray, d_uv: np.ndarray):
+    """The first listed vertex outside the hull of the column molecules,
+    or None: the loop of the norming test and of the primal certificate."""
+    return next((w for w in vertices
+                 if hull_combination(space, w, u, v, d_uv) is None), None)
+
+
+def _norming_failure(space: PointedMetricSpace, pairs: Sequence[PointPair],
+                     vertices: list[PointPair]) -> PointPair | None:
+    """The first listed vertex outside the hull of +-molecules over the pairs."""
+    if not pairs:
+        raise ValueError("the pair set must be nonempty")
+    signed = np.array([(pr.x, pr.y, pr.y, pr.x) for pr in pairs]).reshape(-1, 2)
+    u, v = signed[:, 0], signed[:, 1]
+    return _first_outside_hull(space, vertices, u, v, space.dist[u, v])
+
+
 def is_norming(space: PointedMetricSpace, pairs: Sequence[PointPair]) -> NormingResult:
     """Does the hull of +-molecules over the given pairs contain every
     vertex of the full unit ball?
@@ -435,12 +453,5 @@ def is_norming(space: PointedMetricSpace, pairs: Sequence[PointPair]) -> Norming
     pair equal to the vertex, or else one membership LP); the first
     vertex outside the hull is reported in the negative case.
     """
-    if not pairs:
-        raise ValueError("the pair set must be nonempty")
-    signed = np.array([(pr.x, pr.y, pr.y, pr.x) for pr in pairs]).reshape(-1, 2)
-    u, v = signed[:, 0], signed[:, 1]
-    d_uv = space.dist[u, v]
-    for vertex in extreme_molecules(space):
-        if hull_combination(space, vertex, u, v, d_uv) is None:
-            return NormingResult(False, vertex)
-    return NormingResult(True, None)
+    failing = _norming_failure(space, pairs, extreme_molecules(space))
+    return NormingResult(failing is None, failing)

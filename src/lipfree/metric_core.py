@@ -43,24 +43,19 @@ class PointedMetricSpace:
     base: int
     dist: np.ndarray
     meta: Mapping[str, Any] = field(default_factory=dict)
+    diameter: float = field(init=False, repr=False)
+    tol: float = field(init=False, repr=False)  # metric comparison tolerance
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
+        object.__setattr__(self, "diameter", float(d.max()))
+        object.__setattr__(self, "tol", REL_TOL * self.diameter)
 
     @property
     def n(self) -> int:
         return self.dist.shape[0]
-
-    @property
-    def diameter(self) -> float:
-        return float(self.dist.max())
-
-    @property
-    def tol(self) -> float:
-        """Metric comparison tolerance, scaled to the space's diameter."""
-        return REL_TOL * self.diameter
 
     def d(self, i: int, j: int) -> float:
         return float(self.dist[i, j])
@@ -86,9 +81,6 @@ class PointPair:
     def __post_init__(self):
         if self.x == self.y:
             raise ValueError(f"pair points must be distinct, got ({self.x}, {self.y})")
-
-    def swapped(self) -> "PointPair":
-        return PointPair(self.y, self.x)
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.x, self.y)

@@ -2,17 +2,20 @@
 
 Each criterion function returns a plain dict with a boolean ``passed``
 plus the quantities that decide it. Reports are deterministic for a
-fixed seed set, independent of LIPFREE_THREADS; ``runtime_s`` keys are
-the only nondeterministic fields and are stripped before determinism
-comparisons.
+fixed seed set, in any interpreter whatever its string hashing;
+``runtime_s`` keys are the only nondeterministic fields and are stripped
+before determinism comparisons.
+
+``python acceptance_criteria.py`` runs criteria 1-10 and writes the
+stripped reports to stdout as a pickle, for the determinism criterion.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
+import pickle
+import sys
 import time
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -64,19 +67,6 @@ from lipfree.metric_core import (
 )
 
 MESHES = (8, 16, 32, 64)
-
-
-@contextmanager
-def thread_setting(threads: int):
-    old = os.environ.get("LIPFREE_THREADS")
-    os.environ["LIPFREE_THREADS"] = str(threads)
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("LIPFREE_THREADS", None)
-        else:
-            os.environ["LIPFREE_THREADS"] = old
 
 
 def criterion_1_primal_dual_agreement() -> dict:
@@ -471,23 +461,22 @@ def criterion_10_peak_localization() -> dict:
     }
 
 
-def run_criteria(threads: int = 1) -> dict:
-    """Criteria 1-10 under one thread setting, as a single report dict."""
-    with thread_setting(threads):
-        family = _builtin_family_reports()
-        reports = [
-            criterion_1_primal_dual_agreement(),
-            criterion_2_molecule_norms(),
-            criterion_3_extremality_oracle(),
-            criterion_4_certifier_equivalence(),
-            criterion_5_molecule_distance_bound(),
-            criterion_6_extension_exactness(),
-            criterion_7_interval_necessary(family),
-            criterion_8_interval_sufficient(family),
-            criterion_9_inverse_projections(),
-            criterion_10_peak_localization(),
-        ]
-    return {"threads": threads, "criteria": reports}
+def run_criteria() -> dict:
+    """Criteria 1-10 as a single report dict."""
+    family = _builtin_family_reports()
+    reports = [
+        criterion_1_primal_dual_agreement(),
+        criterion_2_molecule_norms(),
+        criterion_3_extremality_oracle(),
+        criterion_4_certifier_equivalence(),
+        criterion_5_molecule_distance_bound(),
+        criterion_6_extension_exactness(),
+        criterion_7_interval_necessary(family),
+        criterion_8_interval_sufficient(family),
+        criterion_9_inverse_projections(),
+        criterion_10_peak_localization(),
+    ]
+    return {"criteria": reports}
 
 
 def strip_runtime_fields(obj):
@@ -498,3 +487,7 @@ def strip_runtime_fields(obj):
     if isinstance(obj, (list, tuple)):
         return [strip_runtime_fields(v) for v in obj]
     return obj
+
+
+if __name__ == "__main__":
+    pickle.dump(strip_runtime_fields(run_criteria()), sys.stdout.buffer)

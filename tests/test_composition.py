@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lipfree import composition, freespace
 from lipfree.composition import (
     LipschitzMap,
     certify_isometry,
@@ -230,6 +231,30 @@ class TestCertifyPrimal:
         cert = certify_isometry_primal(builtin_map("halving", 4))
         assert cert.verdict == "not_isometric"
         assert "below one" in cert.notes
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("method", ["dual", "primal", "both"])
+    @pytest.mark.parametrize("case", ["isometric", "deficit", "norming_pairs"])
+    def test_norm_and_vertices_computed_once(self, monkeypatch, method, case):
+        calls = {"extreme_molecules": 0, "norm_with_witness": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(LipschitzMap, "norm_with_witness")
+        counted(freespace, "extreme_molecules")
+        counted(composition, "extreme_molecules")
+        phi = builtin_map("halving" if case == "deficit" else "fold", 8)
+        pairs = list(phi.codomain.pairs()) if case == "norming_pairs" else None
+        report = certify_isometry(phi, method, pairs=pairs)
+        assert report.verdict == ("not_isometric" if case == "deficit" else "isometric")
+        assert calls == {"extreme_molecules": 1, "norm_with_witness": 1}
 
 
 class TestCertifyBoth:

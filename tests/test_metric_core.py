@@ -12,6 +12,7 @@ from lipfree.errors import (
     ZeroDistanceDistinctPoints,
 )
 from lipfree.metric_core import (
+    REL_TOL,
     PointPair,
     circle_net,
     from_weighted_graph,
@@ -37,6 +38,12 @@ class TestValidateSpace:
         d = [[abs(i - j) for j in range(4)] for i in range(4)]
         space = validate_space(d)
         assert space.d(0, 3) == 3.0
+
+    @pytest.mark.parametrize("space", [interval_net(7), circle_net(9),
+                                       snowflake(interval_net(3), 0.5)])
+    def test_diameter_and_tolerance_fixed_at_construction(self, space):
+        assert space.diameter == float(space.dist.max())
+        assert space.tol == REL_TOL * float(space.dist.max())
 
     def test_asymmetric_rejected(self):
         with pytest.raises(AsymmetricDistance):
