@@ -118,14 +118,19 @@ def _parse_pairs(text: str, n: int) -> list[PointPair]:
     return pairs
 
 
-def _certify(phi: LipschitzMap, args, pairs=None):
+def _certify(phi: LipschitzMap, args, inputs, tolerances, pairs=None):
     """Certify as the flags ask: (certificate, operator norm, certification
-    wall time, metric tolerance in force)."""
-    tol = _cert_tol(phi) if args.tol is None else args.tol
+    wall time). Sets ``tolerances["tol_metric"]``; a disagreement carries
+    the command's inputs and tolerances to its report."""
+    tol = tolerances["tol_metric"] = _cert_tol(phi) if args.tol is None else args.tol
     started = time.perf_counter()
-    cert = certify_isometry(phi, method=args.method, pairs=pairs, tol=tol)
+    try:
+        cert = certify_isometry(phi, method=args.method, pairs=pairs, tol=tol)
+    except MethodDisagreement as exc:
+        exc.inputs, exc.tolerances = inputs, tolerances
+        raise
     wall = time.perf_counter() - started
-    return cert.to_dict(), operator_norm(phi), wall, tol
+    return cert.to_dict(), operator_norm(phi), wall
 
 
 def _check_numeric_flags(args) -> None:
@@ -254,7 +259,9 @@ def _cmd_validate(args):
             "error": {"kind": type(exc).__name__, "message": str(exc),
                       "witness": list(getattr(exc, "witness", ()) or ())},
         }
-        return inputs, {"tol_metric": args.tol}, results
+        # only the triangle check compares within a tolerance
+        tol = getattr(exc, "tol", args.tol)
+        return inputs, {} if tol is None else {"tol_metric": tol}, results
     results = {"valid": True, "points": space.n, "diameter": space.diameter}
     return inputs, {"tol_metric": args.tol if args.tol is not None else space.tol}, results
 
@@ -296,8 +303,14 @@ def _cmd_freenorm(args):
     }
     if not agree:
         raise MethodDisagreement("primal and dual norms disagree beyond tolerance",
-                                 results)
+                                 results, inputs, tolerances)
     return inputs, tolerances, results
+
+
+def _space_tolerances(space, args) -> dict:
+    """``space.tol`` decides; a ``--tol`` only admitted the space."""
+    given = {} if args.tol is None else {"tol_validation": args.tol}
+    return {"tol_metric": space.tol, **given}
 
 
 def _cmd_extremes(args):
@@ -305,7 +318,7 @@ def _cmd_extremes(args):
     pairs = extreme_molecules(space)
     return (
         [_input_record("space", args.space)],
-        {"tol_metric": space.tol},
+        _space_tolerances(space, args),
         {"pairs": [list(p.as_tuple()) for p in pairs], "count": len(pairs)},
     )
 
@@ -315,7 +328,7 @@ def _cmd_norming(args):
     result = is_norming(space, _parse_pairs(args.pairs, space.n))
     return (
         [_input_record("space", args.space)],
-        {"tol_metric": space.tol},
+        _space_tolerances(space, args),
         {"is_norming": result.is_norming,
          "failing_vertex": list(result.failing_vertex.as_tuple())
          if result.failing_vertex else None},
@@ -327,15 +340,16 @@ def _cmd_isometry(args):
     codomain = load_space(args.codomain, tol=args.tol) if args.codomain else None
     phi = load_map(args.map_path, domain=domain, codomain=codomain)
     pairs = _parse_pairs(args.pairs, phi.codomain.n) if args.pairs else None
-    results, norm, wall, tol = _certify(phi, args, pairs)
-    results["operator_norm"] = norm
-    results["wall_time_s"] = wall
     inputs = [_input_record("map", args.map_path)]
     if args.domain:
         inputs.append(_input_record("domain", args.domain))
     if args.codomain:
         inputs.append(_input_record("codomain", args.codomain))
-    return inputs, {"tol_metric": tol}, results
+    tolerances = {}
+    results, norm, wall = _certify(phi, args, inputs, tolerances, pairs)
+    results["operator_norm"] = norm
+    results["wall_time_s"] = wall
+    return inputs, tolerances, results
 
 
 def _cmd_extend(args):
@@ -367,7 +381,8 @@ def _cmd_experiment_interval(args):
     inputs = [_input_record("map", map_record.get("path"), map_record)]
     necessary = check_interval_necessary(phi, r_loc=args.r_loc, eps=args.eps)
     sufficient = check_interval_sufficient(phi, r=necessary.r_loc, eps=args.eps)
-    cert, norm, wall, tol = _certify(phi, args)
+    tolerances = {"r_loc": necessary.r_loc, "eps": necessary.eps}
+    cert, norm, wall = _certify(phi, args, inputs, tolerances)
     results = {
         "operator_norm": norm,
         "necessary": necessary.to_dict(),
@@ -385,7 +400,6 @@ def _cmd_experiment_interval(args):
                 best = max(best, lipschitz_norm(compose(phi, f)).value / fn)
         results["random_probe"] = {"samples": args.probe, "seed": args.seed,
                                    "max_ratio": best}
-    tolerances = {"r_loc": necessary.r_loc, "eps": necessary.eps, "tol_metric": tol}
     if args.csv:
         _emit_csv(necessary.rows, args.csv)
     elif args.out:
@@ -405,9 +419,10 @@ def _cmd_experiment_geodesic(args):
                 if args.map_spec.startswith("file:") else args.map_spec)
         phi = load_map(path, codomain=gspace.space)
         inputs = [_input_record("space", args.space), _input_record("map", path)]
-    cert, norm, wall, tol = _certify(phi, args)
     r_loc = args.r_loc if args.r_loc is not None else 4.0 * gspace.mesh
     eps = args.eps if args.eps is not None else 4.0 * gspace.mesh
+    tolerances = {"r_loc": r_loc, "eps": eps}
+    cert, norm, wall = _certify(phi, args, inputs, tolerances)
     profiles = [check_geodesic_necessary(phi, gspace, PointPair(x, y), r_loc=r_loc, eps=eps)
                 for (x, y) in sorted(gspace.paths)]
     try:
@@ -423,7 +438,6 @@ def _cmd_experiment_geodesic(args):
         "certificate": cert,
         "wall_time_s": wall,
     }
-    tolerances = {"r_loc": r_loc, "eps": eps, "tol_metric": tol}
     if args.csv:
         rows = [row for p in profiles for row in p.rows]
         _emit_csv(rows, args.csv)
@@ -460,7 +474,7 @@ def run(argv: list[str] | None = None) -> int:
         _check_numeric_flags(args)
         inputs, tolerances, results = _COMMANDS[command](args)
     except MethodDisagreement as exc:
-        report = _envelope(command, [], {}, exc.results, started)
+        report = _envelope(command, exc.inputs, exc.tolerances, exc.results, started)
         report["error"] = {"kind": "MethodDisagreement", "message": str(exc)}
         _emit(report, args.out)
         return 3

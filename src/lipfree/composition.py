@@ -28,7 +28,7 @@ never the mathematics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ from .freespace import (
     _ordered_pairs,
     extreme_molecules,
 )
-from .lipschitz import LipschitzFunction
+from .lipschitz import LipschitzFunction, _largest_quotient
 from .metric_core import PointedMetricSpace, PointPair
 
 
@@ -80,14 +80,8 @@ class LipschitzMap:
 
     def norm_with_witness(self) -> MapNorm:
         img = np.asarray(self.image)
-        dn = self.domain.dist
-        dm = self.codomain.dist[np.ix_(img, img)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = dm / dn
-        q[np.eye(self.domain.n, dtype=bool)] = -1.0
-        flat = int(np.argmax(q))
-        i, j = divmod(flat, self.domain.n)
-        value = float(q[i, j])
+        value, i, j = _largest_quotient(self.codomain.dist[np.ix_(img, img)],
+                                        self.domain.dist)
         if value <= 0.0:
             return MapNorm(0.0, None)
         return MapNorm(value, (min(i, j), max(i, j)))
@@ -141,14 +135,15 @@ def compose(phi: LipschitzMap, f: LipschitzFunction) -> LipschitzFunction:
 class IsometryCertificate:
     """Outcome of one certification run.
 
-    A negative verdict always carries a failing pair. A positive dual
-    verdict carries one preimage witness per checked pair. ``scope``
-    records whether the pair set decides both directions (the default,
-    all extreme molecules) or only suffices for the positive direction
-    (a caller-supplied norming set).
+    A negative or inconclusive verdict always carries a failing pair. A
+    positive dual verdict carries one preimage witness per checked pair.
+    ``scope`` records whether the pair set decides both directions (the
+    default, all extreme molecules) or only suffices for the positive
+    direction (a caller-supplied norming set); a failed check over such
+    a set decides nothing and is ``inconclusive``.
     """
 
-    verdict: str  # "isometric" | "not_isometric"
+    verdict: str  # "isometric" | "not_isometric" | "inconclusive"
     method: str  # "dual_preimage" | "primal_polytope"
     scope: str = "necessary_and_sufficient"
     witnesses: tuple[dict[str, Any], ...] = ()
@@ -161,20 +156,14 @@ class IsometryCertificate:
         return self.verdict == "isometric"
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "verdict": self.verdict,
-            "method": self.method,
-            "scope": self.scope,
-            "witnesses": list(self.witnesses),
-            "failing_pair": list(self.failing_pair) if self.failing_pair else None,
-            "tolerances": dict(self.tolerances),
-            "notes": self.notes,
-        }
+        return {**asdict(self), "witnesses": list(self.witnesses),
+                "failing_pair": list(self.failing_pair) if self.failing_pair else None}
 
 
 @dataclass(frozen=True)
 class AgreementReport:
-    """Both certificates from a ``method=both`` run, with equal verdicts."""
+    """Both certificates from a ``method=both`` run; the verdict is the
+    primal's, and the dual's is equal unless it is inconclusive."""
 
     verdict: str
     dual: IsometryCertificate
@@ -208,19 +197,20 @@ def _dual_certificate(phi: LipschitzMap, vertices: list[PointPair],
     condition. With the default pair set the verdict is conclusive in
     both directions; a caller-supplied set must be norming (checked
     against the same vertices), and then only the positive direction is
-    conclusive.
+    conclusive: a pair failing the bound makes the verdict
+    ``inconclusive``, since it need not be a vertex.
     """
     if pairs is None:
-        pair_list, scope = vertices, "necessary_and_sufficient"
+        pair_list, scope, negative = vertices, "necessary_and_sufficient", "not_isometric"
     else:
-        pair_list, scope = list(pairs), "sufficient_only"
+        pair_list, scope, negative = list(pairs), "sufficient_only", "inconclusive"
         failing = _norming_failure(phi.codomain, pair_list, vertices)
         if failing is not None:
             raise NotNorming(failing.as_tuple())
 
     def failed(pair: PointPair, notes: str) -> IsometryCertificate:
         return IsometryCertificate(
-            verdict="not_isometric", method="dual_preimage", scope=scope,
+            verdict=negative, method="dual_preimage", scope=scope,
             failing_pair=pair.as_tuple(), tolerances={"tol_metric": tol}, notes=notes)
 
     img = np.asarray(phi.image)
@@ -296,7 +286,8 @@ def certify_isometry(
     pairs: Sequence[PointPair] | None = None,
     tol: float | None = None,
 ):
-    """Run one or both certifiers; with ``both``, verdicts must agree.
+    """Run one or both certifiers; with ``both``, the primal verdict is
+    reported and a conclusive dual verdict must equal it.
 
     Disagreement raises :class:`MethodDisagreement` carrying both
     certificates as dictionaries; it indicates an implementation bug and
@@ -321,10 +312,10 @@ def certify_isometry(
         primal = _primal_certificate(phi, vertices, tol) if method != "dual" else None
     if method != "both":
         return dual if method == "dual" else primal
-    if dual.verdict != primal.verdict:
+    if dual.verdict not in (primal.verdict, "inconclusive"):
         raise MethodDisagreement(
             f"certifiers disagree: dual says {dual.verdict}, "
             f"primal says {primal.verdict}",
             {"dual": dual.to_dict(), "primal": primal.to_dict()},
         )
-    return AgreementReport(dual.verdict, dual, primal)
+    return AgreementReport(primal.verdict, dual, primal)

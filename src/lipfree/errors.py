@@ -43,8 +43,10 @@ class ZeroDistanceDistinctPoints(InputError):
 
 
 class TriangleViolation(InputError):
-    def __init__(self, i: int, j: int, k: int, dik: float, dij: float, djk: float):
+    def __init__(self, i: int, j: int, k: int, dik: float, dij: float, djk: float,
+                 tol: float):
         self.witness = (i, j, k)
+        self.tol = tol  # the tolerance the failed comparison used
         super().__init__(
             f"triangle inequality fails at ({i},{j},{k}): "
             f"d[{i}][{k}]={dik!r} > d[{i}][{j}]+d[{j}][{k}]={dij + djk!r}"
@@ -131,11 +133,12 @@ class NotNorming(InputError):
 class MethodDisagreement(InternalCheckError):
     """Two independent methods disagreed. This falsifies the implementation.
 
-    ``results`` holds what each method computed, keyed by method.
+    ``results`` holds what each method computed, keyed by method;
+    ``inputs`` and ``tolerances`` are the CLI command's, for its report.
     """
 
-    def __init__(self, message: str, results: dict):
-        self.results = results
+    def __init__(self, message: str, results: dict, inputs=(), tolerances=None):
+        self.results, self.inputs, self.tolerances = results, list(inputs), tolerances or {}
         super().__init__(message)
 
 

@@ -9,9 +9,10 @@ independent routes compute it:
   pricing, strongly feasible trees), and returns one optimal plan.
   Because distances satisfy the triangle inequality, shipping along
   direct arcs is optimal, so the bipartite formulation loses nothing.
-* :func:`free_norm_dual` maximizes the pairing against the vector over
-  all functions with difference quotients at most 1, as a linear
-  program, and returns a maximizing function.
+* :func:`free_norm_dual` maximizes the pairing against the vector as a
+  linear program over potentials on the vector's support, with one
+  constraint per (positive, negative) pair, and returns the c-transform
+  of an optimal potential as a maximizing 1-Lipschitz function.
 
 Strong duality makes the two values agree; their agreement on random
 instances is part of the acceptance suite, so neither route may be
@@ -272,38 +273,45 @@ def free_norm_primal(mu: FreeVector) -> FlowResult:
 
 
 # ---------------------------------------------------------------------------
-# dual: Lipschitz-constrained maximization LP
+# dual: potentials on the support pairs and their c-transform
 # ---------------------------------------------------------------------------
-
-def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.nonzero(~np.eye(n, dtype=bool))
-
 
 def free_norm_dual(mu: FreeVector) -> DualResult:
     """Transport norm as the best pairing against a 1-Lipschitz function.
 
-    Maximizes sum f * mu subject to f(u) - f(v) <= d(u,v) for all ordered
-    pairs, with f pinned to 0 at the base point. Returns the value and
-    one maximizer.
+    Maximizes sum p_i a_i - sum q_j b_j over potentials on the positive
+    support points x_i (masses p_i) and the negative ones y_j (masses
+    q_j) subject to a_i - b_j <= d(x_i, y_j). Every 1-Lipschitz function
+    is feasible, and the c-transform g(x) = min_j (b_j + d(x, y_j)) of an
+    optimum is 1-Lipschitz with g(x_i) >= a_i and g(y_j) <= b_j, so it
+    pairs to at least the optimum, which is therefore the norm; g,
+    vanishing at the base point, is returned as one maximizer. Costs are
+    priced in units of the largest one and masses likewise, so HiGHS's
+    tolerances act relatively; one potential on the side of smaller
+    total mass is pinned to 0, which keeps the LP bounded when rounding
+    leaves the parts unequal.
     """
+    space, c = mu.space, mu.coeffs
+    pos, neg = np.flatnonzero(c > 0), np.flatnonzero(c < 0)
+    if pos.size == 0 or neg.size == 0:
+        return DualResult(0.0, LipschitzFunction(space, np.zeros(space.n)))
     from scipy import sparse
     from scipy.optimize import linprog
-    space = mu.space
-    n, base = space.n, space.base
-    u, v = _ordered_pairs(n)
-    rows, cols = np.tile(np.arange(u.size), 2), np.concatenate([u, v])
-    signs = np.repeat([1.0, -1.0], u.size)
-    kept = cols != base  # f(base) = 0 drops the base column
-    a_ub = sparse.csr_array(
-        (signs[kept], (rows[kept], cols[kept] - (cols[kept] > base))),
-        shape=(u.size, n - 1))
-    obj = -np.delete(mu.coeffs, base)
-    res = linprog(obj, A_ub=a_ub, b_ub=space.dist[u, v], bounds=(None, None),
-                  method="highs", options=_LP_OPTIONS)
+    m, k = pos.size, neg.size
+    cost = space.dist[np.ix_(pos, neg)]
+    unit, mass = cost.max(), np.abs(c).max()
+    rows = np.tile(np.arange(m * k), 2)  # row i*k + j is the pair (x_i, y_j)
+    cols = np.concatenate([np.repeat(np.arange(m), k), m + np.tile(np.arange(k), m)])
+    a_ub = sparse.csr_array((np.repeat([1.0, -1.0], m * k), (rows, cols)))
+    bounds = np.full((m + k, 2), [-np.inf, np.inf])
+    bounds[m if c[pos].sum() >= -c[neg].sum() else 0] = 0.0
+    res = linprog(np.concatenate([-c[pos], -c[neg]]) / mass, A_ub=a_ub,
+                  b_ub=cost.ravel() / unit, bounds=bounds, method="highs",
+                  options=_LP_OPTIONS)
     if res.status != 0:
         raise InvariantFailure(f"dual norm LP failed with status {res.status}")
-    values = np.insert(res.x, base, 0.0)
-    return DualResult(-float(res.fun), LipschitzFunction(space, values))
+    g = (space.dist[:, neg] + unit * res.x[m:]).min(axis=1)
+    return DualResult(float(-res.fun * unit * mass), LipschitzFunction(space, g))
 
 
 def molecule_distance(a: Molecule, b: Molecule) -> float:
@@ -318,6 +326,10 @@ def molecule_distance(a: Molecule, b: Molecule) -> float:
 # ---------------------------------------------------------------------------
 
 FACE_PAIRING_TOL = 1e-9
+
+
+def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.nonzero(~np.eye(n, dtype=bool))
 
 
 def hull_combination(space: PointedMetricSpace, pair: PointPair, u: np.ndarray,

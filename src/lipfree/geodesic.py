@@ -15,7 +15,7 @@ fails. All thresholds used are recorded in the reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -184,15 +184,7 @@ class DefectProfile:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "rows": [list(r) for r in self.rows],
-            "max_defect": self.max_defect,
-            "r_loc": self.r_loc,
-            "eps": self.eps,
-            "holds": self.holds,
-            "extra": dict(self.extra),
-        }
+        return {**asdict(self), "rows": [list(r) for r in self.rows]}
 
 
 def _defect_profile(kind: str, values: np.ndarray, num: np.ndarray,
@@ -304,18 +296,7 @@ class SufficiencyReport:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "density_ok": self.density_ok,
-            "max_gap": self.max_gap,
-            "gap_allowance": self.gap_allowance,
-            "rows": [list(r) for r in self.rows],
-            "worst_margin": self.worst_margin,
-            "r": self.r,
-            "eps": self.eps,
-            "predicts_isometric": self.predicts_isometric,
-            "extra": dict(self.extra),
-        }
+        return {**asdict(self), "rows": [list(r) for r in self.rows]}
 
 
 def check_interval_sufficient(

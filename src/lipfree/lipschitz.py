@@ -74,6 +74,16 @@ class LipNorm(NamedTuple):
     witness: tuple[int, int]
 
 
+def _largest_quotient(num: np.ndarray, den: np.ndarray) -> tuple[float, int, int]:
+    """The largest off-diagonal num / den and the first pair, in row-major
+    order, attaining it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = num / den
+    q[np.eye(len(q), dtype=bool)] = -1.0
+    i, j = divmod(int(np.argmax(q)), len(q))
+    return float(q[i, j]), i, j
+
+
 def lipschitz_norm(f: LipschitzFunction) -> LipNorm:
     """Best Lipschitz constant with one attaining pair.
 
@@ -82,17 +92,9 @@ def lipschitz_norm(f: LipschitzFunction) -> LipNorm:
     witnesses are broken toward the lexicographically smallest ordered
     pair, which is an arbitrary but documented choice.
     """
-    n = f.space.n
-    diff = np.abs(f.values[:, None] - f.values[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = diff / f.space.dist
-    q[np.eye(n, dtype=bool)] = -1.0
-    flat = int(np.argmax(q))
-    i, j = divmod(flat, n)
-    value = float(q[i, j])
-    if value <= 0.0:
-        return LipNorm(0.0, (min(i, j), max(i, j)) if i != j else (0, 1))
-    return LipNorm(value, (min(i, j), max(i, j)))
+    value, i, j = _largest_quotient(np.abs(f.values[:, None] - f.values[None, :]),
+                                    f.space.dist)
+    return LipNorm(value, (min(i, j), max(i, j)))  # (0, 1) when f is constant
 
 
 def pointwise_lip_at_scale(f: LipschitzFunction, x: int, r: float) -> float:
@@ -117,12 +119,8 @@ def sub_lipschitz_norm(space: PointedMetricSpace, subset: Sequence[int],
     v = np.asarray(values, dtype=float)
     if idx.size < 2:
         return 0.0
-    d = space.dist[np.ix_(idx, idx)]
-    diff = np.abs(v[:, None] - v[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = diff / d
-    q[np.eye(idx.size, dtype=bool)] = 0.0
-    return float(q.max())
+    return _largest_quotient(np.abs(v[:, None] - v[None, :]),
+                             space.dist[np.ix_(idx, idx)])[0]
 
 
 def inf_extension(space: PointedMetricSpace, subset: Sequence[int],

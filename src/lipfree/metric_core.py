@@ -138,7 +138,8 @@ def validate_space(
         bad = np.argwhere(slack > tol)
         if bad.size:
             i, k = [int(v) for v in bad[0]]
-            raise TriangleViolation(i, j, k, float(d[i, k]), float(d[i, j]), float(d[j, k]))
+            raise TriangleViolation(i, j, k, float(d[i, k]), float(d[i, j]), float(d[j, k]),
+                                    tol)
 
     if labels is None:
         labels = tuple(f"p{i}" for i in range(n))

@@ -11,7 +11,7 @@ from lipfree import cli, composition
 from lipfree.fixtures import tripod
 from lipfree.freespace import DualResult
 from lipfree.io import geodesic_space_to_dict, space_to_dict
-from lipfree.metric_core import interval_net
+from lipfree.metric_core import REL_TOL, interval_net
 
 
 def write(path, obj):
@@ -92,6 +92,25 @@ class TestExitCodes:
         assert results["valid"] is False
         assert results["error"]["kind"] == "TriangleViolation"
         assert results["error"]["witness"] == [0, 1, 2]
+
+    @pytest.mark.parametrize("flags, tolerances", [
+        ((), {"tol_metric": REL_TOL * 5.0}),  # the default, from max(d) = 5
+        (("--tol", "0.5"), {"tol_metric": 0.5}),
+    ])
+    def test_failed_triangle_check_reports_its_tolerance(self, files, capsys, flags,
+                                                         tolerances):
+        code, report, _ = run_in_process(capsys, "validate", files["bad"], *flags)
+        assert code == 0
+        assert report["results"]["error"]["kind"] == "TriangleViolation"
+        assert report["tolerances"] == tolerances
+
+    def test_exact_failure_reports_no_tolerance(self, files, capsys):
+        asymmetric = write(files["dir"] / "asym.json", {
+            "metric": {"type": "matrix", "d": [[0, 1], [2, 0]]}})
+        code, report, _ = run_in_process(capsys, "validate", asymmetric)
+        assert code == 0
+        assert report["results"]["error"]["kind"] == "AsymmetricDistance"
+        assert report["tolerances"] == {}
 
     def test_malformed_json_exits_2(self, files):
         broken = files["dir"] / "broken.json"
@@ -189,6 +208,8 @@ class TestExitCodes:
         assert report["results"]["flow"] == pytest.approx(1.0)
         assert report["results"]["lp"] == pytest.approx(2.0)
         assert report["results"]["agree"] is False
+        assert report["inputs"] == [cli._input_record("vector", files["vec"])]
+        assert report["tolerances"] == {"agreement": cli.FREENORM_AGREEMENT}
 
     def test_certifier_disagreement_exits_3(self, files, capsys, monkeypatch):
         real = composition._primal_certificate
@@ -205,6 +226,25 @@ class TestExitCodes:
         assert report["error"]["kind"] == "MethodDisagreement"
         assert report["results"]["dual"]["verdict"] == "isometric"
         assert report["results"]["primal"]["verdict"] == "not_isometric"
+        assert report["inputs"] == [cli._input_record("map", files["map"])]
+        assert report["tolerances"] == {"tol_metric": REL_TOL}  # the diameter is 1
+
+    def test_inconclusive_dual_pair_exits_0(self, files, capsys):
+        # the path 0-1-2-3 (weights 1, 0.5, 1) squeezed onto the path 0-1-2
+        # is isometric; the listed pair (0, 2) is norming but no vertex, and
+        # its preimage distance 2.5 exceeds 2
+        squeezed = write(files["dir"] / "squeezed.json", {
+            "domain": {"metric": {"type": "graph", "n": 4,
+                                  "edges": [[0, 1, 1], [1, 2, 0.5], [2, 3, 1]]}},
+            "codomain": "three.json", "image": [0, 1, 1, 2]})
+        code, report, _ = run_in_process(capsys, "isometry", "--map", squeezed,
+                                         "--method", "both", "--pairs", "0,1;1,2;0,2")
+        assert code == 0
+        results = report["results"]
+        assert results["verdict"] == results["primal"]["verdict"] == "isometric"
+        assert results["dual"]["verdict"] == "inconclusive"
+        assert results["dual"]["scope"] == "sufficient_only"
+        assert results["dual"]["failing_pair"] == [0, 2]
 
     @pytest.mark.parametrize("argv", [
         ("isometry", "--map", "{halving}", "--method", "dual", "--tol=nan"),
@@ -281,6 +321,23 @@ class TestCommands:
     def test_extremes(self, files):
         results = report_of(run_cli("extremes", files["net"]))["results"]
         assert results["pairs"] == [[0, 1], [1, 2], [2, 3], [3, 4]]
+
+    @pytest.mark.parametrize("command", ["extremes", "norming"])
+    def test_admitting_tol_recorded_beside_the_metric_tol(self, files, capsys, command):
+        # the triangle inequality is off by 0.1: --tol 0.2 admits the
+        # space, and space.tol still decides that 1 lies between 0 and 2
+        loose = write(files["dir"] / "loose.json", {
+            "metric": {"type": "matrix", "d": [[0, 1, 2.1], [1, 0, 1], [2.1, 1, 0]]}})
+        pairs = ["--pairs", "0,1;1,2"] if command == "norming" else []
+        code, report, _ = run_in_process(capsys, command, loose, "--tol", "0.2", *pairs)
+        assert code == 0
+        assert report["tolerances"] == {"tol_metric": REL_TOL * 2.1, "tol_validation": 0.2}
+        if command == "extremes":
+            assert report["results"]["pairs"] == [[0, 1], [1, 2]]
+        else:
+            assert report["results"]["is_norming"] is True
+        code, report, _ = run_in_process(capsys, command, files["three"], *pairs)
+        assert report["tolerances"] == {"tol_metric": REL_TOL * 2.0}
 
     def test_norming(self, files):
         proc = run_cli("norming", files["net"], "--pairs", "0,1;1,2;2,3;3,4")

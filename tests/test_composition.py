@@ -41,6 +41,19 @@ def two_point():
     return validate_space([[0, 1], [1, 0]])
 
 
+# codomain pairs of the path 0-1-2 that norm it, with the non-vertex (0, 2)
+NORMING_WITH_NON_VERTEX = [PointPair(0, 1), PointPair(1, 2), PointPair(0, 2)]
+
+
+@pytest.fixture
+def squeezed_path():
+    """The path 0-1-2-3 with weights 1, 0.5, 1 onto the unit path 0-1-2,
+    collapsing the short middle edge: an isometric composition."""
+    domain = from_weighted_graph(4, [(0, 1, 1), (1, 2, 0.5), (2, 3, 1)])
+    codomain = from_weighted_graph(3, [(0, 1, 1), (1, 2, 1)])
+    return LipschitzMap(domain, codomain, (0, 1, 1, 2))
+
+
 class TestLipschitzMap:
     def test_base_preservation_enforced(self, path3, two_point):
         with pytest.raises(BasePointNotPreserved):
@@ -201,6 +214,15 @@ class TestCertifyDual:
         assert cert.verdict == "isometric"
         assert cert.scope == "sufficient_only"
 
+    def test_failed_caller_pair_is_inconclusive(self, squeezed_path):
+        # (0, 2) is norming but no vertex: its only preimage pair (0, 3)
+        # is longer, which says nothing about the isometric map
+        cert = certify_isometry_dual(squeezed_path, pairs=NORMING_WITH_NON_VERTEX)
+        assert cert.verdict == "inconclusive"
+        assert not cert.isometric
+        assert cert.scope == "sufficient_only"
+        assert cert.failing_pair == (0, 2)
+
 
 class TestCertifyPrimal:
     def test_identity(self, path3):
@@ -222,10 +244,10 @@ class TestCertifyPrimal:
         assert cert.failing_pair == (1, 2)
 
     @pytest.mark.parametrize("name", ["identity", "fold"])
-    def test_isometric_builtins_solve_no_lp(self, lp_results, name):
+    def test_isometric_builtins_solve_no_lp(self, lp_solves, name):
         cert = certify_isometry_primal(builtin_map(name, 16))
         assert cert.verdict == "isometric"
-        assert lp_results == []
+        assert lp_solves == []
 
     def test_strictly_contractive_short_circuits(self):
         cert = certify_isometry_primal(builtin_map("halving", 4))
@@ -274,6 +296,14 @@ class TestCertifyBoth:
                 rng, int(rng.integers(2, 7)), int(rng.integers(2, 6)))
             report = certify_isometry(phi, "both")
             assert report.dual.verdict == report.primal.verdict
+
+    def test_inconclusive_dual_defers_to_the_primal(self, squeezed_path):
+        report = certify_isometry(squeezed_path, "both", pairs=NORMING_WITH_NON_VERTEX)
+        assert report.verdict == "isometric"
+        assert report.primal.verdict == "isometric"
+        assert report.dual.verdict == "inconclusive"
+        assert report.dual.failing_pair == (0, 2)
+        assert certify_isometry(squeezed_path, "both").dual.verdict == "isometric"
 
     def test_unknown_method_rejected(self, path3):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from lipfree.fixtures import (
     tripod,
 )
 from lipfree.freespace import (
+    ZERO_SUM_REL,
     FreeVector,
     _ordered_pairs,
     extreme_molecules,
@@ -170,8 +171,11 @@ class TestFreeNormDual:
         assert lipschitz_norm(maximizer).value <= 1 + 1e-9
         assert maximizer.values[path3.base] == 0.0
 
-    def test_zero_vector(self, path3):
-        assert free_norm_dual(FreeVector(path3, np.zeros(3))).value == pytest.approx(0.0, abs=1e-12)
+    def test_zero_vector(self, lp_solves, path3):
+        value, maximizer = free_norm_dual(FreeVector(path3, np.zeros(3)))
+        assert value == 0.0
+        assert maximizer.values.tolist() == [0.0, 0.0, 0.0]
+        assert lp_solves == []  # no support, no LP
 
     def test_opposite_molecules_cancel(self, path3):
         mu = molecule(path3, 0, 2).to_free_vector() + molecule(path3, 2, 0).to_free_vector()
@@ -194,6 +198,78 @@ class TestFreeNormDual:
             f = LipschitzFunction(space, rng.normal(size=6))
             bound = lipschitz_norm(f).value * free_norm_primal(mu).value
             assert abs(pairing(f, mu)) <= bound + 1e-8
+
+    def test_one_row_per_support_pair(self, lp_solves):
+        # zero-mass points take no part: the LP has a potential per
+        # support point and a row per (positive, negative) pair
+        rng = np.random.default_rng(31)
+        for kind in ("euclidean", "graph", "snowflake"):
+            space = random_space(rng, 30, kind)
+            for keep in (1.0, 0.4):
+                c = random_zero_sum(rng, space).coeffs * (rng.random(30) < keep)
+                c[int(np.flatnonzero(c)[0])] -= c.sum()
+                mu = FreeVector(space, c)
+                solves = len(lp_solves)
+                free_norm_dual(mu)
+                pos, neg = np.count_nonzero(c > 0), np.count_nonzero(c < 0)
+                assert [s.a_ub for s in lp_solves[solves:]] == [(pos * neg, pos + neg)]
+
+    @pytest.mark.parametrize("heavier", [1.0, -1.0])
+    def test_unbalanced_parts_stay_bounded(self, heavier):
+        # one side outweighs the other by almost ZERO_SUM_REL, and the
+        # first point on each side carries less mass than that imbalance,
+        # so pinning the heavier side's first potential would leave the LP
+        # unbounded in exact arithmetic
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            space = random_space(rng, 12)
+            p, q = rng.random(6), rng.random(6)
+            p[0] = q[0] = 1e-16
+            p, q = p / p.sum(), q / q.sum()
+            c = np.concatenate([p, -q])
+            c[heavier * c > 0] *= 1 + 1.9 * ZERO_SUM_REL
+            mu = FreeVector(space, c)
+            assert heavier * c.sum() > 0.5 * ZERO_SUM_REL * np.abs(c).sum()
+            flow = free_norm_primal(mu).value
+            assert abs(free_norm_dual(mu).value - flow) <= 1e-8 * max(1.0, flow)
+
+    def test_maximizer_off_the_support(self):
+        # sparse supports that leave out the base: the c-transform is
+        # defined everywhere, vanishes at the base and attains the value
+        rng = np.random.default_rng(41)
+        for kind in ("euclidean", "graph", "snowflake"):
+            for _ in range(8):
+                space = random_space(rng, 20, kind)
+                c = random_zero_sum(rng, space).coeffs * (rng.random(20) < 0.5)
+                c[space.base] = 0.0
+                c[int(np.flatnonzero(c)[0])] -= c.sum()
+                mu = FreeVector(space, c)
+                value, maximizer = free_norm_dual(mu)
+                assert maximizer.values[space.base] == 0.0
+                assert lipschitz_norm(maximizer).value <= 1 + 1e-9
+                assert abs(pairing(maximizer, mu) - value) <= 1e-12 * max(1.0, value)
+
+    @pytest.mark.parametrize("distance, mass", [(1e-20, 1.0), (1e13, 1.0),
+                                                (1.0, 1e-12), (1.0, 1e12)])
+    def test_value_scales_with_the_distance_and_mass(self, distance, mass):
+        # costs and masses are priced relatively, so HiGHS's absolute
+        # tolerances neither swamp tiny units nor stall on huge ones
+        rng = np.random.default_rng(11)
+        space = random_space(rng, 12)
+        mu = random_zero_sum(rng, space)
+        scaled = FreeVector(validate_space(space.dist * distance), mu.coeffs * mass)
+        assert free_norm_dual(scaled).value == pytest.approx(
+            distance * mass * free_norm_dual(mu).value, rel=1e-12, abs=0)
+
+    def test_independent_of_the_primal_route(self, monkeypatch):
+        def no_primal(*args, **kwargs):
+            raise AssertionError("free_norm_dual used the transportation simplex")
+
+        monkeypatch.setattr(freespace, "_transport", no_primal)
+        monkeypatch.setattr(freespace, "free_norm_primal", no_primal)
+        rng = np.random.default_rng(43)
+        mu = random_zero_sum(rng, random_space(rng, 10))
+        assert free_norm_dual(mu).value > 0
 
 
 class TestNormProperties:
@@ -315,7 +391,7 @@ class TestExtremeMolecules:
 
 
 class TestHullExactHit:
-    def test_answers_without_a_solve_are_exact_columns(self, lp_results):
+    def test_answers_without_a_solve_are_exact_columns(self, lp_solves):
         rng = np.random.default_rng(5)
         unsolved = 0
         for _ in range(40):
@@ -325,9 +401,9 @@ class TestHullExactHit:
             img = np.asarray(phi.image)
             img_u, img_v, d_uv = img[u], img[v], phi.domain.dist[u, v]
             for vertex in extreme_molecules(phi.codomain):
-                solves = len(lp_results)
+                solves = len(lp_solves)
                 found = hull_combination(phi.codomain, vertex, img_u, img_v, d_uv)
-                if found is None or len(lp_results) > solves:
+                if found is None or len(lp_solves) > solves:
                     continue
                 unsolved += 1
                 idx, weights = found
@@ -340,17 +416,17 @@ class TestHullExactHit:
                 assert np.array_equal(column, target.coeffs)
         assert unsolved > 0
 
-    def test_near_hit_is_solved(self, lp_results):
+    def test_near_hit_is_solved(self, lp_solves):
         two = validate_space([[0, 1], [1, 0]])
         u, v = np.array([0, 1]), np.array([1, 0])
         d_uv = np.full(2, np.nextafter(1.0, np.inf))
         idx, weights = hull_combination(two, PointPair(0, 1), u, v, d_uv)
-        assert len(lp_results) == 1
+        assert len(lp_solves) == 1
         assert idx.tolist() == [0]
-        assert np.array_equal(weights, lp_results[0].x)
+        assert np.array_equal(weights, lp_solves[0].result.x)
 
     @pytest.mark.parametrize("near, column", [(1, (0, 2)), (0, (2, 1))])
-    def test_other_molecule_at_the_same_distance_is_no_hit(self, lp_results, near,
+    def test_other_molecule_at_the_same_distance_is_no_hit(self, lp_solves, near,
                                                            column):
         # point 2 sits 1e-12 from one end of the pair (0, 1), so a column
         # sharing the other end lies on the exposed face and has the pair's
@@ -360,17 +436,17 @@ class TestHullExactHit:
         u, v = np.array([column[0]]), np.array([column[1]])
         found = hull_combination(validate_space(d), PointPair(0, 1), u, v, np.ones(1))
         assert found is None
-        assert len(lp_results) == 1
+        assert len(lp_solves) == 1
 
-    def test_vertex_oracle_never_skips_the_solve(self, lp_results):
+    def test_vertex_oracle_never_skips_the_solve(self, lp_solves):
         # the pair's own column is excluded, so no column equals the target:
         # every combination the oracle reports comes from one LP
         net = interval_net(5)
         for pair in net.pairs():
-            solves = len(lp_results)
+            solves = len(lp_solves)
             result = is_extreme_molecule(net, pair)
-            assert len(lp_results) - solves == (0 if result.is_extreme else 1)
-        assert len(lp_results) == 10  # the 15 pairs less the 5 adjacent ones
+            assert len(lp_solves) - solves == (0 if result.is_extreme else 1)
+        assert len(lp_solves) == 10  # the 15 pairs less the 5 adjacent ones
 
 
 class TestIsNorming:
