@@ -27,7 +27,6 @@ from .lipschitz import (
     LipschitzFunction,
     clamp_unit,
     interval_coordinates,
-    interval_mesh,
     lipschitz_norm,
     mcshane_extend,
     peak_function,
@@ -76,7 +75,6 @@ __all__ = [
     "interval_net", "circle_net", "snowflake", "intermediate_points",
     "LipschitzFunction", "lipschitz_norm", "pointwise_lip_at_scale",
     "mcshane_extend", "peak_function", "clamp_unit", "interval_coordinates",
-    "interval_mesh",
     "FreeVector", "Molecule", "molecule", "pairing", "free_norm_primal",
     "free_norm_dual", "molecule_distance", "is_extreme_molecule",
     "extreme_molecules", "is_norming",

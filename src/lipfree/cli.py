@@ -402,12 +402,14 @@ def _cmd_experiment_interval(args):
                                    "max_ratio": best}
     if args.csv:
         _emit_csv(necessary.rows, args.csv)
-    elif args.out:
-        _emit_csv(necessary.rows, str(Path(args.out).with_suffix(".csv")))
     return inputs, tolerances, results
 
 
 def _cmd_experiment_geodesic(args):
+    if args.map_spec.startswith("builtin:") and args.map_spec != "builtin:identity":
+        name = args.map_spec.removeprefix("builtin:")
+        raise MalformedInput("--map", f"unknown builtin map {name!r}; "
+                             "the only one is builtin:identity")
     gspace = load_geodesic_space(args.space)
     if args.map_spec == "builtin:identity":
         phi = LipschitzMap(gspace.space, gspace.space,

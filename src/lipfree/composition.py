@@ -14,12 +14,13 @@ every function's norm:
 * the dual route searches, for every vertex (x, y), for a preimage pair
   realizing the same distance;
 * the primal route checks, vertex by vertex, that the codomain unit
-  ball is contained in the push-forward image of the domain unit ball,
-  asking the hull-membership kernel :func:`freespace.hull_combination`
-  for a convex combination of pushed molecules. These lie in the ball,
-  and a vertex is in the hull of points of the ball only if it is one
-  of them, so the kernel answers a pushed molecule equal to the vertex
-  without a solve and solves an LP only for the other vertices.
+  ball is contained in the push-forward image of the domain unit ball.
+  Pushed molecules lie in the ball, and a vertex is in the hull of
+  points of the ball only if it is one of them, so the vertices equal
+  to a pushed molecule are read from one table built per pass; only
+  the other vertices ask the hull-membership kernel
+  :func:`freespace.hull_combination` for a convex combination, one LP
+  each.
 
 The two routes are provably equivalent, so the ``both`` method fails
 loudly on disagreement: that outcome falsifies the implementation,
@@ -268,16 +269,15 @@ def _primal_certificate(phi: LipschitzMap, vertices: list[PointPair],
     )
 
 
-def certify_isometry_dual(phi: LipschitzMap, pairs: Sequence[PointPair] | None = None,
-                          tol: float | None = None) -> IsometryCertificate:
+def certify_isometry_dual(phi: LipschitzMap, pairs: Sequence[PointPair] | None = None
+                          ) -> IsometryCertificate:
     """The dual (preimage) certificate alone; see :func:`certify_isometry`."""
-    return certify_isometry(phi, "dual", pairs, tol)
+    return certify_isometry(phi, "dual", pairs)
 
 
-def certify_isometry_primal(phi: LipschitzMap,
-                            tol: float | None = None) -> IsometryCertificate:
+def certify_isometry_primal(phi: LipschitzMap) -> IsometryCertificate:
     """The primal (polytope) certificate alone; see :func:`certify_isometry`."""
-    return certify_isometry(phi, "primal", tol=tol)
+    return certify_isometry(phi, "primal")
 
 
 def certify_isometry(

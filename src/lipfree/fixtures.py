@@ -133,10 +133,8 @@ def random_space(rng: np.random.Generator, n: int,
     raise ValueError(f"unknown space kind {kind!r}")
 
 
-def _euclidean_cloud(rng: np.random.Generator, n: int,
-                     dim: int | None = None) -> PointedMetricSpace:
-    if dim is None:
-        dim = int(rng.integers(2, 4))
+def _euclidean_cloud(rng: np.random.Generator, n: int) -> PointedMetricSpace:
+    dim = int(rng.integers(2, 4))
     for _ in range(100):
         pts = rng.normal(size=(n, dim))
         d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))

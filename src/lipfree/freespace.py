@@ -24,11 +24,11 @@ third point metrically between their endpoints (Aliaga-Guirao), which
 :func:`extreme_molecules` tests directly; the LP vertex test
 :func:`is_extreme_molecule` is its independent oracle. The other hull
 questions (is a pair set norming, does a pushed ball cover it) are
-answered by one face-filtered hull-membership kernel,
-:func:`hull_combination`. A vertex lies in the hull of points of the
-ball only if it is one of them, so the kernel first looks for a column
-equal to the target and returns it without a solve; otherwise it solves
-one LP with the single feasibility tolerance ``LP_FEAS_TOL``. scipy is
+answered vertex by vertex. A vertex lies in the hull of points of the
+ball only if it is one of them, so one table of the columns equal to a
+vertex, built once per pass, covers those vertices; each other vertex
+goes to one face-filtered hull-membership LP, :func:`hull_combination`,
+with the single feasibility tolerance ``LP_FEAS_TOL``. scipy is
 imported only when an LP is actually solved.
 """
 
@@ -338,23 +338,17 @@ def hull_combination(space: PointedMetricSpace, pair: PointPair, u: np.ndarray,
     molecules (delta_u - delta_v) / d_uv, or return None when it lies
     outside their convex hull.
 
-    This one kernel answers every hull question in the package: the
-    vertex test, the norming test and the primal isometry certificate.
+    This one kernel answers every hull question in the package that
+    needs an LP: the vertex test, and the vertices of the norming test
+    and of the primal isometry certificate that no column equals.
     The norm-one function h = (d(., y) - d(., x)) / 2 pairs to exactly 1
     with the target, and a convex combination of points pairing at most
     1 with h pairs to 1 only if every support point does; columns
     pairing below 1 are dropped first (the threshold only absorbs
     rounding), which preserves the decision and keeps the LP small.
-
-    A vertex of a convex set lies in the hull of other points of the set
-    only if it equals one of them. So when the target is a vertex and
-    the columns lie in the ball (the norming test, the primal
-    certificate), it is covered exactly when some column equals it: a
-    column with the pair's endpoints and bitwise its distance is
-    returned with weight 1, and no LP is solved; anything else, a
-    near-equal column included, goes to the feasibility LP. Columns may
-    share endpoints (pushed molecules); their coefficients then add.
-    Returns the kept column indices and their weights.
+    The kept columns then go to one feasibility LP. Columns may share
+    endpoints (pushed molecules); their coefficients then add. Returns
+    the kept column indices and their weights.
     """
     h = 0.5 * (space.dist[:, pair.y] - space.dist[:, pair.x])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -362,11 +356,8 @@ def hull_combination(space: PointedMetricSpace, pair: PointPair, u: np.ndarray,
     idx = np.flatnonzero(face >= 1.0 - FACE_PAIRING_TOL)
     if idx.size == 0:
         return None
-    d_xy = space.dist[pair.x, pair.y]
-    hit = (u[idx] == pair.x) & (v[idx] == pair.y) & (d_uv[idx] == d_xy)
-    if hit.any():
-        return idx, np.eye(1, idx.size, int(hit.argmax()))[0]  # one-hot
     from scipy.optimize import linprog
+    d_xy = space.dist[pair.x, pair.y]
     n = space.n
     cols = np.zeros((n + 1, idx.size))
     ar = np.arange(idx.size)
@@ -399,7 +390,7 @@ def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeRe
     not a convex combination of the others; the combination is returned
     as a certificate in the negative case. This is the independent
     oracle for :func:`extreme_molecules`; the molecule's own column is
-    excluded, so the kernel never answers it by an exact hit.
+    excluded, so every combination comes from one LP.
     """
     u, v = _ordered_pairs(space.n)
     others = (u != pair.x) | (v != pair.y)
@@ -442,9 +433,21 @@ class NormingResult(NamedTuple):
 def _first_outside_hull(space: PointedMetricSpace, vertices: list[PointPair],
                        u: np.ndarray, v: np.ndarray, d_uv: np.ndarray):
     """The first listed vertex outside the hull of the column molecules,
-    or None: the loop of the norming test and of the primal certificate."""
-    return next((w for w in vertices
-                 if hull_combination(space, w, u, v, d_uv) is None), None)
+    or None: the loop of the norming test and of the primal certificate.
+
+    The columns lie in the ball, and a vertex of the ball lies in the
+    hull of points of the ball only if it equals one of them. So a
+    vertex is covered when some column has its endpoints and bitwise
+    its distance; the table of those endpoint pairs is built once, and
+    only the other vertices go to :func:`hull_combination`. Such a
+    column passes the kernel's face filter exactly (its face value is
+    d/d = 1), so the table decides what the kernel would.
+    """
+    covered = np.zeros((space.n, space.n), dtype=bool)
+    exact = d_uv == space.dist[u, v]
+    covered[u[exact], v[exact]] = True
+    return next((w for w in vertices if not covered[w.x, w.y]
+                 and hull_combination(space, w, u, v, d_uv) is None), None)
 
 
 def _norming_failure(space: PointedMetricSpace, pairs: Sequence[PointPair],
@@ -461,9 +464,9 @@ def is_norming(space: PointedMetricSpace, pairs: Sequence[PointPair]) -> Norming
     """Does the hull of +-molecules over the given pairs contain every
     vertex of the full unit ball?
 
-    Checked vertex by vertex with :func:`hull_combination` (a listed
-    pair equal to the vertex, or else one membership LP); the first
-    vertex outside the hull is reported in the negative case.
+    Checked vertex by vertex (a listed pair equal to the vertex, or else
+    one membership LP of :func:`hull_combination`); the first vertex
+    outside the hull is reported in the negative case.
     """
     failing = _norming_failure(space, pairs, extreme_molecules(space))
     return NormingResult(failing is None, failing)

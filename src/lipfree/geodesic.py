@@ -45,9 +45,8 @@ class StraightPathReport(NamedTuple):
     defect: float
 
 
-def straight_path_check(
-    space: PointedMetricSpace, candidate: Sequence[int], tol: float | None = None
-) -> StraightPathReport:
+def straight_path_check(space: PointedMetricSpace,
+                        candidate: Sequence[int]) -> StraightPathReport:
     """Is the point sequence a discrete isometric embedding of an interval?
 
     The defect is the largest deviation of d(p_i, p_j) from the
@@ -57,13 +56,11 @@ def straight_path_check(
     pts = [int(p) for p in candidate]
     if len(pts) < 2:
         raise ValueError("a path needs at least two points")
-    if tol is None:
-        tol = space.tol
     cum = _cumulative(space, pts)
     idx = np.asarray(pts)
     gaps = np.abs(cum[:, None] - cum[None, :])
     defect = float(np.max(np.abs(space.dist[np.ix_(idx, idx)] - gaps)))
-    return StraightPathReport(defect <= tol, defect)
+    return StraightPathReport(defect <= space.tol, defect)
 
 
 def _cumulative(space: PointedMetricSpace, pts: Sequence[int]) -> np.ndarray:
@@ -224,7 +221,6 @@ def _interval_values(phi: LipschitzMap) -> tuple[np.ndarray, float]:
 
 def check_interval_necessary(
     phi: LipschitzMap,
-    grid: Sequence[float] | None = None,
     r_loc: float | None = None,
     eps: float | None = None,
 ) -> DefectProfile:
@@ -235,8 +231,7 @@ def check_interval_necessary(
     acts isometrically must bring every defect below eps at mesh scale.
     """
     values, mesh = _interval_values(phi)
-    if grid is None:
-        grid = interval_coordinates(phi.codomain).tolist()
+    grid = interval_coordinates(phi.codomain).tolist()
     img = np.asarray(phi.image)
     return _defect_profile("interval_necessary", values,
                            phi.codomain.dist[np.ix_(img, img)], phi.domain.dist,
@@ -247,7 +242,6 @@ def check_geodesic_necessary(
     phi: LipschitzMap,
     gspace: DiscretizedGeodesicSpace,
     pair: PointPair,
-    grid: Sequence[float] | None = None,
     r_loc: float | None = None,
     eps: float | None = None,
 ) -> DefectProfile:
@@ -261,12 +255,10 @@ def check_geodesic_necessary(
     if phi.codomain is not gspace.space:
         raise ValueError("map codomain is not the geodesic space")
     proj = inverse_projection(gspace, pair)
-    if grid is None:
-        grid = list(proj.cumulative)
     values = proj.function.values[np.asarray(phi.image)]
     return _defect_profile("geodesic_necessary", values,
                            np.abs(values[:, None] - values[None, :]), phi.domain.dist,
-                           grid, gspace.mesh, r_loc, eps,
+                           proj.cumulative, gspace.mesh, r_loc, eps,
                            {"pair": pair.as_tuple(), "path_length": proj.length})
 
 

@@ -64,10 +64,6 @@ class LipschitzFunction:
 
     __rmul__ = __mul__
 
-    @property
-    def norm(self) -> float:
-        return lipschitz_norm(self).value
-
 
 class LipNorm(NamedTuple):
     value: float
@@ -192,7 +188,7 @@ def interval_coordinates(space: PointedMetricSpace) -> np.ndarray:
         return np.asarray(meta["coords"], dtype=float)
     try:
         coords = np.array([float(s) for s in space.labels])
-    except ValueError:
+    except (TypeError, ValueError):
         raise NotAnIntervalNet("labels do not parse as coordinates") from None
     n = space.n - 1
     if n < 1:
@@ -204,11 +200,6 @@ def interval_coordinates(space: PointedMetricSpace) -> np.ndarray:
                        rtol=0.0, atol=1e-12):
         raise NotAnIntervalNet("distances do not match the line metric")
     return coords
-
-
-def interval_mesh(space: PointedMetricSpace) -> float:
-    coords = interval_coordinates(space)
-    return 1.0 / (coords.size - 1)
 
 
 def peak_function(net: PointedMetricSpace, x: float) -> LipschitzFunction:

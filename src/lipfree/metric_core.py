@@ -247,20 +247,17 @@ def snowflake(space: PointedMetricSpace, theta: float) -> PointedMetricSpace:
     return PointedMetricSpace(space.labels, space.base, d, meta)
 
 
-def intermediate_points(
-    space: PointedMetricSpace, pair: PointPair, tol: float | None = None
-) -> list[int]:
+def intermediate_points(space: PointedMetricSpace, pair: PointPair) -> list[int]:
     """Points z lying metrically between x and y.
 
-    Returns every z outside {x, y} with d(x,z) + d(z,y) <= d(x,y) + tol.
-    The triangle inequality forces >=, so these are the equality cases;
-    an empty result means the pair realizes a strict triangle inequality
-    against every third point.
+    Returns every z outside {x, y} with
+    d(x,z) + d(z,y) <= d(x,y) + space.tol. The triangle inequality
+    forces >=, so these are the equality cases up to the space's metric
+    tolerance; an empty result means the pair realizes a strict triangle
+    inequality against every third point.
     """
-    if tol is None:
-        tol = space.tol
     x, y = pair.x, pair.y
     dxy = space.dist[x, y]
     through = space.dist[x, :] + space.dist[:, y]
-    hits = np.argwhere(through <= dxy + tol)[:, 0]
+    hits = np.argwhere(through <= dxy + space.tol)[:, 0]
     return [int(z) for z in hits if z != x and z != y]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from lipfree import freespace
+
 
 class LPSolve(NamedTuple):
     """One HiGHS solve: the shapes of its inequality and equality
@@ -32,3 +34,18 @@ def lp_solves(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linprog", recording)
     return solves
+
+
+@pytest.fixture
+def hull_calls(monkeypatch):
+    """The pair of each call of freespace.hull_combination while the test
+    runs, in call order."""
+    pairs = []
+    original = freespace.hull_combination
+
+    def recording(space, pair, *args, **kwargs):
+        pairs.append(pair)
+        return original(space, pair, *args, **kwargs)
+
+    monkeypatch.setattr(freespace, "hull_combination", recording)
+    return pairs

@@ -176,6 +176,29 @@ class TestExitCodes:
         assert report is None
         assert f"MalformedInput: {path}.paths[0]:" in err
 
+    @pytest.mark.parametrize("label", [None, [0.5], {"t": 0.5}])
+    def test_non_string_labels_are_not_an_interval(self, files, capsys, label):
+        net = space_to_dict(interval_net(2))
+        net["labels"][1] = label
+        write(files["dir"] / "odd.json", net)
+        path = write(files["dir"] / "odd_map.json", {
+            "domain": "odd.json", "codomain": "odd.json", "image": [0, 1, 2]})
+        code, report, err = run_in_process(capsys, "experiment", "interval",
+                                           "--map", f"file:{path}")
+        assert code == 2
+        assert report is None
+        assert "input error: CodomainNotInterval" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["fold", "halving", "nope"])
+    def test_unknown_geodesic_builtin_names_the_map_flag(self, files, capsys, name):
+        code, report, err = run_in_process(capsys, "experiment", "geodesic", "--space",
+                                           files["geo"], "--map", f"builtin:{name}")
+        assert code == 2
+        assert report is None
+        assert f"MalformedInput: --map: unknown builtin map {name!r}" in err
+        assert "builtin:identity" in err
+
     @pytest.mark.parametrize("pairs", ["a,b", "0,0", "0,7", "-1,2", "0,1,2", "0", ";"])
     @pytest.mark.parametrize("command", ["norming", "isometry"])
     def test_bad_pairs_exit_2(self, files, capsys, command, pairs):
@@ -376,6 +399,17 @@ class TestExperiments:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "t,best_ratio,defect"
         assert len(lines) == 1 + len(results["necessary"]["rows"])
+
+    def test_out_writes_the_report_and_no_other_file(self, files, capsys):
+        out_dir = files["dir"] / "out"
+        out_dir.mkdir()
+        code, report, _ = run_in_process(
+            capsys, "experiment", "interval", "--mesh", "4", "--map", "builtin:fold",
+            "--out", str(out_dir / "report.json"))
+        assert code == 0 and report is None
+        assert [p.name for p in out_dir.iterdir()] == ["report.json"]
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["results"]["certificate"]["verdict"] == "isometric"
 
     def test_interval_halving_negative_is_exit_zero(self, files):
         proc = run_cli("experiment", "interval", "--mesh", "8",

@@ -20,7 +20,7 @@ from lipfree.errors import (
     SpaceMismatch,
 )
 from lipfree.fixtures import builtin_map, random_lipschitz_function, \
-    random_one_lipschitz_map
+    random_one_lipschitz_map, tripod
 from lipfree.freespace import FreeVector, molecule, pairing
 from lipfree.lipschitz import LipschitzFunction, lipschitz_norm
 from lipfree.metric_core import (
@@ -249,6 +249,15 @@ class TestCertifyPrimal:
         assert cert.verdict == "isometric"
         assert lp_solves == []
 
+    @pytest.mark.parametrize("make", [
+        lambda: builtin_map("identity", 16),
+        lambda: builtin_map("fold", 16),
+        lambda: identity_map(tripod(1.0, 4).space),
+    ], ids=["identity", "fold", "tripod"])
+    def test_isometric_pass_makes_no_kernel_call(self, hull_calls, make):
+        assert certify_isometry_primal(make()).verdict == "isometric"
+        assert hull_calls == []
+
     def test_strictly_contractive_short_circuits(self):
         cert = certify_isometry_primal(builtin_map("halving", 4))
         assert cert.verdict == "not_isometric"
@@ -304,6 +313,16 @@ class TestCertifyBoth:
         assert report.dual.verdict == "inconclusive"
         assert report.dual.failing_pair == (0, 2)
         assert certify_isometry(squeezed_path, "both").dual.verdict == "isometric"
+
+    def test_near_hit_reaches_the_kernel(self, hull_calls, lp_solves):
+        # a pushed molecule one ulp longer than the vertex is no exact hit
+        far = np.nextafter(1.0, np.inf)
+        domain = validate_space([[0, far], [far, 0]])
+        codomain = validate_space([[0, 1], [1, 0]])
+        report = certify_isometry(LipschitzMap(domain, codomain, (0, 1)), "both")
+        assert report.verdict == report.dual.verdict == "isometric"
+        assert hull_calls == [PointPair(0, 1)]
+        assert len(lp_solves) == 1
 
     def test_unknown_method_rejected(self, path3):
         with pytest.raises(ValueError):

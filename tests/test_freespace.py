@@ -14,6 +14,7 @@ from lipfree.fixtures import (
 from lipfree.freespace import (
     ZERO_SUM_REL,
     FreeVector,
+    _first_outside_hull,
     _ordered_pairs,
     extreme_molecules,
     free_norm_dual,
@@ -391,7 +392,9 @@ class TestExtremeMolecules:
 
 
 class TestHullExactHit:
-    def test_answers_without_a_solve_are_exact_columns(self, lp_solves):
+    def test_answers_without_a_solve_are_exact_columns(self, hull_calls):
+        # the pass answers a vertex without the kernel only when some
+        # pushed column is bitwise that vertex's molecule
         rng = np.random.default_rng(5)
         unsolved = 0
         for _ in range(40):
@@ -400,20 +403,19 @@ class TestHullExactHit:
             u, v = _ordered_pairs(phi.domain.n)
             img = np.asarray(phi.image)
             img_u, img_v, d_uv = img[u], img[v], phi.domain.dist[u, v]
-            for vertex in extreme_molecules(phi.codomain):
-                solves = len(lp_solves)
-                found = hull_combination(phi.codomain, vertex, img_u, img_v, d_uv)
-                if found is None or len(lp_solves) > solves:
+            columns = np.zeros((d_uv.size, phi.codomain.n))
+            np.add.at(columns, (np.arange(d_uv.size), img_u), 1.0 / d_uv)
+            np.add.at(columns, (np.arange(d_uv.size), img_v), -1.0 / d_uv)
+            vertices = extreme_molecules(phi.codomain)
+            hull_calls.clear()
+            failing = _first_outside_hull(phi.codomain, vertices, img_u, img_v, d_uv)
+            answered = vertices[:vertices.index(failing) + 1] if failing else vertices
+            for vertex in answered:
+                if vertex in hull_calls:
                     continue
                 unsolved += 1
-                idx, weights = found
-                assert sorted(weights.tolist()) == [0.0] * (idx.size - 1) + [1.0]
-                k = idx[int(np.argmax(weights))]
-                column = np.zeros(phi.codomain.n)
-                column[img_u[k]] += 1.0 / d_uv[k]
-                column[img_v[k]] -= 1.0 / d_uv[k]
                 target = molecule(phi.codomain, vertex.x, vertex.y).to_free_vector()
-                assert np.array_equal(column, target.coeffs)
+                assert (columns == target.coeffs).all(axis=1).any()
         assert unsolved > 0
 
     def test_near_hit_is_solved(self, lp_solves):
@@ -462,6 +464,17 @@ class TestIsNorming:
     def test_extreme_set_is_norming(self):
         net = interval_net(3)
         assert is_norming(net, extreme_molecules(net)).is_norming
+
+    @pytest.mark.parametrize("make", [
+        lambda: interval_net(16),
+        lambda: circle_net(9),
+        lambda: tripod(1.0, 4).space,
+        lambda: random_space(np.random.default_rng(3), 8),
+    ], ids=["interval", "circle", "tripod", "random"])
+    def test_every_pair_listed_needs_no_kernel_call(self, hull_calls, make):
+        space = make()
+        assert is_norming(space, list(space.pairs())).is_norming
+        assert hull_calls == []
 
     def test_empty_set_rejected(self, path3):
         with pytest.raises(ValueError):
