@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         if tol:
             p.add_argument("--tol", type=float, default=None,
-                           help="absolute metric tolerance override")
+                           help="absolute tolerance for distances (default 1e-9 * diameter)")
         if methods:
             p.add_argument("--method", default="both", choices=methods,
                            help="which algorithm(s) to run")

@@ -34,7 +34,6 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-from . import freespace
 from .errors import (
     BasePointNotPreserved,
     MapNormExceedsOne,
@@ -50,7 +49,7 @@ from .freespace import (
     extreme_molecules,
 )
 from .lipschitz import LipschitzFunction, _largest_quotient
-from .metric_core import PointedMetricSpace, PointPair
+from .metric_core import REL_TOL, PointedMetricSpace, PointPair
 
 
 class MapNorm(NamedTuple):
@@ -255,7 +254,7 @@ def _primal_certificate(phi: LipschitzMap, vertices: list[PointPair],
     img = np.asarray(phi.image)
     failing = _first_outside_hull(phi.codomain, vertices, img[u], img[v],
                                   phi.domain.dist[u, v])
-    tolerances = {"tol_metric": tol, "lp_feasibility": freespace.LP_FEAS_TOL}
+    tolerances = {"tol_metric": tol, "lp_feasibility": REL_TOL}
     if failing is not None:
         return IsometryCertificate(
             verdict="not_isometric", method="primal_polytope",
@@ -289,19 +288,22 @@ def certify_isometry(
     """Run one or both certifiers; with ``both``, the primal verdict is
     reported and a conclusive dual verdict must equal it.
 
-    Disagreement raises :class:`MethodDisagreement` carrying both
-    certificates as dictionaries; it indicates an implementation bug and
-    is surfaced loudly rather than resolved silently.
+    The map norm is a ratio and is compared with 1 within ``REL_TOL``;
+    ``tol`` (default the larger space tolerance) is a distance and
+    decides only the dual's preimage comparison. Disagreement raises
+    :class:`MethodDisagreement` carrying both certificates as
+    dictionaries; it indicates an implementation bug and is surfaced
+    loudly rather than resolved silently.
     """
     if method not in ("dual", "primal", "both"):
         raise ValueError(f"unknown certification method {method!r}")
     if tol is None:
         tol = _cert_tol(phi)
     norm = phi.norm_with_witness()
-    if norm.value > 1.0 + tol:
+    if norm.value > 1.0 + REL_TOL:
         raise MapNormExceedsOne(norm.value, norm.witness)
     vertices = extreme_molecules(phi.codomain)
-    if norm.value < 1.0 - tol:
+    if norm.value < 1.0 - REL_TOL:
         dual, primal = (IsometryCertificate(
             verdict="not_isometric", method=name,
             failing_pair=vertices[0].as_tuple(), tolerances={"tol_metric": tol},

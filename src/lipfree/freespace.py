@@ -28,8 +28,8 @@ answered vertex by vertex. A vertex lies in the hull of points of the
 ball only if it is one of them, so one table of the columns equal to a
 vertex, built once per pass, covers those vertices; each other vertex
 goes to one face-filtered hull-membership LP, :func:`hull_combination`,
-with the single feasibility tolerance ``LP_FEAS_TOL``. scipy is
-imported only when an LP is actually solved.
+in units of the vertex's distance, so its feasibility tolerance
+``REL_TOL`` is relative. scipy is imported only when an LP is solved.
 """
 
 from __future__ import annotations
@@ -41,14 +41,10 @@ import numpy as np
 
 from .errors import InvariantFailure, NotZeroSum, SpaceMismatch
 from .lipschitz import LipschitzFunction
-from .metric_core import PointedMetricSpace, PointPair
+from .metric_core import REL_TOL, PointedMetricSpace, PointPair
 
 ZERO_SUM_REL = 1e-12
-LP_FEAS_TOL = 1e-9
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": LP_FEAS_TOL,
-    "dual_feasibility_tolerance": LP_FEAS_TOL,
-}
+_LP_OPTIONS = {"primal_feasibility_tolerance": REL_TOL, "dual_feasibility_tolerance": REL_TOL}
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,9 +321,6 @@ def molecule_distance(a: Molecule, b: Molecule) -> float:
 # vertex oracle and norming sets
 # ---------------------------------------------------------------------------
 
-FACE_PAIRING_TOL = 1e-9
-
-
 def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(~np.eye(n, dtype=bool))
 
@@ -344,16 +337,18 @@ def hull_combination(space: PointedMetricSpace, pair: PointPair, u: np.ndarray,
     The norm-one function h = (d(., y) - d(., x)) / 2 pairs to exactly 1
     with the target, and a convex combination of points pairing at most
     1 with h pairs to 1 only if every support point does; columns
-    pairing below 1 are dropped first (the threshold only absorbs
-    rounding), which preserves the decision and keeps the LP small.
-    The kept columns then go to one feasibility LP. Columns may share
-    endpoints (pushed molecules); their coefficients then add. Returns
-    the kept column indices and their weights.
+    pairing below 1 - REL_TOL are dropped first (the threshold only
+    absorbs rounding), which preserves the decision and keeps the LP
+    small. The kept columns then go to one feasibility LP whose rows are
+    the molecules times d_xy, so its entries are ratios of distances and
+    HiGHS's tolerance ``REL_TOL`` is relative at every unit of distance.
+    Columns may share endpoints (pushed molecules); their coefficients
+    then add. Returns the kept column indices and their weights.
     """
     h = 0.5 * (space.dist[:, pair.y] - space.dist[:, pair.x])
     with np.errstate(divide="ignore", invalid="ignore"):
         face = np.where(d_uv > 0, (h[u] - h[v]) / d_uv, 0.0)
-    idx = np.flatnonzero(face >= 1.0 - FACE_PAIRING_TOL)
+    idx = np.flatnonzero(face >= 1.0 - REL_TOL)
     if idx.size == 0:
         return None
     from scipy.optimize import linprog
@@ -361,13 +356,11 @@ def hull_combination(space: PointedMetricSpace, pair: PointPair, u: np.ndarray,
     n = space.n
     cols = np.zeros((n + 1, idx.size))
     ar = np.arange(idx.size)
-    np.add.at(cols, (u[idx], ar), 1.0 / d_uv[idx])
-    np.add.at(cols, (v[idx], ar), -1.0 / d_uv[idx])
+    np.add.at(cols, (u[idx], ar), d_xy / d_uv[idx])
+    np.add.at(cols, (v[idx], ar), -d_xy / d_uv[idx])
     cols[n, :] = 1.0
     b = np.zeros(n + 1)
-    b[pair.x] = 1.0 / d_xy
-    b[pair.y] = -b[pair.x]
-    b[n] = 1.0
+    b[[pair.x, pair.y, n]] = 1.0, -1.0, 1.0
     res = linprog(np.zeros(idx.size), A_eq=cols, b_eq=b,
                   bounds=(0.0, None), method="highs", options=_LP_OPTIONS)
     if res.status == 2:

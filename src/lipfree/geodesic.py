@@ -37,7 +37,7 @@ from .lipschitz import (
     pointwise_lip_at_scale,
     sub_lipschitz_norm,
 )
-from .metric_core import PointedMetricSpace, PointPair
+from .metric_core import REL_TOL, PointedMetricSpace, PointPair
 
 
 class StraightPathReport(NamedTuple):
@@ -72,7 +72,8 @@ def _cumulative(space: PointedMetricSpace, pts: Sequence[int]) -> np.ndarray:
 class DiscretizedGeodesicSpace:
     """A space plus stored straight paths for designated pairs.
 
-    ``mesh`` is the largest consecutive step over all stored paths.
+    ``mesh`` is the largest consecutive step over all stored paths. At
+    least one path is needed, and each joins two distinct points.
     """
 
     space: PointedMetricSpace
@@ -85,14 +86,16 @@ class DiscretizedGeodesicSpace:
         for pair, pts in dict(self.paths).items():
             pts = tuple(int(p) for p in pts)
             x, y = int(pair[0]), int(pair[1])
-            if pts[0] != x or pts[-1] != y:
-                raise ValueError(f"path for {pair} does not join its endpoints")
+            if x == y or pts[0] != x or pts[-1] != y:
+                raise ValueError(f"path for {pair} does not join two distinct endpoints")
             report = straight_path_check(self.space, pts)
             if not report.ok:
                 raise NotStraightPath(report.defect)
             clean[(x, y)] = pts
             steps = [self.space.d(pts[k], pts[k + 1]) for k in range(len(pts) - 1)]
             mesh = max(mesh, max(steps))
+        if not clean:
+            raise ValueError("a geodesic space needs at least one stored path")
         object.__setattr__(self, "paths", clean)
         object.__setattr__(self, "mesh", mesh)
 
@@ -151,7 +154,7 @@ def inverse_projection(gspace: DiscretizedGeodesicSpace,
     fn = LipschitzFunction(space, values, normalize=False)
 
     norm = lipschitz_norm(fn).value
-    if abs(norm - 1.0) > max(space.tol, 1e-9):
+    if abs(norm - 1.0) > REL_TOL:
         raise InvariantFailure(f"inverse projection norm {norm!r} is not 1")
     if not np.array_equal(fn.values[list(pts)], cum):
         raise InvariantFailure("inverse projection does not restrict to arclength")

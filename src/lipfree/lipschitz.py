@@ -20,7 +20,7 @@ from .errors import (
     FloorNormTooLarge,
     NotAnIntervalNet,
 )
-from .metric_core import PointedMetricSpace
+from .metric_core import REL_TOL, PointedMetricSpace
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +144,8 @@ def mcshane_extend(
     f(x) + L d(x, z) with L the Lipschitz norm of f on the sub-metric.
     F restricts to f exactly and has norm L. When a floor g with
     ||g|| <= L and g <= f on the subset is supplied, F >= g holds
-    automatically; both preconditions are checked and violations are
-    reported with witnesses.
+    automatically; both preconditions are checked, norms within REL_TOL
+    relative and values within L * tol, and violations are reported.
     """
     if tol is None:
         tol = space.tol
@@ -164,11 +164,11 @@ def mcshane_extend(
 
     if floor is not None:
         g_norm = lipschitz_norm(floor).value
-        if g_norm > L + tol:
+        if g_norm > L * (1.0 + REL_TOL):
             raise FloorNormTooLarge(g_norm, L)
         gap = floor.values[idx] - v
         worst = int(np.argmax(gap))
-        if gap[worst] > tol:
+        if gap[worst] > L * tol:  # a value of an L-Lipschitz function
             raise FloorExceedsFunction(idx[worst], float(floor.values[idx][worst]),
                                        float(v[worst]))
 
@@ -186,8 +186,8 @@ def interval_coordinates(space: PointedMetricSpace) -> np.ndarray:
     meta = space.meta
     if meta.get("family") == "interval":
         return np.asarray(meta["coords"], dtype=float)
-    try:
-        coords = np.array([float(s) for s in space.labels])
+    try:  # a boolean is not a coordinate, although float(True) is 1.0
+        coords = np.array([float(None if isinstance(s, bool) else s) for s in space.labels])
     except (TypeError, ValueError):
         raise NotAnIntervalNet("labels do not parse as coordinates") from None
     n = space.n - 1

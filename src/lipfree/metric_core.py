@@ -5,9 +5,11 @@ A space is a finite set of points with a distinguished base point (index
 downstream modules treat spaces as immutable; the distance matrix is
 frozen after construction.
 
-Metric comparisons share a single tolerance, ``space.tol``, equal to
-1e-9 times the largest distance, so that certification decisions made in
-different modules are consistent with each other.
+Every module follows one tolerance policy, kept here: a distance is
+compared within ``space.tol`` (``REL_TOL`` times the largest distance)
+or a caller's absolute ``tol``, and a dimensionless quantity (a map norm
+or Lipschitz constant against 1, a face pairing, an LP in normalised
+units) within ``REL_TOL``, so certificates ignore the unit of distance.
 """
 
 from __future__ import annotations

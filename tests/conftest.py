@@ -5,6 +5,22 @@ import pytest
 import scipy.optimize
 
 from lipfree import freespace
+from lipfree.composition import LipschitzMap
+from lipfree.metric_core import PointedMetricSpace
+
+
+def scaled(space_or_map, s: float):
+    """The space, or the map with both of its spaces, with every distance
+    multiplied by s. A map whose domain is its codomain keeps one space.
+    The family metadata (an interval net's coordinates) is dropped,
+    since it no longer describes the distances."""
+    if isinstance(space_or_map, LipschitzMap):
+        domain = scaled(space_or_map.domain, s)
+        codomain = (domain if space_or_map.codomain is space_or_map.domain
+                    else scaled(space_or_map.codomain, s))
+        return LipschitzMap(domain, codomain, space_or_map.image)
+    space = space_or_map
+    return PointedMetricSpace(space.labels, space.base, space.dist * s, {"family": "scaled"})
 
 
 class LPSolve(NamedTuple):

@@ -176,6 +176,31 @@ class TestExitCodes:
         assert report is None
         assert f"MalformedInput: {path}.paths[0]:" in err
 
+    @pytest.mark.parametrize("paths", [[], [{"pair": [0, 0], "points": [0, 0]}]],
+                             ids=["no_paths", "equal_endpoints"])
+    def test_geodesic_file_without_a_usable_path_exits_2(self, files, capsys, paths):
+        path = write(files["dir"] / "g.json", {
+            "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}, "paths": paths})
+        code, report, err = run_in_process(
+            capsys, "experiment", "geodesic", "--space", path, "--map", "builtin:identity")
+        assert code == 2
+        assert report is None
+        assert f"MalformedInput: {path}.paths:" in err
+        assert "Traceback" not in err
+
+    def test_boolean_labels_are_not_interval_coordinates(self, files, capsys):
+        net = space_to_dict(interval_net(2))
+        net["labels"] = [False, 0.5, True]
+        write(files["dir"] / "odd.json", net)
+        path = write(files["dir"] / "odd_map.json", {
+            "domain": "odd.json", "codomain": "odd.json", "image": [0, 1, 2]})
+        code, report, err = run_in_process(capsys, "experiment", "interval",
+                                           "--map", f"file:{path}")
+        assert code == 2
+        assert report is None
+        assert "input error: CodomainNotInterval" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("label", [None, [0.5], {"t": 0.5}])
     def test_non_string_labels_are_not_an_interval(self, files, capsys, label):
         net = space_to_dict(interval_net(2))

@@ -224,6 +224,17 @@ class TestIntervalCoordinates:
         assert np.array_equal(interval_coordinates(rebuilt),
                               interval_coordinates(net))
 
+    @pytest.mark.parametrize("labels,detected", [
+        ((0, 0.5, 1), True), (("0", "0.5", "1.0"), True),
+        ((False, 0.5, True), False), ((0, 0.5, True), False)])
+    def test_numeric_labels_are_coordinates_and_booleans_are_not(self, labels, detected):
+        space = validate_space(interval_net(2).dist, base=0, labels=labels)
+        if detected:
+            assert interval_coordinates(space).tolist() == [0.0, 0.5, 1.0]
+        else:
+            with pytest.raises(NotAnIntervalNet, match="labels do not parse"):
+                interval_coordinates(space)
+
     def test_rejects_non_interval(self):
         tri = from_weighted_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         with pytest.raises(NotAnIntervalNet):
