@@ -30,6 +30,7 @@ from .composition import (
     _cert_tol,
     certify_isometry,
     compose,
+    identity_map,
     operator_norm,
 )
 from .errors import (
@@ -146,17 +147,28 @@ def _check_numeric_flags(args) -> None:
         raise MalformedInput(flag, f"{value!r} must be finite and {bound}")
 
 
-def _resolve_experiment_map(spec_text: str, mesh: int | None):
-    """builtin:NAME (requires --mesh) or file:PATH or a bare path."""
-    if spec_text.startswith("builtin:"):
-        name = spec_text.split(":", 1)[1]
-        if name not in BUILTIN_MAPS:
-            raise MalformedInput("--map", f"unknown builtin map {name!r}")
-        if mesh is None:
-            raise MalformedInput("--mesh", "builtin maps need --mesh")
-        return builtin_map(name, mesh), {"builtin": name, "mesh": mesh}
-    path = spec_text.split(":", 1)[1] if spec_text.startswith("file:") else spec_text
-    return load_map(path), {"path": path}
+def _resolve_experiment_map(spec_text: str, mesh: int | None = None,
+                            space_path: str | None = None):
+    """builtin:NAME, file:PATH or a bare path: the map, the geodesic space
+    read from ``space_path`` (else None) and the map's input record. A
+    builtin's name is checked before any file is read; an interval builtin
+    needs ``mesh``, and on a geodesic space the only one is identity."""
+    names = BUILTIN_MAPS if space_path is None else ("identity",)
+    builtin = spec_text.startswith("builtin:")
+    name = (spec_text.split(":", 1)[1]
+            if builtin or spec_text.startswith("file:") else spec_text)
+    if builtin and name not in names:
+        raise MalformedInput("--map", f"unknown builtin map {name!r}; choose from "
+                             + ", ".join(f"builtin:{known}" for known in names))
+    if space_path is not None:
+        gspace = load_geodesic_space(space_path)
+        phi = identity_map(gspace.space) if builtin else load_map(name, codomain=gspace.space)
+        return phi, gspace, {"builtin" if builtin else "path": name}
+    if not builtin:
+        return load_map(name), None, {"path": name}
+    if mesh is None:
+        raise MalformedInput("--mesh", "builtin maps need --mesh")
+    return builtin_map(name, mesh), None, {"builtin": name, "mesh": mesh}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,7 +389,7 @@ def _cmd_extend(args):
 
 
 def _cmd_experiment_interval(args):
-    phi, map_record = _resolve_experiment_map(args.map_spec, args.mesh)
+    phi, _, map_record = _resolve_experiment_map(args.map_spec, args.mesh)
     inputs = [_input_record("map", map_record.get("path"), map_record)]
     necessary = check_interval_necessary(phi, r_loc=args.r_loc, eps=args.eps)
     sufficient = check_interval_sufficient(phi, r=necessary.r_loc, eps=args.eps)
@@ -406,27 +418,16 @@ def _cmd_experiment_interval(args):
 
 
 def _cmd_experiment_geodesic(args):
-    if args.map_spec.startswith("builtin:") and args.map_spec != "builtin:identity":
-        name = args.map_spec.removeprefix("builtin:")
-        raise MalformedInput("--map", f"unknown builtin map {name!r}; "
-                             "the only one is builtin:identity")
-    gspace = load_geodesic_space(args.space)
-    if args.map_spec == "builtin:identity":
-        phi = LipschitzMap(gspace.space, gspace.space,
-                           tuple(range(gspace.space.n)))
-        inputs = [_input_record("space", args.space),
-                  _input_record("map", None, {"builtin": "identity"})]
-    else:
-        path = (args.map_spec.split(":", 1)[1]
-                if args.map_spec.startswith("file:") else args.map_spec)
-        phi = load_map(path, codomain=gspace.space)
-        inputs = [_input_record("space", args.space), _input_record("map", path)]
-    r_loc = args.r_loc if args.r_loc is not None else 4.0 * gspace.mesh
-    eps = args.eps if args.eps is not None else 4.0 * gspace.mesh
+    phi, gspace, map_record = _resolve_experiment_map(args.map_spec,
+                                                      space_path=args.space)
+    inputs = [_input_record("space", args.space),
+              _input_record("map", map_record.get("path"), map_record)]
+    profiles = [check_geodesic_necessary(phi, gspace, PointPair(x, y),
+                                         r_loc=args.r_loc, eps=args.eps)
+                for (x, y) in sorted(gspace.paths)]
+    r_loc, eps = profiles[0].r_loc, profiles[0].eps
     tolerances = {"r_loc": r_loc, "eps": eps}
     cert, norm, wall = _certify(phi, args, inputs, tolerances)
-    profiles = [check_geodesic_necessary(phi, gspace, PointPair(x, y), r_loc=r_loc, eps=eps)
-                for (x, y) in sorted(gspace.paths)]
     try:
         sufficient = check_geodesic_sufficient(phi, gspace, r=r_loc, eps=eps).to_dict()
     except RangeNotDense as exc:

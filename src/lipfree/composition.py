@@ -204,7 +204,7 @@ def _dual_certificate(phi: LipschitzMap, vertices: list[PointPair],
         pair_list, scope, negative = vertices, "necessary_and_sufficient", "not_isometric"
     else:
         pair_list, scope, negative = list(pairs), "sufficient_only", "inconclusive"
-        failing = _norming_failure(phi.codomain, pair_list, vertices)
+        failing = _norming_failure(pair_list, vertices)
         if failing is not None:
             raise NotNorming(failing.as_tuple())
 
@@ -301,12 +301,13 @@ def certify_isometry(
         tol = _cert_tol(phi)
     norm = phi.norm_with_witness()
     if norm.value > 1.0 + REL_TOL:
-        raise MapNormExceedsOne(norm.value, norm.witness)
+        raise MapNormExceedsOne(norm.value, norm.witness, REL_TOL)
     vertices = extreme_molecules(phi.codomain)
     if norm.value < 1.0 - REL_TOL:
         dual, primal = (IsometryCertificate(
             verdict="not_isometric", method=name,
-            failing_pair=vertices[0].as_tuple(), tolerances={"tol_metric": tol},
+            failing_pair=vertices[0].as_tuple(),
+            tolerances={"tol_metric": tol, "map_norm": REL_TOL},
             notes=f"operator norm {norm.value!r} is strictly below one",
         ) for name in ("dual_preimage", "primal_polytope"))
     else:

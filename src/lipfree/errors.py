@@ -115,10 +115,11 @@ class BasePointNotPreserved(InputError):
 
 
 class MapNormExceedsOne(InputError):
-    def __init__(self, norm: float, pair: tuple[int, int]):
+    def __init__(self, norm: float, pair: tuple[int, int], tol: float):
         self.norm = norm
         self.pair = pair
-        super().__init__(f"map has Lipschitz constant {norm!r} > 1, attained at pair {pair}")
+        super().__init__(
+            f"map has Lipschitz constant {norm!r} > 1 + {tol!r}, attained at pair {pair}")
 
 
 class NotNorming(InputError):

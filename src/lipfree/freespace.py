@@ -25,11 +25,13 @@ third point metrically between their endpoints (Aliaga-Guirao), which
 :func:`is_extreme_molecule` is its independent oracle. The other hull
 questions (is a pair set norming, does a pushed ball cover it) are
 answered vertex by vertex. A vertex lies in the hull of points of the
-ball only if it is one of them, so one table of the columns equal to a
-vertex, built once per pass, covers those vertices; each other vertex
-goes to one face-filtered hull-membership LP, :func:`hull_combination`,
-in units of the vertex's distance, so its feasibility tolerance
-``REL_TOL`` is relative. scipy is imported only when an LP is solved.
+ball only if it is one of them, so a pair set norms exactly when it
+lists every vertex. For a pushed ball, one table of the columns equal
+to a vertex, built once per pass, covers those vertices; each other
+vertex goes to one face-filtered hull-membership LP,
+:func:`hull_combination`, in units of the vertex's distance, so its
+feasibility tolerance ``REL_TOL`` is relative. scipy is imported only
+when an LP is solved.
 """
 
 from __future__ import annotations
@@ -332,8 +334,8 @@ def hull_combination(space: PointedMetricSpace, pair: PointPair, u: np.ndarray,
     outside their convex hull.
 
     This one kernel answers every hull question in the package that
-    needs an LP: the vertex test, and the vertices of the norming test
-    and of the primal isometry certificate that no column equals.
+    needs an LP: the vertex test, and the vertices of the primal
+    isometry certificate that no column equals.
     The norm-one function h = (d(., y) - d(., x)) / 2 pairs to exactly 1
     with the target, and a convex combination of points pairing at most
     1 with h pairs to 1 only if every support point does; columns
@@ -426,7 +428,7 @@ class NormingResult(NamedTuple):
 def _first_outside_hull(space: PointedMetricSpace, vertices: list[PointPair],
                        u: np.ndarray, v: np.ndarray, d_uv: np.ndarray):
     """The first listed vertex outside the hull of the column molecules,
-    or None: the loop of the norming test and of the primal certificate.
+    or None: the vertex loop of the primal certificate.
 
     The columns lie in the ball, and a vertex of the ball lies in the
     hull of points of the ball only if it equals one of them. So a
@@ -443,23 +445,23 @@ def _first_outside_hull(space: PointedMetricSpace, vertices: list[PointPair],
                  and hull_combination(space, w, u, v, d_uv) is None), None)
 
 
-def _norming_failure(space: PointedMetricSpace, pairs: Sequence[PointPair],
+def _norming_failure(pairs: Sequence[PointPair],
                      vertices: list[PointPair]) -> PointPair | None:
-    """The first listed vertex outside the hull of +-molecules over the pairs."""
+    """The first vertex whose pair is not listed, in either order, or None.
+    The listed +-molecules lie in the ball, and a vertex of the ball lies
+    in the hull of points of the ball only if it is one of them."""
     if not pairs:
         raise ValueError("the pair set must be nonempty")
-    signed = np.array([(pr.x, pr.y, pr.y, pr.x) for pr in pairs]).reshape(-1, 2)
-    u, v = signed[:, 0], signed[:, 1]
-    return _first_outside_hull(space, vertices, u, v, space.dist[u, v])
+    listed = {(p.x, p.y) for p in pairs} | {(p.y, p.x) for p in pairs}
+    return next((w for w in vertices if (w.x, w.y) not in listed), None)
 
 
 def is_norming(space: PointedMetricSpace, pairs: Sequence[PointPair]) -> NormingResult:
     """Does the hull of +-molecules over the given pairs contain every
     vertex of the full unit ball?
 
-    Checked vertex by vertex (a listed pair equal to the vertex, or else
-    one membership LP of :func:`hull_combination`); the first vertex
-    outside the hull is reported in the negative case.
+    Exactly when every vertex's pair is listed, so no LP is solved; the
+    first vertex not listed is reported in the negative case.
     """
-    failing = _norming_failure(space, pairs, extreme_molecules(space))
+    failing = _norming_failure(pairs, extreme_molecules(space))
     return NormingResult(failing is None, failing)

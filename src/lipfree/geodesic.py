@@ -7,10 +7,13 @@ embeddings of an interval. Paths are pinned as data rather than
 recomputed so that every experiment is reproducible.
 
 The checks in this module replace asymptotic statements about sequences
-with localized maxima at an explicit radius ``r_loc`` and threshold
-``eps``; both default to four times the mesh, loose enough that the
-identity map passes at every mesh and tight enough that a halving map
-fails. All thresholds used are recorded in the reports.
+with localized maxima at an explicit radius (``r_loc``, ``r``), a
+distance, and threshold ``eps`` on a defect or margin, a ratio. By
+default (:func:`_scales`) the radius is four times the mesh and ``eps``
+four times the mesh over the codomain's diameter, so verdicts do not
+depend on the unit, and on an interval net ``eps`` is four times the
+mesh: loose enough that the identity map passes at every mesh and tight
+enough that a halving map fails. The reports record both.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .lipschitz import (
     inf_extension,
     interval_coordinates,
     lipschitz_norm,
-    pointwise_lip_at_scale,
+    local_slopes,
     sub_lipschitz_norm,
 )
 from .metric_core import REL_TOL, PointedMetricSpace, PointPair
@@ -64,8 +67,7 @@ def straight_path_check(space: PointedMetricSpace,
 
 
 def _cumulative(space: PointedMetricSpace, pts: Sequence[int]) -> np.ndarray:
-    steps = [space.d(pts[k], pts[k + 1]) for k in range(len(pts) - 1)]
-    return np.concatenate([[0.0], np.cumsum(steps)])
+    return np.concatenate([[0.0], np.cumsum([space.d(a, b) for a, b in zip(pts, pts[1:])])])
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +94,7 @@ class DiscretizedGeodesicSpace:
             if not report.ok:
                 raise NotStraightPath(report.defect)
             clean[(x, y)] = pts
-            steps = [self.space.d(pts[k], pts[k + 1]) for k in range(len(pts) - 1)]
-            mesh = max(mesh, max(steps))
+            mesh = max(mesh, *(self.space.d(a, b) for a, b in zip(pts, pts[1:])))
         if not clean:
             raise ValueError("a geodesic space needs at least one stored path")
         object.__setattr__(self, "paths", clean)
@@ -187,25 +188,30 @@ class DefectProfile:
         return {**asdict(self), "rows": [list(r) for r in self.rows]}
 
 
-def _defect_profile(kind: str, values: np.ndarray, num: np.ndarray,
-                    den: np.ndarray, grid: Sequence[float], mesh: float,
+def _scales(mesh: float, diameter: float, r: float | None,
+            eps: float | None) -> tuple[float, float]:
+    """The given radius and eps, or by default 4 * mesh for the radius (a
+    distance) and 4 * mesh / diameter for eps (a bound on a ratio)."""
+    default = 4.0 * mesh
+    return (default if r is None else r,
+            default / diameter if eps is None else eps)
+
+
+def _defect_profile(kind: str, phi: LipschitzMap, values: np.ndarray,
+                    num: np.ndarray, grid: Sequence[float], mesh: float,
                     r_loc: float | None, eps: float | None,
                     extra: dict[str, Any]) -> DefectProfile:
-    """Per target t, the largest num/den over pairs of points whose value
-    sits within r_loc of t (0 when fewer than two do). ``r_loc`` and
-    ``eps`` default to four times the mesh."""
-    if r_loc is None:
-        r_loc = 4.0 * mesh
-    if eps is None:
-        eps = 4.0 * mesh
+    """Per target t, the largest num / d(x', y') over pairs of domain
+    points whose value sits within r_loc of t (0 when fewer than two do).
+    The ratios are divided once, into ``num``; the diagonal's 0/0 is 0."""
+    r_loc, eps = _scales(mesh, phi.codomain.diameter, r_loc, eps)
+    with np.errstate(invalid="ignore"):
+        ratios = np.divide(num, phi.domain.dist, out=num)
+    np.fill_diagonal(ratios, 0.0)
     rows = []
-    for t in grid:
-        t = float(t)
+    for t in map(float, grid):
         sel = np.flatnonzero(np.abs(values - t) <= r_loc)
-        best = 0.0
-        if sel.size >= 2:
-            block, mask = np.ix_(sel, sel), ~np.eye(sel.size, dtype=bool)
-            best = float(np.max(num[block][mask] / den[block][mask]))
+        best = float(ratios[np.ix_(sel, sel)].max()) if sel.size else 0.0
         rows.append((t, best, 1.0 - best))
     max_defect = max(r[2] for r in rows)
     return DefectProfile(kind=kind, rows=tuple(rows), max_defect=max_defect,
@@ -213,13 +219,13 @@ def _defect_profile(kind: str, values: np.ndarray, num: np.ndarray,
                          extra={"mesh": mesh, **extra})
 
 
-def _interval_values(phi: LipschitzMap) -> tuple[np.ndarray, float]:
+def _interval_values(phi: LipschitzMap) -> tuple[np.ndarray, np.ndarray, float]:
+    """The codomain's coordinates, those of the image, and the mesh."""
     try:
         coords = interval_coordinates(phi.codomain)
     except NotAnIntervalNet:
         raise CodomainNotInterval() from None
-    mesh = 1.0 / (coords.size - 1)
-    return coords[np.asarray(phi.image)], mesh
+    return coords, coords[np.asarray(phi.image)], 1.0 / (coords.size - 1)
 
 
 def check_interval_necessary(
@@ -233,12 +239,11 @@ def check_interval_necessary(
     pairs mapping within r_loc of t is recorded; a norm-one map that
     acts isometrically must bring every defect below eps at mesh scale.
     """
-    values, mesh = _interval_values(phi)
-    grid = interval_coordinates(phi.codomain).tolist()
+    coords, values, mesh = _interval_values(phi)
     img = np.asarray(phi.image)
-    return _defect_profile("interval_necessary", values,
-                           phi.codomain.dist[np.ix_(img, img)], phi.domain.dist,
-                           grid, mesh, r_loc, eps, {})
+    return _defect_profile("interval_necessary", phi, values,
+                           phi.codomain.dist[np.ix_(img, img)], coords.tolist(), mesh,
+                           r_loc, eps, {})
 
 
 def check_geodesic_necessary(
@@ -259,8 +264,8 @@ def check_geodesic_necessary(
         raise ValueError("map codomain is not the geodesic space")
     proj = inverse_projection(gspace, pair)
     values = proj.function.values[np.asarray(phi.image)]
-    return _defect_profile("geodesic_necessary", values,
-                           np.abs(values[:, None] - values[None, :]), phi.domain.dist,
+    return _defect_profile("geodesic_necessary", phi, values,
+                           np.abs(values[:, None] - values[None, :]),
                            proj.cumulative, gspace.mesh, r_loc, eps,
                            {"pair": pair.as_tuple(), "path_length": proj.length})
 
@@ -294,8 +299,27 @@ class SufficiencyReport:
         return {**asdict(self), "rows": [list(r) for r in self.rows]}
 
 
+def _margins(phi: LipschitzMap, values: np.ndarray, r: float,
+             centers: np.ndarray, width: float) -> list[tuple[float, float]]:
+    """(c, m) per center c: m is the largest local slope at scale r of
+    ``values`` over the domain points whose value lies within width of c."""
+    slopes = local_slopes(LipschitzFunction(phi.domain, values, normalize=False), r)
+    return [(float(c), float(slopes[np.abs(values - c) <= width].max())) for c in centers]
+
+
+def _sufficiency(kind: str, density_ok: bool, max_gap: float, mesh: float,
+                 rows: list[tuple[float, float]], r: float, eps: float,
+                 extra: dict[str, Any]) -> SufficiencyReport:
+    worst = min(m for _, m in rows)
+    return SufficiencyReport(
+        kind=kind, density_ok=density_ok, max_gap=max_gap, gap_allowance=2.0 * mesh,
+        rows=tuple(rows), worst_margin=worst, r=r, eps=eps,
+        predicts_isometric=density_ok and worst >= 1.0 - eps,
+        extra={"mesh": mesh, **extra})
+
+
 def check_interval_sufficient(
-    phi: LipschitzMap, r: float, eps: float | None = None
+    phi: LipschitzMap, r: float | None = None, eps: float | None = None
 ) -> SufficiencyReport:
     """Slope-one sufficiency probe for maps into an interval net.
 
@@ -304,39 +328,18 @@ def check_interval_sufficient(
     every attained value must have a preimage whose pointwise constant
     at scale r reaches 1 - eps.
     """
-    values, mesh = _interval_values(phi)
-    if eps is None:
-        eps = 4.0 * mesh
+    _, values, mesh = _interval_values(phi)
+    r, eps = _scales(mesh, phi.codomain.diameter, r, eps)
     attained = np.unique(values)
-    gaps = np.diff(attained, prepend=0.0, append=1.0)
-    max_gap = float(gaps.max())
-    density_ok = max_gap <= 2.0 * mesh
-
-    scalar = LipschitzFunction(phi.domain, values, normalize=False)
-    rows = []
-    for t in attained:
-        here = np.flatnonzero(values == t)
-        margin = max(pointwise_lip_at_scale(scalar, int(x), r) for x in here)
-        rows.append((float(t), float(margin)))
-    worst = min(m for _, m in rows)
-    return SufficiencyReport(
-        kind="interval_sufficient",
-        density_ok=density_ok,
-        max_gap=max_gap,
-        gap_allowance=2.0 * mesh,
-        rows=tuple(rows),
-        worst_margin=worst,
-        r=r,
-        eps=eps,
-        predicts_isometric=density_ok and worst >= 1.0 - eps,
-        extra={"mesh": mesh},
-    )
+    max_gap = float(np.diff(attained, prepend=0.0, append=1.0).max())
+    return _sufficiency("interval_sufficient", max_gap <= 2.0 * mesh, max_gap, mesh,
+                        _margins(phi, values, r, attained, 0.0), r, eps, {})
 
 
 def check_geodesic_sufficient(
     phi: LipschitzMap,
     gspace: DiscretizedGeodesicSpace,
-    r: float,
+    r: float | None = None,
     eps: float | None = None,
 ) -> SufficiencyReport:
     """Range density plus slope-one margins through every stored path.
@@ -349,37 +352,18 @@ def check_geodesic_sufficient(
     """
     if phi.codomain is not gspace.space:
         raise ValueError("map codomain is not the geodesic space")
-    mesh = gspace.mesh
-    if eps is None:
-        eps = 4.0 * mesh
-    space = gspace.space
+    mesh, space = gspace.mesh, gspace.space
+    r, eps = _scales(mesh, space.diameter, r, eps)
     img = np.asarray(phi.image)
     cover = space.dist[:, img].min(axis=1)
     worst_point = int(np.argmax(cover))
     max_gap = float(cover[worst_point])
     if max_gap > 2.0 * mesh:
         raise RangeNotDense(worst_point, max_gap, 2.0 * mesh)
-
     rows = []
     for (x, y) in sorted(gspace.paths):
-        proj = inverse_projection(gspace, PointPair(x, y))
-        composed = proj.function.values[img]
-        scalar = LipschitzFunction(phi.domain, composed, normalize=False)
+        composed = inverse_projection(gspace, PointPair(x, y)).function.values[img]
         snapped = np.unique(np.round(composed / mesh) * mesh)
-        for z in snapped:
-            near = np.flatnonzero(np.abs(composed - z) <= mesh)
-            margin = max(pointwise_lip_at_scale(scalar, int(p), r) for p in near)
-            rows.append((float(z), float(margin)))
-    worst = min(m for _, m in rows)
-    return SufficiencyReport(
-        kind="geodesic_sufficient",
-        density_ok=True,
-        max_gap=max_gap,
-        gap_allowance=2.0 * mesh,
-        rows=tuple(rows),
-        worst_margin=worst,
-        r=r,
-        eps=eps,
-        predicts_isometric=worst >= 1.0 - eps,
-        extra={"mesh": mesh, "paths": sorted(gspace.paths)},
-    )
+        rows += _margins(phi, composed, r, snapped, mesh)
+    return _sufficiency("geodesic_sufficient", True, max_gap, mesh, rows, r, eps,
+                        {"paths": sorted(gspace.paths)})

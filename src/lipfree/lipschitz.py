@@ -93,19 +93,25 @@ def lipschitz_norm(f: LipschitzFunction) -> LipNorm:
     return LipNorm(value, (min(i, j), max(i, j)))  # (0, 1) when f is constant
 
 
-def pointwise_lip_at_scale(f: LipschitzFunction, x: int, r: float) -> float:
-    """Largest difference quotient against points within distance r of x.
-
-    Returns 0 when no other point lies within the ball, mirroring the
-    convention for isolated points.
-    """
+def local_slopes(f: LipschitzFunction, r: float) -> np.ndarray:
+    """Every point's largest difference quotient against the other points
+    within distance r of it (0 where there are none): the row maxima of
+    one quotient matrix |f(x) - f(y)| / d(x, y), masked to those pairs."""
     if r <= 0:
         raise ValueError("scale r must be positive")
-    dx = f.space.dist[x, :]
-    mask = (dx > 0) & (dx <= r)
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(np.abs(f.values[mask] - f.values[x]) / dx[mask]))
+    d = f.space.dist
+    near = d <= r
+    np.fill_diagonal(near, False)  # every other point is at a positive distance
+    q = f.values[:, None] - f.values[None, :]
+    np.abs(q, out=q)
+    np.divide(q, d, out=q, where=near)
+    return np.max(q, axis=1, where=near, initial=0.0)
+
+
+def pointwise_lip_at_scale(f: LipschitzFunction, x: int, r: float) -> float:
+    """Row x of :func:`local_slopes`: the largest difference quotient
+    against points within distance r of x, 0 for an isolated point."""
+    return float(local_slopes(f, r)[x])
 
 
 def sub_lipschitz_norm(space: PointedMetricSpace, subset: Sequence[int],

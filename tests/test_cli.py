@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from lipfree import cli, composition
-from lipfree.fixtures import tripod
+from lipfree.fixtures import circle_geodesic, tripod
 from lipfree.freespace import DualResult
 from lipfree.io import geodesic_space_to_dict, space_to_dict
 from lipfree.metric_core import REL_TOL, interval_net
@@ -459,6 +459,19 @@ class TestExperiments:
         assert results["certificate"]["verdict"] == "isometric"
         assert all(p["max_defect"] <= p["eps"] for p in results["necessary"])
 
+    def test_geodesic_collapse_fails_the_necessary_check(self, files, capsys):
+        gspace = circle_geodesic(16)
+        write(files["dir"] / "circle.json", geodesic_space_to_dict(gspace))
+        path = write(files["dir"] / "collapse.json", {
+            "domain": "circle.json", "codomain": "circle.json", "image": [0] * 16})
+        code, report, _ = run_in_process(capsys, "experiment", "geodesic", "--space",
+                                         str(files["dir"] / "circle.json"), "--map", path)
+        assert code == 0
+        necessary = report["results"]["necessary"][0]
+        assert necessary["max_defect"] == 1.0
+        assert necessary["eps"] == report["tolerances"]["eps"] == 0.5
+        assert necessary["holds"] is False
+
     def test_tolerances_in_force_are_never_null(self, files, capsys):
         runs = [
             ("experiment", "interval", "--mesh", "4", "--map", "builtin:identity"),
@@ -470,10 +483,12 @@ class TestExperiments:
             tolerances = report["tolerances"]
             assert set(tolerances) == {"r_loc", "eps", "tol_metric"}
             assert all(v is not None for v in tolerances.values())
-        # the geodesic defaults are the ones its profiles used: four meshes
+        # the geodesic defaults are the ones its profiles used: r_loc is
+        # four meshes, and eps four meshes per diameter (2 on the tripod)
+        mesh = report["results"]["mesh"]
         for profile in report["results"]["necessary"]:
-            assert profile["r_loc"] == tolerances["r_loc"] == 4 * report["results"]["mesh"]
-            assert profile["eps"] == tolerances["eps"]
+            assert profile["r_loc"] == tolerances["r_loc"] == 4 * mesh
+            assert profile["eps"] == tolerances["eps"] == 4 * mesh / 2.0
 
     def test_builtin_requires_mesh(self):
         proc = run_cli("experiment", "interval", "--map", "builtin:fold")

@@ -24,6 +24,7 @@ from lipfree.fixtures import builtin_map, random_lipschitz_function, \
 from lipfree.freespace import FreeVector, molecule, pairing
 from lipfree.lipschitz import LipschitzFunction, lipschitz_norm
 from lipfree.metric_core import (
+    REL_TOL,
     PointPair,
     from_weighted_graph,
     interval_net,
@@ -200,7 +201,7 @@ class TestCertifyDual:
 
     def test_norm_above_one_rejected(self, two_point, path3):
         stretched = validate_space([[0, 3], [3, 0]])
-        with pytest.raises(MapNormExceedsOne):
+        with pytest.raises(MapNormExceedsOne, match=r"3\.0 > 1 \+ 1e-09"):
             certify_isometry_dual(LipschitzMap(two_point, stretched, (0, 1)))
 
     def test_caller_pair_set_must_norm(self):
@@ -262,6 +263,14 @@ class TestCertifyPrimal:
         cert = certify_isometry_primal(builtin_map("halving", 4))
         assert cert.verdict == "not_isometric"
         assert "below one" in cert.notes
+
+    def test_deficit_certificates_name_the_norm_tolerance(self):
+        report = certify_isometry(builtin_map("halving", 4), "both")
+        for cert in (report.dual, report.primal):
+            assert cert.tolerances["map_norm"] == REL_TOL
+        isometric = certify_isometry(builtin_map("fold", 4), "both")
+        assert "map_norm" not in isometric.dual.tolerances
+        assert "map_norm" not in isometric.primal.tolerances
 
 
 class TestOnePass:

@@ -476,6 +476,16 @@ class TestIsNorming:
         assert is_norming(space, list(space.pairs())).is_norming
         assert hull_calls == []
 
+    def test_unlisted_vertex_needs_no_kernel_call_or_lp(self, hull_calls, lp_solves):
+        result = is_norming(interval_net(2), [PointPair(0, 2)])
+        assert result.failing_vertex == PointPair(0, 1)
+        assert hull_calls == []
+        assert lp_solves == []
+
+    def test_vertex_listed_in_either_order(self):
+        net = interval_net(2)
+        assert is_norming(net, [PointPair(1, 0), PointPair(2, 1)]).is_norming
+
     def test_empty_set_rejected(self, path3):
         with pytest.raises(ValueError):
             is_norming(path3, [])

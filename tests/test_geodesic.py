@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import scaled
 
 from lipfree.composition import LipschitzMap, certify_isometry, identity_map
 from lipfree.errors import NoStoredPath, NotStraightPath, RangeNotDense
@@ -133,6 +134,10 @@ class TestIntervalSufficient:
         assert not report.density_ok
 
 
+def _collapse(space):
+    return LipschitzMap(space, space, (space.base,) * space.n)
+
+
 class TestGeodesicNecessary:
     def test_interval_identity(self):
         gs = interval_geodesic(8)
@@ -150,6 +155,47 @@ class TestGeodesicNecessary:
         phi = LipschitzMap(gs.space, gs.space, (0,) * 8)
         report = check_geodesic_necessary(phi, gs, PointPair(0, 4))
         assert report.max_defect == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("make", [lambda: circle_geodesic(16), lambda: tripod(1.0, 4)],
+                             ids=["circle16", "tripod4"])
+    def test_collapse_fails_with_default_eps(self, make):
+        # the defect is 1 whatever the unit, and eps is 4 * mesh / diameter
+        gs = make()
+        report = check_geodesic_necessary(_collapse(gs.space), gs,
+                                          PointPair(*sorted(gs.paths)[0]))
+        assert report.max_defect == 1.0
+        assert report.eps == 4.0 * gs.mesh / gs.space.diameter
+        assert not report.holds
+
+
+def _default_verdicts(gs):
+    """(eps, holds) of each map's necessary profile and the identity's
+    (eps, predicts_isometric), all at the default scales."""
+    pair = PointPair(*sorted(gs.paths)[0])
+    out = [(p.eps, p.holds) for p in (
+        check_geodesic_necessary(make(gs.space), gs, pair) for make in (identity_map, _collapse))]
+    sufficient = check_geodesic_sufficient(identity_map(gs.space), gs)
+    return out + [(sufficient.eps, sufficient.predicts_isometric)]
+
+
+class TestDefaultScales:
+    @pytest.mark.parametrize("make", [
+        lambda: circle_geodesic(16), lambda: circle_geodesic(32), lambda: tripod(1.0, 4),
+    ], ids=["circle16", "circle32", "tripod4"])
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e6])
+    def test_verdicts_do_not_depend_on_the_unit(self, make, s):
+        gs = make()
+        unit = _default_verdicts(gs)
+        rescaled = _default_verdicts(DiscretizedGeodesicSpace(scaled(gs.space, s), gs.paths))
+        for (eps, verdict), (eps_s, verdict_s) in zip(unit, rescaled):
+            assert verdict_s == verdict
+            assert eps_s == pytest.approx(eps, rel=1e-12, abs=0.0)
+
+    def test_interval_defaults_are_four_meshes(self):
+        phi = builtin_map("fold", 16)
+        necessary = check_interval_necessary(phi)
+        sufficient = check_interval_sufficient(phi)
+        assert necessary.r_loc == necessary.eps == sufficient.r == sufficient.eps == 4 / 16
 
 
 class TestGeodesicSufficient:

@@ -13,10 +13,12 @@ from lipfree.lipschitz import (
     clamp_unit,
     interval_coordinates,
     lipschitz_norm,
+    local_slopes,
     mcshane_extend,
     peak_function,
     pointwise_lip_at_scale,
 )
+from lipfree.fixtures import random_lipschitz_function, random_space
 from lipfree.metric_core import from_weighted_graph, interval_net, validate_space
 
 
@@ -111,6 +113,33 @@ class TestPointwiseLipAtScale:
         f = LipschitzFunction(net, np.zeros(3))
         with pytest.raises(ValueError):
             pointwise_lip_at_scale(f, 0, 0.0)
+
+
+def _slopes_point_by_point(f, r):
+    """The reference: each point's largest quotient against the other
+    points within distance r, 0 when there are none."""
+    d, v = f.space.dist, f.values
+    slopes = []
+    for x in range(f.space.n):
+        quotients = [abs(v[y] - v[x]) / d[x, y] for y in range(f.space.n)
+                     if 0.0 < d[x, y] <= r]
+        slopes.append(max(quotients, default=0.0))
+    return np.array(slopes)
+
+
+class TestLocalSlopes:
+    @pytest.mark.parametrize("kind", ["euclidean", "graph", "snowflake"])
+    def test_equal_to_the_point_by_point_loop(self, kind):
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            space = random_space(rng, int(rng.integers(2, 12)), kind)
+            f = random_lipschitz_function(rng, space)
+            for share in (0.2, 0.5, 1.0):
+                r = share * space.diameter
+                expected = _slopes_point_by_point(f, r)
+                assert np.array_equal(local_slopes(f, r), expected)
+                x = int(rng.integers(space.n))
+                assert pointwise_lip_at_scale(f, x, r) == expected[x]
 
 
 class TestMcshaneExtend:
