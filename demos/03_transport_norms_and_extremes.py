@@ -1,11 +1,10 @@
 """Transport norms two ways, and the vertex structure of the unit ball.
 
 The same number is computed by a min-cost flow (with an explicit optimal
-plan) and by a linear program over potentials on the vector's support,
-one constraint per (positive, negative) pair, whose optimum's
-c-transform is an explicit 1-Lipschitz maximizer; strong duality says
-the two agree, and the acceptance suite holds them to 1e-8 on five
-hundred random instances.
+plan) and by optimal potentials on the vector's support, read from the
+row duals of the transportation LP, whose c-transform is an explicit
+1-Lipschitz maximizer; strong duality says the two agree, and the
+acceptance suite holds them to 1e-8 on five hundred random instances.
 """
 
 import numpy as np

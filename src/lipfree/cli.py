@@ -62,7 +62,7 @@ from .io import (
     sha256_of_file,
 )
 from .lipschitz import LipschitzFunction, lipschitz_norm, mcshane_extend
-from .metric_core import PointPair
+from .metric_core import REL_TOL, PointPair
 
 FREENORM_AGREEMENT = 1e-8
 
@@ -296,6 +296,7 @@ def _cmd_freenorm(args):
         value, plan = free_norm_primal(mu)
         return inputs, tolerances, {"method": "flow", "value": value,
                                     "plan": [list(p) for p in plan]}
+    tolerances["lp_feasibility"] = REL_TOL
     if args.method == "lp":
         value, maximizer = free_norm_dual(mu)
         return inputs, tolerances, {"method": "lp", "value": value,

@@ -195,18 +195,15 @@ def _dual_certificate(phi: LipschitzMap, vertices: list[PointPair],
     tolerance must exist; since the map is norm-one, d(x', y') >= d(x, y)
     always, so the bound is the attained form of the ratio-one
     condition. With the default pair set the verdict is conclusive in
-    both directions; a caller-supplied set must be norming (checked
-    against the same vertices), and then only the positive direction is
-    conclusive: a pair failing the bound makes the verdict
-    ``inconclusive``, since it need not be a vertex.
+    both directions; a caller-supplied set, which :func:`certify_isometry`
+    has checked to be norming, decides only the positive direction: a
+    pair failing the bound makes the verdict ``inconclusive``, since it
+    need not be a vertex.
     """
     if pairs is None:
         pair_list, scope, negative = vertices, "necessary_and_sufficient", "not_isometric"
     else:
         pair_list, scope, negative = list(pairs), "sufficient_only", "inconclusive"
-        failing = _norming_failure(pair_list, vertices)
-        if failing is not None:
-            raise NotNorming(failing.as_tuple())
 
     def failed(pair: PointPair, notes: str) -> IsometryCertificate:
         return IsometryCertificate(
@@ -288,12 +285,12 @@ def certify_isometry(
     """Run one or both certifiers; with ``both``, the primal verdict is
     reported and a conclusive dual verdict must equal it.
 
-    The map norm is a ratio and is compared with 1 within ``REL_TOL``;
-    ``tol`` (default the larger space tolerance) is a distance and
-    decides only the dual's preimage comparison. Disagreement raises
-    :class:`MethodDisagreement` carrying both certificates as
-    dictionaries; it indicates an implementation bug and is surfaced
-    loudly rather than resolved silently.
+    A dual's ``pairs`` that miss a vertex raise :class:`NotNorming`
+    before any verdict. The map norm is a ratio, compared with 1 within
+    ``REL_TOL``; ``tol`` (default the larger space tolerance) is a
+    distance and decides only the dual's preimage comparison.
+    Disagreement raises :class:`MethodDisagreement` with both
+    certificates as dictionaries: an implementation bug, surfaced loudly.
     """
     if method not in ("dual", "primal", "both"):
         raise ValueError(f"unknown certification method {method!r}")
@@ -303,6 +300,10 @@ def certify_isometry(
     if norm.value > 1.0 + REL_TOL:
         raise MapNormExceedsOne(norm.value, norm.witness, REL_TOL)
     vertices = extreme_molecules(phi.codomain)
+    if pairs is not None and method != "primal":
+        failing = _norming_failure(pairs, vertices)
+        if failing is not None:
+            raise NotNorming(failing.as_tuple())
     if norm.value < 1.0 - REL_TOL:
         dual, primal = (IsometryCertificate(
             verdict="not_isometric", method=name,

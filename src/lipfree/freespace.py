@@ -9,10 +9,10 @@ independent routes compute it:
   pricing, strongly feasible trees), and returns one optimal plan.
   Because distances satisfy the triangle inequality, shipping along
   direct arcs is optimal, so the bipartite formulation loses nothing.
-* :func:`free_norm_dual` maximizes the pairing against the vector as a
-  linear program over potentials on the vector's support, with one
-  constraint per (positive, negative) pair, and returns the c-transform
-  of an optimal potential as a maximizing 1-Lipschitz function.
+* :func:`free_norm_dual` reads optimal potentials on the vector's
+  support from the row duals of the transportation LP, solved by HiGHS,
+  and returns their c-transform as a maximizing 1-Lipschitz function,
+  with its pairing against the vector as the value.
 
 Strong duality makes the two values agree; their agreement on random
 instances is part of the acceptance suite, so neither route may be
@@ -271,23 +271,23 @@ def free_norm_primal(mu: FreeVector) -> FlowResult:
 
 
 # ---------------------------------------------------------------------------
-# dual: potentials on the support pairs and their c-transform
+# dual: the transportation LP's row duals and their c-transform
 # ---------------------------------------------------------------------------
 
 def free_norm_dual(mu: FreeVector) -> DualResult:
     """Transport norm as the best pairing against a 1-Lipschitz function.
 
-    Maximizes sum p_i a_i - sum q_j b_j over potentials on the positive
-    support points x_i (masses p_i) and the negative ones y_j (masses
-    q_j) subject to a_i - b_j <= d(x_i, y_j). Every 1-Lipschitz function
-    is feasible, and the c-transform g(x) = min_j (b_j + d(x, y_j)) of an
-    optimum is 1-Lipschitz with g(x_i) >= a_i and g(y_j) <= b_j, so it
-    pairs to at least the optimum, which is therefore the norm; g,
-    vanishing at the base point, is returned as one maximizer. Costs are
-    priced in units of the largest one and masses likewise, so HiGHS's
-    tolerances act relatively; one potential on the side of smaller
-    total mass is pinned to 0, which keeps the LP bounded when rounding
-    leaves the parts unequal.
+    Potentials a_i on the positive support points x_i (masses p_i) and
+    b_j on the negative ones y_j (masses q_j) maximizing
+    sum p_i a_i - sum q_j b_j subject to a_i - b_j <= d(x_i, y_j) are the
+    row duals of the transportation LP (a row per support point, a
+    column per pair), solved by HiGHS without presolve. Their c-transform
+    g(x) = min_j (b_j + d(x, y_j)) is 1-Lipschitz with g(x_i) >= a_i and
+    g(y_j) <= b_j, so it pairs to at least the optimum, which is
+    therefore the norm; g, vanishing at the base point, is returned with
+    its pairing as the value. Costs are priced in units of the largest,
+    each part's masses in units of its total, so HiGHS's tolerances act
+    relatively and the rows agree when rounding leaves the parts unequal.
     """
     space, c = mu.space, mu.coeffs
     pos, neg = np.flatnonzero(c > 0), np.flatnonzero(c < 0)
@@ -295,21 +295,19 @@ def free_norm_dual(mu: FreeVector) -> DualResult:
         return DualResult(0.0, LipschitzFunction(space, np.zeros(space.n)))
     from scipy import sparse
     from scipy.optimize import linprog
-    m, k = pos.size, neg.size
     cost = space.dist[np.ix_(pos, neg)]
-    unit, mass = cost.max(), np.abs(c).max()
-    rows = np.tile(np.arange(m * k), 2)  # row i*k + j is the pair (x_i, y_j)
-    cols = np.concatenate([np.repeat(np.arange(m), k), m + np.tile(np.arange(k), m)])
-    a_ub = sparse.csr_array((np.repeat([1.0, -1.0], m * k), (rows, cols)))
-    bounds = np.full((m + k, 2), [-np.inf, np.inf])
-    bounds[m if c[pos].sum() >= -c[neg].sum() else 0] = 0.0
-    res = linprog(np.concatenate([-c[pos], -c[neg]]) / mass, A_ub=a_ub,
-                  b_ub=cost.ravel() / unit, bounds=bounds, method="highs",
-                  options=_LP_OPTIONS)
+    m, k, unit = pos.size, neg.size, cost.max()
+    pairs = np.arange(m * k)  # column i*k + j ships from x_i to y_j
+    rows = np.concatenate([pairs // k, m + pairs % k])
+    a_eq = sparse.csr_array((np.ones(2 * m * k), (rows, np.tile(pairs, 2))))
+    b_eq = np.concatenate([c[pos] / c[pos].sum(), c[neg] / c[neg].sum()])
+    res = linprog(cost.ravel() / unit, A_eq=a_eq, b_eq=b_eq, method="highs",
+                  options={**_LP_OPTIONS, "presolve": False})
     if res.status != 0:
-        raise InvariantFailure(f"dual norm LP failed with status {res.status}")
-    g = (space.dist[:, neg] + unit * res.x[m:]).min(axis=1)
-    return DualResult(float(-res.fun * unit * mass), LipschitzFunction(space, g))
+        raise InvariantFailure(f"transportation LP failed with status {res.status}")
+    b = -unit * res.eqlin.marginals[m:]
+    g = LipschitzFunction(space, (space.dist[:, neg] + b).min(axis=1))
+    return DualResult(pairing(g, mu), g)
 
 
 def molecule_distance(a: Molecule, b: Molecule) -> float:

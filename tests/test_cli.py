@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from lipfree import cli, composition
-from lipfree.fixtures import circle_geodesic, tripod
+from lipfree.fixtures import builtin_map, circle_geodesic, tripod
 from lipfree.freespace import DualResult
 from lipfree.io import geodesic_space_to_dict, space_to_dict
 from lipfree.metric_core import REL_TOL, interval_net
@@ -234,6 +234,20 @@ class TestExitCodes:
         assert report is None
         assert "MalformedInput: --pairs:" in err
 
+    @pytest.mark.parametrize("name", ["fold", "halving"])
+    def test_non_norming_pairs_exit_2(self, files, capsys, name):
+        # (0, 1) misses a vertex of either codomain; halving's norm
+        # deficit must not decide the verdict before the pairs are checked
+        phi = builtin_map(name, 4)
+        write(files["dir"] / "domain.json", space_to_dict(phi.domain))
+        write(files["dir"] / "codomain.json", space_to_dict(phi.codomain))
+        mp = write(files["dir"] / f"{name}.json", {
+            "domain": "domain.json", "codomain": "codomain.json", "image": list(phi.image)})
+        code, report, err = run_in_process(capsys, "isometry", "--map", mp, "--pairs", "0,1")
+        assert code == 2
+        assert report is None
+        assert "NotNorming" in err
+
     @pytest.mark.parametrize("subset", ["a", "0,9", "0,1,1", "0,-1", "1,2", ","])
     def test_bad_subset_exits_2(self, files, capsys, subset):
         code, report, err = run_in_process(capsys, "extend", files["fn"],
@@ -257,7 +271,8 @@ class TestExitCodes:
         assert report["results"]["lp"] == pytest.approx(2.0)
         assert report["results"]["agree"] is False
         assert report["inputs"] == [cli._input_record("vector", files["vec"])]
-        assert report["tolerances"] == {"agreement": cli.FREENORM_AGREEMENT}
+        assert report["tolerances"] == {"agreement": cli.FREENORM_AGREEMENT,
+                                        "lp_feasibility": REL_TOL}
 
     def test_certifier_disagreement_exits_3(self, files, capsys, monkeypatch):
         real = composition._primal_certificate
@@ -365,6 +380,14 @@ class TestCommands:
         lp = report_of(run_cli("freenorm", files["vec"], "--method", "lp"))
         assert flow["results"]["value"] == pytest.approx(1.0)
         assert lp["results"]["value"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("method", ["flow", "lp", "both"])
+    def test_freenorm_reports_the_lp_tolerance(self, files, capsys, method):
+        code, report, _ = run_in_process(capsys, "freenorm", files["vec"],
+                                         "--method", method)
+        assert code == 0
+        lp = {} if method == "flow" else {"lp_feasibility": REL_TOL}
+        assert report["tolerances"] == {"agreement": cli.FREENORM_AGREEMENT, **lp}
 
     def test_extremes(self, files):
         results = report_of(run_cli("extremes", files["net"]))["results"]

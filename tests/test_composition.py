@@ -209,6 +209,25 @@ class TestCertifyDual:
         with pytest.raises(NotNorming):
             certify_isometry_dual(identity_map(net), pairs=[PointPair(0, 2)])
 
+    @pytest.mark.parametrize("method", ["dual", "both"])
+    @pytest.mark.parametrize("name", ["fold", "halving"])
+    def test_caller_pair_set_checked_before_the_deficit_exit(self, monkeypatch,
+                                                             method, name):
+        # halving's norm 1/2 decides its verdict without reading a pair,
+        # yet a pair set that misses a vertex is refused as for fold,
+        # after one check
+        checks = []
+        real = composition._norming_failure
+
+        def counted(*args):
+            checks.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(composition, "_norming_failure", counted)
+        with pytest.raises(NotNorming):
+            certify_isometry(builtin_map(name, 4), method, pairs=[PointPair(0, 1)])
+        assert len(checks) == 1
+
     def test_caller_norming_set_downgrades_scope(self, path3):
         cert = certify_isometry_dual(identity_map(path3),
                                      pairs=list(path3.pairs()))

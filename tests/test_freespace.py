@@ -200,9 +200,10 @@ class TestFreeNormDual:
             bound = lipschitz_norm(f).value * free_norm_primal(mu).value
             assert abs(pairing(f, mu)) <= bound + 1e-8
 
-    def test_one_row_per_support_pair(self, lp_solves):
-        # zero-mass points take no part: the LP has a potential per
-        # support point and a row per (positive, negative) pair
+    def test_one_column_per_support_pair(self, lp_solves):
+        # zero-mass points take no part: one transportation LP per vector,
+        # with a row per support point and a column per (positive,
+        # negative) pair
         rng = np.random.default_rng(31)
         for kind in ("euclidean", "graph", "snowflake"):
             space = random_space(rng, 30, kind)
@@ -213,7 +214,23 @@ class TestFreeNormDual:
                 solves = len(lp_solves)
                 free_norm_dual(mu)
                 pos, neg = np.count_nonzero(c > 0), np.count_nonzero(c < 0)
-                assert [s.a_ub for s in lp_solves[solves:]] == [(pos * neg, pos + neg)]
+                [solve] = lp_solves[solves:]
+                shapes = [s for s in (solve.a_ub, solve.a_eq) if s is not None]
+                assert sum(rows for rows, _ in shapes) == pos + neg
+                assert {cols for _, cols in shapes} == {pos * neg}
+
+    def test_dense_vector(self):
+        # 120 positive and 120 negative masses: 14,400 pairs in one LP
+        rng = np.random.default_rng(43)
+        space = random_space(rng, 240, "euclidean")
+        c = rng.random(240) * np.where(np.arange(240) % 2, -1.0, 1.0)
+        c[c > 0] *= -c[c < 0].sum() / c[c > 0].sum()
+        mu = FreeVector(space, c)
+        flow = free_norm_primal(mu).value
+        value, maximizer = free_norm_dual(mu)
+        assert abs(value - flow) <= 1e-8 * max(1.0, flow)
+        assert lipschitz_norm(maximizer).value <= 1 + 1e-9
+        assert abs(pairing(maximizer, mu) - value) <= 1e-12 * value
 
     @pytest.mark.parametrize("heavier", [1.0, -1.0])
     def test_unbalanced_parts_stay_bounded(self, heavier):
