@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default=None)
     p.add_argument("--codomain", default=None)
     p.add_argument("--pairs", default=None,
-                   help="optional norming pair set for the dual method")
+                   help="optional norming pair set, checked for every method")
     common(p, methods=certifiers)
 
     p = sub.add_parser("extend", help="norm-preserving extension from a subset")
@@ -304,7 +304,7 @@ def _cmd_freenorm(args):
     flow_value, plan = free_norm_primal(mu)
     lp_value, maximizer = free_norm_dual(mu)
     gap = abs(flow_value - lp_value)
-    agree = gap <= FREENORM_AGREEMENT * max(1.0, flow_value)
+    agree = gap <= FREENORM_AGREEMENT * flow_value  # relative at every scale
     results = {
         "method": "both",
         "flow": flow_value,

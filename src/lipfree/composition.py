@@ -285,9 +285,9 @@ def certify_isometry(
     """Run one or both certifiers; with ``both``, the primal verdict is
     reported and a conclusive dual verdict must equal it.
 
-    A dual's ``pairs`` that miss a vertex raise :class:`NotNorming`
-    before any verdict. The map norm is a ratio, compared with 1 within
-    ``REL_TOL``; ``tol`` (default the larger space tolerance) is a
+    ``pairs`` that miss a vertex raise :class:`NotNorming` before any
+    verdict, whatever the method. The map norm is a ratio, compared with 1
+    within ``REL_TOL``; ``tol`` (default the larger space tolerance) is a
     distance and decides only the dual's preimage comparison.
     Disagreement raises :class:`MethodDisagreement` with both
     certificates as dictionaries: an implementation bug, surfaced loudly.
@@ -300,7 +300,7 @@ def certify_isometry(
     if norm.value > 1.0 + REL_TOL:
         raise MapNormExceedsOne(norm.value, norm.witness, REL_TOL)
     vertices = extreme_molecules(phi.codomain)
-    if pairs is not None and method != "primal":
+    if pairs is not None:
         failing = _norming_failure(pairs, vertices)
         if failing is not None:
             raise NotNorming(failing.as_tuple())

@@ -138,8 +138,6 @@ def _euclidean_cloud(rng: np.random.Generator, n: int) -> PointedMetricSpace:
     for _ in range(100):
         pts = rng.normal(size=(n, dim))
         d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-        d = np.minimum(d, d.T)
-        np.fill_diagonal(d, 0.0)
         off = d[~np.eye(n, dtype=bool)]
         if off.min() > 1e-3 * off.max():
             return validate_space(d, meta={"family": "euclidean"})

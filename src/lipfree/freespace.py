@@ -21,17 +21,17 @@ rewritten in terms of the other.
 The unit ball of the span of the molecules is the convex hull of the
 molecules and their negatives. Its vertices are the molecules with no
 third point metrically between their endpoints (Aliaga-Guirao), which
-:func:`extreme_molecules` tests directly; the LP vertex test
-:func:`is_extreme_molecule` is its independent oracle. The other hull
-questions (is a pair set norming, does a pushed ball cover it) are
-answered vertex by vertex. A vertex lies in the hull of points of the
-ball only if it is one of them, so a pair set norms exactly when it
-lists every vertex. For a pushed ball, one table of the columns equal
-to a vertex, built once per pass, covers those vertices; each other
-vertex goes to one face-filtered hull-membership LP,
-:func:`hull_combination`, in units of the vertex's distance, so its
-feasibility tolerance ``REL_TOL`` is relative. scipy is imported only
-when an LP is solved.
+:func:`extreme_molecules` reads off one :func:`metric_core.detours`
+matrix; the LP vertex test :func:`is_extreme_molecule` is its
+independent oracle. The other hull questions (is a pair set norming,
+does a pushed ball cover it) are answered vertex by vertex. A vertex
+lies in the hull of points of the ball only if it is one of them, so a
+pair set norms exactly when it lists every vertex. For a pushed ball,
+one table of the columns equal to a vertex, built once per pass, covers
+those vertices; each other vertex goes to one face-filtered
+hull-membership LP, :func:`hull_combination`, in units of the vertex's
+distance, so its feasibility tolerance ``REL_TOL`` is relative. scipy
+is imported only when an LP is solved.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import InvariantFailure, NotZeroSum, SpaceMismatch
 from .lipschitz import LipschitzFunction
-from .metric_core import REL_TOL, PointedMetricSpace, PointPair
+from .metric_core import REL_TOL, PointedMetricSpace, PointPair, detours
 
 ZERO_SUM_REL = 1e-12
 _LP_OPTIONS = {"primal_feasibility_tolerance": REL_TOL, "dual_feasibility_tolerance": REL_TOL}
@@ -346,8 +346,7 @@ def hull_combination(space: PointedMetricSpace, pair: PointPair, u: np.ndarray,
     then add. Returns the kept column indices and their weights.
     """
     h = 0.5 * (space.dist[:, pair.y] - space.dist[:, pair.x])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        face = np.where(d_uv > 0, (h[u] - h[v]) / d_uv, 0.0)
+    face = (h[u] - h[v]) / d_uv
     idx = np.flatnonzero(face >= 1.0 - REL_TOL)
     if idx.size == 0:
         return None
@@ -400,17 +399,13 @@ def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeRe
 def extreme_molecules(space: PointedMetricSpace) -> list[PointPair]:
     """All pairs (canonical order x < y) whose molecule is a vertex.
 
-    That is, no third point z has d(x,z) + d(z,y) <= d(x,y) + space.tol,
-    the test of :func:`metric_core.intermediate_points` over all pairs.
-    Never empty: a polytope has vertices and every vertex of the ball is
-    itself a molecule or the negative of one.
+    That is, no third point z has d(x,z) + d(z,y) <= d(x,y) + space.tol:
+    the test of :func:`metric_core.intermediate_points`, read for all
+    pairs at once from :func:`metric_core.detours`. Never empty: a
+    polytope has vertices and every vertex of the ball is itself a
+    molecule or the negative of one.
     """
-    d = space.dist
-    between = np.zeros(d.shape, dtype=bool)
-    for z in range(space.n):
-        through = d[:, z][:, None] + d[z, :][None, :] <= d + space.tol
-        through[z, :] = through[:, z] = False
-        between |= through
+    between = detours(space.dist) <= space.dist + space.tol
     xs, ys = np.nonzero(np.triu(~between, k=1))
     found = [PointPair(int(x), int(y)) for x, y in zip(xs, ys)]
     if not found:

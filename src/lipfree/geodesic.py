@@ -38,6 +38,7 @@ from .lipschitz import (
     interval_coordinates,
     lipschitz_norm,
     local_slopes,
+    quotients,
     sub_lipschitz_norm,
 )
 from .metric_core import REL_TOL, PointedMetricSpace, PointPair
@@ -203,15 +204,14 @@ def _defect_profile(kind: str, phi: LipschitzMap, values: np.ndarray,
                     extra: dict[str, Any]) -> DefectProfile:
     """Per target t, the largest num / d(x', y') over pairs of domain
     points whose value sits within r_loc of t (0 when fewer than two do).
-    The ratios are divided once, into ``num``; the diagonal's 0/0 is 0."""
+    The ratios are one :func:`quotients` matrix, divided into ``num``,
+    whose diagonal is -1; each selection's maximum starts at 0."""
     r_loc, eps = _scales(mesh, phi.codomain.diameter, r_loc, eps)
-    with np.errstate(invalid="ignore"):
-        ratios = np.divide(num, phi.domain.dist, out=num)
-    np.fill_diagonal(ratios, 0.0)
+    ratios = quotients(num, phi.domain.dist)
     rows = []
     for t in map(float, grid):
         sel = np.flatnonzero(np.abs(values - t) <= r_loc)
-        best = float(ratios[np.ix_(sel, sel)].max()) if sel.size else 0.0
+        best = float(ratios[np.ix_(sel, sel)].max(initial=0.0))
         rows.append((t, best, 1.0 - best))
     max_defect = max(r[2] for r in rows)
     return DefectProfile(kind=kind, rows=tuple(rows), max_defect=max_defect,

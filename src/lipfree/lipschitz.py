@@ -70,12 +70,18 @@ class LipNorm(NamedTuple):
     witness: tuple[int, int]
 
 
-def _largest_quotient(num: np.ndarray, den: np.ndarray) -> tuple[float, int, int]:
-    """The largest off-diagonal num / den and the first pair, in row-major
-    order, attaining it."""
+def quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, divided in place into ``num``, with -1 on the diagonal
+    (0/0), below every quotient of distinct points, so maxima skip it."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = num / den
-    q[np.eye(len(q), dtype=bool)] = -1.0
+        np.divide(num, den, out=num)
+    np.fill_diagonal(num, -1.0)
+    return num
+
+
+def _largest_quotient(num: np.ndarray, den: np.ndarray) -> tuple[float, int, int]:
+    """The largest off-diagonal num / den and its first pair, row-major."""
+    q = quotients(num, den)
     i, j = divmod(int(np.argmax(q)), len(q))
     return float(q[i, j]), i, j
 
@@ -95,17 +101,12 @@ def lipschitz_norm(f: LipschitzFunction) -> LipNorm:
 
 def local_slopes(f: LipschitzFunction, r: float) -> np.ndarray:
     """Every point's largest difference quotient against the other points
-    within distance r of it (0 where there are none): the row maxima of
-    one quotient matrix |f(x) - f(y)| / d(x, y), masked to those pairs."""
+    within distance r of it (0 where there are none): the row maxima,
+    from 0, of one :func:`quotients` matrix masked to d(x, y) <= r."""
     if r <= 0:
         raise ValueError("scale r must be positive")
-    d = f.space.dist
-    near = d <= r
-    np.fill_diagonal(near, False)  # every other point is at a positive distance
-    q = f.values[:, None] - f.values[None, :]
-    np.abs(q, out=q)
-    np.divide(q, d, out=q, where=near)
-    return np.max(q, axis=1, where=near, initial=0.0)
+    q = quotients(np.abs(f.values[:, None] - f.values[None, :]), f.space.dist)
+    return np.max(q, axis=1, where=f.space.dist <= r, initial=0.0)
 
 
 def pointwise_lip_at_scale(f: LipschitzFunction, x: int, r: float) -> float:

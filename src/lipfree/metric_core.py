@@ -3,7 +3,9 @@
 A space is a finite set of points with a distinguished base point (index
 0 for every generated family) and a validated distance matrix. All
 downstream modules treat spaces as immutable; the distance matrix is
-frozen after construction.
+frozen after construction. The one pass over third points is
+:func:`detours`, which the triangle inequality check and the vertex
+enumeration both read.
 
 Every module follows one tolerance policy, kept here: a distance is
 compared within ``space.tol`` (``REL_TOL`` times the largest distance)
@@ -97,9 +99,10 @@ def validate_space(
 ) -> PointedMetricSpace:
     """Check the metric axioms and wrap the matrix in a space.
 
-    The triangle inequality is checked with tolerance ``REL_TOL * max(d)``,
-    or with an explicit absolute ``tol`` when given. Violations are
-    reported with a witnessing index triple; nothing is ever repaired.
+    The triangle inequality is checked against :func:`detours` within
+    ``REL_TOL * max(d)``, or an explicit absolute ``tol``. A violation is
+    reported with the first third point j that breaks a pair and the first
+    pair (i, k) it breaks, as the triple (i, j, k); nothing is repaired.
     A matrix that is not square or has fewer than two points, or a label
     list of the wrong length, is malformed input, reported at its path in
     a space file (``metric.d`` or ``labels``).
@@ -114,53 +117,58 @@ def validate_space(
         raise MalformedInput("metric.d", f"expected at least two points, got {n}")
     if not (0 <= base < n):
         raise BadBaseIndex(base, n)
-    if not np.all(np.isfinite(d)):
-        i, j = np.argwhere(~np.isfinite(d))[0]
-        raise NegativeDistance(int(i), int(j), float(d[i, j]))
-    if np.any(d < 0):
-        i, j = np.argwhere(d < 0)[0]
-        raise NegativeDistance(int(i), int(j), float(d[i, j]))
-    if np.any(np.diag(d) != 0):
-        i = int(np.argwhere(np.diag(d) != 0)[0][0])
-        raise NegativeDistance(i, i, float(d[i, i]))
+    for bad in (~np.isfinite(d), d < 0, (d != 0) & np.eye(n, dtype=bool)):
+        if bad.any():  # a non-finite, a negative, then a nonzero diagonal entry
+            i, j = (int(v) for v in np.argwhere(bad)[0])
+            raise NegativeDistance(i, j, float(d[i, j]))
     asym = np.argwhere(d != d.T)
     if asym.size:
         i, j = asym[0]
         raise AsymmetricDistance(int(i), int(j), float(d[i, j]), float(d[j, i]))
-    off = ~np.eye(n, dtype=bool)
-    if np.any(d[off] == 0):
-        i, j = [int(v) for v in np.argwhere((d == 0) & off)[0]]
-        raise ZeroDistanceDistinctPoints(i, j)
+    zero = np.argwhere((d == 0) & ~np.eye(n, dtype=bool))
+    if zero.size:
+        raise ZeroDistanceDistinctPoints(int(zero[0][0]), int(zero[0][1]))
 
     if tol is None:
         tol = REL_TOL * float(d.max())
-    # d[i,k] <= d[i,j] + d[j,k] for every j; vectorized over (i, k)
-    for j in range(n):
-        slack = d - (d[:, j][:, None] + d[j, :][None, :])
-        bad = np.argwhere(slack > tol)
-        if bad.size:
-            i, k = [int(v) for v in bad[0]]
-            raise TriangleViolation(i, j, k, float(d[i, k]), float(d[i, j]), float(d[j, k]),
-                                    tol)
+    if np.any(d - detours(d) > tol):
+        i, j, k = _first_violation(d, tol)
+        raise TriangleViolation(i, j, k, float(d[i, k]), float(d[i, j]), float(d[j, k]), tol)
 
     if labels is None:
         labels = tuple(f"p{i}" for i in range(n))
     return PointedMetricSpace(tuple(labels), base, d, dict(meta or {}))
 
 
+def _first_violation(d: np.ndarray, tol: float) -> tuple[int, int, int]:
+    """The triangle witness (i, j, k) :func:`validate_space` reports."""
+    for j in range(d.shape[0]):
+        bad = np.argwhere(d - (d[:, j, None] + d[j]) > tol)
+        if bad.size:
+            return int(bad[0][0]), j, int(bad[0][1])
+
+
 def shortest_path_closure(d: np.ndarray) -> np.ndarray:
     """Relax d through every intermediate point (Floyd-Warshall) until a
     floating-point fixpoint, so the result satisfies the triangle
     inequality with zero tolerance. Infinite entries mark missing edges."""
-    changed = True
-    while changed:
-        changed = False
+    while True:
+        start = d
         for k in range(d.shape[0]):
-            relaxed = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
-            if np.any(relaxed < d):
-                d = relaxed
-                changed = True
-    return d
+            d = np.minimum(d, d[:, k, None] + d[k])
+        if np.array_equal(d, start):
+            return d
+
+
+def detours(d: np.ndarray) -> np.ndarray:
+    """For every pair (x, y), the least d(x, z) + d(z, y) over points z
+    outside {x, y}, or inf where there is none."""
+    best = np.full(d.shape, np.inf)
+    for z in range(d.shape[0]):
+        through = d[:, z, None] + d[z]
+        through[z, :] = through[:, z] = np.inf
+        np.minimum(best, through, out=best)
+    return best
 
 
 def from_weighted_graph(
@@ -173,9 +181,11 @@ def from_weighted_graph(
     """Shortest-path metric of a connected positively weighted graph.
 
     The closure is :func:`shortest_path_closure`, so the returned matrix
-    satisfies the triangle inequality with zero tolerance. An edge with
-    an endpoint outside 0..n-1 is malformed input at ``metric.edges``,
-    and n below 2 at ``metric.n``.
+    satisfies the triangle inequality with zero tolerance, and it stays
+    exactly symmetric: each edge is stored in both orders, and each
+    relaxation adds the same two numbers at (i, j) and at (j, i). An edge
+    with an endpoint outside 0..n-1 is malformed input at
+    ``metric.edges``, and n below 2 at ``metric.n``.
     """
     if n < 2:
         raise MalformedInput("metric.n", f"expected at least two points, got {n}")
@@ -190,15 +200,12 @@ def from_weighted_graph(
         w = float(w)
         if not (w > 0) or not math.isfinite(w):
             raise NegativeDistance(int(i), int(j), w)
-        if i == j:
-            continue
-        if w < d[i, j]:
+        if w < d[i, j]:  # never on the diagonal, whose 0 no weight undercuts
             d[i, j] = d[j, i] = w
     d = shortest_path_closure(d)
     if np.any(np.isinf(d)):
         unreachable = sorted(int(i) for i in np.argwhere(np.isinf(d[0]))[:, 0])
         raise DisconnectedGraph(unreachable)
-    d = np.minimum(d, d.T)  # guard symmetry against asymmetric duplicate edges
     return validate_space(d, base=base, labels=labels, meta=meta)
 
 
@@ -243,8 +250,7 @@ def snowflake(space: PointedMetricSpace, theta: float) -> PointedMetricSpace:
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"snowflake exponent must lie in (0,1), got {theta}")
-    d = np.power(space.dist, theta)
-    np.fill_diagonal(d, 0.0)
+    d = np.power(space.dist, theta)  # 0**theta is exactly 0
     meta = {"family": "snowflake", "theta": theta, "parent": space.meta.get("family")}
     return PointedMetricSpace(space.labels, space.base, d, meta)
 

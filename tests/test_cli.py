@@ -248,6 +248,14 @@ class TestExitCodes:
         assert report is None
         assert "NotNorming" in err
 
+    @pytest.mark.parametrize("method", ["dual", "primal", "both"])
+    def test_non_norming_pairs_exit_2_for_every_method(self, files, capsys, method):
+        code, report, err = run_in_process(capsys, "isometry", "--map", files["map3"],
+                                           "--method", method, "--pairs", "0,2")
+        assert code == 2
+        assert report is None
+        assert "NotNorming" in err
+
     @pytest.mark.parametrize("subset", ["a", "0,9", "0,1,1", "0,-1", "1,2", ","])
     def test_bad_subset_exits_2(self, files, capsys, subset):
         code, report, err = run_in_process(capsys, "extend", files["fn"],
@@ -273,6 +281,31 @@ class TestExitCodes:
         assert report["inputs"] == [cli._input_record("vector", files["vec"])]
         assert report["tolerances"] == {"agreement": cli.FREENORM_AGREEMENT,
                                         "lp_feasibility": REL_TOL}
+
+    def _tiny_vector(self, files, coeffs):
+        # the path 0-1-2 with distances scaled by 1e-9
+        tiny = write(files["dir"] / "tiny.json", {
+            "metric": {"type": "matrix", "d": [[0, 1e-9, 2e-9], [1e-9, 0, 1e-9],
+                                               [2e-9, 1e-9, 0]]}})
+        return write(files["dir"] / "tiny_vec.json", {"space": tiny, "coeffs": coeffs})
+
+    def test_agreement_is_relative_below_unit_scale(self, files, capsys, monkeypatch):
+        # flow 3e-9 against a dual of 0: within 1e-8 absolutely, yet wrong
+        real = cli.free_norm_dual
+        monkeypatch.setattr(cli, "free_norm_dual",
+                            lambda mu: DualResult(0.0, real(mu).maximizer))
+        vec = self._tiny_vector(files, [1.0, 1.0, -2.0])
+        code, report, _ = run_in_process(capsys, "freenorm", vec, "--method", "both")
+        assert code == 3
+        assert report["results"]["flow"] == pytest.approx(3e-9)
+        assert report["results"]["agree"] is False
+
+    @pytest.mark.parametrize("coeffs", [[1.0, 1.0, -2.0], [0.0, 0.0, 0.0]])
+    def test_agreement_holds_below_unit_scale(self, files, capsys, coeffs):
+        vec = self._tiny_vector(files, coeffs)
+        code, report, _ = run_in_process(capsys, "freenorm", vec, "--method", "both")
+        assert code == 0
+        assert report["results"]["agree"] is True
 
     def test_certifier_disagreement_exits_3(self, files, capsys, monkeypatch):
         real = composition._primal_certificate

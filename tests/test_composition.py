@@ -209,13 +209,13 @@ class TestCertifyDual:
         with pytest.raises(NotNorming):
             certify_isometry_dual(identity_map(net), pairs=[PointPair(0, 2)])
 
-    @pytest.mark.parametrize("method", ["dual", "both"])
+    @pytest.mark.parametrize("method", ["dual", "primal", "both"])
     @pytest.mark.parametrize("name", ["fold", "halving"])
     def test_caller_pair_set_checked_before_the_deficit_exit(self, monkeypatch,
                                                              method, name):
         # halving's norm 1/2 decides its verdict without reading a pair,
-        # yet a pair set that misses a vertex is refused as for fold,
-        # after one check
+        # and the primal never reads one, yet a pair set that misses a
+        # vertex is refused as for fold, after one check
         checks = []
         real = composition._norming_failure
 

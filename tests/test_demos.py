@@ -1,4 +1,6 @@
-"""Each demo script runs to completion without a traceback."""
+"""Each demo script runs to completion without a traceback, with
+numpy's RuntimeWarnings (a division by zero, an invalid value) turned
+into errors as in the rest of the suite."""
 
 import os
 import subprocess
@@ -16,7 +18,7 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr

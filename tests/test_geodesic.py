@@ -104,6 +104,12 @@ class TestIntervalNecessary:
         report = check_interval_necessary(builtin_map("fold", 64))
         assert report.max_defect <= 1 / 64
 
+    def test_single_selected_point_reads_ratio_zero(self):
+        # below the mesh each target selects only its own point, which has
+        # no partner: the best ratio is 0, never the quotient diagonal's -1
+        report = check_interval_necessary(builtin_map("identity", 8), r_loc=1e-3)
+        assert [row[1:] for row in report.rows] == [(0.0, 1.0)] * 9
+
     def test_rows_expose_profile(self):
         report = check_interval_necessary(builtin_map("identity", 8))
         assert len(report.rows) == 9

@@ -17,6 +17,7 @@ from lipfree.lipschitz import (
     mcshane_extend,
     peak_function,
     pointwise_lip_at_scale,
+    quotients,
 )
 from lipfree.fixtures import random_lipschitz_function, random_space
 from lipfree.metric_core import from_weighted_graph, interval_net, validate_space
@@ -37,6 +38,10 @@ class TestLipschitzNorm:
 
     def test_zero_function(self, path3):
         assert lipschitz_norm(LipschitzFunction(path3, np.zeros(3))).value == 0.0
+
+    def test_constant_function_reports_the_first_pair(self, path3):
+        # every off-diagonal quotient is 0 and the diagonal's -1 never wins
+        assert lipschitz_norm(LipschitzFunction(path3, np.full(3, 2.5))) == (0.0, (0, 1))
 
     def test_three_point_scan(self):
         net = interval_net(2)
@@ -125,6 +130,14 @@ def _slopes_point_by_point(f, r):
                      if 0.0 < d[x, y] <= r]
         slopes.append(max(quotients, default=0.0))
     return np.array(slopes)
+
+
+class TestQuotients:
+    def test_divides_in_place_with_minus_one_on_the_diagonal(self, path3):
+        num = np.abs(np.subtract.outer([0.0, 0.5, 3.0], [0.0, 0.5, 3.0]))
+        q = quotients(num, path3.dist)
+        assert q is num
+        assert q.tolist() == [[-1.0, 0.5, 1.5], [0.5, -1.0, 2.5], [1.5, 2.5, -1.0]]
 
 
 class TestLocalSlopes:

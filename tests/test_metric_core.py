@@ -11,13 +11,16 @@ from lipfree.errors import (
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
+from lipfree.fixtures import random_space
 from lipfree.metric_core import (
     REL_TOL,
     PointPair,
     circle_net,
+    detours,
     from_weighted_graph,
     intermediate_points,
     interval_net,
+    shortest_path_closure,
     snowflake,
     validate_space,
 )
@@ -32,6 +35,15 @@ class TestValidateSpace:
     def test_triangle_violation_reports_witness(self):
         with pytest.raises(TriangleViolation) as exc:
             validate_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+        assert exc.value.witness == (0, 1, 2)
+
+    def test_several_violations_report_the_first_third_point(self):
+        # (0, 2) breaks through 1 (sum 4) and more deeply through 3 (sum 2),
+        # and (1, 2) through 3; the witness is the first third point j, not
+        # the least detour, then the first pair (i, k) it breaks
+        d = [[0, 1, 5, 1], [1, 0, 3, 1.5], [5, 3, 0, 1], [1, 1.5, 1, 0]]
+        with pytest.raises(TriangleViolation) as exc:
+            validate_space(d)
         assert exc.value.witness == (0, 1, 2)
 
     def test_path_graph_metric_is_valid(self):
@@ -226,3 +238,73 @@ class TestIntermediatePoints:
     def test_pair_must_be_distinct(self):
         with pytest.raises(ValueError):
             PointPair(1, 1)
+
+
+def _brute_detours(d):
+    n = len(d)
+    out = np.full((n, n), np.inf)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if z not in (x, y):
+                    out[x, y] = min(out[x, y], d[x, z] + d[z, y])
+    return out
+
+
+def _reference_closure(d):
+    """Textbook Floyd-Warshall, scalar by scalar, repeated to a fixpoint."""
+    d = d.copy()
+    n = len(d)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(n):
+            relaxed = d.copy()
+            for i in range(n):
+                for j in range(n):
+                    relaxed[i, j] = min(d[i, j], d[i, k] + d[k, j])
+            changed |= not np.array_equal(relaxed, d)
+            d = relaxed
+    return d
+
+
+class TestDetours:
+    @pytest.mark.parametrize("kind", ["euclidean", "graph", "snowflake"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 12])
+    def test_matches_triple_loop_bitwise(self, kind, n):
+        for seed in range(3):
+            space = random_space(np.random.default_rng(seed), n, kind)
+            assert np.array_equal(detours(space.dist), _brute_detours(space.dist))
+
+    def test_integer_metrics_with_exact_ties(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(2, 8))
+            d = rng.integers(1, 4, size=(n, n)).astype(float)
+            d = np.triu(d, 1) + np.triu(d, 1).T
+            assert np.array_equal(detours(d), _brute_detours(d))
+
+    def test_two_points_have_no_detour_between_them(self):
+        # on the diagonal the other point is a third point: d(x, z) + d(z, x)
+        assert detours(np.array([[0.0, 1.0], [1.0, 0.0]])).tolist() == [[2, np.inf],
+                                                                         [np.inf, 2]]
+
+    def test_path_midpoint_is_the_only_tight_detour(self):
+        path = from_weighted_graph(3, [(0, 1, 1), (1, 2, 1)])
+        assert detours(path.dist).tolist() == [[2, 3, 2], [3, 2, 3], [2, 3, 2]]
+
+
+class TestShortestPathClosure:
+    def test_matches_reference_floyd_warshall_bitwise(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n = int(rng.integers(2, 10))
+            d = np.full((n, n), np.inf)
+            np.fill_diagonal(d, 0.0)
+            for _ in range(2 * n):
+                i, j = (int(v) for v in rng.integers(n, size=2))
+                if i != j:
+                    d[i, j] = d[j, i] = min(d[i, j], float(rng.uniform(0.1, 2.0)))
+            closed = shortest_path_closure(d.copy())
+            assert np.array_equal(closed, _reference_closure(d))
+            assert np.array_equal(closed, closed.T)
