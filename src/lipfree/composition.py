@@ -15,10 +15,11 @@ every function's norm:
   realizing the same distance;
 * the primal route checks, vertex by vertex, that the codomain unit
   ball is contained in the push-forward image of the domain unit ball.
-  Pushed molecules lie in the ball, and a vertex is in the hull of
-  points of the ball only if it is one of them, so the vertices equal
-  to a pushed molecule are read from one table built per pass; only
-  the other vertices ask the hull-membership kernel
+  Pushed molecules, one per ordered domain pair, are read from the
+  image table and the domain matrix. They lie in the ball, and a vertex
+  is in the hull of points of the ball only if it is one of them, so
+  the vertices equal to a pushed molecule are read from one table built
+  per pass; only the other vertices ask the hull-membership kernel
   :func:`freespace.hull_combination` for a convex combination, one LP
   each.
 
@@ -45,7 +46,6 @@ from .freespace import (
     FreeVector,
     _first_outside_hull,
     _norming_failure,
-    _ordered_pairs,
     extreme_molecules,
 )
 from .lipschitz import LipschitzFunction, _largest_quotient
@@ -245,12 +245,11 @@ def _primal_certificate(phi: LipschitzMap, vertices: list[PointPair],
     ball; both balls are polytopes, so it is enough to reach every
     vertex of the codomain ball by a convex combination of pushed
     domain molecules (a pushed molecule equal to the vertex, or else an
-    LP feasibility problem).
+    LP feasibility problem), read from the image table and the domain
+    matrix, one per ordered domain pair.
     """
-    u, v = _ordered_pairs(phi.domain.n)
-    img = np.asarray(phi.image)
-    failing = _first_outside_hull(phi.codomain, vertices, img[u], img[v],
-                                  phi.domain.dist[u, v])
+    failing = _first_outside_hull(phi.codomain, vertices, np.asarray(phi.image),
+                                  phi.domain.dist)
     tolerances = {"tol_metric": tol, "lp_feasibility": REL_TOL}
     if failing is not None:
         return IsometryCertificate(

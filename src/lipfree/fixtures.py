@@ -220,15 +220,13 @@ def _random_quotient_map(rng: np.random.Generator, domain_n: int,
         pinned = rng.choice(len(others), size=m - 1, replace=False)
         for val, pos in enumerate(np.sort(pinned), start=1):
             img[others[int(pos)]] = val
+        # least domain distance between fibers: grouped minima over the
+        # rows, then over the columns
+        rows = np.full((m, domain_n), np.inf)
+        np.minimum.at(rows, img, n_space.dist)
         d_min = np.full((m, m), np.inf)
+        np.minimum.at(d_min.T, img, rows.T)
         np.fill_diagonal(d_min, 0.0)
-        for a in range(m):
-            for b in range(m):
-                if a == b:
-                    continue
-                fa = np.flatnonzero(img == a)
-                fb = np.flatnonzero(img == b)
-                d_min[a, b] = n_space.dist[np.ix_(fa, fb)].min()
         # largest metric below the fiber distance
         d_min = shortest_path_closure(d_min)
         off = d_min[~np.eye(m, dtype=bool)]

@@ -26,12 +26,12 @@ matrix; the LP vertex test :func:`is_extreme_molecule` is its
 independent oracle. The other hull questions (is a pair set norming,
 does a pushed ball cover it) are answered vertex by vertex. A vertex
 lies in the hull of points of the ball only if it is one of them, so a
-pair set norms exactly when it lists every vertex. For a pushed ball,
-one table of the columns equal to a vertex, built once per pass, covers
-those vertices; each other vertex goes to one face-filtered
-hull-membership LP, :func:`hull_combination`, in units of the vertex's
-distance, so its feasibility tolerance ``REL_TOL`` is relative. scipy
-is imported only when an LP is solved.
+pair set norms exactly when it lists every vertex. A pushed ball's
+columns are the map's ordered domain pairs, read from its image table
+and domain matrix. One table of the columns equal to a vertex covers
+those vertices; each other vertex goes to one face-filtered LP,
+:func:`hull_combination`, in units of the vertex's distance, so its
+tolerance ``REL_TOL`` is relative. scipy is imported only for an LP.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvariantFailure, NotZeroSum, SpaceMismatch
-from .lipschitz import LipschitzFunction
+from .lipschitz import LipschitzFunction, quotients
 from .metric_core import REL_TOL, PointedMetricSpace, PointPair, detours
 
 ZERO_SUM_REL = 1e-12
@@ -321,19 +321,17 @@ def molecule_distance(a: Molecule, b: Molecule) -> float:
 # vertex oracle and norming sets
 # ---------------------------------------------------------------------------
 
-def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.nonzero(~np.eye(n, dtype=bool))
+def hull_combination(space: PointedMetricSpace, pair: PointPair, img: np.ndarray,
+                     d_dom: np.ndarray):
+    """Write the pair's molecule as a convex combination of the pushed
+    molecules (delta_img[a] - delta_img[b]) / d_dom[a, b], or return None
+    when it lies outside their convex hull.
 
-
-def hull_combination(space: PointedMetricSpace, pair: PointPair, u: np.ndarray,
-                     v: np.ndarray, d_uv: np.ndarray):
-    """Write the pair's molecule as a convex combination of the column
-    molecules (delta_u - delta_v) / d_uv, or return None when it lies
-    outside their convex hull.
-
-    This one kernel answers every hull question in the package that
-    needs an LP: the vertex test, and the vertices of the primal
-    isometry certificate that no column equals.
+    The columns are the map's ordered domain pairs a != b, read from the
+    image table and the domain distance matrix; an infinite distance
+    drops its column. This one kernel answers every hull question that
+    needs an LP: the vertex test, and the primal certificate's vertices
+    that no column equals.
     The norm-one function h = (d(., y) - d(., x)) / 2 pairs to exactly 1
     with the target, and a convex combination of points pairing at most
     1 with h pairs to 1 only if every support point does; columns
@@ -343,30 +341,31 @@ def hull_combination(space: PointedMetricSpace, pair: PointPair, u: np.ndarray,
     the molecules times d_xy, so its entries are ratios of distances and
     HiGHS's tolerance ``REL_TOL`` is relative at every unit of distance.
     Columns may share endpoints (pushed molecules); their coefficients
-    then add. Returns the kept column indices and their weights.
+    then add. Returns the kept domain pairs, as index arrays in
+    row-major order, and their weights.
     """
-    h = 0.5 * (space.dist[:, pair.y] - space.dist[:, pair.x])
-    face = (h[u] - h[v]) / d_uv
-    idx = np.flatnonzero(face >= 1.0 - REL_TOL)
-    if idx.size == 0:
+    h = 0.5 * (space.dist[img, pair.y] - space.dist[img, pair.x])
+    face = quotients(h[:, None] - h[None, :], d_dom)
+    xs, ys = np.nonzero(face >= 1.0 - REL_TOL)
+    if xs.size == 0:
         return None
     from scipy.optimize import linprog
-    d_xy = space.dist[pair.x, pair.y]
+    scale = space.dist[pair.x, pair.y] / d_dom[xs, ys]
     n = space.n
-    cols = np.zeros((n + 1, idx.size))
-    ar = np.arange(idx.size)
-    np.add.at(cols, (u[idx], ar), d_xy / d_uv[idx])
-    np.add.at(cols, (v[idx], ar), -d_xy / d_uv[idx])
+    cols = np.zeros((n + 1, xs.size))
+    ar = np.arange(xs.size)
+    np.add.at(cols, (img[xs], ar), scale)
+    np.add.at(cols, (img[ys], ar), -scale)
     cols[n, :] = 1.0
     b = np.zeros(n + 1)
     b[[pair.x, pair.y, n]] = 1.0, -1.0, 1.0
-    res = linprog(np.zeros(idx.size), A_eq=cols, b_eq=b,
+    res = linprog(np.zeros(xs.size), A_eq=cols, b_eq=b,
                   bounds=(0.0, None), method="highs", options=_LP_OPTIONS)
     if res.status == 2:
         return None
     if res.status != 0:
         raise InvariantFailure(f"hull LP failed with status {res.status}")
-    return idx, res.x
+    return (xs, ys), res.x
 
 
 class ExtremeResult(NamedTuple):
@@ -381,18 +380,18 @@ def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeRe
     (the reversed pairs), so the molecule is a vertex exactly when it is
     not a convex combination of the others; the combination is returned
     as a certificate in the negative case. This is the independent
-    oracle for :func:`extreme_molecules`; the molecule's own column is
-    excluded, so every combination comes from one LP.
+    oracle for :func:`extreme_molecules`. The columns are the identity's
+    ordered pairs, with distance (x, y) set infinite so that the
+    molecule's own column drops out: every combination comes from one LP.
     """
-    u, v = _ordered_pairs(space.n)
-    others = (u != pair.x) | (v != pair.y)
-    u, v = u[others], v[others]
-    found = hull_combination(space, pair, u, v, space.dist[u, v])
+    d_dom = space.dist.copy()
+    d_dom[pair.x, pair.y] = np.inf
+    found = hull_combination(space, pair, np.arange(space.n), d_dom)
     if found is None:
         return ExtremeResult(True, None)
-    idx, weights = found
+    (xs, ys), weights = found
     return ExtremeResult(False, tuple(
-        ((int(u[k]), int(v[k])), float(w)) for k, w in zip(idx, weights) if w > 1e-10
+        ((int(x), int(y)), float(w)) for x, y, w in zip(xs, ys, weights) if w > 1e-10
     ))
 
 
@@ -419,23 +418,25 @@ class NormingResult(NamedTuple):
 
 
 def _first_outside_hull(space: PointedMetricSpace, vertices: list[PointPair],
-                       u: np.ndarray, v: np.ndarray, d_uv: np.ndarray):
-    """The first listed vertex outside the hull of the column molecules,
+                        img: np.ndarray, d_dom: np.ndarray):
+    """The first listed vertex outside the hull of the pushed molecules,
     or None: the vertex loop of the primal certificate.
 
-    The columns lie in the ball, and a vertex of the ball lies in the
-    hull of points of the ball only if it equals one of them. So a
-    vertex is covered when some column has its endpoints and bitwise
-    its distance; the table of those endpoint pairs is built once, and
-    only the other vertices go to :func:`hull_combination`. Such a
-    column passes the kernel's face filter exactly (its face value is
-    d/d = 1), so the table decides what the kernel would.
+    The columns, the map's ordered domain pairs read from the image
+    table and the domain matrix, lie in the ball, and a vertex of the
+    ball lies in the hull of points of the ball only if it equals one of
+    them. So a vertex is covered when some domain pair has its endpoints
+    as images and bitwise its distance; the table of those endpoint
+    pairs is built once, and only the other vertices go to
+    :func:`hull_combination`. Such a column passes the kernel's face
+    filter exactly (its face value is d/d = 1), so the table decides
+    what the kernel would.
     """
     covered = np.zeros((space.n, space.n), dtype=bool)
-    exact = d_uv == space.dist[u, v]
-    covered[u[exact], v[exact]] = True
+    xs, ys = np.nonzero(d_dom == space.dist[np.ix_(img, img)])
+    covered[img[xs], img[ys]] = True
     return next((w for w in vertices if not covered[w.x, w.y]
-                 and hull_combination(space, w, u, v, d_uv) is None), None)
+                 and hull_combination(space, w, img, d_dom) is None), None)
 
 
 def _norming_failure(pairs: Sequence[PointPair],

@@ -70,7 +70,7 @@ MESHES = (8, 16, 32, 64)
 
 
 def criterion_1_primal_dual_agreement() -> dict:
-    """500 random zero-sum vectors: flow and LP values agree to 1e-8."""
+    """500 random zero-sum vectors: flow and LP values agree to 1e-8 relative."""
     started = time.perf_counter()
     rng = np.random.default_rng(1001)
     worst = 0.0
@@ -80,9 +80,9 @@ def criterion_1_primal_dual_agreement() -> dict:
         mu = random_zero_sum(rng, space)
         flow = free_norm_primal(mu).value
         lp = free_norm_dual(mu).value
-        gap = abs(flow - lp) / max(1.0, flow)
-        worst = max(worst, gap)
-        if gap > 1e-8:
+        gap = abs(flow - lp)  # relative at every scale, as freenorm --method both
+        worst = max(worst, gap / flow)
+        if gap > 1e-8 * flow:
             failures += 1
     runtime = time.perf_counter() - started
     return {

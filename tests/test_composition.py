@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,13 +23,14 @@ from lipfree.errors import (
 )
 from lipfree.fixtures import builtin_map, random_lipschitz_function, \
     random_one_lipschitz_map, tripod
-from lipfree.freespace import FreeVector, molecule, pairing
+from lipfree.freespace import FreeVector, extreme_molecules, molecule, pairing
 from lipfree.lipschitz import LipschitzFunction, lipschitz_norm
 from lipfree.metric_core import (
     REL_TOL,
     PointPair,
     from_weighted_graph,
     interval_net,
+    shortest_path_closure,
     validate_space,
 )
 
@@ -181,6 +184,24 @@ class TestOperatorNorm:
         assert best <= bound + 1e-9
 
 
+class TestRandomQuotientMap:
+    def test_codomain_is_the_closure_of_the_fiber_distances(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            phi = random_one_lipschitz_map(rng, int(rng.integers(2, 12)),
+                                           int(rng.integers(2, 9)), kind="quotient")
+            img = np.asarray(phi.image)
+            m = phi.codomain.n
+            fibers = np.zeros((m, m))
+            for a in range(m):
+                for b in range(m):
+                    if a != b:
+                        fibers[a, b] = min(phi.domain.d(x, y)
+                                           for x in np.flatnonzero(img == a)
+                                           for y in np.flatnonzero(img == b))
+            assert np.array_equal(phi.codomain.dist, shortest_path_closure(fibers))
+
+
 class TestCertifyDual:
     def test_identity_isometric_with_witnesses(self, path3):
         cert = certify_isometry_dual(identity_map(path3))
@@ -277,6 +298,20 @@ class TestCertifyPrimal:
     def test_isometric_pass_makes_no_kernel_call(self, hull_calls, make):
         assert certify_isometry_primal(make()).verdict == "isometric"
         assert hull_calls == []
+
+    def test_pass_memory_stays_below_three_domain_matrices(self):
+        # the pushed ball is read from the image table and the domain
+        # matrix, with no per-pair arrays beside them
+        phi = builtin_map("fold", 256)
+        n = phi.domain.n
+        extreme_molecules(phi.codomain)  # warm-up, so the pass does no first-time setup
+        tracemalloc.start()
+        try:
+            assert certify_isometry(phi, "primal").verdict == "isometric"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n * 8
 
     def test_strictly_contractive_short_circuits(self):
         cert = certify_isometry_primal(builtin_map("halving", 4))

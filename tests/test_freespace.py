@@ -15,7 +15,6 @@ from lipfree.freespace import (
     ZERO_SUM_REL,
     FreeVector,
     _first_outside_hull,
-    _ordered_pairs,
     extreme_molecules,
     free_norm_dual,
     free_norm_primal,
@@ -417,7 +416,7 @@ class TestHullExactHit:
         for _ in range(40):
             phi = random_one_lipschitz_map(rng, int(rng.integers(2, 8)),
                                            int(rng.integers(2, 7)))
-            u, v = _ordered_pairs(phi.domain.n)
+            u, v = np.nonzero(~np.eye(phi.domain.n, dtype=bool))
             img = np.asarray(phi.image)
             img_u, img_v, d_uv = img[u], img[v], phi.domain.dist[u, v]
             columns = np.zeros((d_uv.size, phi.codomain.n))
@@ -425,7 +424,7 @@ class TestHullExactHit:
             np.add.at(columns, (np.arange(d_uv.size), img_v), -1.0 / d_uv)
             vertices = extreme_molecules(phi.codomain)
             hull_calls.clear()
-            failing = _first_outside_hull(phi.codomain, vertices, img_u, img_v, d_uv)
+            failing = _first_outside_hull(phi.codomain, vertices, img, phi.domain.dist)
             answered = vertices[:vertices.index(failing) + 1] if failing else vertices
             for vertex in answered:
                 if vertex in hull_calls:
@@ -437,11 +436,10 @@ class TestHullExactHit:
 
     def test_near_hit_is_solved(self, lp_solves):
         two = validate_space([[0, 1], [1, 0]])
-        u, v = np.array([0, 1]), np.array([1, 0])
-        d_uv = np.full(2, np.nextafter(1.0, np.inf))
-        idx, weights = hull_combination(two, PointPair(0, 1), u, v, d_uv)
+        d_dom = np.nextafter(1.0, np.inf) * (1.0 - np.eye(2))
+        (xs, ys), weights = hull_combination(two, PointPair(0, 1), np.arange(2), d_dom)
         assert len(lp_solves) == 1
-        assert idx.tolist() == [0]
+        assert (xs.tolist(), ys.tolist()) == ([0], [1])
         assert np.array_equal(weights, lp_solves[0].result.x)
 
     @pytest.mark.parametrize("near, column", [(1, (0, 2)), (0, (2, 1))])
@@ -452,8 +450,8 @@ class TestHullExactHit:
         # distance, but is another molecule
         d = 1.0 - np.eye(3)
         d[2, near] = d[near, 2] = 1e-12
-        u, v = np.array([column[0]]), np.array([column[1]])
-        found = hull_combination(validate_space(d), PointPair(0, 1), u, v, np.ones(1))
+        found = hull_combination(validate_space(d), PointPair(0, 1), np.array(column),
+                                 1.0 - np.eye(2))
         assert found is None
         assert len(lp_solves) == 1
 
