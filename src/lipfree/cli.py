@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__
 from .composition import (
     LipschitzMap,
-    _cert_tol,
     certify_isometry,
     compose,
     identity_map,
@@ -121,12 +120,12 @@ def _parse_pairs(text: str, n: int) -> list[PointPair]:
 
 def _certify(phi: LipschitzMap, args, inputs, tolerances, pairs=None):
     """Certify as the flags ask: (certificate, operator norm, certification
-    wall time). Sets ``tolerances["tol_metric"]``; a disagreement carries
-    the command's inputs and tolerances to its report."""
-    tol = tolerances["tol_metric"] = _cert_tol(phi) if args.tol is None else args.tol
+    wall time). Adds the codomain's tolerances to ``tolerances``; a
+    disagreement carries the command's inputs and tolerances to its report."""
+    tolerances.update(_space_tolerances(phi.codomain, args))
     started = time.perf_counter()
     try:
-        cert = certify_isometry(phi, method=args.method, pairs=pairs, tol=tol)
+        cert = certify_isometry(phi, method=args.method, pairs=pairs)
     except MethodDisagreement as exc:
         exc.inputs, exc.tolerances = inputs, tolerances
         raise
@@ -148,11 +147,12 @@ def _check_numeric_flags(args) -> None:
 
 
 def _resolve_experiment_map(spec_text: str, mesh: int | None = None,
-                            space_path: str | None = None):
+                            space_path: str | None = None, tol: float | None = None):
     """builtin:NAME, file:PATH or a bare path: the map, the geodesic space
     read from ``space_path`` (else None) and the map's input record. A
     builtin's name is checked before any file is read; an interval builtin
-    needs ``mesh``, and on a geodesic space the only one is identity."""
+    needs ``mesh``, and on a geodesic space the only one is identity.
+    ``tol`` admits every space read from a file."""
     names = BUILTIN_MAPS if space_path is None else ("identity",)
     builtin = spec_text.startswith("builtin:")
     name = (spec_text.split(":", 1)[1]
@@ -161,11 +161,12 @@ def _resolve_experiment_map(spec_text: str, mesh: int | None = None,
         raise MalformedInput("--map", f"unknown builtin map {name!r}; choose from "
                              + ", ".join(f"builtin:{known}" for known in names))
     if space_path is not None:
-        gspace = load_geodesic_space(space_path)
-        phi = identity_map(gspace.space) if builtin else load_map(name, codomain=gspace.space)
+        gspace = load_geodesic_space(space_path, tol)
+        phi = (identity_map(gspace.space) if builtin
+               else load_map(name, codomain=gspace.space, tol=tol))
         return phi, gspace, {"builtin" if builtin else "path": name}
     if not builtin:
-        return load_map(name), None, {"path": name}
+        return load_map(name, tol=tol), None, {"path": name}
     if mesh is None:
         raise MalformedInput("--mesh", "builtin maps need --mesh")
     return builtin_map(name, mesh), None, {"builtin": name, "mesh": mesh}
@@ -186,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         if tol:
             p.add_argument("--tol", type=float, default=None,
-                           help="absolute tolerance for distances (default 1e-9 * diameter)")
+                           help="distance tolerance admitting the input spaces "
+                                "(default 1e-9 * diameter)")
         if methods:
             p.add_argument("--method", default="both", choices=methods,
                            help="which algorithm(s) to run")
@@ -351,7 +353,7 @@ def _cmd_norming(args):
 def _cmd_isometry(args):
     domain = load_space(args.domain, tol=args.tol) if args.domain else None
     codomain = load_space(args.codomain, tol=args.tol) if args.codomain else None
-    phi = load_map(args.map_path, domain=domain, codomain=codomain)
+    phi = load_map(args.map_path, domain=domain, codomain=codomain, tol=args.tol)
     pairs = _parse_pairs(args.pairs, phi.codomain.n) if args.pairs else None
     inputs = [_input_record("map", args.map_path)]
     if args.domain:
@@ -366,11 +368,11 @@ def _cmd_isometry(args):
 
 
 def _cmd_extend(args):
-    f = load_function(args.function)
+    f = load_function(args.function, tol=args.tol)
     subset = _parse_indices("--subset", args.subset, f.space.n)
     if f.space.base not in subset:
         raise MalformedInput("--subset", f"must contain the base point {f.space.base}")
-    floor = load_function(args.floor) if args.floor else None
+    floor = load_function(args.floor, tol=args.tol) if args.floor else None
     if floor is not None and floor.space.n != f.space.n:
         raise MalformedInput("--floor", "floor lives on a different-size space")
     if floor is not None:
@@ -390,7 +392,7 @@ def _cmd_extend(args):
 
 
 def _cmd_experiment_interval(args):
-    phi, _, map_record = _resolve_experiment_map(args.map_spec, args.mesh)
+    phi, _, map_record = _resolve_experiment_map(args.map_spec, args.mesh, tol=args.tol)
     inputs = [_input_record("map", map_record.get("path"), map_record)]
     necessary = check_interval_necessary(phi, r_loc=args.r_loc, eps=args.eps)
     sufficient = check_interval_sufficient(phi, r=necessary.r_loc, eps=args.eps)
@@ -420,7 +422,7 @@ def _cmd_experiment_interval(args):
 
 def _cmd_experiment_geodesic(args):
     phi, gspace, map_record = _resolve_experiment_map(args.map_spec,
-                                                      space_path=args.space)
+                                                      space_path=args.space, tol=args.tol)
     inputs = [_input_record("space", args.space),
               _input_record("map", map_record.get("path"), map_record)]
     profiles = [check_geodesic_necessary(phi, gspace, PointPair(x, y),

@@ -12,7 +12,7 @@ one vertex list whether composition against a norm-one map preserves
 every function's norm:
 
 * the dual route searches, for every vertex (x, y), for a preimage pair
-  realizing the same distance;
+  (x', y') with d(x, y)/d(x', y') = 1;
 * the primal route checks, vertex by vertex, that the codomain unit
   ball is contained in the push-forward image of the domain unit ball.
   Pushed molecules, one per ordered domain pair, are read from the
@@ -25,7 +25,8 @@ every function's norm:
 
 The two routes are provably equivalent, so the ``both`` method fails
 loudly on disagreement: that outcome falsifies the implementation,
-never the mathematics.
+never the mathematics. Both read "ratio one" as a ratio of at least
+``1 - REL_TOL``, one floating-point comparison on a vertex's preimage.
 """
 
 from __future__ import annotations
@@ -181,34 +182,30 @@ class AgreementReport:
         }
 
 
-def _cert_tol(phi: LipschitzMap) -> float:
-    return max(phi.domain.tol, phi.codomain.tol)
-
-
 def _dual_certificate(phi: LipschitzMap, vertices: list[PointPair],
-                      pairs: Sequence[PointPair] | None,
-                      tol: float) -> IsometryCertificate:
-    """Preimage-distance criterion over a norming pair set.
+                      pairs: Sequence[PointPair] | None) -> IsometryCertificate:
+    """Preimage-ratio criterion over a norming pair set.
 
     For every pair (x, y) in the set (default: the codomain's vertices)
-    a preimage pair (x', y') with equal distance up to the metric
-    tolerance must exist; since the map is norm-one, d(x', y') >= d(x, y)
-    always, so the bound is the attained form of the ratio-one
-    condition. With the default pair set the verdict is conclusive in
-    both directions; a caller-supplied set, which :func:`certify_isometry`
-    has checked to be norming, decides only the positive direction: a
-    pair failing the bound makes the verdict ``inconclusive``, since it
-    need not be a vertex.
+    the closest preimage pair (x', y') must have d(x, y)/d(x', y') at
+    least ``1 - REL_TOL``, the primal's face filter on the same column;
+    the map is norm-one, so this is the attained ratio-one condition.
+    With the default pair set the verdict is conclusive in both
+    directions; a caller-supplied set, which :func:`certify_isometry` has
+    checked to be norming, decides only the positive direction: a pair
+    failing the bound makes the verdict ``inconclusive``, since it need
+    not be a vertex.
     """
     if pairs is None:
         pair_list, scope, negative = vertices, "necessary_and_sufficient", "not_isometric"
     else:
         pair_list, scope, negative = list(pairs), "sufficient_only", "inconclusive"
+    tolerances = {"tol_metric": phi.codomain.tol, "preimage_ratio": REL_TOL}
 
     def failed(pair: PointPair, notes: str) -> IsometryCertificate:
         return IsometryCertificate(
             verdict=negative, method="dual_preimage", scope=scope,
-            failing_pair=pair.as_tuple(), tolerances={"tol_metric": tol}, notes=notes)
+            failing_pair=pair.as_tuple(), tolerances=tolerances, notes=notes)
 
     img = np.asarray(phi.image)
     witnesses = []
@@ -222,7 +219,7 @@ def _dual_certificate(phi: LipschitzMap, vertices: list[PointPair],
         i, j = divmod(k, ys.size)
         best = float(block[i, j])
         target = phi.codomain.d(pair.x, pair.y)
-        if best > target + tol:
+        if target / best < 1.0 - REL_TOL:
             return failed(pair, f"best preimage distance {best!r} exceeds {target!r}")
         witnesses.append({
             "pair": pair.as_tuple(),
@@ -232,12 +229,11 @@ def _dual_certificate(phi: LipschitzMap, vertices: list[PointPair],
         })
     return IsometryCertificate(
         verdict="isometric", method="dual_preimage", scope=scope,
-        witnesses=tuple(witnesses), tolerances={"tol_metric": tol},
+        witnesses=tuple(witnesses), tolerances=tolerances,
     )
 
 
-def _primal_certificate(phi: LipschitzMap, vertices: list[PointPair],
-                        tol: float) -> IsometryCertificate:
+def _primal_certificate(phi: LipschitzMap, vertices: list[PointPair]) -> IsometryCertificate:
     """Polytope-containment criterion, vertex by vertex.
 
     Composition against the map is isometric exactly when the
@@ -250,7 +246,7 @@ def _primal_certificate(phi: LipschitzMap, vertices: list[PointPair],
     """
     failing = _first_outside_hull(phi.codomain, vertices, np.asarray(phi.image),
                                   phi.domain.dist)
-    tolerances = {"tol_metric": tol, "lp_feasibility": REL_TOL}
+    tolerances = {"tol_metric": phi.codomain.tol, "lp_feasibility": REL_TOL}
     if failing is not None:
         return IsometryCertificate(
             verdict="not_isometric", method="primal_polytope",
@@ -279,22 +275,20 @@ def certify_isometry(
     phi: LipschitzMap,
     method: str = "both",
     pairs: Sequence[PointPair] | None = None,
-    tol: float | None = None,
 ):
     """Run one or both certifiers; with ``both``, the primal verdict is
     reported and a conclusive dual verdict must equal it.
 
     ``pairs`` that miss a vertex raise :class:`NotNorming` before any
-    verdict, whatever the method. The map norm is a ratio, compared with 1
-    within ``REL_TOL``; ``tol`` (default the larger space tolerance) is a
-    distance and decides only the dual's preimage comparison.
-    Disagreement raises :class:`MethodDisagreement` with both
-    certificates as dictionaries: an implementation bug, surfaced loudly.
+    verdict, whatever the method. The map norm and every preimage or
+    face ratio are compared with 1 within ``REL_TOL``; the codomain's
+    ``tol``, a distance, decides only which pairs are vertices, and the
+    certificates report it as ``tol_metric``. Disagreement raises
+    :class:`MethodDisagreement` with both certificates as dictionaries: an
+    implementation bug, surfaced loudly.
     """
     if method not in ("dual", "primal", "both"):
         raise ValueError(f"unknown certification method {method!r}")
-    if tol is None:
-        tol = _cert_tol(phi)
     norm = phi.norm_with_witness()
     if norm.value > 1.0 + REL_TOL:
         raise MapNormExceedsOne(norm.value, norm.witness, REL_TOL)
@@ -307,12 +301,12 @@ def certify_isometry(
         dual, primal = (IsometryCertificate(
             verdict="not_isometric", method=name,
             failing_pair=vertices[0].as_tuple(),
-            tolerances={"tol_metric": tol, "map_norm": REL_TOL},
+            tolerances={"tol_metric": phi.codomain.tol, "map_norm": REL_TOL},
             notes=f"operator norm {norm.value!r} is strictly below one",
         ) for name in ("dual_preimage", "primal_polytope"))
     else:
-        dual = _dual_certificate(phi, vertices, pairs, tol) if method != "primal" else None
-        primal = _primal_certificate(phi, vertices, tol) if method != "dual" else None
+        dual = _dual_certificate(phi, vertices, pairs) if method != "primal" else None
+        primal = _primal_certificate(phi, vertices) if method != "dual" else None
     if method != "both":
         return dual if method == "dual" else primal
     if dual.verdict not in (primal.verdict, "inconclusive"):

@@ -113,14 +113,15 @@ def space_from_dict(obj: dict, where: str = "space",
         raise MalformedInput(f"{where}.{exc.json_path}", exc.reason) from None
 
 
-def _resolve_space(obj: dict, key: str, anchor: Path, where: str) -> PointedMetricSpace:
+def _resolve_space(obj: dict, key: str, anchor: Path, where: str,
+                   tol: float | None = None) -> PointedMetricSpace:
     ref = _require(obj, key, where)
     if isinstance(ref, str):
         path = Path(ref)
         if not path.is_absolute():
             path = anchor / path
-        return space_from_dict(read_json(path), where=str(path))
-    return space_from_dict(ref, where=f"{where}.{key}")
+        return space_from_dict(read_json(path), where=str(path), tol=tol)
+    return space_from_dict(ref, where=f"{where}.{key}", tol=tol)
 
 
 def load_space(path: str | Path, tol: float | None = None) -> PointedMetricSpace:
@@ -135,10 +136,10 @@ def space_to_dict(space: PointedMetricSpace) -> dict:
     }
 
 
-def load_function(path: str | Path) -> LipschitzFunction:
+def load_function(path: str | Path, tol: float | None = None) -> LipschitzFunction:
     obj = read_json(path)
     where = str(path)
-    space = _resolve_space(obj, "space", Path(path).parent, where)
+    space = _resolve_space(obj, "space", Path(path).parent, where, tol)
     values = _floats(obj, "values", where)
     if values.shape != (space.n,):
         raise MalformedInput(f"{where}.values",
@@ -159,14 +160,15 @@ def load_free_vector(path: str | Path) -> FreeVector:
 
 def load_map(path: str | Path,
              domain: PointedMetricSpace | None = None,
-             codomain: PointedMetricSpace | None = None) -> LipschitzMap:
+             codomain: PointedMetricSpace | None = None,
+             tol: float | None = None) -> LipschitzMap:
     obj = read_json(path)
     where = str(path)
     anchor = Path(path).parent
     if domain is None:
-        domain = _resolve_space(obj, "domain", anchor, where)
+        domain = _resolve_space(obj, "domain", anchor, where, tol)
     if codomain is None:
-        codomain = _resolve_space(obj, "codomain", anchor, where)
+        codomain = _resolve_space(obj, "codomain", anchor, where, tol)
     image = _require(obj, "image", where)
     try:
         return LipschitzMap(domain, codomain,
@@ -175,10 +177,11 @@ def load_map(path: str | Path,
         raise MalformedInput(f"{where}.image", str(exc)) from None
 
 
-def load_geodesic_space(path: str | Path) -> DiscretizedGeodesicSpace:
+def load_geodesic_space(path: str | Path,
+                        tol: float | None = None) -> DiscretizedGeodesicSpace:
     obj = read_json(path)
     where = str(path)
-    space = space_from_dict(obj, where=where)
+    space = space_from_dict(obj, where=where, tol=tol)
     paths_field = _require(obj, "paths", where)
     if not isinstance(paths_field, list):
         raise MalformedInput(f"{where}.paths", "expected a list of paths")
@@ -196,7 +199,7 @@ def load_geodesic_space(path: str | Path) -> DiscretizedGeodesicSpace:
             raise MalformedInput(at, f"point index outside 0..{space.n - 1}")
     try:
         return DiscretizedGeodesicSpace(space, paths)
-    except (ValueError, IndexError) as exc:  # a path that is empty or misses its pair
+    except (ValueError, IndexError) as exc:  # an empty path, a repeat, a missed pair
         raise MalformedInput(f"{where}.paths", str(exc)) from None
 
 

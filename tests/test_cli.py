@@ -1,3 +1,4 @@
+import argparse
 import copy
 import dataclasses
 import json
@@ -310,8 +311,8 @@ class TestExitCodes:
     def test_certifier_disagreement_exits_3(self, files, capsys, monkeypatch):
         real = composition._primal_certificate
 
-        def flipped(phi, vertices, tol):
-            cert = real(phi, vertices, tol)
+        def flipped(phi, vertices):
+            cert = real(phi, vertices)
             return dataclasses.replace(
                 cert, verdict="not_isometric" if cert.isometric else "isometric")
 
@@ -324,6 +325,48 @@ class TestExitCodes:
         assert report["results"]["primal"]["verdict"] == "not_isometric"
         assert report["inputs"] == [cli._input_record("map", files["map"])]
         assert report["tolerances"] == {"tol_metric": REL_TOL}  # the diameter is 1
+
+    def test_tol_does_not_loosen_the_dual(self, files, capsys):
+        # the vertex (1, 2) has its one preimage 1e-6 farther: --tol 1e-3
+        # admits the spaces and leaves the ratio rule to both certifiers
+        stretched = write(files["dir"] / "stretched.json", {
+            "domain": {"metric": {"type": "matrix", "d": [
+                [0, 1, 2 + 1e-6], [1, 0, 1 + 1e-6], [2 + 1e-6, 1 + 1e-6, 0]]}},
+            "codomain": "three.json", "image": [0, 1, 2]})
+        code, report, _ = run_in_process(capsys, "isometry", "--map", stretched,
+                                         "--method", "both", "--tol", "1e-3")
+        assert code == 0
+        results = report["results"]
+        assert results["verdict"] == results["dual"]["verdict"] == "not_isometric"
+        assert results["dual"]["failing_pair"] == [1, 2]
+        assert report["tolerances"] == {"tol_metric": REL_TOL * 2.0, "tol_validation": 1e-3}
+        assert results["dual"]["tolerances"] == {"tol_metric": REL_TOL * 2.0,
+                                                 "preimage_ratio": REL_TOL}
+
+    def test_repeated_path_point_exits_2(self, files, capsys):
+        path = write(files["dir"] / "g.json", {
+            "metric": {"type": "matrix", "d": [[0, 1, 2, 1.5], [1, 0, 1, 1],
+                                               [2, 1, 0, 1.5], [1.5, 1, 1.5, 0]]},
+            "paths": [{"pair": [0, 2], "points": [0, 1, 1, 2]}]})
+        code, report, err = run_in_process(
+            capsys, "experiment", "geodesic", "--space", path, "--map", "builtin:identity")
+        assert code == 2
+        assert report is None
+        assert f"MalformedInput: {path}.paths:" in err
+
+    @pytest.mark.parametrize("step", (1e-1, 1e-3))
+    @pytest.mark.parametrize("k", (0.25, 4.0))
+    def test_near_straight_paths_never_exit_3(self, files, capsys, step, k):
+        """Arclength over chord is 1 + k REL_TOL: the path is admitted and
+        projected when k < 1, and rejected as input otherwise."""
+        chord = 2 * step * (1 - k * REL_TOL)
+        path = write(files["dir"] / "near.json", {
+            "metric": {"type": "matrix", "d": [[0, step, chord, 1], [step, 0, step, 1],
+                                               [chord, step, 0, 1], [1, 1, 1, 0]]},
+            "paths": [{"pair": [0, 2], "points": [0, 1, 2]}]})
+        code, _, err = run_in_process(
+            capsys, "experiment", "geodesic", "--space", path, "--map", "builtin:identity")
+        assert (code, "NotStraightPath" in err) == ((0, False) if k < 1 else (2, True))
 
     def test_inconclusive_dual_pair_exits_0(self, files, capsys):
         # the path 0-1-2-3 (weights 1, 0.5, 1) squeezed onto the path 0-1-2
@@ -549,6 +592,98 @@ class TestExperiments:
     def test_builtin_requires_mesh(self):
         proc = run_cli("experiment", "interval", "--map", "builtin:fold")
         assert proc.returncode == 2
+
+
+LOOSE = {"base": 0, "metric": {"type": "matrix",
+                                "d": [[0, 1, 2.001], [1, 0, 1], [2.001, 1, 0]]}}
+
+# One case per place a command's inputs can hold a space; the case puts
+# LOOSE there, which only --tol 0.01 admits, and admissible spaces
+# elsewhere. "far" lies above "three" and LOOSE, so maps from it are
+# norm-one, as are maps from LOOSE onto "three" or the interval net.
+TOL_REACH = [
+    ("validate", ("validate", "{d}/loose.json")),
+    ("extremes", ("extremes", "{d}/loose.json")),
+    ("norming", ("norming", "{d}/loose.json", "--pairs", "0,1;1,2")),
+    ("isometry", ("isometry", "--map", "{d}/loose_inline_three.json")),
+    ("isometry", ("isometry", "--map", "{d}/loose_three.json")),
+    ("isometry", ("isometry", "--map", "{d}/far_loose_inline.json")),
+    ("isometry", ("isometry", "--map", "{d}/far_loose.json")),
+    ("isometry", ("isometry", "--map", "{d}/far_three.json", "--domain", "{d}/loose.json")),
+    ("isometry", ("isometry", "--map", "{d}/far_three.json",
+                  "--codomain", "{d}/loose.json")),
+    ("extend", ("extend", "{d}/f_loose_inline.json", "--subset", "0,1")),
+    ("extend", ("extend", "{d}/f_loose.json", "--subset", "0,1")),
+    ("extend", ("extend", "{d}/f_three.json", "--subset", "0,1",
+                "--floor", "{d}/floor_loose.json")),
+    ("experiment.interval", ("experiment", "interval",
+                             "--map", "file:{d}/loose_inline_net.json")),
+    ("experiment.interval", ("experiment", "interval", "--map", "file:{d}/loose_net.json")),
+    ("experiment.geodesic", ("experiment", "geodesic", "--space", "{d}/loose_geo.json",
+                             "--map", "builtin:identity")),
+    ("experiment.geodesic", ("experiment", "geodesic", "--space", "{d}/three_geo.json",
+                             "--map", "file:{d}/loose_three.json")),
+]
+
+
+def commands_with_tol(parser, prefix=()):
+    """The dotted names of the (sub)commands that define --tol."""
+    found = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found |= commands_with_tol(sub, prefix + (name,))
+        elif "--tol" in action.option_strings:
+            found.add(".".join(prefix))
+    return found
+
+
+class TestTolReach:
+    @pytest.fixture
+    def tol_dir(self, files):
+        d = files["dir"]
+        three = {"base": 0, "metric": {"type": "matrix",
+                                       "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}}
+        write(d / "loose.json", LOOSE)
+        write(d / "far.json", {"metric": {"type": "matrix",
+                                          "d": [[0, 1, 3], [1, 0, 2], [3, 2, 0]]}})
+        write(d / "net2.json", space_to_dict(interval_net(2)))
+        image = [0, 1, 2]
+        for name, domain, codomain in (
+                ("loose_inline_three", LOOSE, "three.json"),
+                ("loose_three", "loose.json", "three.json"),
+                ("far_loose_inline", "far.json", LOOSE),
+                ("far_loose", "far.json", "loose.json"),
+                ("far_three", "far.json", "three.json"),
+                ("loose_inline_net", LOOSE, "net2.json"),
+                ("loose_net", "loose.json", "net2.json")):
+            write(d / f"{name}.json", {"domain": domain, "codomain": codomain,
+                                       "image": image})
+        for name, space, values in (("f_loose_inline", LOOSE, [0, 1, 2]),
+                                    ("f_loose", "loose.json", [0, 1, 2]),
+                                    ("f_three", "three.json", [0, 1, 2]),
+                                    ("floor_loose", "loose.json", [0, 0, 0])):
+            write(d / f"{name}.json", {"space": space, "values": values})
+        write(d / "loose_geo.json", {**LOOSE, "paths": [{"pair": [0, 1], "points": [0, 1]}]})
+        write(d / "three_geo.json", {**three, "paths": [{"pair": [0, 2],
+                                                         "points": [0, 1, 2]}]})
+        return d
+
+    def test_table_covers_every_command_with_tol(self):
+        assert {command for command, _ in TOL_REACH} == commands_with_tol(cli.build_parser())
+
+    @pytest.mark.parametrize("command, argv", TOL_REACH,
+                             ids=[" ".join(argv).replace("{d}/", "") for _, argv in TOL_REACH])
+    def test_tol_admits_every_space_a_command_reads(self, tol_dir, capsys, command, argv):
+        argv = [a.format(d=tol_dir) for a in argv]
+        code, report, err = run_in_process(capsys, *argv)
+        if command == "validate":  # a rejected space is validate's computed verdict
+            assert code == 0 and report["results"]["valid"] is False
+        else:
+            assert code == 2 and "TriangleViolation" in err
+        code, report, err = run_in_process(capsys, *argv, "--tol", "0.01")
+        assert code == 0, err
+        assert report["results"].get("valid", True) is True
 
 
 class TestDeterminism:

@@ -20,7 +20,22 @@ from lipfree.geodesic import (
     straight_path_check,
 )
 from lipfree.lipschitz import interval_coordinates, lipschitz_norm
-from lipfree.metric_core import PointPair, from_weighted_graph, interval_net
+from lipfree.metric_core import (
+    REL_TOL,
+    PointPair,
+    from_weighted_graph,
+    interval_net,
+    validate_space,
+)
+
+
+def near_straight(step, k):
+    """The path 0-1-2 in two steps beside a point 3 at distance 1 from
+    it, with chord d(0, 2) = 2 step (1 - k REL_TOL): the arclength over the
+    chord is 1 + k REL_TOL to first order, at every step size."""
+    chord = 2 * step * (1 - k * REL_TOL)
+    return validate_space(np.array([[0, step, chord, 1], [step, 0, step, 1],
+                                    [chord, step, 0, 1], [1, 1, 1, 0.0]]))
 
 
 class TestStraightPathCheck:
@@ -40,6 +55,21 @@ class TestStraightPathCheck:
         ok, defect = straight_path_check(space, (1, 0, 2))
         assert ok and defect == 0.0
 
+    @pytest.mark.parametrize("step", (1e-1, 1e-3))
+    @pytest.mark.parametrize("k", (0.25, 4.0))
+    def test_defect_is_a_ratio(self, step, k):
+        ok, defect = straight_path_check(near_straight(step, k), (0, 1, 2))
+        assert ok == (k < 1)
+        assert defect == pytest.approx(k * REL_TOL, rel=1e-3)
+
+    def test_repeated_point_is_rejected_not_nan(self):
+        space = validate_space(np.array([[0, 1, 2, 1.5], [1, 0, 1, 1],
+                                         [2, 1, 0, 1.5], [1.5, 1, 1.5, 0]]))
+        with pytest.raises(ValueError, match="repeat"):
+            straight_path_check(space, (0, 1, 1, 2))
+        with pytest.raises(ValueError, match="repeat"):
+            DiscretizedGeodesicSpace(space, {(0, 2): (0, 1, 1, 2)})
+
 
 class TestDiscretizedGeodesicSpace:
     def test_mesh_is_largest_step(self):
@@ -50,6 +80,21 @@ class TestDiscretizedGeodesicSpace:
         tri = from_weighted_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         with pytest.raises(NotStraightPath):
             DiscretizedGeodesicSpace(tri, {(0, 2): (0, 1, 2)})
+
+    @pytest.mark.parametrize("step", (1e-1, 1e-3))
+    @pytest.mark.parametrize("k", (0.25, 4.0))
+    def test_admitted_paths_project_with_their_invariants(self, step, k):
+        """A path is admitted exactly when its inverse projection can meet
+        its own norm check; inverse_projection raises InvariantFailure
+        otherwise."""
+        space = near_straight(step, k)
+        if k > 1:
+            with pytest.raises(NotStraightPath):
+                DiscretizedGeodesicSpace(space, {(0, 2): (0, 1, 2)})
+            return
+        gs = DiscretizedGeodesicSpace(space, {(0, 2): (0, 1, 2)})
+        proj = inverse_projection(gs, PointPair(0, 2))
+        assert abs(lipschitz_norm(proj.function).value - 1.0) <= REL_TOL
 
     def test_missing_path(self):
         gs = tripod()

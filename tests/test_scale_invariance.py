@@ -78,6 +78,21 @@ def test_certify_isometry_is_scale_invariant(s):
         assert _outcome(scaled(phi, s)) == _outcome(phi)
 
 
+@pytest.mark.parametrize("s", (1e-12, 1.0, 1e12))
+@pytest.mark.parametrize("rho", (0.5, 1e-3, 1e-6))
+@pytest.mark.parametrize("k", (0.25, 4.0, 1000.0))
+def test_certifiers_agree_at_every_local_scale(s, rho, k):
+    """The vertex (1, 2) at distance rho, far below the diameter, has one
+    preimage pair, at distance rho (1 + k REL_TOL): its ratio is one within
+    REL_TOL exactly when k < 1, and both certifiers must read it so."""
+    far = rho * (1.0 + k * REL_TOL)
+    phi = LipschitzMap(validate_space(np.array([[0, 1, 1], [1, 0, far], [1, far, 0]])),
+                       validate_space(np.array([[0, 1, 1], [1, 0, rho], [1, rho, 0]])),
+                       (0, 1, 2))
+    report = certify_isometry(scaled(phi, s), "both")
+    assert report.verdict == report.dual.verdict == ("isometric" if k < 1 else "not_isometric")
+
+
 @pytest.mark.parametrize("s", (1.0,) + MAP_SCALES)
 def test_norm_above_one_is_rejected_at_every_scale(s):
     phi = LipschitzMap(line_net([0.0, 1.0, 2.0]), line_net([0.0, 1.0 + 1e-6, 2.0]), (0, 1, 2))
