@@ -1,10 +1,11 @@
 """Command-line front door.
 
 Every command emits a single JSON report with the same envelope:
-command, artifact version, input digests, the tolerances that were in
-force, the command-specific results, and a timing block. Reports are
-deterministic for identical inputs and flags; only the timing block
-varies between runs.
+command, artifact version, the arguments it was given, the path and
+digest of every file it read (as :mod:`lipfree.io` recorded them), the
+tolerances that were in force, the command-specific results, and a
+timing block. Reports are deterministic for identical inputs and flags;
+only the timing block varies between runs.
 
 Exit codes: 0 for any computed verdict (a negative verdict is still a
 successful computation), 2 for input errors, and 3 for internal
@@ -20,7 +21,6 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .errors import (
     InternalCheckError,
     MalformedInput,
     MethodDisagreement,
-    RangeNotDense,
 )
 from .fixtures import BUILTIN_MAPS, builtin_map, random_lipschitz_function
 from .freespace import (
@@ -53,27 +52,17 @@ from .geodesic import (
     check_interval_sufficient,
 )
 from .io import (
+    READS,
     load_free_vector,
     load_function,
     load_geodesic_space,
     load_map,
     load_space,
-    sha256_of_file,
 )
 from .lipschitz import LipschitzFunction, lipschitz_norm, mcshane_extend
 from .metric_core import REL_TOL, PointPair
 
 FREENORM_AGREEMENT = 1e-8
-
-
-def _input_record(role: str, path: str | None, extra: dict | None = None) -> dict:
-    rec: dict[str, Any] = {"role": role}
-    if path is not None:
-        rec["path"] = str(path)
-        rec["sha256"] = sha256_of_file(path)
-    if extra:
-        rec.update(extra)
-    return rec
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -118,16 +107,16 @@ def _parse_pairs(text: str, n: int) -> list[PointPair]:
     return pairs
 
 
-def _certify(phi: LipschitzMap, args, inputs, tolerances, pairs=None):
+def _certify(phi: LipschitzMap, args, tolerances, pairs=None):
     """Certify as the flags ask: (certificate, operator norm, certification
     wall time). Adds the codomain's tolerances to ``tolerances``; a
-    disagreement carries the command's inputs and tolerances to its report."""
+    disagreement carries them to its report."""
     tolerances.update(_space_tolerances(phi.codomain, args))
     started = time.perf_counter()
     try:
         cert = certify_isometry(phi, method=args.method, pairs=pairs)
     except MethodDisagreement as exc:
-        exc.inputs, exc.tolerances = inputs, tolerances
+        exc.tolerances = tolerances
         raise
     wall = time.perf_counter() - started
     return cert.to_dict(), operator_norm(phi), wall
@@ -148,11 +137,11 @@ def _check_numeric_flags(args) -> None:
 
 def _resolve_experiment_map(spec_text: str, mesh: int | None = None,
                             space_path: str | None = None, tol: float | None = None):
-    """builtin:NAME, file:PATH or a bare path: the map, the geodesic space
-    read from ``space_path`` (else None) and the map's input record. A
-    builtin's name is checked before any file is read; an interval builtin
-    needs ``mesh``, and on a geodesic space the only one is identity.
-    ``tol`` admits every space read from a file."""
+    """builtin:NAME, file:PATH or a bare path: the map and the geodesic
+    space read from ``space_path`` (else None). A builtin's name is checked
+    before any file is read; an interval builtin needs ``mesh``, and on a
+    geodesic space the only one is identity. ``tol`` admits every space
+    read from a file."""
     names = BUILTIN_MAPS if space_path is None else ("identity",)
     builtin = spec_text.startswith("builtin:")
     name = (spec_text.split(":", 1)[1]
@@ -164,12 +153,12 @@ def _resolve_experiment_map(spec_text: str, mesh: int | None = None,
         gspace = load_geodesic_space(space_path, tol)
         phi = (identity_map(gspace.space) if builtin
                else load_map(name, codomain=gspace.space, tol=tol))
-        return phi, gspace, {"builtin" if builtin else "path": name}
+        return phi, gspace
     if not builtin:
-        return load_map(name, tol=tol), None, {"path": name}
+        return load_map(name, tol=tol), None
     if mesh is None:
         raise MalformedInput("--mesh", "builtin maps need --mesh")
-    return builtin_map(name, mesh), None, {"builtin": name, "mesh": mesh}
+    return builtin_map(name, mesh), None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,11 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# command bodies: each returns (inputs, tolerances, results)
+# command bodies: each returns (tolerances, results)
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args):
-    inputs = [_input_record("space", args.space)]
     try:
         space = load_space(args.space, tol=args.tol)
     except MalformedInput:
@@ -275,34 +263,29 @@ def _cmd_validate(args):
         }
         # only the triangle check compares within a tolerance
         tol = getattr(exc, "tol", args.tol)
-        return inputs, {} if tol is None else {"tol_metric": tol}, results
+        return {} if tol is None else {"tol_metric": tol}, results
     results = {"valid": True, "points": space.n, "diameter": space.diameter}
-    return inputs, {"tol_metric": args.tol if args.tol is not None else space.tol}, results
+    return {"tol_metric": args.tol if args.tol is not None else space.tol}, results
 
 
 def _cmd_norm(args):
     f = load_function(args.function)
     value, witness = lipschitz_norm(f)
-    return (
-        [_input_record("function", args.function)],
-        {"tol_metric": f.space.tol},
-        {"norm": value, "witness": list(witness)},
-    )
+    return {"tol_metric": f.space.tol}, {"norm": value, "witness": list(witness)}
 
 
 def _cmd_freenorm(args):
     mu = load_free_vector(args.vector)
-    inputs = [_input_record("vector", args.vector)]
     tolerances = {"agreement": FREENORM_AGREEMENT}
     if args.method == "flow":
         value, plan = free_norm_primal(mu)
-        return inputs, tolerances, {"method": "flow", "value": value,
-                                    "plan": [list(p) for p in plan]}
+        return tolerances, {"method": "flow", "value": value,
+                            "plan": [list(p) for p in plan]}
     tolerances["lp_feasibility"] = REL_TOL
     if args.method == "lp":
         value, maximizer = free_norm_dual(mu)
-        return inputs, tolerances, {"method": "lp", "value": value,
-                                    "maximizer": maximizer.values.tolist()}
+        return tolerances, {"method": "lp", "value": value,
+                            "maximizer": maximizer.values.tolist()}
     flow_value, plan = free_norm_primal(mu)
     lp_value, maximizer = free_norm_dual(mu)
     gap = abs(flow_value - lp_value)
@@ -318,8 +301,8 @@ def _cmd_freenorm(args):
     }
     if not agree:
         raise MethodDisagreement("primal and dual norms disagree beyond tolerance",
-                                 results, inputs, tolerances)
-    return inputs, tolerances, results
+                                 results, tolerances)
+    return tolerances, results
 
 
 def _space_tolerances(space, args) -> dict:
@@ -332,7 +315,6 @@ def _cmd_extremes(args):
     space = load_space(args.space, tol=args.tol)
     pairs = extreme_molecules(space)
     return (
-        [_input_record("space", args.space)],
         _space_tolerances(space, args),
         {"pairs": [list(p.as_tuple()) for p in pairs], "count": len(pairs)},
     )
@@ -342,7 +324,6 @@ def _cmd_norming(args):
     space = load_space(args.space, tol=args.tol)
     result = is_norming(space, _parse_pairs(args.pairs, space.n))
     return (
-        [_input_record("space", args.space)],
         _space_tolerances(space, args),
         {"is_norming": result.is_norming,
          "failing_vertex": list(result.failing_vertex.as_tuple())
@@ -355,16 +336,11 @@ def _cmd_isometry(args):
     codomain = load_space(args.codomain, tol=args.tol) if args.codomain else None
     phi = load_map(args.map_path, domain=domain, codomain=codomain, tol=args.tol)
     pairs = _parse_pairs(args.pairs, phi.codomain.n) if args.pairs else None
-    inputs = [_input_record("map", args.map_path)]
-    if args.domain:
-        inputs.append(_input_record("domain", args.domain))
-    if args.codomain:
-        inputs.append(_input_record("codomain", args.codomain))
     tolerances = {}
-    results, norm, wall = _certify(phi, args, inputs, tolerances, pairs)
+    results, norm, wall = _certify(phi, args, tolerances, pairs)
     results["operator_norm"] = norm
     results["wall_time_s"] = wall
-    return inputs, tolerances, results
+    return tolerances, results
 
 
 def _cmd_extend(args):
@@ -380,11 +356,7 @@ def _cmd_extend(args):
         floor = LipschitzFunction(f.space, floor.values, normalize=False)
     f_sub = [float(f.values[i]) for i in subset]
     ext = mcshane_extend(f.space, subset, f_sub, floor=floor, tol=args.tol)
-    inputs = [_input_record("function", args.function)]
-    if args.floor:
-        inputs.append(_input_record("floor", args.floor))
     return (
-        inputs,
         {"tol_metric": args.tol if args.tol is not None else f.space.tol},
         {"subset": subset, "values": ext.values.tolist(),
          "norm": lipschitz_norm(ext).value},
@@ -392,12 +364,11 @@ def _cmd_extend(args):
 
 
 def _cmd_experiment_interval(args):
-    phi, _, map_record = _resolve_experiment_map(args.map_spec, args.mesh, tol=args.tol)
-    inputs = [_input_record("map", map_record.get("path"), map_record)]
+    phi, _ = _resolve_experiment_map(args.map_spec, args.mesh, tol=args.tol)
     necessary = check_interval_necessary(phi, r_loc=args.r_loc, eps=args.eps)
     sufficient = check_interval_sufficient(phi, r=necessary.r_loc, eps=args.eps)
     tolerances = {"r_loc": necessary.r_loc, "eps": necessary.eps}
-    cert, norm, wall = _certify(phi, args, inputs, tolerances)
+    cert, norm, wall = _certify(phi, args, tolerances)
     results = {
         "operator_norm": norm,
         "necessary": necessary.to_dict(),
@@ -417,37 +388,30 @@ def _cmd_experiment_interval(args):
                                    "max_ratio": best}
     if args.csv:
         _emit_csv(necessary.rows, args.csv)
-    return inputs, tolerances, results
+    return tolerances, results
 
 
 def _cmd_experiment_geodesic(args):
-    phi, gspace, map_record = _resolve_experiment_map(args.map_spec,
-                                                      space_path=args.space, tol=args.tol)
-    inputs = [_input_record("space", args.space),
-              _input_record("map", map_record.get("path"), map_record)]
+    phi, gspace = _resolve_experiment_map(args.map_spec, space_path=args.space, tol=args.tol)
     profiles = [check_geodesic_necessary(phi, gspace, PointPair(x, y),
                                          r_loc=args.r_loc, eps=args.eps)
                 for (x, y) in sorted(gspace.paths)]
     r_loc, eps = profiles[0].r_loc, profiles[0].eps
     tolerances = {"r_loc": r_loc, "eps": eps}
-    cert, norm, wall = _certify(phi, args, inputs, tolerances)
-    try:
-        sufficient = check_geodesic_sufficient(phi, gspace, r=r_loc, eps=eps).to_dict()
-    except RangeNotDense as exc:
-        sufficient = {"range_not_dense": {"worst_point": exc.worst_point,
-                                          "gap": exc.gap}}
+    cert, norm, wall = _certify(phi, args, tolerances)
+    sufficient = check_geodesic_sufficient(phi, gspace, r=r_loc, eps=eps)
     results = {
         "operator_norm": norm,
         "mesh": gspace.mesh,
         "necessary": [p.to_dict() for p in profiles],
-        "sufficient": sufficient,
+        "sufficient": sufficient.to_dict(),
         "certificate": cert,
         "wall_time_s": wall,
     }
     if args.csv:
         rows = [row for p in profiles for row in p.rows]
         _emit_csv(rows, args.csv)
-    return inputs, tolerances, results
+    return tolerances, results
 
 
 _COMMANDS = {
@@ -464,6 +428,7 @@ _COMMANDS = {
 
 
 def run(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -476,11 +441,13 @@ def run(argv: list[str] | None = None) -> int:
             return 2
         command = f"experiment.{args.experiment_kind}"
     started = time.perf_counter()
+    inputs: list[dict] = []
+    collecting = READS.set(inputs)
     try:
         _check_numeric_flags(args)
-        inputs, tolerances, results = _COMMANDS[command](args)
+        tolerances, results = _COMMANDS[command](args)
     except MethodDisagreement as exc:
-        report = _envelope(command, exc.inputs, exc.tolerances, exc.results, started)
+        report = _envelope(command, argv, inputs, exc.tolerances, exc.results, started)
         report["error"] = {"kind": "MethodDisagreement", "message": str(exc)}
         _emit(report, args.out)
         return 3
@@ -490,15 +457,18 @@ def run(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    report = _envelope(command, inputs, tolerances, results, started)
+    finally:
+        READS.reset(collecting)
+    report = _envelope(command, argv, inputs, tolerances, results, started)
     _emit(report, args.out)
     return 0
 
 
-def _envelope(command, inputs, tolerances, results, started) -> dict:
+def _envelope(command, argv, inputs, tolerances, results, started) -> dict:
     return {
         "command": command,
         "version": __version__,
+        "argv": argv,
         "inputs": inputs,
         "tolerances": tolerances,
         "results": results,

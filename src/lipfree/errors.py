@@ -59,9 +59,8 @@ class BadBaseIndex(InputError):
 
 
 class DisconnectedGraph(InputError):
-    def __init__(self, component: list[int]):
-        self.component = component
-        super().__init__(f"graph is disconnected; unreachable from node 0: {component}")
+    def __init__(self, reason: str):
+        super().__init__(f"graph is disconnected: {reason}")
 
 
 # -- functions and extension --------------------------------------------------
@@ -135,11 +134,11 @@ class MethodDisagreement(InternalCheckError):
     """Two independent methods disagreed. This falsifies the implementation.
 
     ``results`` holds what each method computed, keyed by method;
-    ``inputs`` and ``tolerances`` are the CLI command's, for its report.
+    ``tolerances`` are the CLI command's, for its report.
     """
 
-    def __init__(self, message: str, results: dict, inputs=(), tolerances=None):
-        self.results, self.inputs, self.tolerances = results, list(inputs), tolerances or {}
+    def __init__(self, message: str, results: dict, tolerances=None):
+        self.results, self.tolerances = results, tolerances or {}
         super().__init__(message)
 
 
@@ -159,16 +158,6 @@ class InvariantFailure(InternalCheckError):
 class NoStoredPath(InputError):
     def __init__(self, pair: tuple[int, int]):
         super().__init__(f"no geodesic path stored for pair {pair}")
-
-
-class RangeNotDense(InputError):
-    def __init__(self, worst_point: int, gap: float, allowed: float):
-        self.worst_point = worst_point
-        self.gap = gap
-        super().__init__(
-            f"map range is not dense: point {worst_point} is at distance {gap!r} "
-            f"from the image (allowed {allowed!r})"
-        )
 
 
 class CodomainNotInterval(InputError):

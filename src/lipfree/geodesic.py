@@ -10,10 +10,11 @@ The checks in this module replace asymptotic statements about sequences
 with localized maxima at an explicit radius (``r_loc``, ``r``), a
 distance, and threshold ``eps`` on a defect or margin, a ratio. By
 default (:func:`_scales`) the radius is four times the mesh and ``eps``
-four times the mesh over the codomain's diameter, so verdicts do not
-depend on the unit, and on an interval net ``eps`` is four times the
-mesh: loose enough that the identity map passes at every mesh and tight
-enough that a halving map fails. The reports record both.
+four times the mesh over the codomain's diameter, at most 1/2, so
+verdicts do not depend on the unit, and on an interval net of mesh 1/8
+or finer ``eps`` is four times the mesh: loose enough that the identity
+map passes at every mesh and tight enough that a halving map fails. The
+reports record both.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import (
     NoStoredPath,
     NotAnIntervalNet,
     NotStraightPath,
-    RangeNotDense,
 )
 from .lipschitz import (
     LipschitzFunction,
@@ -192,10 +192,11 @@ class DefectProfile:
 def _scales(mesh: float, diameter: float, r: float | None,
             eps: float | None) -> tuple[float, float]:
     """The given radius and eps, or by default 4 * mesh for the radius (a
-    distance) and 4 * mesh / diameter for eps (a bound on a ratio)."""
+    distance) and 4 * mesh / diameter, capped at 1/2, for eps (a bound on
+    a ratio). A defect never exceeds 1, so an eps of 1 would pass any map."""
     default = 4.0 * mesh
     return (default if r is None else r,
-            default / diameter if eps is None else eps)
+            min(default / diameter, 0.5) if eps is None else eps)
 
 
 def _defect_profile(kind: str, phi: LipschitzMap, values: np.ndarray,
@@ -345,10 +346,10 @@ def check_geodesic_sufficient(
     """Range density plus slope-one margins through every stored path.
 
     Every codomain point must lie within twice the mesh of the image
-    (otherwise RangeNotDense reports the worst uncovered point), and for
-    each stored path's inverse projection P, every mesh-snapped attained
-    value of P(phi(.)) must have a preimage at pointwise constant
-    1 - eps at scale r.
+    (otherwise the report is not dense and names the worst uncovered
+    point in ``extra``), and for each stored path's inverse projection P,
+    every mesh-snapped attained value of P(phi(.)) must have a preimage
+    at pointwise constant 1 - eps at scale r.
     """
     if phi.codomain is not gspace.space:
         raise ValueError("map codomain is not the geodesic space")
@@ -358,12 +359,12 @@ def check_geodesic_sufficient(
     cover = space.dist[:, img].min(axis=1)
     worst_point = int(np.argmax(cover))
     max_gap = float(cover[worst_point])
-    if max_gap > 2.0 * mesh:
-        raise RangeNotDense(worst_point, max_gap, 2.0 * mesh)
+    dense = max_gap <= 2.0 * mesh
     rows = []
     for (x, y) in sorted(gspace.paths):
         composed = inverse_projection(gspace, PointPair(x, y)).function.values[img]
         snapped = np.unique(np.round(composed / mesh) * mesh)
         rows += _margins(phi, composed, r, snapped, mesh)
-    return _sufficiency("geodesic_sufficient", True, max_gap, mesh, rows, r, eps,
-                        {"paths": sorted(gspace.paths)})
+    return _sufficiency("geodesic_sufficient", dense, max_gap, mesh, rows, r, eps,
+                        {"paths": sorted(gspace.paths),
+                         **({} if dense else {"worst_point": worst_point})})

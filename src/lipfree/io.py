@@ -15,12 +15,19 @@ Schemas (documented in docs/formats.md):
 Inline space references are the space object itself; path references are
 resolved relative to the referencing file. All files are UTF-8 JSON and
 field order never matters.
+
+:func:`read_json` is the one place a file is read. While a caller has
+set :data:`READS` to a list, it appends one ``{"path", "sha256"}`` record
+per file parsed, in read order, digesting the bytes it parsed; a file
+reached through a space reference also records ``"via"``, the
+referencing file and field.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextvars import ContextVar
 from functools import partial
 from pathlib import Path
 from typing import Any
@@ -35,18 +42,28 @@ from .composition import LipschitzMap
 from .metric_core import PointedMetricSpace, from_weighted_graph, validate_space
 
 
-def sha256_of_file(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+READS: ContextVar[list[dict] | None] = ContextVar("lipfree_reads", default=None)
 
 
-def read_json(path: str | Path) -> Any:
+def read_json(path: str | Path, via: dict | None = None) -> Any:
+    """Parse one UTF-8 JSON file, recording it in :data:`READS` when that
+    is collecting. A file that cannot be read or decoded is malformed
+    input at its path."""
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise MalformedInput(str(path), "file not found") from None
+        raw = path.read_bytes()
+        obj = json.loads(raw.decode("utf-8"))
+    except OSError as exc:
+        raise MalformedInput(str(path), f"cannot read file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(str(path), f"not UTF-8: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise MalformedInput(str(path), f"invalid JSON: {exc}") from None
+    reads = READS.get()
+    if reads is not None:
+        record = {"path": str(path), "sha256": hashlib.sha256(raw).hexdigest()}
+        reads.append(record if via is None else {**record, "via": via})
+    return obj
 
 
 def _require(obj: dict, key: str, where: str) -> Any:
@@ -120,7 +137,8 @@ def _resolve_space(obj: dict, key: str, anchor: Path, where: str,
         path = Path(ref)
         if not path.is_absolute():
             path = anchor / path
-        return space_from_dict(read_json(path), where=str(path), tol=tol)
+        obj = read_json(path, via={"path": where, "field": key})
+        return space_from_dict(obj, where=str(path), tol=tol)
     return space_from_dict(ref, where=f"{where}.{key}", tol=tol)
 
 

@@ -191,6 +191,8 @@ def from_weighted_graph(
         raise MalformedInput("metric.n", f"expected at least two points, got {n}")
     if not (0 <= base < n):
         raise BadBaseIndex(base, n)
+    if len(edges) < n - 1:  # checked before any n x n array is built
+        raise DisconnectedGraph(f"{len(edges)} edges cannot connect {n} points")
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
     for i, j, w in edges:
@@ -205,7 +207,7 @@ def from_weighted_graph(
     d = shortest_path_closure(d)
     if np.any(np.isinf(d)):
         unreachable = sorted(int(i) for i in np.argwhere(np.isinf(d[0]))[:, 0])
-        raise DisconnectedGraph(unreachable)
+        raise DisconnectedGraph(f"unreachable from node 0: {unreachable}")
     return validate_space(d, base=base, labels=labels, meta=meta)
 
 

@@ -1,14 +1,16 @@
 import argparse
 import copy
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from lipfree import cli, composition
+from lipfree import cli, composition, io
 from lipfree.fixtures import builtin_map, circle_geodesic, tripod
 from lipfree.freespace import DualResult
 from lipfree.io import geodesic_space_to_dict, space_to_dict
@@ -40,6 +42,13 @@ def run_in_process(capsys, *args):
     code = cli.run(list(args))
     out, err = capsys.readouterr()
     return code, json.loads(out) if out else None, err
+
+
+def read_record(path, via=None):
+    """The input record of one file read, digested from its bytes here;
+    ``via`` is (referencing file, field)."""
+    record = {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+    return record if via is None else {**record, "via": {"path": str(via[0]), "field": via[1]}}
 
 
 def strip_timing(report):
@@ -84,7 +93,8 @@ class TestExitCodes:
         assert proc.returncode == 0
         report = report_of(proc)
         assert report["results"]["valid"] is True
-        assert len(report["inputs"][0]["sha256"]) == 64  # digests echoed
+        assert report["argv"] == ["validate", files["two"]]  # sys.argv[1:]
+        assert report["inputs"] == [read_record(files["two"])]
 
     def test_metric_violation_is_a_computed_verdict(self, files):
         proc = run_cli("validate", files["bad"])
@@ -93,6 +103,7 @@ class TestExitCodes:
         assert results["valid"] is False
         assert results["error"]["kind"] == "TriangleViolation"
         assert results["error"]["witness"] == [0, 1, 2]
+        assert report_of(proc)["inputs"] == [read_record(files["bad"])]
 
     @pytest.mark.parametrize("flags, tolerances", [
         ((), {"tol_metric": REL_TOL * 5.0}),  # the default, from max(d) = 5
@@ -122,6 +133,44 @@ class TestExitCodes:
     def test_missing_file_exits_2(self):
         proc = run_cli("norm", "/nonexistent/f.json")
         assert proc.returncode == 2
+
+    @staticmethod
+    def _unreadable(files, kind):
+        if kind == "directory":
+            return str(files["dir"])
+        path = files["dir"] / "utf16.json"
+        path.write_bytes(b'\xff\xfe{"metric": 1}')
+        return str(path)
+
+    @pytest.mark.parametrize("kind, reason", [("not_utf8", "not UTF-8"),
+                                              ("directory", "cannot read file")])
+    def test_unreadable_file_exits_2(self, files, capsys, kind, reason):
+        path = self._unreadable(files, kind)
+        code, report, err = run_in_process(capsys, "validate", path)
+        assert code == 2
+        assert report is None
+        assert f"MalformedInput: {path}: {reason}" in err
+
+    def test_unreadable_file_exits_2_without_traceback(self, files):
+        proc = run_cli("validate", self._unreadable(files, "not_utf8"))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("n", [10 ** 9, 4 * 10 ** 9])
+    def test_graph_with_too_few_edges_is_disconnected(self, files, capsys, n):
+        """No n x n array is built: numpy would refuse both sizes."""
+        path = write(files["dir"] / "huge.json",
+                     {"metric": {"type": "graph", "n": n, "edges": [[0, 1, 1.0]]}})
+        code, report, _ = run_in_process(capsys, "validate", path)
+        assert code == 0
+        assert report["results"]["valid"] is False
+        assert report["results"]["error"]["kind"] == "DisconnectedGraph"
+        assert len(report["results"]["error"]["message"]) < 80
+        code, report, err = run_in_process(capsys, "extremes", path)
+        assert code == 2
+        assert report is None
+        assert "input error: DisconnectedGraph" in err
 
     def test_unknown_command_exits_2(self):
         proc = run_cli("frobnicate")
@@ -279,7 +328,9 @@ class TestExitCodes:
         assert report["results"]["flow"] == pytest.approx(1.0)
         assert report["results"]["lp"] == pytest.approx(2.0)
         assert report["results"]["agree"] is False
-        assert report["inputs"] == [cli._input_record("vector", files["vec"])]
+        assert report["argv"] == ["freenorm", files["vec"], "--method", "both"]
+        assert report["inputs"] == [read_record(files["vec"]),
+                                    read_record(files["two"], (files["vec"], "space"))]
         assert report["tolerances"] == {"agreement": cli.FREENORM_AGREEMENT,
                                         "lp_feasibility": REL_TOL}
 
@@ -323,7 +374,10 @@ class TestExitCodes:
         assert report["error"]["kind"] == "MethodDisagreement"
         assert report["results"]["dual"]["verdict"] == "isometric"
         assert report["results"]["primal"]["verdict"] == "not_isometric"
-        assert report["inputs"] == [cli._input_record("map", files["map"])]
+        assert report["argv"] == ["isometry", "--map", files["map"], "--method", "both"]
+        assert report["inputs"] == [read_record(files["map"]),
+                                    read_record(files["two"], (files["map"], "domain")),
+                                    read_record(files["two"], (files["map"], "codomain"))]
         assert report["tolerances"] == {"tol_metric": REL_TOL}  # the diameter is 1
 
     def test_tol_does_not_loosen_the_dual(self, files, capsys):
@@ -570,6 +624,9 @@ class TestExperiments:
         assert necessary["max_defect"] == 1.0
         assert necessary["eps"] == report["tolerances"]["eps"] == 0.5
         assert necessary["holds"] is False
+        sufficient = report["results"]["sufficient"]
+        assert (sufficient["density_ok"], sufficient["predicts_isometric"]) == (False, False)
+        assert sufficient["extra"]["worst_point"] == 8  # opposite the base
 
     def test_tolerances_in_force_are_never_null(self, files, capsys):
         runs = [
@@ -583,11 +640,12 @@ class TestExperiments:
             assert set(tolerances) == {"r_loc", "eps", "tol_metric"}
             assert all(v is not None for v in tolerances.values())
         # the geodesic defaults are the ones its profiles used: r_loc is
-        # four meshes, and eps four meshes per diameter (2 on the tripod)
+        # four meshes, and eps four meshes per diameter (2 on the tripod),
+        # capped at 1/2
         mesh = report["results"]["mesh"]
         for profile in report["results"]["necessary"]:
             assert profile["r_loc"] == tolerances["r_loc"] == 4 * mesh
-            assert profile["eps"] == tolerances["eps"] == 4 * mesh / 2.0
+            assert profile["eps"] == tolerances["eps"] == min(4 * mesh / 2.0, 0.5) == 0.5
 
     def test_builtin_requires_mesh(self):
         proc = run_cli("experiment", "interval", "--map", "builtin:fold")
@@ -684,6 +742,78 @@ class TestTolReach:
         code, report, err = run_in_process(capsys, *argv, "--tol", "0.01")
         assert code == 0, err
         assert report["results"].get("valid", True) is True
+
+
+# Every command that reads a file, with the files it reads in read order:
+# (file,) for a file named on the command line, (file, referencing file,
+# field) for one reached through a space reference.
+READS = [
+    (("validate", "{three}"), [("three",)]),
+    (("norm", "{fn}"), [("fn",), ("net", "fn", "space")]),
+    (("freenorm", "{vec}"), [("vec",), ("two", "vec", "space")]),
+    (("extremes", "{net}"), [("net",)]),
+    (("norming", "{net}", "--pairs", "0,1"), [("net",)]),
+    (("isometry", "--map", "{map3}"),
+     [("map3",), ("three", "map3", "domain"), ("three", "map3", "codomain")]),
+    (("isometry", "--map", "{map3}", "--domain", "{three}", "--codomain", "{three}"),
+     [("three",), ("three",), ("map3",)]),
+    (("extend", "{f3}", "--subset", "0,1", "--floor", "{floor3}"),
+     [("f3",), ("three", "f3", "space"), ("floor3",), ("three", "floor3", "space")]),
+    (("experiment", "interval", "--map", "file:{net_map}"),
+     [("net_map",), ("net", "net_map", "domain"), ("net", "net_map", "codomain")]),
+    # --space replaces the map's codomain, which is never read
+    (("experiment", "geodesic", "--space", "{geo}", "--map", "file:{tripod_map}"),
+     [("geo",), ("tripod_map",), ("tripod_space", "tripod_map", "domain")]),
+    (("experiment", "interval", "--mesh", "4", "--map", "builtin:fold"), []),
+]
+
+
+class TestInputs:
+    @pytest.fixture
+    def read_files(self, files):
+        d = files["dir"]
+        more = {
+            "f3": write(d / "f3.json", {"space": "three.json", "values": [0, 1, 2]}),
+            "floor3": write(d / "floor3.json", {"space": "three.json", "values": [0, 0, 0]}),
+            "net_map": write(d / "net_map.json", {"domain": "net4.json", "codomain": "net4.json",
+                                                  "image": [0, 1, 2, 3, 4]}),
+            "tripod_space": write(d / "tripod_space.json", space_to_dict(tripod().space)),
+        }
+        more["tripod_map"] = write(d / "tripod_map.json", {
+            "domain": "tripod_space.json", "codomain": "missing.json",
+            "image": list(range(tripod().space.n))})
+        return {**files, **more}
+
+    @pytest.mark.parametrize("argv, reads", READS, ids=[" ".join(a) for a, _ in READS])
+    def test_inputs_list_every_file_read(self, read_files, capsys, argv, reads):
+        argv = [a.format(**read_files) for a in argv]
+        code, report, err = run_in_process(capsys, *argv)
+        assert code == 0, err
+        assert report["argv"] == argv
+        assert report["inputs"] == [
+            read_record(read_files[name], (read_files[via[0]], via[1]) if via else None)
+            for name, *via in reads]
+
+    def test_a_changed_referenced_file_changes_the_inputs(self, tmp_path, capsys):
+        line = {"metric": {"type": "matrix", "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}}
+        write(tmp_path / "dom.json", line)
+        cod = write(tmp_path / "cod.json", line)
+        m3 = write(tmp_path / "m3.json", {"domain": "dom.json", "codomain": "cod.json",
+                                          "image": [0, 1, 2]})
+        _, before, _ = run_in_process(capsys, "isometry", "--map", m3)
+        write(tmp_path / "cod.json",
+              {"metric": {"type": "matrix", "d": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}})
+        _, after, _ = run_in_process(capsys, "isometry", "--map", m3)
+        assert (before["results"]["verdict"], after["results"]["verdict"]) == (
+            "isometric", "not_isometric")
+        assert before["inputs"][:2] == after["inputs"][:2]
+        assert after["inputs"][2] == read_record(cod, (m3, "codomain"))
+        assert before["inputs"][2]["sha256"] != after["inputs"][2]["sha256"]
+
+    def test_collection_ends_with_the_command(self, files, capsys):
+        code, _, _ = run_in_process(capsys, "validate", str(files["dir"] / "missing.json"))
+        assert code == 2
+        assert io.READS.get() is None
 
 
 class TestDeterminism:

@@ -3,7 +3,7 @@ import pytest
 from conftest import scaled
 
 from lipfree.composition import LipschitzMap, certify_isometry, identity_map
-from lipfree.errors import NoStoredPath, NotStraightPath, RangeNotDense
+from lipfree.errors import NoStoredPath, NotStraightPath
 from lipfree.fixtures import (
     builtin_map,
     circle_geodesic,
@@ -242,6 +242,30 @@ class TestDefaultScales:
             assert verdict_s == verdict
             assert eps_s == pytest.approx(eps, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("mesh", [1, 2, 4])
+    def test_coarse_interval_default_eps_is_capped(self, mesh):
+        # 4 * mesh reaches 1 here, and a defect never exceeds 1
+        collapse, identity = builtin_map("collapse", mesh), builtin_map("identity", mesh)
+        necessary = check_interval_necessary(collapse)
+        sufficient = check_interval_sufficient(collapse)
+        assert necessary.eps == sufficient.eps == 0.5
+        assert not necessary.holds and not sufficient.predicts_isometric
+        assert check_interval_necessary(identity).holds
+        assert check_interval_sufficient(identity).predicts_isometric
+
+    @pytest.mark.parametrize("make", [
+        lambda: circle_geodesic(8), lambda: tripod(1.0, 2), lambda: tripod(1.0, 1),
+    ], ids=["circle8", "tripod2", "tripod1"])
+    def test_coarse_geodesic_default_eps_is_capped(self, make):
+        gs = make()
+        pair = PointPair(*sorted(gs.paths)[0])
+        necessary = check_geodesic_necessary(_collapse(gs.space), gs, pair)
+        sufficient = check_geodesic_sufficient(_collapse(gs.space), gs)
+        assert necessary.eps == sufficient.eps == 0.5
+        assert not necessary.holds and not sufficient.predicts_isometric
+        assert check_geodesic_necessary(identity_map(gs.space), gs, pair).holds
+        assert check_geodesic_sufficient(identity_map(gs.space), gs).predicts_isometric
+
     def test_interval_defaults_are_four_meshes(self):
         phi = builtin_map("fold", 16)
         necessary = check_interval_necessary(phi)
@@ -262,9 +286,10 @@ class TestGeodesicSufficient:
         for node in range(9, 13):  # third leg onto the center
             image[node] = 0
         phi = LipschitzMap(gs.space, gs.space, tuple(image))
-        with pytest.raises(RangeNotDense) as exc:
-            check_geodesic_sufficient(phi, gs, r=1.0)
-        assert exc.value.worst_point == 12  # the stranded leaf
+        report = check_geodesic_sufficient(phi, gs, r=1.0)
+        assert report.density_ok is False
+        assert report.extra["worst_point"] == 12  # the stranded leaf
+        assert report.predicts_isometric is False
 
     def test_circle_identity_passes(self):
         gs = circle_geodesic(16)
