@@ -24,14 +24,15 @@ third point metrically between their endpoints (Aliaga-Guirao), which
 :func:`extreme_molecules` reads off one :func:`metric_core.detours`
 matrix; the LP vertex test :func:`is_extreme_molecule` is its
 independent oracle. The other hull questions (is a pair set norming,
-does a pushed ball cover it) are answered vertex by vertex. A vertex
-lies in the hull of points of the ball only if it is one of them, so a
-pair set norms exactly when it lists every vertex. A pushed ball's
-columns are the map's ordered domain pairs, read from its image table
-and domain matrix. One table of the columns equal to a vertex covers
-those vertices; each other vertex goes to one face-filtered LP,
-:func:`hull_combination`, in units of the vertex's distance, so its
-tolerance ``REL_TOL`` is relative. scipy is imported only for an LP.
+does a pushed ball cover it) reduce to the vertex list, because a
+vertex lies in the hull of points of the ball only if it is one of
+them: a pair set norms exactly when one set of its pairs holds every
+vertex. A pushed ball's columns are the map's ordered domain pairs,
+read from its image table and domain matrix. One table of the columns
+equal to a vertex covers those vertices; each other vertex goes to one
+face-filtered LP, :func:`hull_combination`, in units of the vertex's
+distance, so its tolerance ``REL_TOL`` is relative. scipy is imported
+only for an LP.
 """
 
 from __future__ import annotations

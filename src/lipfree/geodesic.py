@@ -20,7 +20,7 @@ reports record both.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .lipschitz import (
     quotients,
     sub_lipschitz_norm,
 )
-from .metric_core import REL_TOL, PointedMetricSpace, PointPair
+from .metric_core import BLOCK, REL_TOL, PointedMetricSpace, PointPair
 
 
 class StraightPathReport(NamedTuple):
@@ -199,21 +199,51 @@ def _scales(mesh: float, diameter: float, r: float | None,
             min(default / diameter, 0.5) if eps is None else eps)
 
 
+def _windows(values: np.ndarray, centers: Sequence[float],
+             width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order sorting ``values`` and, per center c, the run [lo, hi) of
+    it with |v - c| <= width. Rounding keeps v - c monotone in v, so lo
+    counts the values below c and outside, hi those below c or inside,
+    in chunks of centers of at most ``BLOCK`` comparisons."""
+    order = np.argsort(values, kind="stable")
+    v, step = values[order], max(1, BLOCK // values.size)
+    counts = []
+    for k in range(0, len(centers), step):
+        c = np.asarray(centers[k:k + step], dtype=float)[:, None]
+        below, near = v < c, np.abs(v - c) <= width
+        counts.append(np.count_nonzero([below & ~near, below | near], axis=2))
+    lo, hi = np.concatenate(counts, axis=1)
+    return order, lo, hi
+
+
 def _defect_profile(kind: str, phi: LipschitzMap, values: np.ndarray,
-                    num: np.ndarray, grid: Sequence[float], mesh: float,
-                    r_loc: float | None, eps: float | None,
-                    extra: dict[str, Any]) -> DefectProfile:
-    """Per target t, the largest num / d(x', y') over pairs of domain
-    points whose value sits within r_loc of t (0 when fewer than two do).
-    The ratios are one :func:`quotients` matrix, divided into ``num``,
-    whose diagonal is -1; each selection's maximum starts at 0."""
+                    num: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                    grid: Sequence[float], mesh: float, r_loc: float | None,
+                    eps: float | None, extra: dict[str, Any]) -> DefectProfile:
+    """Per target t, the largest num(x', y') / d(x', y') over pairs of
+    domain points whose value sits within r_loc of t (0 when fewer than
+    two do); ``num`` maps two index arrays to the numerators.
+
+    In value order each target's points are a run [lo, hi) of
+    :func:`_windows`. Band entry (i, k - 1) is the largest ratio of point
+    i against i + 1 .. i + k (ratios are symmetric, so each pair is read
+    once), and a run's best ratio is the largest entry
+    with lo <= i < i + k = hi - 1, gathered for all targets at once; band
+    rows go in chunks of at most ``BLOCK`` entries."""
     r_loc, eps = _scales(mesh, phi.codomain.diameter, r_loc, eps)
-    ratios = quotients(num, phi.domain.dist)
-    rows = []
-    for t in map(float, grid):
-        sel = np.flatnonzero(np.abs(values - t) <= r_loc)
-        best = float(ratios[np.ix_(sel, sel)].max(initial=0.0))
-        rows.append((t, best, 1.0 - best))
+    order, lo, hi = _windows(values, grid, r_loc)
+    n, width = order.size, int((hi - lo).max())
+    band, step = np.empty((n, max(width - 1, 0))), max(1, BLOCK // max(width - 1, 1))
+    for i0 in range(0, n, step):
+        i = np.arange(i0, min(n, i0 + step))[:, None]
+        a, b = order[i], order[(i + np.arange(1, width)) % n]  # wrapped entries are never read
+        np.maximum.accumulate(num(a, b) / phi.domain.dist[a, b], axis=1, out=band[i0:i0 + step])
+    span = np.maximum(hi - lo - 1, 0)
+    run = np.repeat(np.arange(lo.size), span)
+    i = np.repeat(lo - np.cumsum(span) + span, span) + np.arange(span.sum())
+    best = np.zeros(lo.size)
+    np.maximum.at(best, run, band[i, hi[run] - 2 - i])
+    rows = [(t, b, 1.0 - b) for t, b in zip(map(float, grid), best.tolist())]
     max_defect = max(r[2] for r in rows)
     return DefectProfile(kind=kind, rows=tuple(rows), max_defect=max_defect,
                          r_loc=r_loc, eps=eps, holds=max_defect <= eps,
@@ -243,8 +273,8 @@ def check_interval_necessary(
     coords, values, mesh = _interval_values(phi)
     img = np.asarray(phi.image)
     return _defect_profile("interval_necessary", phi, values,
-                           phi.codomain.dist[np.ix_(img, img)], coords.tolist(), mesh,
-                           r_loc, eps, {})
+                           lambda a, b: phi.codomain.dist[img[a], img[b]], coords.tolist(),
+                           mesh, r_loc, eps, {})
 
 
 def check_geodesic_necessary(
@@ -266,7 +296,7 @@ def check_geodesic_necessary(
     proj = inverse_projection(gspace, pair)
     values = proj.function.values[np.asarray(phi.image)]
     return _defect_profile("geodesic_necessary", phi, values,
-                           np.abs(values[:, None] - values[None, :]),
+                           lambda a, b: np.abs(values[a] - values[b]),
                            proj.cumulative, gspace.mesh, r_loc, eps,
                            {"pair": pair.as_tuple(), "path_length": proj.length})
 
@@ -303,9 +333,14 @@ class SufficiencyReport:
 def _margins(phi: LipschitzMap, values: np.ndarray, r: float,
              centers: np.ndarray, width: float) -> list[tuple[float, float]]:
     """(c, m) per center c: m is the largest local slope at scale r of
-    ``values`` over the domain points whose value lies within width of c."""
+    ``values`` over the domain points whose value lies within width of c,
+    one ``reduceat`` over the slopes in value order. Every center is an
+    attained value or one snapped to the mesh, so no run is empty; the
+    appended entry lets a run end at the last point."""
     slopes = local_slopes(LipschitzFunction(phi.domain, values, normalize=False), r)
-    return [(float(c), float(slopes[np.abs(values - c) <= width].max())) for c in centers]
+    order, lo, hi = _windows(values, centers, width)
+    best = np.maximum.reduceat(np.append(slopes[order], 0.0), np.ravel([lo, hi], "F"))[::2]
+    return list(zip(centers.tolist(), best.tolist()))
 
 
 def _sufficiency(kind: str, density_ok: bool, max_gap: float, mesh: float,

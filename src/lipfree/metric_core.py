@@ -33,6 +33,7 @@ from .errors import (
 )
 
 REL_TOL = 1e-9
+BLOCK = 1 << 17  # elements in one temporary of a blocked whole-array pass (1 MiB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,17 +118,17 @@ def validate_space(
         raise MalformedInput("metric.d", f"expected at least two points, got {n}")
     if not (0 <= base < n):
         raise BadBaseIndex(base, n)
-    for bad in (~np.isfinite(d), d < 0, (d != 0) & np.eye(n, dtype=bool)):
-        if bad.any():  # a non-finite, a negative, then a nonzero diagonal entry
-            i, j = (int(v) for v in np.argwhere(bad)[0])
-            raise NegativeDistance(i, j, float(d[i, j]))
-    asym = np.argwhere(d != d.T)
-    if asym.size:
-        i, j = asym[0]
+    if not (np.isfinite(d).all() and d.min() >= 0 and not d.diagonal().any()):
+        for bad in (~np.isfinite(d), d < 0, (d != 0) & np.eye(n, dtype=bool)):
+            if bad.any():  # a non-finite, a negative, then a nonzero diagonal entry
+                i, j = (int(v) for v in np.argwhere(bad)[0])
+                raise NegativeDistance(i, j, float(d[i, j]))
+    if not np.array_equal(d, d.T):
+        i, j = np.argwhere(d != d.T)[0]
         raise AsymmetricDistance(int(i), int(j), float(d[i, j]), float(d[j, i]))
-    zero = np.argwhere((d == 0) & ~np.eye(n, dtype=bool))
-    if zero.size:
-        raise ZeroDistanceDistinctPoints(int(zero[0][0]), int(zero[0][1]))
+    if np.count_nonzero(d == 0) > n:  # zeros off the all-zero diagonal
+        i, j = np.argwhere((d == 0) & ~np.eye(n, dtype=bool))[0]
+        raise ZeroDistanceDistinctPoints(int(i), int(j))
 
     if tol is None:
         tol = REL_TOL * float(d.max())
@@ -162,12 +163,23 @@ def shortest_path_closure(d: np.ndarray) -> np.ndarray:
 
 def detours(d: np.ndarray) -> np.ndarray:
     """For every pair (x, y), the least d(x, z) + d(z, y) over points z
-    outside {x, y}, or inf where there is none."""
+    outside {x, y}, or inf where there is none: one min-plus kernel over
+    blocks of rows and third points, each a temporary of at most ``BLOCK``
+    sums, so that a large space goes row by row in cache."""
+    n = d.shape[0]
     best = np.full(d.shape, np.inf)
-    for z in range(d.shape[0]):
-        through = d[:, z, None] + d[z]
-        through[z, :] = through[:, z] = np.inf
-        np.minimum(best, through, out=best)
+    rows = max(1, min(n, BLOCK // (n * n)))
+    zs = max(1, min(n, BLOCK // (rows * n)))
+    buf = np.empty((zs, rows, n))
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        for z0 in range(0, n, zs):
+            z1 = min(n, z0 + zs)
+            through = np.add(d.T[z0:z1, r0:r1, None], d[z0:z1, None], out=buf[:z1 - z0, :r1 - r0])
+            through[np.arange(z1 - z0), :, np.arange(z0, z1)] = np.inf  # z = y
+            z = np.arange(max(z0, r0), min(z1, r1))
+            through[z - z0, z - r0] = np.inf  # z = x
+            np.minimum(best[r0:r1], through.min(axis=0), out=best[r0:r1])
     return best
 
 

@@ -2,9 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipfree import composition, freespace
 from lipfree.composition import (
+    IsometryCertificate,
     LipschitzMap,
     certify_isometry,
     certify_isometry_dual,
@@ -406,3 +408,93 @@ class TestCertifyBoth:
                     lipschitz_norm(compose(phi, f)).value
                     >= lipschitz_norm(f).value - 1e-9
                 )
+
+
+def _loop_dual_certificate(phi, vertices, pairs):
+    """The dual certificate pair by pair, one fibre block and one argmin
+    each: the reference for the one-pass form."""
+    if pairs is None:
+        pair_list, scope, negative = vertices, "necessary_and_sufficient", "not_isometric"
+    else:
+        pair_list, scope, negative = list(pairs), "sufficient_only", "inconclusive"
+    tolerances = {"tol_metric": phi.codomain.tol, "preimage_ratio": REL_TOL}
+
+    def failed(pair, notes):
+        return IsometryCertificate(
+            verdict=negative, method="dual_preimage", scope=scope,
+            failing_pair=pair.as_tuple(), tolerances=tolerances, notes=notes)
+
+    img = np.asarray(phi.image)
+    witnesses = []
+    for pair in pair_list:
+        xs = np.flatnonzero(img == pair.x)
+        ys = np.flatnonzero(img == pair.y)
+        if xs.size == 0 or ys.size == 0:
+            return failed(pair, "pair has no preimage on one side")
+        block = phi.domain.dist[np.ix_(xs, ys)]
+        i, j = divmod(int(np.argmin(block)), ys.size)
+        best = float(block[i, j])
+        target = phi.codomain.d(pair.x, pair.y)
+        if target / best < 1.0 - REL_TOL:
+            return failed(pair, f"best preimage distance {best!r} exceeds {target!r}")
+        witnesses.append({"pair": pair.as_tuple(), "preimage": (int(xs[i]), int(ys[j])),
+                          "codomain_distance": target, "domain_distance": best})
+    return IsometryCertificate(verdict="isometric", method="dual_preimage", scope=scope,
+                               witnesses=tuple(witnesses), tolerances=tolerances)
+
+
+def _pair_sets(phi, rng):
+    """The vertex list, then caller sets: every pair, every pair reversed
+    and in reverse order, and a shuffled subset in mixed orientation,
+    which may list non-vertices and miss vertices."""
+    everything = list(phi.codomain.pairs())
+    flipped = [PointPair(p.y, p.x) for p in reversed(everything)]
+    keep = rng.permutation(len(everything))[:max(1, len(everything) // 2)]
+    mixed = [everything[k] if rng.random() < 0.5 else flipped[-1 - k] for k in keep]
+    return [None, everything, flipped, mixed]
+
+
+def _assert_same_dual(phi, rng):
+    vertices = extreme_molecules(phi.codomain)
+    for pairs in _pair_sets(phi, rng):
+        got = composition._dual_certificate(phi, vertices, pairs)
+        want = _loop_dual_certificate(phi, vertices, pairs)
+        assert got.to_dict() == want.to_dict()
+        assert repr(got) == repr(want)
+
+
+class TestDualCertificateOracle:
+    """The one-pass dual certificate against the pair-by-pair loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dn=st.integers(2, 11), cn=st.integers(2, 8),
+           kind=st.sampled_from(["identity", "inclusion", "quotient", "table", "collapse"]))
+    def test_random_maps(self, seed, dn, cn, kind):
+        rng = np.random.default_rng(seed)
+        _assert_same_dual(random_one_lipschitz_map(rng, dn, cn, kind), rng)
+
+    @pytest.mark.parametrize("name", ["identity", "fold", "halving", "collapse"])
+    @pytest.mark.parametrize("mesh", [1, 2, 3, 8, 17])
+    def test_builtins(self, name, mesh):
+        # halving leaves every odd codomain point without a preimage and
+        # collapse every point but the base: empty fibres on both sides
+        _assert_same_dual(builtin_map(name, mesh), np.random.default_rng(mesh))
+
+    def test_first_failing_pair_in_list_order(self, path3):
+        # (0, 1) fails the ratio (preimages 2 apart, images 1) and codomain
+        # point 2 has no preimage; whichever pair is listed first is reported
+        phi = LipschitzMap(validate_space([[0, 2], [2, 0]]), path3, (0, 1))
+        pairs = [PointPair(0, 1), PointPair(1, 2)]
+        for order, first in ((pairs, (0, 1)), (pairs[::-1], (1, 2))):
+            got = composition._dual_certificate(phi, [], order)
+            assert got.to_dict() == _loop_dual_certificate(phi, [], order).to_dict()
+            assert got.failing_pair == first
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    def test_chunks_of_every_size(self, monkeypatch, block):
+        monkeypatch.setattr(composition, "BLOCK", block)
+        rng = np.random.default_rng(block)
+        for _ in range(20):
+            _assert_same_dual(random_one_lipschitz_map(rng, int(rng.integers(2, 12)),
+                                                       int(rng.integers(2, 9))), rng)
+        _assert_same_dual(builtin_map("fold", 6), rng)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 from conftest import scaled
+from hypothesis import given, settings, strategies as st
 
+from lipfree import geodesic
 from lipfree.composition import LipschitzMap, certify_isometry, identity_map
 from lipfree.errors import NoStoredPath, NotStraightPath
 from lipfree.fixtures import (
     builtin_map,
     circle_geodesic,
+    random_space,
     interval_geodesic,
     tripod,
 )
@@ -19,7 +22,13 @@ from lipfree.geodesic import (
     inverse_projection,
     straight_path_check,
 )
-from lipfree.lipschitz import interval_coordinates, lipschitz_norm
+from lipfree.lipschitz import (
+    LipschitzFunction,
+    interval_coordinates,
+    lipschitz_norm,
+    local_slopes,
+    quotients,
+)
 from lipfree.metric_core import (
     REL_TOL,
     PointPair,
@@ -315,3 +324,101 @@ class TestSnowflakeOntoPath:
         assert certify_isometry(phi, "both").verdict == "isometric"
         report = check_interval_sufficient(phi, r=1 / 4)
         assert report.predicts_isometric
+
+
+def _loop_profile_rows(values, num, dist, grid, r_loc):
+    """Per target, the selection by a full comparison and its ratio block
+    by np.ix_: the reference for the sorted windows."""
+    ratios = quotients(num.copy(), dist)
+    rows = []
+    for t in map(float, grid):
+        sel = np.flatnonzero(np.abs(values - t) <= r_loc)
+        best = float(ratios[np.ix_(sel, sel)].max(initial=0.0))
+        rows.append((t, best, 1.0 - best))
+    return rows
+
+
+def _loop_margins(slopes, values, centers, width):
+    return [(float(c), float(slopes[np.abs(values - c) <= width].max())) for c in centers]
+
+
+def _tied_values(rng, n):
+    """Values on a coarse grid of step 1/4, so that many points tie."""
+    return rng.integers(0, max(2, n // 2), size=n) / 4.0
+
+
+class TestSortedWindowOracle:
+    """The window-based profile and margins against per-target loops."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14),
+           r=st.sampled_from([0.0, 0.125, 0.25, 0.6, 3.0]), matrix=st.booleans())
+    def test_profile(self, seed, n, r, matrix):
+        rng = np.random.default_rng(seed)
+        domain = random_space(rng, n)
+        values = _tied_values(rng, n)
+        if matrix:  # a numerator read from a symmetric table, as on an interval
+            table = rng.uniform(0.0, 2.0, size=(n, n))
+            table = np.triu(table, 1) + np.triu(table, 1).T
+        else:  # the geodesic numerator
+            table = np.abs(values[:, None] - values[None, :])
+        grid = np.concatenate([values, rng.uniform(-1.0, 4.0, size=4), [-9.0, 9.0]])
+        got = geodesic._defect_profile("oracle", identity_map(domain), values,
+                                       lambda a, b: table[a, b], grid, 0.25, r, 0.5, {})
+        assert list(got.rows) == _loop_profile_rows(values, table, domain.dist, grid, r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14),
+           r=st.sampled_from([0.1, 0.5, 2.0]), snapped=st.booleans())
+    def test_margins(self, seed, n, r, snapped):
+        rng = np.random.default_rng(seed)
+        domain = random_space(rng, n)
+        values = _tied_values(rng, n) + rng.uniform(0.0, 0.2, size=n) * snapped
+        centers, width = ((np.unique(np.round(values / 0.25) * 0.25), 0.25) if snapped
+                          else (np.unique(values), 0.0))
+        slopes = local_slopes(LipschitzFunction(domain, values, normalize=False), r)
+        got = geodesic._margins(identity_map(domain), values, r, centers, width)
+        assert got == _loop_margins(slopes, values, centers, width)
+
+    def test_windows_of_zero_one_and_two_points(self):
+        domain = validate_space(np.array([[0, 1, 2, 3], [1, 0, 1, 2],
+                                          [2, 1, 0, 1], [3, 2, 1, 0.0]]))
+        values = np.array([2.0, 0.5, 0.0, 0.5])
+        grid = [-5.0, 0.0, 0.5, 2.0, 10.0]
+        order, lo, hi = geodesic._windows(values, grid, 0.0)
+        assert (hi - lo).tolist() == [0, 1, 2, 1, 0]
+        assert sorted(order[lo[2]:hi[2]].tolist()) == [1, 3]
+        table = np.abs(values[:, None] - values[None, :])
+        got = geodesic._defect_profile("oracle", identity_map(domain), values,
+                                       lambda a, b: table[a, b], grid, 1.0, 0.0, 0.5, {})
+        assert list(got.rows) == _loop_profile_rows(values, table, domain.dist, grid, 0.0)
+        assert [row[1] for row in got.rows] == [0.0] * 5  # the tied pair has ratio 0
+
+    @pytest.mark.parametrize("name", ["identity", "fold", "halving", "collapse"])
+    @pytest.mark.parametrize("mesh", [1, 2, 5, 16])
+    def test_interval_profile_matches_the_loop(self, name, mesh):
+        phi = builtin_map(name, mesh)
+        coords = interval_coordinates(phi.codomain)
+        img = np.asarray(phi.image)
+        for r in (None, 0.0, 0.5 / mesh, 3.0 / mesh, 2.0):
+            report = check_interval_necessary(phi, r_loc=r)
+            assert list(report.rows) == _loop_profile_rows(
+                coords[img], phi.codomain.dist[np.ix_(img, img)], phi.domain.dist,
+                coords, report.r_loc)
+
+    @pytest.mark.parametrize("block", [1, 3, 50])
+    def test_chunks_change_no_report(self, monkeypatch, block):
+        gs = tripod(1.0, 3)
+        tripod_map = identity_map(gs.space)
+        maps = [builtin_map("fold", 6), builtin_map("collapse", 5), builtin_map("halving", 4)]
+
+        def reports():
+            out = [check_interval_necessary(phi).to_dict() for phi in maps]
+            out += [check_interval_sufficient(phi).to_dict() for phi in maps]
+            out += [check_geodesic_necessary(tripod_map, gs, PointPair(*pair)).to_dict()
+                    for pair in gs.paths]
+            return out + [check_geodesic_sufficient(tripod_map, gs).to_dict()]
+
+        want = reports()
+        monkeypatch.setattr(geodesic, "BLOCK", block)
+        assert reports() == want

@@ -11,6 +11,7 @@ from lipfree.errors import (
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
+from lipfree import metric_core
 from lipfree.fixtures import random_space
 from lipfree.metric_core import (
     REL_TOL,
@@ -72,6 +73,36 @@ class TestValidateSpace:
     def test_bad_base_rejected(self):
         with pytest.raises(BadBaseIndex):
             validate_space([[0, 1], [1, 0]], base=5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+           faults=st.lists(st.sampled_from(["nan", "inf", "negative", "diagonal",
+                                            "asymmetric", "zero"]), max_size=3))
+    def test_axiom_errors_match_the_entry_by_entry_checks(self, seed, n, faults):
+        rng = np.random.default_rng(seed)
+        d = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
+        for fault in faults:
+            i, j = (int(v) for v in rng.integers(n, size=2))
+            if fault == "diagonal":
+                d[i, i] = 1.0
+            elif i != j:
+                value = {"nan": np.nan, "inf": np.inf, "negative": -1.0,
+                         "asymmetric": d[i, j] + 0.5, "zero": 0.0}[fault]
+                d[i, j] = value
+                if fault != "asymmetric":
+                    d[j, i] = value
+        want = _entry_by_entry_axioms(d)
+        try:
+            validate_space(d)
+            got = None
+        except (NegativeDistance, AsymmetricDistance, ZeroDistanceDistinctPoints,
+                TriangleViolation) as exc:
+            got = exc
+        if want is None:
+            assert got is None or isinstance(got, TriangleViolation)
+        else:
+            assert type(got) is type(want)
+            assert repr(vars(got)) == repr(vars(want)) and str(got) == str(want)
 
     def test_single_point_rejected(self):
         with pytest.raises(MalformedInput) as exc:
@@ -240,6 +271,24 @@ class TestIntermediatePoints:
             PointPair(1, 1)
 
 
+def _entry_by_entry_axioms(d):
+    """The first axiom error as validate_space reported it before its
+    fast path: each class of bad entries in full, in a fixed order."""
+    n = len(d)
+    for bad in (~np.isfinite(d), d < 0, (d != 0) & np.eye(n, dtype=bool)):
+        if bad.any():
+            i, j = (int(v) for v in np.argwhere(bad)[0])
+            return NegativeDistance(i, j, float(d[i, j]))
+    asym = np.argwhere(d != d.T)
+    if asym.size:
+        i, j = asym[0]
+        return AsymmetricDistance(int(i), int(j), float(d[i, j]), float(d[j, i]))
+    zero = np.argwhere((d == 0) & ~np.eye(n, dtype=bool))
+    if zero.size:
+        return ZeroDistanceDistinctPoints(int(zero[0][0]), int(zero[0][1]))
+    return None
+
+
 def _brute_detours(d):
     n = len(d)
     out = np.full((n, n), np.inf)
@@ -292,6 +341,31 @@ class TestDetours:
     def test_path_midpoint_is_the_only_tight_detour(self):
         path = from_weighted_graph(3, [(0, 1, 1), (1, 2, 1)])
         assert detours(path.dist).tolist() == [[2, 3, 2], [3, 2, 3], [2, 3, 2]]
+
+    # n = 50: 1 and 5 give one third point per block, 2,450 gives blocks
+    # of 49 third points, 5,007 and 17,500 row blocks of 2 and 7 over all
+    # third points, 124,999 row blocks of 49; n = 49 is one block there
+    @pytest.mark.parametrize("block", [1, 5, 49 * 50, 2 * 50 * 50 + 7, 7 * 50 * 50,
+                                       50 ** 3 - 1])
+    def test_blocks_straddling_every_boundary(self, monkeypatch, block, brute_blocks):
+        monkeypatch.setattr(metric_core, "BLOCK", block)
+        for d, want in brute_blocks:
+            assert np.array_equal(detours(d), want)
+
+
+@pytest.fixture(scope="module")
+def brute_blocks():
+    """Integer matrices with exact ties, and asymmetric ones that pin the
+    operand order d(x, z) + d(z, y), beside their triple-loop detours."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for n in (2, 3, 7, 49, 50, 51):
+        ties = rng.integers(1, 4, size=(n, n)).astype(float)
+        ties = np.triu(ties, 1) + np.triu(ties, 1).T
+        skew = rng.uniform(0.1, 1.0, size=(n, n))
+        np.fill_diagonal(skew, 0.0)
+        cases += [(d, _brute_detours(d)) for d in (ties, skew)]
+    return cases
 
 
 class TestShortestPathClosure:
