@@ -51,12 +51,12 @@ result = is_extreme_molecule(path, PointPair(0, 1))
 print(f"(0,1) extreme? {result.is_extreme}")
 
 net = interval_net(6)
-print(f"\nextreme pairs of interval_net(6): "
-      f"{[p.as_tuple() for p in extreme_molecules(net)]}")
+vertices = extreme_molecules(net)  # one (k, 2) index array, a row per vertex
+print(f"\nextreme pairs of interval_net(6): {vertices.tolist()}")
 print("(adjacent pairs only: every longer pair has interior points between)")
 
 print("\n== norming sets ==")
-adjacent = extreme_molecules(net)
+adjacent = [PointPair(x, y) for x, y in vertices.tolist()]
 print(f"adjacent pairs norming? {is_norming(net, adjacent).is_norming}")
 endpoints_only = [PointPair(0, 6)]
 verdict = is_norming(net, endpoints_only)

@@ -314,10 +314,7 @@ def _space_tolerances(space, args) -> dict:
 def _cmd_extremes(args):
     space = load_space(args.space, tol=args.tol)
     pairs = extreme_molecules(space)
-    return (
-        _space_tolerances(space, args),
-        {"pairs": [list(p.as_tuple()) for p in pairs], "count": len(pairs)},
-    )
+    return _space_tolerances(space, args), {"pairs": pairs.tolist(), "count": len(pairs)}
 
 
 def _cmd_norming(args):
@@ -454,7 +451,7 @@ def run(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
-    except InputError as exc:
+    except (InputError, MemoryError) as exc:  # an input too large for memory is bad input
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     finally:

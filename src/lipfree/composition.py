@@ -7,9 +7,10 @@ operator equals the Lipschitz constant of the map.
 
 :func:`certify_isometry` is the one certification pass: it computes the
 map norm and enumerates the codomain ball's vertices (its extreme
-molecules) once, and two independent algorithms then decide over that
-one vertex list whether composition against a norm-one map preserves
-every function's norm:
+molecules) once, as one ``(k, 2)`` index array, and two independent
+algorithms then decide over that array (or a caller's pair set, made
+the same kind of array on entry) whether composition against a
+norm-one map preserves every function's norm:
 
 * the dual route groups the domain by image once and reads, in one
   pass over the fibre pairs of all vertices (x, y), each vertex's
@@ -183,8 +184,8 @@ class AgreementReport:
         }
 
 
-def _dual_certificate(phi: LipschitzMap, vertices: list[PointPair],
-                      pairs: Sequence[PointPair] | None) -> IsometryCertificate:
+def _dual_certificate(phi: LipschitzMap, vertices: np.ndarray,
+                      pairs: np.ndarray | None) -> IsometryCertificate:
     """Preimage-ratio criterion over a norming pair set.
 
     For every pair (x, y) in the set (default: the codomain's vertices)
@@ -200,25 +201,24 @@ def _dual_certificate(phi: LipschitzMap, vertices: list[PointPair],
     failing the bound makes the verdict ``inconclusive``, since it need
     not be a vertex.
     """
+    scope, negative = "sufficient_only", "inconclusive"
     if pairs is None:
-        pair_list, scope, negative = vertices, "necessary_and_sufficient", "not_isometric"
-    else:
-        pair_list, scope, negative = list(pairs), "sufficient_only", "inconclusive"
+        pairs, scope, negative = vertices, "necessary_and_sufficient", "not_isometric"
     tolerances = {"tol_metric": phi.codomain.tol, "preimage_ratio": REL_TOL}
 
-    def failed(pair: PointPair, notes: str) -> IsometryCertificate:
+    def failed(k: int, notes: str) -> IsometryCertificate:
         return IsometryCertificate(
             verdict=negative, method="dual_preimage", scope=scope,
-            failing_pair=pair.as_tuple(), tolerances=tolerances, notes=notes)
+            failing_pair=tuple(pairs[k].tolist()), tolerances=tolerances, notes=notes)
 
     img = np.asarray(phi.image)
     order = np.argsort(img, kind="stable")  # the domain, fibre by fibre
     size = np.bincount(img, minlength=phi.codomain.n)
     start = np.cumsum(size) - size
-    px, py = np.array([p.as_tuple() for p in pair_list], dtype=np.intp).T
+    px, py = pairs.T
     target = phi.codomain.dist[px, py]
     empty = np.flatnonzero((size[px] == 0) | (size[py] == 0))
-    stop = int(empty[0]) if empty.size else len(pair_list)
+    stop = int(empty[0]) if empty.size else len(pairs)
     cells = size[px[:stop]] * size[py[:stop]]
     step = max(1, BLOCK // int(cells.max(initial=1)))  # pairs per chunk
     witnesses = []
@@ -236,21 +236,21 @@ def _dual_certificate(phi: LipschitzMap, vertices: list[PointPair],
         bad = np.flatnonzero(target[p] / best < 1.0 - REL_TOL)
         if bad.size:
             q = int(bad[0])
-            return failed(pair_list[p0 + q], f"best preimage distance "
+            return failed(p0 + q, f"best preimage distance "
                           f"{float(best[q])!r} exceeds {float(target[p0 + q])!r}")
-        witnesses += [{"pair": pair.as_tuple(), "preimage": (x, y), "codomain_distance": t,
-                       "domain_distance": b} for pair, x, y, t, b in zip(
-                           pair_list[p], xs[at].tolist(), ys[at].tolist(),
-                           target[p].tolist(), best.tolist())]
-    if stop < len(pair_list):
-        return failed(pair_list[stop], "pair has no preimage on one side")
+        witnesses += [{"pair": (x, y), "preimage": (a, b), "codomain_distance": t,
+                       "domain_distance": d} for x, y, a, b, t, d in zip(
+                           px[p].tolist(), py[p].tolist(), xs[at].tolist(),
+                           ys[at].tolist(), target[p].tolist(), best.tolist())]
+    if stop < len(pairs):
+        return failed(stop, "pair has no preimage on one side")
     return IsometryCertificate(
         verdict="isometric", method="dual_preimage", scope=scope,
         witnesses=tuple(witnesses), tolerances=tolerances,
     )
 
 
-def _primal_certificate(phi: LipschitzMap, vertices: list[PointPair]) -> IsometryCertificate:
+def _primal_certificate(phi: LipschitzMap, vertices: np.ndarray) -> IsometryCertificate:
     """Polytope-containment criterion, vertex by vertex.
 
     Composition against the map is isometric exactly when the
@@ -272,7 +272,7 @@ def _primal_certificate(phi: LipschitzMap, vertices: list[PointPair]) -> Isometr
         )
     return IsometryCertificate(
         verdict="isometric", method="primal_polytope",
-        witnesses=tuple({"pair": v.as_tuple()} for v in vertices),
+        witnesses=tuple({"pair": (x, y)} for x, y in vertices.tolist()),
         tolerances=tolerances,
     )
 
@@ -311,13 +311,14 @@ def certify_isometry(
         raise MapNormExceedsOne(norm.value, norm.witness, REL_TOL)
     vertices = extreme_molecules(phi.codomain)
     if pairs is not None:
-        failing = _norming_failure(pairs, vertices)
+        pairs = np.array([p.as_tuple() for p in pairs], dtype=np.intp)
+        failing = _norming_failure(phi.codomain, pairs, vertices)
         if failing is not None:
             raise NotNorming(failing.as_tuple())
     if norm.value < 1.0 - REL_TOL:
         dual, primal = (IsometryCertificate(
             verdict="not_isometric", method=name,
-            failing_pair=vertices[0].as_tuple(),
+            failing_pair=tuple(vertices[0].tolist()),
             tolerances={"tol_metric": phi.codomain.tol, "map_norm": REL_TOL},
             notes=f"operator norm {norm.value!r} is strictly below one",
         ) for name in ("dual_preimage", "primal_polytope"))

@@ -22,17 +22,17 @@ The unit ball of the span of the molecules is the convex hull of the
 molecules and their negatives. Its vertices are the molecules with no
 third point metrically between their endpoints (Aliaga-Guirao), which
 :func:`extreme_molecules` reads off one :func:`metric_core.detours`
-matrix; the LP vertex test :func:`is_extreme_molecule` is its
-independent oracle. The other hull questions (is a pair set norming,
-does a pushed ball cover it) reduce to the vertex list, because a
-vertex lies in the hull of points of the ball only if it is one of
-them: a pair set norms exactly when one set of its pairs holds every
-vertex. A pushed ball's columns are the map's ordered domain pairs,
-read from its image table and domain matrix. One table of the columns
-equal to a vertex covers those vertices; each other vertex goes to one
-face-filtered LP, :func:`hull_combination`, in units of the vertex's
-distance, so its tolerance ``REL_TOL`` is relative. scipy is imported
-only for an LP.
+matrix as one ``(k, 2)`` array of index pairs; the LP vertex test
+:func:`is_extreme_molecule` is its independent oracle. The other hull
+questions (is a pair set norming, does a pushed ball cover it) reduce
+to that array, because a vertex lies in the hull of points of the ball
+only if it is one of them: a pair set norms exactly when a table of its
+pairs holds every vertex. A pushed ball's columns are the map's ordered
+domain pairs, read from its image table and domain matrix. One table of
+the columns equal to a vertex covers those vertices; each other vertex
+goes to one face-filtered LP, :func:`hull_combination`, in units of the
+vertex's distance, so its tolerance ``REL_TOL`` is relative. scipy is
+imported only for an LP.
 """
 
 from __future__ import annotations
@@ -396,8 +396,9 @@ def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeRe
     ))
 
 
-def extreme_molecules(space: PointedMetricSpace) -> list[PointPair]:
-    """All pairs (canonical order x < y) whose molecule is a vertex.
+def extreme_molecules(space: PointedMetricSpace) -> np.ndarray:
+    """All pairs whose molecule is a vertex, as one ``(k, 2)`` ``intp``
+    array of rows (x, y) with x < y, in row-major order.
 
     That is, no third point z has d(x,z) + d(z,y) <= d(x,y) + space.tol:
     the test of :func:`metric_core.intermediate_points`, read for all
@@ -405,10 +406,8 @@ def extreme_molecules(space: PointedMetricSpace) -> list[PointPair]:
     polytope has vertices and every vertex of the ball is itself a
     molecule or the negative of one.
     """
-    between = detours(space.dist) <= space.dist + space.tol
-    xs, ys = np.nonzero(np.triu(~between, k=1))
-    found = [PointPair(int(x), int(y)) for x, y in zip(xs, ys)]
-    if not found:
+    found = np.argwhere(np.triu(detours(space.dist) > space.dist + space.tol, k=1))
+    if not found.size:
         raise InvariantFailure("polytope reported no vertices")
     return found
 
@@ -418,37 +417,39 @@ class NormingResult(NamedTuple):
     failing_vertex: PointPair | None
 
 
-def _first_outside_hull(space: PointedMetricSpace, vertices: list[PointPair],
-                        img: np.ndarray, d_dom: np.ndarray):
+def _first_outside_hull(space: PointedMetricSpace, vertices: np.ndarray,
+                        img: np.ndarray, d_dom: np.ndarray) -> PointPair | None:
     """The first listed vertex outside the hull of the pushed molecules,
-    or None: the vertex loop of the primal certificate.
+    or None: the vertex check of the primal certificate.
 
     The columns, the map's ordered domain pairs read from the image
     table and the domain matrix, lie in the ball, and a vertex of the
     ball lies in the hull of points of the ball only if it equals one of
     them. So a vertex is covered when some domain pair has its endpoints
     as images and bitwise its distance; the table of those endpoint
-    pairs is built once, and only the other vertices go to
-    :func:`hull_combination`. Such a column passes the kernel's face
-    filter exactly (its face value is d/d = 1), so the table decides
-    what the kernel would.
+    pairs is built once and read at every vertex in one gather, and only
+    the other vertices go to :func:`hull_combination`. Such a column
+    passes the kernel's face filter exactly (its face value is d/d = 1),
+    so the table decides what the kernel would.
     """
     covered = np.zeros((space.n, space.n), dtype=bool)
     xs, ys = np.nonzero(d_dom == space.dist[np.ix_(img, img)])
     covered[img[xs], img[ys]] = True
-    return next((w for w in vertices if not covered[w.x, w.y]
-                 and hull_combination(space, w, img, d_dom) is None), None)
+    uncovered = map(PointPair, *vertices[~covered[vertices[:, 0], vertices[:, 1]]].T.tolist())
+    return next((w for w in uncovered if hull_combination(space, w, img, d_dom) is None), None)
 
 
-def _norming_failure(pairs: Sequence[PointPair],
-                     vertices: list[PointPair]) -> PointPair | None:
+def _norming_failure(space: PointedMetricSpace, pairs: np.ndarray,
+                     vertices: np.ndarray) -> PointPair | None:
     """The first vertex whose pair is not listed, in either order, or None.
     The listed +-molecules lie in the ball, and a vertex of the ball lies
     in the hull of points of the ball only if it is one of them."""
-    if not pairs:
-        raise ValueError("the pair set must be nonempty")
-    listed = {(p.x, p.y) for p in pairs} | {(p.y, p.x) for p in pairs}
-    return next((w for w in vertices if (w.x, w.y) not in listed), None)
+    if not pairs.size or pairs.min() < 0 or pairs.max() >= space.n:
+        raise ValueError(f"the pair set must be nonempty, with indices in 0..{space.n - 1}")
+    listed = np.zeros((space.n, space.n), dtype=bool)
+    listed[pairs[:, 0], pairs[:, 1]] = listed[pairs[:, 1], pairs[:, 0]] = True
+    missing = np.flatnonzero(~listed[vertices[:, 0], vertices[:, 1]])
+    return PointPair(*vertices[missing[0]].tolist()) if missing.size else None
 
 
 def is_norming(space: PointedMetricSpace, pairs: Sequence[PointPair]) -> NormingResult:
@@ -458,5 +459,6 @@ def is_norming(space: PointedMetricSpace, pairs: Sequence[PointPair]) -> Norming
     Exactly when every vertex's pair is listed, so no LP is solved; the
     first vertex not listed is reported in the negative case.
     """
-    failing = _norming_failure(pairs, extreme_molecules(space))
+    pairs = np.array([p.as_tuple() for p in pairs], dtype=np.intp)
+    failing = _norming_failure(space, pairs, extreme_molecules(space))
     return NormingResult(failing is None, failing)

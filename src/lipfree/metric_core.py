@@ -231,7 +231,7 @@ def interval_net(n: int) -> PointedMetricSpace:
     """
     if n < 1:
         raise ValueError("interval_net requires n >= 1")
-    coords = np.array([k / n for k in range(n + 1)])
+    coords = np.arange(n + 1) / n  # bitwise k / n while n < 2**53
     d = np.abs(coords[:, None] - coords[None, :])
     meta = {"family": "interval", "n": n, "mesh": 1.0 / n, "coords": tuple(coords)}
     labels = tuple(repr(c) for c in coords.tolist())

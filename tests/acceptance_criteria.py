@@ -172,7 +172,7 @@ def criterion_3_extremality_oracle() -> dict:
             space = PointedMetricSpace(tuple(f"p{i}" for i in range(n)), 0,
                                        mat.astype(float))
             spaces += 1
-            enumerated = {p.as_tuple() for p in extreme_molecules(space)}
+            enumerated = {tuple(v) for v in extreme_molecules(space).tolist()}
             for pair in space.pairs():
                 pairs_checked += 1
                 lp_extreme = is_extreme_molecule(space, pair).is_extreme

@@ -491,6 +491,20 @@ class TestExitCodes:
         assert out == ""
         assert "Traceback" not in err
 
+    def test_mesh_too_large_for_memory_exits_2(self, capsys, monkeypatch):
+        # a huge --mesh asks numpy for more memory than the machine has;
+        # the allocation is faked here rather than attempted
+        def too_large(name, n):
+            raise MemoryError(f"Unable to allocate an interval net with {n + 1} points")
+
+        monkeypatch.setattr(cli, "builtin_map", too_large)
+        code, report, err = run_in_process(capsys, "experiment", "interval",
+                                           "--mesh", "1000000", "--map", "builtin:identity")
+        assert code == 2
+        assert report is None
+        assert err == ("input error: MemoryError: Unable to allocate an interval net "
+                       "with 1000001 points\n")
+
 
 class TestCommands:
     def test_norm(self, files):

@@ -233,6 +233,12 @@ class TestCertifyDual:
             certify_isometry_dual(identity_map(net), pairs=[PointPair(0, 2)])
 
     @pytest.mark.parametrize("method", ["dual", "primal", "both"])
+    def test_caller_pair_outside_the_codomain_rejected(self, path3, method):
+        pairs = list(path3.pairs()) + [PointPair(-1, 1)]
+        with pytest.raises(ValueError, match=r"indices in 0\.\.2"):
+            certify_isometry(identity_map(path3), method, pairs=pairs)
+
+    @pytest.mark.parametrize("method", ["dual", "primal", "both"])
     @pytest.mark.parametrize("name", ["fold", "halving"])
     def test_caller_pair_set_checked_before_the_deficit_exit(self, monkeypatch,
                                                              method, name):
@@ -352,6 +358,25 @@ class TestOnePass:
         assert report.verdict == ("not_isometric" if case == "deficit" else "isometric")
         assert calls == {"extreme_molecules": 1, "norm_with_witness": 1}
 
+    def test_pass_builds_no_pair_object_per_vertex(self, monkeypatch):
+        # nearly every pair of a plane cloud is a vertex; the pass reads
+        # them as one index array, from enumeration to the certificates
+        pts = np.random.default_rng(31).uniform(size=(120, 2))
+        cloud = validate_space(np.hypot(*(pts[:, None, :] - pts[None, :, :]).T))
+        phi = identity_map(cloud)
+        built = []
+        real = PointPair.__post_init__
+
+        def counted(pair):
+            built.append(pair)
+            real(pair)
+
+        monkeypatch.setattr(PointPair, "__post_init__", counted)
+        report = certify_isometry(phi, "both")
+        assert report.verdict == "isometric"
+        assert len(report.primal.witnesses) > 5000
+        assert len(built) <= 2
+
 
 class TestCertifyBoth:
     def test_identity_agreement(self, path3):
@@ -443,6 +468,12 @@ def _loop_dual_certificate(phi, vertices, pairs):
                                witnesses=tuple(witnesses), tolerances=tolerances)
 
 
+def _rows(pairs):
+    """A pair list as the (m, 2) index array the certifiers read."""
+    return None if pairs is None else np.array([p.as_tuple() for p in pairs],
+                                               dtype=np.intp).reshape(-1, 2)
+
+
 def _pair_sets(phi, rng):
     """The vertex list, then caller sets: every pair, every pair reversed
     and in reverse order, and a shuffled subset in mixed orientation,
@@ -457,8 +488,8 @@ def _pair_sets(phi, rng):
 def _assert_same_dual(phi, rng):
     vertices = extreme_molecules(phi.codomain)
     for pairs in _pair_sets(phi, rng):
-        got = composition._dual_certificate(phi, vertices, pairs)
-        want = _loop_dual_certificate(phi, vertices, pairs)
+        got = composition._dual_certificate(phi, vertices, _rows(pairs))
+        want = _loop_dual_certificate(phi, [PointPair(*v) for v in vertices.tolist()], pairs)
         assert got.to_dict() == want.to_dict()
         assert repr(got) == repr(want)
 
@@ -486,7 +517,7 @@ class TestDualCertificateOracle:
         phi = LipschitzMap(validate_space([[0, 2], [2, 0]]), path3, (0, 1))
         pairs = [PointPair(0, 1), PointPair(1, 2)]
         for order, first in ((pairs, (0, 1)), (pairs[::-1], (1, 2))):
-            got = composition._dual_certificate(phi, [], order)
+            got = composition._dual_certificate(phi, _rows([]), _rows(order))
             assert got.to_dict() == _loop_dual_certificate(phi, [], order).to_dict()
             assert got.failing_pair == first
 

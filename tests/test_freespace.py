@@ -339,7 +339,7 @@ class TestExtremeMolecules:
     def test_two_point_space(self):
         two = validate_space([[0, 1], [1, 0]])
         assert is_extreme_molecule(two, PointPair(0, 1)).is_extreme
-        assert [p.as_tuple() for p in extreme_molecules(two)] == [(0, 1)]
+        assert [tuple(v) for v in extreme_molecules(two).tolist()] == [(0, 1)]
 
     def test_path_long_pair_has_certificate(self, path3):
         result = is_extreme_molecule(path3, PointPair(0, 2))
@@ -362,13 +362,13 @@ class TestExtremeMolecules:
     def test_interval_net_extremes_are_adjacent(self):
         for n in (1, 2, 5, 8):
             net = interval_net(n)
-            assert [p.as_tuple() for p in extreme_molecules(net)] == [
+            assert [tuple(v) for v in extreme_molecules(net).tolist()] == [
                 (k, k + 1) for k in range(n)
             ]
 
     def test_square_keeps_diameters(self):
         net = circle_net(4)
-        assert [p.as_tuple() for p in extreme_molecules(net)] == [
+        assert [tuple(v) for v in extreme_molecules(net).tolist()] == [
             (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
         ]
 
@@ -385,7 +385,7 @@ class TestExtremeMolecules:
                 assert lp_says == metric_says
                 if lp_says:
                     lp_vertices.append(pair)
-            assert extreme_molecules(space) == lp_vertices
+            assert [PointPair(*v) for v in extreme_molecules(space).tolist()] == lp_vertices
 
     def test_enumeration_solves_no_lp(self, monkeypatch):
         def no_lp(*args, **kwargs):
@@ -404,7 +404,8 @@ class TestExtremeMolecules:
                                 [1.0, 0.0, 0.5 + delta / 2],
                                 [0.5 + delta / 2, 0.5 + delta / 2, 0.0]])
         assert space.tol == tol
-        assert (PointPair(0, 1) in extreme_molecules(space)) == is_vertex
+        vertices = [PointPair(*v) for v in extreme_molecules(space).tolist()]
+        assert (PointPair(0, 1) in vertices) == is_vertex
 
 
 class TestHullExactHit:
@@ -422,9 +423,10 @@ class TestHullExactHit:
             columns = np.zeros((d_uv.size, phi.codomain.n))
             np.add.at(columns, (np.arange(d_uv.size), img_u), 1.0 / d_uv)
             np.add.at(columns, (np.arange(d_uv.size), img_v), -1.0 / d_uv)
-            vertices = extreme_molecules(phi.codomain)
+            rows = extreme_molecules(phi.codomain)
+            vertices = [PointPair(*v) for v in rows.tolist()]
             hull_calls.clear()
-            failing = _first_outside_hull(phi.codomain, vertices, img, phi.domain.dist)
+            failing = _first_outside_hull(phi.codomain, rows, img, phi.domain.dist)
             answered = vertices[:vertices.index(failing) + 1] if failing else vertices
             for vertex in answered:
                 if vertex in hull_calls:
@@ -478,7 +480,8 @@ class TestIsNorming:
 
     def test_extreme_set_is_norming(self):
         net = interval_net(3)
-        assert is_norming(net, extreme_molecules(net)).is_norming
+        vertices = [PointPair(*v) for v in extreme_molecules(net).tolist()]
+        assert is_norming(net, vertices).is_norming
 
     @pytest.mark.parametrize("make", [
         lambda: interval_net(16),
@@ -504,6 +507,12 @@ class TestIsNorming:
     def test_empty_set_rejected(self, path3):
         with pytest.raises(ValueError):
             is_norming(path3, [])
+
+    @pytest.mark.parametrize("pair", [PointPair(0, 3), PointPair(-1, 1)])
+    def test_pair_outside_the_space_rejected(self, path3, pair):
+        # a negative index would otherwise list the pair of the last point
+        with pytest.raises(ValueError, match=r"indices in 0\.\.2"):
+            is_norming(path3, list(path3.pairs()) + [pair])
 
 
 class TestMoleculeNormInvariant:

@@ -189,6 +189,13 @@ class TestIntervalNet:
         assert net.n == 65
         assert net.meta["mesh"] == 1 / 64
 
+    @pytest.mark.parametrize("n", [1, 3, 7, 1024, 2048])
+    def test_coordinates_are_exact_quotients(self, n):
+        # bitwise k / n, as the labels and the distances read them
+        coords = np.array(interval_net(n).meta["coords"])
+        exact = np.array([k / n for k in range(n + 1)])
+        assert coords.view(np.uint64).tolist() == exact.view(np.uint64).tolist()
+
 
 class TestCircleNet:
     def test_square(self):
