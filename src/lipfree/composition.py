@@ -5,9 +5,9 @@ functions and the induced push-forward on zero-sum vectors are adjoint
 to each other, which is why the operator norm of the composition
 operator equals the Lipschitz constant of the map.
 
-:func:`certify_isometry` is the one certification pass: it computes the
-map norm and enumerates the codomain ball's vertices (its extreme
-molecules) once, as one ``(k, 2)`` index array, and two independent
+:func:`certify_isometry` is the one certification pass: it reads the
+map norm, computed once per map, and the codomain ball's vertices (its
+extreme molecules) once, as one ``(k, 2)`` index array; two independent
 algorithms then decide over that array (or a caller's pair set, made
 the same kind of array on entry) whether composition against a
 norm-one map preserves every function's norm:
@@ -34,6 +34,7 @@ never the mathematics. Both read "ratio one" as a ratio of at least
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
@@ -48,6 +49,7 @@ from .errors import (
 from .freespace import (
     FreeVector,
     _first_outside_hull,
+    _first_vertex,
     _norming_failure,
     extreme_molecules,
 )
@@ -82,6 +84,10 @@ class LipschitzMap:
         return self.image[x]
 
     def norm_with_witness(self) -> MapNorm:
+        return self._norm
+
+    @cached_property
+    def _norm(self) -> MapNorm:  # computed once per map
         img = np.asarray(self.image)
         value, i, j = _largest_quotient(self.codomain.dist[np.ix_(img, img)],
                                         self.domain.dist)
@@ -297,8 +303,9 @@ def certify_isometry(
     reported and a conclusive dual verdict must equal it.
 
     ``pairs`` that miss a vertex raise :class:`NotNorming` before any
-    verdict, whatever the method. The map norm and every preimage or
-    face ratio are compared with 1 within ``REL_TOL``; the codomain's
+    verdict, whatever the method. A norm below one names the first vertex,
+    read alone when no ``pairs`` are given. The map norm and every preimage
+    or face ratio are compared with 1 within ``REL_TOL``; the codomain's
     ``tol``, a distance, decides only which pairs are vertices, and the
     certificates report it as ``tol_metric``. Disagreement raises
     :class:`MethodDisagreement` with both certificates as dictionaries: an
@@ -309,13 +316,14 @@ def certify_isometry(
     norm = phi.norm_with_witness()
     if norm.value > 1.0 + REL_TOL:
         raise MapNormExceedsOne(norm.value, norm.witness, REL_TOL)
-    vertices = extreme_molecules(phi.codomain)
+    deficit = norm.value < 1.0 - REL_TOL  # its certificates name only the first vertex
+    vertices = (_first_vertex if deficit and pairs is None else extreme_molecules)(phi.codomain)
     if pairs is not None:
         pairs = np.array([p.as_tuple() for p in pairs], dtype=np.intp)
         failing = _norming_failure(phi.codomain, pairs, vertices)
         if failing is not None:
             raise NotNorming(failing.as_tuple())
-    if norm.value < 1.0 - REL_TOL:
+    if deficit:
         dual, primal = (IsometryCertificate(
             verdict="not_isometric", method=name,
             failing_pair=tuple(vertices[0].tolist()),

@@ -21,30 +21,30 @@ rewritten in terms of the other.
 The unit ball of the span of the molecules is the convex hull of the
 molecules and their negatives. Its vertices are the molecules with no
 third point metrically between their endpoints (Aliaga-Guirao), which
-:func:`extreme_molecules` reads off one :func:`metric_core.detours`
-matrix as one ``(k, 2)`` array of index pairs; the LP vertex test
-:func:`is_extreme_molecule` is its independent oracle. The other hull
-questions (is a pair set norming, does a pushed ball cover it) reduce
-to that array, because a vertex lies in the hull of points of the ball
-only if it is one of them: a pair set norms exactly when a table of its
-pairs holds every vertex. A pushed ball's columns are the map's ordered
-domain pairs, read from its image table and domain matrix. One table of
-the columns equal to a vertex covers those vertices; each other vertex
-goes to one face-filtered LP, :func:`hull_combination`, in units of the
-vertex's distance, so its tolerance ``REL_TOL`` is relative. scipy is
-imported only for an LP.
+:func:`extreme_molecules` reads off :func:`metric_core.detour_rows` by
+row blocks as one ``(k, 2)`` array of index pairs (the first alone row
+by row); the LP vertex test :func:`is_extreme_molecule` is its
+independent oracle. The other hull questions (is a pair set norming,
+does a pushed ball cover it) reduce to that array, because a vertex lies
+in the hull of points of the ball only if it is one of them: a pair set
+norms exactly when a table of its pairs holds every vertex. A pushed
+ball's columns are the map's ordered domain pairs, read from its image
+table and domain matrix. One table of the columns equal to a vertex
+covers those vertices; each other vertex goes to one face-filtered LP,
+:func:`hull_combination`, in units of the vertex's distance, so its
+tolerance ``REL_TOL`` is relative. scipy is imported only for an LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvariantFailure, NotZeroSum, SpaceMismatch
 from .lipschitz import LipschitzFunction, quotients
-from .metric_core import REL_TOL, PointedMetricSpace, PointPair, detours
+from .metric_core import REL_TOL, PointedMetricSpace, PointPair, detour_rows, row_blocks
 
 ZERO_SUM_REL = 1e-12
 _LP_OPTIONS = {"primal_feasibility_tolerance": REL_TOL, "dual_feasibility_tolerance": REL_TOL}
@@ -385,6 +385,8 @@ def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeRe
     ordered pairs, with distance (x, y) set infinite so that the
     molecule's own column drops out: every combination comes from one LP.
     """
+    if max(pair.x, pair.y) >= space.n:
+        raise ValueError(f"pair {pair.as_tuple()} has a point outside 0..{space.n - 1}")
     d_dom = space.dist.copy()
     d_dom[pair.x, pair.y] = np.inf
     found = hull_combination(space, pair, np.arange(space.n), d_dom)
@@ -396,20 +398,35 @@ def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeRe
     ))
 
 
+def _vertices_in(space: PointedMetricSpace, rows: Iterable) -> Iterator[np.ndarray]:
+    """Per row range [r0, r1), its vertices (x, y), x < y, row-major."""
+    for r0, r1 in rows:
+        vertex = detour_rows(space.dist, r0, r1) > space.dist[r0:r1] + space.tol
+        yield np.argwhere(np.triu(vertex, k=r0 + 1)) + (r0, 0)
+
+
 def extreme_molecules(space: PointedMetricSpace) -> np.ndarray:
     """All pairs whose molecule is a vertex, as one ``(k, 2)`` ``intp``
     array of rows (x, y) with x < y, in row-major order.
 
     That is, no third point z has d(x,z) + d(z,y) <= d(x,y) + space.tol:
-    the test of :func:`metric_core.intermediate_points`, read for all
-    pairs at once from :func:`metric_core.detours`. Never empty: a
-    polytope has vertices and every vertex of the ball is itself a
-    molecule or the negative of one.
+    the test of :func:`metric_core.intermediate_points`, read by row
+    blocks of :func:`metric_core.detour_rows`, with no n x n temporary.
+    Never empty: a polytope has vertices and every vertex of the ball is
+    itself a molecule or the negative of one.
     """
-    found = np.argwhere(np.triu(detours(space.dist) > space.dist + space.tol, k=1))
+    found = np.concatenate(list(_vertices_in(space, row_blocks(space.n))))
     if not found.size:
         raise InvariantFailure("polytope reported no vertices")
     return found
+
+
+def _first_vertex(space: PointedMetricSpace) -> np.ndarray:
+    """``extreme_molecules(space)[:1]``, read row by row up to its row."""
+    for found in _vertices_in(space, ((x, x + 1) for x in range(space.n))):
+        if found.size:
+            return found[:1]
+    raise InvariantFailure("polytope reported no vertices")
 
 
 class NormingResult(NamedTuple):

@@ -3,9 +3,9 @@
 A space is a finite set of points with a distinguished base point (index
 0 for every generated family) and a validated distance matrix. All
 downstream modules treat spaces as immutable; the distance matrix is
-frozen after construction. The one pass over third points is
-:func:`detours`, which the triangle inequality check and the vertex
-enumeration both read.
+frozen after construction. The one kernel over third points is
+:func:`detour_rows`: the triangle inequality check and the vertex
+enumeration read it by row blocks, the first-vertex search row by row.
 
 Every module follows one tolerance policy, kept here: a distance is
 compared within ``space.tol`` (``REL_TOL`` times the largest distance)
@@ -78,14 +78,14 @@ class PointedMetricSpace:
 
 @dataclass(frozen=True)
 class PointPair:
-    """An ordered pair of distinct point indices."""
+    """An ordered pair of distinct nonnegative point indices."""
 
     x: int
     y: int
 
     def __post_init__(self):
-        if self.x == self.y:
-            raise ValueError(f"pair points must be distinct, got ({self.x}, {self.y})")
+        if self.x == self.y or min(self.x, self.y) < 0:
+            raise ValueError(f"pair points must be distinct and >= 0, got {self.as_tuple()}")
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.x, self.y)
@@ -100,10 +100,10 @@ def validate_space(
 ) -> PointedMetricSpace:
     """Check the metric axioms and wrap the matrix in a space.
 
-    The triangle inequality is checked against :func:`detours` within
-    ``REL_TOL * max(d)``, or an explicit absolute ``tol``. A violation is
-    reported with the first third point j that breaks a pair and the first
-    pair (i, k) it breaks, as the triple (i, j, k); nothing is repaired.
+    The triangle inequality is checked by row blocks of :func:`detour_rows`
+    within ``REL_TOL * max(d)`` or an explicit absolute ``tol``. A violation
+    is reported as the triple (i, j, k) of the first third point j that breaks
+    a pair and the first pair (i, k) it breaks; nothing is repaired.
     A matrix that is not square or has fewer than two points, or a label
     list of the wrong length, is malformed input, reported at its path in
     a space file (``metric.d`` or ``labels``).
@@ -132,21 +132,17 @@ def validate_space(
 
     if tol is None:
         tol = REL_TOL * float(d.max())
-    if np.any(d - detours(d) > tol):
-        i, j, k = _first_violation(d, tol)
-        raise TriangleViolation(i, j, k, float(d[i, k]), float(d[i, j]), float(d[j, k]), tol)
+    if any(np.any(d[r0:r1] - detour_rows(d, r0, r1) > tol) for r0, r1 in row_blocks(n)):
+        for j in range(n):  # the first third point j to break a pair, then that pair
+            bad = np.argwhere(d - (d[:, j, None] + d[j]) > tol)
+            if bad.size:
+                i, k = (int(v) for v in bad[0])
+                raise TriangleViolation(i, j, k, float(d[i, k]), float(d[i, j]),
+                                        float(d[j, k]), tol)
 
     if labels is None:
         labels = tuple(f"p{i}" for i in range(n))
     return PointedMetricSpace(tuple(labels), base, d, dict(meta or {}))
-
-
-def _first_violation(d: np.ndarray, tol: float) -> tuple[int, int, int]:
-    """The triangle witness (i, j, k) :func:`validate_space` reports."""
-    for j in range(d.shape[0]):
-        bad = np.argwhere(d - (d[:, j, None] + d[j]) > tol)
-        if bad.size:
-            return int(bad[0][0]), j, int(bad[0][1])
 
 
 def shortest_path_closure(d: np.ndarray) -> np.ndarray:
@@ -161,25 +157,27 @@ def shortest_path_closure(d: np.ndarray) -> np.ndarray:
             return d
 
 
-def detours(d: np.ndarray) -> np.ndarray:
-    """For every pair (x, y), the least d(x, z) + d(z, y) over points z
-    outside {x, y}, or inf where there is none: one min-plus kernel over
-    blocks of rows and third points, each a temporary of at most ``BLOCK``
-    sums, so that a large space goes row by row in cache."""
-    n = d.shape[0]
-    best = np.full(d.shape, np.inf)
+def row_blocks(n: int) -> Iterator[tuple[int, int]]:
+    """Row ranges [r0, r1) that fit all n third points in ``BLOCK`` sums, or single rows."""
     rows = max(1, min(n, BLOCK // (n * n)))
-    zs = max(1, min(n, BLOCK // (rows * n)))
-    buf = np.empty((zs, rows, n))
-    for r0 in range(0, n, rows):
-        r1 = min(n, r0 + rows)
-        for z0 in range(0, n, zs):
-            z1 = min(n, z0 + zs)
-            through = np.add(d.T[z0:z1, r0:r1, None], d[z0:z1, None], out=buf[:z1 - z0, :r1 - r0])
-            through[np.arange(z1 - z0), :, np.arange(z0, z1)] = np.inf  # z = y
-            z = np.arange(max(z0, r0), min(z1, r1))
-            through[z - z0, z - r0] = np.inf  # z = x
-            np.minimum(best[r0:r1], through.min(axis=0), out=best[r0:r1])
+    return ((r0, min(n, r0 + rows)) for r0 in range(0, n, rows))
+
+
+def detour_rows(d: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """For x in r0:r1 and every y, the least d(x, z) + d(z, y) over points
+    z outside {x, y}, or inf: one min-plus kernel over blocks of third
+    points of at most ``BLOCK`` sums; the minimum is exact in any blocking."""
+    n = d.shape[0]
+    zs = max(1, min(n, BLOCK // ((r1 - r0) * n)))
+    best = np.full((r1 - r0, n), np.inf)
+    buf = np.empty((zs, r1 - r0, n))
+    for z0 in range(0, n, zs):
+        z1 = min(n, z0 + zs)
+        through = np.add(d.T[z0:z1, r0:r1, None], d[z0:z1, None], out=buf[:z1 - z0])
+        through[np.arange(z1 - z0), :, np.arange(z0, z1)] = np.inf  # z = y
+        z = np.arange(max(z0, r0), min(z1, r1))
+        through[z - z0, z - r0] = np.inf  # z = x
+        np.minimum(best, through.min(axis=0), out=best)
     return best
 
 
@@ -279,6 +277,8 @@ def intermediate_points(space: PointedMetricSpace, pair: PointPair) -> list[int]
     inequality against every third point.
     """
     x, y = pair.x, pair.y
+    if max(x, y) >= space.n:
+        raise ValueError(f"pair {pair.as_tuple()} has a point outside 0..{space.n - 1}")
     dxy = space.dist[x, y]
     through = space.dist[x, :] + space.dist[:, y]
     hits = np.argwhere(through <= dxy + space.tol)[:, 0]

@@ -23,8 +23,8 @@ from lipfree.errors import (
     NotNorming,
     SpaceMismatch,
 )
-from lipfree.fixtures import builtin_map, random_lipschitz_function, \
-    random_one_lipschitz_map, tripod
+from lipfree.fixtures import builtin_map, line_net, random_lipschitz_function, \
+    random_one_lipschitz_map, random_space, tripod
 from lipfree.freespace import FreeVector, extreme_molecules, molecule, pairing
 from lipfree.lipschitz import LipschitzFunction, lipschitz_norm
 from lipfree.metric_core import (
@@ -234,9 +234,11 @@ class TestCertifyDual:
 
     @pytest.mark.parametrize("method", ["dual", "primal", "both"])
     def test_caller_pair_outside_the_codomain_rejected(self, path3, method):
-        pairs = list(path3.pairs()) + [PointPair(-1, 1)]
+        pairs = list(path3.pairs()) + [PointPair(0, 3)]
         with pytest.raises(ValueError, match=r"indices in 0\.\.2"):
             certify_isometry(identity_map(path3), method, pairs=pairs)
+        with pytest.raises(ValueError, match=">= 0"):  # a negative index is refused earlier
+            PointPair(-1, 1)
 
     @pytest.mark.parametrize("method", ["dual", "primal", "both"])
     @pytest.mark.parametrize("name", ["fold", "halving"])
@@ -339,7 +341,7 @@ class TestOnePass:
     @pytest.mark.parametrize("method", ["dual", "primal", "both"])
     @pytest.mark.parametrize("case", ["isometric", "deficit", "norming_pairs"])
     def test_norm_and_vertices_computed_once(self, monkeypatch, method, case):
-        calls = {"extreme_molecules": 0, "norm_with_witness": 0}
+        calls = {"extreme_molecules": 0, "_first_vertex": 0, "norm_with_witness": 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -352,11 +354,48 @@ class TestOnePass:
         counted(LipschitzMap, "norm_with_witness")
         counted(freespace, "extreme_molecules")
         counted(composition, "extreme_molecules")
+        counted(composition, "_first_vertex")
         phi = builtin_map("halving" if case == "deficit" else "fold", 8)
         pairs = list(phi.codomain.pairs()) if case == "norming_pairs" else None
         report = certify_isometry(phi, method, pairs=pairs)
         assert report.verdict == ("not_isometric" if case == "deficit" else "isometric")
-        assert calls == {"extreme_molecules": 1, "norm_with_witness": 1}
+        # the norm-deficit exit reads only the first vertex: no full enumeration
+        deficit = case == "deficit"
+        assert calls == {"extreme_molecules": int(not deficit), "_first_vertex": int(deficit),
+                         "norm_with_witness": 1}
+
+    def test_map_norm_computed_once_per_map(self, monkeypatch):
+        quotients = []
+        real = composition._largest_quotient
+
+        def counted(*args):
+            quotients.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(composition, "_largest_quotient", counted)
+        phi = builtin_map("fold", 8)
+        report = certify_isometry(phi, "both")
+        assert report.verdict == "isometric"
+        assert operator_norm(phi) == 1.0
+        assert len(quotients) == 1
+
+    @pytest.mark.parametrize("method", ["dual", "primal", "both"])
+    def test_deficit_names_the_first_vertex(self, method):
+        # a map of norm 1/2 onto each codomain; rows 0-2 of the line net
+        # hold no vertex, so its first vertex is (3, 4)
+        rng = np.random.default_rng(23)
+        codomains = [random_space(rng, int(rng.integers(2, 12))) for _ in range(40)]
+        codomains.append(line_net([0, 1e-12, 2e-12, 1, 2]))
+        for codomain in codomains:
+            domain = validate_space(2.0 * codomain.dist)
+            phi = LipschitzMap(domain, codomain, tuple(range(codomain.n)))
+            report = certify_isometry(phi, method)
+            certs = (report.dual, report.primal) if method == "both" else (report,)
+            want = tuple(extreme_molecules(codomain)[0].tolist())
+            for cert in certs:
+                assert cert.verdict == "not_isometric"
+                assert cert.failing_pair == want
+        assert want == (3, 4)
 
     def test_pass_builds_no_pair_object_per_vertex(self, monkeypatch):
         # nearly every pair of a plane cloud is a vertex; the pass reads

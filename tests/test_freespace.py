@@ -3,9 +3,10 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from lipfree import freespace
+from lipfree import freespace, metric_core
 from lipfree.errors import InvariantFailure, NotZeroSum, SpaceMismatch
 from lipfree.fixtures import (
+    line_net,
     random_one_lipschitz_map,
     random_space,
     random_zero_sum,
@@ -15,6 +16,7 @@ from lipfree.freespace import (
     ZERO_SUM_REL,
     FreeVector,
     _first_outside_hull,
+    _first_vertex,
     extreme_molecules,
     free_norm_dual,
     free_norm_primal,
@@ -407,6 +409,36 @@ class TestExtremeMolecules:
         vertices = [PointPair(*v) for v in extreme_molecules(space).tolist()]
         assert (PointPair(0, 1) in vertices) == is_vertex
 
+    def test_single_pair_outside_the_space_rejected(self, path3):
+        # a negative index once read the last point: (-1, 0) said extreme
+        # while (2, 0) is not; an index of n or more is refused too
+        assert not is_extreme_molecule(path3, PointPair(2, 0)).is_extreme
+        with pytest.raises(ValueError, match=">= 0"):
+            PointPair(-1, 0)
+        for pair in (PointPair(0, 3), PointPair(3, 1)):
+            with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+                is_extreme_molecule(path3, pair)
+            with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+                intermediate_points(path3, pair)
+
+
+class TestFirstVertex:
+    def test_first_vertex_past_rows_without_one(self):
+        # within the tolerance, every pair in rows 0-2 has a point between
+        space = line_net([0, 1e-12, 2e-12, 1, 2])
+        assert extreme_molecules(space).tolist() == [[3, 4]]
+        assert _first_vertex(space).tolist() == [[3, 4]]
+
+    @pytest.mark.parametrize("block", [1, 5, 49 * 50, 7 * 50 * 50])
+    def test_first_rows_of_the_full_list(self, monkeypatch, block):
+        monkeypatch.setattr(metric_core, "BLOCK", block)
+        rng = np.random.default_rng(41)
+        spaces = [random_space(rng, int(rng.integers(2, 12))) for _ in range(30)]
+        for space in spaces + [interval_net(49), circle_net(50)]:
+            first = _first_vertex(space)
+            assert first.dtype == np.intp
+            assert np.array_equal(first, extreme_molecules(space)[:1])
+
 
 class TestHullExactHit:
     def test_answers_without_a_solve_are_exact_columns(self, hull_calls):
@@ -508,11 +540,12 @@ class TestIsNorming:
         with pytest.raises(ValueError):
             is_norming(path3, [])
 
-    @pytest.mark.parametrize("pair", [PointPair(0, 3), PointPair(-1, 1)])
+    @pytest.mark.parametrize("pair", [(0, 3), (-1, 1)])
     def test_pair_outside_the_space_rejected(self, path3, pair):
-        # a negative index would otherwise list the pair of the last point
-        with pytest.raises(ValueError, match=r"indices in 0\.\.2"):
-            is_norming(path3, list(path3.pairs()) + [pair])
+        # a negative index would otherwise list the pair of the last point;
+        # PointPair refuses it, and is_norming an index of n or more
+        with pytest.raises(ValueError, match=r"indices in 0\.\.2" if min(pair) >= 0 else ">= 0"):
+            is_norming(path3, list(path3.pairs()) + [PointPair(*pair)])
 
 
 class TestMoleculeNormInvariant:

@@ -12,19 +12,28 @@ from lipfree.errors import (
     ZeroDistanceDistinctPoints,
 )
 from lipfree import metric_core
-from lipfree.fixtures import random_space
+from lipfree.fixtures import line_net, random_space
+from lipfree.freespace import extreme_molecules
 from lipfree.metric_core import (
     REL_TOL,
+    PointedMetricSpace,
     PointPair,
     circle_net,
-    detours,
+    detour_rows,
     from_weighted_graph,
     intermediate_points,
     interval_net,
+    row_blocks,
     shortest_path_closure,
     snowflake,
     validate_space,
 )
+
+
+def detours(d):
+    """The whole detour matrix, read row block by row block as validation
+    and vertex enumeration read it."""
+    return np.concatenate([detour_rows(d, r0, r1) for r0, r1 in row_blocks(len(d))])
 
 
 class TestValidateSpace:
@@ -277,6 +286,19 @@ class TestIntermediatePoints:
         with pytest.raises(ValueError):
             PointPair(1, 1)
 
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -2), (-1, -1)])
+    def test_pair_indices_must_be_nonnegative(self, pair):
+        with pytest.raises(ValueError, match=">= 0"):
+            PointPair(*pair)
+
+    def test_intermediate_points_need_points_of_the_space(self):
+        # a negative index once read the last point: (-1, 0) gave [1, 2]
+        path = from_weighted_graph(3, [(0, 1, 1), (1, 2, 1)])
+        assert intermediate_points(path, PointPair(2, 0)) == [1]
+        for pair in (PointPair(0, 3), PointPair(5, 1)):
+            with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+                intermediate_points(path, pair)
+
 
 def _entry_by_entry_axioms(d):
     """The first axiom error as validate_space reported it before its
@@ -293,6 +315,18 @@ def _entry_by_entry_axioms(d):
     zero = np.argwhere((d == 0) & ~np.eye(n, dtype=bool))
     if zero.size:
         return ZeroDistanceDistinctPoints(int(zero[0][0]), int(zero[0][1]))
+    return None
+
+
+def _brute_violation(d, tol):
+    """The first third point j, then the first pair (i, k), with
+    d(i, k) - (d(i, j) + d(j, k)) > tol, or None."""
+    n = len(d)
+    for j in range(n):
+        for i in range(n):
+            for k in range(n):
+                if d[i, k] - (d[i, j] + d[j, k]) > tol:
+                    return (i, j, k)
     return None
 
 
@@ -358,6 +392,39 @@ class TestDetours:
         monkeypatch.setattr(metric_core, "BLOCK", block)
         for d, want in brute_blocks:
             assert np.array_equal(detours(d), want)
+
+    @pytest.mark.parametrize("block", [1, 5, 49 * 50, 2 * 50 * 50 + 7, 7 * 50 * 50,
+                                       50 ** 3 - 1])
+    def test_validation_reads_every_row_block(self, monkeypatch, block, brute_blocks):
+        # the symmetric integer cases, and line metrics broken only in
+        # their last rows (by a shortcut) or only through them (a detour)
+        cases = [d for d, _ in brute_blocks if np.array_equal(d, d.T)]
+        for n in (3, 49, 50, 51):
+            for bent in (2.5, 1.5):
+                d = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
+                d[n - 3, n - 1] = d[n - 1, n - 3] = bent
+                cases.append(d)
+        monkeypatch.setattr(metric_core, "BLOCK", block)
+        for d in cases:
+            want = _brute_violation(d, REL_TOL * d.max())
+            try:
+                validate_space(d)
+                got = None
+            except TriangleViolation as exc:
+                got = exc.witness
+            assert got == want
+
+    @pytest.mark.parametrize("block", [1, 5, 49 * 50, 2 * 50 * 50 + 7, 7 * 50 * 50,
+                                       50 ** 3 - 1])
+    def test_vertex_rows_match_the_brute_detours(self, monkeypatch, block, brute_blocks):
+        spaces = [PointedMetricSpace(tuple(map(str, range(len(d)))), 0, shortest_path_closure(d))
+                  for d, _ in brute_blocks if np.array_equal(d, d.T)]
+        spaces += [interval_net(49), circle_net(50), line_net([0, 1e-12, 2e-12, 1, 2])]
+        monkeypatch.setattr(metric_core, "BLOCK", block)
+        for space in spaces:
+            d = space.dist
+            want = np.argwhere(np.triu(_brute_detours(d) > d + space.tol, k=1))
+            assert np.array_equal(extreme_molecules(space), want)
 
 
 @pytest.fixture(scope="module")
