@@ -13,8 +13,6 @@ every randomized suite is reproducible from its seed.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .composition import LipschitzMap
@@ -25,21 +23,13 @@ from .metric_core import (
     PointedMetricSpace,
     from_weighted_graph,
     interval_net,
+    line_net,
     shortest_path_closure,
     snowflake,
     validate_space,
 )
 
 BUILTIN_MAPS = ("identity", "fold", "halving", "collapse")
-
-
-def line_net(coords: Sequence[float], base: int = 0) -> PointedMetricSpace:
-    """Line metric |c_i - c_j| over explicit coordinates."""
-    c = np.asarray(coords, dtype=float)
-    d = np.abs(c[:, None] - c[None, :])
-    meta = {"family": "line", "coords": tuple(c.tolist())}
-    labels = tuple(repr(v) for v in c.tolist())
-    return PointedMetricSpace(labels, base, d, meta)
 
 
 def tripod(leg: float = 1.0, subdivisions: int = 1) -> DiscretizedGeodesicSpace:

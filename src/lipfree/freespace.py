@@ -21,18 +21,18 @@ rewritten in terms of the other.
 The unit ball of the span of the molecules is the convex hull of the
 molecules and their negatives. Its vertices are the molecules with no
 third point metrically between their endpoints (Aliaga-Guirao), which
-:func:`extreme_molecules` reads off :func:`metric_core.detour_rows` by
-row blocks as one ``(k, 2)`` array of index pairs (the first alone row
-by row); the LP vertex test :func:`is_extreme_molecule` is its
-independent oracle. The other hull questions (is a pair set norming,
-does a pushed ball cover it) reduce to that array, because a vertex lies
-in the hull of points of the ball only if it is one of them: a pair set
-norms exactly when a table of its pairs holds every vertex. A pushed
-ball's columns are the map's ordered domain pairs, read from its image
-table and domain matrix. One table of the columns equal to a vertex
-covers those vertices; each other vertex goes to one face-filtered LP,
-:func:`hull_combination`, in units of the vertex's distance, so its
-tolerance ``REL_TOL`` is relative. scipy is imported only for an LP.
+:func:`extreme_molecules` lists as one ``(k, 2)`` array of index pairs
+(testing only the edges a space records); the LP vertex test
+:func:`is_extreme_molecule` is its independent oracle. The other hull
+questions (is a pair set norming, does a pushed ball cover it) reduce to
+that array, because a vertex lies in the hull of points of the ball only
+if it is one of them: a pair set norms exactly when a table of its pairs
+holds every vertex. A pushed ball's columns are the map's ordered domain
+pairs, read from its image table and domain matrix. One table of the
+columns equal to a vertex covers those vertices; each other vertex goes
+to one face-filtered LP, :func:`hull_combination`, in units of the
+vertex's distance, so its tolerance ``REL_TOL`` is relative. scipy is
+imported only for an LP.
 """
 
 from __future__ import annotations
@@ -399,10 +399,19 @@ def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeRe
 
 
 def _vertices_in(space: PointedMetricSpace, rows: Iterable) -> Iterator[np.ndarray]:
-    """Per row range [r0, r1), its vertices (x, y), x < y, row-major."""
-    for r0, r1 in rows:
-        vertex = detour_rows(space.dist, r0, r1) > space.dist[r0:r1] + space.tol
-        yield np.argwhere(np.triu(vertex, k=r0 + 1)) + (r0, 0)
+    """Per row range [r0, r1), or per block of the edges a space records,
+    its vertices (x, y), x < y, row-major, by the sums of ``detour_rows``."""
+    d, edges = space.dist, space.edges
+    if edges is None:
+        for r0, r1 in rows:
+            vertex = detour_rows(d, r0, r1) > d[r0:r1] + space.tol
+            yield np.argwhere(np.triu(vertex, k=r0 + 1)) + (r0, 0)
+    else:
+        for p0, p1 in row_blocks(len(edges), space.n):
+            (xs, ys), k = edges[p0:p1].T, np.arange(p1 - p0)
+            through = d[xs] + d[ys]  # d(z, y) read as d(y, z): d is symmetric
+            through[k, xs] = through[k, ys] = np.inf  # z outside {x, y}
+            yield edges[p0:p1][through.min(axis=1) > d[xs, ys] + space.tol]
 
 
 def extreme_molecules(space: PointedMetricSpace) -> np.ndarray:
@@ -410,10 +419,11 @@ def extreme_molecules(space: PointedMetricSpace) -> np.ndarray:
     array of rows (x, y) with x < y, in row-major order.
 
     That is, no third point z has d(x,z) + d(z,y) <= d(x,y) + space.tol:
-    the test of :func:`metric_core.intermediate_points`, read by row
-    blocks of :func:`metric_core.detour_rows`, with no n x n temporary.
-    Never empty: a polytope has vertices and every vertex of the ball is
-    itself a molecule or the negative of one.
+    the test of :func:`metric_core.intermediate_points`, with no n x n
+    temporary, on a space's edges if it records them (any other pair has
+    a point of a shortest path between its ends, whose detour rounds far
+    within ``space.tol``). Never empty: a polytope has vertices and every
+    vertex of the ball is itself a molecule or the negative of one.
     """
     found = np.concatenate(list(_vertices_in(space, row_blocks(space.n))))
     if not found.size:
@@ -422,7 +432,7 @@ def extreme_molecules(space: PointedMetricSpace) -> np.ndarray:
 
 
 def _first_vertex(space: PointedMetricSpace) -> np.ndarray:
-    """``extreme_molecules(space)[:1]``, read row by row up to its row."""
+    """``extreme_molecules(space)[:1]``, read up to its block of edges or its row."""
     for found in _vertices_in(space, ((x, x + 1) for x in range(space.n))):
         if found.size:
             return found[:1]

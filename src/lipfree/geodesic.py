@@ -84,6 +84,7 @@ class DiscretizedGeodesicSpace:
     space: PointedMetricSpace
     paths: Mapping[tuple[int, int], tuple[int, ...]]
     mesh: float = field(init=False)
+    _projections: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         clean: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -142,8 +143,10 @@ def inverse_projection(gspace: DiscretizedGeodesicSpace,
     :func:`straight_path_check` on admission), with floor zero, then
     clamped into [0, L]. Clamping never touches the path points, so
     composing with the path is the identity exactly; all three invariants
-    are re-verified before returning.
+    are re-verified before returning, once per pair and space.
     """
+    if pair in gspace._projections:
+        return gspace._projections[pair]
     space = gspace.space
     pts = gspace.path_for(pair)
     cum = _cumulative(space, pts)
@@ -162,7 +165,8 @@ def inverse_projection(gspace: DiscretizedGeodesicSpace,
         raise InvariantFailure("inverse projection does not restrict to arclength")
     if np.any(fn.values < 0.0) or np.any(fn.values > length):
         raise InvariantFailure("inverse projection leaves [0, L]")
-    return InverseProjection(gspace, pair, pts, tuple(cum.tolist()), fn)
+    return gspace._projections.setdefault(
+        pair, InverseProjection(gspace, pair, pts, tuple(cum.tolist()), fn))
 
 
 # ---------------------------------------------------------------------------

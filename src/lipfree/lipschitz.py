@@ -20,7 +20,7 @@ from .errors import (
     FloorNormTooLarge,
     NotAnIntervalNet,
 )
-from .metric_core import REL_TOL, PointedMetricSpace
+from .metric_core import REL_TOL, PointedMetricSpace, gaps
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +94,7 @@ def lipschitz_norm(f: LipschitzFunction) -> LipNorm:
     witnesses are broken toward the lexicographically smallest ordered
     pair, which is an arbitrary but documented choice.
     """
-    value, i, j = _largest_quotient(np.abs(f.values[:, None] - f.values[None, :]),
-                                    f.space.dist)
+    value, i, j = _largest_quotient(gaps(f.values), f.space.dist)
     return LipNorm(value, (min(i, j), max(i, j)))  # (0, 1) when f is constant
 
 
@@ -105,7 +104,7 @@ def local_slopes(f: LipschitzFunction, r: float) -> np.ndarray:
     from 0, of one :func:`quotients` matrix masked to d(x, y) <= r."""
     if r <= 0:
         raise ValueError("scale r must be positive")
-    q = quotients(np.abs(f.values[:, None] - f.values[None, :]), f.space.dist)
+    q = quotients(gaps(f.values), f.space.dist)
     return np.max(q, axis=1, where=f.space.dist <= r, initial=0.0)
 
 
@@ -122,8 +121,7 @@ def sub_lipschitz_norm(space: PointedMetricSpace, subset: Sequence[int],
     v = np.asarray(values, dtype=float)
     if idx.size < 2:
         return 0.0
-    return _largest_quotient(np.abs(v[:, None] - v[None, :]),
-                             space.dist[np.ix_(idx, idx)])[0]
+    return _largest_quotient(gaps(v), space.dist[np.ix_(idx, idx)])[0]
 
 
 def inf_extension(space: PointedMetricSpace, subset: Sequence[int],
@@ -203,8 +201,7 @@ def interval_coordinates(space: PointedMetricSpace) -> np.ndarray:
     grid = np.array([k / n for k in range(n + 1)])
     if space.base != 0 or not np.array_equal(np.sort(coords), grid):
         raise NotAnIntervalNet("points are not the uniform net {k/n} with base 0")
-    if not np.allclose(space.dist, np.abs(coords[:, None] - coords[None, :]),
-                       rtol=0.0, atol=1e-12):
+    if not np.allclose(space.dist, gaps(coords), rtol=0.0, atol=1e-12):
         raise NotAnIntervalNet("distances do not match the line metric")
     return coords
 

@@ -3,9 +3,9 @@
 A space is a finite set of points with a distinguished base point (index
 0 for every generated family) and a validated distance matrix. All
 downstream modules treat spaces as immutable; the distance matrix is
-frozen after construction. The one kernel over third points is
-:func:`detour_rows`: the triangle inequality check and the vertex
-enumeration read it by row blocks, the first-vertex search row by row.
+frozen after construction. The one kernel over third points for whole
+rows is :func:`detour_rows`: the triangle inequality check and the vertex
+enumeration of a space without edges read it by row blocks.
 
 Every module follows one tolerance policy, kept here: a distance is
 compared within ``space.tol`` (``REL_TOL`` times the largest distance)
@@ -41,13 +41,15 @@ class PointedMetricSpace:
     """A finite metric space with a distinguished base point.
 
     Instances should be built through :func:`validate_space` or one of
-    the named constructors, which enforce the metric axioms.
+    the named constructors, which enforce the metric axioms. ``edges`` are
+    the pairs x < y of the graph it was built from (read-only, row-major).
     """
 
     labels: tuple[str, ...]
     base: int
     dist: np.ndarray
     meta: Mapping[str, Any] = field(default_factory=dict)
+    edges: np.ndarray | None = field(default=None, repr=False)
     diameter: float = field(init=False, repr=False)
     tol: float = field(init=False, repr=False)  # metric comparison tolerance
 
@@ -55,6 +57,8 @@ class PointedMetricSpace:
         d = np.asarray(self.dist, dtype=float)
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
+        if self.edges is not None:
+            self.edges.setflags(write=False)
         object.__setattr__(self, "diameter", float(d.max()))
         object.__setattr__(self, "tol", REL_TOL * self.diameter)
 
@@ -97,13 +101,16 @@ def validate_space(
     labels: Sequence[str] | None = None,
     meta: Mapping[str, Any] | None = None,
     tol: float | None = None,
+    edges: np.ndarray | None = None,
 ) -> PointedMetricSpace:
     """Check the metric axioms and wrap the matrix in a space.
 
     The triangle inequality is checked by row blocks of :func:`detour_rows`
     within ``REL_TOL * max(d)`` or an explicit absolute ``tol``. A violation
     is reported as the triple (i, j, k) of the first third point j that breaks
-    a pair and the first pair (i, k) it breaks; nothing is repaired.
+    a pair and the first pair (i, k) it breaks; nothing is repaired. Given
+    ``edges``, d is the shortest-path metric of that graph, as built by
+    :func:`from_weighted_graph` or :func:`line_net`, and is not rechecked.
     A matrix that is not square or has fewer than two points, or a label
     list of the wrong length, is malformed input, reported at its path in
     a space file (``metric.d`` or ``labels``).
@@ -132,7 +139,8 @@ def validate_space(
 
     if tol is None:
         tol = REL_TOL * float(d.max())
-    if any(np.any(d[r0:r1] - detour_rows(d, r0, r1) > tol) for r0, r1 in row_blocks(n)):
+    if edges is None and any(np.any(d[r0:r1] - detour_rows(d, r0, r1) > tol)
+                             for r0, r1 in row_blocks(n)):
         for j in range(n):  # the first third point j to break a pair, then that pair
             bad = np.argwhere(d - (d[:, j, None] + d[j]) > tol)
             if bad.size:
@@ -142,7 +150,7 @@ def validate_space(
 
     if labels is None:
         labels = tuple(f"p{i}" for i in range(n))
-    return PointedMetricSpace(tuple(labels), base, d, dict(meta or {}))
+    return PointedMetricSpace(tuple(labels), base, d, dict(meta or {}), edges)
 
 
 def shortest_path_closure(d: np.ndarray) -> np.ndarray:
@@ -157,9 +165,10 @@ def shortest_path_closure(d: np.ndarray) -> np.ndarray:
             return d
 
 
-def row_blocks(n: int) -> Iterator[tuple[int, int]]:
-    """Row ranges [r0, r1) that fit all n third points in ``BLOCK`` sums, or single rows."""
-    rows = max(1, min(n, BLOCK // (n * n)))
+def row_blocks(n: int, sums: int | None = None) -> Iterator[tuple[int, int]]:
+    """Ranges [r0, r1) of n rows, each of ``sums`` sums (default n * n, a
+    detour row), that fit in ``BLOCK`` sums, or single rows."""
+    rows = max(1, BLOCK // (n * n if sums is None else sums))
     return ((r0, min(n, r0 + rows)) for r0 in range(0, n, rows))
 
 
@@ -193,7 +202,8 @@ def from_weighted_graph(
     The closure is :func:`shortest_path_closure`, so the returned matrix
     satisfies the triangle inequality with zero tolerance, and it stays
     exactly symmetric: each edge is stored in both orders, and each
-    relaxation adds the same two numbers at (i, j) and at (j, i). An edge
+    relaxation adds the same two numbers at (i, j) and at (j, i). The
+    space records the graph's edges, without self-loops or repeats. An edge
     with an endpoint outside 0..n-1 is malformed input at
     ``metric.edges``, and n below 2 at ``metric.n``.
     """
@@ -214,11 +224,31 @@ def from_weighted_graph(
             raise NegativeDistance(int(i), int(j), w)
         if w < d[i, j]:  # never on the diagonal, whose 0 no weight undercuts
             d[i, j] = d[j, i] = w
+    graph = np.argwhere(np.triu(np.isfinite(d), k=1))
     d = shortest_path_closure(d)
     if np.any(np.isinf(d)):
         unreachable = sorted(int(i) for i in np.argwhere(np.isinf(d[0]))[:, 0])
         raise DisconnectedGraph(f"unreachable from node 0: {unreachable}")
-    return validate_space(d, base=base, labels=labels, meta=meta)
+    return validate_space(d, base=base, labels=labels, meta=meta, edges=graph)
+
+
+def gaps(v: np.ndarray) -> np.ndarray:
+    """The matrix of |v_i - v_j|, built in place."""
+    g = np.subtract.outer(v, v)
+    return np.abs(g, out=g)
+
+
+def line_net(coords: Sequence[float], base: int = 0) -> PointedMetricSpace:
+    """Line metric |c_i - c_j| over explicit coordinates; a repeated or
+    non-finite one is refused as :func:`validate_space` refuses its entry."""
+    c = np.asarray(coords, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf is a nan entry, refused
+        d = gaps(c)
+    o = np.argsort(c, kind="stable")  # the path through the points in coordinate order
+    path = np.sort(np.column_stack([o[:-1], o[1:]]), axis=1)
+    meta = {"family": "line", "coords": tuple(c.tolist())}
+    return validate_space(d, base, [repr(v) for v in c.tolist()], meta,
+                          edges=path[np.lexsort(path.T[::-1])])
 
 
 def interval_net(n: int) -> PointedMetricSpace:
@@ -230,10 +260,10 @@ def interval_net(n: int) -> PointedMetricSpace:
     if n < 1:
         raise ValueError("interval_net requires n >= 1")
     coords = np.arange(n + 1) / n  # bitwise k / n while n < 2**53
-    d = np.abs(coords[:, None] - coords[None, :])
     meta = {"family": "interval", "n": n, "mesh": 1.0 / n, "coords": tuple(coords)}
     labels = tuple(repr(c) for c in coords.tolist())
-    return PointedMetricSpace(labels, 0, d, meta)
+    edges = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+    return PointedMetricSpace(labels, 0, gaps(coords), meta, edges)
 
 
 def circle_net(n: int) -> PointedMetricSpace:
@@ -243,8 +273,7 @@ def circle_net(n: int) -> PointedMetricSpace:
     """
     if n < 3:
         raise ValueError("circle_net requires n >= 3")
-    idx = np.arange(n)
-    steps = np.abs(idx[:, None] - idx[None, :])
+    steps = gaps(np.arange(n))
     steps = np.minimum(steps, n - steps)
     d = 2.0 * np.sin(np.pi * steps / n)
     np.fill_diagonal(d, 0.0)

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -6,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lipfree import freespace, metric_core
 from lipfree.errors import InvariantFailure, NotZeroSum, SpaceMismatch
 from lipfree.fixtures import (
+    circle_geodesic,
     line_net,
     random_one_lipschitz_map,
     random_space,
@@ -35,6 +39,7 @@ from lipfree.metric_core import (
     from_weighted_graph,
     intermediate_points,
     interval_net,
+    snowflake,
     validate_space,
 )
 
@@ -438,6 +443,100 @@ class TestFirstVertex:
             first = _first_vertex(space)
             assert first.dtype == np.intp
             assert np.array_equal(first, extreme_molecules(space)[:1])
+
+
+def brute_vertices(space):
+    """The vertex pairs from the whole detour tensor d(x, z) + d(z, y)."""
+    d = space.dist
+    through = d[:, :, None] + d[None, :, :]  # (x, z, y)
+    idx = np.arange(space.n)
+    through[idx, idx, :] = np.inf  # z = x
+    through[:, idx, idx] = np.inf  # z = y
+    return np.argwhere(np.triu(through.min(axis=1) > d + space.tol, k=1))
+
+
+def tangled_graph(rng, n):
+    """A connected graph with parallel edges, self-loops, edges longer than
+    their shortest path and edges shorter than the space's tolerance."""
+    edges = [(int(rng.integers(v)), v, float(rng.uniform(0.5, 2.0))) for v in range(1, n)]
+    for _ in range(int(rng.integers(0, 2 * n))):
+        u, v = (int(a) for a in rng.integers(n, size=2))
+        w = float(rng.choice([rng.uniform(0.5, 2.0), 50.0, 1e-12]))
+        edges.append((u, v, w))
+        if rng.random() < 0.3:
+            edges.append((v, u, w * rng.uniform(0.9, 1.1)))  # a parallel edge
+    return from_weighted_graph(n, edges)
+
+
+def edge_spaces():
+    rng = np.random.default_rng(59)
+    spaces = [tangled_graph(rng, n) for n in (2, 3, 4, 7, 12, 25, 40, 60)]
+    spaces += [random_space(rng, int(rng.integers(2, 30)), "graph") for _ in range(10)]
+    spaces += [line_net([0, 1e-12, 2e-12, 1, 2]), line_net([3.0, -1.0, 2.5, 0.0, 2.5 + 1e-12]),
+               line_net([5.0, 1.0])]
+    spaces += [tripod(1.0, k).space for k in (1, 2, 5, 13)]
+    spaces += [circle_geodesic(n).space for n in (4, 6, 16, 34)]
+    spaces += [interval_net(m) for m in (1, 2, 3, 8, 31, 64)]
+    return spaces
+
+
+class TestEdgeEnumeration:
+    def test_graph_and_line_spaces_record_their_edges(self):
+        space = from_weighted_graph(4, [(2, 1, 1.0), (1, 2, 0.5), (3, 3, 1.0), (0, 3, 2.0),
+                                        (3, 0, 1.0), (0, 1, 9.0)])
+        assert space.edges.tolist() == [[0, 1], [0, 3], [1, 2]]
+        assert space.edges.dtype == np.intp and not space.edges.flags.writeable
+        assert line_net([2.0, 0.0, 3.0, 1.0]).edges.tolist() == [[0, 2], [0, 3], [1, 3]]
+        assert interval_net(3).edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+        flake = snowflake(tripod(1.0, 3).space, 0.5)
+        for space in (validate_space(space.dist), circle_net(6), flake):
+            assert space.edges is None
+
+    # blocks of one edge (block 1), of a few edges (64, 130 and 200 sums
+    # over 2-65 points) and of every edge (2**17)
+    @pytest.mark.parametrize("block", [1, 64, 130, 200, 1 << 17])
+    def test_edges_give_the_brute_vertices(self, monkeypatch, block):
+        monkeypatch.setattr(metric_core, "BLOCK", block)
+        for space in edge_spaces():
+            assert space.edges is not None
+            found = extreme_molecules(space)
+            assert found.dtype == np.intp
+            assert np.array_equal(found, brute_vertices(space))
+            assert np.array_equal(found, extreme_molecules(dataclasses.replace(space, edges=None)))
+            assert np.array_equal(_first_vertex(space), found[:1])
+
+    def test_interval_net_never_reads_rows(self, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("vertex enumeration read detour rows")
+
+        net = interval_net(4096)
+        monkeypatch.setattr(freespace, "detour_rows", no_rows)
+        tracemalloc.start()
+        try:
+            found = extreme_molecules(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found.tolist() == [[k, k + 1] for k in range(4096)]
+        assert _first_vertex(net).tolist() == [[0, 1]]
+        assert peak < 8 * 2 ** 20
+
+    def test_snowflake_of_a_tripod_reads_rows(self, monkeypatch):
+        rows = []
+        real = freespace.detour_rows
+
+        def counted(d, r0, r1):
+            rows.extend(range(r0, r1))
+            return real(d, r0, r1)
+
+        monkeypatch.setattr(freespace, "detour_rows", counted)
+        for k in (1, 3, 6):
+            flake = snowflake(tripod(1.0, k).space, 0.6)
+            rows.clear()
+            found = extreme_molecules(flake)
+            assert rows == list(range(flake.n))
+            assert np.array_equal(found, brute_vertices(flake))
+            assert np.array_equal(_first_vertex(flake), found[:1])
 
 
 class TestHullExactHit:

@@ -136,6 +136,28 @@ class TestInverseProjection:
         assert np.all((proj.function.values >= 0)
                       & (proj.function.values <= proj.length))
 
+    def test_one_extension_per_path_for_both_checks(self, monkeypatch):
+        # two stored paths on a tripod: each check reads both projections
+        base = tripod(1.0, 3)
+        gs = DiscretizedGeodesicSpace(base.space, {**base.paths, (6, 9): (6, 5, 4, 0, 7, 8, 9)})
+        extensions = []
+        real = geodesic.inf_extension
+
+        def counted(*args):
+            extensions.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geodesic, "inf_extension", counted)
+        phi = identity_map(gs.space)
+        for x, y in sorted(gs.paths):
+            assert check_geodesic_necessary(phi, gs, PointPair(x, y)).holds
+        assert check_geodesic_sufficient(phi, gs).predicts_isometric
+        assert len(extensions) == 2
+        proj = inverse_projection(gs, PointPair(6, 9))
+        assert proj is inverse_projection(gs, PointPair(6, 9))
+        assert inverse_projection(gs, PointPair(9, 6)).path == proj.path[::-1]
+        assert len(extensions) == 3
+
 
 class TestIntervalNecessary:
     def test_identity_has_zero_defect(self):

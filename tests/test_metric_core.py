@@ -181,6 +181,49 @@ class TestFromWeightedGraph:
         space = from_weighted_graph(n, edges)
         validate_space(space.dist, tol=0.0)
 
+    def test_closure_of_near_degenerate_graphs_is_exactly_metric(self, monkeypatch):
+        # the closure's last pass shows the triangle inequality, so the
+        # space is built without a second pass over third points; the
+        # full check still accepts it at tolerance 0
+        rng = np.random.default_rng(29)
+        spaces = []
+        with monkeypatch.context() as m:
+            m.setattr(metric_core, "detour_rows", None)
+            for n in (2, 3, 5, 9, 17, 33):
+                w = 0.1 + 0.2  # 0.30000000000000004: sums of such weights tie by an ulp
+                edges = [(v - 1, v, float(rng.choice([w, 0.3, 1e-12, 1.0 + 2.0 ** -52])))
+                         for v in range(1, n)]
+                edges += [(int(u), int(v), float(rng.choice([w, 0.6, 0.9, 1e-12])))
+                          for u, v in rng.integers(n, size=(n, 2))]
+                spaces.append(from_weighted_graph(n, edges))
+        for space in spaces:
+            validate_space(space.dist, tol=0.0)
+
+
+class TestLineNet:
+    def test_coordinates_in_any_order(self):
+        space = line_net([2.0, 0.0, 3.0])
+        assert space.dist.tolist() == [[0, 2, 1], [2, 0, 3], [1, 3, 0]]
+        assert space.labels == ("2.0", "0.0", "3.0")
+        assert space.meta == {"family": "line", "coords": (2.0, 0.0, 3.0)}
+
+    def test_repeated_coordinate_rejected(self):
+        # it once built a space whose pair (0, 1) was listed as a vertex
+        with pytest.raises(ZeroDistanceDistinctPoints) as exc:
+            line_net([0, 0, 1])
+        assert exc.value.witness == (0, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        with pytest.raises(NegativeDistance):
+            line_net([0, bad, 1])
+
+    def test_base_and_size_checked(self):
+        with pytest.raises(BadBaseIndex):
+            line_net([0, 1], base=2)
+        with pytest.raises(MalformedInput):
+            line_net([0])
+
 
 class TestIntervalNet:
     def test_two_points(self):
