@@ -54,7 +54,7 @@ from .freespace import (
     extreme_molecules,
 )
 from .lipschitz import LipschitzFunction, _largest_quotient
-from .metric_core import BLOCK, REL_TOL, PointedMetricSpace, PointPair
+from .metric_core import REL_TOL, PointedMetricSpace, PointPair, row_blocks
 
 
 class MapNorm(NamedTuple):
@@ -89,11 +89,11 @@ class LipschitzMap:
     @cached_property
     def _norm(self) -> MapNorm:  # computed once per map
         img = np.asarray(self.image)
-        value, i, j = _largest_quotient(self.codomain.dist[np.ix_(img, img)],
-                                        self.domain.dist)
+        value, pair = _largest_quotient(img.size, lambda r0, r1: (
+            self.codomain.dist[img[r0:r1, None], img], self.domain.dist[r0:r1]))
         if value <= 0.0:
             return MapNorm(0.0, None)
-        return MapNorm(value, (min(i, j), max(i, j)))
+        return MapNorm(value, pair)
 
 
 def identity_map(space: PointedMetricSpace) -> LipschitzMap:
@@ -199,8 +199,8 @@ def _dual_certificate(phi: LipschitzMap, vertices: np.ndarray,
     least ``1 - REL_TOL``, the primal's face filter on the same column;
     the map is norm-one, so this is the attained ratio-one condition.
     One pass reads every pair's fibre block, row-major, from the domain
-    sorted by image, in chunks of pairs of at most ``BLOCK`` cells; the
-    first failing pair in list order is reported.
+    sorted by image, in :func:`row_blocks` of pairs sized by the largest
+    block; the first failing pair in list order is reported.
     With the default pair set the verdict is conclusive in both
     directions; a caller-supplied set, which :func:`certify_isometry` has
     checked to be norming, decides only the positive direction: a pair
@@ -226,10 +226,9 @@ def _dual_certificate(phi: LipschitzMap, vertices: np.ndarray,
     empty = np.flatnonzero((size[px] == 0) | (size[py] == 0))
     stop = int(empty[0]) if empty.size else len(pairs)
     cells = size[px[:stop]] * size[py[:stop]]
-    step = max(1, BLOCK // int(cells.max(initial=1)))  # pairs per chunk
     witnesses = []
-    for p0 in range(0, stop, step):
-        p = slice(p0, min(stop, p0 + step))
+    for p0, p1 in row_blocks(stop, int(cells.max(initial=1))):
+        p = slice(p0, p1)
         seg, wide = cells[p], np.repeat(size[py[p]], cells[p])
         first = np.cumsum(seg) - seg
         i, j = np.divmod(np.arange(seg.sum()) - np.repeat(first, seg), wide)

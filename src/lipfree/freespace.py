@@ -454,14 +454,15 @@ def _first_outside_hull(space: PointedMetricSpace, vertices: np.ndarray,
     ball lies in the hull of points of the ball only if it equals one of
     them. So a vertex is covered when some domain pair has its endpoints
     as images and bitwise its distance; the table of those endpoint
-    pairs is built once and read at every vertex in one gather, and only
-    the other vertices go to :func:`hull_combination`. Such a column
-    passes the kernel's face filter exactly (its face value is d/d = 1),
-    so the table decides what the kernel would.
+    pairs is built once, by domain row blocks, and read at every vertex
+    in one gather; only the others go to :func:`hull_combination`. Such
+    a column passes the kernel's face filter exactly (its face value is
+    d/d = 1), so the table decides what the kernel would.
     """
     covered = np.zeros((space.n, space.n), dtype=bool)
-    xs, ys = np.nonzero(d_dom == space.dist[np.ix_(img, img)])
-    covered[img[xs], img[ys]] = True
+    for r0, r1 in row_blocks(img.size, img.size):
+        xs, ys = np.nonzero(d_dom[r0:r1] == space.dist[img[r0:r1, None], img])
+        covered[img[r0 + xs], img[ys]] = True
     uncovered = map(PointPair, *vertices[~covered[vertices[:, 0], vertices[:, 1]]].T.tolist())
     return next((w for w in uncovered if hull_combination(space, w, img, d_dom) is None), None)
 

@@ -41,7 +41,7 @@ from .lipschitz import (
     quotients,
     sub_lipschitz_norm,
 )
-from .metric_core import BLOCK, REL_TOL, PointedMetricSpace, PointPair
+from .metric_core import REL_TOL, PointedMetricSpace, PointPair, gaps, row_blocks
 
 
 class StraightPathReport(NamedTuple):
@@ -61,8 +61,7 @@ def straight_path_check(space: PointedMetricSpace,
     if len(pts) < 2 or len(set(pts)) < len(pts):
         raise ValueError("a path needs at least two points and must not repeat one")
     cum = _cumulative(space, pts)
-    idx = np.asarray(pts)
-    ratios = quotients(np.abs(cum[:, None] - cum[None, :]), space.dist[np.ix_(idx, idx)])
+    ratios = quotients(gaps(cum), space.dist[np.ix_(pts, pts)])
     np.fill_diagonal(ratios, 1.0)
     defect = float(np.max(np.abs(ratios - 1.0)))
     return StraightPathReport(defect <= REL_TOL, defect)
@@ -123,7 +122,6 @@ class InverseProjection:
     norm one.
     """
 
-    source: DiscretizedGeodesicSpace
     pair: PointPair
     path: tuple[int, ...]
     cumulative: tuple[float, ...]
@@ -166,7 +164,7 @@ def inverse_projection(gspace: DiscretizedGeodesicSpace,
     if np.any(fn.values < 0.0) or np.any(fn.values > length):
         raise InvariantFailure("inverse projection leaves [0, L]")
     return gspace._projections.setdefault(
-        pair, InverseProjection(gspace, pair, pts, tuple(cum.tolist()), fn))
+        pair, InverseProjection(pair, pts, tuple(cum.tolist()), fn))
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +206,12 @@ def _windows(values: np.ndarray, centers: Sequence[float],
     """The order sorting ``values`` and, per center c, the run [lo, hi) of
     it with |v - c| <= width. Rounding keeps v - c monotone in v, so lo
     counts the values below c and outside, hi those below c or inside,
-    in chunks of centers of at most ``BLOCK`` comparisons."""
+    taking the centers in :func:`row_blocks`, a row of comparisons each."""
     order = np.argsort(values, kind="stable")
-    v, step = values[order], max(1, BLOCK // values.size)
+    v = values[order]
     counts = []
-    for k in range(0, len(centers), step):
-        c = np.asarray(centers[k:k + step], dtype=float)[:, None]
+    for k0, k1 in row_blocks(len(centers), values.size):
+        c = np.asarray(centers[k0:k1], dtype=float)[:, None]
         below, near = v < c, np.abs(v - c) <= width
         counts.append(np.count_nonzero([below & ~near, below | near], axis=2))
     lo, hi = np.concatenate(counts, axis=1)
@@ -233,15 +231,15 @@ def _defect_profile(kind: str, phi: LipschitzMap, values: np.ndarray,
     i against i + 1 .. i + k (ratios are symmetric, so each pair is read
     once), and a run's best ratio is the largest entry
     with lo <= i < i + k = hi - 1, gathered for all targets at once; band
-    rows go in chunks of at most ``BLOCK`` entries."""
+    rows are filled in :func:`row_blocks`."""
     r_loc, eps = _scales(mesh, phi.codomain.diameter, r_loc, eps)
     order, lo, hi = _windows(values, grid, r_loc)
     n, width = order.size, int((hi - lo).max())
-    band, step = np.empty((n, max(width - 1, 0))), max(1, BLOCK // max(width - 1, 1))
-    for i0 in range(0, n, step):
-        i = np.arange(i0, min(n, i0 + step))[:, None]
+    band = np.empty((n, max(width - 1, 0)))
+    for i0, i1 in row_blocks(n, width - 1):
+        i = np.arange(i0, i1)[:, None]
         a, b = order[i], order[(i + np.arange(1, width)) % n]  # wrapped entries are never read
-        np.maximum.accumulate(num(a, b) / phi.domain.dist[a, b], axis=1, out=band[i0:i0 + step])
+        np.maximum.accumulate(num(a, b) / phi.domain.dist[a, b], axis=1, out=band[i0:i1])
     span = np.maximum(hi - lo - 1, 0)
     run = np.repeat(np.arange(lo.size), span)
     i = np.repeat(lo - np.cumsum(span) + span, span) + np.arange(span.sum())

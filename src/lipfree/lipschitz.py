@@ -10,7 +10,7 @@ than vanishing at the base.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import (
     FloorNormTooLarge,
     NotAnIntervalNet,
 )
-from .metric_core import REL_TOL, PointedMetricSpace, gaps
+from .metric_core import REL_TOL, PointedMetricSpace, gaps, row_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,20 +70,25 @@ class LipNorm(NamedTuple):
     witness: tuple[int, int]
 
 
-def quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den, divided in place into ``num``, with -1 on the diagonal
-    (0/0), below every quotient of distinct points, so maxima skip it."""
+def quotients(num: np.ndarray, den: np.ndarray, r0: int = 0) -> np.ndarray:
+    """num / den, divided in place into ``num``, with -1 at each (k, r0 + k), the
+    diagonal (0/0) of the square whose rows r0.. these are, so maxima skip it."""
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(num, den, out=num)
-    np.fill_diagonal(num, -1.0)
+    np.fill_diagonal(num[:, r0:], -1.0)
     return num
 
 
-def _largest_quotient(num: np.ndarray, den: np.ndarray) -> tuple[float, int, int]:
-    """The largest off-diagonal num / den and its first pair, row-major."""
-    q = quotients(num, den)
-    i, j = divmod(int(np.argmax(q)), len(q))
-    return float(q[i, j]), i, j
+def _largest_quotient(n: int, rows: Callable) -> tuple[float, tuple[int, int]]:
+    """The largest off-diagonal num / den over n points and its first row-major pair (x < y
+    if symmetric); ``rows(r0, r1)`` gives rows r0:r1 of num and den, by :func:`row_blocks`."""
+    value, at = -np.inf, 0
+    for r0, r1 in row_blocks(n, n):
+        q = quotients(*rows(r0, r1), r0)
+        k = int(np.argmax(q))
+        if q.flat[k] > value:
+            value, at = float(q.flat[k]), r0 * n + k
+    return value, divmod(at, n)
 
 
 def lipschitz_norm(f: LipschitzFunction) -> LipNorm:
@@ -92,20 +97,23 @@ def lipschitz_norm(f: LipschitzFunction) -> LipNorm:
     The value is the maximum of |f(x)-f(y)| / d(x,y) over pairs of
     distinct points; it is 0 for constant functions. Ties between
     witnesses are broken toward the lexicographically smallest ordered
-    pair, which is an arbitrary but documented choice.
+    pair ((0, 1) for a constant), which is an arbitrary but documented choice.
     """
-    value, i, j = _largest_quotient(gaps(f.values), f.space.dist)
-    return LipNorm(value, (min(i, j), max(i, j)))  # (0, 1) when f is constant
+    v, d = f.values, f.space.dist
+    return LipNorm(*_largest_quotient(v.size, lambda r0, r1: (gaps(v[r0:r1], v), d[r0:r1])))
 
 
 def local_slopes(f: LipschitzFunction, r: float) -> np.ndarray:
     """Every point's largest difference quotient against the other points
-    within distance r of it (0 where there are none): the row maxima,
-    from 0, of one :func:`quotients` matrix masked to d(x, y) <= r."""
+    within distance r of it (0 where there are none): the row maxima, from
+    0, of :func:`quotients` masked to d(x, y) <= r, in :func:`row_blocks`."""
     if r <= 0:
         raise ValueError("scale r must be positive")
-    q = quotients(gaps(f.values), f.space.dist)
-    return np.max(q, axis=1, where=f.space.dist <= r, initial=0.0)
+    v, d, slopes = f.values, f.space.dist, np.empty(f.space.n)
+    for r0, r1 in row_blocks(v.size, v.size):
+        q = quotients(gaps(v[r0:r1], v), d[r0:r1], r0)
+        np.max(q, axis=1, where=d[r0:r1] <= r, initial=0.0, out=slopes[r0:r1])
+    return slopes
 
 
 def pointwise_lip_at_scale(f: LipschitzFunction, x: int, r: float) -> float:
@@ -121,7 +129,8 @@ def sub_lipschitz_norm(space: PointedMetricSpace, subset: Sequence[int],
     v = np.asarray(values, dtype=float)
     if idx.size < 2:
         return 0.0
-    return _largest_quotient(gaps(v), space.dist[np.ix_(idx, idx)])[0]
+    return _largest_quotient(idx.size, lambda r0, r1: (
+        gaps(v[r0:r1], v), space.dist[idx[r0:r1, None], idx]))[0]
 
 
 def inf_extension(space: PointedMetricSpace, subset: Sequence[int],

@@ -3,9 +3,9 @@
 A space is a finite set of points with a distinguished base point (index
 0 for every generated family) and a validated distance matrix. All
 downstream modules treat spaces as immutable; the distance matrix is
-frozen after construction. The one kernel over third points for whole
-rows is :func:`detour_rows`: the triangle inequality check and the vertex
-enumeration of a space without edges read it by row blocks.
+frozen after construction. Pairwise passes that would otherwise hold an
+n x n temporary read rows in the ranges of :func:`row_blocks`, the one
+place that sizes one; :func:`detour_rows`, over third points, is one.
 
 Every module follows one tolerance policy, kept here: a distance is
 compared within ``space.tol`` (``REL_TOL`` times the largest distance)
@@ -166,22 +166,21 @@ def shortest_path_closure(d: np.ndarray) -> np.ndarray:
 
 
 def row_blocks(n: int, sums: int | None = None) -> Iterator[tuple[int, int]]:
-    """Ranges [r0, r1) of n rows, each of ``sums`` sums (default n * n, a
-    detour row), that fit in ``BLOCK`` sums, or single rows."""
-    rows = max(1, BLOCK // (n * n if sums is None else sums))
+    """Ranges [r0, r1) of n rows of ``sums`` entries each (default n * n, a
+    detour row; at least 1) that fit in ``BLOCK`` entries, or single rows."""
+    rows = max(1, BLOCK // max(1, n * n if sums is None else sums))
     return ((r0, min(n, r0 + rows)) for r0 in range(0, n, rows))
 
 
 def detour_rows(d: np.ndarray, r0: int, r1: int) -> np.ndarray:
     """For x in r0:r1 and every y, the least d(x, z) + d(z, y) over points
-    z outside {x, y}, or inf: one min-plus kernel over blocks of third
-    points of at most ``BLOCK`` sums; the minimum is exact in any blocking."""
+    z outside {x, y}, or inf: one min-plus kernel over :func:`row_blocks` of
+    third points, in one reused buffer; the minimum is exact in any blocking."""
     n = d.shape[0]
-    zs = max(1, min(n, BLOCK // ((r1 - r0) * n)))
+    blocks = list(row_blocks(n, (r1 - r0) * n))
     best = np.full((r1 - r0, n), np.inf)
-    buf = np.empty((zs, r1 - r0, n))
-    for z0 in range(0, n, zs):
-        z1 = min(n, z0 + zs)
+    buf = np.empty((blocks[0][1], r1 - r0, n))  # the first block is the largest
+    for z0, z1 in blocks:
         through = np.add(d.T[z0:z1, r0:r1, None], d[z0:z1, None], out=buf[:z1 - z0])
         through[np.arange(z1 - z0), :, np.arange(z0, z1)] = np.inf  # z = y
         z = np.arange(max(z0, r0), min(z1, r1))
@@ -232,9 +231,9 @@ def from_weighted_graph(
     return validate_space(d, base=base, labels=labels, meta=meta, edges=graph)
 
 
-def gaps(v: np.ndarray) -> np.ndarray:
-    """The matrix of |v_i - v_j|, built in place."""
-    g = np.subtract.outer(v, v)
+def gaps(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """The matrix of |u_i - v_j| (v defaults to u; u[r0:r1] gives a row block), in place."""
+    g = np.subtract.outer(u, u if v is None else v)
     return np.abs(g, out=g)
 
 

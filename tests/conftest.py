@@ -6,7 +6,7 @@ import scipy.optimize
 
 from lipfree import freespace
 from lipfree.composition import LipschitzMap
-from lipfree.metric_core import PointedMetricSpace
+from lipfree.metric_core import PointedMetricSpace, from_weighted_graph
 
 
 def scaled(space_or_map, s: float):
@@ -21,6 +21,30 @@ def scaled(space_or_map, s: float):
         return LipschitzMap(domain, codomain, space_or_map.image)
     space = space_or_map
     return PointedMetricSpace(space.labels, space.base, space.dist * s, {"family": "scaled"})
+
+
+def integer_space(rng, n):
+    """A graph metric with integer weights 1-3 on a path plus a few chords:
+    every distance is an integer, so quotients of integer values tie often."""
+    edges = [(k, k + 1, int(rng.integers(1, 4))) for k in range(n - 1)]
+    edges += [(int(a), int(b), int(rng.integers(1, 4)))
+              for a, b in rng.integers(n, size=(n // 2, 2))]
+    return from_weighted_graph(n, edges)
+
+
+def whole_quotients(num, den):
+    """num / den over one whole matrix, -1 on the diagonal."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = num / den
+    np.fill_diagonal(q, -1.0)
+    return q
+
+
+def first_maximum(q):
+    """The largest entry of a square matrix and its first row-major
+    position, smaller index first, with the number of positions holding it."""
+    i, j = divmod(int(np.argmax(q)), len(q))
+    return float(q[i, j]), (min(i, j), max(i, j)), int(np.count_nonzero(q == q[i, j]))
 
 
 class LPSolve(NamedTuple):

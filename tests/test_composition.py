@@ -2,9 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import first_maximum, integer_space, whole_quotients
 from hypothesis import given, settings, strategies as st
 
-from lipfree import composition, freespace
+from lipfree import composition, freespace, metric_core
 from lipfree.composition import (
     IsometryCertificate,
     LipschitzMap,
@@ -26,6 +27,7 @@ from lipfree.errors import (
 from lipfree.fixtures import builtin_map, line_net, random_lipschitz_function, \
     random_one_lipschitz_map, random_space, tripod
 from lipfree.freespace import FreeVector, extreme_molecules, molecule, pairing
+from lipfree.geodesic import check_interval_sufficient
 from lipfree.lipschitz import LipschitzFunction, lipschitz_norm
 from lipfree.metric_core import (
     REL_TOL,
@@ -186,6 +188,29 @@ class TestOperatorNorm:
         assert best <= bound + 1e-9
 
 
+@pytest.mark.parametrize("block", [1, 7, 64, 2 ** 17])
+def test_map_norm_read_by_row_blocks_is_the_whole_matrix_norm(monkeypatch, block):
+    # integer graph metrics tie often, and random tables repeat images
+    monkeypatch.setattr(metric_core, "BLOCK", block)
+    rng = np.random.default_rng(block)
+    maps = [builtin_map(name, 8) for name in ("identity", "fold", "halving", "collapse")]
+    for n, m in ((2, 2), (5, 3), (9, 4), (16, 16), (40, 7)):
+        domain, codomain = integer_space(rng, n), integer_space(rng, m)
+        img = rng.integers(m, size=n)
+        img[domain.base] = codomain.base
+        maps.append(LipschitzMap(domain, codomain, tuple(img)))
+        maps.append(random_one_lipschitz_map(rng, n, m))
+    tied = 0
+    for phi in maps:
+        img = np.asarray(phi.image)
+        value, pair, hits = first_maximum(
+            whole_quotients(phi.codomain.dist[np.ix_(img, img)], phi.domain.dist))
+        tied += hits > 2  # more than one unordered pair
+        want = (value, pair) if value > 0 else (0.0, None)
+        assert tuple(LipschitzMap(phi.domain, phi.codomain, phi.image).norm_with_witness()) == want
+    assert tied > 0
+
+
 class TestRandomQuotientMap:
     def test_codomain_is_the_closure_of_the_fiber_distances(self):
         rng = np.random.default_rng(13)
@@ -335,6 +360,28 @@ class TestCertifyPrimal:
         isometric = certify_isometry(builtin_map("fold", 4), "both")
         assert "map_norm" not in isometric.dual.tolerances
         assert "map_norm" not in isometric.primal.tolerances
+
+
+class TestPairPassMemory:
+    def test_no_pass_holds_a_domain_sized_matrix(self):
+        # fold at mesh 1024: a 2,049-point domain, whose N x N float matrix
+        # is 33.6 MB; every pass over its pairs reads it by row blocks
+        builtin = builtin_map("fold", 1024)
+        certify_isometry(builtin_map("fold", 8))  # warm-up: first-time setup
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for name, run in (("operator_norm", operator_norm),
+                              ("check_interval_sufficient", check_interval_sufficient),
+                              ("certify_isometry", certify_isometry)):
+                phi = LipschitzMap(builtin.domain, builtin.codomain, builtin.image)  # no cached norm
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                run(phi)
+                peaks[name] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert max(peaks.values()) < 8 * 2 ** 20, peaks
 
 
 class TestOnePass:
@@ -562,7 +609,7 @@ class TestDualCertificateOracle:
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
     def test_chunks_of_every_size(self, monkeypatch, block):
-        monkeypatch.setattr(composition, "BLOCK", block)
+        monkeypatch.setattr(metric_core, "BLOCK", block)
         rng = np.random.default_rng(block)
         for _ in range(20):
             _assert_same_dual(random_one_lipschitz_map(rng, int(rng.integers(2, 12)),

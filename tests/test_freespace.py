@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.optimize
+from conftest import integer_space
 from hypothesis import given, settings, strategies as st
 
 from lipfree import freespace, metric_core
+from lipfree.composition import LipschitzMap
 from lipfree.errors import InvariantFailure, NotZeroSum, SpaceMismatch
 from lipfree.fixtures import (
     circle_geodesic,
@@ -587,6 +589,39 @@ class TestHullExactHit:
                                  1.0 - np.eye(2))
         assert found is None
         assert len(lp_solves) == 1
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 2 ** 17])
+    def test_table_by_row_blocks_is_the_whole_table(self, monkeypatch, hull_calls, block):
+        # the same first failing vertex and the same vertices sent to the
+        # kernel as a table built from the whole gathered matrix
+        def whole_table_pass(space, vertices, img, d_dom):
+            covered = np.zeros((space.n, space.n), dtype=bool)
+            xs, ys = np.nonzero(d_dom == space.dist[np.ix_(img, img)])
+            covered[img[xs], img[ys]] = True
+            sent = [PointPair(x, y) for x, y in vertices.tolist() if not covered[x, y]]
+            for k, pair in enumerate(sent):
+                if hull_combination(space, pair, img, d_dom) is None:
+                    return pair, sent[:k + 1]
+            return None, sent
+
+        monkeypatch.setattr(metric_core, "BLOCK", block)
+        rng = np.random.default_rng(block)
+        maps = [random_one_lipschitz_map(rng, int(rng.integers(2, 12)), int(rng.integers(2, 8)))
+                for _ in range(12)]
+        for n, m in ((3, 2), (6, 4), (12, 5), (30, 9)):
+            domain, codomain = integer_space(rng, n), integer_space(rng, m)
+            img = rng.integers(m, size=n)
+            img[domain.base] = codomain.base
+            maps.append(LipschitzMap(domain, codomain, tuple(img)))
+        outcomes = set()
+        for phi in maps:
+            img, rows = np.asarray(phi.image), extreme_molecules(phi.codomain)
+            hull_calls.clear()
+            failing = _first_outside_hull(phi.codomain, rows, img, phi.domain.dist)
+            assert (failing, hull_calls) == whole_table_pass(phi.codomain, rows, img,
+                                                             phi.domain.dist)
+            outcomes.add((failing is None, bool(hull_calls)))
+        assert {(True, False), (False, True)} <= outcomes  # all in the table; one outside
 
     def test_vertex_oracle_never_skips_the_solve(self, lp_solves):
         # the pair's own column is excluded, so no column equals the target:

@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from conftest import scaled
 from hypothesis import given, settings, strategies as st
 
-from lipfree import geodesic
+from lipfree import geodesic, metric_core
 from lipfree.composition import LipschitzMap, certify_isometry, identity_map
 from lipfree.errors import NoStoredPath, NotStraightPath
 from lipfree.fixtures import (
@@ -157,6 +160,19 @@ class TestInverseProjection:
         assert proj is inverse_projection(gs, PointPair(6, 9))
         assert inverse_projection(gs, PointPair(9, 6)).path == proj.path[::-1]
         assert len(extensions) == 3
+
+
+    def test_projected_space_is_freed_by_reference_counting(self):
+        # a cached projection holds no reference back to its space
+        gs = circle_geodesic(8)
+        inverse_projection(gs, PointPair(*sorted(gs.paths)[0]))
+        ref = weakref.ref(gs)
+        gc.disable()
+        try:
+            del gs
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestIntervalNecessary:
@@ -442,5 +458,5 @@ class TestSortedWindowOracle:
             return out + [check_geodesic_sufficient(tripod_map, gs).to_dict()]
 
         want = reports()
-        monkeypatch.setattr(geodesic, "BLOCK", block)
+        monkeypatch.setattr(metric_core, "BLOCK", block)
         assert reports() == want

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from conftest import first_maximum, integer_space, whole_quotients
 from hypothesis import given, settings, strategies as st
 
+from lipfree import metric_core
 from lipfree.errors import (
     AnchorNotOnNet,
     FloorExceedsFunction,
@@ -18,9 +20,10 @@ from lipfree.lipschitz import (
     peak_function,
     pointwise_lip_at_scale,
     quotients,
+    sub_lipschitz_norm,
 )
 from lipfree.fixtures import random_lipschitz_function, random_space
-from lipfree.metric_core import from_weighted_graph, interval_net, validate_space
+from lipfree.metric_core import from_weighted_graph, interval_net, line_net, validate_space
 
 
 @pytest.fixture
@@ -138,6 +141,64 @@ class TestQuotients:
         q = quotients(num, path3.dist)
         assert q is num
         assert q.tolist() == [[-1.0, 0.5, 1.5], [0.5, -1.0, 2.5], [1.5, 2.5, -1.0]]
+
+    def test_rows_from_an_offset_are_those_rows_of_the_whole(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 5, 9):
+            num, den = rng.random((n, n)), rng.random((n, n)) + 0.5
+            whole = quotients(num.copy(), den)
+            for r0 in range(n):
+                for r1 in range(r0 + 1, n + 1):
+                    block = quotients(num[r0:r1].copy(), den[r0:r1], r0)
+                    assert np.array_equal(block, whole[r0:r1])
+
+
+def whole_gaps(v):
+    return np.abs(np.subtract.outer(v, v))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 2 ** 17])
+class TestRowBlockInvariance:
+    """Norms and slopes read by row blocks equal their whole-matrix
+    references, for every size of block."""
+
+    def cases(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (2, 3, 5, 8, 13, 40):
+            space = integer_space(rng, n)
+            yield rng, space, rng.integers(-3, 4, size=n).astype(float)
+            cloud = random_space(rng, n)
+            yield rng, cloud, random_lipschitz_function(rng, cloud).values
+
+    def test_lipschitz_norm_keeps_the_first_row_major_witness(self, monkeypatch, block):
+        monkeypatch.setattr(metric_core, "BLOCK", block)
+        tied = 0
+        for _, space, v in self.cases(block):
+            f = LipschitzFunction(space, v)
+            value, pair, hits = first_maximum(whole_quotients(whole_gaps(f.values), space.dist))
+            tied += hits > 2  # more than one unordered pair
+            assert tuple(lipschitz_norm(f)) == (value, pair)
+        assert tied > 0
+
+    def test_sub_lipschitz_norm(self, monkeypatch, block):
+        monkeypatch.setattr(metric_core, "BLOCK", block)
+        for rng, space, v in self.cases(block + 1):
+            idx = rng.permutation(space.n)[:int(rng.integers(2, space.n + 1))]
+            q = whole_quotients(whole_gaps(v[idx]), space.dist[np.ix_(idx, idx)])
+            assert sub_lipschitz_norm(space, idx, v[idx]) == q.max()
+
+    def test_local_slopes_with_isolated_points(self, monkeypatch, block):
+        monkeypatch.setattr(metric_core, "BLOCK", block)
+        line = line_net([0.0, 1.0, 1.5, 5.0, 9.0, 9.25, 20.0])  # 5 and 20 lie 3+ from the rest
+        on_line = LipschitzFunction(line, [0.0, 1.0, 0.5, 2.0, 1.0, 1.25, 3.0])
+        assert local_slopes(on_line, 1.0)[[3, 6]].tolist() == [0.0, 0.0]
+        for space, v in [(line, on_line.values)] + [c[1:] for c in self.cases(block + 2)]:
+            d = space.dist
+            for r in (0.5, 1.0, 2.0, float(np.min(d[d > 0])), space.diameter):
+                want = np.max(whole_quotients(whole_gaps(v), d), axis=1,
+                              where=d <= r, initial=0.0)
+                got = local_slopes(LipschitzFunction(space, v, normalize=False), r)
+                assert np.array_equal(got, want)
 
 
 class TestLocalSlopes:
