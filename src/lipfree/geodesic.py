@@ -393,7 +393,8 @@ def check_geodesic_sufficient(
     mesh, space = gspace.mesh, gspace.space
     r, eps = _scales(mesh, space.diameter, r, eps)
     img = np.asarray(phi.image)
-    cover = space.dist[:, img].min(axis=1)
+    cover = np.concatenate([space.dist[r0:r1, img].min(axis=1)
+                            for r0, r1 in row_blocks(space.n, img.size)])
     worst_point = int(np.argmax(cover))
     max_gap = float(cover[worst_point])
     dense = max_gap <= 2.0 * mesh

@@ -137,10 +137,13 @@ def inf_extension(space: PointedMetricSpace, subset: Sequence[int],
                   values: Sequence[float], constant: float) -> np.ndarray:
     """Largest extension with the given constant: min over the subset of
     value + constant * distance. Subset points are restored exactly by
-    assignment, so the restriction is bitwise equal to the input."""
+    assignment, so the restriction is bitwise equal to the input; subset
+    points are read in :func:`row_blocks`."""
     idx = np.asarray(subset, dtype=int)
     v = np.asarray(values, dtype=float)
-    ext = np.min(v[:, None] + constant * space.dist[idx, :], axis=0)
+    ext = np.full(space.n, np.inf)
+    for k0, k1 in row_blocks(idx.size, space.n):
+        np.minimum(ext, (v[k0:k1, None] + constant * space.dist[idx[k0:k1]]).min(axis=0), out=ext)
     ext[idx] = v
     return ext
 

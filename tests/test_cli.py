@@ -845,9 +845,19 @@ class TestDeterminism:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_cli_import_loads_no_scipy():
-    code = ("import lipfree.cli, sys; "
-            "print(sorted({'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+def test_cli_import_loads_no_scipy(tmp_path):
+    # neither the import, a graph build nor validating a graph file loads
+    # scipy's LP or sparse-graph modules, each in a fresh interpreter
+    edges = [[v - 1, v, 1.0 + v / 40] for v in range(1, 40)] + [[0, 20, 3.0], [5, 33, 2.5]]
+    graph = write(tmp_path / "graph40.json", {
+        "labels": [f"g{i}" for i in range(40)], "base": 0,
+        "metric": {"type": "graph", "n": 40, "edges": edges}})
+    for step in ("import lipfree.cli",
+                 "from lipfree.metric_core import from_weighted_graph; "
+                 f"assert from_weighted_graph(40, {edges!r}).n == 40",
+                 f"import lipfree.cli; assert lipfree.cli.run(['validate', {graph!r}]) == 0"):
+        code = (f"{step}; import sys; print(sorted({{'scipy.optimize', 'scipy.sparse', "
+                "'scipy.sparse.csgraph'} & set(sys.modules)), file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "[]", step

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -343,6 +344,45 @@ class TestGeodesicSufficient:
         report = check_geodesic_sufficient(identity_map(gs.space), gs, r=gs.mesh)
         assert report.predicts_isometric
         assert report.worst_margin == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 2 ** 17])
+def test_cover_read_by_row_blocks_is_the_whole_minimum(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    cases = [tripod(1.0, 4), circle_geodesic(16), interval_geodesic(9), tripod(2.0, 1)]
+    monkeypatch.setattr(metric_core, "BLOCK", block)
+    for gs in cases:
+        n = gs.space.n
+        for img in [np.arange(n), np.zeros(n, dtype=int), rng.integers(n, size=n) * (
+                np.arange(n) > 0), np.minimum(np.arange(n), n // 2)]:  # the base maps to 0
+            phi = LipschitzMap(gs.space, gs.space, tuple(int(v) for v in img))
+            cover = gs.space.dist[:, img].min(axis=1)
+            report = check_geodesic_sufficient(phi, gs)
+            assert report.max_gap == cover.max()
+            if not report.density_ok:
+                assert report.extra["worst_point"] == np.argmax(cover)
+
+
+def test_geodesic_checks_hold_no_space_sized_matrix():
+    # a 1,025-point geodesic space, whose N x N float matrix is 8.4 MB:
+    # the cover and the inverse projection's extension read it by row blocks
+    gs = interval_geodesic(1024)
+    pair = PointPair(0, 1024)
+    checks = {"necessary": lambda phi, g: check_geodesic_necessary(phi, g, pair),
+              "sufficient": check_geodesic_sufficient}
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, check in checks.items():
+            fresh = DiscretizedGeodesicSpace(gs.space, gs.paths)  # no cached projection
+            phi = identity_map(fresh.space)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            check(phi, fresh)
+            peaks[name] = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) < 6 * 2 ** 20, peaks
 
 
 class TestRefinement:

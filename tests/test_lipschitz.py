@@ -13,6 +13,7 @@ from lipfree.errors import (
 from lipfree.lipschitz import (
     LipschitzFunction,
     clamp_unit,
+    inf_extension,
     interval_coordinates,
     lipschitz_norm,
     local_slopes,
@@ -186,6 +187,15 @@ class TestRowBlockInvariance:
             idx = rng.permutation(space.n)[:int(rng.integers(2, space.n + 1))]
             q = whole_quotients(whole_gaps(v[idx]), space.dist[np.ix_(idx, idx)])
             assert sub_lipschitz_norm(space, idx, v[idx]) == q.max()
+
+    def test_inf_extension(self, monkeypatch, block):
+        monkeypatch.setattr(metric_core, "BLOCK", block)
+        for rng, space, v in self.cases(block + 3):
+            idx = rng.permutation(space.n)[:int(rng.integers(1, space.n + 1))]
+            for constant in (0.5, 1.0, 3.0):
+                want = np.min(v[idx, None] + constant * space.dist[idx], axis=0)
+                want[idx] = v[idx]
+                assert np.array_equal(inf_extension(space, idx, v[idx], constant), want)
 
     def test_local_slopes_with_isolated_points(self, monkeypatch, block):
         monkeypatch.setattr(metric_core, "BLOCK", block)

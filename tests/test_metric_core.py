@@ -181,10 +181,10 @@ class TestFromWeightedGraph:
         space = from_weighted_graph(n, edges)
         validate_space(space.dist, tol=0.0)
 
-    def test_closure_of_near_degenerate_graphs_is_exactly_metric(self, monkeypatch):
-        # the closure's last pass shows the triangle inequality, so the
-        # space is built without a second pass over third points; the
-        # full check still accepts it at tolerance 0
+    def test_closure_of_near_degenerate_graphs_is_within_the_bound(self, monkeypatch):
+        # the closure's rounding bound stands in for the triangle pass, so
+        # the space is built without a second pass over third points; the
+        # full check accepts it, and no defect exceeds the bound
         rng = np.random.default_rng(29)
         spaces = []
         with monkeypatch.context() as m:
@@ -197,7 +197,29 @@ class TestFromWeightedGraph:
                           for u, v in rng.integers(n, size=(n, 2))]
                 spaces.append(from_weighted_graph(n, edges))
         for space in spaces:
-            validate_space(space.dist, tol=0.0)
+            validate_space(space.dist)
+            assert triangle_defect(space.dist) <= closure_bound(space.dist)
+
+    def test_closure_of_random_graphs_is_within_the_bound(self):
+        rng = np.random.default_rng(31)
+        for n in (2, 10, 50, 120, 260, 400):
+            edges = [(int(rng.integers(v)), v, float(rng.uniform(0.1, 10.0)))
+                     for v in range(1, n)]
+            edges += [(int(a), int(b), float(rng.uniform(0.1, 10.0)))
+                      for a, b in rng.integers(n, size=(2 * n, 2))]
+            d = from_weighted_graph(n, edges).dist
+            assert triangle_defect(d) <= closure_bound(d)
+
+
+def triangle_defect(d):
+    """The largest d(x, y) - fl(d(x, z) + d(z, y)) over third points z."""
+    return max(float((d[r0:r1] - detour_rows(d, r0, r1)).max()) for r0, r1 in row_blocks(len(d)))
+
+
+def closure_bound(d):
+    """gamma(2n + 1) * max(d), the proven bound on a closure's triangle defect."""
+    m = (2 * len(d) + 1) * 2.0 ** -53
+    return m / (1 - m) * d.max()
 
 
 class TestLineNet:
@@ -223,6 +245,41 @@ class TestLineNet:
             line_net([0, 1], base=2)
         with pytest.raises(MalformedInput):
             line_net([0])
+
+    def test_refusals_carry_the_matrix_witness(self):
+        # seeded coordinates with repeats, non-finite entries and gaps
+        # that overflow, refused as the whole matrix's validation refuses them
+        rng = np.random.default_rng(41)
+        cases = [[], [[0.0, 1.0], [1.0, 0.0]], [1e308, -1e308, 0.0], [0.0, 5e307, -1.7e308]]
+        for _ in range(60):
+            c = rng.integers(-4, 5, size=int(rng.integers(2, 9))).astype(float)
+            for _ in range(int(rng.integers(0, 3))):
+                c[rng.integers(c.size)] = rng.choice([np.nan, np.inf, -np.inf])
+            cases.append(c.tolist())
+
+        def refusal(build, *args):
+            try:
+                build(*args)
+            except (MalformedInput, BadBaseIndex, NegativeDistance,
+                    ZeroDistanceDistinctPoints) as exc:
+                return type(exc), getattr(exc, "witness", None), str(exc)
+            return None
+
+        refused = set()
+        for c in cases:
+            base = int(rng.integers(0, 3))
+            with np.errstate(invalid="ignore", over="ignore"):
+                d = metric_core.gaps(np.asarray(c, dtype=float))
+            want = refusal(validate_space, d, base)
+            assert refusal(line_net, c, base) == want, c
+            refused.add(want and want[0])
+        assert refused == {None, MalformedInput, BadBaseIndex, NegativeDistance,
+                           ZeroDistanceDistinctPoints}
+
+    def test_valid_coordinates_skip_the_matrix_checks(self, monkeypatch):
+        monkeypatch.setattr(metric_core, "validate_space", None)
+        space = line_net([3.0, -1.0, 2.5, 0.0, 2.5 + 1e-12], base=2)
+        assert space.base == 2 and space.dist[1, 0] == 4.0
 
 
 class TestIntervalNet:
@@ -385,19 +442,15 @@ def _brute_detours(d):
 
 
 def _reference_closure(d):
-    """Textbook Floyd-Warshall, scalar by scalar, repeated to a fixpoint."""
+    """Textbook Floyd-Warshall, scalar by scalar, in one pass."""
     d = d.copy()
     n = len(d)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n):
-            relaxed = d.copy()
-            for i in range(n):
-                for j in range(n):
-                    relaxed[i, j] = min(d[i, j], d[i, k] + d[k, j])
-            changed |= not np.array_equal(relaxed, d)
-            d = relaxed
+    for k in range(n):
+        relaxed = d.copy()
+        for i in range(n):
+            for j in range(n):
+                relaxed[i, j] = min(d[i, j], d[i, k] + d[k, j])
+        d = relaxed
     return d
 
 
@@ -486,7 +539,8 @@ def brute_blocks():
 
 
 class TestShortestPathClosure:
-    def test_matches_reference_floyd_warshall_bitwise(self):
+    def test_matches_reference_floyd_warshall_bitwise(self, monkeypatch):
+        # in every row blocking: single rows, blocks of 2-7 rows, one block
         rng = np.random.default_rng(11)
         for _ in range(30):
             n = int(rng.integers(2, 10))
@@ -496,6 +550,10 @@ class TestShortestPathClosure:
                 i, j = (int(v) for v in rng.integers(n, size=2))
                 if i != j:
                     d[i, j] = d[j, i] = min(d[i, j], float(rng.uniform(0.1, 2.0)))
-            closed = shortest_path_closure(d.copy())
-            assert np.array_equal(closed, _reference_closure(d))
-            assert np.array_equal(closed, closed.T)
+            given, want = d.copy(), _reference_closure(d)
+            for block in (1, 20, 2 ** 17):
+                monkeypatch.setattr(metric_core, "BLOCK", block)
+                closed = shortest_path_closure(d)
+                assert np.array_equal(d, given)
+                assert np.array_equal(closed, want)
+                assert np.array_equal(closed, closed.T)
