@@ -2,9 +2,11 @@
 
 A norm-one map is certified isometric either by finding, for every
 extreme pair of the codomain, a preimage pair at the same distance
-(dual route), or by showing every codomain ball vertex is a convex
-combination of pushed domain molecules (primal route). The two must
-agree; `method="both"` enforces that.
+(dual route), or by reading the metric the map induces on its codomain,
+the shortest-path closure of the least distance between fibres, which
+must be the codomain's own (primal route). The primal also reports the
+modulus m, the largest factor with ||f o phi|| >= m ||f|| for every f.
+The two must agree; `method="both"` enforces that.
 """
 
 import numpy as np
@@ -46,6 +48,7 @@ phi = random_one_lipschitz_map(rng, 8, 5, kind="quotient")
 report = certify_isometry(phi, "both")
 print(f"quotient of an 8-point space onto {phi.codomain.n} classes: "
       f"{report.verdict}")
+print(f"the primal's modulus (least ||f o phi|| / ||f||): {report.primal.modulus!r}")
 
 print("\n== isometry means norms survive composition ==")
 worst = 1.0

@@ -265,7 +265,8 @@ def _cmd_validate(args):
         tol = getattr(exc, "tol", args.tol)
         return {} if tol is None else {"tol_metric": tol}, results
     results = {"valid": True, "points": space.n, "diameter": space.diameter}
-    return {"tol_metric": args.tol if args.tol is not None else space.tol}, results
+    admitted = args.tol is not None and space.edges is None  # a graph is never rechecked
+    return {"tol_metric": args.tol if admitted else space.tol}, results
 
 
 def _cmd_norm(args):
@@ -306,8 +307,9 @@ def _cmd_freenorm(args):
 
 
 def _space_tolerances(space, args) -> dict:
-    """``space.tol`` decides; a ``--tol`` only admitted the space."""
-    given = {} if args.tol is None else {"tol_validation": args.tol}
+    """``space.tol`` decides; a ``--tol`` only admitted a matrix-form space
+    (a graph-form one is never rechecked)."""
+    given = {} if args.tol is None or space.edges is not None else {"tol_validation": args.tol}
     return {"tol_metric": space.tol, **given}
 
 

@@ -6,36 +6,36 @@ to each other, which is why the operator norm of the composition
 operator equals the Lipschitz constant of the map.
 
 :func:`certify_isometry` is the one certification pass: it reads the
-map norm, computed once per map, and the codomain ball's vertices (its
-extreme molecules) once, as one ``(k, 2)`` index array; two independent
-algorithms then decide over that array (or a caller's pair set, made
-the same kind of array on entry) whether composition against a
-norm-one map preserves every function's norm:
+map norm, computed once per map, and two independent algorithms then
+decide whether composition against a norm-one map preserves every
+function's norm:
 
-* the dual route groups the domain by image once and reads, in one
-  pass over the fibre pairs of all vertices (x, y), each vertex's
-  closest preimage pair (x', y'), which must have d(x, y)/d(x', y') = 1;
-* the primal route checks, vertex by vertex, that the codomain unit
-  ball is contained in the push-forward image of the domain unit ball.
-  Pushed molecules, one per ordered domain pair, are read from the
-  image table and the domain matrix. They lie in the ball, and a vertex
-  is in the hull of points of the ball only if it is one of them, so
-  the vertices equal to a pushed molecule are read from one table built
-  per pass; only the other vertices ask the hull-membership kernel
-  :func:`freespace.hull_combination` for a convex combination, one LP
-  each.
+* the dual route reads the codomain ball's vertices (its extreme
+  molecules) once, as one ``(k, 2)`` index array (or a caller's pair
+  set, made the same kind of array on entry), groups the domain by image
+  once and reads, in one pass over the fibre pairs of all vertices
+  (x, y), each vertex's closest preimage pair (x', y'), which must have
+  d(x, y)/d(x', y') = 1;
+* the primal route reads in closed form the metric cbar the map induces
+  on its codomain: the shortest-path closure of c(x, y), the least domain
+  distance between the fibres of x and y (infinite if one is empty).
+  Composition is the adjoint of the push-forward (Weaver, *Lipschitz
+  Algebras*, 2nd ed.): Lip(f o phi) is f's constant for cbar, which
+  f = cbar(., x) attains at (x, y), so the modulus m = min d/cbar over
+  x != y is the largest m with Lip(f o phi) >= m Lip(f). It reads no
+  vertex and solves no LP.
 
 The two routes are provably equivalent, so the ``both`` method fails
 loudly on disagreement: that outcome falsifies the implementation,
 never the mathematics. Both read "ratio one" as a ratio of at least
-``1 - REL_TOL``, one floating-point comparison on a vertex's preimage.
+``1 - REL_TOL``: a vertex's preimage ratio, or the modulus.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,13 +48,12 @@ from .errors import (
 )
 from .freespace import (
     FreeVector,
-    _first_outside_hull,
     _first_vertex,
     _norming_failure,
     extreme_molecules,
 )
-from .lipschitz import LipschitzFunction, _largest_quotient
-from .metric_core import REL_TOL, PointedMetricSpace, PointPair, row_blocks
+from .lipschitz import LipschitzFunction, _largest_quotient, quotients
+from .metric_core import REL_TOL, PointedMetricSpace, PointPair, row_blocks, shortest_path_closure
 
 
 class MapNorm(NamedTuple):
@@ -145,28 +144,33 @@ class IsometryCertificate:
     """Outcome of one certification run.
 
     A negative or inconclusive verdict always carries a failing pair. A
-    positive dual verdict carries one preimage witness per checked pair.
-    ``scope`` records whether the pair set decides both directions (the
-    default, all extreme molecules) or only suffices for the positive
-    direction (a caller-supplied norming set); a failed check over such
-    a set decides nothing and is ``inconclusive``.
+    positive dual verdict carries one preimage witness per checked pair;
+    a primal verdict carries the map's ``modulus`` unless the map norm
+    decided it. ``scope`` records whether the pair set decides both
+    directions (the default, all extreme molecules) or only suffices for
+    the positive direction (a caller-supplied norming set); a failed
+    check over such a set decides nothing and is ``inconclusive``.
     """
 
     verdict: str  # "isometric" | "not_isometric" | "inconclusive"
-    method: str  # "dual_preimage" | "primal_polytope"
+    method: str  # "dual_preimage" | "primal_quotient"
     scope: str = "necessary_and_sufficient"
     witnesses: tuple[dict[str, Any], ...] = ()
     failing_pair: tuple[int, int] | None = None
     tolerances: dict[str, float] = field(default_factory=dict)
     notes: str = ""
+    modulus: float | None = None
 
     @property
     def isometric(self) -> bool:
         return self.verdict == "isometric"
 
     def to_dict(self) -> dict[str, Any]:
-        return {**asdict(self), "witnesses": list(self.witnesses),
-                "failing_pair": list(self.failing_pair) if self.failing_pair else None}
+        out = {**vars(self), "witnesses": list(self.witnesses),
+               "failing_pair": list(self.failing_pair) if self.failing_pair else None}
+        if self.modulus is None:
+            del out["modulus"]
+        return out
 
 
 @dataclass(frozen=True)
@@ -196,8 +200,8 @@ def _dual_certificate(phi: LipschitzMap, vertices: np.ndarray,
 
     For every pair (x, y) in the set (default: the codomain's vertices)
     the closest preimage pair (x', y') must have d(x, y)/d(x', y') at
-    least ``1 - REL_TOL``, the primal's face filter on the same column;
-    the map is norm-one, so this is the attained ratio-one condition.
+    least ``1 - REL_TOL``, the primal's rule for the modulus; the map is
+    norm-one, so this is the attained ratio-one condition.
     One pass reads every pair's fibre block, row-major, from the domain
     sorted by image, in :func:`row_blocks` of pairs sized by the largest
     block; the first failing pair in list order is reported.
@@ -255,30 +259,56 @@ def _dual_certificate(phi: LipschitzMap, vertices: np.ndarray,
     )
 
 
-def _primal_certificate(phi: LipschitzMap, vertices: np.ndarray) -> IsometryCertificate:
-    """Polytope-containment criterion, vertex by vertex.
+def _fibre_rows(img: np.ndarray, dist: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(x0, rows x0.. of c) by :func:`row_blocks` of domain-sized rows: c(x, y)
+    is the least ``dist`` between the fibres of x and y under an onto image
+    table into 0..n-1, each fibre's first row or column, then the minimum
+    with its j-th for j = 2, 3, ..., so no temporary exceeds a block."""
+    order = np.argsort(img, kind="stable")  # the domain, fibre by fibre
+    size = np.bincount(img, minlength=n)
+    first = np.cumsum(size) - size
+    for x0, x1 in row_blocks(n, img.size):
+        rows = dist[order[first[x0:x1]]]
+        for j in range(1, size[x0:x1].max()):
+            k = np.flatnonzero(size[x0:x1] > j)
+            rows[k] = np.minimum(rows[k], dist[order[first[x0 + k] + j]])
+        c = rows[:, order[first]]
+        for j in range(1, size.max()):
+            k = np.flatnonzero(size > j)
+            c[:, k] = np.minimum(c[:, k], rows[:, order[first[k] + j]])
+        yield x0, c
 
-    Composition against the map is isometric exactly when the
-    push-forward image of the domain unit ball covers the codomain unit
-    ball; both balls are polytopes, so it is enough to reach every
-    vertex of the codomain ball by a convex combination of pushed
-    domain molecules (a pushed molecule equal to the vertex, or else an
-    LP feasibility problem), read from the image table and the domain
-    matrix, one per ordered domain pair.
+
+def _primal_certificate(phi: LipschitzMap) -> IsometryCertificate:
+    """Quotient criterion: the modulus m (see the module docstring) is at
+    least ``1 - REL_TOL``, each d/cbar read as the reciprocal of cbar/d.
+
+    A point e without preimage gives m = 0 at the first pair of infinite
+    cbar, (0, e), or (0, 1) if e is 0. Else lo = min d/c <= m <= the map
+    norm: lo >= ``1 - REL_TOL`` decides, and is m once it reaches the norm.
+    Only a smaller lo closes c, in O(n^3), and names the first row-major
+    pair attaining m.
     """
-    failing = _first_outside_hull(phi.codomain, vertices, np.asarray(phi.image),
-                                  phi.domain.dist)
-    tolerances = {"tol_metric": phi.codomain.tol, "lp_feasibility": REL_TOL}
-    if failing is not None:
-        return IsometryCertificate(
-            verdict="not_isometric", method="primal_polytope",
-            failing_pair=failing.as_tuple(), tolerances=tolerances,
-            notes="codomain vertex is outside the pushed unit ball",
-        )
+    img, n, d = np.asarray(phi.image), phi.codomain.n, phi.codomain.dist
+    tolerances = {"tol_metric": phi.codomain.tol, "modulus": REL_TOL}
+    empty = np.flatnonzero(np.bincount(img, minlength=n) == 0)
+    if empty.size:
+        modulus, pair = 0.0, (0, int(empty[0]) or 1)
+    else:
+        rows = _fibre_rows(img, phi.domain.dist, n)
+        modulus = 1.0 / max(float(quotients(c, d[x0:x0 + len(c)], x0).max()) for x0, c in rows)
+        if modulus < 1.0 - REL_TOL:
+            c = np.concatenate([c for _, c in _fibre_rows(img, phi.domain.dist, n)])
+            q = quotients(shortest_path_closure(c), d)
+            k = int(np.argmax(q))
+            modulus, pair = 1.0 / float(q.flat[k]), divmod(k, n)
+    if modulus >= 1.0 - REL_TOL:
+        return IsometryCertificate(verdict="isometric", method="primal_quotient",
+                                   tolerances=tolerances, modulus=modulus)
     return IsometryCertificate(
-        verdict="isometric", method="primal_polytope",
-        witnesses=tuple({"pair": (x, y)} for x, y in vertices.tolist()),
-        tolerances=tolerances,
+        verdict="not_isometric", method="primal_quotient", failing_pair=pair,
+        tolerances=tolerances, modulus=modulus,
+        notes="the quotient metric exceeds the codomain's distance",
     )
 
 
@@ -289,7 +319,7 @@ def certify_isometry_dual(phi: LipschitzMap, pairs: Sequence[PointPair] | None =
 
 
 def certify_isometry_primal(phi: LipschitzMap) -> IsometryCertificate:
-    """The primal (polytope) certificate alone; see :func:`certify_isometry`."""
+    """The primal (quotient) certificate alone; see :func:`certify_isometry`."""
     return certify_isometry(phi, "primal")
 
 
@@ -303,10 +333,11 @@ def certify_isometry(
 
     ``pairs`` that miss a vertex raise :class:`NotNorming` before any
     verdict, whatever the method. A norm below one names the first vertex,
-    read alone when no ``pairs`` are given. The map norm and every preimage
-    or face ratio are compared with 1 within ``REL_TOL``; the codomain's
-    ``tol``, a distance, decides only which pairs are vertices, and the
-    certificates report it as ``tol_metric``. Disagreement raises
+    read alone when no ``pairs`` are given; otherwise the primal alone
+    reads no vertex. The map norm, every preimage ratio and the modulus
+    are compared with 1 within ``REL_TOL``; the codomain's ``tol``, a
+    distance, decides only which pairs are vertices, and the certificates
+    report it as ``tol_metric``. Disagreement raises
     :class:`MethodDisagreement` with both certificates as dictionaries: an
     implementation bug, surfaced loudly.
     """
@@ -316,7 +347,10 @@ def certify_isometry(
     if norm.value > 1.0 + REL_TOL:
         raise MapNormExceedsOne(norm.value, norm.witness, REL_TOL)
     deficit = norm.value < 1.0 - REL_TOL  # its certificates name only the first vertex
-    vertices = (_first_vertex if deficit and pairs is None else extreme_molecules)(phi.codomain)
+    if pairs is None and (deficit or method == "primal"):
+        vertices = _first_vertex(phi.codomain) if deficit else None
+    else:
+        vertices = extreme_molecules(phi.codomain)
     if pairs is not None:
         pairs = np.array([p.as_tuple() for p in pairs], dtype=np.intp)
         failing = _norming_failure(phi.codomain, pairs, vertices)
@@ -328,10 +362,10 @@ def certify_isometry(
             failing_pair=tuple(vertices[0].tolist()),
             tolerances={"tol_metric": phi.codomain.tol, "map_norm": REL_TOL},
             notes=f"operator norm {norm.value!r} is strictly below one",
-        ) for name in ("dual_preimage", "primal_polytope"))
+        ) for name in ("dual_preimage", "primal_quotient"))
     else:
         dual = _dual_certificate(phi, vertices, pairs) if method != "primal" else None
-        primal = _primal_certificate(phi, vertices) if method != "dual" else None
+        primal = _primal_certificate(phi) if method != "dual" else None
     if method != "both":
         return dual if method == "dual" else primal
     if dual.verdict not in (primal.verdict, "inconclusive"):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .composition import LipschitzMap
+from .composition import LipschitzMap, _fibre_rows
 from .freespace import FreeVector
 from .geodesic import DiscretizedGeodesicSpace
 from .lipschitz import LipschitzFunction, inf_extension, sub_lipschitz_norm
@@ -210,15 +210,9 @@ def _random_quotient_map(rng: np.random.Generator, domain_n: int,
         pinned = rng.choice(len(others), size=m - 1, replace=False)
         for val, pos in enumerate(np.sort(pinned), start=1):
             img[others[int(pos)]] = val
-        # least domain distance between fibers: grouped minima over the
-        # rows, then over the columns
-        rows = np.full((m, domain_n), np.inf)
-        np.minimum.at(rows, img, n_space.dist)
-        d_min = np.full((m, m), np.inf)
-        np.minimum.at(d_min.T, img, rows.T)
-        np.fill_diagonal(d_min, 0.0)
-        # largest metric below the fiber distance
-        d_min = shortest_path_closure(d_min)
+        # the largest metric below the least domain distance between fibres
+        d_min = shortest_path_closure(np.concatenate(
+            [c for _, c in _fibre_rows(img, n_space.dist, m)]))
         off = d_min[~np.eye(m, dtype=bool)]
         if off.min() > 1e-6 * max(off.max(), 1.0):
             m_space = validate_space(d_min, meta={"family": "quotient"})

@@ -23,16 +23,12 @@ molecules and their negatives. Its vertices are the molecules with no
 third point metrically between their endpoints (Aliaga-Guirao), which
 :func:`extreme_molecules` lists as one ``(k, 2)`` array of index pairs
 (testing only the edges a space records); the LP vertex test
-:func:`is_extreme_molecule` is its independent oracle. The other hull
-questions (is a pair set norming, does a pushed ball cover it) reduce to
-that array, because a vertex lies in the hull of points of the ball only
-if it is one of them: a pair set norms exactly when a table of its pairs
-holds every vertex. A pushed ball's columns are the map's ordered domain
-pairs, read from its image table and domain matrix. One table of the
-columns equal to a vertex covers those vertices; each other vertex goes
-to one face-filtered LP, :func:`hull_combination`, in units of the
-vertex's distance, so its tolerance ``REL_TOL`` is relative. scipy is
-imported only for an LP.
+:func:`is_extreme_molecule`, one face-filtered LP of
+:func:`hull_combination` in units of the pair's distance (so its
+tolerance ``REL_TOL`` is relative), is its independent oracle. A pair
+set norms exactly when it lists every vertex, because a vertex lies in
+the hull of points of the ball only if it is one of them, so that
+question reduces to the array. scipy is imported only for an LP.
 """
 
 from __future__ import annotations
@@ -322,41 +318,35 @@ def molecule_distance(a: Molecule, b: Molecule) -> float:
 # vertex oracle and norming sets
 # ---------------------------------------------------------------------------
 
-def hull_combination(space: PointedMetricSpace, pair: PointPair, img: np.ndarray,
-                     d_dom: np.ndarray):
-    """Write the pair's molecule as a convex combination of the pushed
-    molecules (delta_img[a] - delta_img[b]) / d_dom[a, b], or return None
-    when it lies outside their convex hull.
+def hull_combination(space: PointedMetricSpace, pair: PointPair):
+    """Write the pair's molecule as a convex combination of the other
+    molecules (delta_a - delta_b) / d(a, b), a != b, or return None when
+    it lies outside their convex hull.
 
-    The columns are the map's ordered domain pairs a != b, read from the
-    image table and the domain distance matrix; an infinite distance
-    drops its column. This one kernel answers every hull question that
-    needs an LP: the vertex test, and the primal certificate's vertices
-    that no column equals.
     The norm-one function h = (d(., y) - d(., x)) / 2 pairs to exactly 1
     with the target, and a convex combination of points pairing at most
     1 with h pairs to 1 only if every support point does; columns
     pairing below 1 - REL_TOL are dropped first (the threshold only
-    absorbs rounding), which preserves the decision and keeps the LP
-    small. The kept columns then go to one feasibility LP whose rows are
-    the molecules times d_xy, so its entries are ratios of distances and
-    HiGHS's tolerance ``REL_TOL`` is relative at every unit of distance.
-    Columns may share endpoints (pushed molecules); their coefficients
-    then add. Returns the kept domain pairs, as index arrays in
-    row-major order, and their weights.
+    absorbs rounding), as is the pair's own column, which preserves the
+    decision and keeps the LP small. The kept columns then go to one
+    feasibility LP whose rows are the molecules times d_xy, so its
+    entries are ratios of distances and HiGHS's tolerance ``REL_TOL`` is
+    relative at every unit of distance. Returns the kept pairs, as index
+    arrays in row-major order, and their weights.
     """
-    h = 0.5 * (space.dist[img, pair.y] - space.dist[img, pair.x])
-    face = quotients(h[:, None] - h[None, :], d_dom)
+    d = space.dist
+    h = 0.5 * (d[:, pair.y] - d[:, pair.x])
+    face = quotients(h[:, None] - h[None, :], d)
+    face[pair.x, pair.y] = -1.0  # the molecule itself
     xs, ys = np.nonzero(face >= 1.0 - REL_TOL)
     if xs.size == 0:
         return None
     from scipy.optimize import linprog
-    scale = space.dist[pair.x, pair.y] / d_dom[xs, ys]
+    scale = d[pair.x, pair.y] / d[xs, ys]
     n = space.n
     cols = np.zeros((n + 1, xs.size))
     ar = np.arange(xs.size)
-    np.add.at(cols, (img[xs], ar), scale)
-    np.add.at(cols, (img[ys], ar), -scale)
+    cols[xs, ar], cols[ys, ar] = scale, -scale
     cols[n, :] = 1.0
     b = np.zeros(n + 1)
     b[[pair.x, pair.y, n]] = 1.0, -1.0, 1.0
@@ -381,15 +371,12 @@ def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeRe
     (the reversed pairs), so the molecule is a vertex exactly when it is
     not a convex combination of the others; the combination is returned
     as a certificate in the negative case. This is the independent
-    oracle for :func:`extreme_molecules`. The columns are the identity's
-    ordered pairs, with distance (x, y) set infinite so that the
-    molecule's own column drops out: every combination comes from one LP.
+    oracle for :func:`extreme_molecules`. The molecule's own column is
+    left out, so every combination comes from one LP.
     """
     if max(pair.x, pair.y) >= space.n:
         raise ValueError(f"pair {pair.as_tuple()} has a point outside 0..{space.n - 1}")
-    d_dom = space.dist.copy()
-    d_dom[pair.x, pair.y] = np.inf
-    found = hull_combination(space, pair, np.arange(space.n), d_dom)
+    found = hull_combination(space, pair)
     if found is None:
         return ExtremeResult(True, None)
     (xs, ys), weights = found
@@ -442,29 +429,6 @@ def _first_vertex(space: PointedMetricSpace) -> np.ndarray:
 class NormingResult(NamedTuple):
     is_norming: bool
     failing_vertex: PointPair | None
-
-
-def _first_outside_hull(space: PointedMetricSpace, vertices: np.ndarray,
-                        img: np.ndarray, d_dom: np.ndarray) -> PointPair | None:
-    """The first listed vertex outside the hull of the pushed molecules,
-    or None: the vertex check of the primal certificate.
-
-    The columns, the map's ordered domain pairs read from the image
-    table and the domain matrix, lie in the ball, and a vertex of the
-    ball lies in the hull of points of the ball only if it equals one of
-    them. So a vertex is covered when some domain pair has its endpoints
-    as images and bitwise its distance; the table of those endpoint
-    pairs is built once, by domain row blocks, and read at every vertex
-    in one gather; only the others go to :func:`hull_combination`. Such
-    a column passes the kernel's face filter exactly (its face value is
-    d/d = 1), so the table decides what the kernel would.
-    """
-    covered = np.zeros((space.n, space.n), dtype=bool)
-    for r0, r1 in row_blocks(img.size, img.size):
-        xs, ys = np.nonzero(d_dom[r0:r1] == space.dist[img[r0:r1, None], img])
-        covered[img[r0 + xs], img[ys]] = True
-    uncovered = map(PointPair, *vertices[~covered[vertices[:, 0], vertices[:, 1]]].T.tolist())
-    return next((w for w in uncovered if hull_combination(space, w, img, d_dom) is None), None)
 
 
 def _norming_failure(space: PointedMetricSpace, pairs: np.ndarray,

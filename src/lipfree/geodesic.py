@@ -19,7 +19,7 @@ reports record both.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -188,7 +188,7 @@ class DefectProfile:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {**asdict(self), "rows": [list(r) for r in self.rows]}
+        return {**vars(self), "rows": [list(r) for r in self.rows]}
 
 
 def _scales(mesh: float, diameter: float, r: float | None,
@@ -329,7 +329,7 @@ class SufficiencyReport:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {**asdict(self), "rows": [list(r) for r in self.rows]}
+        return {**vars(self), "rows": [list(r) for r in self.rows]}
 
 
 def _margins(phi: LipschitzMap, values: np.ndarray, r: float,

@@ -213,8 +213,11 @@ def interval_coordinates(space: PointedMetricSpace) -> np.ndarray:
     grid = np.array([k / n for k in range(n + 1)])
     if space.base != 0 or not np.array_equal(np.sort(coords), grid):
         raise NotAnIntervalNet("points are not the uniform net {k/n} with base 0")
-    if not np.allclose(space.dist, gaps(coords), rtol=0.0, atol=1e-12):
-        raise NotAnIntervalNet("distances do not match the line metric")
+    for r0, r1 in row_blocks(space.n, space.n):  # np.allclose(..., atol=1e-12), by rows
+        g = gaps(coords[r0:r1], coords)
+        if not np.abs(np.subtract(space.dist[r0:r1], g, out=g), out=g).max() <= 1e-12:
+            raise NotAnIntervalNet("distances do not match the line metric")
+        del g  # before the next block is built
     return coords
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from lipfree import freespace
 from lipfree.composition import LipschitzMap
 from lipfree.metric_core import PointedMetricSpace, from_weighted_graph
 
@@ -74,18 +73,3 @@ def lp_solves(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linprog", recording)
     return solves
-
-
-@pytest.fixture
-def hull_calls(monkeypatch):
-    """The pair of each call of freespace.hull_combination while the test
-    runs, in call order."""
-    pairs = []
-    original = freespace.hull_combination
-
-    def recording(space, pair, *args, **kwargs):
-        pairs.append(pair)
-        return original(space, pair, *args, **kwargs)
-
-    monkeypatch.setattr(freespace, "hull_combination", recording)
-    return pairs

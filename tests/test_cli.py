@@ -362,8 +362,8 @@ class TestExitCodes:
     def test_certifier_disagreement_exits_3(self, files, capsys, monkeypatch):
         real = composition._primal_certificate
 
-        def flipped(phi, vertices):
-            cert = real(phi, vertices)
+        def flipped(phi):
+            cert = real(phi)
             return dataclasses.replace(
                 cert, verdict="not_isometric" if cert.isometric else "isometric")
 
@@ -553,6 +553,26 @@ class TestCommands:
             assert report["results"]["is_norming"] is True
         code, report, _ = run_in_process(capsys, command, files["three"], *pairs)
         assert report["tolerances"] == {"tol_metric": REL_TOL * 2.0}
+
+    @pytest.mark.parametrize("form", ["matrix", "graph"])
+    def test_tol_named_only_where_it_admitted_the_space(self, files, capsys, form):
+        # --tol 0 admits a matrix-form space, whose triangle check runs at 0;
+        # a graph-form space is never rechecked, so its own tolerance stands
+        metric = ({"type": "matrix", "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]} if form == "matrix"
+                  else {"type": "graph", "n": 3, "edges": [[0, 1, 1], [1, 2, 1]]})
+        space = write(files["dir"] / f"{form}.json", {"metric": metric})
+        mp = write(files["dir"] / f"{form}_map.json", {
+            "domain": f"{form}.json", "codomain": f"{form}.json", "image": [0, 1, 2]})
+        admitted = {"tol_validation": 0.0} if form == "matrix" else {}
+        for argv in (("extremes", space), ("norming", space, "--pairs", "0,1;1,2"),
+                     ("isometry", "--map", mp)):
+            code, report, _ = run_in_process(capsys, *argv, "--tol", "0")
+            assert code == 0
+            assert report["tolerances"] == {"tol_metric": REL_TOL * 2.0, **admitted}
+        code, report, _ = run_in_process(capsys, "validate", space, "--tol", "0")
+        assert code == 0
+        assert report["results"]["valid"] is True
+        assert report["tolerances"] == {"tol_metric": 0.0 if admitted else REL_TOL * 2.0}
 
     def test_norming(self, files):
         proc = run_cli("norming", files["net"], "--pairs", "0,1;1,2;2,3;3,4")

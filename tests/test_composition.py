@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -24,10 +27,10 @@ from lipfree.errors import (
     NotNorming,
     SpaceMismatch,
 )
-from lipfree.fixtures import builtin_map, line_net, random_lipschitz_function, \
-    random_one_lipschitz_map, random_space, tripod
+from lipfree.fixtures import builtin_map, circle_geodesic, interval_geodesic, line_net, \
+    random_lipschitz_function, random_one_lipschitz_map, random_space, tripod
 from lipfree.freespace import FreeVector, extreme_molecules, molecule, pairing
-from lipfree.geodesic import check_interval_sufficient
+from lipfree.geodesic import check_interval_necessary, check_interval_sufficient
 from lipfree.lipschitz import LipschitzFunction, lipschitz_norm
 from lipfree.metric_core import (
     REL_TOL,
@@ -312,12 +315,13 @@ class TestCertifyPrimal:
         cert = certify_isometry_primal(LipschitzMap(domain, codomain, (0, 1, 0)))
         assert cert.verdict == "isometric"
 
-    def test_missed_vertex_reported(self, path3):
-        # norm-one inclusion of a sub-path misses the far adjacent pair
+    def test_missed_point_reported(self, path3):
+        # norm-one inclusion of a sub-path misses point 2: the quotient
+        # metric is infinite from it, and (0, 2) is the first such pair
         sub = validate_space(path3.dist[np.ix_([0, 1], [0, 1])])
         cert = certify_isometry_primal(LipschitzMap(sub, path3, (0, 1)))
         assert cert.verdict == "not_isometric"
-        assert cert.failing_pair == (1, 2)
+        assert (cert.failing_pair, cert.modulus) == ((0, 2), 0.0)
 
     @pytest.mark.parametrize("name", ["identity", "fold"])
     def test_isometric_builtins_solve_no_lp(self, lp_solves, name):
@@ -325,18 +329,18 @@ class TestCertifyPrimal:
         assert cert.verdict == "isometric"
         assert lp_solves == []
 
-    @pytest.mark.parametrize("make", [
-        lambda: builtin_map("identity", 16),
-        lambda: builtin_map("fold", 16),
-        lambda: identity_map(tripod(1.0, 4).space),
-    ], ids=["identity", "fold", "tripod"])
-    def test_isometric_pass_makes_no_kernel_call(self, hull_calls, make):
-        assert certify_isometry_primal(make()).verdict == "isometric"
-        assert hull_calls == []
+    def test_primal_solves_no_lp(self, lp_solves):
+        rng = np.random.default_rng(41)
+        maps = [identity_map(tripod(1.0, 4).space)]
+        maps += [random_one_lipschitz_map(rng, int(rng.integers(2, 12)), int(rng.integers(2, 9)))
+                 for _ in range(200)]
+        verdicts = {certify_isometry(phi, "primal").verdict for phi in maps}
+        assert verdicts == {"isometric", "not_isometric"}
+        assert lp_solves == []
 
     def test_pass_memory_stays_below_three_domain_matrices(self):
-        # the pushed ball is read from the image table and the domain
-        # matrix, with no per-pair arrays beside them
+        # the quotient pass reads the domain matrix by row blocks, with no
+        # per-pair arrays beside it
         phi = builtin_map("fold", 256)
         n = phi.domain.n
         extreme_molecules(phi.codomain)  # warm-up, so the pass does no first-time setup
@@ -362,6 +366,127 @@ class TestCertifyPrimal:
         assert "map_norm" not in isometric.primal.tolerances
 
 
+def _quotient_reference(phi):
+    """c from every pair of domain points, its textbook Floyd-Warshall
+    closure cbar, and 1 / max cbar/d off the diagonal with its first
+    row-major pair: the modulus by its definition, with lo = 1 / max c/d."""
+    n, img, d = phi.codomain.n, phi.image, phi.codomain.dist
+    c = np.full((n, n), np.inf)
+    for a in range(phi.domain.n):
+        for b in range(phi.domain.n):
+            c[img[a], img[b]] = min(c[img[a], img[b]], phi.domain.dist[a, b])
+    cbar = c.copy()
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                cbar[i, j] = min(cbar[i, j], cbar[i, k] + cbar[k, j])
+    off = ~np.eye(n, dtype=bool)
+    ratios = [(cbar[x, y] / d[x, y], (x, y)) for x in range(n) for y in range(n) if x != y]
+    worst = max(r for r, _ in ratios)
+    pair = next(p for r, p in ratios if r == worst)
+    return c, 1.0 / float((c / np.where(off, d, 1.0))[off].max()), 1.0 / worst, pair
+
+
+def _shrunk_quotient(rng):
+    """A quotient map whose codomain is then shortened at one pair to 0.6
+    of its distance and closed again: usually norm one with 0 < m < 1."""
+    phi = random_one_lipschitz_map(rng, int(rng.integers(3, 12)), int(rng.integers(3, 9)),
+                                   kind="quotient")
+    d = phi.codomain.dist.copy()
+    x, y = rng.choice(phi.codomain.n, size=2, replace=False)
+    d[x, y] = d[y, x] = 0.6 * d[x, y]
+    return LipschitzMap(phi.domain, validate_space(shortest_path_closure(d)), phi.image)
+
+
+class TestQuotientModulus:
+    """The primal certificate's modulus m = min d/cbar against its
+    definition, the dual, and the functions that attain it."""
+
+    def test_equilateral_codomain(self):
+        # domain distances 1, 1 and 1.5 onto an equilateral triangle of
+        # side 1: cbar(0, 2) = min(1.5, 1 + 1), so m = 1/1.5
+        domain = validate_space([[0, 1, 1.5], [1, 0, 1], [1.5, 1, 0]])
+        codomain = validate_space(1.0 - np.eye(3))
+        report = certify_isometry(LipschitzMap(domain, codomain, (0, 1, 2)), "both")
+        assert report.primal.modulus == 2 / 3
+        assert report.primal.failing_pair == (0, 2)
+        assert report.verdict == report.dual.verdict == "not_isometric"
+        assert report.dual.failing_pair == (0, 2)
+
+    def test_isometric_builtins_and_geodesic_identities_have_modulus_one(self):
+        maps = [builtin_map(name, mesh) for name in ("identity", "fold")
+                for mesh in range(1, 257)]
+        maps += [identity_map(g.space) for g in (
+            interval_geodesic(64), circle_geodesic(64), tripod(1.0, 16))]
+        for phi in maps:
+            cert = certify_isometry_primal(phi)
+            assert (cert.verdict, cert.modulus) == ("isometric", 1.0), phi.codomain
+
+    def test_quotient_maps_have_modulus_one_exactly(self):
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            phi = random_one_lipschitz_map(rng, int(rng.integers(2, 12)),
+                                           int(rng.integers(2, 9)), kind="quotient")
+            assert certify_isometry_primal(phi).modulus == 1.0
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 2 ** 17])
+    def test_matches_the_definition_and_the_dual(self, monkeypatch, squeezed_path, block):
+        monkeypatch.setattr(metric_core, "BLOCK", block)
+        rng = np.random.default_rng(block)
+        maps = [squeezed_path]  # lo = 2/2.5, and the closure gives m = 1
+        maps += [random_one_lipschitz_map(rng, int(rng.integers(2, 12)), int(rng.integers(2, 9)))
+                 for _ in range(60)]
+        maps += [_shrunk_quotient(rng) for _ in range(20)]
+        for n, m in ((3, 2), (6, 4), (12, 5), (30, 9)):  # integer metrics tie often
+            domain, codomain = integer_space(rng, n), integer_space(rng, m)
+            img = rng.integers(m, size=n)
+            img[domain.base] = codomain.base
+            phi = LipschitzMap(domain, codomain, tuple(img))
+            if operator_norm(phi) <= 1.0:
+                maps.append(phi)
+        outcomes = set()
+        for phi in maps:
+            c, lo, modulus, pair = _quotient_reference(phi)
+            img = np.asarray(phi.image)
+            if np.isfinite(c).all():
+                rows = list(composition._fibre_rows(img, phi.domain.dist, phi.codomain.n))
+                assert np.array_equal(np.concatenate([r for _, r in rows]), c)
+            if operator_norm(phi) < 1.0 - REL_TOL:
+                continue  # the map norm decides before the modulus is read
+            cert = certify_isometry(phi, "both")
+            assert cert.verdict == cert.dual.verdict == (
+                "isometric" if modulus >= 1.0 - REL_TOL else "not_isometric")
+            closed = lo < 1.0 - REL_TOL  # else m is read from c: lo <= m <= the map norm
+            assert cert.primal.modulus == (modulus if closed else lo) <= operator_norm(phi)
+            assert lo <= modulus
+            if not cert.isometric:
+                assert cert.primal.failing_pair == pair
+            outcomes.add((cert.verdict, closed, cert.primal.modulus == 0.0))
+        assert outcomes == {("isometric", False, False), ("isometric", True, False),
+                            ("not_isometric", True, False), ("not_isometric", True, True)}
+
+    def test_distance_function_attains_the_modulus(self):
+        # f = cbar(., x) at the failing pair (x, y): Lip(f o phi) = 1 and
+        # Lip(f) = 1/m, so C_phi shrinks f's norm by exactly m
+        rng = np.random.default_rng(67)
+        attained = 0
+        while attained < 20:
+            phi = _shrunk_quotient(rng)
+            cert = certify_isometry_primal(phi)
+            if cert.modulus is None or cert.isometric:
+                continue  # a norm-deficit map, or a shortcut through the closure
+            attained += 1
+            cbar = shortest_path_closure(_quotient_reference(phi)[0])
+            f = LipschitzFunction(phi.codomain, cbar[:, cert.failing_pair[0]])
+            ratio = lipschitz_norm(compose(phi, f)).value / lipschitz_norm(f).value
+            assert 0.0 < cert.modulus < 1.0
+            assert ratio == pytest.approx(cert.modulus, rel=1e-12)
+            for _ in range(20):  # and no function is shrunk further
+                g = random_lipschitz_function(rng, phi.codomain)
+                assert (lipschitz_norm(compose(phi, g)).value
+                        >= cert.modulus * lipschitz_norm(g).value * (1 - 1e-12))
+
+
 class TestPairPassMemory:
     def test_no_pass_holds_a_domain_sized_matrix(self):
         # fold at mesh 1024: a 2,049-point domain, whose N x N float matrix
@@ -373,7 +498,8 @@ class TestPairPassMemory:
         try:
             for name, run in (("operator_norm", operator_norm),
                               ("check_interval_sufficient", check_interval_sufficient),
-                              ("certify_isometry", certify_isometry)):
+                              ("certify_isometry", certify_isometry),
+                              ("certify_isometry_primal", certify_isometry_primal)):
                 phi = LipschitzMap(builtin.domain, builtin.codomain, builtin.image)  # no cached norm
                 start = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
@@ -406,9 +532,11 @@ class TestOnePass:
         pairs = list(phi.codomain.pairs()) if case == "norming_pairs" else None
         report = certify_isometry(phi, method, pairs=pairs)
         assert report.verdict == ("not_isometric" if case == "deficit" else "isometric")
-        # the norm-deficit exit reads only the first vertex: no full enumeration
+        # the norm-deficit exit reads only the first vertex, and the primal
+        # alone none: no full enumeration
         deficit = case == "deficit"
-        assert calls == {"extreme_molecules": int(not deficit), "_first_vertex": int(deficit),
+        enumerates = not deficit and (method != "primal" or case == "norming_pairs")
+        assert calls == {"extreme_molecules": int(enumerates), "_first_vertex": int(deficit),
                          "norm_with_witness": 1}
 
     def test_map_norm_computed_once_per_map(self, monkeypatch):
@@ -460,7 +588,7 @@ class TestOnePass:
         monkeypatch.setattr(PointPair, "__post_init__", counted)
         report = certify_isometry(phi, "both")
         assert report.verdict == "isometric"
-        assert len(report.primal.witnesses) > 5000
+        assert len(report.dual.witnesses) > 5000
         assert len(built) <= 2
 
 
@@ -490,15 +618,16 @@ class TestCertifyBoth:
         assert report.dual.failing_pair == (0, 2)
         assert certify_isometry(squeezed_path, "both").dual.verdict == "isometric"
 
-    def test_near_hit_reaches_the_kernel(self, hull_calls, lp_solves):
-        # a pushed molecule one ulp longer than the vertex is no exact hit
+    def test_near_hit_is_read_in_closed_form(self, lp_solves):
+        # a preimage pair one ulp longer than the pair: the modulus is the
+        # ratio, within the tolerance, and no LP is solved
         far = np.nextafter(1.0, np.inf)
         domain = validate_space([[0, far], [far, 0]])
         codomain = validate_space([[0, 1], [1, 0]])
         report = certify_isometry(LipschitzMap(domain, codomain, (0, 1)), "both")
         assert report.verdict == report.dual.verdict == "isometric"
-        assert hull_calls == [PointPair(0, 1)]
-        assert len(lp_solves) == 1
+        assert report.primal.modulus == 1.0 / far < 1.0
+        assert lp_solves == []
 
     def test_unknown_method_rejected(self, path3):
         with pytest.raises(ValueError):
@@ -615,3 +744,27 @@ class TestDualCertificateOracle:
             _assert_same_dual(random_one_lipschitz_map(rng, int(rng.integers(2, 12)),
                                                        int(rng.integers(2, 9))), rng)
         _assert_same_dual(builtin_map("fold", 6), rng)
+
+
+@pytest.mark.parametrize("name", ["identity", "fold", "halving", "collapse"])
+def test_report_dicts_are_shallow_and_equal_to_asdict(monkeypatch, name):
+    # to_dict shares the witness dicts instead of deep-copying them; its
+    # JSON is that of dataclasses.asdict with the fields to_dict rewrites
+    phi = builtin_map(name, 16)
+    necessary = check_interval_necessary(phi)
+    report = certify_isometry(phi, "both")
+    for obj in (necessary, check_interval_sufficient(phi, r=necessary.r_loc),
+                report.dual, report.primal):
+        want = dataclasses.asdict(obj)
+        with monkeypatch.context() as patched:
+            patched.setattr(copy, "deepcopy", None)  # asdict's copy of every leaf
+            got = obj.to_dict()
+        if "rows" in want:
+            want["rows"] = [list(r) for r in obj.rows]
+        else:
+            want["failing_pair"] = list(obj.failing_pair) if obj.failing_pair else None
+            if obj.modulus is None:
+                del want["modulus"]
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    if report.dual.witnesses:
+        assert report.dual.to_dict()["witnesses"][0] is report.dual.witnesses[0]

@@ -4,16 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.optimize
-from conftest import integer_space
 from hypothesis import given, settings, strategies as st
 
 from lipfree import freespace, metric_core
-from lipfree.composition import LipschitzMap
 from lipfree.errors import InvariantFailure, NotZeroSum, SpaceMismatch
 from lipfree.fixtures import (
     circle_geodesic,
     line_net,
-    random_one_lipschitz_map,
     random_space,
     random_zero_sum,
     tripod,
@@ -21,12 +18,10 @@ from lipfree.fixtures import (
 from lipfree.freespace import (
     ZERO_SUM_REL,
     FreeVector,
-    _first_outside_hull,
     _first_vertex,
     extreme_molecules,
     free_norm_dual,
     free_norm_primal,
-    hull_combination,
     is_extreme_molecule,
     is_norming,
     molecule,
@@ -428,6 +423,16 @@ class TestExtremeMolecules:
             with pytest.raises(ValueError, match=r"outside 0\.\.2"):
                 intermediate_points(path3, pair)
 
+    def test_vertex_oracle_never_skips_the_solve(self, lp_solves):
+        # the pair's own column is excluded, so no column equals the target:
+        # every combination the oracle reports comes from one LP
+        net = interval_net(5)
+        for pair in net.pairs():
+            solves = len(lp_solves)
+            result = is_extreme_molecule(net, pair)
+            assert len(lp_solves) - solves == (0 if result.is_extreme else 1)
+        assert len(lp_solves) == 10  # the 15 pairs less the 5 adjacent ones
+
 
 class TestFirstVertex:
     def test_first_vertex_past_rows_without_one(self):
@@ -541,99 +546,6 @@ class TestEdgeEnumeration:
             assert np.array_equal(_first_vertex(flake), found[:1])
 
 
-class TestHullExactHit:
-    def test_answers_without_a_solve_are_exact_columns(self, hull_calls):
-        # the pass answers a vertex without the kernel only when some
-        # pushed column is bitwise that vertex's molecule
-        rng = np.random.default_rng(5)
-        unsolved = 0
-        for _ in range(40):
-            phi = random_one_lipschitz_map(rng, int(rng.integers(2, 8)),
-                                           int(rng.integers(2, 7)))
-            u, v = np.nonzero(~np.eye(phi.domain.n, dtype=bool))
-            img = np.asarray(phi.image)
-            img_u, img_v, d_uv = img[u], img[v], phi.domain.dist[u, v]
-            columns = np.zeros((d_uv.size, phi.codomain.n))
-            np.add.at(columns, (np.arange(d_uv.size), img_u), 1.0 / d_uv)
-            np.add.at(columns, (np.arange(d_uv.size), img_v), -1.0 / d_uv)
-            rows = extreme_molecules(phi.codomain)
-            vertices = [PointPair(*v) for v in rows.tolist()]
-            hull_calls.clear()
-            failing = _first_outside_hull(phi.codomain, rows, img, phi.domain.dist)
-            answered = vertices[:vertices.index(failing) + 1] if failing else vertices
-            for vertex in answered:
-                if vertex in hull_calls:
-                    continue
-                unsolved += 1
-                target = molecule(phi.codomain, vertex.x, vertex.y).to_free_vector()
-                assert (columns == target.coeffs).all(axis=1).any()
-        assert unsolved > 0
-
-    def test_near_hit_is_solved(self, lp_solves):
-        two = validate_space([[0, 1], [1, 0]])
-        d_dom = np.nextafter(1.0, np.inf) * (1.0 - np.eye(2))
-        (xs, ys), weights = hull_combination(two, PointPair(0, 1), np.arange(2), d_dom)
-        assert len(lp_solves) == 1
-        assert (xs.tolist(), ys.tolist()) == ([0], [1])
-        assert np.array_equal(weights, lp_solves[0].result.x)
-
-    @pytest.mark.parametrize("near, column", [(1, (0, 2)), (0, (2, 1))])
-    def test_other_molecule_at_the_same_distance_is_no_hit(self, lp_solves, near,
-                                                           column):
-        # point 2 sits 1e-12 from one end of the pair (0, 1), so a column
-        # sharing the other end lies on the exposed face and has the pair's
-        # distance, but is another molecule
-        d = 1.0 - np.eye(3)
-        d[2, near] = d[near, 2] = 1e-12
-        found = hull_combination(validate_space(d), PointPair(0, 1), np.array(column),
-                                 1.0 - np.eye(2))
-        assert found is None
-        assert len(lp_solves) == 1
-
-    @pytest.mark.parametrize("block", [1, 7, 64, 2 ** 17])
-    def test_table_by_row_blocks_is_the_whole_table(self, monkeypatch, hull_calls, block):
-        # the same first failing vertex and the same vertices sent to the
-        # kernel as a table built from the whole gathered matrix
-        def whole_table_pass(space, vertices, img, d_dom):
-            covered = np.zeros((space.n, space.n), dtype=bool)
-            xs, ys = np.nonzero(d_dom == space.dist[np.ix_(img, img)])
-            covered[img[xs], img[ys]] = True
-            sent = [PointPair(x, y) for x, y in vertices.tolist() if not covered[x, y]]
-            for k, pair in enumerate(sent):
-                if hull_combination(space, pair, img, d_dom) is None:
-                    return pair, sent[:k + 1]
-            return None, sent
-
-        monkeypatch.setattr(metric_core, "BLOCK", block)
-        rng = np.random.default_rng(block)
-        maps = [random_one_lipschitz_map(rng, int(rng.integers(2, 12)), int(rng.integers(2, 8)))
-                for _ in range(12)]
-        for n, m in ((3, 2), (6, 4), (12, 5), (30, 9)):
-            domain, codomain = integer_space(rng, n), integer_space(rng, m)
-            img = rng.integers(m, size=n)
-            img[domain.base] = codomain.base
-            maps.append(LipschitzMap(domain, codomain, tuple(img)))
-        outcomes = set()
-        for phi in maps:
-            img, rows = np.asarray(phi.image), extreme_molecules(phi.codomain)
-            hull_calls.clear()
-            failing = _first_outside_hull(phi.codomain, rows, img, phi.domain.dist)
-            assert (failing, hull_calls) == whole_table_pass(phi.codomain, rows, img,
-                                                             phi.domain.dist)
-            outcomes.add((failing is None, bool(hull_calls)))
-        assert {(True, False), (False, True)} <= outcomes  # all in the table; one outside
-
-    def test_vertex_oracle_never_skips_the_solve(self, lp_solves):
-        # the pair's own column is excluded, so no column equals the target:
-        # every combination the oracle reports comes from one LP
-        net = interval_net(5)
-        for pair in net.pairs():
-            solves = len(lp_solves)
-            result = is_extreme_molecule(net, pair)
-            assert len(lp_solves) - solves == (0 if result.is_extreme else 1)
-        assert len(lp_solves) == 10  # the 15 pairs less the 5 adjacent ones
-
-
 class TestIsNorming:
     def test_all_pairs_always_norming(self, path3):
         assert is_norming(path3, list(path3.pairs())).is_norming
@@ -655,15 +567,14 @@ class TestIsNorming:
         lambda: tripod(1.0, 4).space,
         lambda: random_space(np.random.default_rng(3), 8),
     ], ids=["interval", "circle", "tripod", "random"])
-    def test_every_pair_listed_needs_no_kernel_call(self, hull_calls, make):
+    def test_every_pair_listed_needs_no_lp(self, lp_solves, make):
         space = make()
         assert is_norming(space, list(space.pairs())).is_norming
-        assert hull_calls == []
+        assert lp_solves == []
 
-    def test_unlisted_vertex_needs_no_kernel_call_or_lp(self, hull_calls, lp_solves):
+    def test_unlisted_vertex_needs_no_lp(self, lp_solves):
         result = is_norming(interval_net(2), [PointPair(0, 2)])
         assert result.failing_vertex == PointPair(0, 1)
-        assert hull_calls == []
         assert lp_solves == []
 
     def test_vertex_listed_in_either_order(self):
