@@ -262,7 +262,7 @@ def _cmd_validate(args):
                       "witness": list(getattr(exc, "witness", ()) or ())},
         }
         # only the triangle check compares within a tolerance
-        tol = getattr(exc, "tol", args.tol)
+        tol = getattr(exc, "tol", None)
         return {} if tol is None else {"tol_metric": tol}, results
     results = {"valid": True, "points": space.n, "diameter": space.diameter}
     admitted = args.tol is not None and space.edges is None  # a graph is never rechecked

@@ -36,6 +36,12 @@ class NegativeDistance(InputError):
         super().__init__(f"d[{i}][{j}]={value!r} is negative or not finite")
 
 
+class NonzeroSelfDistance(InputError):
+    def __init__(self, i: int, value: float):
+        self.witness = (i, i)
+        super().__init__(f"d[{i}][{i}]={value!r} is not zero")
+
+
 class ZeroDistanceDistinctPoints(InputError):
     def __init__(self, i: int, j: int):
         self.witness = (i, j)

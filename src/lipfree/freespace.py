@@ -23,12 +23,12 @@ molecules and their negatives. Its vertices are the molecules with no
 third point metrically between their endpoints (Aliaga-Guirao), which
 :func:`extreme_molecules` lists as one ``(k, 2)`` array of index pairs
 (testing only the edges a space records); the LP vertex test
-:func:`is_extreme_molecule`, one face-filtered LP of
-:func:`hull_combination` in units of the pair's distance (so its
-tolerance ``REL_TOL`` is relative), is its independent oracle. A pair
-set norms exactly when it lists every vertex, because a vertex lies in
-the hull of points of the ball only if it is one of them, so that
-question reduces to the array. scipy is imported only for an LP.
+:func:`is_extreme_molecule`, one face-filtered hull-membership LP in
+units of the pair's distance (so its tolerance ``REL_TOL`` is relative),
+is its independent oracle. A pair set norms exactly when it lists every
+vertex, because a vertex lies in the hull of points of the ball only if
+it is one of them, so that question reduces to the array. scipy is
+imported only for an LP.
 """
 
 from __future__ import annotations
@@ -318,10 +318,20 @@ def molecule_distance(a: Molecule, b: Molecule) -> float:
 # vertex oracle and norming sets
 # ---------------------------------------------------------------------------
 
-def hull_combination(space: PointedMetricSpace, pair: PointPair):
-    """Write the pair's molecule as a convex combination of the other
-    molecules (delta_a - delta_b) / d(a, b), a != b, or return None when
-    it lies outside their convex hull.
+class ExtremeResult(NamedTuple):
+    is_extreme: bool
+    certificate: tuple[tuple[tuple[int, int], float], ...] | None
+
+
+def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeResult:
+    """Vertex test for a molecule on the unit ball polytope.
+
+    The ball is the convex hull of all molecules and their negatives
+    (the reversed pairs), so the molecule is a vertex exactly when it is
+    not a convex combination of the other molecules (delta_a - delta_b) /
+    d(a, b), a != b; the combination, over kept pairs in row-major order,
+    is returned as a certificate in the negative case. This is the
+    independent oracle for :func:`extreme_molecules`.
 
     The norm-one function h = (d(., y) - d(., x)) / 2 pairs to exactly 1
     with the target, and a convex combination of points pairing at most
@@ -331,16 +341,17 @@ def hull_combination(space: PointedMetricSpace, pair: PointPair):
     decision and keeps the LP small. The kept columns then go to one
     feasibility LP whose rows are the molecules times d_xy, so its
     entries are ratios of distances and HiGHS's tolerance ``REL_TOL`` is
-    relative at every unit of distance. Returns the kept pairs, as index
-    arrays in row-major order, and their weights.
+    relative at every unit of distance.
     """
+    if max(pair.x, pair.y) >= space.n:
+        raise ValueError(f"pair {pair.as_tuple()} has a point outside 0..{space.n - 1}")
     d = space.dist
     h = 0.5 * (d[:, pair.y] - d[:, pair.x])
     face = quotients(h[:, None] - h[None, :], d)
     face[pair.x, pair.y] = -1.0  # the molecule itself
     xs, ys = np.nonzero(face >= 1.0 - REL_TOL)
     if xs.size == 0:
-        return None
+        return ExtremeResult(True, None)
     from scipy.optimize import linprog
     scale = d[pair.x, pair.y] / d[xs, ys]
     n = space.n
@@ -353,35 +364,11 @@ def hull_combination(space: PointedMetricSpace, pair: PointPair):
     res = linprog(np.zeros(xs.size), A_eq=cols, b_eq=b,
                   bounds=(0.0, None), method="highs", options=_LP_OPTIONS)
     if res.status == 2:
-        return None
+        return ExtremeResult(True, None)
     if res.status != 0:
         raise InvariantFailure(f"hull LP failed with status {res.status}")
-    return (xs, ys), res.x
-
-
-class ExtremeResult(NamedTuple):
-    is_extreme: bool
-    certificate: tuple[tuple[tuple[int, int], float], ...] | None
-
-
-def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeResult:
-    """Vertex test for a molecule on the unit ball polytope.
-
-    The ball is the convex hull of all molecules and their negatives
-    (the reversed pairs), so the molecule is a vertex exactly when it is
-    not a convex combination of the others; the combination is returned
-    as a certificate in the negative case. This is the independent
-    oracle for :func:`extreme_molecules`. The molecule's own column is
-    left out, so every combination comes from one LP.
-    """
-    if max(pair.x, pair.y) >= space.n:
-        raise ValueError(f"pair {pair.as_tuple()} has a point outside 0..{space.n - 1}")
-    found = hull_combination(space, pair)
-    if found is None:
-        return ExtremeResult(True, None)
-    (xs, ys), weights = found
     return ExtremeResult(False, tuple(
-        ((int(x), int(y)), float(w)) for x, y, w in zip(xs, ys, weights) if w > 1e-10
+        ((int(x), int(y)), float(w)) for x, y, w in zip(xs, ys, res.x) if w > 1e-10
     ))
 
 

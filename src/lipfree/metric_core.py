@@ -1,11 +1,11 @@
 """Finite pointed metric spaces: validation, constructors, betweenness.
 
 A space is a finite set of points with a distinguished base point (index
-0 for every generated family) and a validated distance matrix. All
-downstream modules treat spaces as immutable; the distance matrix is
-frozen after construction. Pairwise passes that would otherwise hold an
-n x n temporary read rows in the ranges of :func:`row_blocks`, the one
-place that sizes one; :func:`detour_rows`, over third points, is one.
+0 for every generated family) and a metric: a distance matrix, frozen, that
+:func:`validate_space` checks or the constructor that built it proves.
+Pairwise passes that would otherwise hold an n x n temporary read rows in
+the ranges of :func:`row_blocks`, the one place that sizes one;
+:func:`detour_rows`, over third points, is one.
 
 Every module follows one tolerance policy, kept here: a distance is
 compared within ``space.tol`` (``REL_TOL`` times the largest distance)
@@ -16,7 +16,6 @@ units) within ``REL_TOL``, so certificates ignore the unit of distance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -28,6 +27,7 @@ from .errors import (
     DisconnectedGraph,
     MalformedInput,
     NegativeDistance,
+    NonzeroSelfDistance,
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
@@ -40,9 +40,10 @@ BLOCK = 1 << 17  # elements in one temporary of a blocked whole-array pass (1 Mi
 class PointedMetricSpace:
     """A finite metric space with a distinguished base point.
 
-    Instances should be built through :func:`validate_space` or one of
-    the named constructors, which enforce the metric axioms. ``edges`` are
-    the pairs x < y of the graph it was built from (read-only, row-major).
+    Built by :func:`validate_space`, which checks the metric axioms, or by a
+    constructor that proves them: :func:`from_weighted_graph`, :func:`line_net`,
+    :func:`interval_net`, :func:`circle_net` or :func:`snowflake`. ``edges``
+    are the pairs x < y of the graph it was built from (read-only, row-major).
     """
 
     labels: tuple[str, ...]
@@ -101,22 +102,18 @@ def validate_space(
     labels: Sequence[str] | None = None,
     meta: Mapping[str, Any] | None = None,
     tol: float | None = None,
-    edges: np.ndarray | None = None,
 ) -> PointedMetricSpace:
-    """Check the metric axioms and wrap the matrix in a space.
+    """Check the metric axioms of a copy of the matrix and wrap it in a space.
 
     The triangle inequality is checked by row blocks of :func:`detour_rows`
-    within ``REL_TOL * max(d)`` or an explicit absolute ``tol``. A violation
-    is reported as the triple (i, j, k) of the first third point j that breaks
-    a pair and the first pair (i, k) it breaks; nothing is repaired. Given
-    ``edges``, d is that graph's metric from :func:`from_weighted_graph`, and
-    its triangle defect, at most gamma(2n + 1) * max(d) with gamma(m) =
-    m 2**-53 / (1 - m 2**-53), is not rechecked.
-    A matrix that is not square or has fewer than two points, or a label
-    list of the wrong length, is malformed input, reported at its path in
-    a space file (``metric.d`` or ``labels``).
+    within ``REL_TOL * max(d)`` or an explicit absolute ``tol``. A violation is
+    reported as the triple (i, j, k) of the first third point j that breaks a
+    pair and the first pair (i, k) it breaks; nothing is repaired. A matrix not
+    square or of fewer than two points, or a label list of the wrong length,
+    is malformed input at its path in a space file (``metric.d`` or ``labels``),
+    as is a distance above half the largest float, since two of them sum to inf.
     """
-    d = np.asarray(dist, dtype=float)
+    d = np.array(dist, dtype=float)  # the caller's array stays theirs, and writeable
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise MalformedInput("metric.d", f"expected a square matrix, got shape {d.shape}")
     n = d.shape[0]
@@ -127,10 +124,12 @@ def validate_space(
     if not (0 <= base < n):
         raise BadBaseIndex(base, n)
     if not (np.isfinite(d).all() and d.min() >= 0 and not d.diagonal().any()):
-        for bad in (~np.isfinite(d), d < 0, (d != 0) & np.eye(n, dtype=bool)):
-            if bad.any():  # a non-finite, a negative, then a nonzero diagonal entry
+        for bad in (~np.isfinite(d), d < 0):
+            if bad.any():  # a non-finite, then a negative entry
                 i, j = (int(v) for v in np.argwhere(bad)[0])
                 raise NegativeDistance(i, j, float(d[i, j]))
+        i = int(np.flatnonzero(d.diagonal())[0])  # then a nonzero diagonal entry
+        raise NonzeroSelfDistance(i, float(d[i, i]))
     if not np.array_equal(d, d.T):
         i, j = np.argwhere(d != d.T)[0]
         raise AsymmetricDistance(int(i), int(j), float(d[i, j]), float(d[j, i]))
@@ -138,10 +137,12 @@ def validate_space(
         i, j = np.argwhere((d == 0) & ~np.eye(n, dtype=bool))[0]
         raise ZeroDistanceDistinctPoints(int(i), int(j))
 
+    top = float(d.max())
+    if 2 * top == np.inf:  # checked before any distances are summed
+        raise MalformedInput("metric.d", f"{top!r} is too large: sums overflow")
     if tol is None:
-        tol = REL_TOL * float(d.max())
-    if edges is None and any(np.any(d[r0:r1] - detour_rows(d, r0, r1) > tol)
-                             for r0, r1 in row_blocks(n)):
+        tol = REL_TOL * top
+    if any(np.any(d[r0:r1] - detour_rows(d, r0, r1) > tol) for r0, r1 in row_blocks(n)):
         for j in range(n):  # the first third point j to break a pair, then that pair
             bad = np.argwhere(d - (d[:, j, None] + d[j]) > tol)
             if bad.size:
@@ -149,19 +150,14 @@ def validate_space(
                 raise TriangleViolation(i, j, k, float(d[i, k]), float(d[i, j]),
                                         float(d[j, k]), tol)
 
-    if labels is None:
-        labels = tuple(f"p{i}" for i in range(n))
-    return PointedMetricSpace(tuple(labels), base, d, dict(meta or {}), edges)
+    labels = tuple(f"p{i}" for i in range(n)) if labels is None else tuple(labels)
+    return PointedMetricSpace(labels, base, d, dict(meta or {}))
 
 
 def shortest_path_closure(d: np.ndarray) -> np.ndarray:
     """One Floyd-Warshall pass over a copy of d (zero diagonal, inf for no edge),
     in place by :func:`row_blocks`, as row and column k stay put at step k: the
-    textbook pass, bitwise. Barring overflow each entry lies within (1 +- u)**n
-    of its path length, u = 2**-53 (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., 4.2), and each triangle defect d[i, j] - fl(d[i, k] +
-    d[k, j]) within gamma(2n + 1) * max(d), gamma(m) = m u / (1 - m u) < REL_TOL
-    while n < 4.5e6."""
+    textbook pass, bitwise; :func:`from_weighted_graph` bounds its rounding."""
     d = np.array(d, dtype=float)
     blocks = [d[r0:r1] for r0, r1 in row_blocks(len(d), len(d))]  # views of d
     buf = np.empty_like(blocks[0])  # the first block is the largest
@@ -202,16 +198,18 @@ def from_weighted_graph(
     labels: Sequence[str] | None = None,
     meta: Mapping[str, Any] | None = None,
 ) -> PointedMetricSpace:
-    """Shortest-path metric of a connected positively weighted graph.
-
-    The closure is :func:`shortest_path_closure`: its triangle defect, at most
-    gamma(2n + 1) * max(d), gamma(m) = m 2**-53 / (1 - m 2**-53), needs no
-    check. It stays exactly symmetric: each edge is stored in both orders,
-    and each relaxation adds the same two numbers at (i, j) and (j, i). The
-    space records the graph's edges, without self-loops or repeats. An edge
-    with an endpoint outside 0..n-1 is malformed input at
-    ``metric.edges``, and n below 2 at ``metric.n``.
-    """
+    """Shortest-path metric of a connected positively weighted graph, whose
+    closure by :func:`shortest_path_closure` proves the axioms instead of
+    :func:`validate_space`. It is positive off a zero diagonal; finite unless
+    the graph is disconnected or a sum the pass forms overflows (malformed
+    input at ``metric.edges``); exactly symmetric, as each edge is stored both
+    ways and each relaxation adds the same two numbers at (i, j) and (j, i);
+    and each triangle defect d[i, j] - fl(d[i, k] + d[k, j]) is at most
+    gamma(2n + 1) * max(d), gamma(m) = m u / (1 - m u) < REL_TOL while n <
+    4.5e6, u = 2**-53 (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 4.2). It records the graph's edges, without loops or
+    repeats. An endpoint outside 0..n-1 is malformed at ``metric.edges``, n < 2
+    at ``metric.n``."""
     if n < 2:
         raise MalformedInput("metric.n", f"expected at least two points, got {n}")
     if not (0 <= base < n):
@@ -225,16 +223,23 @@ def from_weighted_graph(
             raise MalformedInput("metric.edges",
                                  f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
         w = float(w)
-        if not (w > 0) or not math.isfinite(w):
+        if not (0 < w < np.inf):
             raise NegativeDistance(int(i), int(j), w)
         if w < d[i, j]:  # never on the diagonal, whose 0 no weight undercuts
             d[i, j] = d[j, i] = w
     graph = np.argwhere(np.triu(np.isfinite(d), k=1))
-    d = shortest_path_closure(d)
+    try:
+        with np.errstate(over="raise"):
+            d = shortest_path_closure(d)
+    except FloatingPointError:
+        raise MalformedInput("metric.edges", "a path length overflows") from None
     if np.any(np.isinf(d)):
         unreachable = sorted(int(i) for i in np.argwhere(np.isinf(d[0]))[:, 0])
         raise DisconnectedGraph(f"unreachable from node 0: {unreachable}")
-    return validate_space(d, base=base, labels=labels, meta=meta, edges=graph)
+    if labels is not None and len(labels) != n:
+        raise MalformedInput("labels", f"expected {n} labels, got {len(labels)}")
+    labels = tuple(f"p{i}" for i in range(n)) if labels is None else tuple(labels)
+    return PointedMetricSpace(labels, base, d, dict(meta or {}), graph)
 
 
 def gaps(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
@@ -251,7 +256,7 @@ def line_net(coords: Sequence[float], base: int = 0) -> PointedMetricSpace:
     labels = [repr(v) for v in c.tolist()]
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a nan entry, refused
         d = gaps(c)
-        if not (c.ndim == 1 and 0 <= base < c.size > 1 and np.isfinite(np.ptp(c))
+        if not (c.ndim == 1 and 0 <= base < c.size > 1 and np.isfinite(2 * np.ptp(c))
                 and np.all(np.diff(c[o]) > 0)):
             validate_space(d, base, labels)
     path = np.sort(np.column_stack([o[:-1], o[1:]]), axis=1)
@@ -260,11 +265,9 @@ def line_net(coords: Sequence[float], base: int = 0) -> PointedMetricSpace:
 
 
 def interval_net(n: int) -> PointedMetricSpace:
-    """Uniform net {k/n : 0 <= k <= n} on [0, 1] with the line metric.
-
-    The base point is 0 and the mesh 1/n is recorded in ``meta`` together
-    with the coordinates, which the interval-specific operations consume.
-    """
+    """Uniform net {k/n : 0 <= k <= n} on [0, 1] with the line metric, based at
+    0; ``meta`` records the mesh 1/n and the coordinates, which the
+    interval-specific operations consume."""
     if n < 1:
         raise ValueError("interval_net requires n >= 1")
     coords = np.arange(n + 1) / n  # bitwise k / n while n < 2**53
@@ -275,16 +278,13 @@ def interval_net(n: int) -> PointedMetricSpace:
 
 
 def circle_net(n: int) -> PointedMetricSpace:
-    """n equally spaced points on the unit circle with chordal distances.
-
-    Points k steps apart sit at distance 2*sin(pi*k/n).
-    """
+    """n equally spaced points on the unit circle, k steps apart at chordal
+    distance 2*sin(pi*k/n)."""
     if n < 3:
         raise ValueError("circle_net requires n >= 3")
     steps = gaps(np.arange(n))
     steps = np.minimum(steps, n - steps)
-    d = 2.0 * np.sin(np.pi * steps / n)
-    np.fill_diagonal(d, 0.0)
+    d = 2.0 * np.sin(np.pi * steps / n)  # sin(0) is exactly 0 on the diagonal
     d = np.minimum(d, d.T)  # sin() rounding can differ across the two orders
     meta = {"family": "circle", "n": n}
     labels = tuple(f"c{k}" for k in range(n))
@@ -307,11 +307,10 @@ def snowflake(space: PointedMetricSpace, theta: float) -> PointedMetricSpace:
 def intermediate_points(space: PointedMetricSpace, pair: PointPair) -> list[int]:
     """Points z lying metrically between x and y.
 
-    Returns every z outside {x, y} with
-    d(x,z) + d(z,y) <= d(x,y) + space.tol. The triangle inequality
-    forces >=, so these are the equality cases up to the space's metric
-    tolerance; an empty result means the pair realizes a strict triangle
-    inequality against every third point.
+    Returns every z outside {x, y} with d(x,z) + d(z,y) <= d(x,y) + space.tol.
+    The triangle inequality forces >=, so these are the equality cases up to the
+    space's metric tolerance; an empty result means the pair realizes a strict
+    triangle inequality against every third point.
     """
     x, y = pair.x, pair.y
     if max(x, y) >= space.n:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import copy
 import dataclasses
 import hashlib
@@ -6,9 +7,11 @@ import json
 import os
 import subprocess
 import sys
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lipfree import cli, composition, io
 from lipfree.fixtures import builtin_map, circle_geodesic, tripod
@@ -123,6 +126,46 @@ class TestExitCodes:
         assert code == 0
         assert report["results"]["error"]["kind"] == "AsymmetricDistance"
         assert report["tolerances"] == {}
+
+    @pytest.mark.parametrize("metric, kind", [
+        ({"type": "matrix", "d": [[0, 1], [2, 0]]}, "AsymmetricDistance"),
+        ({"type": "graph", "n": 3, "edges": [[0, 1, 1]]}, "DisconnectedGraph"),
+    ])
+    def test_exact_failure_names_no_given_tol(self, files, capsys, metric, kind):
+        # a --tol beside a refusal by an exact test took no part in it
+        path = write(files["dir"] / "refused.json", {"metric": metric})
+        code, report, _ = run_in_process(capsys, "validate", path, "--tol", "0")
+        assert code == 0
+        assert report["results"]["error"]["kind"] == kind
+        assert report["tolerances"] == {}
+
+    def test_nonzero_self_distance_is_named(self, files, capsys):
+        path = write(files["dir"] / "diag.json", {
+            "metric": {"type": "matrix", "d": [[1, 1], [1, 0]]}})
+        code, report, _ = run_in_process(capsys, "validate", path)
+        assert code == 0
+        assert report["results"]["error"] == {
+            "kind": "NonzeroSelfDistance", "message": "d[0][0]=1.0 is not zero",
+            "witness": [0, 0]}
+        code, report, err = run_in_process(capsys, "extremes", path)
+        assert code == 2
+        assert report is None
+        assert "input error: NonzeroSelfDistance: d[0][0]=1.0 is not zero" in err
+
+    @pytest.mark.parametrize("metric, where", [
+        ({"type": "graph", "n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]},
+         "metric.edges: a path length overflows"),
+        ({"type": "matrix", "d": [[0, 1e308], [1e308, 0]]},
+         "metric.d: 1e+308 is too large: sums overflow"),
+    ])
+    def test_overflowing_distances_are_malformed(self, files, capsys, metric, where):
+        # the graph was once reported disconnected, after a RuntimeWarning
+        path = write(files["dir"] / "huge.json", {"metric": metric})
+        for command in ("validate", "extremes"):
+            code, report, err = run_in_process(capsys, command, path)
+            assert code == 2
+            assert report is None
+            assert err == f"input error: MalformedInput: {path}.{where}\n"
 
     def test_malformed_json_exits_2(self, files):
         broken = files["dir"] / "broken.json"
@@ -863,6 +906,115 @@ class TestDeterminism:
         a = strip_timing(report_of(run_cli("extremes", files["net"])))
         b = strip_timing(report_of(run_cli("extremes", files["net"])))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+NUMBERS = [2, 0.5, 1.5, 7, -1, 0.0, -1.0, float("nan"), float("inf"), -float("inf"),
+           1e308, 9e307, 10 ** 400]
+OTHER_VALUES = ["0", "1.0", None, True, False, [], {}, [0, 1]]
+
+
+def _paths(node, at=()):
+    """Every position in a JSON tree, the root first."""
+    yield at
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, at + (key,))
+
+
+@st.composite
+def mutated_space_file(draw):
+    """A valid matrix- or graph-form space object, then up to four
+    mutations: a number (an entry, weight, index or size) changed, a
+    matrix entry and its mirror changed together, or a position dropped,
+    retyped or appended to."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        obj = {"labels": [f"p{i}" for i in range(n)], "base": 0,
+               "metric": {"type": "matrix",
+                          "d": [[float(abs(i - j)) for j in range(n)] for i in range(n)]}}
+    else:
+        edges = [[i, i + 1, 1.0] for i in range(n - 1)]
+        edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                         st.sampled_from([0.5, 2.0, 1e308])).map(list),
+                               max_size=3))  # chords and duplicates
+        obj = {"base": 0, "metric": {"type": "graph", "n": n, "edges": edges}}
+    for _ in range(draw(st.integers(0, 4))):
+        # "mirror" twice: only a symmetric change reaches the zero and triangle checks
+        op = draw(st.sampled_from(["number", "mirror", "mirror", "drop", "retype", "append"]))
+        paths = list(_paths(obj))
+        if op in ("number", "mirror"):
+            paths = [at for at in paths if type(_at(obj, at)) in (int, float)]
+        if op == "mirror":
+            paths = [at for at in paths if len(at) == 4 and at[:2] == ("metric", "d")
+                     and at[2] != at[3]]
+        if not paths:
+            continue
+        at = draw(st.sampled_from(paths))
+        value = copy.deepcopy(draw(st.sampled_from(
+            {"number": NUMBERS, "mirror": [7.0, 2.5, 0.5, 0.0, -1.0, 9e307]}.get(
+                op, NUMBERS + OTHER_VALUES))))
+        if not at:
+            obj = value if op == "retype" else obj
+            continue
+        parent, target = _at(obj, at[:-1]), _at(obj, at)
+        if op == "drop":
+            del parent[at[-1]]
+        elif op == "append" and isinstance(target, list):
+            target.append(copy.deepcopy(target[-1]) if target and draw(st.booleans()) else value)
+        elif op == "mirror":
+            parent[at[-1]] = obj["metric"]["d"][at[3]][at[2]] = value
+        else:
+            parent[at[-1]] = value
+    return obj
+
+
+def _at(node, at):
+    for key in at:
+        node = node[key]
+    return node
+
+
+def run_captured(argv):
+    """Exit code, stdout and stderr of one in-process CLI call, captured
+    without a function-scoped fixture."""
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(obj=mutated_space_file(), tol=st.sampled_from([None, "0", "0.5", "1e-12"]))
+def test_validate_never_fails_on_a_mutated_space(tmp_path_factory, obj, tol):
+    """validate exits 0 or 2 without a traceback, stops collecting reads,
+    and names a --tol only beside the triangle check that used it;
+    extremes admits exactly the spaces validate finds valid."""
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    flags = [] if tol is None else ["--tol", tol]
+    code, out, err = run_captured(["validate", str(path), *flags])
+    assert io.READS.get() is None
+    assert code in (0, 2) and "Traceback" not in err
+    valid = False
+    if code == 2:
+        assert out == "" and err.startswith("input error: ")
+    else:
+        results, tolerances = (json.loads(out)[key] for key in ("results", "tolerances"))
+        valid = results["valid"]
+        if valid:
+            admitted = tol is not None and obj["metric"]["type"] == "matrix"
+            want = float(tol) if admitted else REL_TOL * results["diameter"]
+            assert tolerances == {"tol_metric": want}
+        elif results["error"]["kind"] == "TriangleViolation":
+            assert set(tolerances) == {"tol_metric"}
+            assert tol is None or tolerances["tol_metric"] == float(tol)
+        else:
+            assert tolerances == {}
+    code, out, err = run_captured(["extremes", str(path), *flags])
+    assert io.READS.get() is None
+    assert code == (0 if valid else 2) and "Traceback" not in err
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +10,12 @@ from lipfree.errors import (
     DisconnectedGraph,
     MalformedInput,
     NegativeDistance,
+    NonzeroSelfDistance,
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
 from lipfree import metric_core
-from lipfree.fixtures import line_net, random_space
+from lipfree.fixtures import circle_geodesic, line_net, random_space, tripod
 from lipfree.freespace import extreme_molecules
 from lipfree.metric_core import (
     REL_TOL,
@@ -47,6 +50,22 @@ class TestValidateSpace:
             validate_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
         assert exc.value.witness == (0, 1, 2)
 
+    def test_no_option_skips_the_triangle_check(self):
+        # an edge list once let any caller skip it, and this d(0, 2) = 5 > 1 + 1
+        # was admitted
+        assert "edges" not in inspect.signature(validate_space).parameters
+        with pytest.raises(TypeError):
+            validate_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]], edges=np.array([[0, 1], [1, 2]]))
+
+    def test_caller_array_is_copied(self):
+        # a view taken before validation cannot reach the validated space
+        a = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
+        view = a[:]
+        space = validate_space(a)
+        assert not np.shares_memory(space.dist, a) and a.flags.writeable
+        view[0, 2] = view[2, 0] = 50.0
+        assert space.d(0, 2) == 2.0 and not space.dist.flags.writeable
+
     def test_several_violations_report_the_first_third_point(self):
         # (0, 2) breaks through 1 (sum 4) and more deeply through 3 (sum 2),
         # and (1, 2) through 3; the witness is the first third point j, not
@@ -74,6 +93,24 @@ class TestValidateSpace:
     def test_negative_rejected(self):
         with pytest.raises(NegativeDistance):
             validate_space([[0, -1], [-1, 0]])
+
+    def test_distances_whose_sums_overflow_are_malformed(self):
+        # 1e308 + 1e308 once overflowed in the triangle check, with a RuntimeWarning
+        for build in (lambda: validate_space([[0, 1e308], [1e308, 0]]),
+                      lambda: line_net([0.0, 1e308])):
+            with pytest.raises(MalformedInput) as exc:
+                build()
+            assert exc.value.json_path == "metric.d"
+            assert exc.value.reason == "1e+308 is too large: sums overflow"
+        half = np.finfo(float).max / 2  # twice it is the largest float
+        assert validate_space([[0, half], [half, 0]]).diameter == half
+        assert line_net([0.0, half]).diameter == half
+
+    def test_nonzero_self_distance_rejected(self):
+        with pytest.raises(NonzeroSelfDistance) as exc:
+            validate_space([[1, 1], [1, 0]])
+        assert exc.value.witness == (0, 0)
+        assert str(exc.value) == "d[0][0]=1.0 is not zero"
 
     def test_zero_distance_rejected(self):
         with pytest.raises(ZeroDistanceDistinctPoints):
@@ -104,8 +141,8 @@ class TestValidateSpace:
         try:
             validate_space(d)
             got = None
-        except (NegativeDistance, AsymmetricDistance, ZeroDistanceDistinctPoints,
-                TriangleViolation) as exc:
+        except (NegativeDistance, NonzeroSelfDistance, AsymmetricDistance,
+                ZeroDistanceDistinctPoints, TriangleViolation) as exc:
             got = exc
         if want is None:
             assert got is None or isinstance(got, TriangleViolation)
@@ -169,6 +206,35 @@ class TestFromWeightedGraph:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(NegativeDistance):
             from_weighted_graph(2, [(0, 1, 0.0)])
+
+    def test_overflowing_path_is_malformed(self):
+        # d(0, 2) = 2e308 overflows: once a RuntimeWarning, then DisconnectedGraph
+        with pytest.raises(MalformedInput) as exc:
+            from_weighted_graph(3, [(0, 1, 1e308), (1, 2, 1e308)])
+        assert exc.value.json_path == "metric.edges"
+        assert exc.value.reason == "a path length overflows"
+
+    def test_huge_edge_never_kept_is_no_overflow(self):
+        # parallel edges keep their minimum, so the 1e308 edge takes no part
+        space = from_weighted_graph(3, [(0, 1, 1e308), (0, 1, 1.0), (1, 2, 1.0)])
+        assert space.dist.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+
+    def test_built_without_validate_space(self, monkeypatch):
+        # the closure proves the axioms, so the space never goes through the
+        # validator; the full check, run afterwards, admits every one
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate_space called")
+
+        rng = np.random.default_rng(43)
+        with monkeypatch.context() as m:
+            m.setattr(metric_core, "validate_space", refuse)
+            spaces = [circle_geodesic(n).space for n in range(8, 65, 2)]
+            spaces += [tripod(1.0, k).space for k in range(1, 17)]
+            spaces += [random_space(rng, int(rng.integers(2, 30)), kind="graph")
+                       for _ in range(200)]
+        for space in spaces:
+            assert space.edges is not None and len(space.labels) == space.n
+            validate_space(space.dist, base=space.base, labels=space.labels)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(2, 8), st.randoms(use_true_random=False))
@@ -404,9 +470,11 @@ def _entry_by_entry_axioms(d):
     """The first axiom error as validate_space reported it before its
     fast path: each class of bad entries in full, in a fixed order."""
     n = len(d)
-    for bad in (~np.isfinite(d), d < 0, (d != 0) & np.eye(n, dtype=bool)):
+    for k, bad in enumerate((~np.isfinite(d), d < 0, (d != 0) & np.eye(n, dtype=bool))):
         if bad.any():
             i, j = (int(v) for v in np.argwhere(bad)[0])
+            if k == 2:  # a nonzero diagonal entry
+                return NonzeroSelfDistance(i, float(d[i, i]))
             return NegativeDistance(i, j, float(d[i, j]))
     asym = np.argwhere(d != d.T)
     if asym.size:
