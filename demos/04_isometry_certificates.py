@@ -34,9 +34,11 @@ for name in ("identity", "fold", "halving", "collapse"):
 print("\n== what a positive dual certificate carries ==")
 phi = builtin_map("fold", 4)
 report = certify_isometry(phi, "both")
-for w in report.dual.witnesses:
-    print(f"  codomain pair {w['pair']} at distance {w['codomain_distance']:.4f}"
-          f" has preimage {w['preimage']} at distance {w['domain_distance']:.4f}")
+w = report.dual.witnesses  # one row per extreme pair, as columns
+for (x, y), (a, b), d in zip(w["pair"].tolist(), w["preimage"].tolist(),
+                             w["domain_distance"].tolist()):
+    print(f"  codomain pair {(x, y)} at distance {phi.codomain.dist[x, y]:.4f}"
+          f" has preimage {(a, b)} at distance {d:.4f}")
 
 print("\n== what a negative certificate carries ==")
 report = certify_isometry(builtin_map("collapse", 4), "both")

@@ -66,7 +66,7 @@ FREENORM_AGREEMENT = 1e-8
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
@@ -227,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="builtin:identity|fold|halving|collapse or file:PATH")
     pi.add_argument("--r-loc", type=float, default=None, dest="r_loc")
     pi.add_argument("--eps", type=float, default=None)
-    pi.add_argument("--seed", type=int, default=None,
-                    help="seed for the random lower-bound probe")
+    pi.add_argument("--seed", type=int, default=0,
+                    help="seed for the random lower-bound probe (default 0)")
     pi.add_argument("--probe", type=int, default=0,
                     help="number of random functions for the norm probe")
     pi.add_argument("--csv", default=None, help="write the defect profile as CSV")

@@ -10,12 +10,11 @@ map norm, computed once per map, and two independent algorithms then
 decide whether composition against a norm-one map preserves every
 function's norm:
 
-* the dual route reads the codomain ball's vertices (its extreme
-  molecules) once, as one ``(k, 2)`` index array (or a caller's pair
-  set, made the same kind of array on entry), groups the domain by image
-  once and reads, in one pass over the fibre pairs of all vertices
-  (x, y), each vertex's closest preimage pair (x', y'), which must have
-  d(x, y)/d(x', y') = 1;
+* the dual route reads, in one pass over the domain grouped by image,
+  the closest preimage pair (x', y') of each vertex (x, y) of the
+  codomain ball (its extreme molecules, or a caller's pair set), which
+  must have d(x, y)/d(x', y') = 1. Pairs, preimage pairs and d(x', y')
+  stay index and value arrays: the certificate's witness columns;
 * the primal route reads in closed form the metric cbar the map induces
   on its codomain: the shortest-path closure of c(x, y), the least domain
   distance between the fibres of x and y (infinite if one is empty).
@@ -139,23 +138,25 @@ def compose(phi: LipschitzMap, f: LipschitzFunction) -> LipschitzFunction:
 # certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsometryCertificate:
     """Outcome of one certification run.
 
-    A negative or inconclusive verdict always carries a failing pair. A
-    positive dual verdict carries one preimage witness per checked pair;
-    a primal verdict carries the map's ``modulus`` unless the map norm
-    decided it. ``scope`` records whether the pair set decides both
-    directions (the default, all extreme molecules) or only suffices for
-    the positive direction (a caller-supplied norming set); a failed
-    check over such a set decides nothing and is ``inconclusive``.
+    A negative or inconclusive verdict always carries a failing pair, a
+    positive dual verdict one ``witnesses`` row per checked pair (columns
+    ``pair`` and ``preimage``, ``(k, 2)`` ``intp``, and ``domain_distance``;
+    empty otherwise), and a primal verdict the map's ``modulus`` unless the
+    map norm decided it. ``scope`` says whether the pair set decides both
+    directions (default: all extreme molecules) or only the positive one (a
+    caller's norming set, over which a failed check is ``inconclusive``).
     """
 
     verdict: str  # "isometric" | "not_isometric" | "inconclusive"
     method: str  # "dual_preimage" | "primal_quotient"
     scope: str = "necessary_and_sufficient"
-    witnesses: tuple[dict[str, Any], ...] = ()
+    witnesses: dict[str, np.ndarray] = field(default_factory=lambda: {
+        "pair": np.empty((0, 2), np.intp), "preimage": np.empty((0, 2), np.intp),
+        "domain_distance": np.empty(0)})
     failing_pair: tuple[int, int] | None = None
     tolerances: dict[str, float] = field(default_factory=dict)
     notes: str = ""
@@ -166,7 +167,7 @@ class IsometryCertificate:
         return self.verdict == "isometric"
 
     def to_dict(self) -> dict[str, Any]:
-        out = {**vars(self), "witnesses": list(self.witnesses),
+        out = {**vars(self), "witnesses": {k: v.tolist() for k, v in self.witnesses.items()},
                "failing_pair": list(self.failing_pair) if self.failing_pair else None}
         if self.modulus is None:
             del out["modulus"]
@@ -201,15 +202,13 @@ def _dual_certificate(phi: LipschitzMap, vertices: np.ndarray,
     For every pair (x, y) in the set (default: the codomain's vertices)
     the closest preimage pair (x', y') must have d(x, y)/d(x', y') at
     least ``1 - REL_TOL``, the primal's rule for the modulus; the map is
-    norm-one, so this is the attained ratio-one condition.
-    One pass reads every pair's fibre block, row-major, from the domain
-    sorted by image, in :func:`row_blocks` of pairs sized by the largest
-    block; the first failing pair in list order is reported.
-    With the default pair set the verdict is conclusive in both
-    directions; a caller-supplied set, which :func:`certify_isometry` has
-    checked to be norming, decides only the positive direction: a pair
-    failing the bound makes the verdict ``inconclusive``, since it need
-    not be a vertex.
+    norm-one, so this is the attained ratio-one condition. One pass reads
+    every pair's fibre block, row-major, from the domain sorted by image,
+    in :func:`row_blocks` of pairs sized by the largest block, and keeps
+    each block's witness columns; the first failing pair in list order is
+    reported. A failure over a caller's set, which :func:`certify_isometry`
+    has checked to be norming, is ``inconclusive``: the pair need not be a
+    vertex.
     """
     scope, negative = "sufficient_only", "inconclusive"
     if pairs is None:
@@ -230,7 +229,7 @@ def _dual_certificate(phi: LipschitzMap, vertices: np.ndarray,
     empty = np.flatnonzero((size[px] == 0) | (size[py] == 0))
     stop = int(empty[0]) if empty.size else len(pairs)
     cells = size[px[:stop]] * size[py[:stop]]
-    witnesses = []
+    kept = [(pairs[:0], pairs[:0], target[:0])]  # the witness columns, block by block
     for p0, p1 in row_blocks(stop, int(cells.max(initial=1))):
         p = slice(p0, p1)
         seg, wide = cells[p], np.repeat(size[py[p]], cells[p])
@@ -247,16 +246,13 @@ def _dual_certificate(phi: LipschitzMap, vertices: np.ndarray,
             q = int(bad[0])
             return failed(p0 + q, f"best preimage distance "
                           f"{float(best[q])!r} exceeds {float(target[p0 + q])!r}")
-        witnesses += [{"pair": (x, y), "preimage": (a, b), "codomain_distance": t,
-                       "domain_distance": d} for x, y, a, b, t, d in zip(
-                           px[p].tolist(), py[p].tolist(), xs[at].tolist(),
-                           ys[at].tolist(), target[p].tolist(), best.tolist())]
+        kept.append((pairs[p], np.column_stack((xs[at], ys[at])), best))
     if stop < len(pairs):
         return failed(stop, "pair has no preimage on one side")
+    pair, preimage, distance = map(np.concatenate, zip(*kept))
     return IsometryCertificate(
-        verdict="isometric", method="dual_preimage", scope=scope,
-        witnesses=tuple(witnesses), tolerances=tolerances,
-    )
+        verdict="isometric", method="dual_preimage", scope=scope, tolerances=tolerances,
+        witnesses={"pair": pair, "preimage": preimage, "domain_distance": distance})
 
 
 def _fibre_rows(img: np.ndarray, dist: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:

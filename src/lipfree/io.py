@@ -90,15 +90,17 @@ def _number(value: Any, where: str) -> float:
 
 
 def _floats(obj: dict, key: str, where: str) -> np.ndarray:
-    raw = _require(obj, key, where)
+    raw, at = _require(obj, key, where), f"{where}.{key}"
     try:
         values = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedInput(f"{where}.{key}", str(exc)) from None
+    except OverflowError:  # an integer past every float
+        raise MalformedInput(at, "entries must be finite numbers") from None
+    except (TypeError, ValueError):
+        raise MalformedInput(at, "expected rows of numbers of equal length") from None
     for entry in np.asarray(raw, dtype=object).flat:
-        _number(entry, f"{where}.{key}")
+        _number(entry, at)
     if not np.all(np.isfinite(values)):
-        raise MalformedInput(f"{where}.{key}", "entries must be finite numbers")
+        raise MalformedInput(at, "entries must be finite numbers")
     return values
 
 
@@ -119,8 +121,10 @@ def space_from_dict(obj: dict, where: str = "space",
         at = f"{where}.metric.edges"
         try:
             triples = [(_integer(i, at), _integer(j, at), _number(w, at)) for i, j, w in edges]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise MalformedInput(at, str(exc)) from None
+        except OverflowError:  # a weight past every float
+            raise MalformedInput(at, "weights must be finite numbers") from None
+        except (TypeError, ValueError):
+            raise MalformedInput(at, "expected [i, j, w] triples") from None
         build = partial(from_weighted_graph, n, triples, base=base, labels=labels)
     else:
         raise MalformedInput(f"{where}.metric.type", f"unknown metric type {kind!r}")

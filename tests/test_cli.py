@@ -167,6 +167,21 @@ class TestExitCodes:
             assert report is None
             assert err == f"input error: MalformedInput: {path}.{where}\n"
 
+    @pytest.mark.parametrize("metric, where", [
+        ({"type": "graph", "n": 3, "edges": [1.5, [1, 2, 1.0]]},
+         "metric.edges: expected [i, j, w] triples"),
+        ({"type": "graph", "n": 3, "edges": [[0, 1], [1, 2, 1.0]]},
+         "metric.edges: expected [i, j, w] triples"),
+        ({"type": "matrix", "d": [[0, 1], [1, 0, 2]]},
+         "metric.d: expected rows of numbers of equal length"),
+    ])
+    def test_misshapen_space_names_the_fault(self, files, capsys, metric, where):
+        path = write(files["dir"] / "misshapen.json", {"metric": metric})
+        code, report, err = run_in_process(capsys, "validate", path)
+        assert code == 2
+        assert report is None
+        assert err == f"input error: MalformedInput: {path}.{where}\n"
+
     def test_malformed_json_exits_2(self, files):
         broken = files["dir"] / "broken.json"
         broken.write_text("{not json", encoding="utf-8")
@@ -673,6 +688,16 @@ class TestExperiments:
         results = report_of(proc)["results"]
         assert results["certificate"]["verdict"] == "not_isometric"
         assert results["operator_norm"] == 0.5
+
+    def test_probe_without_seed_is_seeded_by_default(self, files):
+        # identical argv give identical reports, the random probe included
+        write(files["dir"] / "net8.json", space_to_dict(interval_net(8)))
+        path = write(files["dir"] / "halves.json", {
+            "domain": "net8.json", "codomain": "net8.json", "image": [0, 0, 1, 1, 2, 2, 3, 3, 4]})
+        a, b = (report_of(run_cli("experiment", "interval", "--map", f"file:{path}",
+                                  "--probe", "1")) for _ in range(2))
+        assert a["results"]["random_probe"]["seed"] == 0
+        assert strip_timing(a) == strip_timing(b)
 
     def test_interval_probe_is_seeded(self, files):
         a = run_cli("experiment", "interval", "--mesh", "4",

@@ -236,8 +236,8 @@ class TestCertifyDual:
     def test_identity_isometric_with_witnesses(self, path3):
         cert = certify_isometry_dual(identity_map(path3))
         assert cert.verdict == "isometric"
-        for w in cert.witnesses:
-            assert w["preimage"] == w["pair"]
+        assert len(cert.witnesses["pair"]) == len(extreme_molecules(path3)) > 0
+        assert np.array_equal(cert.witnesses["preimage"], cert.witnesses["pair"])
 
     def test_constant_map_fails(self, path3, two_point):
         cert = certify_isometry_dual(LipschitzMap(path3, two_point, (0, 0, 0)))
@@ -248,7 +248,7 @@ class TestCertifyDual:
         # (0,1,0) hits the unique extreme pair with an adjacent preimage
         cert = certify_isometry_dual(LipschitzMap(path3, two_point, (0, 1, 0)))
         assert cert.verdict == "isometric"
-        assert cert.witnesses[0]["preimage"] == (0, 1)
+        assert cert.witnesses["preimage"][0].tolist() == [0, 1]
 
     def test_norm_above_one_rejected(self, two_point, path3):
         stretched = validate_space([[0, 3], [3, 0]])
@@ -588,7 +588,7 @@ class TestOnePass:
         monkeypatch.setattr(PointPair, "__post_init__", counted)
         report = certify_isometry(phi, "both")
         assert report.verdict == "isometric"
-        assert len(report.dual.witnesses) > 5000
+        assert len(report.dual.witnesses["pair"]) > 5000
         assert len(built) <= 2
 
 
@@ -700,11 +700,22 @@ def _pair_sets(phi, rng):
     return [None, everything, flipped, mixed]
 
 
+def _witness_dicts(phi, cert):
+    """The witness columns as the reference's dicts, one per row, each
+    codomain distance read from the codomain matrix."""
+    w = cert.witnesses
+    return [{"pair": (x, y), "preimage": (a, b), "codomain_distance": phi.codomain.d(x, y),
+             "domain_distance": d} for (x, y), (a, b), d in zip(
+                 w["pair"].tolist(), w["preimage"].tolist(), w["domain_distance"].tolist())]
+
+
 def _assert_same_dual(phi, rng):
     vertices = extreme_molecules(phi.codomain)
     for pairs in _pair_sets(phi, rng):
         got = composition._dual_certificate(phi, vertices, _rows(pairs))
         want = _loop_dual_certificate(phi, [PointPair(*v) for v in vertices.tolist()], pairs)
+        assert _witness_dicts(phi, got) == (list(want.witnesses) if want.isometric else [])
+        want = dataclasses.replace(want, witnesses=got.witnesses)
         assert got.to_dict() == want.to_dict()
         assert repr(got) == repr(want)
 
@@ -748,17 +759,31 @@ class TestDualCertificateOracle:
 
 @pytest.mark.parametrize("name", ["identity", "fold", "halving", "collapse"])
 def test_report_dicts_are_shallow_and_equal_to_asdict(monkeypatch, name):
-    # to_dict shares the witness dicts instead of deep-copying them; its
-    # JSON is that of dataclasses.asdict with the fields to_dict rewrites
+    # to_dict copies no leaf and writes each witness column with one
+    # tolist(); its JSON is that of dataclasses.asdict with the fields
+    # to_dict rewrites
+    written = []
+
+    class Column(np.ndarray):
+        def tolist(self):
+            written.append(self)
+            return super().tolist()
+
     phi = builtin_map(name, 16)
     necessary = check_interval_necessary(phi)
     report = certify_isometry(phi, "both")
     for obj in (necessary, check_interval_sufficient(phi, r=necessary.r_loc),
                 report.dual, report.primal):
         want = dataclasses.asdict(obj)
+        columns = getattr(obj, "witnesses", {})
+        for key, column in columns.items():
+            want["witnesses"][key] = column.tolist()
+            columns[key] = column.view(Column)
+        written.clear()
         with monkeypatch.context() as patched:
             patched.setattr(copy, "deepcopy", None)  # asdict's copy of every leaf
             got = obj.to_dict()
+        assert [id(c) for c in written] == [id(c) for c in columns.values()]
         if "rows" in want:
             want["rows"] = [list(r) for r in obj.rows]
         else:
@@ -766,5 +791,27 @@ def test_report_dicts_are_shallow_and_equal_to_asdict(monkeypatch, name):
             if obj.modulus is None:
                 del want["modulus"]
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-    if report.dual.witnesses:
-        assert report.dual.to_dict()["witnesses"][0] is report.dual.witnesses[0]
+    assert (len(report.dual.to_dict()["witnesses"]["pair"]) > 0) == (name in ("identity", "fold"))
+
+
+def test_witness_rows_check_on_their_own():
+    # every row is checkable without the certifier: its preimage pair maps
+    # onto its pair, at the recorded domain distance, with ratio one
+    rng = np.random.default_rng(43)
+    positive = 0
+    for _ in range(300):
+        phi = random_one_lipschitz_map(rng, int(rng.integers(2, 12)), int(rng.integers(2, 9)))
+        cert = certify_isometry_dual(phi)
+        w = cert.witnesses
+        assert w["pair"].dtype == w["preimage"].dtype == np.intp
+        assert w["pair"].shape == w["preimage"].shape == (len(w["domain_distance"]), 2)
+        if not cert.isometric:
+            assert w["pair"].size == 0
+            continue
+        positive += 1
+        assert np.array_equal(w["pair"], extreme_molecules(phi.codomain))
+        assert np.array_equal(np.asarray(phi.image)[w["preimage"]], w["pair"])
+        assert np.array_equal(phi.domain.dist[tuple(w["preimage"].T)], w["domain_distance"])
+        ratio = phi.codomain.dist[tuple(w["pair"].T)] / w["domain_distance"]
+        assert np.all(ratio >= 1.0 - REL_TOL)
+    assert positive >= 50

@@ -111,6 +111,28 @@ class TestSpaceFiles:
             load_space(path)
         assert exc.value.json_path == f"{path}.{where}"
 
+    @pytest.mark.parametrize("metric, where, reason", [
+        ({"type": "graph", "n": 3, "edges": [1.5, [1, 2, 1.0]]},
+         "metric.edges", "expected [i, j, w] triples"),
+        ({"type": "graph", "n": 3, "edges": [[0, 1], [1, 2, 1.0]]},
+         "metric.edges", "expected [i, j, w] triples"),
+        ({"type": "graph", "n": 3, "edges": 5}, "metric.edges", "expected [i, j, w] triples"),
+        ({"type": "matrix", "d": [[0, 1], [1, 0, 2]]},
+         "metric.d", "expected rows of numbers of equal length"),
+        ({"type": "matrix", "d": [[0, [1]], [1, 0]]},
+         "metric.d", "expected rows of numbers of equal length"),
+        # an integer past every float is not a misshapen row or triple
+        ({"type": "matrix", "d": [[0, 10 ** 400], [10 ** 400, 0]]},
+         "metric.d", "entries must be finite numbers"),
+        ({"type": "graph", "n": 2, "edges": [[0, 1, 10 ** 400]]},
+         "metric.edges", "weights must be finite numbers"),
+    ])
+    def test_malformed_metric_names_the_fault(self, tmp_path, metric, where, reason):
+        path = write(tmp_path / "bad.json", {"metric": metric})
+        with pytest.raises(MalformedInput) as exc:
+            load_space(path)
+        assert (exc.value.json_path, exc.value.reason) == (f"{path}.{where}", reason)
+
     def test_whole_float_indices_are_integers(self, tmp_path):
         path = write(tmp_path / "s.json", {
             "base": 1.0, "metric": {"type": "graph", "n": 3.0, "edges": [[0, 1.0, 1], [1, 2, 1]]}})
