@@ -62,8 +62,6 @@ from .io import (
 from .lipschitz import LipschitzFunction, lipschitz_norm, mcshane_extend
 from .metric_core import REL_TOL, PointPair
 
-FREENORM_AGREEMENT = 1e-8
-
 
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, sort_keys=True, separators=(",", ":"))
@@ -261,12 +259,10 @@ def _cmd_validate(args):
             "error": {"kind": type(exc).__name__, "message": str(exc),
                       "witness": list(getattr(exc, "witness", ()) or ())},
         }
-        # only the triangle check compares within a tolerance
-        tol = getattr(exc, "tol", None)
-        return {} if tol is None else {"tol_metric": tol}, results
-    results = {"valid": True, "points": space.n, "diameter": space.diameter}
-    admitted = args.tol is not None and space.edges is None  # a graph is never rechecked
-    return {"tol_metric": args.tol if admitted else space.tol}, results
+        tol = getattr(exc, "tol", None)  # only the triangle check has one
+        return {} if tol is None else {"tol_validation": tol}, results
+    return _space_tolerances(space, args), {
+        "valid": True, "points": space.n, "diameter": space.diameter}
 
 
 def _cmd_norm(args):
@@ -277,7 +273,7 @@ def _cmd_norm(args):
 
 def _cmd_freenorm(args):
     mu = load_free_vector(args.vector)
-    tolerances = {"agreement": FREENORM_AGREEMENT}
+    tolerances = {"agreement": REL_TOL}
     if args.method == "flow":
         value, plan = free_norm_primal(mu)
         return tolerances, {"method": "flow", "value": value,
@@ -290,7 +286,7 @@ def _cmd_freenorm(args):
     flow_value, plan = free_norm_primal(mu)
     lp_value, maximizer = free_norm_dual(mu)
     gap = abs(flow_value - lp_value)
-    agree = gap <= FREENORM_AGREEMENT * flow_value  # relative at every scale
+    agree = gap <= REL_TOL * flow_value  # relative at every scale
     results = {
         "method": "both",
         "flow": flow_value,
@@ -307,8 +303,8 @@ def _cmd_freenorm(args):
 
 
 def _space_tolerances(space, args) -> dict:
-    """``space.tol`` decides; a ``--tol`` only admitted a matrix-form space
-    (a graph-form one is never rechecked)."""
+    """``space.tol`` decides every comparison; a ``--tol`` only admitted a
+    matrix-form space (a graph-form one is never rechecked)."""
     given = {} if args.tol is None or space.edges is not None else {"tol_validation": args.tol}
     return {"tol_metric": space.tol, **given}
 
@@ -321,13 +317,9 @@ def _cmd_extremes(args):
 
 def _cmd_norming(args):
     space = load_space(args.space, tol=args.tol)
-    result = is_norming(space, _parse_pairs(args.pairs, space.n))
-    return (
-        _space_tolerances(space, args),
-        {"is_norming": result.is_norming,
-         "failing_vertex": list(result.failing_vertex.as_tuple())
-         if result.failing_vertex else None},
-    )
+    norming, failing = is_norming(space, _parse_pairs(args.pairs, space.n))
+    return _space_tolerances(space, args), {
+        "is_norming": norming, "failing_vertex": list(failing.as_tuple()) if failing else None}
 
 
 def _cmd_isometry(args):
@@ -348,18 +340,13 @@ def _cmd_extend(args):
     if f.space.base not in subset:
         raise MalformedInput("--subset", f"must contain the base point {f.space.base}")
     floor = load_function(args.floor, tol=args.tol) if args.floor else None
-    if floor is not None and floor.space.n != f.space.n:
-        raise MalformedInput("--floor", "floor lives on a different-size space")
     if floor is not None:
-        # re-anchor the floor onto the function's space object
-        floor = LipschitzFunction(f.space, floor.values, normalize=False)
-    f_sub = [float(f.values[i]) for i in subset]
-    ext = mcshane_extend(f.space, subset, f_sub, floor=floor, tol=args.tol)
-    return (
-        {"tol_metric": args.tol if args.tol is not None else f.space.tol},
-        {"subset": subset, "values": ext.values.tolist(),
-         "norm": lipschitz_norm(ext).value},
-    )
+        if floor.space.n != f.space.n:
+            raise MalformedInput("--floor", "floor lives on a different-size space")
+        floor = LipschitzFunction(f.space, floor.values, normalize=False)  # on f's space
+    ext = mcshane_extend(f.space, subset, f.values[subset], floor=floor)
+    return _space_tolerances(f.space, args), {
+        "subset": subset, "values": ext.values.tolist(), "norm": lipschitz_norm(ext).value}
 
 
 def _cmd_experiment_interval(args):

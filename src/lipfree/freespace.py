@@ -40,7 +40,8 @@ import numpy as np
 
 from .errors import InvariantFailure, NotZeroSum, SpaceMismatch
 from .lipschitz import LipschitzFunction, quotients
-from .metric_core import REL_TOL, PointedMetricSpace, PointPair, detour_rows, row_blocks
+from .metric_core import (REL_TOL, PointedMetricSpace, PointPair, detour_rows, point_indices,
+                          row_blocks)
 
 ZERO_SUM_REL = 1e-12
 _LP_OPTIONS = {"primal_feasibility_tolerance": REL_TOL, "dual_feasibility_tolerance": REL_TOL}
@@ -74,8 +75,8 @@ class FreeVector:
         not change the vector's action on functions vanishing there.
         """
         c = np.zeros(space.n)
-        for i, m in masses.items():
-            c[int(i)] += float(m)
+        for i, m in zip(point_indices(space, list(masses)), masses.values()):
+            c[i] += float(m)
         c[space.base] -= c.sum()
         return cls(space, c)
 
@@ -343,24 +344,23 @@ def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeRe
     entries are ratios of distances and HiGHS's tolerance ``REL_TOL`` is
     relative at every unit of distance.
     """
-    if max(pair.x, pair.y) >= space.n:
-        raise ValueError(f"pair {pair.as_tuple()} has a point outside 0..{space.n - 1}")
+    x, y = point_indices(space, pair.as_tuple())
     d = space.dist
-    h = 0.5 * (d[:, pair.y] - d[:, pair.x])
+    h = 0.5 * (d[:, y] - d[:, x])
     face = quotients(h[:, None] - h[None, :], d)
-    face[pair.x, pair.y] = -1.0  # the molecule itself
+    face[x, y] = -1.0  # the molecule itself
     xs, ys = np.nonzero(face >= 1.0 - REL_TOL)
     if xs.size == 0:
         return ExtremeResult(True, None)
     from scipy.optimize import linprog
-    scale = d[pair.x, pair.y] / d[xs, ys]
+    scale = d[x, y] / d[xs, ys]
     n = space.n
     cols = np.zeros((n + 1, xs.size))
     ar = np.arange(xs.size)
     cols[xs, ar], cols[ys, ar] = scale, -scale
     cols[n, :] = 1.0
     b = np.zeros(n + 1)
-    b[[pair.x, pair.y, n]] = 1.0, -1.0, 1.0
+    b[[x, y, n]] = 1.0, -1.0, 1.0
     res = linprog(np.zeros(xs.size), A_eq=cols, b_eq=b,
                   bounds=(0.0, None), method="highs", options=_LP_OPTIONS)
     if res.status == 2:
@@ -368,7 +368,7 @@ def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeRe
     if res.status != 0:
         raise InvariantFailure(f"hull LP failed with status {res.status}")
     return ExtremeResult(False, tuple(
-        ((int(x), int(y)), float(w)) for x, y, w in zip(xs, ys, res.x) if w > 1e-10
+        ((int(u), int(v)), float(w)) for u, v, w in zip(xs, ys, res.x) if w > 1e-10
     ))
 
 
@@ -423,8 +423,8 @@ def _norming_failure(space: PointedMetricSpace, pairs: np.ndarray,
     """The first vertex whose pair is not listed, in either order, or None.
     The listed +-molecules lie in the ball, and a vertex of the ball lies
     in the hull of points of the ball only if it is one of them."""
-    if not pairs.size or pairs.min() < 0 or pairs.max() >= space.n:
-        raise ValueError(f"the pair set must be nonempty, with indices in 0..{space.n - 1}")
+    if not point_indices(space, pairs).size:
+        raise ValueError("the pair set must be nonempty")
     listed = np.zeros((space.n, space.n), dtype=bool)
     listed[pairs[:, 0], pairs[:, 1]] = listed[pairs[:, 1], pairs[:, 0]] = True
     missing = np.flatnonzero(~listed[vertices[:, 0], vertices[:, 1]])

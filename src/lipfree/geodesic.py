@@ -41,7 +41,7 @@ from .lipschitz import (
     quotients,
     sub_lipschitz_norm,
 )
-from .metric_core import REL_TOL, PointedMetricSpace, PointPair, gaps, row_blocks
+from .metric_core import REL_TOL, PointedMetricSpace, PointPair, gaps, point_indices, row_blocks
 
 
 class StraightPathReport(NamedTuple):
@@ -57,7 +57,7 @@ def straight_path_check(space: PointedMetricSpace,
     path points, gap their arclength difference. The check passes within
     ``REL_TOL``, which is what the inverse projection's norm check needs.
     """
-    pts = [int(p) for p in candidate]
+    pts = point_indices(space, candidate).tolist()
     if len(pts) < 2 or len(set(pts)) < len(pts):
         raise ValueError("a path needs at least two points and must not repeat one")
     cum = _cumulative(space, pts)

@@ -20,7 +20,7 @@ from .errors import (
     FloorNormTooLarge,
     NotAnIntervalNet,
 )
-from .metric_core import REL_TOL, PointedMetricSpace, gaps, row_blocks
+from .metric_core import REL_TOL, PointedMetricSpace, gaps, point_indices, row_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +119,7 @@ def local_slopes(f: LipschitzFunction, r: float) -> np.ndarray:
 def pointwise_lip_at_scale(f: LipschitzFunction, x: int, r: float) -> float:
     """Row x of :func:`local_slopes`: the largest difference quotient
     against points within distance r of x, 0 for an isolated point."""
-    return float(local_slopes(f, r)[x])
+    return float(local_slopes(f, r)[point_indices(f.space, x)])
 
 
 def sub_lipschitz_norm(space: PointedMetricSpace, subset: Sequence[int],
@@ -153,7 +153,6 @@ def mcshane_extend(
     subset: Sequence[int],
     f_sub: Sequence[float],
     floor: LipschitzFunction | None = None,
-    tol: float | None = None,
 ) -> LipschitzFunction:
     """Norm-preserving extension from a subset, optionally above a floor.
 
@@ -162,18 +161,17 @@ def mcshane_extend(
     F restricts to f exactly and has norm L. When a floor g with
     ||g|| <= L and g <= f on the subset is supplied, F >= g holds
     automatically; both preconditions are checked, norms within REL_TOL
-    relative and values within L * tol, and violations are reported.
+    relative and values within L * space.tol (the base value of f within
+    space.tol), and violations are reported.
     """
-    if tol is None:
-        tol = space.tol
-    idx = [int(i) for i in subset]
+    idx = point_indices(space, subset).tolist()
     if space.base not in idx:
         raise ValueError("subset must contain the base point")
     v = np.asarray(f_sub, dtype=float).copy()
     if v.shape != (len(idx),):
         raise ValueError("f_sub must align with subset")
     vb = v[idx.index(space.base)]
-    if abs(vb) > tol:
+    if abs(vb) > space.tol:
         raise ValueError(f"f_sub must vanish at the base point, got {vb!r}")
     v -= vb
 
@@ -185,7 +183,7 @@ def mcshane_extend(
             raise FloorNormTooLarge(g_norm, L)
         gap = floor.values[idx] - v
         worst = int(np.argmax(gap))
-        if gap[worst] > L * tol:  # a value of an L-Lipschitz function
+        if gap[worst] > L * space.tol:  # a value of an L-Lipschitz function
             raise FloorExceedsFunction(idx[worst], float(floor.values[idx][worst]),
                                        float(v[worst]))
 

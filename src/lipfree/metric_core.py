@@ -8,10 +8,16 @@ the ranges of :func:`row_blocks`, the one place that sizes one;
 :func:`detour_rows`, over third points, is one.
 
 Every module follows one tolerance policy, kept here: a distance is
-compared within ``space.tol`` (``REL_TOL`` times the largest distance)
-or a caller's absolute ``tol``, and a dimensionless quantity (a map norm
-or Lipschitz constant against 1, a face pairing, an LP in normalised
-units) within ``REL_TOL``, so certificates ignore the unit of distance.
+compared within ``space.tol`` (``REL_TOL`` times the largest distance), a
+value of an L-Lipschitz function within L times that, and a dimensionless
+quantity (a map norm or Lipschitz constant against 1, a face pairing, an LP
+in normalised units, two transport norms) within ``REL_TOL``, so verdicts
+ignore the unit of distance. A caller's ``tol`` only admits a matrix to
+:func:`validate_space`. Four finer constants stay, as ``REL_TOL`` would
+loosen their checks: ``freespace.ZERO_SUM_REL`` admits a vector's sum, the
+simplex's 2e-13 pivot fixes the optimum the dual must match, the vertex LP's
+1e-10 weight cut keeps certificates that rebuild their molecule, and the
+interval nets' 1e-12 matches a file's matrix and an anchor to the grid.
 """
 
 from __future__ import annotations
@@ -304,6 +310,15 @@ def snowflake(space: PointedMetricSpace, theta: float) -> PointedMetricSpace:
     return PointedMetricSpace(space.labels, space.base, d, meta)
 
 
+def point_indices(space: PointedMetricSpace, points) -> np.ndarray:
+    """``points`` as ``intp``, or ValueError at one outside 0..n-1 (never read from the end)."""
+    idx = np.asarray(points, dtype=np.intp)
+    outside = idx[(idx < 0) | (idx >= space.n)]
+    if outside.size:
+        raise ValueError(f"point {int(outside[0])} is outside 0..{space.n - 1}")
+    return idx
+
+
 def intermediate_points(space: PointedMetricSpace, pair: PointPair) -> list[int]:
     """Points z lying metrically between x and y.
 
@@ -312,9 +327,7 @@ def intermediate_points(space: PointedMetricSpace, pair: PointPair) -> list[int]
     space's metric tolerance; an empty result means the pair realizes a strict
     triangle inequality against every third point.
     """
-    x, y = pair.x, pair.y
-    if max(x, y) >= space.n:
-        raise ValueError(f"pair {pair.as_tuple()} has a point outside 0..{space.n - 1}")
+    x, y = point_indices(space, pair.as_tuple())
     dxy = space.dist[x, y]
     through = space.dist[x, :] + space.dist[:, y]
     hits = np.argwhere(through <= dxy + space.tol)[:, 0]

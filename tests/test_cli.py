@@ -109,8 +109,8 @@ class TestExitCodes:
         assert report_of(proc)["inputs"] == [read_record(files["bad"])]
 
     @pytest.mark.parametrize("flags, tolerances", [
-        ((), {"tol_metric": REL_TOL * 5.0}),  # the default, from max(d) = 5
-        (("--tol", "0.5"), {"tol_metric": 0.5}),
+        ((), {"tol_validation": REL_TOL * 5.0}),  # the default, from max(d) = 5
+        (("--tol", "0.5"), {"tol_validation": 0.5}),
     ])
     def test_failed_triangle_check_reports_its_tolerance(self, files, capsys, flags,
                                                          tolerances):
@@ -389,8 +389,7 @@ class TestExitCodes:
         assert report["argv"] == ["freenorm", files["vec"], "--method", "both"]
         assert report["inputs"] == [read_record(files["vec"]),
                                     read_record(files["two"], (files["vec"], "space"))]
-        assert report["tolerances"] == {"agreement": cli.FREENORM_AGREEMENT,
-                                        "lp_feasibility": REL_TOL}
+        assert report["tolerances"] == {"agreement": REL_TOL, "lp_feasibility": REL_TOL}
 
     def _tiny_vector(self, files, coeffs):
         # the path 0-1-2 with distances scaled by 1e-9
@@ -416,6 +415,29 @@ class TestExitCodes:
         code, report, _ = run_in_process(capsys, "freenorm", vec, "--method", "both")
         assert code == 0
         assert report["results"]["agree"] is True
+
+    @pytest.mark.parametrize("excess, code", [(0.5e-9, 0), (2e-9, 3)])
+    def test_agreement_is_one_relative_tol(self, files, capsys, monkeypatch, excess, code):
+        # the LP reads excess * flow too high: within REL_TOL it agrees, beyond
+        # it exits 3
+        real = cli.free_norm_dual
+        monkeypatch.setattr(cli, "free_norm_dual", lambda mu: DualResult(
+            real(mu).value * (1.0 + excess), real(mu).maximizer))
+        got, report, _ = run_in_process(capsys, "freenorm", files["vec"], "--method", "both")
+        assert got == code
+        assert report["results"]["agree"] is (code == 0)
+        assert report["tolerances"]["agreement"] == REL_TOL
+
+    def test_tol_never_loosens_the_floor(self, files, capsys):
+        # f = (0, 1, 1) on the line 0-1-2 lies 0.5 below the floor (0, 1, 1.5)
+        # at point 2; --tol only admits the space, so 0.6 does not excuse it
+        f = write(files["dir"] / "f_line.json", {"space": "three.json", "values": [0, 1, 1]})
+        g = write(files["dir"] / "g_line.json", {"space": "three.json", "values": [0, 1, 1.5]})
+        for tol in ((), ("--tol", "0.6")):
+            code, report, err = run_in_process(capsys, "extend", f, "--subset", "0,1,2",
+                                               "--floor", g, *tol)
+            assert code == 2 and report is None
+            assert "FloorExceedsFunction" in err
 
     def test_certifier_disagreement_exits_3(self, files, capsys, monkeypatch):
         real = composition._primal_certificate
@@ -589,7 +611,7 @@ class TestCommands:
                                          "--method", method)
         assert code == 0
         lp = {} if method == "flow" else {"lp_feasibility": REL_TOL}
-        assert report["tolerances"] == {"agreement": cli.FREENORM_AGREEMENT, **lp}
+        assert report["tolerances"] == {"agreement": REL_TOL, **lp}
 
     def test_extremes(self, files):
         results = report_of(run_cli("extremes", files["net"]))["results"]
@@ -614,23 +636,32 @@ class TestCommands:
 
     @pytest.mark.parametrize("form", ["matrix", "graph"])
     def test_tol_named_only_where_it_admitted_the_space(self, files, capsys, form):
-        # --tol 0 admits a matrix-form space, whose triangle check runs at 0;
-        # a graph-form space is never rechecked, so its own tolerance stands
-        metric = ({"type": "matrix", "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]} if form == "matrix"
-                  else {"type": "graph", "n": 3, "edges": [[0, 1, 1], [1, 2, 1]]})
-        space = write(files["dir"] / f"{form}.json", {"metric": metric})
-        mp = write(files["dir"] / f"{form}_map.json", {
-            "domain": f"{form}.json", "codomain": f"{form}.json", "image": [0, 1, 2]})
+        # one file, the net {0, 1/2, 1} with a stored path, read by every
+        # command that takes --tol: --tol 0 admits the matrix form, whose
+        # triangle check runs at 0, and is named beside the space's own
+        # tolerance; a graph-form space is never rechecked, so its own
+        # tolerance is named alone
+        metric = ({"type": "matrix", "d": [[0, 0.5, 1], [0.5, 0, 0.5], [1, 0.5, 0]]}
+                  if form == "matrix" else
+                  {"type": "graph", "n": 3, "edges": [[0, 1, 0.5], [1, 2, 0.5]]})
+        space = write(files["dir"] / "net2.json", {
+            "labels": ["0.0", "0.5", "1.0"], "base": 0, "metric": metric,
+            "paths": [{"pair": [0, 2], "points": [0, 1, 2]}]})
+        mp = write(files["dir"] / "net2_map.json", {
+            "domain": "net2.json", "codomain": "net2.json", "image": [0, 1, 2]})
+        fn = write(files["dir"] / "net2_f.json", {"space": "net2.json", "values": [0, 1, 0]})
         admitted = {"tol_validation": 0.0} if form == "matrix" else {}
-        for argv in (("extremes", space), ("norming", space, "--pairs", "0,1;1,2"),
-                     ("isometry", "--map", mp)):
-            code, report, _ = run_in_process(capsys, *argv, "--tol", "0")
-            assert code == 0
-            assert report["tolerances"] == {"tol_metric": REL_TOL * 2.0, **admitted}
-        code, report, _ = run_in_process(capsys, "validate", space, "--tol", "0")
-        assert code == 0
-        assert report["results"]["valid"] is True
-        assert report["tolerances"] == {"tol_metric": 0.0 if admitted else REL_TOL * 2.0}
+        for argv in (("validate", space), ("extremes", space),
+                     ("norming", space, "--pairs", "0,1;1,2"), ("isometry", "--map", mp),
+                     ("extend", fn, "--subset", "0,1", "--floor", fn),
+                     ("experiment", "interval", "--map", f"file:{mp}"),
+                     ("experiment", "geodesic", "--space", space, "--map", "builtin:identity")):
+            code, report, err = run_in_process(capsys, *argv, "--tol", "0")
+            assert code == 0, err
+            assert report["results"].get("valid", True) is True
+            tolerances = {k: v for k, v in report["tolerances"].items()
+                          if k not in ("r_loc", "eps")}  # the experiments' scales
+            assert tolerances == {"tol_metric": REL_TOL * 1.0, **admitted}, argv[:2]
 
     def test_norming(self, files):
         proc = run_cli("norming", files["net"], "--pairs", "0,1;1,2;2,3;3,4")
@@ -947,6 +978,14 @@ def _paths(node, at=()):
         yield from _paths(child, at + (key,))
 
 
+def _holds_number(node, at):
+    """Whether position ``at`` of a JSON tree exists and holds a number."""
+    try:
+        return type(_at(node, at)) in (int, float)
+    except (KeyError, IndexError, TypeError):
+        return False
+
+
 @st.composite
 def mutated_space_file(draw):
     """A valid matrix- or graph-form space object, then up to four
@@ -970,9 +1009,9 @@ def mutated_space_file(draw):
         paths = list(_paths(obj))
         if op in ("number", "mirror"):
             paths = [at for at in paths if type(_at(obj, at)) in (int, float)]
-        if op == "mirror":
+        if op == "mirror":  # an earlier drop or append may have left no mirror entry
             paths = [at for at in paths if len(at) == 4 and at[:2] == ("metric", "d")
-                     and at[2] != at[3]]
+                     and at[2] != at[3] and _holds_number(obj, at[:2] + (at[3], at[2]))]
         if not paths:
             continue
         at = draw(st.sampled_from(paths))
@@ -1014,7 +1053,7 @@ def run_captured(argv):
 @given(obj=mutated_space_file(), tol=st.sampled_from([None, "0", "0.5", "1e-12"]))
 def test_validate_never_fails_on_a_mutated_space(tmp_path_factory, obj, tol):
     """validate exits 0 or 2 without a traceback, stops collecting reads,
-    and names a --tol only beside the triangle check that used it;
+    and names a --tol only as the triangle check's tolerance;
     extremes admits exactly the spaces validate finds valid."""
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -1030,11 +1069,11 @@ def test_validate_never_fails_on_a_mutated_space(tmp_path_factory, obj, tol):
         valid = results["valid"]
         if valid:
             admitted = tol is not None and obj["metric"]["type"] == "matrix"
-            want = float(tol) if admitted else REL_TOL * results["diameter"]
-            assert tolerances == {"tol_metric": want}
+            given = {"tol_validation": float(tol)} if admitted else {}
+            assert tolerances == {"tol_metric": REL_TOL * results["diameter"], **given}
         elif results["error"]["kind"] == "TriangleViolation":
-            assert set(tolerances) == {"tol_metric"}
-            assert tol is None or tolerances["tol_metric"] == float(tol)
+            assert set(tolerances) == {"tol_validation"}
+            assert tol is None or tolerances["tol_validation"] == float(tol)
         else:
             assert tolerances == {}
     code, out, err = run_captured(["extremes", str(path), *flags])

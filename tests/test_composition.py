@@ -263,7 +263,7 @@ class TestCertifyDual:
     @pytest.mark.parametrize("method", ["dual", "primal", "both"])
     def test_caller_pair_outside_the_codomain_rejected(self, path3, method):
         pairs = list(path3.pairs()) + [PointPair(0, 3)]
-        with pytest.raises(ValueError, match=r"indices in 0\.\.2"):
+        with pytest.raises(ValueError, match=r"outside 0\.\.2"):
             certify_isometry(identity_map(path3), method, pairs=pairs)
         with pytest.raises(ValueError, match=">= 0"):  # a negative index is refused earlier
             PointPair(-1, 1)

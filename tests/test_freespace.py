@@ -109,6 +109,12 @@ class TestFreeVector:
         assert mu.coeffs[path3.base] == -1.5
         assert mu.coeffs.sum() == 0.0
 
+    def test_point_mass_outside_the_space_rejected(self):
+        # -1 once put its mass on the last point
+        for masses in ({-1: 1.0}, {5: 1.0}):
+            with pytest.raises(ValueError, match=r"outside 0\.\.4"):
+                FreeVector.from_point_masses(interval_net(4), masses)
+
     def test_space_mismatch(self, path3):
         other = from_weighted_graph(3, [(0, 1, 2), (1, 2, 2)])
         with pytest.raises(SpaceMismatch):
@@ -589,7 +595,7 @@ class TestIsNorming:
     def test_pair_outside_the_space_rejected(self, path3, pair):
         # a negative index would otherwise list the pair of the last point;
         # PointPair refuses it, and is_norming an index of n or more
-        with pytest.raises(ValueError, match=r"indices in 0\.\.2" if min(pair) >= 0 else ">= 0"):
+        with pytest.raises(ValueError, match=r"outside 0\.\.2" if min(pair) >= 0 else ">= 0"):
             is_norming(path3, list(path3.pairs()) + [PointPair(*pair)])
 
 

@@ -84,6 +84,16 @@ class TestStraightPathCheck:
             DiscretizedGeodesicSpace(space, {(0, 2): (0, 1, 1, 2)})
 
 
+    def test_point_outside_the_space_rejected(self):
+        # -1 once read the last point, so the path (0, -1) passed
+        net = interval_net(4)
+        for path in ((0, -1), (0, 5)):
+            with pytest.raises(ValueError, match=r"outside 0\.\.4"):
+                straight_path_check(net, path)
+        with pytest.raises(ValueError, match=r"outside 0\.\.4"):
+            DiscretizedGeodesicSpace(net, {(0, -1): (0, 1, 2, 3, -1)})
+
+
 class TestDiscretizedGeodesicSpace:
     def test_mesh_is_largest_step(self):
         gs = circle_geodesic(8)

@@ -131,6 +131,14 @@ class TestPointwiseLipAtScale:
         with pytest.raises(ValueError):
             pointwise_lip_at_scale(f, 0, 0.0)
 
+    def test_point_outside_the_space_rejected(self):
+        # -1 once read the last point's slope, and 5 ended in an IndexError
+        f = LipschitzFunction(interval_net(4), [0.0, 0.1, 0.2, 0.3, 0.7])
+        assert pointwise_lip_at_scale(f, 4, 0.3) == pytest.approx(1.6)
+        for x in (-1, 5):
+            with pytest.raises(ValueError, match=r"outside 0\.\.4"):
+                pointwise_lip_at_scale(f, x, 0.3)
+
 
 def _slopes_point_by_point(f, r):
     """The reference: each point's largest quotient against the other
@@ -284,6 +292,33 @@ class TestMcshaneExtend:
     def test_subset_must_contain_base(self, path3):
         with pytest.raises(ValueError):
             mcshane_extend(path3, [1, 2], [0.0, 1.0])
+
+    def test_subset_point_outside_the_space_rejected(self):
+        # -1 once extended from the last point
+        for subset in ([0, -1], [0, 5]):
+            with pytest.raises(ValueError, match=r"outside 0\.\.4"):
+                mcshane_extend(interval_net(4), subset, [0.0, 1.0])
+
+    def test_one_point_subset(self):
+        net = interval_net(4)
+        ext = mcshane_extend(net, [0], [0.0])
+        assert np.array_equal(ext.values, np.zeros(5))
+        assert lipschitz_norm(ext).value == 0.0
+        zero = LipschitzFunction(net, np.zeros(5))
+        assert np.array_equal(mcshane_extend(net, [0], [0.0], floor=zero).values, np.zeros(5))
+        with pytest.raises(FloorNormTooLarge):
+            mcshane_extend(net, [0], [0.0], floor=LipschitzFunction(net, [0.0, 0, 0, 0, 0.1]))
+
+    def test_floor_values_compared_within_the_space_tolerance(self):
+        # f = (0, 1, 1) lies 0.5 below the floor (0, 1, 1.5) at point 2;
+        # no caller tolerance can excuse that
+        line = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        floor = LipschitzFunction(line, [0.0, 1.0, 1.5])
+        with pytest.raises(FloorExceedsFunction) as exc:
+            mcshane_extend(line, [0, 1, 2], [0.0, 1.0, 1.0], floor=floor)
+        assert exc.value.witness == 2
+        with pytest.raises(TypeError):
+            mcshane_extend(line, [0, 1, 2], [0.0, 1.0, 1.0], floor=floor, tol=0.6)
 
 
 class TestPeakFunction:
