@@ -4,11 +4,11 @@ Every command emits a single JSON report with the same envelope:
 command, artifact version, the arguments it was given, the path and
 digest of every file it read (as :mod:`lipfree.io` recorded them), the
 tolerances that were in force, the command-specific results, and a
-timing block. Reports are deterministic for identical inputs and flags;
-only the timing block varies between runs.
+timing block. No command is random: identical inputs and flags give
+identical reports apart from the timing block.
 
 Exit codes: 0 for any computed verdict (a negative verdict is still a
-successful computation), 2 for input errors, and 3 for internal
+successful computation), 2 for usage and input errors, and 3 for internal
 invariant failures such as certifier disagreement.
 """
 
@@ -22,13 +22,10 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .composition import (
     LipschitzMap,
     certify_isometry,
-    compose,
     identity_map,
     operator_norm,
 )
@@ -38,7 +35,7 @@ from .errors import (
     MalformedInput,
     MethodDisagreement,
 )
-from .fixtures import BUILTIN_MAPS, builtin_map, random_lipschitz_function
+from .fixtures import BUILTIN_MAPS, builtin_map
 from .freespace import (
     extreme_molecules,
     free_norm_dual,
@@ -106,25 +103,22 @@ def _parse_pairs(text: str, n: int) -> list[PointPair]:
 
 
 def _certify(phi: LipschitzMap, args, tolerances, pairs=None):
-    """Certify as the flags ask: (certificate, operator norm, certification
-    wall time). Adds the codomain's tolerances to ``tolerances``; a
-    disagreement carries them to its report."""
+    """Certify as the flags ask: (certificate, operator norm). Adds the
+    codomain's tolerances to ``tolerances``; a disagreement carries them
+    to its report."""
     tolerances.update(_space_tolerances(phi.codomain, args))
-    started = time.perf_counter()
     try:
         cert = certify_isometry(phi, method=args.method, pairs=pairs)
     except MethodDisagreement as exc:
         exc.tolerances = tolerances
         raise
-    wall = time.perf_counter() - started
-    return cert.to_dict(), operator_norm(phi), wall
+    return cert.to_dict(), operator_norm(phi)
 
 
 def _check_numeric_flags(args) -> None:
     """Reject a numeric flag that is not finite or lies outside its range."""
     for flag, least, closed in (("--tol", 0.0, True), ("--mesh", 1, True),
-                                ("--r-loc", 0.0, False), ("--eps", 0.0, True),
-                                ("--probe", 0, True), ("--seed", 0, True)):
+                                ("--r-loc", 0.0, False), ("--eps", 0.0, True)):
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is None or (math.isfinite(value)
                              and (value >= least if closed else value > least)):
@@ -166,11 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "for Lipschitz spaces over finite metric spaces",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     certifiers = ("dual", "primal", "both")
 
-    def common(p, tol=True, methods=None):
+    def common(p, handler, tol=True, methods=None):
+        p.set_defaults(handler=handler)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         if tol:
             p.add_argument("--tol", type=float, default=None,
@@ -182,25 +177,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a space file against the metric axioms")
     p.add_argument("space")
-    common(p)
+    common(p, _cmd_validate)
 
     p = sub.add_parser("norm", help="Lipschitz norm of a function file")
     p.add_argument("function")
-    common(p, tol=False)
+    common(p, _cmd_norm, tol=False)
 
     p = sub.add_parser("freenorm", help="transport norm of a zero-sum vector file")
     p.add_argument("vector")
-    common(p, tol=False, methods=("flow", "lp", "both"))
+    common(p, _cmd_freenorm, tol=False, methods=("flow", "lp", "both"))
 
     p = sub.add_parser("extremes", help="extreme molecule pairs of a space")
     p.add_argument("space")
-    common(p)
+    common(p, _cmd_extremes)
 
     p = sub.add_parser("norming", help="is a pair set norming for the space?")
     p.add_argument("space")
     p.add_argument("--pairs", required=True,
                    help="semicolon-separated pairs, e.g. '0,1;1,2'")
-    common(p)
+    common(p, _cmd_norming)
 
     p = sub.add_parser("isometry", help="certify a composition operator")
     p.add_argument("--map", required=True, dest="map_path")
@@ -208,16 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codomain", default=None)
     p.add_argument("--pairs", default=None,
                    help="optional norming pair set, checked for every method")
-    common(p, methods=certifiers)
+    common(p, _cmd_isometry, methods=certifiers)
 
     p = sub.add_parser("extend", help="norm-preserving extension from a subset")
     p.add_argument("function")
     p.add_argument("--subset", required=True, help="comma-separated point indices")
     p.add_argument("--floor", default=None, help="optional floor function file")
-    common(p)
+    common(p, _cmd_extend)
 
     p = sub.add_parser("experiment", help="mesh-scale isometry experiments")
-    exp = p.add_subparsers(dest="experiment_kind")
+    exp = p.add_subparsers(required=True)
 
     pi = exp.add_parser("interval", help="run the interval-net checks on a map")
     pi.add_argument("--mesh", type=int, default=None, help="subdivisions n (mesh 1/n)")
@@ -225,12 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="builtin:identity|fold|halving|collapse or file:PATH")
     pi.add_argument("--r-loc", type=float, default=None, dest="r_loc")
     pi.add_argument("--eps", type=float, default=None)
-    pi.add_argument("--seed", type=int, default=0,
-                    help="seed for the random lower-bound probe (default 0)")
-    pi.add_argument("--probe", type=int, default=0,
-                    help="number of random functions for the norm probe")
     pi.add_argument("--csv", default=None, help="write the defect profile as CSV")
-    common(pi, methods=certifiers)
+    common(pi, _cmd_experiment_interval, methods=certifiers)
+    pi.set_defaults(command="experiment.interval")
 
     pg = exp.add_parser("geodesic", help="run the geodesic checks on a map")
     pg.add_argument("--space", required=True, help="geodesic space file (with paths)")
@@ -239,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--r-loc", type=float, default=None, dest="r_loc")
     pg.add_argument("--eps", type=float, default=None)
     pg.add_argument("--csv", default=None, help="write the defect profiles as CSV")
-    common(pg, methods=certifiers)
+    common(pg, _cmd_experiment_geodesic, methods=certifiers)
+    pg.set_defaults(command="experiment.geodesic")
 
     return parser
 
@@ -328,9 +321,8 @@ def _cmd_isometry(args):
     phi = load_map(args.map_path, domain=domain, codomain=codomain, tol=args.tol)
     pairs = _parse_pairs(args.pairs, phi.codomain.n) if args.pairs else None
     tolerances = {}
-    results, norm, wall = _certify(phi, args, tolerances, pairs)
+    results, norm = _certify(phi, args, tolerances, pairs)
     results["operator_norm"] = norm
-    results["wall_time_s"] = wall
     return tolerances, results
 
 
@@ -354,24 +346,13 @@ def _cmd_experiment_interval(args):
     necessary = check_interval_necessary(phi, r_loc=args.r_loc, eps=args.eps)
     sufficient = check_interval_sufficient(phi, r=necessary.r_loc, eps=args.eps)
     tolerances = {"r_loc": necessary.r_loc, "eps": necessary.eps}
-    cert, norm, wall = _certify(phi, args, tolerances)
+    cert, norm = _certify(phi, args, tolerances)
     results = {
         "operator_norm": norm,
         "necessary": necessary.to_dict(),
         "sufficient": sufficient.to_dict(),
         "certificate": cert,
-        "wall_time_s": wall,
     }
-    if args.probe:
-        rng = np.random.default_rng(args.seed)
-        best = 0.0
-        for _ in range(args.probe):
-            f = random_lipschitz_function(rng, phi.codomain)
-            fn = lipschitz_norm(f).value
-            if fn > 0:
-                best = max(best, lipschitz_norm(compose(phi, f)).value / fn)
-        results["random_probe"] = {"samples": args.probe, "seed": args.seed,
-                                   "max_ratio": best}
     if args.csv:
         _emit_csv(necessary.rows, args.csv)
     return tolerances, results
@@ -384,7 +365,7 @@ def _cmd_experiment_geodesic(args):
                 for (x, y) in sorted(gspace.paths)]
     r_loc, eps = profiles[0].r_loc, profiles[0].eps
     tolerances = {"r_loc": r_loc, "eps": eps}
-    cert, norm, wall = _certify(phi, args, tolerances)
+    cert, norm = _certify(phi, args, tolerances)
     sufficient = check_geodesic_sufficient(phi, gspace, r=r_loc, eps=eps)
     results = {
         "operator_norm": norm,
@@ -392,7 +373,6 @@ def _cmd_experiment_geodesic(args):
         "necessary": [p.to_dict() for p in profiles],
         "sufficient": sufficient.to_dict(),
         "certificate": cert,
-        "wall_time_s": wall,
     }
     if args.csv:
         rows = [row for p in profiles for row in p.rows]
@@ -400,40 +380,17 @@ def _cmd_experiment_geodesic(args):
     return tolerances, results
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "norm": _cmd_norm,
-    "freenorm": _cmd_freenorm,
-    "extremes": _cmd_extremes,
-    "norming": _cmd_norming,
-    "isometry": _cmd_isometry,
-    "extend": _cmd_extend,
-    "experiment.interval": _cmd_experiment_interval,
-    "experiment.geodesic": _cmd_experiment_geodesic,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return 2
-    command = args.command
-    if command == "experiment":
-        if args.experiment_kind is None:
-            print("experiment requires a kind: interval | geodesic", file=sys.stderr)
-            return 2
-        command = f"experiment.{args.experiment_kind}"
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     inputs: list[dict] = []
     collecting = READS.set(inputs)
     try:
         _check_numeric_flags(args)
-        tolerances, results = _COMMANDS[command](args)
+        tolerances, results = args.handler(args)
     except MethodDisagreement as exc:
-        report = _envelope(command, argv, inputs, exc.tolerances, exc.results, started)
+        report = _envelope(args.command, argv, inputs, exc.tolerances, exc.results, started)
         report["error"] = {"kind": "MethodDisagreement", "message": str(exc)}
         _emit(report, args.out)
         return 3
@@ -445,7 +402,7 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     finally:
         READS.reset(collecting)
-    report = _envelope(command, argv, inputs, tolerances, results, started)
+    report = _envelope(args.command, argv, inputs, tolerances, results, started)
     _emit(report, args.out)
     return 0
 

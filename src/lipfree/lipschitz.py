@@ -125,7 +125,7 @@ def pointwise_lip_at_scale(f: LipschitzFunction, x: int, r: float) -> float:
 def sub_lipschitz_norm(space: PointedMetricSpace, subset: Sequence[int],
                        values: Sequence[float]) -> float:
     """Lipschitz norm of values over the sub-metric induced on subset."""
-    idx = np.asarray(subset, dtype=int)
+    idx = point_indices(space, subset)
     v = np.asarray(values, dtype=float)
     if idx.size < 2:
         return 0.0
@@ -139,7 +139,7 @@ def inf_extension(space: PointedMetricSpace, subset: Sequence[int],
     value + constant * distance. Subset points are restored exactly by
     assignment, so the restriction is bitwise equal to the input; subset
     points are read in :func:`row_blocks`."""
-    idx = np.asarray(subset, dtype=int)
+    idx = point_indices(space, subset)
     v = np.asarray(values, dtype=float)
     ext = np.full(space.n, np.inf)
     for k0, k1 in row_blocks(idx.size, space.n):

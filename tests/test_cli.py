@@ -57,7 +57,6 @@ def read_record(path, via=None):
 def strip_timing(report):
     report = copy.deepcopy(report)
     report.pop("timing", None)
-    report.get("results", {}).pop("wall_time_s", None)
     return report
 
 
@@ -233,6 +232,20 @@ class TestExitCodes:
     def test_unknown_command_exits_2(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv, missing", [
+        ((), "command"),
+        (("experiment",), "{interval,geodesic}"),
+    ])
+    def test_missing_command_is_a_usage_error(self, capsys, argv, missing):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.startswith("usage: lipfree")
+        assert f"error: the following arguments are required: {missing}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("space, where", [
         ({"metric": {"type": "matrix", "d": [[0, 1, 2], [1, 0, 1]]}}, "metric.d"),
@@ -551,9 +564,8 @@ class TestExitCodes:
         ("experiment", "interval", "--mesh", "4", "--map", "builtin:fold", "--r-loc", "nan"),
         ("experiment", "interval", "--mesh", "4", "--map", "builtin:fold", "--eps", "-1"),
         ("experiment", "interval", "--mesh", "4", "--map", "builtin:fold", "--eps", "inf"),
-        ("experiment", "interval", "--mesh", "4", "--map", "builtin:fold", "--probe", "-2"),
-        ("experiment", "interval", "--mesh", "4", "--map", "builtin:fold", "--probe", "2",
-         "--seed", "-1"),
+        ("experiment", "interval", "--mesh", "4", "--map", "builtin:fold", "--probe", "2"),
+        ("experiment", "interval", "--mesh", "4", "--map", "builtin:fold", "--seed", "1"),
         ("experiment", "geodesic", "--space", "{geo}", "--map", "builtin:identity",
          "--r-loc", "-1"),
         ("experiment", "geodesic", "--space", "{geo}", "--map", "builtin:identity",
@@ -673,7 +685,7 @@ class TestCommands:
         proc = run_cli("isometry", "--map", files["map"], "--method", "both")
         results = report_of(proc)["results"]
         assert results["verdict"] == "isometric"
-        assert "wall_time_s" in results
+        assert "wall_time_s" not in results  # wall times stay in the timing block
 
     def test_extend(self, files):
         proc = run_cli("extend", files["fn"], "--subset", "0,4")
@@ -719,23 +731,6 @@ class TestExperiments:
         results = report_of(proc)["results"]
         assert results["certificate"]["verdict"] == "not_isometric"
         assert results["operator_norm"] == 0.5
-
-    def test_probe_without_seed_is_seeded_by_default(self, files):
-        # identical argv give identical reports, the random probe included
-        write(files["dir"] / "net8.json", space_to_dict(interval_net(8)))
-        path = write(files["dir"] / "halves.json", {
-            "domain": "net8.json", "codomain": "net8.json", "image": [0, 0, 1, 1, 2, 2, 3, 3, 4]})
-        a, b = (report_of(run_cli("experiment", "interval", "--map", f"file:{path}",
-                                  "--probe", "1")) for _ in range(2))
-        assert a["results"]["random_probe"]["seed"] == 0
-        assert strip_timing(a) == strip_timing(b)
-
-    def test_interval_probe_is_seeded(self, files):
-        a = run_cli("experiment", "interval", "--mesh", "4",
-                    "--map", "builtin:identity", "--probe", "8", "--seed", "3")
-        b = run_cli("experiment", "interval", "--mesh", "4",
-                    "--map", "builtin:identity", "--probe", "8", "--seed", "3")
-        assert (strip_timing(report_of(a)) == strip_timing(report_of(b)))
 
     def test_geodesic_experiment(self, files):
         proc = run_cli("experiment", "geodesic", "--space", files["geo"],
@@ -949,7 +944,51 @@ class TestInputs:
         assert io.READS.get() is None
 
 
+# One invocation per command, with the command its report names.
+COMMANDS = [
+    ("validate", ("validate", "{three}")),
+    ("norm", ("norm", "{fn}")),
+    ("freenorm", ("freenorm", "{vec}")),
+    ("extremes", ("extremes", "{net}")),
+    ("norming", ("norming", "{net}", "--pairs", "0,1;1,2;2,3;3,4")),
+    ("isometry", ("isometry", "--map", "{map3}")),
+    ("extend", ("extend", "{fn}", "--subset", "0,4")),
+    ("experiment.interval", ("experiment", "interval", "--mesh", "4",
+                             "--map", "builtin:fold")),
+    ("experiment.geodesic", ("experiment", "geodesic", "--space", "{geo}",
+                             "--map", "builtin:identity")),
+]
+
+
+@pytest.mark.parametrize("command, argv", COMMANDS, ids=[c for c, _ in COMMANDS])
+def test_the_parser_names_the_command_it_dispatches(files, capsys, command, argv):
+    argv = [a.format(**files) for a in argv]
+    args = cli.build_parser().parse_args(argv)
+    assert (args.command, args.handler.__name__) == (
+        command, "_cmd_" + command.replace(".", "_"))
+    code, report, err = run_in_process(capsys, *argv)
+    assert code == 0, err
+    assert report["command"] == command
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("argv", [
+        ("isometry", "--map", "{map3}"),
+        ("experiment", "interval", "--mesh", "16", "--map", "builtin:fold"),
+        ("experiment", "geodesic", "--space", "{geo}", "--map", "builtin:identity"),
+    ], ids=["isometry", "experiment.interval", "experiment.geodesic"])
+    def test_only_timing_varies_between_runs(self, files, capsys, argv):
+        """Identical argv give byte-identical reports once the timing
+        block is deleted; no command is random and no wall time is a result."""
+        argv = [a.format(**files) for a in argv]
+        texts = []
+        for _ in range(2):
+            assert cli.run(argv) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["timing"]
+            texts.append(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        assert texts[0] == texts[1]
+
     def test_reports_identical_across_hash_seeds(self, files):
         """Fresh interpreters with different string hashing report the
         same, so no report depends on set or dict iteration order."""

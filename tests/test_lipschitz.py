@@ -299,6 +299,18 @@ class TestMcshaneExtend:
             with pytest.raises(ValueError, match=r"outside 0\.\.4"):
                 mcshane_extend(interval_net(4), subset, [0.0, 1.0])
 
+    def test_sub_lipschitz_norm_rejects_a_point_outside_the_space(self):
+        # -1 once read the slope to the last point, and 5 ended in an IndexError
+        for subset in ([0, -1], [0, 5]):
+            with pytest.raises(ValueError, match=r"outside 0\.\.4"):
+                sub_lipschitz_norm(interval_net(4), subset, [0.0, 1.0])
+
+    def test_inf_extension_rejects_a_point_outside_the_space(self):
+        # -1 once filled the last point, and 5 ended in an IndexError
+        for subset in ([0, -1], [0, 5]):
+            with pytest.raises(ValueError, match=r"outside 0\.\.4"):
+                inf_extension(interval_net(4), subset, [0.0, 1.0], 1.0)
+
     def test_one_point_subset(self):
         net = interval_net(4)
         ext = mcshane_extend(net, [0], [0.0])
