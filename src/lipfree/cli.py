@@ -102,13 +102,13 @@ def _parse_pairs(text: str, n: int) -> list[PointPair]:
     return pairs
 
 
-def _certify(phi: LipschitzMap, args, tolerances, pairs=None):
+def _certify(phi: LipschitzMap, args, tolerances):
     """Certify as the flags ask: (certificate, operator norm). Adds the
     codomain's tolerances to ``tolerances``; a disagreement carries them
     to its report."""
     tolerances.update(_space_tolerances(phi.codomain, args))
     try:
-        cert = certify_isometry(phi, method=args.method, pairs=pairs)
+        cert = certify_isometry(phi, method=args.method)
     except MethodDisagreement as exc:
         exc.tolerances = tolerances
         raise
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     certifiers = ("dual", "primal", "both")
 
     def common(p, handler, tol=True, methods=None):
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, usage_error=p.error)  # leftovers name their command
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         if tol:
             p.add_argument("--tol", type=float, default=None,
@@ -201,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, dest="map_path")
     p.add_argument("--domain", default=None)
     p.add_argument("--codomain", default=None)
-    p.add_argument("--pairs", default=None,
-                   help="optional norming pair set, checked for every method")
     common(p, _cmd_isometry, methods=certifiers)
 
     p = sub.add_parser("extend", help="norm-preserving extension from a subset")
@@ -319,9 +317,8 @@ def _cmd_isometry(args):
     domain = load_space(args.domain, tol=args.tol) if args.domain else None
     codomain = load_space(args.codomain, tol=args.tol) if args.codomain else None
     phi = load_map(args.map_path, domain=domain, codomain=codomain, tol=args.tol)
-    pairs = _parse_pairs(args.pairs, phi.codomain.n) if args.pairs else None
     tolerances = {}
-    results, norm = _certify(phi, args, tolerances, pairs)
+    results, norm = _certify(phi, args, tolerances)
     results["operator_norm"] = norm
     return tolerances, results
 
@@ -382,7 +379,9 @@ def _cmd_experiment_geodesic(args):
 
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     started = time.perf_counter()
     inputs: list[dict] = []
     collecting = READS.set(inputs)

@@ -12,8 +12,8 @@ function's norm:
 
 * the dual route reads, in one pass over the domain grouped by image,
   the closest preimage pair (x', y') of each vertex (x, y) of the
-  codomain ball (its extreme molecules, or a caller's pair set), which
-  must have d(x, y)/d(x', y') = 1. Pairs, preimage pairs and d(x', y')
+  codomain ball (its extreme molecules), which must have
+  d(x, y)/d(x', y') = 1. Vertices, preimage pairs and d(x', y')
   stay index and value arrays: the certificate's witness columns;
 * the primal route reads in closed form the metric cbar the map induces
   on its codomain: the shortest-path closure of c(x, y), the least domain
@@ -52,7 +52,8 @@ from .freespace import (
     extreme_molecules,
 )
 from .lipschitz import LipschitzFunction, _largest_quotient, quotients
-from .metric_core import REL_TOL, PointedMetricSpace, PointPair, row_blocks, shortest_path_closure
+from .metric_core import (REL_TOL, PointedMetricSpace, PointPair, point_indices, row_blocks,
+                          shortest_path_closure)
 
 
 class MapNorm(NamedTuple):
@@ -79,6 +80,8 @@ class LipschitzMap:
         object.__setattr__(self, "image", img)
 
     def __call__(self, x: int) -> int:
+        if not 0 <= x < len(self.image):
+            point_indices(self.domain, (x,))  # raises; a negative index is no point
         return self.image[x]
 
     def norm_with_witness(self) -> MapNorm:
@@ -142,18 +145,15 @@ def compose(phi: LipschitzMap, f: LipschitzFunction) -> LipschitzFunction:
 class IsometryCertificate:
     """Outcome of one certification run.
 
-    A negative or inconclusive verdict always carries a failing pair, a
-    positive dual verdict one ``witnesses`` row per checked pair (columns
-    ``pair`` and ``preimage``, ``(k, 2)`` ``intp``, and ``domain_distance``;
-    empty otherwise), and a primal verdict the map's ``modulus`` unless the
-    map norm decided it. ``scope`` says whether the pair set decides both
-    directions (default: all extreme molecules) or only the positive one (a
-    caller's norming set, over which a failed check is ``inconclusive``).
+    A negative verdict always carries a failing pair, a positive dual
+    verdict one ``witnesses`` row per vertex (columns ``pair`` and
+    ``preimage``, ``(k, 2)`` ``intp``, and ``domain_distance``; empty
+    otherwise), and a primal verdict the map's ``modulus`` unless the map
+    norm decided it.
     """
 
-    verdict: str  # "isometric" | "not_isometric" | "inconclusive"
+    verdict: str  # "isometric" | "not_isometric"
     method: str  # "dual_preimage" | "primal_quotient"
-    scope: str = "necessary_and_sufficient"
     witnesses: dict[str, np.ndarray] = field(default_factory=lambda: {
         "pair": np.empty((0, 2), np.intp), "preimage": np.empty((0, 2), np.intp),
         "domain_distance": np.empty(0)})
@@ -176,8 +176,7 @@ class IsometryCertificate:
 
 @dataclass(frozen=True)
 class AgreementReport:
-    """Both certificates from a ``method=both`` run; the verdict is the
-    primal's, and the dual's is equal unless it is inconclusive."""
+    """Both certificates from a ``method=both`` run, whose verdicts are equal."""
 
     verdict: str
     dual: IsometryCertificate
@@ -195,41 +194,34 @@ class AgreementReport:
         }
 
 
-def _dual_certificate(phi: LipschitzMap, vertices: np.ndarray,
-                      pairs: np.ndarray | None) -> IsometryCertificate:
-    """Preimage-ratio criterion over a norming pair set.
+def _dual_certificate(phi: LipschitzMap, vertices: np.ndarray) -> IsometryCertificate:
+    """Preimage-ratio criterion over the codomain's vertices.
 
-    For every pair (x, y) in the set (default: the codomain's vertices)
-    the closest preimage pair (x', y') must have d(x, y)/d(x', y') at
-    least ``1 - REL_TOL``, the primal's rule for the modulus; the map is
-    norm-one, so this is the attained ratio-one condition. One pass reads
-    every pair's fibre block, row-major, from the domain sorted by image,
-    in :func:`row_blocks` of pairs sized by the largest block, and keeps
-    each block's witness columns; the first failing pair in list order is
-    reported. A failure over a caller's set, which :func:`certify_isometry`
-    has checked to be norming, is ``inconclusive``: the pair need not be a
-    vertex.
+    For every vertex (x, y) the closest preimage pair (x', y') must have
+    d(x, y)/d(x', y') at least ``1 - REL_TOL``, the primal's rule for the
+    modulus; the map is norm-one, so this is the attained ratio-one
+    condition. One pass reads every vertex's fibre block, row-major, from
+    the domain sorted by image, in :func:`row_blocks` of vertices sized by
+    the largest block, and keeps each block's witness columns; the first
+    failing vertex in list order is reported.
     """
-    scope, negative = "sufficient_only", "inconclusive"
-    if pairs is None:
-        pairs, scope, negative = vertices, "necessary_and_sufficient", "not_isometric"
     tolerances = {"tol_metric": phi.codomain.tol, "preimage_ratio": REL_TOL}
 
     def failed(k: int, notes: str) -> IsometryCertificate:
         return IsometryCertificate(
-            verdict=negative, method="dual_preimage", scope=scope,
-            failing_pair=tuple(pairs[k].tolist()), tolerances=tolerances, notes=notes)
+            verdict="not_isometric", method="dual_preimage",
+            failing_pair=tuple(vertices[k].tolist()), tolerances=tolerances, notes=notes)
 
     img = np.asarray(phi.image)
     order = np.argsort(img, kind="stable")  # the domain, fibre by fibre
     size = np.bincount(img, minlength=phi.codomain.n)
     start = np.cumsum(size) - size
-    px, py = pairs.T
+    px, py = vertices.T
     target = phi.codomain.dist[px, py]
     empty = np.flatnonzero((size[px] == 0) | (size[py] == 0))
-    stop = int(empty[0]) if empty.size else len(pairs)
+    stop = int(empty[0]) if empty.size else len(vertices)
     cells = size[px[:stop]] * size[py[:stop]]
-    kept = [(pairs[:0], pairs[:0], target[:0])]  # the witness columns, block by block
+    kept = [(vertices[:0], vertices[:0], target[:0])]  # the witness columns, block by block
     for p0, p1 in row_blocks(stop, int(cells.max(initial=1))):
         p = slice(p0, p1)
         seg, wide = cells[p], np.repeat(size[py[p]], cells[p])
@@ -246,12 +238,12 @@ def _dual_certificate(phi: LipschitzMap, vertices: np.ndarray,
             q = int(bad[0])
             return failed(p0 + q, f"best preimage distance "
                           f"{float(best[q])!r} exceeds {float(target[p0 + q])!r}")
-        kept.append((pairs[p], np.column_stack((xs[at], ys[at])), best))
-    if stop < len(pairs):
+        kept.append((vertices[p], np.column_stack((xs[at], ys[at])), best))
+    if stop < len(vertices):
         return failed(stop, "pair has no preimage on one side")
     pair, preimage, distance = map(np.concatenate, zip(*kept))
     return IsometryCertificate(
-        verdict="isometric", method="dual_preimage", scope=scope, tolerances=tolerances,
+        verdict="isometric", method="dual_preimage", tolerances=tolerances,
         witnesses={"pair": pair, "preimage": preimage, "domain_distance": distance})
 
 
@@ -324,13 +316,14 @@ def certify_isometry(
     method: str = "both",
     pairs: Sequence[PointPair] | None = None,
 ):
-    """Run one or both certifiers; with ``both``, the primal verdict is
-    reported and a conclusive dual verdict must equal it.
+    """Run one or both certifiers over the codomain's vertices; with
+    ``both``, the two verdicts must be equal.
 
-    ``pairs`` that miss a vertex raise :class:`NotNorming` before any
-    verdict, whatever the method. A norm below one names the first vertex,
-    read alone when no ``pairs`` are given; otherwise the primal alone
-    reads no vertex. The map norm, every preimage ratio and the modulus
+    ``pairs`` is only a gate: a set that misses a vertex raises
+    :class:`NotNorming` before any verdict, whatever the method, and a
+    norming set leaves the certificate as it is without one. A norm below
+    one names the first vertex, read alone when no ``pairs`` are given;
+    otherwise the primal alone reads no vertex. The map norm, every preimage ratio and the modulus
     are compared with 1 within ``REL_TOL``; the codomain's ``tol``, a
     distance, decides only which pairs are vertices, and the certificates
     report it as ``tol_metric``. Disagreement raises
@@ -360,11 +353,11 @@ def certify_isometry(
             notes=f"operator norm {norm.value!r} is strictly below one",
         ) for name in ("dual_preimage", "primal_quotient"))
     else:
-        dual = _dual_certificate(phi, vertices, pairs) if method != "primal" else None
+        dual = _dual_certificate(phi, vertices) if method != "primal" else None
         primal = _primal_certificate(phi) if method != "dual" else None
     if method != "both":
         return dual if method == "dual" else primal
-    if dual.verdict not in (primal.verdict, "inconclusive"):
+    if dual.verdict != primal.verdict:
         raise MethodDisagreement(
             f"certifiers disagree: dual says {dual.verdict}, "
             f"primal says {primal.verdict}",

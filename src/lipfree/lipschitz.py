@@ -46,9 +46,6 @@ class LipschitzFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def __call__(self, i: int) -> float:
-        return float(self.values[i])
-
     def __add__(self, other: "LipschitzFunction") -> "LipschitzFunction":
         if other.space is not self.space:
             raise ValueError("functions live on different spaces")

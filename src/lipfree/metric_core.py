@@ -74,6 +74,9 @@ class PointedMetricSpace:
         return self.dist.shape[0]
 
     def d(self, i: int, j: int) -> float:
+        n = len(self.dist)
+        if not (0 <= i < n and 0 <= j < n):
+            point_indices(self, (i, j))  # raises; a negative index is no point
         return float(self.dist[i, j])
 
     def pairs(self) -> Iterator["PointPair"]:

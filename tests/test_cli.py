@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lipfree import cli, composition, io
-from lipfree.fixtures import builtin_map, circle_geodesic, tripod
+from lipfree.fixtures import circle_geodesic, tripod
 from lipfree.freespace import DualResult
 from lipfree.io import geodesic_space_to_dict, space_to_dict
 from lipfree.metric_core import REL_TOL, interval_net
@@ -346,36 +346,24 @@ class TestExitCodes:
         assert "builtin:identity" in err
 
     @pytest.mark.parametrize("pairs", ["a,b", "0,0", "0,7", "-1,2", "0,1,2", "0", ";"])
-    @pytest.mark.parametrize("command", ["norming", "isometry"])
-    def test_bad_pairs_exit_2(self, files, capsys, command, pairs):
-        argv = (["norming", files["three"]] if command == "norming"
-                else ["isometry", "--map", files["map3"], "--method", "dual"])
-        code, report, err = run_in_process(capsys, *argv, f"--pairs={pairs}")
+    def test_bad_pairs_exit_2(self, files, capsys, pairs):
+        code, report, err = run_in_process(capsys, "norming", files["three"],
+                                           f"--pairs={pairs}")
         assert code == 2
         assert report is None
         assert "MalformedInput: --pairs:" in err
 
-    @pytest.mark.parametrize("name", ["fold", "halving"])
-    def test_non_norming_pairs_exit_2(self, files, capsys, name):
-        # (0, 1) misses a vertex of either codomain; halving's norm
-        # deficit must not decide the verdict before the pairs are checked
-        phi = builtin_map(name, 4)
-        write(files["dir"] / "domain.json", space_to_dict(phi.domain))
-        write(files["dir"] / "codomain.json", space_to_dict(phi.codomain))
-        mp = write(files["dir"] / f"{name}.json", {
-            "domain": "domain.json", "codomain": "codomain.json", "image": list(phi.image)})
-        code, report, err = run_in_process(capsys, "isometry", "--map", mp, "--pairs", "0,1")
-        assert code == 2
-        assert report is None
-        assert "NotNorming" in err
-
+    @pytest.mark.parametrize("pairs", ["0,1;1,2", "0,1;1,2;0,2", "0,2", "a,b"])
     @pytest.mark.parametrize("method", ["dual", "primal", "both"])
-    def test_non_norming_pairs_exit_2_for_every_method(self, files, capsys, method):
-        code, report, err = run_in_process(capsys, "isometry", "--map", files["map3"],
-                                           "--method", method, "--pairs", "0,2")
-        assert code == 2
-        assert report is None
-        assert "NotNorming" in err
+    def test_isometry_takes_no_pairs(self, files, capsys, method, pairs):
+        # the certificates decide over the codomain's vertices, so a pair
+        # set, norming or not, is a usage error
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["isometry", "--map", files["map3"], "--method", method, "--pairs", pairs])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert f"lipfree isometry: error: unrecognized arguments: --pairs {pairs}" in err
 
     @pytest.mark.parametrize("subset", ["a", "0,9", "0,1,1", "0,-1", "1,2", ","])
     def test_bad_subset_exits_2(self, files, capsys, subset):
@@ -514,23 +502,6 @@ class TestExitCodes:
         code, _, err = run_in_process(
             capsys, "experiment", "geodesic", "--space", path, "--map", "builtin:identity")
         assert (code, "NotStraightPath" in err) == ((0, False) if k < 1 else (2, True))
-
-    def test_inconclusive_dual_pair_exits_0(self, files, capsys):
-        # the path 0-1-2-3 (weights 1, 0.5, 1) squeezed onto the path 0-1-2
-        # is isometric; the listed pair (0, 2) is norming but no vertex, and
-        # its preimage distance 2.5 exceeds 2
-        squeezed = write(files["dir"] / "squeezed.json", {
-            "domain": {"metric": {"type": "graph", "n": 4,
-                                  "edges": [[0, 1, 1], [1, 2, 0.5], [2, 3, 1]]}},
-            "codomain": "three.json", "image": [0, 1, 1, 2]})
-        code, report, _ = run_in_process(capsys, "isometry", "--map", squeezed,
-                                         "--method", "both", "--pairs", "0,1;1,2;0,2")
-        assert code == 0
-        results = report["results"]
-        assert results["verdict"] == results["primal"]["verdict"] == "isometric"
-        assert results["dual"]["verdict"] == "inconclusive"
-        assert results["dual"]["scope"] == "sufficient_only"
-        assert results["dual"]["failing_pair"] == [0, 2]
 
     @pytest.mark.parametrize("argv", [
         ("isometry", "--map", "{halving}", "--method", "dual", "--tol=nan"),
@@ -971,6 +942,19 @@ def test_the_parser_names_the_command_it_dispatches(files, capsys, command, argv
     assert report["command"] == command
 
 
+@pytest.mark.parametrize("command, argv", COMMANDS, ids=[c for c, _ in COMMANDS])
+def test_unknown_flags_name_their_command(files, capsys, command, argv):
+    # leftovers are reported by the subcommand they follow, with its usage
+    leaf = " ".join(argv[:2] if command.startswith("experiment") else argv[:1])
+    with pytest.raises(SystemExit) as exc:
+        cli.run([a.format(**files) for a in argv] + ["--probe", "5"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert err.startswith(f"usage: lipfree {leaf} [-h]")
+    assert err.endswith(f"lipfree {leaf}: error: unrecognized arguments: --probe 5\n")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("isometry", "--map", "{map3}"),
@@ -993,7 +977,7 @@ class TestDeterminism:
         """Fresh interpreters with different string hashing report the
         same, so no report depends on set or dict iteration order."""
         runs = [strip_timing(report_of(run_cli(
-            "isometry", "--map", files["map3"], "--method", "both", "--pairs", "0,1;1,2",
+            "isometry", "--map", files["map3"], "--method", "both",
             env_extra={"PYTHONHASHSEED": seed}))) for seed in ("1", "2")]
         assert runs[0] == runs[1]
 

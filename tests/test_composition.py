@@ -8,7 +8,7 @@ import pytest
 from conftest import first_maximum, integer_space, whole_quotients
 from hypothesis import given, settings, strategies as st
 
-from lipfree import composition, freespace, metric_core
+from lipfree import composition, fixtures, freespace, metric_core
 from lipfree.composition import (
     IsometryCertificate,
     LipschitzMap,
@@ -76,6 +76,13 @@ class TestLipschitzMap:
         assert norm.value == 1.0
         x, y = norm.witness
         assert two_point.d(phi(x), phi(y)) == path3.d(x, y)
+
+    @pytest.mark.parametrize("x", [-1, 3])
+    def test_point_outside_the_domain_rejected(self, path3, x):
+        # a negative index is no point, and is never read from the end
+        with pytest.raises(ValueError, match=rf"point {x} is outside 0\.\.2"):
+            identity_map(path3)(x)
+        assert identity_map(path3)(2) == 2
 
     def test_compose_maps(self, path3):
         ident = identity_map(path3)
@@ -232,6 +239,38 @@ class TestRandomQuotientMap:
             assert np.array_equal(phi.codomain.dist, shortest_path_closure(fibers))
 
 
+@pytest.mark.parametrize("spaces", ["random", "integer"])
+def test_random_table_maps_equal_the_map_by_map_draws(monkeypatch, spaces):
+    # the sampler tests each draw's quotients as one array; the loop it
+    # replaced built every drawn map and read its norm. Integer metrics
+    # put quotients of exactly 1 on the acceptance boundary
+    if spaces == "integer":
+        monkeypatch.setattr(fixtures, "random_space", lambda rng, n: integer_space(rng, n))
+
+    def drawn_map_by_map(rng, domain_n, codomain_n):
+        n_space = fixtures.random_space(rng, domain_n)
+        m_space = fixtures.random_space(rng, codomain_n)
+        for _ in range(60):
+            img = rng.integers(codomain_n, size=domain_n)
+            img[n_space.base] = m_space.base
+            phi = LipschitzMap(n_space, m_space, tuple(int(v) for v in img))
+            if phi.norm_with_witness().value <= 1.0:
+                return phi
+        return LipschitzMap(n_space, m_space, (m_space.base,) * domain_n)
+
+    drawn = set()
+    for seed in range(200):
+        sizes = np.random.default_rng(seed).integers(2, 17, size=2)
+        new, old = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        got, want = random_one_lipschitz_map(new, *sizes, "table"), drawn_map_by_map(old, *sizes)
+        assert got.image == want.image
+        assert np.array_equal(got.domain.dist, want.domain.dist)
+        assert np.array_equal(got.codomain.dist, want.codomain.dist)
+        assert new.bit_generator.state == old.bit_generator.state
+        drawn.add(any(got.image))
+    assert drawn == {False, True}  # some draws are accepted, some fall back to collapse
+
+
 class TestCertifyDual:
     def test_identity_isometric_with_witnesses(self, path3):
         cert = certify_isometry_dual(identity_map(path3))
@@ -287,20 +326,38 @@ class TestCertifyDual:
             certify_isometry(builtin_map(name, 4), method, pairs=[PointPair(0, 1)])
         assert len(checks) == 1
 
-    def test_caller_norming_set_downgrades_scope(self, path3):
-        cert = certify_isometry_dual(identity_map(path3),
-                                     pairs=list(path3.pairs()))
-        assert cert.verdict == "isometric"
-        assert cert.scope == "sufficient_only"
+    @pytest.mark.parametrize("method", ["dual", "primal", "both"])
+    def test_norming_set_with_a_non_vertex_changes_nothing(self, squeezed_path, method):
+        # (0, 2) is norming but no vertex: its only preimage pair (0, 3) is
+        # longer, yet the certificates read the vertices alone
+        report = certify_isometry(squeezed_path, method, pairs=NORMING_WITH_NON_VERTEX)
+        assert report.to_dict() == certify_isometry(squeezed_path, method).to_dict()
+        assert report.verdict == "isometric"
 
-    def test_failed_caller_pair_is_inconclusive(self, squeezed_path):
-        # (0, 2) is norming but no vertex: its only preimage pair (0, 3)
-        # is longer, which says nothing about the isometric map
-        cert = certify_isometry_dual(squeezed_path, pairs=NORMING_WITH_NON_VERTEX)
-        assert cert.verdict == "inconclusive"
-        assert not cert.isometric
-        assert cert.scope == "sufficient_only"
-        assert cert.failing_pair == (0, 2)
+
+def _pairs_change_nothing(phi):
+    """Every method's report with every codomain pair listed equals the
+    one without pairs, and decides the map."""
+    for method in ("dual", "primal", "both"):
+        report = certify_isometry(phi, method, pairs=list(phi.codomain.pairs()))
+        got = report.to_dict()
+        assert got == certify_isometry(phi, method).to_dict()
+        for cert in (got["dual"], got["primal"]) if method == "both" else (got,):
+            assert cert["verdict"] in ("isometric", "not_isometric")
+            assert "scope" not in cert
+
+
+def test_a_norming_set_leaves_random_certificates_as_they_are():
+    rng = np.random.default_rng(47)
+    for _ in range(150):
+        _pairs_change_nothing(random_one_lipschitz_map(rng, int(rng.integers(2, 12)),
+                                                       int(rng.integers(2, 9))))
+
+
+@pytest.mark.parametrize("name", ["identity", "fold", "halving", "collapse"])
+def test_a_norming_set_leaves_builtin_certificates_as_they_are(name):
+    for mesh in range(1, 18):
+        _pairs_change_nothing(builtin_map(name, mesh))
 
 
 class TestCertifyPrimal:
@@ -610,14 +667,6 @@ class TestCertifyBoth:
             report = certify_isometry(phi, "both")
             assert report.dual.verdict == report.primal.verdict
 
-    def test_inconclusive_dual_defers_to_the_primal(self, squeezed_path):
-        report = certify_isometry(squeezed_path, "both", pairs=NORMING_WITH_NON_VERTEX)
-        assert report.verdict == "isometric"
-        assert report.primal.verdict == "isometric"
-        assert report.dual.verdict == "inconclusive"
-        assert report.dual.failing_pair == (0, 2)
-        assert certify_isometry(squeezed_path, "both").dual.verdict == "isometric"
-
     def test_near_hit_is_read_in_closed_form(self, lp_solves):
         # a preimage pair one ulp longer than the pair: the modulus is the
         # ratio, within the tolerance, and no LP is solved
@@ -650,23 +699,19 @@ class TestCertifyBoth:
                 )
 
 
-def _loop_dual_certificate(phi, vertices, pairs):
-    """The dual certificate pair by pair, one fibre block and one argmin
-    each: the reference for the one-pass form."""
-    if pairs is None:
-        pair_list, scope, negative = vertices, "necessary_and_sufficient", "not_isometric"
-    else:
-        pair_list, scope, negative = list(pairs), "sufficient_only", "inconclusive"
+def _loop_dual_certificate(phi, vertices):
+    """The dual certificate vertex by vertex, one fibre block and one
+    argmin each: the reference for the one-pass form."""
     tolerances = {"tol_metric": phi.codomain.tol, "preimage_ratio": REL_TOL}
 
     def failed(pair, notes):
         return IsometryCertificate(
-            verdict=negative, method="dual_preimage", scope=scope,
+            verdict="not_isometric", method="dual_preimage",
             failing_pair=pair.as_tuple(), tolerances=tolerances, notes=notes)
 
     img = np.asarray(phi.image)
     witnesses = []
-    for pair in pair_list:
+    for pair in vertices:
         xs = np.flatnonzero(img == pair.x)
         ys = np.flatnonzero(img == pair.y)
         if xs.size == 0 or ys.size == 0:
@@ -679,25 +724,8 @@ def _loop_dual_certificate(phi, vertices, pairs):
             return failed(pair, f"best preimage distance {best!r} exceeds {target!r}")
         witnesses.append({"pair": pair.as_tuple(), "preimage": (int(xs[i]), int(ys[j])),
                           "codomain_distance": target, "domain_distance": best})
-    return IsometryCertificate(verdict="isometric", method="dual_preimage", scope=scope,
+    return IsometryCertificate(verdict="isometric", method="dual_preimage",
                                witnesses=tuple(witnesses), tolerances=tolerances)
-
-
-def _rows(pairs):
-    """A pair list as the (m, 2) index array the certifiers read."""
-    return None if pairs is None else np.array([p.as_tuple() for p in pairs],
-                                               dtype=np.intp).reshape(-1, 2)
-
-
-def _pair_sets(phi, rng):
-    """The vertex list, then caller sets: every pair, every pair reversed
-    and in reverse order, and a shuffled subset in mixed orientation,
-    which may list non-vertices and miss vertices."""
-    everything = list(phi.codomain.pairs())
-    flipped = [PointPair(p.y, p.x) for p in reversed(everything)]
-    keep = rng.permutation(len(everything))[:max(1, len(everything) // 2)]
-    mixed = [everything[k] if rng.random() < 0.5 else flipped[-1 - k] for k in keep]
-    return [None, everything, flipped, mixed]
 
 
 def _witness_dicts(phi, cert):
@@ -709,15 +737,14 @@ def _witness_dicts(phi, cert):
                  w["pair"].tolist(), w["preimage"].tolist(), w["domain_distance"].tolist())]
 
 
-def _assert_same_dual(phi, rng):
+def _assert_same_dual(phi):
     vertices = extreme_molecules(phi.codomain)
-    for pairs in _pair_sets(phi, rng):
-        got = composition._dual_certificate(phi, vertices, _rows(pairs))
-        want = _loop_dual_certificate(phi, [PointPair(*v) for v in vertices.tolist()], pairs)
-        assert _witness_dicts(phi, got) == (list(want.witnesses) if want.isometric else [])
-        want = dataclasses.replace(want, witnesses=got.witnesses)
-        assert got.to_dict() == want.to_dict()
-        assert repr(got) == repr(want)
+    got = composition._dual_certificate(phi, vertices)
+    want = _loop_dual_certificate(phi, [PointPair(*v) for v in vertices.tolist()])
+    assert _witness_dicts(phi, got) == (list(want.witnesses) if want.isometric else [])
+    want = dataclasses.replace(want, witnesses=got.witnesses)
+    assert got.to_dict() == want.to_dict()
+    assert repr(got) == repr(want)
 
 
 class TestDualCertificateOracle:
@@ -727,24 +754,25 @@ class TestDualCertificateOracle:
     @given(seed=st.integers(0, 2**32 - 1), dn=st.integers(2, 11), cn=st.integers(2, 8),
            kind=st.sampled_from(["identity", "inclusion", "quotient", "table", "collapse"]))
     def test_random_maps(self, seed, dn, cn, kind):
-        rng = np.random.default_rng(seed)
-        _assert_same_dual(random_one_lipschitz_map(rng, dn, cn, kind), rng)
+        _assert_same_dual(random_one_lipschitz_map(np.random.default_rng(seed), dn, cn, kind))
 
     @pytest.mark.parametrize("name", ["identity", "fold", "halving", "collapse"])
     @pytest.mark.parametrize("mesh", [1, 2, 3, 8, 17])
     def test_builtins(self, name, mesh):
         # halving leaves every odd codomain point without a preimage and
         # collapse every point but the base: empty fibres on both sides
-        _assert_same_dual(builtin_map(name, mesh), np.random.default_rng(mesh))
+        _assert_same_dual(builtin_map(name, mesh))
 
     def test_first_failing_pair_in_list_order(self, path3):
-        # (0, 1) fails the ratio (preimages 2 apart, images 1) and codomain
-        # point 2 has no preimage; whichever pair is listed first is reported
+        # of path3's two vertices, (0, 1) fails the ratio (preimages 2
+        # apart, images 1) and (1, 2) has no preimage of point 2; whichever
+        # vertex is listed first is reported
         phi = LipschitzMap(validate_space([[0, 2], [2, 0]]), path3, (0, 1))
-        pairs = [PointPair(0, 1), PointPair(1, 2)]
-        for order, first in ((pairs, (0, 1)), (pairs[::-1], (1, 2))):
-            got = composition._dual_certificate(phi, _rows([]), _rows(order))
-            assert got.to_dict() == _loop_dual_certificate(phi, [], order).to_dict()
+        vertices = [PointPair(0, 1), PointPair(1, 2)]
+        assert extreme_molecules(path3).tolist() == [[0, 1], [1, 2]]
+        for order, first in ((vertices, (0, 1)), (vertices[::-1], (1, 2))):
+            got = composition._dual_certificate(phi, np.array([p.as_tuple() for p in order]))
+            assert got.to_dict() == _loop_dual_certificate(phi, order).to_dict()
             assert got.failing_pair == first
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
@@ -753,8 +781,8 @@ class TestDualCertificateOracle:
         rng = np.random.default_rng(block)
         for _ in range(20):
             _assert_same_dual(random_one_lipschitz_map(rng, int(rng.integers(2, 12)),
-                                                       int(rng.integers(2, 9))), rng)
-        _assert_same_dual(builtin_map("fold", 6), rng)
+                                                       int(rng.integers(2, 9))))
+        _assert_same_dual(builtin_map("fold", 6))
 
 
 @pytest.mark.parametrize("name", ["identity", "fold", "halving", "collapse"])

@@ -48,6 +48,12 @@ class TestLipschitzNorm:
         x, y = witness
         assert abs(f.values[x] - f.values[y]) == path3.d(x, y)
 
+    def test_a_function_is_read_through_its_values(self, path3):
+        # no scalar accessor reads f(-1) from the end of the array
+        f = LipschitzFunction(path3, [0.0, 0.5, 2.0])
+        assert not callable(f)
+        assert f.values.tolist() == [0.0, 0.5, 2.0]
+
     def test_zero_function(self, path3):
         assert lipschitz_norm(LipschitzFunction(path3, np.zeros(3))).value == 0.0
 

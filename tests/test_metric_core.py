@@ -45,6 +45,14 @@ class TestValidateSpace:
         assert space.n == 2
         assert space.d(0, 1) == 1.0
 
+    @pytest.mark.parametrize("i, j, k", [(0, -1, -1), (-1, 0, -1), (0, 5, 5), (5, -1, 5)])
+    def test_distance_to_a_point_outside_the_space_rejected(self, i, j, k):
+        # a negative index is no point, and is never read from the end
+        net = interval_net(4)
+        with pytest.raises(ValueError, match=rf"^point {k} is outside 0\.\.4$"):
+            net.d(i, j)
+        assert net.d(0, 4) == 1.0
+
     def test_triangle_violation_reports_witness(self):
         with pytest.raises(TriangleViolation) as exc:
             validate_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
