@@ -47,9 +47,8 @@ from .errors import (
 )
 from .freespace import (
     FreeVector,
-    _first_vertex,
-    _norming_failure,
     extreme_molecules,
+    is_norming,
 )
 from .lipschitz import LipschitzFunction, _largest_quotient, quotients
 from .metric_core import (REL_TOL, PointedMetricSpace, PointPair, point_indices, row_blocks,
@@ -322,11 +321,11 @@ def certify_isometry(
     ``pairs`` is only a gate: a set that misses a vertex raises
     :class:`NotNorming` before any verdict, whatever the method, and a
     norming set leaves the certificate as it is without one. A norm below
-    one names the first vertex, read alone when no ``pairs`` are given;
-    otherwise the primal alone reads no vertex. The map norm, every preimage ratio and the modulus
-    are compared with 1 within ``REL_TOL``; the codomain's ``tol``, a
-    distance, decides only which pairs are vertices, and the certificates
-    report it as ``tol_metric``. Disagreement raises
+    one names the first vertex; otherwise the primal alone reads no vertex.
+    The map norm, every preimage ratio and the modulus are compared with 1
+    within ``REL_TOL``; the codomain's ``tol``, a distance, decides only
+    which pairs are vertices, and the certificates report it as
+    ``tol_metric``. Disagreement raises
     :class:`MethodDisagreement` with both certificates as dictionaries: an
     implementation bug, surfaced loudly.
     """
@@ -335,25 +334,20 @@ def certify_isometry(
     norm = phi.norm_with_witness()
     if norm.value > 1.0 + REL_TOL:
         raise MapNormExceedsOne(norm.value, norm.witness, REL_TOL)
-    deficit = norm.value < 1.0 - REL_TOL  # its certificates name only the first vertex
-    if pairs is None and (deficit or method == "primal"):
-        vertices = _first_vertex(phi.codomain) if deficit else None
-    else:
-        vertices = extreme_molecules(phi.codomain)
     if pairs is not None:
-        pairs = np.array([p.as_tuple() for p in pairs], dtype=np.intp)
-        failing = _norming_failure(phi.codomain, pairs, vertices)
+        failing = is_norming(phi.codomain, pairs).failing_vertex
         if failing is not None:
             raise NotNorming(failing.as_tuple())
-    if deficit:
+    if norm.value < 1.0 - REL_TOL:  # a norm deficit: the certificates name the first vertex
         dual, primal = (IsometryCertificate(
             verdict="not_isometric", method=name,
-            failing_pair=tuple(vertices[0].tolist()),
+            failing_pair=tuple(extreme_molecules(phi.codomain)[0].tolist()),
             tolerances={"tol_metric": phi.codomain.tol, "map_norm": REL_TOL},
             notes=f"operator norm {norm.value!r} is strictly below one",
         ) for name in ("dual_preimage", "primal_quotient"))
     else:
-        dual = _dual_certificate(phi, vertices) if method != "primal" else None
+        dual = (_dual_certificate(phi, extreme_molecules(phi.codomain))
+                if method != "primal" else None)
         primal = _primal_certificate(phi) if method != "dual" else None
     if method != "both":
         return dual if method == "dual" else primal

@@ -21,8 +21,8 @@ rewritten in terms of the other.
 The unit ball of the span of the molecules is the convex hull of the
 molecules and their negatives. Its vertices are the molecules with no
 third point metrically between their endpoints (Aliaga-Guirao), which
-:func:`extreme_molecules` lists as one ``(k, 2)`` array of index pairs
-(testing only the edges a space records); the LP vertex test
+:func:`extreme_molecules` reads from the space, one ``(k, 2)`` array of
+index pairs computed once per space (``space.vertices``); the LP vertex test
 :func:`is_extreme_molecule`, one face-filtered hull-membership LP in
 units of the pair's distance (so its tolerance ``REL_TOL`` is relative),
 is its independent oracle. A pair set norms exactly when it lists every
@@ -34,14 +34,13 @@ imported only for an LP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvariantFailure, NotZeroSum, SpaceMismatch
 from .lipschitz import LipschitzFunction, quotients
-from .metric_core import (REL_TOL, PointedMetricSpace, PointPair, detour_rows, point_indices,
-                          row_blocks)
+from .metric_core import REL_TOL, PointedMetricSpace, PointPair, point_indices
 
 ZERO_SUM_REL = 1e-12
 _LP_OPTIONS = {"primal_feasibility_tolerance": REL_TOL, "dual_feasibility_tolerance": REL_TOL}
@@ -372,45 +371,14 @@ def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeRe
     ))
 
 
-def _vertices_in(space: PointedMetricSpace, rows: Iterable) -> Iterator[np.ndarray]:
-    """Per row range [r0, r1), or per block of the edges a space records,
-    its vertices (x, y), x < y, row-major, by the sums of ``detour_rows``."""
-    d, edges = space.dist, space.edges
-    if edges is None:
-        for r0, r1 in rows:
-            vertex = detour_rows(d, r0, r1) > d[r0:r1] + space.tol
-            yield np.argwhere(np.triu(vertex, k=r0 + 1)) + (r0, 0)
-    else:
-        for p0, p1 in row_blocks(len(edges), space.n):
-            (xs, ys), k = edges[p0:p1].T, np.arange(p1 - p0)
-            through = d[xs] + d[ys]  # d(z, y) read as d(y, z): d is symmetric
-            through[k, xs] = through[k, ys] = np.inf  # z outside {x, y}
-            yield edges[p0:p1][through.min(axis=1) > d[xs, ys] + space.tol]
-
-
 def extreme_molecules(space: PointedMetricSpace) -> np.ndarray:
-    """All pairs whose molecule is a vertex, as one ``(k, 2)`` ``intp``
-    array of rows (x, y) with x < y, in row-major order.
-
-    That is, no third point z has d(x,z) + d(z,y) <= d(x,y) + space.tol:
-    the test of :func:`metric_core.intermediate_points`, with no n x n
-    temporary, on a space's edges if it records them (any other pair has
-    a point of a shortest path between its ends, whose detour rounds far
-    within ``space.tol``). Never empty: a polytope has vertices and every
-    vertex of the ball is itself a molecule or the negative of one.
-    """
-    found = np.concatenate(list(_vertices_in(space, row_blocks(space.n))))
-    if not found.size:
+    """All pairs whose molecule is a vertex: ``space.vertices``, rows (x, y),
+    x < y, row-major (:func:`metric_core.vertex_pairs`). Never empty: a
+    polytope has vertices and every vertex of the ball is itself a molecule
+    or the negative of one."""
+    if not space.vertices.size:
         raise InvariantFailure("polytope reported no vertices")
-    return found
-
-
-def _first_vertex(space: PointedMetricSpace) -> np.ndarray:
-    """``extreme_molecules(space)[:1]``, read up to its block of edges or its row."""
-    for found in _vertices_in(space, ((x, x + 1) for x in range(space.n))):
-        if found.size:
-            return found[:1]
-    raise InvariantFailure("polytope reported no vertices")
+    return space.vertices
 
 
 class NormingResult(NamedTuple):
@@ -418,26 +386,21 @@ class NormingResult(NamedTuple):
     failing_vertex: PointPair | None
 
 
-def _norming_failure(space: PointedMetricSpace, pairs: np.ndarray,
-                     vertices: np.ndarray) -> PointPair | None:
-    """The first vertex whose pair is not listed, in either order, or None.
-    The listed +-molecules lie in the ball, and a vertex of the ball lies
-    in the hull of points of the ball only if it is one of them."""
-    if not point_indices(space, pairs).size:
-        raise ValueError("the pair set must be nonempty")
-    listed = np.zeros((space.n, space.n), dtype=bool)
-    listed[pairs[:, 0], pairs[:, 1]] = listed[pairs[:, 1], pairs[:, 0]] = True
-    missing = np.flatnonzero(~listed[vertices[:, 0], vertices[:, 1]])
-    return PointPair(*vertices[missing[0]].tolist()) if missing.size else None
-
-
 def is_norming(space: PointedMetricSpace, pairs: Sequence[PointPair]) -> NormingResult:
     """Does the hull of +-molecules over the given pairs contain every
     vertex of the full unit ball?
 
-    Exactly when every vertex's pair is listed, so no LP is solved; the
+    Exactly when every vertex's pair is listed, in either order, so no LP is
+    solved: the listed +-molecules lie in the ball, and a vertex of the ball
+    lies in the hull of points of the ball only if it is one of them. The
     first vertex not listed is reported in the negative case.
     """
-    pairs = np.array([p.as_tuple() for p in pairs], dtype=np.intp)
-    failing = _norming_failure(space, pairs, extreme_molecules(space))
+    pairs = point_indices(space, [p.as_tuple() for p in pairs])
+    if not pairs.size:
+        raise ValueError("the pair set must be nonempty")
+    listed = np.zeros((space.n, space.n), dtype=bool)
+    listed[pairs[:, 0], pairs[:, 1]] = listed[pairs[:, 1], pairs[:, 0]] = True
+    vertices = extreme_molecules(space)
+    missing = np.flatnonzero(~listed[vertices[:, 0], vertices[:, 1]])
+    failing = PointPair(*vertices[missing[0]].tolist()) if missing.size else None
     return NormingResult(failing is None, failing)

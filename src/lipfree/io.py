@@ -97,8 +97,9 @@ def _floats(obj: dict, key: str, where: str) -> np.ndarray:
         raise MalformedInput(at, "entries must be finite numbers") from None
     except (TypeError, ValueError):
         raise MalformedInput(at, "expected rows of numbers of equal length") from None
-    for entry in np.asarray(raw, dtype=object).flat:
-        _number(entry, at)
+    if not set(map(type, np.asarray(raw, dtype=object).flat)) <= {int, float}:
+        for entry in np.asarray(raw, dtype=object).flat:  # name the first other entry
+            _number(entry, at)
     if not np.all(np.isfinite(values)):
         raise MalformedInput(at, "entries must be finite numbers")
     return values

@@ -2,10 +2,11 @@
 
 A space is a finite set of points with a distinguished base point (index
 0 for every generated family) and a metric: a distance matrix, frozen, that
-:func:`validate_space` checks or the constructor that built it proves.
-Pairwise passes that would otherwise hold an n x n temporary read rows in
-the ranges of :func:`row_blocks`, the one place that sizes one;
-:func:`detour_rows`, over third points, is one.
+:func:`validate_space` checks or the constructor that built it proves. It
+computes its vertex pairs, the pairs no third point lies between, once, and
+validation reads them off its own :func:`detour_rows` pass. Pairwise passes
+that would otherwise hold an n x n temporary read rows in the ranges of
+:func:`row_blocks`, the one place that sizes one.
 
 Every module follows one tolerance policy, kept here: a distance is
 compared within ``space.tol`` (``REL_TOL`` times the largest distance), a
@@ -23,6 +24,7 @@ interval nets' 1e-12 matches a file's matrix and an anchor to the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -59,6 +61,7 @@ class PointedMetricSpace:
     edges: np.ndarray | None = field(default=None, repr=False)
     diameter: float = field(init=False, repr=False)
     tol: float = field(init=False, repr=False)  # metric comparison tolerance
+    _vertex_mask: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
@@ -72,6 +75,13 @@ class PointedMetricSpace:
     @property
     def n(self) -> int:
         return self.dist.shape[0]
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """:func:`vertex_pairs`, computed once, as a read-only ``(k, 2)`` ``intp`` array."""
+        found = vertex_pairs(self)
+        found.setflags(write=False)
+        return found
 
     def d(self, i: int, j: int) -> float:
         n = len(self.dist)
@@ -115,13 +125,17 @@ def validate_space(
     """Check the metric axioms of a copy of the matrix and wrap it in a space.
 
     The triangle inequality is checked by row blocks of :func:`detour_rows`
-    within ``REL_TOL * max(d)`` or an explicit absolute ``tol``. A violation is
+    within ``REL_TOL * max(d)`` or an explicit absolute ``tol``, finite and at
+    least 0 (else ValueError); the same rows mark the space's vertex pairs
+    within ``space.tol``, whatever ``tol`` admitted the matrix. A violation is
     reported as the triple (i, j, k) of the first third point j that breaks a
     pair and the first pair (i, k) it breaks; nothing is repaired. A matrix not
     square or of fewer than two points, or a label list of the wrong length,
     is malformed input at its path in a space file (``metric.d`` or ``labels``),
     as is a distance above half the largest float, since two of them sum to inf.
     """
+    if tol is not None and not 0 <= tol < np.inf:
+        raise ValueError(f"tol {tol!r} must be finite and at least 0")
     d = np.array(dist, dtype=float)  # the caller's array stays theirs, and writeable
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise MalformedInput("metric.d", f"expected a square matrix, got shape {d.shape}")
@@ -151,16 +165,22 @@ def validate_space(
         raise MalformedInput("metric.d", f"{top!r} is too large: sums overflow")
     if tol is None:
         tol = REL_TOL * top
-    if any(np.any(d[r0:r1] - detour_rows(d, r0, r1) > tol) for r0, r1 in row_blocks(n)):
-        for j in range(n):  # the first third point j to break a pair, then that pair
-            bad = np.argwhere(d - (d[:, j, None] + d[j]) > tol)
-            if bad.size:
-                i, k = (int(v) for v in bad[0])
-                raise TriangleViolation(i, j, k, float(d[i, k]), float(d[i, j]),
-                                        float(d[j, k]), tol)
+    vertex = []
+    for r0, r1 in row_blocks(n):
+        through = detour_rows(d, r0, r1)
+        if np.any(d[r0:r1] - through > tol):
+            for j in range(n):  # the first third point j to break a pair, then that pair
+                bad = np.argwhere(d - (d[:, j, None] + d[j]) > tol)
+                if bad.size:
+                    i, k = (int(v) for v in bad[0])
+                    raise TriangleViolation(i, j, k, float(d[i, k]), float(d[i, j]),
+                                            float(d[j, k]), tol)
+        vertex.append(through > d[r0:r1] + REL_TOL * top)  # space.tol, whatever tol admits
 
     labels = tuple(f"p{i}" for i in range(n)) if labels is None else tuple(labels)
-    return PointedMetricSpace(labels, base, d, dict(meta or {}))
+    space = PointedMetricSpace(labels, base, d, dict(meta or {}))
+    object.__setattr__(space, "_vertex_mask", np.concatenate(vertex))
+    return space
 
 
 def shortest_path_closure(d: np.ndarray) -> np.ndarray:
@@ -198,6 +218,27 @@ def detour_rows(d: np.ndarray, r0: int, r1: int) -> np.ndarray:
         through[z - z0, z - r0] = np.inf  # z = x
         np.minimum(best, through.min(axis=0), out=best)
     return best
+
+
+def vertex_pairs(space: PointedMetricSpace) -> np.ndarray:
+    """The pairs (x, y), x < y, row-major, whose every detour d(x, z) + d(z, y)
+    exceeds d(x, y) + ``space.tol`` (:func:`intermediate_points`' test): over
+    the edges a space records (any other pair has a point of a shortest path
+    between its ends, whose detour rounds far within the tolerance), else from
+    the mask :func:`validate_space` kept, else by :func:`detour_rows`."""
+    d, edges, mask = space.dist, space.edges, space._vertex_mask
+    if edges is not None:
+        found = []
+        for p0, p1 in row_blocks(len(edges), space.n):
+            (xs, ys), k = edges[p0:p1].T, np.arange(p1 - p0)
+            through = d[xs] + d[ys]  # d(z, y) read as d(y, z): d is symmetric
+            through[k, xs] = through[k, ys] = np.inf  # z outside {x, y}
+            found.append(edges[p0:p1][through.min(axis=1) > d[xs, ys] + space.tol])
+        return np.concatenate(found)
+    if mask is None:
+        mask = np.concatenate([detour_rows(d, r0, r1) > d[r0:r1] + space.tol
+                               for r0, r1 in row_blocks(space.n)])
+    return np.argwhere(np.triu(mask, k=1))
 
 
 def from_weighted_graph(

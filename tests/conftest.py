@@ -31,6 +31,16 @@ def integer_space(rng, n):
     return from_weighted_graph(n, edges)
 
 
+def brute_vertices(space):
+    """The vertex pairs from the whole detour tensor d(x, z) + d(z, y)."""
+    d = space.dist
+    through = d[:, :, None] + d[None, :, :]  # (x, z, y)
+    idx = np.arange(space.n)
+    through[idx, idx, :] = np.inf  # z = x
+    through[:, idx, idx] = np.inf  # z = y
+    return np.argwhere(np.triu(through.min(axis=1) > d + space.tol, k=1))
+
+
 def whole_quotients(num, den):
     """num / den over one whole matrix, -1 on the diagonal."""
     with np.errstate(divide="ignore", invalid="ignore"):

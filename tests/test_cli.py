@@ -10,11 +10,13 @@ import sys
 from io import StringIO
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import brute_vertices
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lipfree import cli, composition, io
-from lipfree.fixtures import circle_geodesic, tripod
+from lipfree import cli, composition, io, metric_core
+from lipfree.fixtures import builtin_map, circle_geodesic, random_space, tripod
 from lipfree.freespace import DualResult
 from lipfree.io import geodesic_space_to_dict, space_to_dict
 from lipfree.metric_core import REL_TOL, interval_net
@@ -669,6 +671,55 @@ class TestCommands:
         proc = run_cli("validate", files["two"], "--out", str(out))
         assert proc.returncode == 0 and proc.stdout == ""
         assert json.loads(out.read_text())["results"]["valid"] is True
+
+
+class TestOneDetourPassPerMatrix:
+    """A command reads each matrix it validates once through ``detour_rows``,
+    row block by row block, and enumerates vertices from that pass."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        """The detour rows read, totalled per matrix size, through the
+        kernel wherever a lipfree module binds it."""
+        read = {}
+        real = metric_core.detour_rows
+
+        def counted(d, r0, r1):
+            read[len(d)] = read.get(len(d), 0) + r1 - r0
+            return real(d, r0, r1)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lipfree") and getattr(module, "detour_rows", None) is real:
+                monkeypatch.setattr(module, "detour_rows", counted)
+        return read
+
+    @pytest.mark.parametrize("block", [64, 1 << 17])
+    def test_extremes_on_a_matrix_file(self, tmp_path, capsys, rows, monkeypatch, block):
+        monkeypatch.setattr(metric_core, "BLOCK", block)
+        space = random_space(np.random.default_rng(7), 12, "euclidean")
+        path = write(tmp_path / "cloud.json", space_to_dict(space))
+        rows.clear()  # the validation that built the cloud
+        code, report, _ = run_in_process(capsys, "extremes", path)
+        assert code == 0
+        assert report["results"]["pairs"] == brute_vertices(space).tolist()
+        assert rows == {12: 12}
+
+    # fold: a 9-point domain onto a 5-point codomain, of norm one; halving:
+    # a 5-point domain into a 9-point codomain, of norm one half, whose
+    # certificates name the codomain's first vertex
+    @pytest.mark.parametrize("name, verdict", [("fold", "isometric"),
+                                               ("halving", "not_isometric")])
+    @pytest.mark.parametrize("method", ["dual", "primal", "both"])
+    def test_isometry_on_a_matrix_map_file(self, tmp_path, capsys, rows, name, verdict,
+                                           method):
+        phi = builtin_map(name, 4)
+        path = write(tmp_path / "map.json", {"domain": space_to_dict(phi.domain),
+                                             "codomain": space_to_dict(phi.codomain),
+                                             "image": list(phi.image)})
+        code, report, _ = run_in_process(capsys, "isometry", "--map", path, "--method", method)
+        assert code == 0
+        assert report["results"]["verdict"] == verdict
+        assert rows == {phi.domain.n: phi.domain.n, phi.codomain.n: phi.codomain.n}
 
 
 class TestExperiments:

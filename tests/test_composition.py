@@ -8,7 +8,7 @@ import pytest
 from conftest import first_maximum, integer_space, whole_quotients
 from hypothesis import given, settings, strategies as st
 
-from lipfree import composition, fixtures, freespace, metric_core
+from lipfree import composition, fixtures, metric_core
 from lipfree.composition import (
     IsometryCertificate,
     LipschitzMap,
@@ -315,13 +315,13 @@ class TestCertifyDual:
         # and the primal never reads one, yet a pair set that misses a
         # vertex is refused as for fold, after one check
         checks = []
-        real = composition._norming_failure
+        real = composition.is_norming
 
         def counted(*args):
             checks.append(args)
             return real(*args)
 
-        monkeypatch.setattr(composition, "_norming_failure", counted)
+        monkeypatch.setattr(composition, "is_norming", counted)
         with pytest.raises(NotNorming):
             certify_isometry(builtin_map(name, 4), method, pairs=[PointPair(0, 1)])
         assert len(checks) == 1
@@ -571,30 +571,30 @@ class TestOnePass:
     @pytest.mark.parametrize("method", ["dual", "primal", "both"])
     @pytest.mark.parametrize("case", ["isometric", "deficit", "norming_pairs"])
     def test_norm_and_vertices_computed_once(self, monkeypatch, method, case):
-        calls = {"extreme_molecules": 0, "_first_vertex": 0, "norm_with_witness": 0}
+        calls = {"vertex_pairs": [], "norm_with_witness": 0}
+        real_vertices, real_norm = metric_core.vertex_pairs, LipschitzMap.norm_with_witness
 
-        def counted(module, name):
-            real = getattr(module, name)
+        def vertex_pairs(space):
+            calls["vertex_pairs"].append(space)
+            return real_vertices(space)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
+        def norm_with_witness(phi):
+            calls["norm_with_witness"] += 1
+            return real_norm(phi)
 
-        counted(LipschitzMap, "norm_with_witness")
-        counted(freespace, "extreme_molecules")
-        counted(composition, "extreme_molecules")
-        counted(composition, "_first_vertex")
+        monkeypatch.setattr(metric_core, "vertex_pairs", vertex_pairs)
+        monkeypatch.setattr(LipschitzMap, "norm_with_witness", norm_with_witness)
         phi = builtin_map("halving" if case == "deficit" else "fold", 8)
         pairs = list(phi.codomain.pairs()) if case == "norming_pairs" else None
         report = certify_isometry(phi, method, pairs=pairs)
         assert report.verdict == ("not_isometric" if case == "deficit" else "isometric")
-        # the norm-deficit exit reads only the first vertex, and the primal
-        # alone none: no full enumeration
-        deficit = case == "deficit"
-        enumerates = not deficit and (method != "primal" or case == "norming_pairs")
-        assert calls == {"extreme_molecules": int(enumerates), "_first_vertex": int(deficit),
-                         "norm_with_witness": 1}
+        # the primal alone reads no vertex; every other run reads the
+        # codomain's, computed once per space however often they are read
+        enumerates = case != "isometric" or method != "primal"
+        assert calls == {"vertex_pairs": [phi.codomain] * enumerates, "norm_with_witness": 1}
+        certify_isometry(phi, method, pairs=pairs)
+        extreme_molecules(phi.codomain)
+        assert calls["vertex_pairs"] == [phi.codomain]
 
     def test_map_norm_computed_once_per_map(self, monkeypatch):
         quotients = []

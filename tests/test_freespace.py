@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.optimize
+from conftest import brute_vertices
 from hypothesis import given, settings, strategies as st
 
 from lipfree import freespace, metric_core
-from lipfree.errors import InvariantFailure, NotZeroSum, SpaceMismatch
+from lipfree.errors import InvariantFailure, NotZeroSum, SpaceMismatch, TriangleViolation
 from lipfree.fixtures import (
     circle_geodesic,
     line_net,
@@ -18,7 +19,6 @@ from lipfree.fixtures import (
 from lipfree.freespace import (
     ZERO_SUM_REL,
     FreeVector,
-    _first_vertex,
     extreme_molecules,
     free_norm_dual,
     free_norm_primal,
@@ -440,32 +440,50 @@ class TestExtremeMolecules:
         assert len(lp_solves) == 10  # the 15 pairs less the 5 adjacent ones
 
 
-class TestFirstVertex:
-    def test_first_vertex_past_rows_without_one(self):
+class TestSpaceVertices:
+    def test_vertices_past_rows_without_one(self):
         # within the tolerance, every pair in rows 0-2 has a point between
         space = line_net([0, 1e-12, 2e-12, 1, 2])
-        assert extreme_molecules(space).tolist() == [[3, 4]]
-        assert _first_vertex(space).tolist() == [[3, 4]]
+        for copy in (space, validate_space(space.dist), dataclasses.replace(space, edges=None)):
+            assert extreme_molecules(copy).tolist() == [[3, 4]]
 
-    @pytest.mark.parametrize("block", [1, 5, 49 * 50, 7 * 50 * 50])
-    def test_first_rows_of_the_full_list(self, monkeypatch, block):
-        monkeypatch.setattr(metric_core, "BLOCK", block)
+    # blocks of one entry, of a few detour rows and of whole matrices
+    @pytest.mark.parametrize("block", [1, 5, 64, 49 * 50, 7 * 50 * 50, 1 << 17])
+    def test_validation_keeps_the_vertices(self, monkeypatch, block):
         rng = np.random.default_rng(41)
-        spaces = [random_space(rng, int(rng.integers(2, 12))) for _ in range(30)]
-        for space in spaces + [interval_net(49), circle_net(50)]:
-            first = _first_vertex(space)
-            assert first.dtype == np.intp
-            assert np.array_equal(first, extreme_molecules(space)[:1])
+        spaces = [random_space(rng, int(rng.integers(2, 12)), kind)
+                  for kind in ("euclidean", "graph", "snowflake") for _ in range(8)]
+        spaces += [interval_net(49), circle_net(50), line_net([0, 1e-12, 2e-12, 1, 2]),
+                   tripod(1.0, 4).space, snowflake(tripod(1.0, 3).space, 0.6)]
+        monkeypatch.setattr(metric_core, "BLOCK", block)
+        admitted = 0
+        for space in spaces:
+            checked = [validate_space(space.dist)]
+            if space.n > 2:
+                # d(0, 1) above d(0, 2) + d(2, 1) by half the diameter: only a
+                # caller's tol admits it, and space.tol still decides the vertices
+                d = space.dist.copy()
+                d[0, 1] = d[1, 0] = d[0, 2] + d[2, 1] + space.diameter / 2
+                with pytest.raises(TriangleViolation):
+                    validate_space(d)
+                checked.append(validate_space(d, tol=float(d.max())))
+                admitted += 1
+            for valid in checked:
+                found = valid.vertices
+                assert found.dtype == np.intp and found.shape[1] == 2
+                assert not found.flags.writeable
+                assert extreme_molecules(valid) is found
+                assert np.array_equal(found, brute_vertices(valid))
+                assert np.array_equal(found, dataclasses.replace(valid).vertices)
+        assert admitted > 20
 
-
-def brute_vertices(space):
-    """The vertex pairs from the whole detour tensor d(x, z) + d(z, y)."""
-    d = space.dist
-    through = d[:, :, None] + d[None, :, :]  # (x, z, y)
-    idx = np.arange(space.n)
-    through[idx, idx, :] = np.inf  # z = x
-    through[:, idx, idx] = np.inf  # z = y
-    return np.argwhere(np.triu(through.min(axis=1) > d + space.tol, k=1))
+    def test_vertices_cannot_be_written(self):
+        for space in (validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), interval_net(3),
+                      circle_net(5)):
+            with pytest.raises(ValueError, match="read-only"):
+                space.vertices[0, 0] = 7
+            with pytest.raises(ValueError, match="read-only"):
+                extreme_molecules(space)[0] = (0, 2)
 
 
 def tangled_graph(rng, n):
@@ -516,14 +534,13 @@ class TestEdgeEnumeration:
             assert found.dtype == np.intp
             assert np.array_equal(found, brute_vertices(space))
             assert np.array_equal(found, extreme_molecules(dataclasses.replace(space, edges=None)))
-            assert np.array_equal(_first_vertex(space), found[:1])
 
     def test_interval_net_never_reads_rows(self, monkeypatch):
         def no_rows(*args):
             raise AssertionError("vertex enumeration read detour rows")
 
         net = interval_net(4096)
-        monkeypatch.setattr(freespace, "detour_rows", no_rows)
+        monkeypatch.setattr(metric_core, "detour_rows", no_rows)
         tracemalloc.start()
         try:
             found = extreme_molecules(net)
@@ -531,25 +548,23 @@ class TestEdgeEnumeration:
         finally:
             tracemalloc.stop()
         assert found.tolist() == [[k, k + 1] for k in range(4096)]
-        assert _first_vertex(net).tolist() == [[0, 1]]
         assert peak < 8 * 2 ** 20
 
     def test_snowflake_of_a_tripod_reads_rows(self, monkeypatch):
         rows = []
-        real = freespace.detour_rows
+        real = metric_core.detour_rows
 
         def counted(d, r0, r1):
             rows.extend(range(r0, r1))
             return real(d, r0, r1)
 
-        monkeypatch.setattr(freespace, "detour_rows", counted)
+        monkeypatch.setattr(metric_core, "detour_rows", counted)
         for k in (1, 3, 6):
             flake = snowflake(tripod(1.0, k).space, 0.6)
             rows.clear()
             found = extreme_molecules(flake)
             assert rows == list(range(flake.n))
             assert np.array_equal(found, brute_vertices(flake))
-            assert np.array_equal(_first_vertex(flake), found[:1])
 
 
 class TestIsNorming:

@@ -133,6 +133,28 @@ class TestSpaceFiles:
             load_space(path)
         assert (exc.value.json_path, exc.value.reason) == (f"{path}.{where}", reason)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.5])
+    def test_tol_outside_finite_nonnegatives_refused(self, tmp_path, tol):
+        path = write(tmp_path / "bad.json", {
+            "metric": {"type": "matrix", "d": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}})
+        with pytest.raises(ValueError, match=rf"^tol {tol!r} must be finite and at least 0$"):
+            load_space(path, tol=tol)
+        assert load_space(path, tol=3.0).n == 3
+
+    @pytest.mark.parametrize("d, named", [
+        ([[0, 1], [True, 0]], "True"),
+        ([[0, "1"], [1, 0]], "'1'"),
+        ([[0, 1.0], [None, 0]], "None"),
+        ([[0, 1], [1, False]], "False"),
+        ([[0.0, "1"], [None, 0.0]], "'1'"),  # the first entry that is no number
+    ])
+    def test_non_numeric_matrix_entry_named(self, tmp_path, d, named):
+        path = write(tmp_path / "bad.json", {"metric": {"type": "matrix", "d": d}})
+        with pytest.raises(MalformedInput) as exc:
+            load_space(path)
+        assert exc.value.json_path == f"{path}.metric.d"
+        assert exc.value.reason == f"expected a number, got {named}"
+
     def test_whole_float_indices_are_integers(self, tmp_path):
         path = write(tmp_path / "s.json", {
             "base": 1.0, "metric": {"type": "graph", "n": 3.0, "edges": [[0, 1.0, 1], [1, 2, 1]]}})

@@ -58,6 +58,15 @@ class TestValidateSpace:
             validate_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
         assert exc.value.witness == (0, 1, 2)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -0.5, -1e-300])
+    def test_tol_outside_finite_nonnegatives_refused(self, tol):
+        # nan and inf once admitted this d(0, 2) = 5 > 1 + 1, and -0.5 named
+        # d[0][0] = 0 as a triangle violation at (0, 0, 0)
+        with pytest.raises(ValueError, match=rf"^tol {tol!r} must be finite and at least 0$"):
+            validate_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]], tol=tol)
+        with pytest.raises(ValueError, match=r"^tol "):
+            validate_space([[0, 1], [1, 0]], tol=tol)
+
     def test_no_option_skips_the_triangle_check(self):
         # an edge list once let any caller skip it, and this d(0, 2) = 5 > 1 + 1
         # was admitted
