@@ -50,6 +50,8 @@ from .geodesic import (
 )
 from .io import (
     READS,
+    _load_on_space,
+    _same_space,
     load_free_vector,
     load_function,
     load_geodesic_space,
@@ -199,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("isometry", help="certify a composition operator")
     p.add_argument("--map", required=True, dest="map_path")
-    p.add_argument("--domain", default=None)
-    p.add_argument("--codomain", default=None)
     common(p, _cmd_isometry, methods=certifiers)
 
     p = sub.add_parser("extend", help="norm-preserving extension from a subset")
@@ -314,9 +314,7 @@ def _cmd_norming(args):
 
 
 def _cmd_isometry(args):
-    domain = load_space(args.domain, tol=args.tol) if args.domain else None
-    codomain = load_space(args.codomain, tol=args.tol) if args.codomain else None
-    phi = load_map(args.map_path, domain=domain, codomain=codomain, tol=args.tol)
+    phi = load_map(args.map_path, tol=args.tol)
     tolerances = {}
     results, norm = _certify(phi, args, tolerances)
     results["operator_norm"] = norm
@@ -328,11 +326,11 @@ def _cmd_extend(args):
     subset = _parse_indices("--subset", args.subset, f.space.n)
     if f.space.base not in subset:
         raise MalformedInput("--subset", f"must contain the base point {f.space.base}")
-    floor = load_function(args.floor, tol=args.tol) if args.floor else None
-    if floor is not None:
-        if floor.space.n != f.space.n:
-            raise MalformedInput("--floor", "floor lives on a different-size space")
-        floor = LipschitzFunction(f.space, floor.values, normalize=False)  # on f's space
+    floor = (_load_on_space(args.floor, "values", LipschitzFunction, args.tol, f.space)
+             if args.floor else None)
+    if floor is not None and not _same_space(f.space, floor.space.dist, floor.space.base,
+                                             floor.space.labels):  # a graph closes on its own
+        raise MalformedInput("--floor", "the floor's space is not the function's")
     ext = mcshane_extend(f.space, subset, f.values[subset], floor=floor)
     return _space_tolerances(f.space, args), {
         "subset": subset, "values": ext.values.tolist(), "norm": lipschitz_norm(ext).value}

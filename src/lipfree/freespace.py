@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvariantFailure, NotZeroSum, SpaceMismatch
+from .errors import InputError, InvariantFailure, NotZeroSum, SpaceMismatch
 from .lipschitz import LipschitzFunction, quotients
 from .metric_core import REL_TOL, PointedMetricSpace, PointPair, point_indices
 
@@ -372,12 +372,13 @@ def is_extreme_molecule(space: PointedMetricSpace, pair: PointPair) -> ExtremeRe
 
 
 def extreme_molecules(space: PointedMetricSpace) -> np.ndarray:
-    """All pairs whose molecule is a vertex: ``space.vertices``, rows (x, y),
-    x < y, row-major (:func:`metric_core.vertex_pairs`). Never empty: a
-    polytope has vertices and every vertex of the ball is itself a molecule
-    or the negative of one."""
+    """``space.vertices``: the pairs (x, y), x < y, row-major, whose molecule is a
+    vertex (:func:`metric_core.vertex_pairs`). The closest pair is one, as each detour is
+    twice its distance or more, unless it lies within about ``space.tol``: bad input."""
     if not space.vertices.size:
-        raise InvariantFailure("polytope reported no vertices")
+        x, y = divmod(int(np.argmin(space.dist + np.diag(np.full(space.n, np.inf)))), space.n)
+        raise InputError(f"no pair is a vertex: points {x} and {y} lie {space.d(x, y)!r} "
+                         f"apart, within about the metric tolerance {space.tol!r}")
     return space.vertices
 
 

@@ -14,7 +14,8 @@ Schemas (documented in docs/formats.md):
 
 Inline space references are the space object itself; path references are
 resolved relative to the referencing file. All files are UTF-8 JSON and
-field order never matters.
+field order never matters. A space read with another in hand is that one,
+not admitted again, where its matrix is exactly the one that admitted it.
 
 :func:`read_json` is the one place a file is read. While a caller has
 set :data:`READS` to a list, it appends one ``{"path", "sha256"}`` record
@@ -105,8 +106,9 @@ def _floats(obj: dict, key: str, where: str) -> np.ndarray:
     return values
 
 
-def space_from_dict(obj: dict, where: str = "space",
-                    tol: float | None = None) -> PointedMetricSpace:
+def _space_from_dict(obj: dict, where: str, tol: float | None = None,
+                     known: PointedMetricSpace | None = None) -> PointedMetricSpace:
+    """``obj``'s space, or ``known`` where ``obj`` admitted it (:func:`_same_space`)."""
     metric = _require(obj, "metric", where)
     base = _integer(obj.get("base", 0), f"{where}.base")
     labels = obj.get("labels")
@@ -115,6 +117,8 @@ def space_from_dict(obj: dict, where: str = "space",
     kind = _require(metric, "type", f"{where}.metric")
     if kind == "matrix":
         d = _floats(metric, "d", f"{where}.metric")
+        if known is not None and known.edges is None and _same_space(known, d, base, labels):
+            return known
         build = partial(validate_space, d, base=base, labels=labels, tol=tol)
     elif kind == "graph":
         n = _integer(_require(metric, "n", f"{where}.metric"), f"{where}.metric.n")
@@ -135,20 +139,25 @@ def space_from_dict(obj: dict, where: str = "space",
         raise MalformedInput(f"{where}.{exc.json_path}", exc.reason) from None
 
 
-def _resolve_space(obj: dict, key: str, anchor: Path, where: str,
-                   tol: float | None = None) -> PointedMetricSpace:
-    ref = _require(obj, key, where)
+def _same_space(known: PointedMetricSpace, d: np.ndarray, base: int, labels) -> bool:
+    """``known``'s matrix bitwise, base, and labels type for type (``p0, ...`` if None)?"""
+    labels = [f"p{i}" for i in range(known.n)] if labels is None else labels
+    return (np.array_equal(d.view(np.int64), known.dist.view(np.int64)) and base == known.base
+            and repr(tuple(labels)) == repr(known.labels))  # repr tells True from 1 and 1.0
+
+
+def _resolve_space(obj: dict, key: str, path: str | Path, tol: float | None = None,
+                   known: PointedMetricSpace | None = None) -> PointedMetricSpace:
+    ref = _require(obj, key, str(path))
     if isinstance(ref, str):
-        path = Path(ref)
-        if not path.is_absolute():
-            path = anchor / path
-        obj = read_json(path, via={"path": where, "field": key})
-        return space_from_dict(obj, where=str(path), tol=tol)
-    return space_from_dict(ref, where=f"{where}.{key}", tol=tol)
+        ref_path = Path(path).parent / ref  # an absolute reference stands alone
+        obj = read_json(ref_path, via={"path": str(path), "field": key})
+        return _space_from_dict(obj, str(ref_path), tol, known)
+    return _space_from_dict(ref, f"{path}.{key}", tol, known)
 
 
 def load_space(path: str | Path, tol: float | None = None) -> PointedMetricSpace:
-    return space_from_dict(read_json(path), where=str(path), tol=tol)
+    return _space_from_dict(read_json(path), str(path), tol)
 
 
 def space_to_dict(space: PointedMetricSpace) -> dict:
@@ -160,51 +169,42 @@ def space_to_dict(space: PointedMetricSpace) -> dict:
 
 
 def load_function(path: str | Path, tol: float | None = None) -> LipschitzFunction:
-    obj = read_json(path)
-    where = str(path)
-    space = _resolve_space(obj, "space", Path(path).parent, where, tol)
-    values = _floats(obj, "values", where)
-    if values.shape != (space.n,):
-        raise MalformedInput(f"{where}.values",
-                             f"expected {space.n} values, got {values.shape}")
-    return LipschitzFunction(space, values)
+    return _load_on_space(path, "values", LipschitzFunction, tol)
 
 
 def load_free_vector(path: str | Path) -> FreeVector:
+    return _load_on_space(path, "coeffs", FreeVector)
+
+
+def _load_on_space(path: str | Path, key: str, build, tol=None, known=None):
+    """``build(space, values)`` of the file's ``space`` and list ``key``."""
     obj = read_json(path)
-    where = str(path)
-    space = _resolve_space(obj, "space", Path(path).parent, where)
-    coeffs = _floats(obj, "coeffs", where)
+    space = _resolve_space(obj, "space", path, tol, known)
     try:
-        return FreeVector(space, coeffs)
+        return build(space, _floats(obj, key, str(path)))
     except (NotZeroSum, ValueError) as exc:
-        raise MalformedInput(f"{where}.coeffs", str(exc)) from None
+        raise MalformedInput(f"{path}.{key}", str(exc)) from None
 
 
-def load_map(path: str | Path,
-             domain: PointedMetricSpace | None = None,
-             codomain: PointedMetricSpace | None = None,
+def load_map(path: str | Path, codomain: PointedMetricSpace | None = None,
              tol: float | None = None) -> LipschitzMap:
     obj = read_json(path)
-    where = str(path)
-    anchor = Path(path).parent
-    if domain is None:
-        domain = _resolve_space(obj, "domain", anchor, where, tol)
-    if codomain is None:
-        codomain = _resolve_space(obj, "codomain", anchor, where, tol)
-    image = _require(obj, "image", where)
+    domain = _resolve_space(obj, "domain", path, tol, codomain)  # codomain replaces the file's
+    if codomain is None:  # read with the domain in hand: an identity admits one space
+        codomain = _resolve_space(obj, "codomain", path, tol, domain)
+    image = _require(obj, "image", str(path))
     try:
         return LipschitzMap(domain, codomain,
-                            tuple(_integer(i, f"{where}.image") for i in image))
+                            tuple(_integer(i, f"{path}.image") for i in image))
     except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"{where}.image", str(exc)) from None
+        raise MalformedInput(f"{path}.image", str(exc)) from None
 
 
 def load_geodesic_space(path: str | Path,
                         tol: float | None = None) -> DiscretizedGeodesicSpace:
     obj = read_json(path)
     where = str(path)
-    space = space_from_dict(obj, where=where, tol=tol)
+    space = _space_from_dict(obj, where, tol)
     paths_field = _require(obj, "paths", where)
     if not isinstance(paths_field, list):
         raise MalformedInput(f"{where}.paths", "expected a list of paths")

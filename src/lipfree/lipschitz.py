@@ -38,7 +38,7 @@ class LipschitzFunction:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).copy()
         if v.shape != (self.space.n,):
-            raise ValueError(f"expected {self.space.n} values, got shape {v.shape}")
+            raise ValueError(f"expected {self.space.n} values, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("function values must be finite")
         if self.normalize and v[self.space.base] != 0.0:

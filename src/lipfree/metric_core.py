@@ -81,6 +81,7 @@ class PointedMetricSpace:
         """:func:`vertex_pairs`, computed once, as a read-only ``(k, 2)`` ``intp`` array."""
         found = vertex_pairs(self)
         found.setflags(write=False)
+        object.__setattr__(self, "_vertex_mask", None)  # n * n bytes, read no more
         return found
 
     def d(self, i: int, j: int) -> float:

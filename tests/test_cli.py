@@ -442,6 +442,58 @@ class TestExitCodes:
             assert code == 2 and report is None
             assert "FloorExceedsFunction" in err
 
+    # f = (0, 1, 2) on the line 0-1-2 ("three.json", base 0, labels a, b, c),
+    # and the floor (0, 1, 2) on a space that differs from it in one respect.
+    # On the equilateral triangle that floor has norm 2, above f's norm of 1.
+    FOREIGN_FLOORS = {
+        "triangle": {"base": 0, "labels": ["a", "b", "c"],
+                     "metric": {"type": "matrix", "d": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}},
+        "base": {"base": 1, "labels": ["a", "b", "c"],
+                 "metric": {"type": "matrix", "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}},
+        "label": {"base": 0, "labels": ["a", "b", "z"],
+                  "metric": {"type": "matrix", "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}},
+        "graph_path": {"base": 0, "labels": ["a", "b", "c"],
+                       "metric": {"type": "graph", "n": 3,
+                                  "edges": [[0, 1, 1.0], [1, 2, 1.5]]}},
+    }
+
+    @pytest.mark.parametrize("case", list(FOREIGN_FLOORS))
+    def test_floor_from_another_space_refused(self, files, capsys, case):
+        f = write(files["dir"] / "f3.json", {"space": "three.json", "values": [0, 1, 2]})
+        g = write(files["dir"] / "g.json", {"space": self.FOREIGN_FLOORS[case],
+                                            "values": [0, 1, 2]})
+        code, report, err = run_in_process(capsys, "extend", f, "--subset", "0,2", "--floor", g)
+        assert (code, report) == (2, None)
+        assert err == ("input error: MalformedInput: --floor: "
+                       "the floor's space is not the function's\n")
+
+    def test_floor_on_the_same_graph_is_accepted(self, files, capsys):
+        # a graph-form space is closed once per reference, and the two agree
+        graph = write(files["dir"] / "path.json", {
+            "metric": {"type": "graph", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}})
+        f = write(files["dir"] / "f.json", {"space": "path.json", "values": [0, 1, 2]})
+        g = write(files["dir"] / "g.json", {"space": json.loads(Path(graph).read_text()),
+                                            "values": [0, 0, 0.5]})
+        code, report, err = run_in_process(capsys, "extend", f, "--subset", "0,2", "--floor", g)
+        assert code == 0, err
+        assert report["results"]["values"] == [0, 1, 2]
+
+    # two points 1e-12 apart, within the tolerance 1e-9: no pair is a vertex
+    @pytest.mark.parametrize("command", [("extremes", "{space}"),
+                                         ("norming", "{space}", "--pairs", "0,1"),
+                                         ("isometry", "--map", "{map}", "--method", "dual")])
+    def test_a_space_without_vertices_is_refused(self, tmp_path, capsys, command):
+        coords = [0, 1e-12, 2e-12, 1]
+        space = space_to_dict(metric_core.line_net(coords))
+        paths = {"space": write(tmp_path / "line.json", space),
+                 "map": write(tmp_path / "identity.json", {"domain": "line.json",
+                                                           "codomain": "line.json",
+                                                           "image": [0, 1, 2, 3]})}
+        code, report, err = run_in_process(capsys, *(a.format(**paths) for a in command))
+        assert (code, report) == (2, None)
+        assert err == ("input error: InputError: no pair is a vertex: points 0 and 1 lie "
+                       "1e-12 apart, within about the metric tolerance 1e-09\n")
+
     def test_certifier_disagreement_exits_3(self, files, capsys, monkeypatch):
         real = composition._primal_certificate
 
@@ -721,6 +773,97 @@ class TestOneDetourPassPerMatrix:
         assert report["results"]["verdict"] == verdict
         assert rows == {phi.domain.n: phi.domain.n, phi.codomain.n: phi.codomain.n}
 
+    # an interval net, so that experiment interval reads its labels as coordinates
+    @pytest.mark.parametrize("by_path", [False, True], ids=["inline", "by_path"])
+    @pytest.mark.parametrize("command, prefix", [(("isometry", "--map"), ""),
+                                                 (("experiment", "interval", "--map"), "file:")],
+                             ids=["isometry", "experiment_interval"])
+    def test_identity_map_file_admits_its_space_once(self, tmp_path, capsys, rows, by_path,
+                                                     command, prefix):
+        net = interval_net(8)
+        space = space_to_dict(net)
+        if by_path:
+            write(tmp_path / "net.json", space)
+            space = "net.json"
+        path = write(tmp_path / "identity.json", {"domain": space, "codomain": space,
+                                                  "image": list(range(net.n))})
+        phi = io.load_map(path)
+        assert phi.domain is phi.codomain
+        rows.clear()
+        code, report, err = run_in_process(capsys, *command, prefix + path)
+        assert code == 0, err
+        certificate = report["results"].get("certificate", report["results"])
+        assert certificate["verdict"] == "isometric"
+        assert len(report["inputs"]) == (3 if by_path else 1)  # every read is recorded
+        assert rows == {net.n: net.n}
+
+    def test_geodesic_domain_holding_the_space_reads_no_pass(self, tmp_path, capsys, rows):
+        gspace = circle_geodesic(8)
+        geo = write(tmp_path / "circle.json", geodesic_space_to_dict(gspace))
+        write(tmp_path / "space.json", space_to_dict(gspace.space))
+        path = write(tmp_path / "identity.json", {"domain": "space.json",
+                                                  "codomain": "missing.json",
+                                                  "image": list(range(gspace.space.n))})
+        rows.clear()
+        code, report, err = run_in_process(capsys, "experiment", "geodesic", "--space", geo,
+                                           "--map", path)
+        assert code == 0, err
+        assert report["results"]["certificate"]["verdict"] == "isometric"
+        assert rows == {gspace.space.n: gspace.space.n}  # the --space file's pass alone
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["by_path", "inline"])
+    def test_floor_on_the_function_space_admitted_once(self, tmp_path, capsys, rows, inline):
+        line = {"metric": {"type": "matrix", "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}}
+        write(tmp_path / "line.json", line)
+        f = write(tmp_path / "f.json", {"space": "line.json", "values": [0, 1, 2]})
+        g = write(tmp_path / "g.json", {"space": line if inline else "line.json",
+                                        "values": [0, 1, 1]})
+        rows.clear()
+        code, report, err = run_in_process(capsys, "extend", f, "--subset", "0,2", "--floor", g)
+        assert code == 0, err
+        assert report["results"]["values"] == [0, 1, 2]
+        assert rows == {3: 3}
+
+    # A codomain one step from its domain is admitted on its own, to the
+    # verdict or refusal it gets as a file of its own: the domain is the line
+    # 0-1-2 based at 1, with integer labels, and the map is the identity.
+    NEAR = {
+        "one_ulp": ({"d": [[0, 1, np.nextafter(2.0, 3.0)], [1, 0, 1],
+                           [np.nextafter(2.0, 3.0), 1, 0]]}, None),
+        "base": ({"base": 0}, "BasePointNotPreserved: map sends the base point to 1, "
+                              "not the codomain base 0"),
+        "label": ({"labels": [0, 1, "2"]}, None),
+        "true_entry": ({"d": [[0, True, 2], [1, 0, 1], [2, 1, 0]]},
+                       "MalformedInput: {map}.codomain.metric.d: expected a number, got True"),
+        "true_base": ({"base": True},
+                      "MalformedInput: {map}.codomain.base: expected an integer, got True"),
+        "true_label": ({"labels": [0, True, 2]}, None),
+    }
+
+    @pytest.mark.parametrize("case", list(NEAR))
+    def test_near_equal_codomain_admitted_on_its_own(self, tmp_path, capsys, rows, case):
+        change, refusal = self.NEAR[case]
+        domain = {"labels": [0, 1, 2], "base": 1,
+                  "metric": {"type": "matrix", "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}}
+        codomain = {**domain, **{k: v for k, v in change.items() if k != "d"}}
+        if "d" in change:
+            codomain["metric"] = {"type": "matrix", "d": change["d"]}
+        path = write(tmp_path / "near.json", {"domain": domain, "codomain": codomain,
+                                              "image": [0, 1, 2]})
+        rows.clear()
+        code, report, err = run_in_process(capsys, "isometry", "--map", path)
+        if refusal is not None:
+            assert (code, report) == (2, None)
+            assert err == f"input error: {refusal.format(map=path)}\n"
+            return
+        assert code == 0, err
+        assert report["results"]["verdict"] == "isometric"
+        assert rows == {3: 6}  # two admissions
+        phi = io.load_map(path)
+        assert phi.domain is not phi.codomain
+        assert [type(label) for label in phi.codomain.labels] == [
+            type(label) for label in codomain["labels"]]
+
 
 class TestExperiments:
     def test_interval_builtin_with_csv(self, files):
@@ -817,12 +960,10 @@ TOL_REACH = [
     ("isometry", ("isometry", "--map", "{d}/loose_three.json")),
     ("isometry", ("isometry", "--map", "{d}/far_loose_inline.json")),
     ("isometry", ("isometry", "--map", "{d}/far_loose.json")),
-    ("isometry", ("isometry", "--map", "{d}/far_three.json", "--domain", "{d}/loose.json")),
-    ("isometry", ("isometry", "--map", "{d}/far_three.json",
-                  "--codomain", "{d}/loose.json")),
     ("extend", ("extend", "{d}/f_loose_inline.json", "--subset", "0,1")),
     ("extend", ("extend", "{d}/f_loose.json", "--subset", "0,1")),
-    ("extend", ("extend", "{d}/f_three.json", "--subset", "0,1",
+    # a floor lives on its function's space, which it shares here
+    ("extend", ("extend", "{d}/f_loose_inline.json", "--subset", "0,1",
                 "--floor", "{d}/floor_loose.json")),
     ("experiment.interval", ("experiment", "interval",
                              "--map", "file:{d}/loose_inline_net.json")),
@@ -862,14 +1003,12 @@ class TestTolReach:
                 ("loose_three", "loose.json", "three.json"),
                 ("far_loose_inline", "far.json", LOOSE),
                 ("far_loose", "far.json", "loose.json"),
-                ("far_three", "far.json", "three.json"),
                 ("loose_inline_net", LOOSE, "net2.json"),
                 ("loose_net", "loose.json", "net2.json")):
             write(d / f"{name}.json", {"domain": domain, "codomain": codomain,
                                        "image": image})
         for name, space, values in (("f_loose_inline", LOOSE, [0, 1, 2]),
                                     ("f_loose", "loose.json", [0, 1, 2]),
-                                    ("f_three", "three.json", [0, 1, 2]),
                                     ("floor_loose", "loose.json", [0, 0, 0])):
             write(d / f"{name}.json", {"space": space, "values": values})
         write(d / "loose_geo.json", {**LOOSE, "paths": [{"pair": [0, 1], "points": [0, 1]}]})
@@ -905,8 +1044,6 @@ READS = [
     (("norming", "{net}", "--pairs", "0,1"), [("net",)]),
     (("isometry", "--map", "{map3}"),
      [("map3",), ("three", "map3", "domain"), ("three", "map3", "codomain")]),
-    (("isometry", "--map", "{map3}", "--domain", "{three}", "--codomain", "{three}"),
-     [("three",), ("three",), ("map3",)]),
     (("extend", "{f3}", "--subset", "0,1", "--floor", "{floor3}"),
      [("f3",), ("three", "f3", "space"), ("floor3",), ("three", "floor3", "space")]),
     (("experiment", "interval", "--map", "file:{net_map}"),

@@ -8,7 +8,13 @@ from conftest import brute_vertices
 from hypothesis import given, settings, strategies as st
 
 from lipfree import freespace, metric_core
-from lipfree.errors import InvariantFailure, NotZeroSum, SpaceMismatch, TriangleViolation
+from lipfree.errors import (
+    InputError,
+    InvariantFailure,
+    NotZeroSum,
+    SpaceMismatch,
+    TriangleViolation,
+)
 from lipfree.fixtures import (
     circle_geodesic,
     line_net,
@@ -476,6 +482,22 @@ class TestSpaceVertices:
                 assert np.array_equal(found, brute_vertices(valid))
                 assert np.array_equal(found, dataclasses.replace(valid).vertices)
         assert admitted > 20
+
+    def test_a_space_without_vertices_is_refused(self):
+        # every pair has a point within 1e-9 of between; the closest lie 1e-12 apart
+        space = line_net([0, 1e-12, 2e-12, 1])
+        for copy in (space, validate_space(space.dist)):
+            with pytest.raises(InputError, match=r"^no pair is a vertex: points 0 and 1 lie "
+                               r"1e-12 apart, within about the metric tolerance 1e-09$"):
+                extreme_molecules(copy)
+
+    def test_the_mask_goes_once_the_vertices_are_read(self):
+        space = validate_space(circle_net(7).dist)
+        assert space._vertex_mask.shape == (7, 7)
+        first = space.vertices
+        assert space._vertex_mask is None
+        assert space.vertices is first
+        assert np.array_equal(first, brute_vertices(space))
 
     def test_vertices_cannot_be_written(self):
         for space in (validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), interval_net(3),
