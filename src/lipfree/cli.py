@@ -15,7 +15,6 @@ invariant failures such as certifier disagreement.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -51,7 +50,6 @@ from .geodesic import (
 from .io import (
     READS,
     _load_on_space,
-    _same_space,
     load_free_vector,
     load_function,
     load_geodesic_space,
@@ -68,14 +66,6 @@ def _emit(report: dict, out: str | None) -> None:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
-
-
-def _emit_csv(rows, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "best_ratio", "defect"])
-        for t, best, defect in rows:
-            writer.writerow([repr(t), repr(best), repr(defect)])
 
 
 def _parse_indices(flag: str, text: str, n: int) -> list[int]:
@@ -132,10 +122,10 @@ def _check_numeric_flags(args) -> None:
 def _resolve_experiment_map(spec_text: str, mesh: int | None = None,
                             space_path: str | None = None, tol: float | None = None):
     """builtin:NAME, file:PATH or a bare path: the map and the geodesic
-    space read from ``space_path`` (else None). A builtin's name is checked
-    before any file is read; an interval builtin needs ``mesh``, and on a
-    geodesic space the only one is identity. ``tol`` admits every space
-    read from a file."""
+    space read from ``space_path`` (else None). A builtin's name and ``mesh``,
+    which only an interval builtin takes and needs, are checked before any file
+    is read; on a geodesic space the only builtin is identity, and a file map
+    must go into that space. ``tol`` admits every space read from a file."""
     names = BUILTIN_MAPS if space_path is None else ("identity",)
     builtin = spec_text.startswith("builtin:")
     name = (spec_text.split(":", 1)[1]
@@ -143,6 +133,8 @@ def _resolve_experiment_map(spec_text: str, mesh: int | None = None,
     if builtin and name not in names:
         raise MalformedInput("--map", f"unknown builtin map {name!r}; choose from "
                              + ", ".join(f"builtin:{known}" for known in names))
+    if mesh is not None and not builtin:
+        raise MalformedInput("--mesh", "only a builtin map takes --mesh")
     if space_path is not None:
         gspace = load_geodesic_space(space_path, tol)
         phi = (identity_map(gspace.space) if builtin
@@ -218,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="builtin:identity|fold|halving|collapse or file:PATH")
     pi.add_argument("--r-loc", type=float, default=None, dest="r_loc")
     pi.add_argument("--eps", type=float, default=None)
-    pi.add_argument("--csv", default=None, help="write the defect profile as CSV")
     common(pi, _cmd_experiment_interval, methods=certifiers)
     pi.set_defaults(command="experiment.interval")
 
@@ -228,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="file path or builtin:identity")
     pg.add_argument("--r-loc", type=float, default=None, dest="r_loc")
     pg.add_argument("--eps", type=float, default=None)
-    pg.add_argument("--csv", default=None, help="write the defect profiles as CSV")
     common(pg, _cmd_experiment_geodesic, methods=certifiers)
     pg.set_defaults(command="experiment.geodesic")
 
@@ -328,8 +318,7 @@ def _cmd_extend(args):
         raise MalformedInput("--subset", f"must contain the base point {f.space.base}")
     floor = (_load_on_space(args.floor, "values", LipschitzFunction, args.tol, f.space)
              if args.floor else None)
-    if floor is not None and not _same_space(f.space, floor.space.dist, floor.space.base,
-                                             floor.space.labels):  # a graph closes on its own
+    if floor is not None and floor.space is not f.space:
         raise MalformedInput("--floor", "the floor's space is not the function's")
     ext = mcshane_extend(f.space, subset, f.values[subset], floor=floor)
     return _space_tolerances(f.space, args), {
@@ -348,8 +337,6 @@ def _cmd_experiment_interval(args):
         "sufficient": sufficient.to_dict(),
         "certificate": cert,
     }
-    if args.csv:
-        _emit_csv(necessary.rows, args.csv)
     return tolerances, results
 
 
@@ -369,9 +356,6 @@ def _cmd_experiment_geodesic(args):
         "sufficient": sufficient.to_dict(),
         "certificate": cert,
     }
-    if args.csv:
-        rows = [row for p in profiles for row in p.rows]
-        _emit_csv(rows, args.csv)
     return tolerances, results
 
 

@@ -167,8 +167,8 @@ class NoStoredPath(InputError):
 
 
 class CodomainNotInterval(InputError):
-    def __init__(self):
-        super().__init__("codomain of the map is not an interval net")
+    def __init__(self, reason: str):
+        super().__init__(f"codomain of the map is not an interval net: {reason}")
 
 
 # -- cli / io -----------------------------------------------------------------

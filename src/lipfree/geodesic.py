@@ -256,8 +256,8 @@ def _interval_values(phi: LipschitzMap) -> tuple[np.ndarray, np.ndarray, float]:
     """The codomain's coordinates, those of the image, and the mesh."""
     try:
         coords = interval_coordinates(phi.codomain)
-    except NotAnIntervalNet:
-        raise CodomainNotInterval() from None
+    except NotAnIntervalNet as exc:
+        raise CodomainNotInterval(str(exc)) from None
     return coords, coords[np.asarray(phi.image)], 1.0 / (coords.size - 1)
 
 

@@ -14,8 +14,8 @@ Schemas (documented in docs/formats.md):
 
 Inline space references are the space object itself; path references are
 resolved relative to the referencing file. All files are UTF-8 JSON and
-field order never matters. A space read with another in hand is that one,
-not admitted again, where its matrix is exactly the one that admitted it.
+field order never matters. A space read with another in hand is that one
+where the two are exactly equal, of any form (a matrix is not admitted again).
 
 :func:`read_json` is the one place a file is read. While a caller has
 set :data:`READS` to a list, it appends one ``{"path", "sha256"}`` record
@@ -108,7 +108,8 @@ def _floats(obj: dict, key: str, where: str) -> np.ndarray:
 
 def _space_from_dict(obj: dict, where: str, tol: float | None = None,
                      known: PointedMetricSpace | None = None) -> PointedMetricSpace:
-    """``obj``'s space, or ``known`` where ``obj`` admitted it (:func:`_same_space`)."""
+    """``obj``'s space, or ``known`` where it is that space (:func:`_same_space`), checked
+    before validation for two matrices, else once ``obj`` is built (closed or admitted)."""
     metric = _require(obj, "metric", where)
     base = _integer(obj.get("base", 0), f"{where}.base")
     labels = obj.get("labels")
@@ -134,9 +135,11 @@ def _space_from_dict(obj: dict, where: str, tol: float | None = None,
     else:
         raise MalformedInput(f"{where}.metric.type", f"unknown metric type {kind!r}")
     try:
-        return build()
+        space = build()
     except MalformedInput as exc:  # located relative to the space object
         raise MalformedInput(f"{where}.{exc.json_path}", exc.reason) from None
+    same = known is not None and _same_space(known, space.dist, space.base, space.labels)
+    return known if same else space
 
 
 def _same_space(known: PointedMetricSpace, d: np.ndarray, base: int, labels) -> bool:
@@ -188,13 +191,16 @@ def _load_on_space(path: str | Path, key: str, build, tol=None, known=None):
 
 def load_map(path: str | Path, codomain: PointedMetricSpace | None = None,
              tol: float | None = None) -> LipschitzMap:
+    """Both spaces read with ``codomain`` in hand, a codomain that is not it refused;
+    with none given, the codomain is read with the domain in hand."""
     obj = read_json(path)
-    domain = _resolve_space(obj, "domain", path, tol, codomain)  # codomain replaces the file's
-    if codomain is None:  # read with the domain in hand: an identity admits one space
-        codomain = _resolve_space(obj, "codomain", path, tol, domain)
+    domain = _resolve_space(obj, "domain", path, tol, codomain)
+    read = _resolve_space(obj, "codomain", path, tol, domain if codomain is None else codomain)
+    if codomain is not None and read is not codomain:
+        raise MalformedInput(f"{path}.codomain", "not the space given as the codomain")
     image = _require(obj, "image", str(path))
     try:
-        return LipschitzMap(domain, codomain,
+        return LipschitzMap(domain, read,
                             tuple(_integer(i, f"{path}.image") for i in image))
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"{path}.image", str(exc)) from None

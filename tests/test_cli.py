@@ -16,10 +16,12 @@ from conftest import brute_vertices
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lipfree import cli, composition, io, metric_core
+from lipfree.errors import MalformedInput
 from lipfree.fixtures import builtin_map, circle_geodesic, random_space, tripod
 from lipfree.freespace import DualResult
+from lipfree.geodesic import check_geodesic_necessary, check_interval_necessary
 from lipfree.io import geodesic_space_to_dict, space_to_dict
-from lipfree.metric_core import REL_TOL, interval_net
+from lipfree.metric_core import REL_TOL, PointPair, interval_net
 
 
 def write(path, obj):
@@ -802,7 +804,7 @@ class TestOneDetourPassPerMatrix:
         geo = write(tmp_path / "circle.json", geodesic_space_to_dict(gspace))
         write(tmp_path / "space.json", space_to_dict(gspace.space))
         path = write(tmp_path / "identity.json", {"domain": "space.json",
-                                                  "codomain": "missing.json",
+                                                  "codomain": "space.json",
                                                   "image": list(range(gspace.space.n))})
         rows.clear()
         code, report, err = run_in_process(capsys, "experiment", "geodesic", "--space", geo,
@@ -865,18 +867,113 @@ class TestOneDetourPassPerMatrix:
             type(label) for label in codomain["labels"]]
 
 
+def graph_form(gspace):
+    """A geodesic space's file object with its metric in graph form: the
+    space's edges weighted by their distances, whose closure is its matrix bitwise."""
+    space = gspace.space
+    edges = [[int(i), int(j), float(space.dist[i, j])] for i, j in space.edges]
+    return {**geodesic_space_to_dict(gspace),
+            "metric": {"type": "graph", "n": space.n, "edges": edges}}
+
+
+def spaces_other_than(gspace):
+    """Space objects that are not ``gspace``'s space, by name."""
+    label = space_to_dict(gspace.space)
+    label["labels"][3] = "b3"
+    longer = graph_form(gspace)
+    longer["metric"]["edges"][2][2] *= 2
+    return {"interval_net": space_to_dict(interval_net(8)), "label": label, "graph": longer,
+            "triangle": {"metric": {"type": "matrix", "d": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}}}
+
+
+class TestGeodesicMapCodomain:
+    """experiment geodesic reads a file map's codomain with the --space
+    file's space in hand, as it reads the domain, and refuses any other."""
+
+    @pytest.fixture
+    def circle(self, tmp_path):
+        gspace = circle_geodesic(8)
+        write(tmp_path / "circle.json", geodesic_space_to_dict(gspace))
+        write(tmp_path / "space.json", space_to_dict(gspace.space))
+        return gspace
+
+    @pytest.mark.parametrize("case", list(spaces_other_than(circle_geodesic(8))))
+    @pytest.mark.parametrize("by_path", [False, True], ids=["inline", "by_path"])
+    def test_a_map_into_another_space_is_refused(self, tmp_path, capsys, circle, case,
+                                                 by_path):
+        codomain = spaces_other_than(circle)[case]
+        if by_path:
+            codomain = write(tmp_path / "other.json", codomain)
+        path = write(tmp_path / "map.json", {"domain": "space.json", "codomain": codomain,
+                                             "image": list(range(circle.space.n))})
+        code, report, err = run_in_process(capsys, "experiment", "geodesic", "--space",
+                                           str(tmp_path / "circle.json"), "--map", path)
+        assert (code, report) == (2, None)
+        assert err == (f"input error: MalformedInput: {path}.codomain: "
+                       "not the space given as the codomain\n")
+        with pytest.raises(MalformedInput, match="codomain: not the space"):
+            io.load_map(path, codomain=io.load_geodesic_space(tmp_path / "circle.json").space)
+
+    def test_a_missing_codomain_file_is_refused_at_its_path(self, tmp_path, capsys, circle):
+        path = write(tmp_path / "map.json", {"domain": "space.json", "codomain": "missing.json",
+                                             "image": list(range(circle.space.n))})
+        code, report, err = run_in_process(capsys, "experiment", "geodesic", "--space",
+                                           str(tmp_path / "circle.json"), "--map", path)
+        assert (code, report) == (2, None)
+        assert err == (f"input error: MalformedInput: {tmp_path / 'missing.json'}: "
+                       "cannot read file: No such file or directory\n")
+
+    # a graph-form file or reference is closed, then compared: the
+    # matrix-matrix case is the one admitted before validation
+    @pytest.mark.parametrize("geo_form, ref_form", [("graph", "graph"), ("graph", "matrix"),
+                                                    ("matrix", "graph")])
+    def test_an_identity_on_a_graph_form_space_is_that_space(self, tmp_path, capsys, geo_form,
+                                                            ref_form):
+        gspace = tripod(1.0, 3)
+        forms = {"graph": graph_form(gspace), "matrix": geodesic_space_to_dict(gspace)}
+        geo = write(tmp_path / "geo.json", forms[geo_form])
+        write(tmp_path / "ref.json", forms[ref_form])
+        path = write(tmp_path / "identity.json", {"domain": "ref.json", "codomain": "ref.json",
+                                                  "image": list(range(gspace.space.n))})
+        loaded = io.load_geodesic_space(geo)
+        phi = io.load_map(path, codomain=loaded.space)
+        assert phi.domain is phi.codomain is loaded.space
+        runs = [run_in_process(capsys, "experiment", "geodesic", "--space", geo, "--map", spec)
+                for spec in (path, "builtin:identity")]
+        assert [code for code, _, _ in runs] == [0, 0], runs[0][2]
+        (_, report, _), (_, builtin, _) = runs
+        assert report["results"]["certificate"]["verdict"] == "isometric"
+        assert (report["results"], report["tolerances"]) == (builtin["results"],
+                                                             builtin["tolerances"])
+
+
 class TestExperiments:
-    def test_interval_builtin_with_csv(self, files):
-        csv_path = files["dir"] / "profile.csv"
-        proc = run_cli("experiment", "interval", "--mesh", "8",
-                       "--map", "builtin:fold", "--csv", str(csv_path))
-        assert proc.returncode == 0
-        results = report_of(proc)["results"]
-        assert results["certificate"]["verdict"] == "isometric"
-        assert results["necessary"]["max_defect"] <= 4 / 8
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "t,best_ratio,defect"
-        assert len(lines) == 1 + len(results["necessary"]["rows"])
+    @pytest.mark.parametrize("argv", [
+        ("experiment", "interval", "--mesh", "8", "--map", "builtin:fold"),
+        ("experiment", "geodesic", "--space", "{geo}", "--map", "builtin:identity"),
+    ], ids=["interval", "geodesic"])
+    def test_csv_is_a_usage_error(self, files, capsys, argv):
+        """The report is the one output: it holds every profile's rows at
+        full precision, each geodesic one next to its path's pair."""
+        argv = [a.format(**files) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.run([*argv, "--csv", str(files["dir"] / "profile.csv")])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "unrecognized arguments: --csv" in err
+        assert not (files["dir"] / "profile.csv").exists()
+        code, report, _ = run_in_process(capsys, *argv)
+        assert code == 0
+        if argv[1] == "interval":
+            profiles = [(report["results"]["necessary"],
+                         check_interval_necessary(builtin_map("fold", 8)))]
+        else:
+            gspace = io.load_geodesic_space(files["geo"])
+            profiles = [(p, check_geodesic_necessary(composition.identity_map(gspace.space), gspace,
+                                                     PointPair(*p["extra"]["pair"])))
+                        for p in report["results"]["necessary"]]
+        for reported, computed in profiles:
+            assert reported["rows"] == [list(row) for row in computed.rows]
 
     def test_out_writes_the_report_and_no_other_file(self, files, capsys):
         out_dir = files["dir"] / "out"
@@ -944,6 +1041,37 @@ class TestExperiments:
         proc = run_cli("experiment", "interval", "--map", "builtin:fold")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("name", ["net_map.json", "missing.json"])
+    def test_mesh_with_a_file_map_is_refused(self, files, capsys, name):
+        # refused before any file is read
+        write(files["dir"] / "net_map.json", {"domain": "net4.json", "codomain": "net4.json",
+                                              "image": [0, 1, 2, 3, 4]})
+        code, report, err = run_in_process(capsys, "experiment", "interval", "--mesh", "64",
+                                           "--map", f"file:{files['dir'] / name}")
+        assert (code, report) == (2, None)
+        assert err == "input error: MalformedInput: --mesh: only a builtin map takes --mesh\n"
+
+    # one file per check of lipschitz.interval_coordinates, on interval_net(2)
+    NOT_INTERVAL = {
+        "labels": ({"labels": ["a", "b", "c"]}, "labels do not parse as coordinates"),
+        "grid": ({"labels": [0, 0.25, 1]}, "points are not the uniform net {k/n} with base 0"),
+        "base": ({"base": 1}, "points are not the uniform net {k/n} with base 0"),
+        "distances": ({"metric": {"type": "matrix", "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}},
+                      "distances do not match the line metric"),
+    }
+
+    @pytest.mark.parametrize("case", list(NOT_INTERVAL))
+    def test_a_codomain_not_an_interval_net_names_the_reason(self, files, capsys, case):
+        change, reason = self.NOT_INTERVAL[case]
+        write(files["dir"] / "odd.json", {**space_to_dict(interval_net(2)), **change})
+        path = write(files["dir"] / "odd_map.json", {
+            "domain": "odd.json", "codomain": "odd.json", "image": [0, 1, 2]})
+        code, report, err = run_in_process(capsys, "experiment", "interval",
+                                           "--map", f"file:{path}")
+        assert (code, report) == (2, None)
+        assert err == ("input error: CodomainNotInterval: codomain of the map is not "
+                       f"an interval net: {reason}\n")
+
 
 LOOSE = {"base": 0, "metric": {"type": "matrix",
                                 "d": [[0, 1, 2.001], [1, 0, 1], [2.001, 1, 0]]}}
@@ -991,8 +1119,7 @@ class TestTolReach:
     @pytest.fixture
     def tol_dir(self, files):
         d = files["dir"]
-        three = {"base": 0, "metric": {"type": "matrix",
-                                       "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}}
+        three = json.loads(Path(files["three"]).read_text())  # a map's codomain file
         write(d / "loose.json", LOOSE)
         write(d / "far.json", {"metric": {"type": "matrix",
                                           "d": [[0, 1, 3], [1, 0, 2], [3, 2, 0]]}})
@@ -1048,9 +1175,10 @@ READS = [
      [("f3",), ("three", "f3", "space"), ("floor3",), ("three", "floor3", "space")]),
     (("experiment", "interval", "--map", "file:{net_map}"),
      [("net_map",), ("net", "net_map", "domain"), ("net", "net_map", "codomain")]),
-    # --space replaces the map's codomain, which is never read
+    # the map's codomain is read, and must be the --space file's space
     (("experiment", "geodesic", "--space", "{geo}", "--map", "file:{tripod_map}"),
-     [("geo",), ("tripod_map",), ("tripod_space", "tripod_map", "domain")]),
+     [("geo",), ("tripod_map",), ("tripod_space", "tripod_map", "domain"),
+      ("tripod_space", "tripod_map", "codomain")]),
     (("experiment", "interval", "--mesh", "4", "--map", "builtin:fold"), []),
 ]
 
@@ -1067,7 +1195,7 @@ class TestInputs:
             "tripod_space": write(d / "tripod_space.json", space_to_dict(tripod().space)),
         }
         more["tripod_map"] = write(d / "tripod_map.json", {
-            "domain": "tripod_space.json", "codomain": "missing.json",
+            "domain": "tripod_space.json", "codomain": "tripod_space.json",
             "image": list(range(tripod().space.n))})
         return {**files, **more}
 
@@ -1290,6 +1418,76 @@ def test_validate_never_fails_on_a_mutated_space(tmp_path_factory, obj, tol):
     code, out, err = run_captured(["extremes", str(path), *flags])
     assert io.READS.get() is None
     assert code == (0 if valid else 2) and "Traceback" not in err
+
+
+# The space fuzzed map files are read against: the 4-point line, which
+# mutated_space_file draws unmutated at n = 4, with one straight path.
+LINE = {"labels": [f"p{i}" for i in range(4)], "base": 0,
+        "metric": {"type": "matrix", "d": [[float(abs(i - j)) for j in range(4)]
+                                           for i in range(4)]}}
+REFERENCES = {
+    "the_space": "line.json",
+    "missing": "missing.json",
+    "other": "other.json",  # the line at twice the scale
+    "graph": {"metric": {"type": "graph", "n": 4, "edges": [[0, 1, 1], [1, 2, 1], [2, 3, 1]]}},
+}
+
+
+@st.composite
+def mutated_map_file(draw):
+    """A map file's object and the files its references name: each of
+    domain and codomain a mutated space inline or by path, the line or
+    another space by path, a missing path, the line in graph form or not an
+    object; then the identity image, perhaps mutated."""
+    obj, files = {}, {}
+    for field in ("domain", "codomain"):
+        # the line thrice and its graph twice, so that a share of files are read whole
+        form = draw(st.sampled_from(["inline", "path", *REFERENCES, "not_object",
+                                     "the_space", "the_space", "graph"]))
+        if form in ("inline", "path"):
+            obj[field] = draw(mutated_space_file())
+        else:
+            obj[field] = REFERENCES.get(form) or draw(st.sampled_from([3, True, None, [], [LINE]]))
+        if form == "path":
+            files[f"{field}.json"], obj[field] = obj[field], f"{field}.json"
+    image = [0, 1, 2, 3]
+    op = draw(st.sampled_from(["none"] * 4 + ["entry", "drop", "append", "retype"]))
+    if op == "entry":
+        image[draw(st.integers(0, 3))] = draw(st.sampled_from(NUMBERS + OTHER_VALUES))
+    elif op in ("drop", "append"):
+        image = image[:-1] if op == "drop" else image + [0]
+    elif op == "retype":
+        image = draw(st.sampled_from(NUMBERS + OTHER_VALUES))
+    obj["image"] = image
+    return obj, files
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=mutated_map_file())
+def test_map_files_never_fail(tmp_path_factory, drawn):
+    """isometry and experiment geodesic exit 0 or 2 without a traceback on
+    any map file, print nothing on 2, and stop collecting reads; a report
+    of experiment geodesic lists a codomain named by path."""
+    obj, files = drawn
+    folder = tmp_path_factory.getbasetemp() / "map_fuzz"
+    folder.mkdir(exist_ok=True)
+    doubled = [[2 * x for x in row] for row in LINE["metric"]["d"]]
+    for name, content in {"line.json": LINE, "geo.json": {**LINE, "paths": [
+            {"pair": [0, 3], "points": [0, 1, 2, 3]}]}, "other.json": {
+            **LINE, "metric": {"type": "matrix", "d": doubled}}, **files}.items():
+        write(folder / name, content)
+    path = write(folder / "map.json", obj)
+    for argv in (["isometry", "--map", path],
+                 ["experiment", "geodesic", "--space", str(folder / "geo.json"), "--map", path]):
+        code, out, err = run_captured(argv)
+        assert io.READS.get() is None
+        assert code in (0, 2) and "Traceback" not in err, err
+        if code == 2:
+            assert out == "" and err.startswith("input error: ")
+        elif argv[0] == "experiment" and isinstance(obj["codomain"], str):
+            assert {"path": path, "field": "codomain"} in [
+                record.get("via") for record in json.loads(out)["inputs"]]
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
