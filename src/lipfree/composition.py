@@ -69,11 +69,9 @@ class LipschitzMap:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        img = tuple(int(i) for i in self.image)
-        if len(img) != self.domain.n:
+        if len(self.image) != self.domain.n:
             raise ValueError(f"image table must have {self.domain.n} entries")
-        if any(not (0 <= i < self.codomain.n) for i in img):
-            raise ValueError("image table contains out-of-range indices")
+        img = tuple(point_indices(self.codomain, self.image).tolist())
         if img[self.domain.base] != self.codomain.base:
             raise BasePointNotPreserved(img[self.domain.base], self.codomain.base)
         object.__setattr__(self, "image", img)

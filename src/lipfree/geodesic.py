@@ -89,14 +89,13 @@ class DiscretizedGeodesicSpace:
         clean: dict[tuple[int, int], tuple[int, ...]] = {}
         mesh = 0.0
         for pair, pts in dict(self.paths).items():
+            report = straight_path_check(self.space, pts)  # two points or more, none repeated
             pts = tuple(int(p) for p in pts)
-            x, y = int(pair[0]), int(pair[1])
-            if x == y or pts[0] != x or pts[-1] != y:
-                raise ValueError(f"path for {pair} does not join two distinct endpoints")
-            report = straight_path_check(self.space, pts)
+            if (pts[0], pts[-1]) != tuple(pair):
+                raise ValueError(f"path for {pair} does not run from its first point to its second")
             if not report.ok:
                 raise NotStraightPath(report.defect)
-            clean[(x, y)] = pts
+            clean[pts[0], pts[-1]] = pts
             mesh = max(mesh, *(self.space.d(a, b) for a, b in zip(pts, pts[1:])))
         if not clean:
             raise ValueError("a geodesic space needs at least one stored path")

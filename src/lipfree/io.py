@@ -11,6 +11,7 @@ Schemas (documented in docs/formats.md):
 * map:       {"domain": <path-or-inline>, "codomain": <path-or-inline>,
               "image": [..]}
 * geodesic:  space fields plus "paths": [{"pair": [i, j], "points": [..]}]
+  (``image``, ``pair`` and ``points`` are point-index lists, read by :func:`_indices`)
 
 Inline space references are the space object itself; path references are
 resolved relative to the referencing file. All files are UTF-8 JSON and
@@ -40,7 +41,7 @@ from .freespace import FreeVector
 from .geodesic import DiscretizedGeodesicSpace
 from .lipschitz import LipschitzFunction
 from .composition import LipschitzMap
-from .metric_core import PointedMetricSpace, from_weighted_graph, validate_space
+from .metric_core import PointedMetricSpace, from_weighted_graph, point_indices, validate_space
 
 
 READS: ContextVar[list[dict] | None] = ContextVar("lipfree_reads", default=None)
@@ -88,6 +89,18 @@ def _number(value: Any, where: str) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise MalformedInput(where, f"expected a number, got {value!r}")
+
+
+def _indices(obj: dict, key: str, where: str, space: PointedMetricSpace, length=None) -> tuple:
+    """The list ``obj[key]`` of JSON integers (``length`` if given), points of ``space``."""
+    raw, at = _require(obj, key, where), f"{where}.{key}"
+    if not isinstance(raw, list) or length not in (None, len(raw)):
+        count = f"{length} " if length else ""
+        raise MalformedInput(at, f"expected a list of {count}point indices")
+    try:
+        return tuple(point_indices(space, [_integer(p, at) for p in raw]).tolist())
+    except ValueError as exc:
+        raise MalformedInput(at, str(exc)) from None
 
 
 def _floats(obj: dict, key: str, where: str) -> np.ndarray:
@@ -198,12 +211,7 @@ def load_map(path: str | Path, codomain: PointedMetricSpace | None = None,
     read = _resolve_space(obj, "codomain", path, tol, domain if codomain is None else codomain)
     if codomain is not None and read is not codomain:
         raise MalformedInput(f"{path}.codomain", "not the space given as the codomain")
-    image = _require(obj, "image", str(path))
-    try:
-        return LipschitzMap(domain, read,
-                            tuple(_integer(i, f"{path}.image") for i in image))
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"{path}.image", str(exc)) from None
+    return LipschitzMap(domain, read, _indices(obj, "image", str(path), read, domain.n))
 
 
 def load_geodesic_space(path: str | Path,
@@ -217,18 +225,13 @@ def load_geodesic_space(path: str | Path,
     paths = {}
     for k, entry in enumerate(paths_field):
         at = f"{where}.paths[{k}]"
-        pair = _require(entry, "pair", at)
-        points = _require(entry, "points", at)
-        try:
-            key = (_integer(pair[0], at), _integer(pair[1], at))
-            paths[key] = tuple(_integer(p, at) for p in points)
-        except (TypeError, KeyError, IndexError) as exc:
-            raise MalformedInput(at, str(exc)) from None
-        if not all(0 <= p < space.n for p in key + paths[key]):
-            raise MalformedInput(at, f"point index outside 0..{space.n - 1}")
+        pair = _indices(entry, "pair", at, space, 2)  # read before its points
+        if pair in paths:  # (y, x) is another key: a pair can have two geodesics
+            raise MalformedInput(f"{at}.pair", f"{list(pair)} is stored twice")
+        paths[pair] = _indices(entry, "points", at, space)
     try:
         return DiscretizedGeodesicSpace(space, paths)
-    except (ValueError, IndexError) as exc:  # an empty path, a repeat, a missed pair
+    except ValueError as exc:  # a short path, a repeat, a path off its pair
         raise MalformedInput(f"{where}.paths", str(exc)) from None
 
 

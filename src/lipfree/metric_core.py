@@ -265,6 +265,8 @@ def from_weighted_graph(
         raise MalformedInput("metric.n", f"expected at least two points, got {n}")
     if not (0 <= base < n):
         raise BadBaseIndex(base, n)
+    if labels is not None and len(labels) != n:  # checked before the O(n**3) closure
+        raise MalformedInput("labels", f"expected {n} labels, got {len(labels)}")
     if len(edges) < n - 1:  # checked before any n x n array is built
         raise DisconnectedGraph(f"{len(edges)} edges cannot connect {n} points")
     d = np.full((n, n), np.inf)
@@ -287,8 +289,6 @@ def from_weighted_graph(
     if np.any(np.isinf(d)):
         unreachable = sorted(int(i) for i in np.argwhere(np.isinf(d[0]))[:, 0])
         raise DisconnectedGraph(f"unreachable from node 0: {unreachable}")
-    if labels is not None and len(labels) != n:
-        raise MalformedInput("labels", f"expected {n} labels, got {len(labels)}")
     labels = tuple(f"p{i}" for i in range(n)) if labels is None else tuple(labels)
     return PointedMetricSpace(labels, base, d, dict(meta or {}), graph)
 
@@ -356,12 +356,12 @@ def snowflake(space: PointedMetricSpace, theta: float) -> PointedMetricSpace:
 
 
 def point_indices(space: PointedMetricSpace, points) -> np.ndarray:
-    """``points`` as ``intp``, or ValueError at one outside 0..n-1 (never read from the end)."""
-    idx = np.asarray(points, dtype=np.intp)
+    """``points`` as ``intp``, or ValueError at one outside 0..n-1, compared before the cast."""
+    idx = np.asarray(points)
     outside = idx[(idx < 0) | (idx >= space.n)]
     if outside.size:
         raise ValueError(f"point {int(outside[0])} is outside 0..{space.n - 1}")
-    return idx
+    return idx.astype(np.intp, copy=False)
 
 
 def intermediate_points(space: PointedMetricSpace, pair: PointPair) -> list[int]:

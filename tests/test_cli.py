@@ -299,7 +299,23 @@ class TestExitCodes:
             capsys, "experiment", "geodesic", "--space", path, "--map", "builtin:identity")
         assert code == 2
         assert report is None
-        assert f"MalformedInput: {path}.paths[0]:" in err
+        assert f"MalformedInput: {path}.paths[0].pair:" in err
+
+    @pytest.mark.parametrize("paths, at, reason", [
+        ([{"pair": [1, 2, 3], "points": [1, 0, 2]}], "paths[0].pair",
+         "expected a list of 2 point indices"),
+        ([{"pair": [1, 2], "points": None}], "paths[0].points",
+         "expected a list of point indices"),
+        ([{"pair": [1, 2], "points": [1, 0, 2]}, {"pair": [1, 2], "points": [1, 2]}],
+         "paths[1].pair", "[1, 2] is stored twice"),
+    ], ids=["long_pair", "null_points", "pair_twice"])
+    def test_geodesic_path_refusal_exits_2_at_its_field(self, files, capsys, paths, at, reason):
+        # tripod(1, 1)'s space; the long pair and the repeat once exited 0
+        path = write(files["dir"] / "g.json", {**space_to_dict(tripod(1, 1).space), "paths": paths})
+        code, report, err = run_in_process(
+            capsys, "experiment", "geodesic", "--space", path, "--map", "builtin:identity")
+        assert (code, report) == (2, None)
+        assert err == f"input error: MalformedInput: {path}.{at}: {reason}\n"
 
     @pytest.mark.parametrize("paths", [[], [{"pair": [0, 0], "points": [0, 0]}]],
                              ids=["no_paths", "equal_endpoints"])
@@ -1306,6 +1322,9 @@ class TestDeterminism:
 NUMBERS = [2, 0.5, 1.5, 7, -1, 0.0, -1.0, float("nan"), float("inf"), -float("inf"),
            1e308, 9e307, 10 ** 400]
 OTHER_VALUES = ["0", "1.0", None, True, False, [], {}, [0, 1]]
+# Python's own wording, which no refusal may forward
+PYTHON_PHRASES = ("object is not", "index out of range", "not subscriptable", "not iterable",
+                  "unpack", "too large to convert")
 
 
 def _paths(node, at=()):
@@ -1433,6 +1452,20 @@ REFERENCES = {
 }
 
 
+def mutated_list(draw, values):
+    """``values`` as given, or with one entry changed, the last dropped, a 0
+    appended, or replaced by another JSON value."""
+    op = draw(st.sampled_from(["none"] * 4 + ["entry", "drop", "append", "retype"]))
+    if op == "entry":
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(
+            NUMBERS + OTHER_VALUES))
+    elif op in ("drop", "append"):
+        values = values[:-1] if op == "drop" else values + [0]
+    elif op == "retype":
+        values = draw(st.sampled_from(NUMBERS + OTHER_VALUES))
+    return values
+
+
 @st.composite
 def mutated_map_file(draw):
     """A map file's object and the files its references name: each of
@@ -1450,15 +1483,7 @@ def mutated_map_file(draw):
             obj[field] = REFERENCES.get(form) or draw(st.sampled_from([3, True, None, [], [LINE]]))
         if form == "path":
             files[f"{field}.json"], obj[field] = obj[field], f"{field}.json"
-    image = [0, 1, 2, 3]
-    op = draw(st.sampled_from(["none"] * 4 + ["entry", "drop", "append", "retype"]))
-    if op == "entry":
-        image[draw(st.integers(0, 3))] = draw(st.sampled_from(NUMBERS + OTHER_VALUES))
-    elif op in ("drop", "append"):
-        image = image[:-1] if op == "drop" else image + [0]
-    elif op == "retype":
-        image = draw(st.sampled_from(NUMBERS + OTHER_VALUES))
-    obj["image"] = image
+    obj["image"] = mutated_list(draw, [0, 1, 2, 3])
     return obj, files
 
 
@@ -1483,11 +1508,84 @@ def test_map_files_never_fail(tmp_path_factory, drawn):
         code, out, err = run_captured(argv)
         assert io.READS.get() is None
         assert code in (0, 2) and "Traceback" not in err, err
+        assert not any(phrase in err for phrase in PYTHON_PHRASES), err
         if code == 2:
             assert out == "" and err.startswith("input error: ")
         elif argv[0] == "experiment" and isinstance(obj["codomain"], str):
             assert {"path": path, "field": "codomain"} in [
                 record.get("via") for record in json.loads(out)["inputs"]]
+
+
+# A point-index list a geodesic file's pair or points may be replaced by
+INDEX_LISTS = [[], [0], [0, 3], [3, 0], [0, 1, 2, 3], [0, 1, 2, 3, 0], [0, 9], [-1, 3],
+               [0.0, 3.0], [0, 0.5], [0, 1e308], [0, 10 ** 400], [True, 3], ["0", 3], [0, None]]
+
+
+@st.composite
+def mutated_file_on_the_line(draw):
+    """A file on the 4-point line, with its kind: a geodesic file whose
+    paths, entries, pairs or points are mutated, or a function or vector
+    file whose space reference or values are."""
+    kind = draw(st.sampled_from(["geodesic"] * 2 + ["function", "vector"]))
+    if kind == "geodesic":
+        paths = [{"pair": [0, 3], "points": [0, 1, 2, 3]}, {"pair": [1, 3], "points": [1, 2, 3]}]
+        for _ in range(draw(st.integers(0, 3))):
+            op = draw(st.sampled_from(["list", "list", "entry", "drop", "repeat", "retype"]))
+            k = draw(st.integers(0, len(paths) - 1))
+            entry, field = paths[k], draw(st.sampled_from(["pair", "points"]))
+            if op == "retype":  # the whole field, or one entry, not a list of objects
+                value = copy.deepcopy(draw(st.sampled_from(NUMBERS + OTHER_VALUES)))
+                if draw(st.booleans()):
+                    return kind, {**LINE, "paths": value}
+                paths[k] = value
+            elif op == "repeat":  # an entry again, on its own path or on a shorter one
+                again = copy.deepcopy(entry)
+                paths.append({**again, "points": [1, 2]} if draw(st.booleans())
+                             and isinstance(again, dict) else again)
+            elif not isinstance(entry, dict):
+                continue
+            elif op == "drop":
+                entry.pop(field, None)
+            elif op == "list":
+                entry[field] = copy.deepcopy(draw(st.sampled_from(
+                    INDEX_LISTS + NUMBERS + OTHER_VALUES)))
+            elif isinstance(entry.get(field), list) and entry[field]:
+                i = draw(st.integers(0, len(entry[field]) - 1))
+                entry[field][i] = copy.deepcopy(draw(st.sampled_from(NUMBERS + OTHER_VALUES)))
+        return kind, {**LINE, "paths": paths}
+    key = "values" if kind == "function" else "coeffs"
+    values = mutated_list(draw, [0, 1, 2, 3] if kind == "function" else [1, -1, 0, 0])
+    space = draw(st.sampled_from(["line.json", "missing.json", "latin1.json", "not_object",
+                                  "inline", "mutated"]))
+    if space == "not_object":
+        space = draw(st.sampled_from([3, True, None, [], [LINE]]))
+    elif space in ("inline", "mutated"):
+        space = LINE if space == "inline" else draw(mutated_space_file())
+    return kind, {"space": space, key: values}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=mutated_file_on_the_line())
+def test_geodesic_function_and_vector_files_never_fail(tmp_path_factory, drawn):
+    """experiment geodesic, norm and freenorm exit 0 or 2 without a
+    traceback or Python's own wording, print nothing on 2, and stop
+    collecting reads."""
+    kind, obj = drawn
+    folder = tmp_path_factory.getbasetemp() / "line_fuzz"
+    folder.mkdir(exist_ok=True)
+    write(folder / "line.json", LINE)
+    latin1 = json.dumps(LINE).replace("p0", "p\xe9").encode("latin-1")  # not UTF-8
+    (folder / "latin1.json").write_bytes(latin1)
+    path = write(folder / f"{kind}.json", obj)
+    argv = {"geodesic": ["experiment", "geodesic", "--space", path, "--map", "builtin:identity"],
+            "function": ["norm", path], "vector": ["freenorm", path]}[kind]
+    code, out, err = run_captured(argv)
+    assert io.READS.get() is None
+    assert code in (0, 2) and "Traceback" not in err, err
+    assert not any(phrase in err for phrase in PYTHON_PHRASES), err
+    if code == 2:
+        assert out == "" and err.startswith("input error: ")
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

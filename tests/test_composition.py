@@ -84,6 +84,13 @@ class TestLipschitzMap:
             identity_map(path3)(x)
         assert identity_map(path3)(2) == 2
 
+    @pytest.mark.parametrize("k", [3, -1, 10**30, 2**63])
+    def test_image_outside_the_codomain_named_by_the_range_rule(self, path3, k):
+        with pytest.raises(ValueError, match=rf"^point {k} is outside 0\.\.2$"):
+            LipschitzMap(path3, path3, (0, k, 2))
+        with pytest.raises(ValueError, match=rf"^point {k} is outside 0\.\.2$"):
+            identity_map(path3)(k)
+
     def test_compose_maps(self, path3):
         ident = identity_map(path3)
         collapse = LipschitzMap(path3, path3, (0, 0, 0))

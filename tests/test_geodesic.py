@@ -119,6 +119,12 @@ class TestDiscretizedGeodesicSpace:
         proj = inverse_projection(gs, PointPair(0, 2))
         assert abs(lipschitz_norm(proj.function).value - 1.0) <= REL_TOL
 
+    @pytest.mark.parametrize("path", [(), (1,), (1, 1), (1, 0, 1)])
+    def test_short_or_repeating_path_refused_before_its_endpoints_are_read(self, path):
+        # the empty path once ended in an IndexError
+        with pytest.raises(ValueError, match="^a path needs at least two points and must not"):
+            DiscretizedGeodesicSpace(tripod().space, {(1, 1): path})
+
     def test_missing_path(self):
         gs = tripod()
         with pytest.raises(NoStoredPath):

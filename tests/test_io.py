@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lipfree.errors import MalformedInput
-from lipfree.fixtures import tripod
+from lipfree.fixtures import circle_geodesic, tripod
 from lipfree.io import (
     geodesic_space_to_dict,
     load_free_vector,
@@ -229,15 +229,29 @@ class TestMapFiles:
         phi = load_map(path)
         assert phi.image == (0, 1, 2)
 
-    @pytest.mark.parametrize("image", [[0, None, 2], [0, "a", 2], [0, 1.5, 2],
-                                       [0, True, 2], [0, 1], 5])
-    def test_malformed_image_names_json_path(self, tmp_path, space_file, image):
+    @pytest.mark.parametrize("image, reason", [
+        ([0, None, 2], "expected an integer, got None"),
+        ([0, "a", 2], "expected an integer, got 'a'"),
+        ([0, 1.5, 2], "expected an integer, got 1.5"),
+        ([0, True, 2], "expected an integer, got True"),
+        ([0, 1], "expected a list of 3 point indices"),
+        ([0, 1, 2, 0], "expected a list of 3 point indices"),
+        (5, "expected a list of 3 point indices"),
+        (1.5, "expected a list of 3 point indices"),
+        (None, "expected a list of 3 point indices"),
+        ("012", "expected a list of 3 point indices"),
+        ([0, 3, 2], "point 3 is outside 0..2"),
+        ([0, -1, 2], "point -1 is outside 0..2"),
+        ([1e308, 1, 2], f"point {int(1e308)} is outside 0..2"),
+    ], ids=["null_entry", "string_entry", "float_entry", "bool_entry", "short", "long", "int",
+            "float", "null", "string", "past_n", "negative", "1e308"])
+    def test_malformed_image_names_json_path(self, tmp_path, space_file, image, reason):
         path = write(tmp_path / "m.json", {
             "domain": "space.json", "codomain": "space.json", "image": image,
         })
         with pytest.raises(MalformedInput) as exc:
             load_map(path)
-        assert exc.value.json_path == f"{path}.image"
+        assert (exc.value.json_path, exc.value.reason) == (f"{path}.image", reason)
 
     def test_map_base_violation_surfaces(self, tmp_path, space_file):
         path = write(tmp_path / "m.json", {
@@ -249,20 +263,61 @@ class TestMapFiles:
 
 
 class TestGeodesicFiles:
-    @pytest.mark.parametrize("entry", [
-        {"pair": ["a", 1], "points": [0, 1]},
-        {"pair": [0], "points": [0, 1]},
-        {"pair": [0, 1], "points": [0, None]},
-        {"pair": [0, 1], "points": [0, 0.5]},
-        {"pair": [0, 9], "points": [0, 9]},
-        {"pair": [0, 1], "points": [-1, 0, 1]},
+    @pytest.mark.parametrize("entry, field", [
+        ({"pair": ["a", 1], "points": [0, 1]}, "pair"),
+        ({"pair": [0], "points": [0, 1]}, "pair"),
+        ({"pair": [0, 1], "points": [0, None]}, "points"),
+        ({"pair": [0, 1], "points": [0, 0.5]}, "points"),
+        ({"pair": [0, 9], "points": [0, 9]}, "pair"),
+        ({"pair": [0, 1], "points": [-1, 0, 1]}, "points"),
     ])
-    def test_malformed_path_names_json_path(self, tmp_path, entry):
+    def test_malformed_path_names_json_path(self, tmp_path, entry, field):
         path = write(tmp_path / "g.json", {
             "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}, "paths": [entry]})
         with pytest.raises(MalformedInput) as exc:
             load_geodesic_space(path)
-        assert exc.value.json_path == f"{path}.paths[0]"
+        assert exc.value.json_path == f"{path}.paths[0].{field}"
+
+    @pytest.mark.parametrize("field, value, at, reason", [
+        ("pair", {"x": 0}, ".paths[0].pair", "expected a list of 2 point indices"),
+        ("pair", 3, ".paths[0].pair", "expected a list of 2 point indices"),
+        ("pair", [1], ".paths[0].pair", "expected a list of 2 point indices"),
+        ("pair", [1, 2, 3], ".paths[0].pair", "expected a list of 2 point indices"),
+        ("pair", [1, True], ".paths[0].pair", "expected an integer, got True"),
+        ("pair", [1, 1e308], ".paths[0].pair", f"point {int(1e308)} is outside 0..3"),
+        ("points", 3, ".paths[0].points", "expected a list of point indices"),
+        ("points", None, ".paths[0].points", "expected a list of point indices"),
+        ("points", [1, "0", 2], ".paths[0].points", "expected an integer, got '0'"),
+        ("points", [1, 0, 4], ".paths[0].points", "point 4 is outside 0..3"),
+        ("points", [], ".paths", "a path needs at least two points and must not repeat one"),
+    ], ids=["pair_object", "pair_int", "pair_short", "pair_long", "pair_bool", "pair_1e308",
+            "points_int", "points_null", "points_string", "points_past_n", "points_empty"])
+    def test_path_refusal_names_the_fault(self, tmp_path, field, value, at, reason):
+        # tripod(1, 1) stores one path, 1-0-2; each case replaces one of its fields
+        obj = geodesic_space_to_dict(tripod(1, 1))
+        obj["paths"][0][field] = value
+        path = write(tmp_path / "g.json", obj)
+        with pytest.raises(MalformedInput) as exc:
+            load_geodesic_space(path)
+        assert (exc.value.json_path, exc.value.reason) == (f"{path}{at}", reason)
+
+    def test_pair_stored_twice_refused(self, tmp_path):
+        # once the last entry won: the two-point path replaced the geodesic 1-0-2
+        obj = geodesic_space_to_dict(tripod(1, 1))
+        obj["paths"] = [{"pair": [1, 2], "points": [1, 0, 2]}, {"pair": [1, 2], "points": [1, 2]}]
+        path = write(tmp_path / "g.json", obj)
+        with pytest.raises(MalformedInput) as exc:
+            load_geodesic_space(path)
+        assert (exc.value.json_path, exc.value.reason) == (
+            f"{path}.paths[1].pair", "[1, 2] is stored twice")
+
+    def test_a_pair_and_its_reverse_are_two_paths(self, tmp_path):
+        # antipodes 0 and 2 of the 4-cycle, joined through 1 and through 3
+        obj = geodesic_space_to_dict(circle_geodesic(4))
+        obj["paths"] = [{"pair": [0, 2], "points": [0, 1, 2]},
+                        {"pair": [2, 0], "points": [2, 3, 0]}]
+        gspace = load_geodesic_space(write(tmp_path / "g.json", obj))
+        assert gspace.paths == {(0, 2): (0, 1, 2), (2, 0): (2, 3, 0)}
 
     @pytest.mark.parametrize("paths", [
         [{"pair": [0, 1], "points": [1, 0]}],

@@ -53,6 +53,15 @@ class TestValidateSpace:
             net.d(i, j)
         assert net.d(0, 4) == 1.0
 
+    @pytest.mark.parametrize("k", [10**30, 2**63, -2**63 - 1, -10**30])
+    def test_no_integer_overflows_the_range_rule(self, k):
+        # each once raised OverflowError while being cast to intp
+        net = interval_net(4)
+        with pytest.raises(ValueError, match=rf"^point {k} is outside 0\.\.4$"):
+            metric_core.point_indices(net, [0, k])
+        with pytest.raises(ValueError, match=rf"^point {k} is outside 0\.\.4$"):
+            net.d(0, k)
+
     def test_triangle_violation_reports_witness(self):
         with pytest.raises(TriangleViolation) as exc:
             validate_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
@@ -194,6 +203,14 @@ class TestValidateSpace:
         with pytest.raises(MalformedInput) as exc:
             from_weighted_graph(3, [(0, 1, 1.0), (1, 2, 1.0)], labels=["a", "b"])
         assert exc.value.json_path == "labels"
+
+    def test_graph_label_count_is_checked_before_the_closure(self, monkeypatch):
+        def closure(d):
+            raise AssertionError("the closure ran before the label count was checked")
+        monkeypatch.setattr(metric_core, "shortest_path_closure", closure)
+        with pytest.raises(MalformedInput) as exc:
+            from_weighted_graph(1024, [(i, i + 1, 1.0) for i in range(1023)], labels=["a", "b"])
+        assert (exc.value.json_path, exc.value.reason) == ("labels", "expected 1024 labels, got 2")
 
 
 class TestFromWeightedGraph:
