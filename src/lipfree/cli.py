@@ -57,7 +57,7 @@ from .io import (
     load_space,
 )
 from .lipschitz import LipschitzFunction, lipschitz_norm, mcshane_extend
-from .metric_core import REL_TOL, PointPair
+from .metric_core import REL_TOL, PointPair, point_indices
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -68,24 +68,26 @@ def _emit(report: dict, out: str | None) -> None:
         print(text)
 
 
-def _parse_indices(flag: str, text: str, n: int) -> list[int]:
-    """Comma-separated distinct point indices below n."""
+def _parse_indices(flag: str, text: str, space) -> list[int]:
+    """Comma-separated distinct points of ``space``, in range by :func:`point_indices`."""
     try:
         indices = [int(part) for part in text.split(",")]
     except ValueError:
         raise MalformedInput(flag, f"{text!r} is not a list of integers") from None
-    if not all(0 <= i < n for i in indices):
-        raise MalformedInput(flag, f"{text!r}: indices must lie in 0..{n - 1}")
+    try:
+        point_indices(space, indices)
+    except ValueError as exc:
+        raise MalformedInput(flag, str(exc)) from None
     if len(set(indices)) != len(indices):
         raise MalformedInput(flag, f"{text!r}: indices must be distinct")
     return indices
 
 
-def _parse_pairs(text: str, n: int) -> list[PointPair]:
-    """Semicolon-separated pairs of distinct point indices below n."""
+def _parse_pairs(text: str, space) -> list[PointPair]:
+    """Semicolon-separated pairs of distinct points of ``space``."""
     pairs = []
     for chunk in filter(str.strip, text.split(";")):
-        indices = _parse_indices("--pairs", chunk, n)
+        indices = _parse_indices("--pairs", chunk, space)
         if len(indices) != 2:
             raise MalformedInput("--pairs", f"{chunk!r} is not a pair")
         pairs.append(PointPair(*indices))
@@ -122,10 +124,10 @@ def _check_numeric_flags(args) -> None:
 def _resolve_experiment_map(spec_text: str, mesh: int | None = None,
                             space_path: str | None = None, tol: float | None = None):
     """builtin:NAME, file:PATH or a bare path: the map and the geodesic
-    space read from ``space_path`` (else None). A builtin's name and ``mesh``,
-    which only an interval builtin takes and needs, are checked before any file
-    is read; on a geodesic space the only builtin is identity, and a file map
-    must go into that space. ``tol`` admits every space read from a file."""
+    space read from ``space_path`` (else None). Without a space the map is
+    an interval builtin at ``mesh``; on a geodesic space the only builtin is
+    identity, and a file map must go into that space. A builtin's name is
+    checked before any file is read; ``tol`` admits every space read."""
     names = BUILTIN_MAPS if space_path is None else ("identity",)
     builtin = spec_text.startswith("builtin:")
     name = (spec_text.split(":", 1)[1]
@@ -133,18 +135,15 @@ def _resolve_experiment_map(spec_text: str, mesh: int | None = None,
     if builtin and name not in names:
         raise MalformedInput("--map", f"unknown builtin map {name!r}; choose from "
                              + ", ".join(f"builtin:{known}" for known in names))
-    if mesh is not None and not builtin:
-        raise MalformedInput("--mesh", "only a builtin map takes --mesh")
-    if space_path is not None:
-        gspace = load_geodesic_space(space_path, tol)
-        phi = (identity_map(gspace.space) if builtin
-               else load_map(name, codomain=gspace.space, tol=tol))
-        return phi, gspace
-    if not builtin:
-        return load_map(name, tol=tol), None
-    if mesh is None:
-        raise MalformedInput("--mesh", "builtin maps need --mesh")
-    return builtin_map(name, mesh), None
+    if space_path is None:
+        if not builtin:
+            raise MalformedInput("--map", "experiment interval runs builtin maps; "
+                                 "check a map file with experiment geodesic --space")
+        return builtin_map(name, mesh), None
+    gspace = load_geodesic_space(space_path, tol)
+    phi = (identity_map(gspace.space) if builtin
+           else load_map(name, codomain=gspace.space, tol=tol))
+    return phi, gspace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,14 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="mesh-scale isometry experiments")
     exp = p.add_subparsers(required=True)
 
-    pi = exp.add_parser("interval", help="run the interval-net checks on a map")
-    pi.add_argument("--mesh", type=int, default=None, help="subdivisions n (mesh 1/n)")
+    pi = exp.add_parser("interval", help="run the interval-net checks on a builtin map")
+    pi.add_argument("--mesh", type=int, required=True, help="subdivisions n (mesh 1/n)")
     pi.add_argument("--map", required=True, dest="map_spec",
-                    help="builtin:identity|fold|halving|collapse or file:PATH")
+                    help="builtin:identity|fold|halving|collapse")
     pi.add_argument("--r-loc", type=float, default=None, dest="r_loc")
     pi.add_argument("--eps", type=float, default=None)
-    common(pi, _cmd_experiment_interval, methods=certifiers)
-    pi.set_defaults(command="experiment.interval")
+    common(pi, _cmd_experiment_interval, tol=False, methods=certifiers)
+    pi.set_defaults(command="experiment.interval", tol=None)  # a builtin is never admitted
 
     pg = exp.add_parser("geodesic", help="run the geodesic checks on a map")
     pg.add_argument("--space", required=True, help="geodesic space file (with paths)")
@@ -298,7 +297,7 @@ def _cmd_extremes(args):
 
 def _cmd_norming(args):
     space = load_space(args.space, tol=args.tol)
-    norming, failing = is_norming(space, _parse_pairs(args.pairs, space.n))
+    norming, failing = is_norming(space, _parse_pairs(args.pairs, space))
     return _space_tolerances(space, args), {
         "is_norming": norming, "failing_vertex": list(failing.as_tuple()) if failing else None}
 
@@ -313,7 +312,7 @@ def _cmd_isometry(args):
 
 def _cmd_extend(args):
     f = load_function(args.function, tol=args.tol)
-    subset = _parse_indices("--subset", args.subset, f.space.n)
+    subset = _parse_indices("--subset", args.subset, f.space)
     if f.space.base not in subset:
         raise MalformedInput("--subset", f"must contain the base point {f.space.base}")
     floor = (_load_on_space(args.floor, "values", LipschitzFunction, args.tol, f.space)
@@ -326,7 +325,7 @@ def _cmd_extend(args):
 
 
 def _cmd_experiment_interval(args):
-    phi, _ = _resolve_experiment_map(args.map_spec, args.mesh, tol=args.tol)
+    phi, _ = _resolve_experiment_map(args.map_spec, args.mesh)
     necessary = check_interval_necessary(phi, r_loc=args.r_loc, eps=args.eps)
     sufficient = check_interval_sufficient(phi, r=necessary.r_loc, eps=args.eps)
     tolerances = {"r_loc": necessary.r_loc, "eps": necessary.eps}

@@ -88,8 +88,8 @@ class FloorExceedsFunction(InputError):
 
 
 class NotAnIntervalNet(InputError):
-    def __init__(self, reason: str = "space is not a uniform net on [0,1]"):
-        super().__init__(reason)
+    def __init__(self):  # an interval net is known by construction, never by its matrix
+        super().__init__("space was not built by interval_net")
 
 
 class AnchorNotOnNet(InputError):
@@ -164,11 +164,6 @@ class InvariantFailure(InternalCheckError):
 class NoStoredPath(InputError):
     def __init__(self, pair: tuple[int, int]):
         super().__init__(f"no geodesic path stored for pair {pair}")
-
-
-class CodomainNotInterval(InputError):
-    def __init__(self, reason: str):
-        super().__init__(f"codomain of the map is not an interval net: {reason}")
 
 
 # -- cli / io -----------------------------------------------------------------

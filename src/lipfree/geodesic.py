@@ -25,13 +25,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .composition import LipschitzMap
-from .errors import (
-    CodomainNotInterval,
-    InvariantFailure,
-    NoStoredPath,
-    NotAnIntervalNet,
-    NotStraightPath,
-)
+from .errors import InvariantFailure, NoStoredPath, NotStraightPath
 from .lipschitz import (
     LipschitzFunction,
     inf_extension,
@@ -89,10 +83,14 @@ class DiscretizedGeodesicSpace:
         clean: dict[tuple[int, int], tuple[int, ...]] = {}
         mesh = 0.0
         for pair, pts in dict(self.paths).items():
-            report = straight_path_check(self.space, pts)  # two points or more, none repeated
-            pts = tuple(int(p) for p in pts)
-            if (pts[0], pts[-1]) != tuple(pair):
-                raise ValueError(f"path for {pair} does not run from its first point to its second")
+            try:
+                report = straight_path_check(self.space, pts)  # two points or more, none repeated
+                pts = tuple(int(p) for p in pts)
+                if (pts[0], pts[-1]) != tuple(pair):
+                    raise ValueError(f"path for {pair} does not run from {pair[0]} to {pair[1]}")
+            except ValueError as exc:
+                exc.pair = pair  # the path refused, for a reader that locates it
+                raise
             if not report.ok:
                 raise NotStraightPath(report.defect)
             clean[pts[0], pts[-1]] = pts
@@ -253,10 +251,7 @@ def _defect_profile(kind: str, phi: LipschitzMap, values: np.ndarray,
 
 def _interval_values(phi: LipschitzMap) -> tuple[np.ndarray, np.ndarray, float]:
     """The codomain's coordinates, those of the image, and the mesh."""
-    try:
-        coords = interval_coordinates(phi.codomain)
-    except NotAnIntervalNet as exc:
-        raise CodomainNotInterval(str(exc)) from None
+    coords = interval_coordinates(phi.codomain)
     return coords, coords[np.asarray(phi.image)], 1.0 / (coords.size - 1)
 
 

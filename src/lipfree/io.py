@@ -77,8 +77,8 @@ def _require(obj: dict, key: str, where: str) -> Any:
 
 
 def _integer(value: Any, where: str) -> int:
-    """A JSON integer; a float is accepted only when it is whole."""
-    whole = isinstance(value, float) and value.is_integer()
+    """A JSON integer; a float only when it is whole and at most 2**53 in magnitude."""
+    whole = isinstance(value, float) and value.is_integer() and abs(value) <= 2 ** 53
     if whole or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise MalformedInput(where, f"expected an integer, got {value!r}")
@@ -231,8 +231,10 @@ def load_geodesic_space(path: str | Path,
         paths[pair] = _indices(entry, "points", at, space)
     try:
         return DiscretizedGeodesicSpace(space, paths)
-    except ValueError as exc:  # a short path, a repeat, a path off its pair
-        raise MalformedInput(f"{where}.paths", str(exc)) from None
+    except ValueError as exc:  # no path, or one that is short, repeats or runs off its pair
+        pair = getattr(exc, "pair", None)
+        at = ".paths" if pair is None else f".paths[{list(paths).index(pair)}].points"
+        raise MalformedInput(where + at, str(exc)) from None
 
 
 def geodesic_space_to_dict(gspace: DiscretizedGeodesicSpace) -> dict:

@@ -189,31 +189,10 @@ def mcshane_extend(
 
 
 def interval_coordinates(space: PointedMetricSpace) -> np.ndarray:
-    """Coordinates of a uniform net on [0, 1], or raise NotAnIntervalNet.
-
-    Spaces built by interval_net carry their coordinates in ``meta``;
-    for spaces loaded from files the structure is re-detected from the
-    labels and verified against the distance matrix.
-    """
-    meta = space.meta
-    if meta.get("family") == "interval":
-        return np.asarray(meta["coords"], dtype=float)
-    try:  # a boolean is not a coordinate, although float(True) is 1.0
-        coords = np.array([float(None if isinstance(s, bool) else s) for s in space.labels])
-    except (TypeError, ValueError):
-        raise NotAnIntervalNet("labels do not parse as coordinates") from None
-    n = space.n - 1
-    if n < 1:
+    """The coordinates :func:`interval_net` records in ``meta``, or raise NotAnIntervalNet."""
+    if space.meta.get("family") != "interval":
         raise NotAnIntervalNet()
-    grid = np.array([k / n for k in range(n + 1)])
-    if space.base != 0 or not np.array_equal(np.sort(coords), grid):
-        raise NotAnIntervalNet("points are not the uniform net {k/n} with base 0")
-    for r0, r1 in row_blocks(space.n, space.n):  # np.allclose(..., atol=1e-12), by rows
-        g = gaps(coords[r0:r1], coords)
-        if not np.abs(np.subtract(space.dist[r0:r1], g, out=g), out=g).max() <= 1e-12:
-            raise NotAnIntervalNet("distances do not match the line metric")
-        del g  # before the next block is built
-    return coords
+    return np.asarray(space.meta["coords"], dtype=float)
 
 
 def peak_function(net: PointedMetricSpace, x: float) -> LipschitzFunction:

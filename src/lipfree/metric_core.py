@@ -17,8 +17,8 @@ ignore the unit of distance. A caller's ``tol`` only admits a matrix to
 :func:`validate_space`. Four finer constants stay, as ``REL_TOL`` would
 loosen their checks: ``freespace.ZERO_SUM_REL`` admits a vector's sum, the
 simplex's 2e-13 pivot fixes the optimum the dual must match, the vertex LP's
-1e-10 weight cut keeps certificates that rebuild their molecule, and the
-interval nets' 1e-12 matches a file's matrix and an anchor to the grid.
+1e-10 weight cut keeps certificates that rebuild their molecule, and
+``peak_function``'s 1e-12 matches an anchor to an interval net's grid.
 """
 
 from __future__ import annotations

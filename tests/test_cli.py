@@ -317,43 +317,17 @@ class TestExitCodes:
         assert (code, report) == (2, None)
         assert err == f"input error: MalformedInput: {path}.{at}: {reason}\n"
 
-    @pytest.mark.parametrize("paths", [[], [{"pair": [0, 0], "points": [0, 0]}]],
-                             ids=["no_paths", "equal_endpoints"])
-    def test_geodesic_file_without_a_usable_path_exits_2(self, files, capsys, paths):
+    @pytest.mark.parametrize("paths, at", [
+        ([], "paths"), ([{"pair": [0, 0], "points": [0, 0]}], "paths[0].points")],
+        ids=["no_paths", "equal_endpoints"])
+    def test_geodesic_file_without_a_usable_path_exits_2(self, files, capsys, paths, at):
         path = write(files["dir"] / "g.json", {
             "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}, "paths": paths})
         code, report, err = run_in_process(
             capsys, "experiment", "geodesic", "--space", path, "--map", "builtin:identity")
         assert code == 2
         assert report is None
-        assert f"MalformedInput: {path}.paths:" in err
-        assert "Traceback" not in err
-
-    def test_boolean_labels_are_not_interval_coordinates(self, files, capsys):
-        net = space_to_dict(interval_net(2))
-        net["labels"] = [False, 0.5, True]
-        write(files["dir"] / "odd.json", net)
-        path = write(files["dir"] / "odd_map.json", {
-            "domain": "odd.json", "codomain": "odd.json", "image": [0, 1, 2]})
-        code, report, err = run_in_process(capsys, "experiment", "interval",
-                                           "--map", f"file:{path}")
-        assert code == 2
-        assert report is None
-        assert "input error: CodomainNotInterval" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("label", [None, [0.5], {"t": 0.5}])
-    def test_non_string_labels_are_not_an_interval(self, files, capsys, label):
-        net = space_to_dict(interval_net(2))
-        net["labels"][1] = label
-        write(files["dir"] / "odd.json", net)
-        path = write(files["dir"] / "odd_map.json", {
-            "domain": "odd.json", "codomain": "odd.json", "image": [0, 1, 2]})
-        code, report, err = run_in_process(capsys, "experiment", "interval",
-                                           "--map", f"file:{path}")
-        assert code == 2
-        assert report is None
-        assert "input error: CodomainNotInterval" in err
+        assert f"MalformedInput: {path}.{at}:" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", ["fold", "halving", "nope"])
@@ -392,6 +366,20 @@ class TestExitCodes:
         assert code == 2
         assert report is None
         assert "MalformedInput: --subset:" in err
+
+    @pytest.mark.parametrize("argv, error", [
+        (("extend", "{fn}", "--subset", "0,9"), "--subset: point 9 is outside 0..4"),
+        (("extend", "{fn}", "--subset=0,-1"), "--subset: point -1 is outside 0..4"),
+        (("norming", "{three}", "--pairs", "0,1;0,7"), "--pairs: point 7 is outside 0..2"),
+        (("extend", "{fn}", "--subset", "0,1e308"),
+         "--subset: '0,1e308' is not a list of integers"),
+        (("norming", "{three}", "--pairs", "0,1;1,1"), "--pairs: '1,1': indices must be distinct"),
+    ], ids=["subset_past_n", "subset_negative", "pairs_past_n", "subset_float", "pairs_repeat"])
+    def test_index_flags_name_the_fault(self, files, capsys, argv, error):
+        # one range rule and wording for every index, a flag's as a file's
+        code, report, err = run_in_process(capsys, *[a.format(**files) for a in argv])
+        assert (code, report) == (2, None)
+        assert err == f"input error: MalformedInput: {error}\n"
 
     def test_flow_lp_disagreement_exits_3(self, files, capsys, monkeypatch):
         real = cli.free_norm_dual
@@ -559,7 +547,7 @@ class TestExitCodes:
             capsys, "experiment", "geodesic", "--space", path, "--map", "builtin:identity")
         assert code == 2
         assert report is None
-        assert f"MalformedInput: {path}.paths:" in err
+        assert f"MalformedInput: {path}.paths[0].points:" in err
 
     @pytest.mark.parametrize("step", (1e-1, 1e-3))
     @pytest.mark.parametrize("k", (0.25, 4.0))
@@ -709,7 +697,7 @@ class TestCommands:
         for argv in (("validate", space), ("extremes", space),
                      ("norming", space, "--pairs", "0,1;1,2"), ("isometry", "--map", mp),
                      ("extend", fn, "--subset", "0,1", "--floor", fn),
-                     ("experiment", "interval", "--map", f"file:{mp}"),
+                     ("experiment", "geodesic", "--space", space, "--map", f"file:{mp}"),
                      ("experiment", "geodesic", "--space", space, "--map", "builtin:identity")):
             code, report, err = run_in_process(capsys, *argv, "--tol", "0")
             assert code == 0, err
@@ -791,15 +779,18 @@ class TestOneDetourPassPerMatrix:
         assert report["results"]["verdict"] == verdict
         assert rows == {phi.domain.n: phi.domain.n, phi.codomain.n: phi.codomain.n}
 
-    # an interval net, so that experiment interval reads its labels as coordinates
+    # an interval net, which experiment geodesic reads with its one path stored
     @pytest.mark.parametrize("by_path", [False, True], ids=["inline", "by_path"])
-    @pytest.mark.parametrize("command, prefix", [(("isometry", "--map"), ""),
-                                                 (("experiment", "interval", "--map"), "file:")],
-                             ids=["isometry", "experiment_interval"])
+    @pytest.mark.parametrize("command, prefix", [
+        (("isometry", "--map"), ""),
+        (("experiment", "geodesic", "--space", "geo.json", "--map"), "file:")],
+        ids=["isometry", "experiment_geodesic"])
     def test_identity_map_file_admits_its_space_once(self, tmp_path, capsys, rows, by_path,
                                                      command, prefix):
         net = interval_net(8)
         space = space_to_dict(net)
+        geo = write(tmp_path / "geo.json", {**space, "paths": [
+            {"pair": [0, 8], "points": list(range(9))}]})
         if by_path:
             write(tmp_path / "net.json", space)
             space = "net.json"
@@ -808,11 +799,13 @@ class TestOneDetourPassPerMatrix:
         phi = io.load_map(path)
         assert phi.domain is phi.codomain
         rows.clear()
+        command = [geo if arg == "geo.json" else arg for arg in command]
         code, report, err = run_in_process(capsys, *command, prefix + path)
         assert code == 0, err
         certificate = report["results"].get("certificate", report["results"])
         assert certificate["verdict"] == "isometric"
-        assert len(report["inputs"]) == (3 if by_path else 1)  # every read is recorded
+        reads = (3 if by_path else 1) + (command[0] == "experiment")
+        assert len(report["inputs"]) == reads  # every read is recorded
         assert rows == {net.n: net.n}
 
     def test_geodesic_domain_holding_the_space_reads_no_pass(self, tmp_path, capsys, rows):
@@ -1057,36 +1050,60 @@ class TestExperiments:
         proc = run_cli("experiment", "interval", "--map", "builtin:fold")
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("name", ["net_map.json", "missing.json"])
-    def test_mesh_with_a_file_map_is_refused(self, files, capsys, name):
+    @pytest.mark.parametrize("spec", ["file:{d}/net_map.json", "{d}/net_map.json",
+                                      "file:{d}/missing.json"], ids=["file", "bare", "missing"])
+    def test_a_file_map_takes_the_geodesic_route(self, files, capsys, spec):
         # refused before any file is read
         write(files["dir"] / "net_map.json", {"domain": "net4.json", "codomain": "net4.json",
                                               "image": [0, 1, 2, 3, 4]})
-        code, report, err = run_in_process(capsys, "experiment", "interval", "--mesh", "64",
-                                           "--map", f"file:{files['dir'] / name}")
+        code, report, err = run_in_process(capsys, "experiment", "interval", "--mesh", "4",
+                                           "--map", spec.format(d=files["dir"]))
         assert (code, report) == (2, None)
-        assert err == "input error: MalformedInput: --mesh: only a builtin map takes --mesh\n"
+        assert err == ("input error: MalformedInput: --map: experiment interval runs builtin "
+                       "maps; check a map file with experiment geodesic --space\n")
 
-    # one file per check of lipschitz.interval_coordinates, on interval_net(2)
-    NOT_INTERVAL = {
-        "labels": ({"labels": ["a", "b", "c"]}, "labels do not parse as coordinates"),
-        "grid": ({"labels": [0, 0.25, 1]}, "points are not the uniform net {k/n} with base 0"),
-        "base": ({"base": 1}, "points are not the uniform net {k/n} with base 0"),
-        "distances": ({"metric": {"type": "matrix", "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}},
-                      "distances do not match the line metric"),
-    }
+    @pytest.mark.parametrize("name", ["identity", "fold", "halving", "collapse"])
+    def test_a_file_map_into_a_net_gets_the_builtin_verdicts(self, tmp_path, name):
+        """A builtin written as a map file into an interval-net geodesic file
+        whose one path is 0..n: experiment geodesic gives the certificate,
+        necessary and sufficient verdicts of experiment interval, but for
+        halving's necessary profile at mesh 3. There the target t = 1 has a
+        window of width 4/6 that the value 2/6 lies exactly on: the geodesic
+        route's targets are sums of steps, the interval route's k/n, so
+        rounding decides."""
+        differs = set()
+        for mesh in [*range(1, 17), 32]:
+            phi = builtin_map(name, mesh)
+            codomain = space_to_dict(phi.codomain)
+            geo = write(tmp_path / "geo.json", {**codomain, "paths": [
+                {"pair": [0, phi.codomain.n - 1], "points": list(range(phi.codomain.n))}]})
+            path = write(tmp_path / "map.json", {"domain": space_to_dict(phi.domain),
+                                                 "codomain": codomain, "image": list(phi.image)})
+            verdicts = []
+            for argv in (["experiment", "interval", f"--mesh={mesh}", f"--map=builtin:{name}"],
+                         ["experiment", "geodesic", "--space", geo, "--map", path]):
+                code, out, err = run_captured(argv)
+                assert code == 0, err
+                results = json.loads(out)["results"]
+                necessary = results["necessary"]
+                verdicts.append((results["certificate"]["verdict"],
+                                 results["sufficient"]["predicts_isometric"],
+                                 (necessary[0] if argv[1] == "geodesic" else necessary)["holds"]))
+            interval, geodesic = verdicts
+            assert interval[:2] == geodesic[:2], (mesh, verdicts)
+            if interval != geodesic:
+                differs.add((mesh, interval[2], geodesic[2]))
+        assert differs == ({(3, False, True)} if name == "halving" else set())
 
-    @pytest.mark.parametrize("case", list(NOT_INTERVAL))
-    def test_a_codomain_not_an_interval_net_names_the_reason(self, files, capsys, case):
-        change, reason = self.NOT_INTERVAL[case]
-        write(files["dir"] / "odd.json", {**space_to_dict(interval_net(2)), **change})
-        path = write(files["dir"] / "odd_map.json", {
-            "domain": "odd.json", "codomain": "odd.json", "image": [0, 1, 2]})
-        code, report, err = run_in_process(capsys, "experiment", "interval",
-                                           "--map", f"file:{path}")
-        assert (code, report) == (2, None)
-        assert err == ("input error: CodomainNotInterval: codomain of the map is not "
-                       f"an interval net: {reason}\n")
+    def test_interval_takes_no_tol(self, capsys):
+        # a builtin is built, never admitted, so no tolerance admits it
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["experiment", "interval", "--mesh", "4", "--map", "builtin:fold",
+                     "--tol", "0"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith("lipfree experiment interval: error: unrecognized arguments: "
+                            "--tol 0\n")
 
 
 LOOSE = {"base": 0, "metric": {"type": "matrix",
@@ -1095,7 +1112,7 @@ LOOSE = {"base": 0, "metric": {"type": "matrix",
 # One case per place a command's inputs can hold a space; the case puts
 # LOOSE there, which only --tol 0.01 admits, and admissible spaces
 # elsewhere. "far" lies above "three" and LOOSE, so maps from it are
-# norm-one, as are maps from LOOSE onto "three" or the interval net.
+# norm-one, as are maps from LOOSE onto "three".
 TOL_REACH = [
     ("validate", ("validate", "{d}/loose.json")),
     ("extremes", ("extremes", "{d}/loose.json")),
@@ -1109,9 +1126,6 @@ TOL_REACH = [
     # a floor lives on its function's space, which it shares here
     ("extend", ("extend", "{d}/f_loose_inline.json", "--subset", "0,1",
                 "--floor", "{d}/floor_loose.json")),
-    ("experiment.interval", ("experiment", "interval",
-                             "--map", "file:{d}/loose_inline_net.json")),
-    ("experiment.interval", ("experiment", "interval", "--map", "file:{d}/loose_net.json")),
     ("experiment.geodesic", ("experiment", "geodesic", "--space", "{d}/loose_geo.json",
                              "--map", "builtin:identity")),
     ("experiment.geodesic", ("experiment", "geodesic", "--space", "{d}/three_geo.json",
@@ -1139,15 +1153,12 @@ class TestTolReach:
         write(d / "loose.json", LOOSE)
         write(d / "far.json", {"metric": {"type": "matrix",
                                           "d": [[0, 1, 3], [1, 0, 2], [3, 2, 0]]}})
-        write(d / "net2.json", space_to_dict(interval_net(2)))
         image = [0, 1, 2]
         for name, domain, codomain in (
                 ("loose_inline_three", LOOSE, "three.json"),
                 ("loose_three", "loose.json", "three.json"),
                 ("far_loose_inline", "far.json", LOOSE),
-                ("far_loose", "far.json", "loose.json"),
-                ("loose_inline_net", LOOSE, "net2.json"),
-                ("loose_net", "loose.json", "net2.json")):
+                ("far_loose", "far.json", "loose.json")):
             write(d / f"{name}.json", {"domain": domain, "codomain": codomain,
                                        "image": image})
         for name, space, values in (("f_loose_inline", LOOSE, [0, 1, 2]),
@@ -1189,8 +1200,6 @@ READS = [
      [("map3",), ("three", "map3", "domain"), ("three", "map3", "codomain")]),
     (("extend", "{f3}", "--subset", "0,1", "--floor", "{floor3}"),
      [("f3",), ("three", "f3", "space"), ("floor3",), ("three", "floor3", "space")]),
-    (("experiment", "interval", "--map", "file:{net_map}"),
-     [("net_map",), ("net", "net_map", "domain"), ("net", "net_map", "codomain")]),
     # the map's codomain is read, and must be the --space file's space
     (("experiment", "geodesic", "--space", "{geo}", "--map", "file:{tripod_map}"),
      [("geo",), ("tripod_map",), ("tripod_space", "tripod_map", "domain"),
@@ -1206,8 +1215,6 @@ class TestInputs:
         more = {
             "f3": write(d / "f3.json", {"space": "three.json", "values": [0, 1, 2]}),
             "floor3": write(d / "floor3.json", {"space": "three.json", "values": [0, 0, 0]}),
-            "net_map": write(d / "net_map.json", {"domain": "net4.json", "codomain": "net4.json",
-                                                  "image": [0, 1, 2, 3, 4]}),
             "tripod_space": write(d / "tripod_space.json", space_to_dict(tripod().space)),
         }
         more["tripod_map"] = write(d / "tripod_map.json", {
@@ -1324,7 +1331,7 @@ NUMBERS = [2, 0.5, 1.5, 7, -1, 0.0, -1.0, float("nan"), float("inf"), -float("in
 OTHER_VALUES = ["0", "1.0", None, True, False, [], {}, [0, 1]]
 # Python's own wording, which no refusal may forward
 PYTHON_PHRASES = ("object is not", "index out of range", "not subscriptable", "not iterable",
-                  "unpack", "too large to convert")
+                  "unpack", "too large to convert", "invalid literal")
 
 
 def _paths(node, at=()):
@@ -1553,15 +1560,30 @@ def mutated_file_on_the_line(draw):
                 i = draw(st.integers(0, len(entry[field]) - 1))
                 entry[field][i] = copy.deepcopy(draw(st.sampled_from(NUMBERS + OTHER_VALUES)))
         return kind, {**LINE, "paths": paths}
-    key = "values" if kind == "function" else "coeffs"
-    values = mutated_list(draw, [0, 1, 2, 3] if kind == "function" else [1, -1, 0, 0])
+    if kind == "function":
+        return kind, values_on_the_line(draw, "values", [0, 1, 2, 3])
+    return kind, values_on_the_line(draw, "coeffs", [1, -1, 0, 0])
+
+
+def values_on_the_line(draw, key, values):
+    """A function or vector file on the 4-point line: ``values`` under ``key``,
+    perhaps mutated, and a reference to the line, inline or by path, or to a
+    missing, non-UTF-8 or mutated space, or one that is not an object."""
+    values = mutated_list(draw, values)
     space = draw(st.sampled_from(["line.json", "missing.json", "latin1.json", "not_object",
                                   "inline", "mutated"]))
     if space == "not_object":
         space = draw(st.sampled_from([3, True, None, [], [LINE]]))
     elif space in ("inline", "mutated"):
         space = LINE if space == "inline" else draw(mutated_space_file())
-    return kind, {"space": space, key: values}
+    return {"space": space, key: values}
+
+
+def write_the_line(folder):
+    """The 4-point line and its copy that is not UTF-8, which fuzzed files name."""
+    write(folder / "line.json", LINE)
+    latin1 = json.dumps(LINE).replace("p0", "p\xe9").encode("latin-1")
+    (folder / "latin1.json").write_bytes(latin1)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
@@ -1574,15 +1596,74 @@ def test_geodesic_function_and_vector_files_never_fail(tmp_path_factory, drawn):
     kind, obj = drawn
     folder = tmp_path_factory.getbasetemp() / "line_fuzz"
     folder.mkdir(exist_ok=True)
-    write(folder / "line.json", LINE)
-    latin1 = json.dumps(LINE).replace("p0", "p\xe9").encode("latin-1")  # not UTF-8
-    (folder / "latin1.json").write_bytes(latin1)
+    write_the_line(folder)
     path = write(folder / f"{kind}.json", obj)
     argv = {"geodesic": ["experiment", "geodesic", "--space", path, "--map", "builtin:identity"],
             "function": ["norm", path], "vector": ["freenorm", path]}[kind]
     code, out, err = run_captured(argv)
     assert io.READS.get() is None
     assert code in (0, 2) and "Traceback" not in err, err
+    assert not any(phrase in err for phrase in PYTHON_PHRASES), err
+    if code == 2:
+        assert out == "" and err.startswith("input error: ")
+
+
+# What an entry of an index flag may be replaced by
+INDEX_TEXTS = ["0", "1", "3", "4", "9", "-1", "0.5", "1e308", "9" * 30, "a", "", " 2", "True",
+               "0x1"]
+
+
+def index_text(draw, chunks):
+    """Lists of point indices as a flag's text, "," within a list and ";"
+    between lists, perhaps with one entry replaced."""
+    texts = [[str(i) for i in chunk] for chunk in chunks]
+    if draw(st.booleans()):
+        chunk = draw(st.sampled_from(texts))
+        chunk[draw(st.integers(0, len(chunk) - 1))] = draw(st.sampled_from(INDEX_TEXTS))
+    return ";".join(",".join(chunk) for chunk in texts)
+
+
+@st.composite
+def extend_or_norming_call(draw):
+    """The files and argv, ``{d}`` their folder, of a call on the 4-point
+    line: extend on a function file with a --subset and perhaps a --floor
+    file, each file perhaps mutated, or norming on the line or a mutated
+    space with --pairs."""
+    if draw(st.booleans()):
+        space = LINE if draw(st.booleans()) else draw(mutated_space_file())
+        pairs = index_text(draw, draw(st.lists(st.sampled_from(
+            [[0, 1], [1, 2], [2, 3], [0, 3], [1, 3], [0, 1, 2]]), min_size=1, max_size=4)))
+        return {"space.json": space}, ["norming", "{d}/space.json", f"--pairs={pairs}"]
+
+    def function(values):  # half of them whole, so that a share of calls extend
+        return ({"space": "line.json", "values": values} if draw(st.booleans())
+                else values_on_the_line(draw, "values", values))
+
+    files = {"f.json": function([0, 1, 2, 3])}
+    subset = draw(st.sampled_from([[0, 1], [0, 3], [0, 1, 2, 3], [1, 2]]))
+    argv = ["extend", "{d}/f.json", f"--subset={index_text(draw, [subset])}"]
+    if draw(st.booleans()):
+        files["floor.json"] = function(draw(st.sampled_from([[0, 0, 0, 0], [0, 2, 0, 0]])))
+        argv.append("--floor={d}/floor.json")
+    return files, argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=extend_or_norming_call())
+def test_extend_and_norming_never_fail(tmp_path_factory, drawn):
+    """extend and norming exit 0, 2 or 3 without a traceback or Python's own
+    wording on any function, floor or space file and any index flag, print
+    nothing on 2, and stop collecting reads."""
+    files, argv = drawn
+    folder = tmp_path_factory.getbasetemp() / "index_fuzz"
+    folder.mkdir(exist_ok=True)
+    write_the_line(folder)
+    for name, obj in files.items():
+        write(folder / name, obj)
+    code, out, err = run_captured([arg.format(d=folder) for arg in argv])
+    assert io.READS.get() is None
+    assert code in (0, 2, 3) and "Traceback" not in err, err
     assert not any(phrase in err for phrase in PYTHON_PHRASES), err
     if code == 2:
         assert out == "" and err.startswith("input error: ")

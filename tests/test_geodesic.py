@@ -199,10 +199,11 @@ class TestIntervalNecessary:
         assert report.holds
 
     def test_non_interval_codomain_rejected(self):
-        from lipfree.errors import CodomainNotInterval
+        from lipfree.errors import NotAnIntervalNet
         gs = tripod()
-        with pytest.raises(CodomainNotInterval):
-            check_interval_necessary(identity_map(gs.space))
+        for check in (check_interval_necessary, check_interval_sufficient):
+            with pytest.raises(NotAnIntervalNet):
+                check(identity_map(gs.space))
 
     def test_halving_flagged(self):
         report = check_interval_necessary(builtin_map("halving", 16))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lipfree.errors import MalformedInput
+from lipfree.errors import InputError, MalformedInput
 from lipfree.fixtures import circle_geodesic, tripod
 from lipfree.io import (
     geodesic_space_to_dict,
@@ -155,6 +155,20 @@ class TestSpaceFiles:
         assert exc.value.json_path == f"{path}.metric.d"
         assert exc.value.reason == f"expected a number, got {named}"
 
+    @pytest.mark.parametrize("base, error", [
+        (1e308, "expected an integer, got 1e+308"),
+        (-1e308, "expected an integer, got -1e+308"),
+        (2.0 ** 53 + 2, "expected an integer, got 9007199254740994.0"),
+        (2.0 ** 53, "base index 9007199254740992 out of range for 2 points"),
+    ], ids=["1e308", "-1e308", "past_2**53", "2**53"])
+    def test_a_whole_float_past_2_53_is_not_an_integer(self, tmp_path, base, error):
+        # once a base of 1e308 was refused naming all 309 digits of int(1e308)
+        path = write(tmp_path / "s.json", {"base": base,
+                                           "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}})
+        with pytest.raises(InputError) as exc:
+            load_space(path)
+        assert str(exc.value) == (error if "index" in error else f"{path}.base: {error}")
+
     def test_whole_float_indices_are_integers(self, tmp_path):
         path = write(tmp_path / "s.json", {
             "base": 1.0, "metric": {"type": "graph", "n": 3.0, "edges": [[0, 1.0, 1], [1, 2, 1]]}})
@@ -242,7 +256,7 @@ class TestMapFiles:
         ("012", "expected a list of 3 point indices"),
         ([0, 3, 2], "point 3 is outside 0..2"),
         ([0, -1, 2], "point -1 is outside 0..2"),
-        ([1e308, 1, 2], f"point {int(1e308)} is outside 0..2"),
+        ([1e308, 1, 2], "expected an integer, got 1e+308"),
     ], ids=["null_entry", "string_entry", "float_entry", "bool_entry", "short", "long", "int",
             "float", "null", "string", "past_n", "negative", "1e308"])
     def test_malformed_image_names_json_path(self, tmp_path, space_file, image, reason):
@@ -284,14 +298,19 @@ class TestGeodesicFiles:
         ("pair", [1], ".paths[0].pair", "expected a list of 2 point indices"),
         ("pair", [1, 2, 3], ".paths[0].pair", "expected a list of 2 point indices"),
         ("pair", [1, True], ".paths[0].pair", "expected an integer, got True"),
-        ("pair", [1, 1e308], ".paths[0].pair", f"point {int(1e308)} is outside 0..3"),
+        ("pair", [1, 1e308], ".paths[0].pair", "expected an integer, got 1e+308"),
         ("points", 3, ".paths[0].points", "expected a list of point indices"),
         ("points", None, ".paths[0].points", "expected a list of point indices"),
         ("points", [1, "0", 2], ".paths[0].points", "expected an integer, got '0'"),
         ("points", [1, 0, 4], ".paths[0].points", "point 4 is outside 0..3"),
-        ("points", [], ".paths", "a path needs at least two points and must not repeat one"),
+        ("points", [], ".paths[0].points",
+         "a path needs at least two points and must not repeat one"),
+        ("points", [1, 0, 1, 2], ".paths[0].points",
+         "a path needs at least two points and must not repeat one"),
+        ("points", [1, 0], ".paths[0].points", "path for (1, 2) does not run from 1 to 2"),
     ], ids=["pair_object", "pair_int", "pair_short", "pair_long", "pair_bool", "pair_1e308",
-            "points_int", "points_null", "points_string", "points_past_n", "points_empty"])
+            "points_int", "points_null", "points_string", "points_past_n", "points_empty",
+            "points_repeat", "points_off_pair"])
     def test_path_refusal_names_the_fault(self, tmp_path, field, value, at, reason):
         # tripod(1, 1) stores one path, 1-0-2; each case replaces one of its fields
         obj = geodesic_space_to_dict(tripod(1, 1))
@@ -319,17 +338,20 @@ class TestGeodesicFiles:
         gspace = load_geodesic_space(write(tmp_path / "g.json", obj))
         assert gspace.paths == {(0, 2): (0, 1, 2), (2, 0): (2, 3, 0)}
 
-    @pytest.mark.parametrize("paths", [
-        [{"pair": [0, 1], "points": [1, 0]}],
-        [{"pair": [0, 1], "points": []}],
-        5,
+    @pytest.mark.parametrize("paths, at", [
+        ([{"pair": [0, 1], "points": [1, 0]}], ".paths[0].points"),
+        ([{"pair": [0, 1], "points": [0, 1]}, {"pair": [1, 0], "points": []}],
+         ".paths[1].points"),
+        ([], ".paths"),
+        (5, ".paths"),
     ])
-    def test_path_off_its_pair_names_paths(self, tmp_path, paths):
+    def test_path_off_its_pair_names_its_entry(self, tmp_path, paths, at):
+        # an unusable path is refused at its own entry's points, the list of none at paths
         path = write(tmp_path / "g.json", {
             "metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}, "paths": paths})
         with pytest.raises(MalformedInput) as exc:
             load_geodesic_space(path)
-        assert exc.value.json_path == f"{path}.paths"
+        assert exc.value.json_path == f"{path}{at}"
 
     def test_round_trip(self, tmp_path):
         gs = tripod()
