@@ -150,10 +150,10 @@ class MethodDisagreement(InternalCheckError):
 
 # -- geodesic -----------------------------------------------------------------
 
-class NotStraightPath(InputError):
-    def __init__(self, defect: float):
-        self.defect = defect
-        super().__init__(f"point sequence is not metrically straight (defect {defect!r})")
+class NotStraightPath(InputError, ValueError):  # a ValueError on a library argument too
+    def __init__(self, pair: tuple[int, int], reason: str):
+        self.pair = pair  # the key the refused path was stored under
+        super().__init__(reason)
 
 
 class InvariantFailure(InternalCheckError):

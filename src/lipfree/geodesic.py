@@ -48,16 +48,17 @@ def straight_path_check(space: PointedMetricSpace,
     """Is the point sequence a discrete isometric embedding of an interval?
 
     The defect is the largest ratio |gap / d(p_i, p_j) - 1| over pairs of
-    path points, gap their arclength difference. The check passes within
-    ``REL_TOL``, which is what the inverse projection's norm check needs.
+    path points, gap their arclength difference, in :func:`row_blocks`. The
+    check passes within ``REL_TOL``, as the inverse projection's norm check needs.
     """
-    pts = point_indices(space, candidate).tolist()
-    if len(pts) < 2 or len(set(pts)) < len(pts):
+    idx = point_indices(space, candidate)
+    if idx.size < 2 or np.unique(idx).size < idx.size:
         raise ValueError("a path needs at least two points and must not repeat one")
-    cum = _cumulative(space, pts)
-    ratios = quotients(gaps(cum), space.dist[np.ix_(pts, pts)])
-    np.fill_diagonal(ratios, 1.0)
-    defect = float(np.max(np.abs(ratios - 1.0)))
+    cum, defect = _cumulative(space, idx.tolist()), 0.0
+    for r0, r1 in row_blocks(idx.size, idx.size):
+        ratios = quotients(gaps(cum[r0:r1], cum), space.dist[idx[r0:r1, None], idx], r0)
+        np.fill_diagonal(ratios[:, r0:], 1.0)
+        defect = max(defect, float(np.abs(ratios - 1.0).max()))
     return StraightPathReport(defect <= REL_TOL, defect)
 
 
@@ -71,7 +72,8 @@ class DiscretizedGeodesicSpace:
 
     ``mesh`` is the largest consecutive step over all stored paths. At
     least one path is needed, and each joins two distinct points, visits
-    no point twice and passes :func:`straight_path_check`.
+    no point twice and passes :func:`straight_path_check`; a path that
+    does not is refused as :class:`NotStraightPath`, naming its pair.
     """
 
     space: PointedMetricSpace
@@ -83,16 +85,16 @@ class DiscretizedGeodesicSpace:
         clean: dict[tuple[int, int], tuple[int, ...]] = {}
         mesh = 0.0
         for pair, pts in dict(self.paths).items():
-            try:
-                report = straight_path_check(self.space, pts)  # two points or more, none repeated
+            try:  # every refusal of a path is one NotStraightPath naming its pair
+                ok, defect = straight_path_check(self.space, pts)  # two points or more, no repeat
                 pts = tuple(int(p) for p in pts)
                 if (pts[0], pts[-1]) != tuple(pair):
                     raise ValueError(f"path for {pair} does not run from {pair[0]} to {pair[1]}")
+                if not ok:
+                    raise ValueError("point sequence is not metrically straight "
+                                     f"(defect {defect!r})")
             except ValueError as exc:
-                exc.pair = pair  # the path refused, for a reader that locates it
-                raise
-            if not report.ok:
-                raise NotStraightPath(report.defect)
+                raise NotStraightPath(pair, str(exc)) from None
             clean[pts[0], pts[-1]] = pts
             mesh = max(mesh, *(self.space.d(a, b) for a, b in zip(pts, pts[1:])))
         if not clean:

@@ -36,7 +36,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import MalformedInput, NotZeroSum
+from .errors import MalformedInput, NotStraightPath, NotZeroSum
 from .freespace import FreeVector
 from .geodesic import DiscretizedGeodesicSpace
 from .lipschitz import LipschitzFunction
@@ -231,10 +231,11 @@ def load_geodesic_space(path: str | Path,
         paths[pair] = _indices(entry, "points", at, space)
     try:
         return DiscretizedGeodesicSpace(space, paths)
-    except ValueError as exc:  # no path, or one that is short, repeats or runs off its pair
-        pair = getattr(exc, "pair", None)
-        at = ".paths" if pair is None else f".paths[{list(paths).index(pair)}].points"
-        raise MalformedInput(where + at, str(exc)) from None
+    except NotStraightPath as exc:  # short, repeating, off its pair or crooked
+        raise MalformedInput(f"{where}.paths[{list(paths).index(exc.pair)}].points",
+                             str(exc)) from None
+    except ValueError as exc:  # no path
+        raise MalformedInput(f"{where}.paths", str(exc)) from None
 
 
 def geodesic_space_to_dict(gspace: DiscretizedGeodesicSpace) -> dict:

@@ -561,7 +561,8 @@ class TestExitCodes:
             "paths": [{"pair": [0, 2], "points": [0, 1, 2]}]})
         code, _, err = run_in_process(
             capsys, "experiment", "geodesic", "--space", path, "--map", "builtin:identity")
-        assert (code, "NotStraightPath" in err) == ((0, False) if k < 1 else (2, True))
+        refused = f"MalformedInput: {path}.paths[0].points: point sequence is not metrically"
+        assert (code, refused in err) == ((0, False) if k < 1 else (2, True))
 
     @pytest.mark.parametrize("argv", [
         ("isometry", "--map", "{halving}", "--method", "dual", "--tol=nan"),

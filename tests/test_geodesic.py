@@ -402,6 +402,38 @@ def test_geodesic_checks_hold_no_space_sized_matrix():
     assert max(peaks.values()) < 6 * 2 ** 20, peaks
 
 
+def test_path_admission_and_projection_read_one_block_at_a_time():
+    # a map file into interval_net(2048) is checked on its one stored path,
+    # whose path-by-path matrices would be 33.6 MB each: admission and
+    # projection hold a few row blocks and O(n) vectors
+    n = 2048
+    net, small = interval_net(n), interval_net(2)
+    inverse_projection(DiscretizedGeodesicSpace(small, {(0, 2): (0, 1, 2)}), PointPair(0, 2))
+    tracemalloc.start()
+    try:
+        gs = DiscretizedGeodesicSpace(net, {(0, n): tuple(range(n + 1))})
+        proj = inverse_projection(gs, PointPair(0, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(proj.function.values, net.meta["coords"])
+    assert peak < 4 * 8 * metric_core.BLOCK + 16 * 8 * net.n, peak
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 2 ** 17])
+def test_straightness_defect_read_by_row_blocks_is_the_whole_maximum(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    monkeypatch.setattr(metric_core, "BLOCK", block)
+    for space in [tripod(1.0, 4).space, circle_geodesic(16).space, interval_net(9),
+                  near_straight(1e-3, 4.0), random_space(rng, 12)]:
+        for _ in range(5):
+            pts = rng.permutation(space.n)[:rng.integers(2, space.n + 1)]
+            cum = np.concatenate([[0.0], np.cumsum(space.dist[pts[:-1], pts[1:]])])
+            ratios = quotients(np.abs(np.subtract.outer(cum, cum)), space.dist[np.ix_(pts, pts)])
+            np.fill_diagonal(ratios, 1.0)
+            assert straight_path_check(space, pts).defect == np.max(np.abs(ratios - 1.0))
+
+
 class TestRefinement:
     @pytest.mark.parametrize("name", ["identity", "fold"])
     def test_defects_never_grow_under_halved_mesh(self, name):

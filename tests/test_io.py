@@ -308,9 +308,11 @@ class TestGeodesicFiles:
         ("points", [1, 0, 1, 2], ".paths[0].points",
          "a path needs at least two points and must not repeat one"),
         ("points", [1, 0], ".paths[0].points", "path for (1, 2) does not run from 1 to 2"),
+        ("points", [1, 3, 0, 2], ".paths[0].points",
+         "point sequence is not metrically straight (defect 2.0)"),
     ], ids=["pair_object", "pair_int", "pair_short", "pair_long", "pair_bool", "pair_1e308",
             "points_int", "points_null", "points_string", "points_past_n", "points_empty",
-            "points_repeat", "points_off_pair"])
+            "points_repeat", "points_off_pair", "points_crooked"])
     def test_path_refusal_names_the_fault(self, tmp_path, field, value, at, reason):
         # tripod(1, 1) stores one path, 1-0-2; each case replaces one of its fields
         obj = geodesic_space_to_dict(tripod(1, 1))
