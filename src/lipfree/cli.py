@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -69,11 +70,11 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _parse_indices(flag: str, text: str, space) -> list[int]:
-    """Comma-separated distinct points of ``space``, in range by :func:`point_indices`."""
-    try:
-        indices = [int(part) for part in text.split(",")]
-    except ValueError:
-        raise MalformedInput(flag, f"{text!r} is not a list of integers") from None
+    """Comma-separated distinct points of ``space``, each ASCII digits with
+    an optional sign, in range by :func:`point_indices`."""
+    if not re.fullmatch(r"[+-]?[0-9]+(,[+-]?[0-9]+)*", text):
+        raise MalformedInput(flag, f"{text!r} is not a list of integers")
+    indices = [int(part) for part in text.split(",")]
     try:
         point_indices(space, indices)
     except ValueError as exc:
@@ -119,31 +120,6 @@ def _check_numeric_flags(args) -> None:
             continue
         bound = f"at least {least}" if closed else f"above {least}"
         raise MalformedInput(flag, f"{value!r} must be finite and {bound}")
-
-
-def _resolve_experiment_map(spec_text: str, mesh: int | None = None,
-                            space_path: str | None = None, tol: float | None = None):
-    """builtin:NAME, file:PATH or a bare path: the map and the geodesic
-    space read from ``space_path`` (else None). Without a space the map is
-    an interval builtin at ``mesh``; on a geodesic space the only builtin is
-    identity, and a file map must go into that space. A builtin's name is
-    checked before any file is read; ``tol`` admits every space read."""
-    names = BUILTIN_MAPS if space_path is None else ("identity",)
-    builtin = spec_text.startswith("builtin:")
-    name = (spec_text.split(":", 1)[1]
-            if builtin or spec_text.startswith("file:") else spec_text)
-    if builtin and name not in names:
-        raise MalformedInput("--map", f"unknown builtin map {name!r}; choose from "
-                             + ", ".join(f"builtin:{known}" for known in names))
-    if space_path is None:
-        if not builtin:
-            raise MalformedInput("--map", "experiment interval runs builtin maps; "
-                                 "check a map file with experiment geodesic --space")
-        return builtin_map(name, mesh), None
-    gspace = load_geodesic_space(space_path, tol)
-    phi = (identity_map(gspace.space) if builtin
-           else load_map(name, codomain=gspace.space, tol=tol))
-    return phi, gspace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="builtin:identity|fold|halving|collapse")
     pi.add_argument("--r-loc", type=float, default=None, dest="r_loc")
     pi.add_argument("--eps", type=float, default=None)
-    common(pi, _cmd_experiment_interval, tol=False, methods=certifiers)
-    pi.set_defaults(command="experiment.interval", tol=None)  # a builtin is never admitted
+    common(pi, _cmd_experiment, tol=False, methods=certifiers)
+    pi.set_defaults(command="experiment.interval", tol=None, space=None)  # builds, reads no file
 
     pg = exp.add_parser("geodesic", help="run the geodesic checks on a map")
     pg.add_argument("--space", required=True, help="geodesic space file (with paths)")
@@ -218,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="file path or builtin:identity")
     pg.add_argument("--r-loc", type=float, default=None, dest="r_loc")
     pg.add_argument("--eps", type=float, default=None)
-    common(pg, _cmd_experiment_geodesic, methods=certifiers)
-    pg.set_defaults(command="experiment.geodesic")
+    common(pg, _cmd_experiment, methods=certifiers)
+    pg.set_defaults(command="experiment.geodesic", mesh=None)
 
     return parser
 
@@ -324,38 +300,43 @@ def _cmd_extend(args):
         "subset": subset, "values": ext.values.tolist(), "norm": lipschitz_norm(ext).value}
 
 
-def _cmd_experiment_interval(args):
-    phi, _ = _resolve_experiment_map(args.map_spec, args.mesh)
-    necessary = check_interval_necessary(phi, r_loc=args.r_loc, eps=args.eps)
-    sufficient = check_interval_sufficient(phi, r=necessary.r_loc, eps=args.eps)
-    tolerances = {"r_loc": necessary.r_loc, "eps": necessary.eps}
+def _cmd_experiment(args):
+    """``--map`` is builtin:NAME, file:PATH or a bare path. Without ``--space``
+    it is an interval builtin at ``--mesh``, whose coordinate projects its one
+    path; into a geodesic space it is identity or a file map, read through
+    each stored path's inverse projection. A builtin's name is checked before
+    any file is read; ``--tol`` admits every space read."""
+    names = BUILTIN_MAPS if args.space is None else ("identity",)
+    builtin = args.map_spec.startswith("builtin:")
+    name = (args.map_spec.split(":", 1)[1]
+            if builtin or args.map_spec.startswith("file:") else args.map_spec)
+    if builtin and name not in names:
+        raise MalformedInput("--map", f"unknown builtin map {name!r}; choose from "
+                             + ", ".join(f"builtin:{known}" for known in names))
+    if args.space is None:
+        if not builtin:
+            raise MalformedInput("--map", "experiment interval runs builtin maps; "
+                                 "check a map file with experiment geodesic --space")
+        phi = builtin_map(name, args.mesh)
+        profiles = [check_interval_necessary(phi, r_loc=args.r_loc, eps=args.eps)]
+        sufficient = check_interval_sufficient(phi, profiles[0].r_loc, profiles[0].eps)
+    else:
+        gspace = load_geodesic_space(args.space, args.tol)
+        phi = (identity_map(gspace.space) if builtin
+               else load_map(name, codomain=gspace.space, tol=args.tol))
+        profiles = [check_geodesic_necessary(phi, gspace, PointPair(x, y),
+                                             r_loc=args.r_loc, eps=args.eps)
+                    for (x, y) in sorted(gspace.paths)]
+        sufficient = check_geodesic_sufficient(phi, gspace, profiles[0].r_loc, profiles[0].eps)
+    tolerances = {"r_loc": profiles[0].r_loc, "eps": profiles[0].eps}
     cert, norm = _certify(phi, args, tolerances)
-    results = {
+    return tolerances, {
         "operator_norm": norm,
-        "necessary": necessary.to_dict(),
-        "sufficient": sufficient.to_dict(),
-        "certificate": cert,
-    }
-    return tolerances, results
-
-
-def _cmd_experiment_geodesic(args):
-    phi, gspace = _resolve_experiment_map(args.map_spec, space_path=args.space, tol=args.tol)
-    profiles = [check_geodesic_necessary(phi, gspace, PointPair(x, y),
-                                         r_loc=args.r_loc, eps=args.eps)
-                for (x, y) in sorted(gspace.paths)]
-    r_loc, eps = profiles[0].r_loc, profiles[0].eps
-    tolerances = {"r_loc": r_loc, "eps": eps}
-    cert, norm = _certify(phi, args, tolerances)
-    sufficient = check_geodesic_sufficient(phi, gspace, r=r_loc, eps=eps)
-    results = {
-        "operator_norm": norm,
-        "mesh": gspace.mesh,
+        "mesh": profiles[0].extra["mesh"],
         "necessary": [p.to_dict() for p in profiles],
         "sufficient": sufficient.to_dict(),
         "certificate": cert,
     }
-    return tolerances, results
 
 
 def run(argv: list[str] | None = None) -> int:

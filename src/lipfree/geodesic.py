@@ -6,6 +6,10 @@ arclength differences match their pairwise distances in ratio, i.e.
 discrete isometric embeddings of an interval. Paths are pinned as data
 rather than recomputed so that every experiment is reproducible.
 
+An interval net is the model case: its one path 0..n projects to the
+coordinate, which the interval checks pass in closed form to the bodies
+the geodesic checks run on each stored path's inverse projection.
+
 The checks in this module replace asymptotic statements about sequences
 with localized maxima at an explicit radius (``r_loc``, ``r``), a
 distance, and threshold ``eps`` on a defect or margin, a ratio. By
@@ -20,7 +24,7 @@ reports record both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,7 +37,6 @@ from .lipschitz import (
     lipschitz_norm,
     local_slopes,
     quotients,
-    sub_lipschitz_norm,
 )
 from .metric_core import REL_TOL, PointedMetricSpace, PointPair, gaps, point_indices, row_blocks
 
@@ -43,27 +46,34 @@ class StraightPathReport(NamedTuple):
     defect: float
 
 
-def straight_path_check(space: PointedMetricSpace,
-                        candidate: Sequence[int]) -> StraightPathReport:
-    """Is the point sequence a discrete isometric embedding of an interval?
-
-    The defect is the largest ratio |gap / d(p_i, p_j) - 1| over pairs of
-    path points, gap their arclength difference, in :func:`row_blocks`. The
-    check passes within ``REL_TOL``, as the inverse projection's norm check needs.
-    """
+def _straightness(space: PointedMetricSpace, candidate: Sequence[int]) -> tuple[float, float]:
+    """The largest |gap / d(p_i, p_j) - 1| and the largest gap / d(p_i, p_j)
+    over pairs of path points, gap their arclength difference: the
+    straightness defect and the arclength's Lipschitz constant on the path,
+    from one pass of ratios in :func:`row_blocks`."""
     idx = point_indices(space, candidate)
     if idx.size < 2 or np.unique(idx).size < idx.size:
         raise ValueError("a path needs at least two points and must not repeat one")
-    cum, defect = _cumulative(space, idx.tolist()), 0.0
+    cum, defect, constant = _cumulative(space, idx), 0.0, 0.0
     for r0, r1 in row_blocks(idx.size, idx.size):
         ratios = quotients(gaps(cum[r0:r1], cum), space.dist[idx[r0:r1, None], idx], r0)
+        constant = max(constant, float(ratios.max()))
         np.fill_diagonal(ratios[:, r0:], 1.0)
         defect = max(defect, float(np.abs(ratios - 1.0).max()))
+    return defect, constant
+
+
+def straight_path_check(space: PointedMetricSpace,
+                        candidate: Sequence[int]) -> StraightPathReport:
+    """Is the point sequence a discrete isometric embedding of an interval?
+    It is when the :func:`_straightness` defect is within ``REL_TOL``, as
+    the inverse projection's norm check needs."""
+    defect = _straightness(space, candidate)[0]
     return StraightPathReport(defect <= REL_TOL, defect)
 
 
 def _cumulative(space: PointedMetricSpace, pts: Sequence[int]) -> np.ndarray:
-    return np.concatenate([[0.0], np.cumsum([space.d(a, b) for a, b in zip(pts, pts[1:])])])
+    return np.concatenate([[0.0], np.cumsum(space.dist[pts[:-1], pts[1:]])])
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +84,13 @@ class DiscretizedGeodesicSpace:
     least one path is needed, and each joins two distinct points, visits
     no point twice and passes :func:`straight_path_check`; a path that
     does not is refused as :class:`NotStraightPath`, naming its pair.
+    Each path's arclength constant is kept from that check.
     """
 
     space: PointedMetricSpace
     paths: Mapping[tuple[int, int], tuple[int, ...]]
     mesh: float = field(init=False)
+    _constants: dict = field(init=False, default_factory=dict, repr=False)
     _projections: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -86,17 +98,18 @@ class DiscretizedGeodesicSpace:
         mesh = 0.0
         for pair, pts in dict(self.paths).items():
             try:  # every refusal of a path is one NotStraightPath naming its pair
-                ok, defect = straight_path_check(self.space, pts)  # two points or more, no repeat
+                defect, constant = _straightness(self.space, pts)  # two points or more, no repeat
                 pts = tuple(int(p) for p in pts)
                 if (pts[0], pts[-1]) != tuple(pair):
                     raise ValueError(f"path for {pair} does not run from {pair[0]} to {pair[1]}")
-                if not ok:
+                if defect > REL_TOL:
                     raise ValueError("point sequence is not metrically straight "
                                      f"(defect {defect!r})")
             except ValueError as exc:
                 raise NotStraightPath(pair, str(exc)) from None
             clean[pts[0], pts[-1]] = pts
-            mesh = max(mesh, *(self.space.d(a, b) for a, b in zip(pts, pts[1:])))
+            self._constants[pts] = constant
+            mesh = max(mesh, float(self.space.dist[pts[:-1], pts[1:]].max()))
         if not clean:
             raise ValueError("a geodesic space needs at least one stored path")
         object.__setattr__(self, "paths", clean)
@@ -136,8 +149,9 @@ def inverse_projection(gspace: DiscretizedGeodesicSpace,
     """Extend the arclength parameter from a stored path to the space.
 
     The extension is the largest-function inf-convolution with the
-    path's own Lipschitz constant (one within ``REL_TOL``: the path passed
-    :func:`straight_path_check` on admission), with floor zero, then
+    path's own Lipschitz constant, kept when the path passed
+    :func:`straight_path_check` on admission (one within ``REL_TOL``; a
+    reversed path's is its stored path's), with floor zero, then
     clamped into [0, L]. Clamping never touches the path points, so
     composing with the path is the identity exactly; all three invariants
     are re-verified before returning, once per pair and space.
@@ -148,7 +162,7 @@ def inverse_projection(gspace: DiscretizedGeodesicSpace,
     pts = gspace.path_for(pair)
     cum = _cumulative(space, pts)
     length = float(cum[-1])
-    constant = sub_lipschitz_norm(space, pts, cum)
+    constant = gspace._constants.get(pts, gspace._constants.get(pts[::-1]))
     raw = inf_extension(space, pts, cum, constant)
     # clamp to [0, L]; the lower clamp is inactive because cum >= 0 and
     # distances are nonnegative
@@ -217,13 +231,12 @@ def _windows(values: np.ndarray, centers: Sequence[float],
     return order, lo, hi
 
 
-def _defect_profile(kind: str, phi: LipschitzMap, values: np.ndarray,
-                    num: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def _defect_profile(kind: str, phi: LipschitzMap, projection: np.ndarray,
                     grid: Sequence[float], mesh: float, r_loc: float | None,
                     eps: float | None, extra: dict[str, Any]) -> DefectProfile:
-    """Per target t, the largest num(x', y') / d(x', y') over pairs of
-    domain points whose value sits within r_loc of t (0 when fewer than
-    two do); ``num`` maps two index arrays to the numerators.
+    """Per target t, the largest |P(phi x') - P(phi y')| / d(x', y') over
+    pairs of domain points whose value P(phi .) sits within r_loc of t (0
+    when fewer than two do), P the codomain vector ``projection``.
 
     In value order each target's points are a run [lo, hi) of
     :func:`_windows`. Band entry (i, k - 1) is the largest ratio of point
@@ -232,13 +245,15 @@ def _defect_profile(kind: str, phi: LipschitzMap, values: np.ndarray,
     with lo <= i < i + k = hi - 1, gathered for all targets at once; band
     rows are filled in :func:`row_blocks`."""
     r_loc, eps = _scales(mesh, phi.codomain.diameter, r_loc, eps)
+    values = projection[np.asarray(phi.image)]
     order, lo, hi = _windows(values, grid, r_loc)
     n, width = order.size, int((hi - lo).max())
     band = np.empty((n, max(width - 1, 0)))
     for i0, i1 in row_blocks(n, width - 1):
         i = np.arange(i0, i1)[:, None]
         a, b = order[i], order[(i + np.arange(1, width)) % n]  # wrapped entries are never read
-        np.maximum.accumulate(num(a, b) / phi.domain.dist[a, b], axis=1, out=band[i0:i1])
+        np.maximum.accumulate(np.abs(values[a] - values[b]) / phi.domain.dist[a, b], axis=1,
+                              out=band[i0:i1])
     span = np.maximum(hi - lo - 1, 0)
     run = np.repeat(np.arange(lo.size), span)
     i = np.repeat(lo - np.cumsum(span) + span, span) + np.arange(span.sum())
@@ -251,28 +266,18 @@ def _defect_profile(kind: str, phi: LipschitzMap, values: np.ndarray,
                          extra={"mesh": mesh, **extra})
 
 
-def _interval_values(phi: LipschitzMap) -> tuple[np.ndarray, np.ndarray, float]:
-    """The codomain's coordinates, those of the image, and the mesh."""
-    coords = interval_coordinates(phi.codomain)
-    return coords, coords[np.asarray(phi.image)], 1.0 / (coords.size - 1)
-
-
 def check_interval_necessary(
     phi: LipschitzMap,
     r_loc: float | None = None,
     eps: float | None = None,
 ) -> DefectProfile:
-    """Localized ratio-one probe for maps into an interval net.
-
-    For each target t, the best ratio d(phi x', phi y')/d(x', y') over
-    pairs mapping within r_loc of t is recorded; a norm-one map that
-    acts isometrically must bring every defect below eps at mesh scale.
-    """
-    coords, values, mesh = _interval_values(phi)
-    img = np.asarray(phi.image)
-    return _defect_profile("interval_necessary", phi, values,
-                           lambda a, b: phi.codomain.dist[img[a], img[b]], coords.tolist(),
-                           mesh, r_loc, eps, {})
+    """Localized ratio-one probe for maps into an interval net: the
+    geodesic profile along the net's one path, whose inverse projection is
+    the coordinate, at targets k/n. A norm-one map that acts isometrically
+    must bring every defect below eps at mesh scale."""
+    coords = interval_coordinates(phi.codomain)
+    return _defect_profile("interval_necessary", phi, coords, coords.tolist(),
+                           1.0 / (coords.size - 1), r_loc, eps, {})
 
 
 def check_geodesic_necessary(
@@ -292,9 +297,7 @@ def check_geodesic_necessary(
     if phi.codomain is not gspace.space:
         raise ValueError("map codomain is not the geodesic space")
     proj = inverse_projection(gspace, pair)
-    values = proj.function.values[np.asarray(phi.image)]
-    return _defect_profile("geodesic_necessary", phi, values,
-                           lambda a, b: np.abs(values[a] - values[b]),
+    return _defect_profile("geodesic_necessary", phi, proj.function.values,
                            proj.cumulative, gspace.mesh, r_loc, eps,
                            {"pair": pair.as_tuple(), "path_length": proj.length})
 
@@ -305,7 +308,7 @@ def check_geodesic_necessary(
 
 @dataclass(frozen=True)
 class SufficiencyReport:
-    """Image-density plus slope-one margins at attained values.
+    """Image-density plus slope-one margins at mesh-snapped values.
 
     ``rows`` holds (value, margin) with margin the best pointwise
     constant at scale r over preimages of the value. The report
@@ -329,45 +332,53 @@ class SufficiencyReport:
 
 
 def _margins(phi: LipschitzMap, values: np.ndarray, r: float,
-             centers: np.ndarray, width: float) -> list[tuple[float, float]]:
-    """(c, m) per center c: m is the largest local slope at scale r of
-    ``values`` over the domain points whose value lies within width of c,
-    one ``reduceat`` over the slopes in value order. Every center is an
-    attained value or one snapped to the mesh, so no run is empty; the
+             mesh: float) -> list[tuple[float, float]]:
+    """(c, m) per attained value snapped to the mesh, c: m is the largest
+    local slope at scale r of ``values`` over the domain points whose value
+    lies within the mesh of c, one ``reduceat`` over the slopes in value
+    order. No run is empty, since it holds the values snapped to c; the
     appended entry lets a run end at the last point."""
     slopes = local_slopes(LipschitzFunction(phi.domain, values, normalize=False), r)
-    order, lo, hi = _windows(values, centers, width)
+    centers = np.unique(np.round(values / mesh) * mesh)
+    order, lo, hi = _windows(values, centers, mesh)
     best = np.maximum.reduceat(np.append(slopes[order], 0.0), np.ravel([lo, hi], "F"))[::2]
     return list(zip(centers.tolist(), best.tolist()))
 
 
-def _sufficiency(kind: str, density_ok: bool, max_gap: float, mesh: float,
-                 rows: list[tuple[float, float]], r: float, eps: float,
-                 extra: dict[str, Any]) -> SufficiencyReport:
+def _sufficiency(kind: str, phi: LipschitzMap, projections: list[np.ndarray], mesh: float,
+                 r: float | None, eps: float | None, extra: dict[str, Any]) -> SufficiencyReport:
+    """Every codomain point must lie within twice the mesh of the image
+    (otherwise the report is not dense and names the worst uncovered
+    point in ``extra``), and for each codomain vector P in
+    ``projections``, every mesh-snapped value of P(phi(.)) must have a
+    preimage at pointwise constant 1 - eps at scale r."""
+    space, img = phi.codomain, np.asarray(phi.image)
+    r, eps = _scales(mesh, space.diameter, r, eps)
+    attained = np.unique(img)
+    cover = np.concatenate([space.dist[r0:r1, attained].min(axis=1)
+                            for r0, r1 in row_blocks(space.n, attained.size)])
+    worst_point = int(np.argmax(cover))
+    max_gap = float(cover[worst_point])
+    dense = max_gap <= 2.0 * mesh
+    rows = []
+    for projection in projections:
+        rows += _margins(phi, projection[img], r, mesh)
     worst = min(m for _, m in rows)
     return SufficiencyReport(
-        kind=kind, density_ok=density_ok, max_gap=max_gap, gap_allowance=2.0 * mesh,
+        kind=kind, density_ok=dense, max_gap=max_gap, gap_allowance=2.0 * mesh,
         rows=tuple(rows), worst_margin=worst, r=r, eps=eps,
-        predicts_isometric=density_ok and worst >= 1.0 - eps,
-        extra={"mesh": mesh, **extra})
+        predicts_isometric=dense and worst >= 1.0 - eps,
+        extra={"mesh": mesh, **extra, **({} if dense else {"worst_point": worst_point})})
 
 
 def check_interval_sufficient(
     phi: LipschitzMap, r: float | None = None, eps: float | None = None
 ) -> SufficiencyReport:
-    """Slope-one sufficiency probe for maps into an interval net.
-
-    Two conditions: attained values must leave no gap larger than twice
-    the mesh in [0, 1] (the net surrogate for a full-length image), and
-    every attained value must have a preimage whose pointwise constant
-    at scale r reaches 1 - eps.
-    """
-    _, values, mesh = _interval_values(phi)
-    r, eps = _scales(mesh, phi.codomain.diameter, r, eps)
-    attained = np.unique(values)
-    max_gap = float(np.diff(attained, prepend=0.0, append=1.0).max())
-    return _sufficiency("interval_sufficient", max_gap <= 2.0 * mesh, max_gap, mesh,
-                        _margins(phi, values, r, attained, 0.0), r, eps, {})
+    """Slope-one sufficiency probe for maps into an interval net: the
+    geodesic probe with the coordinate as its one path's projection."""
+    coords = interval_coordinates(phi.codomain)
+    return _sufficiency("interval_sufficient", phi, [coords], 1.0 / (coords.size - 1),
+                        r, eps, {})
 
 
 def check_geodesic_sufficient(
@@ -376,29 +387,12 @@ def check_geodesic_sufficient(
     r: float | None = None,
     eps: float | None = None,
 ) -> SufficiencyReport:
-    """Range density plus slope-one margins through every stored path.
-
-    Every codomain point must lie within twice the mesh of the image
-    (otherwise the report is not dense and names the worst uncovered
-    point in ``extra``), and for each stored path's inverse projection P,
-    every mesh-snapped attained value of P(phi(.)) must have a preimage
-    at pointwise constant 1 - eps at scale r.
+    """Range density plus slope-one margins through every stored path, as
+    :func:`_sufficiency` reads them with each path's inverse projection.
     """
     if phi.codomain is not gspace.space:
         raise ValueError("map codomain is not the geodesic space")
-    mesh, space = gspace.mesh, gspace.space
-    r, eps = _scales(mesh, space.diameter, r, eps)
-    img = np.asarray(phi.image)
-    cover = np.concatenate([space.dist[r0:r1, img].min(axis=1)
-                            for r0, r1 in row_blocks(space.n, img.size)])
-    worst_point = int(np.argmax(cover))
-    max_gap = float(cover[worst_point])
-    dense = max_gap <= 2.0 * mesh
-    rows = []
-    for (x, y) in sorted(gspace.paths):
-        composed = inverse_projection(gspace, PointPair(x, y)).function.values[img]
-        snapped = np.unique(np.round(composed / mesh) * mesh)
-        rows += _margins(phi, composed, r, snapped, mesh)
-    return _sufficiency("geodesic_sufficient", dense, max_gap, mesh, rows, r, eps,
-                        {"paths": sorted(gspace.paths),
-                         **({} if dense else {"worst_point": worst_point})})
+    pairs = sorted(gspace.paths)
+    return _sufficiency("geodesic_sufficient", phi,
+                        [inverse_projection(gspace, PointPair(*p)).function.values for p in pairs],
+                        gspace.mesh, r, eps, {"paths": pairs})

@@ -374,7 +374,12 @@ class TestExitCodes:
         (("extend", "{fn}", "--subset", "0,1e308"),
          "--subset: '0,1e308' is not a list of integers"),
         (("norming", "{three}", "--pairs", "0,1;1,1"), "--pairs: '1,1': indices must be distinct"),
-    ], ids=["subset_past_n", "subset_negative", "pairs_past_n", "subset_float", "pairs_repeat"])
+        (("extend", "{fn}", "--subset", "0,1_0"),
+         "--subset: '0,1_0' is not a list of integers"),  # int() reads it as 10
+        (("extend", "{fn}", "--subset", "0,\u0663"),
+         "--subset: '0,\u0663' is not a list of integers"),  # int() reads ARABIC-INDIC 3 as 3
+    ], ids=["subset_past_n", "subset_negative", "pairs_past_n", "subset_float", "pairs_repeat",
+            "subset_underscore", "subset_non_ascii_digit"])
     def test_index_flags_name_the_fault(self, files, capsys, argv, error):
         # one range rule and wording for every index, a flag's as a file's
         code, report, err = run_in_process(capsys, *[a.format(**files) for a in argv])
@@ -974,9 +979,9 @@ class TestExperiments:
         assert not (files["dir"] / "profile.csv").exists()
         code, report, _ = run_in_process(capsys, *argv)
         assert code == 0
-        if argv[1] == "interval":
-            profiles = [(report["results"]["necessary"],
-                         check_interval_necessary(builtin_map("fold", 8)))]
+        if argv[1] == "interval":  # one profile, along the net's one path
+            profiles = [*zip(report["results"]["necessary"],
+                             [check_interval_necessary(builtin_map("fold", 8))], strict=True)]
         else:
             gspace = io.load_geodesic_space(files["geo"])
             profiles = [(p, check_geodesic_necessary(composition.identity_map(gspace.space), gspace,
@@ -995,6 +1000,17 @@ class TestExperiments:
         assert [p.name for p in out_dir.iterdir()] == ["report.json"]
         report = json.loads((out_dir / "report.json").read_text())
         assert report["results"]["certificate"]["verdict"] == "isometric"
+
+    def test_interval_report_takes_the_geodesic_layout(self, files, capsys):
+        interval, geodesic = [run_in_process(capsys, *argv)[1]["results"] for argv in (
+            ("experiment", "interval", "--mesh", "8", "--map", "builtin:fold"),
+            ("experiment", "geodesic", "--space", files["geo"], "--map", "builtin:identity"))]
+        assert set(interval) == set(geodesic) == {
+            "operator_norm", "mesh", "necessary", "sufficient", "certificate"}
+        assert interval["mesh"] == 1 / 8
+        assert [p["kind"] for p in interval["necessary"]] == ["interval_necessary"]
+        assert interval["sufficient"]["max_gap"] == 0.0  # fold's image is every net point
+        assert interval["sufficient"]["extra"] == {"mesh": 1 / 8}
 
     def test_interval_halving_negative_is_exit_zero(self, files):
         proc = run_cli("experiment", "interval", "--mesh", "8",
@@ -1089,7 +1105,7 @@ class TestExperiments:
                 necessary = results["necessary"]
                 verdicts.append((results["certificate"]["verdict"],
                                  results["sufficient"]["predicts_isometric"],
-                                 (necessary[0] if argv[1] == "geodesic" else necessary)["holds"]))
+                                 necessary[0]["holds"]))
             interval, geodesic = verdicts
             assert interval[:2] == geodesic[:2], (mesh, verdicts)
             if interval != geodesic:
@@ -1276,7 +1292,7 @@ def test_the_parser_names_the_command_it_dispatches(files, capsys, command, argv
     argv = [a.format(**files) for a in argv]
     args = cli.build_parser().parse_args(argv)
     assert (args.command, args.handler.__name__) == (
-        command, "_cmd_" + command.replace(".", "_"))
+        command, "_cmd_" + command.split(".")[0])  # one handler for both experiments
     code, report, err = run_in_process(capsys, *argv)
     assert code == 0, err
     assert report["command"] == command

@@ -7,7 +7,7 @@ import pytest
 from conftest import scaled
 from hypothesis import given, settings, strategies as st
 
-from lipfree import geodesic, metric_core
+from lipfree import geodesic, lipschitz, metric_core
 from lipfree.composition import LipschitzMap, certify_isometry, identity_map
 from lipfree.errors import NoStoredPath, NotStraightPath
 from lipfree.fixtures import (
@@ -32,6 +32,7 @@ from lipfree.lipschitz import (
     lipschitz_norm,
     local_slopes,
     quotients,
+    sub_lipschitz_norm,
 )
 from lipfree.metric_core import (
     REL_TOL,
@@ -434,6 +435,53 @@ def test_straightness_defect_read_by_row_blocks_is_the_whole_maximum(monkeypatch
             assert straight_path_check(space, pts).defect == np.max(np.abs(ratios - 1.0))
 
 
+def test_projection_reads_the_path_constant_kept_on_admission(monkeypatch):
+    # the arclength's constant on a path is the largest of the straightness
+    # ratios, so projecting makes no second pairwise pass over the path
+    spaces = [circle_geodesic(16), tripod(1.0, 3), interval_geodesic(8),
+              DiscretizedGeodesicSpace(near_straight(1e-3, 0.25), {(0, 2): (0, 1, 2)})]
+    for gs in spaces:
+        for pts in gs.paths.values():
+            cum = np.concatenate([[0.0], np.cumsum(gs.space.dist[pts[:-1], pts[1:]])])
+            assert gs._constants[pts] == sub_lipschitz_norm(gs.space, pts, cum)
+
+    def boom(*args):
+        raise AssertionError("sub_lipschitz_norm ran")
+
+    monkeypatch.setattr(lipschitz, "sub_lipschitz_norm", boom)
+    monkeypatch.setattr(geodesic, "sub_lipschitz_norm", boom, raising=False)
+    for gs in spaces:
+        phi = identity_map(gs.space)
+        for x, y in sorted(gs.paths):
+            for pair in (PointPair(x, y), PointPair(y, x)):
+                assert check_geodesic_necessary(phi, gs, pair).holds
+        assert check_geodesic_sufficient(phi, gs).predicts_isometric
+
+
+def _without_path(report):
+    """A report's fields but its kind and the path fields of ``extra``."""
+    fields = {**report.to_dict()}
+    del fields["kind"]
+    fields["extra"] = {k: v for k, v in fields["extra"].items()
+                       if k not in ("pair", "path_length", "paths")}
+    return fields
+
+
+@pytest.mark.parametrize("name", ["identity", "fold", "halving", "collapse"])
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64])
+def test_interval_checks_are_the_geodesic_checks(name, n):
+    # on an interval net the one path 0..n projects to the coordinate, and at
+    # these meshes its sums of steps are the targets k/n exactly
+    phi = builtin_map(name, n)
+    m = phi.codomain.n - 1
+    gs = DiscretizedGeodesicSpace(phi.codomain, {(0, m): range(m + 1)})
+    for r, eps in ((None, None), (1 / n, None), (None, 0.01), (3 / n, 0.2)):
+        assert _without_path(check_interval_necessary(phi, r, eps)) == _without_path(
+            check_geodesic_necessary(phi, gs, PointPair(0, m), r, eps))
+        assert _without_path(check_interval_sufficient(phi, r, eps)) == _without_path(
+            check_geodesic_sufficient(phi, gs, r, eps))
+
+
 class TestRefinement:
     @pytest.mark.parametrize("name", ["identity", "fold"])
     def test_defects_never_grow_under_halved_mesh(self, name):
@@ -479,33 +527,28 @@ class TestSortedWindowOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14),
-           r=st.sampled_from([0.0, 0.125, 0.25, 0.6, 3.0]), matrix=st.booleans())
-    def test_profile(self, seed, n, r, matrix):
+           r=st.sampled_from([0.0, 0.125, 0.25, 0.6, 3.0]))
+    def test_profile(self, seed, n, r):
         rng = np.random.default_rng(seed)
         domain = random_space(rng, n)
         values = _tied_values(rng, n)
-        if matrix:  # a numerator read from a symmetric table, as on an interval
-            table = rng.uniform(0.0, 2.0, size=(n, n))
-            table = np.triu(table, 1) + np.triu(table, 1).T
-        else:  # the geodesic numerator
-            table = np.abs(values[:, None] - values[None, :])
+        table = np.abs(values[:, None] - values[None, :])
         grid = np.concatenate([values, rng.uniform(-1.0, 4.0, size=4), [-9.0, 9.0]])
         got = geodesic._defect_profile("oracle", identity_map(domain), values,
-                                       lambda a, b: table[a, b], grid, 0.25, r, 0.5, {})
+                                       grid, 0.25, r, 0.5, {})
         assert list(got.rows) == _loop_profile_rows(values, table, domain.dist, grid, r)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14),
-           r=st.sampled_from([0.1, 0.5, 2.0]), snapped=st.booleans())
-    def test_margins(self, seed, n, r, snapped):
+           r=st.sampled_from([0.1, 0.5, 2.0]), jitter=st.booleans())
+    def test_margins(self, seed, n, r, jitter):
         rng = np.random.default_rng(seed)
         domain = random_space(rng, n)
-        values = _tied_values(rng, n) + rng.uniform(0.0, 0.2, size=n) * snapped
-        centers, width = ((np.unique(np.round(values / 0.25) * 0.25), 0.25) if snapped
-                          else (np.unique(values), 0.0))
+        values = _tied_values(rng, n) + rng.uniform(0.0, 0.2, size=n) * jitter
+        centers = np.unique(np.round(values / 0.25) * 0.25)
         slopes = local_slopes(LipschitzFunction(domain, values, normalize=False), r)
-        got = geodesic._margins(identity_map(domain), values, r, centers, width)
-        assert got == _loop_margins(slopes, values, centers, width)
+        got = geodesic._margins(identity_map(domain), values, r, 0.25)
+        assert got == _loop_margins(slopes, values, centers, 0.25)
 
     def test_windows_of_zero_one_and_two_points(self):
         domain = validate_space(np.array([[0, 1, 2, 3], [1, 0, 1, 2],
@@ -517,7 +560,7 @@ class TestSortedWindowOracle:
         assert sorted(order[lo[2]:hi[2]].tolist()) == [1, 3]
         table = np.abs(values[:, None] - values[None, :])
         got = geodesic._defect_profile("oracle", identity_map(domain), values,
-                                       lambda a, b: table[a, b], grid, 1.0, 0.0, 0.5, {})
+                                       grid, 1.0, 0.0, 0.5, {})
         assert list(got.rows) == _loop_profile_rows(values, table, domain.dist, grid, 0.0)
         assert [row[1] for row in got.rows] == [0.0] * 5  # the tied pair has ratio 0
 
