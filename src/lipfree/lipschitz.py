@@ -102,14 +102,14 @@ def lipschitz_norm(f: LipschitzFunction) -> LipNorm:
 
 def local_slopes(f: LipschitzFunction, r: float) -> np.ndarray:
     """Every point's largest difference quotient against the other points
-    within distance r of it (0 where there are none): the row maxima, from
-    0, of :func:`quotients` masked to d(x, y) <= r, in :func:`row_blocks`."""
+    within r + ``space.tol`` of it (0 where there are none): the row maxima,
+    from 0, of :func:`quotients` masked to those, in :func:`row_blocks`."""
     if r <= 0:
         raise ValueError("scale r must be positive")
     v, d, slopes = f.values, f.space.dist, np.empty(f.space.n)
     for r0, r1 in row_blocks(v.size, v.size):
         q = quotients(gaps(v[r0:r1], v), d[r0:r1], r0)
-        np.max(q, axis=1, where=d[r0:r1] <= r, initial=0.0, out=slopes[r0:r1])
+        np.max(q, axis=1, where=d[r0:r1] <= r + f.space.tol, initial=0.0, out=slopes[r0:r1])
     return slopes
 
 

@@ -3,10 +3,10 @@
 A space is a finite set of points with a distinguished base point (index
 0 for every generated family) and a metric: a distance matrix, frozen, that
 :func:`validate_space` checks or the constructor that built it proves. It
-computes its vertex pairs, the pairs no third point lies between, once, and
-validation reads them off its own :func:`detour_rows` pass. Pairwise passes
-that would otherwise hold an n x n temporary read rows in the ranges of
-:func:`row_blocks`, the one place that sizes one.
+computes its vertex pairs, the pairs no third point lies between, once, off
+validation's detour pass, the only one, which constructor-built matrices read
+too. Pairwise passes that would otherwise hold an n x n temporary read rows in
+the ranges of :func:`row_blocks`, the one place that sizes one.
 
 Every module follows one tolerance policy, kept here: a distance is
 compared within ``space.tol`` (``REL_TOL`` times the largest distance), a
@@ -125,9 +125,9 @@ def validate_space(
 ) -> PointedMetricSpace:
     """Check the metric axioms of a copy of the matrix and wrap it in a space.
 
-    The triangle inequality is checked by row blocks of :func:`detour_rows`
-    within ``REL_TOL * max(d)`` or an explicit absolute ``tol``, finite and at
-    least 0 (else ValueError); the same rows mark the space's vertex pairs
+    One min-plus pass over the detours of the pairs x < y checks the triangle
+    inequality within ``REL_TOL * max(d)`` or an explicit absolute ``tol``,
+    finite and at least 0 (else ValueError), and marks the space's vertex pairs
     within ``space.tol``, whatever ``tol`` admitted the matrix. A violation is
     reported as the triple (i, j, k) of the first third point j that breaks a
     pair and the first pair (i, k) it breaks; nothing is repaired. A matrix not
@@ -166,21 +166,30 @@ def validate_space(
         raise MalformedInput("metric.d", f"{top!r} is too large: sums overflow")
     if tol is None:
         tol = REL_TOL * top
-    vertex = []
-    for r0, r1 in row_blocks(n):
-        through = detour_rows(d, r0, r1)
-        if np.any(d[r0:r1] - through > tol):
+    zero = d.diagonal().copy()  # 0.0 or -0.0, restored bitwise
+    np.fill_diagonal(d, np.inf)  # so z = x and z = y never win a detour's minimum
+    vertex = np.zeros((n, n), dtype=bool)
+    for r0, r1 in row_blocks(n):  # x in r0:r1, y >= r0: d and its detours are symmetric
+        blocks = list(row_blocks(n, (r1 - r0) * (n - r0)))
+        through = np.full((r1 - r0, n - r0), np.inf)
+        buf = np.empty((blocks[0][1], r1 - r0, n - r0))  # the first block is the largest
+        for z0, z1 in blocks:  # the least d(x, z) + d(z, y), exact in any blocking
+            sums = np.add(d.T[z0:z1, r0:r1, None], d[z0:z1, None, r0:], out=buf[:z1 - z0])
+            np.minimum(through, sums.min(axis=0), out=through)
+        np.fill_diagonal(d[r0:r1, r0:r1], zero[r0:r1])  # no later row block reads these
+        if np.any(d[r0:r1, r0:] - through > tol):
+            np.fill_diagonal(d, zero)
             for j in range(n):  # the first third point j to break a pair, then that pair
                 bad = np.argwhere(d - (d[:, j, None] + d[j]) > tol)
                 if bad.size:
                     i, k = (int(v) for v in bad[0])
                     raise TriangleViolation(i, j, k, float(d[i, k]), float(d[i, j]),
                                             float(d[j, k]), tol)
-        vertex.append(through > d[r0:r1] + REL_TOL * top)  # space.tol, whatever tol admits
+        vertex[r0:r1, r0:] = through > d[r0:r1, r0:] + REL_TOL * top  # space.tol, whatever tol
 
     labels = tuple(f"p{i}" for i in range(n)) if labels is None else tuple(labels)
     space = PointedMetricSpace(labels, base, d, dict(meta or {}))
-    object.__setattr__(space, "_vertex_mask", np.concatenate(vertex))
+    object.__setattr__(space, "_vertex_mask", vertex)
     return space
 
 
@@ -204,29 +213,12 @@ def row_blocks(n: int, sums: int | None = None) -> Iterator[tuple[int, int]]:
     return ((r0, min(n, r0 + rows)) for r0 in range(0, n, rows))
 
 
-def detour_rows(d: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """For x in r0:r1 and every y, the least d(x, z) + d(z, y) over points
-    z outside {x, y}, or inf: one min-plus kernel over :func:`row_blocks` of
-    third points, in one reused buffer; the minimum is exact in any blocking."""
-    n = d.shape[0]
-    blocks = list(row_blocks(n, (r1 - r0) * n))
-    best = np.full((r1 - r0, n), np.inf)
-    buf = np.empty((blocks[0][1], r1 - r0, n))  # the first block is the largest
-    for z0, z1 in blocks:
-        through = np.add(d.T[z0:z1, r0:r1, None], d[z0:z1, None], out=buf[:z1 - z0])
-        through[np.arange(z1 - z0), :, np.arange(z0, z1)] = np.inf  # z = y
-        z = np.arange(max(z0, r0), min(z1, r1))
-        through[z - z0, z - r0] = np.inf  # z = x
-        np.minimum(best, through.min(axis=0), out=best)
-    return best
-
-
 def vertex_pairs(space: PointedMetricSpace) -> np.ndarray:
     """The pairs (x, y), x < y, row-major, whose every detour d(x, z) + d(z, y)
     exceeds d(x, y) + ``space.tol`` (:func:`intermediate_points`' test): over
     the edges a space records (any other pair has a point of a shortest path
     between its ends, whose detour rounds far within the tolerance), else from
-    the mask :func:`validate_space` kept, else by :func:`detour_rows`."""
+    the mask :func:`validate_space` kept, else from the mask of its pass."""
     d, edges, mask = space.dist, space.edges, space._vertex_mask
     if edges is not None:
         found = []
@@ -236,9 +228,8 @@ def vertex_pairs(space: PointedMetricSpace) -> np.ndarray:
             through[k, xs] = through[k, ys] = np.inf  # z outside {x, y}
             found.append(edges[p0:p1][through.min(axis=1) > d[xs, ys] + space.tol])
         return np.concatenate(found)
-    if mask is None:
-        mask = np.concatenate([detour_rows(d, r0, r1) > d[r0:r1] + space.tol
-                               for r0, r1 in row_blocks(space.n)])
+    if mask is None:  # validation's own mask; a tol of the diameter admits any triangle
+        mask = validate_space(d, space.base, tol=space.diameter)._vertex_mask
     return np.argwhere(np.triu(mask, k=1))
 
 

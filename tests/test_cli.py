@@ -738,23 +738,23 @@ class TestCommands:
 
 
 class TestOneDetourPassPerMatrix:
-    """A command reads each matrix it validates once through ``detour_rows``,
-    row block by row block, and enumerates vertices from that pass."""
+    """A command admits each matrix it validates once, through the one pass
+    that sums detours, and enumerates vertices from that pass."""
 
     @pytest.fixture
     def rows(self, monkeypatch):
-        """The detour rows read, totalled per matrix size, through the
-        kernel wherever a lipfree module binds it."""
+        """The admission passes run, counted per matrix size, through
+        ``validate_space`` wherever a lipfree module binds it."""
         read = {}
-        real = metric_core.detour_rows
+        real = metric_core.validate_space
 
-        def counted(d, r0, r1):
-            read[len(d)] = read.get(len(d), 0) + r1 - r0
-            return real(d, r0, r1)
+        def counted(d, *args, **kwargs):
+            read[len(d)] = read.get(len(d), 0) + 1
+            return real(d, *args, **kwargs)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("lipfree") and getattr(module, "detour_rows", None) is real:
-                monkeypatch.setattr(module, "detour_rows", counted)
+            if name.startswith("lipfree") and getattr(module, "validate_space", None) is real:
+                monkeypatch.setattr(module, "validate_space", counted)
         return read
 
     @pytest.mark.parametrize("block", [64, 1 << 17])
@@ -766,7 +766,7 @@ class TestOneDetourPassPerMatrix:
         code, report, _ = run_in_process(capsys, "extremes", path)
         assert code == 0
         assert report["results"]["pairs"] == brute_vertices(space).tolist()
-        assert rows == {12: 12}
+        assert rows == {12: 1}
 
     # fold: a 9-point domain onto a 5-point codomain, of norm one; halving:
     # a 5-point domain into a 9-point codomain, of norm one half, whose
@@ -783,7 +783,7 @@ class TestOneDetourPassPerMatrix:
         code, report, _ = run_in_process(capsys, "isometry", "--map", path, "--method", method)
         assert code == 0
         assert report["results"]["verdict"] == verdict
-        assert rows == {phi.domain.n: phi.domain.n, phi.codomain.n: phi.codomain.n}
+        assert rows == {phi.domain.n: 1, phi.codomain.n: 1}
 
     # an interval net, which experiment geodesic reads with its one path stored
     @pytest.mark.parametrize("by_path", [False, True], ids=["inline", "by_path"])
@@ -812,7 +812,7 @@ class TestOneDetourPassPerMatrix:
         assert certificate["verdict"] == "isometric"
         reads = (3 if by_path else 1) + (command[0] == "experiment")
         assert len(report["inputs"]) == reads  # every read is recorded
-        assert rows == {net.n: net.n}
+        assert rows == {net.n: 1}
 
     def test_geodesic_domain_holding_the_space_reads_no_pass(self, tmp_path, capsys, rows):
         gspace = circle_geodesic(8)
@@ -826,7 +826,7 @@ class TestOneDetourPassPerMatrix:
                                            "--map", path)
         assert code == 0, err
         assert report["results"]["certificate"]["verdict"] == "isometric"
-        assert rows == {gspace.space.n: gspace.space.n}  # the --space file's pass alone
+        assert rows == {gspace.space.n: 1}  # the --space file's pass alone
 
     @pytest.mark.parametrize("inline", [False, True], ids=["by_path", "inline"])
     def test_floor_on_the_function_space_admitted_once(self, tmp_path, capsys, rows, inline):
@@ -839,7 +839,7 @@ class TestOneDetourPassPerMatrix:
         code, report, err = run_in_process(capsys, "extend", f, "--subset", "0,2", "--floor", g)
         assert code == 0, err
         assert report["results"]["values"] == [0, 1, 2]
-        assert rows == {3: 3}
+        assert rows == {3: 1}
 
     # A codomain one step from its domain is admitted on its own, to the
     # verdict or refusal it gets as a file of its own: the domain is the line
@@ -875,7 +875,7 @@ class TestOneDetourPassPerMatrix:
             return
         assert code == 0, err
         assert report["results"]["verdict"] == "isometric"
-        assert rows == {3: 6}  # two admissions
+        assert rows == {3: 2}  # two admissions
         phi = io.load_map(path)
         assert phi.domain is not phi.codomain
         assert [type(label) for label in phi.codomain.labels] == [

@@ -558,11 +558,11 @@ class TestEdgeEnumeration:
             assert np.array_equal(found, extreme_molecules(dataclasses.replace(space, edges=None)))
 
     def test_interval_net_never_reads_rows(self, monkeypatch):
-        def no_rows(*args):
-            raise AssertionError("vertex enumeration read detour rows")
+        def no_rows(*args, **kwargs):
+            raise AssertionError("vertex enumeration ran the detour pass")
 
         net = interval_net(4096)
-        monkeypatch.setattr(metric_core, "detour_rows", no_rows)
+        monkeypatch.setattr(metric_core, "validate_space", no_rows)
         tracemalloc.start()
         try:
             found = extreme_molecules(net)
@@ -573,19 +573,21 @@ class TestEdgeEnumeration:
         assert peak < 8 * 2 ** 20
 
     def test_snowflake_of_a_tripod_reads_rows(self, monkeypatch):
-        rows = []
-        real = metric_core.detour_rows
+        # a matrix a constructor proved reads the admission pass, once, at a
+        # tol of its diameter, which admits any triangle
+        passes = []
+        real = metric_core.validate_space
 
-        def counted(d, r0, r1):
-            rows.extend(range(r0, r1))
-            return real(d, r0, r1)
+        def counted(d, base, tol):
+            passes.append((len(d), base, tol))
+            return real(d, base, tol=tol)
 
-        monkeypatch.setattr(metric_core, "detour_rows", counted)
+        monkeypatch.setattr(metric_core, "validate_space", counted)
         for k in (1, 3, 6):
             flake = snowflake(tripod(1.0, k).space, 0.6)
-            rows.clear()
+            passes.clear()
             found = extreme_molecules(flake)
-            assert rows == list(range(flake.n))
+            assert passes == [(flake.n, flake.base, flake.diameter)]
             assert np.array_equal(found, brute_vertices(flake))
 
 

@@ -235,6 +235,14 @@ class TestIntervalSufficient:
         assert report.predicts_isometric
         assert report.worst_margin == 1.0
 
+    @pytest.mark.parametrize("name, n", [("identity", 3), ("fold", 9)])
+    def test_a_neighbour_one_mesh_away_counts_within_the_tolerance(self, name, n):
+        # 1 - 2/3 rounds above 1.0/3, and 5/9 - 4/9 above 1.0/9, so a radius
+        # of exactly one mesh once dropped that neighbour's slope
+        report = check_interval_sufficient(builtin_map(name, n), r=1 / n)
+        assert report.predicts_isometric
+        assert report.worst_margin == pytest.approx(1.0)
+
     def test_collapse_fails_density(self):
         report = check_interval_sufficient(builtin_map("collapse", 16), r=1 / 4)
         assert not report.density_ok

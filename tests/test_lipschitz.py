@@ -146,12 +146,12 @@ class TestPointwiseLipAtScale:
 
 def _slopes_point_by_point(f, r):
     """The reference: each point's largest quotient against the other
-    points within distance r, 0 when there are none."""
+    points within distance r + space.tol, 0 when there are none."""
     d, v = f.space.dist, f.values
     slopes = []
     for x in range(f.space.n):
         quotients = [abs(v[y] - v[x]) / d[x, y] for y in range(f.space.n)
-                     if 0.0 < d[x, y] <= r]
+                     if 0.0 < d[x, y] <= r + f.space.tol]
         slopes.append(max(quotients, default=0.0))
     return np.array(slopes)
 
@@ -226,7 +226,7 @@ class TestRowBlockInvariance:
             d = space.dist
             for r in (0.5, 1.0, 2.0, float(np.min(d[d > 0])), space.diameter):
                 want = np.max(whole_quotients(whole_gaps(v), d), axis=1,
-                              where=d <= r, initial=0.0)
+                              where=d <= r + space.tol, initial=0.0)
                 got = local_slopes(LipschitzFunction(space, v, normalize=False), r)
                 assert np.array_equal(got, want)
 

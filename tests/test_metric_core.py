@@ -22,21 +22,13 @@ from lipfree.metric_core import (
     PointedMetricSpace,
     PointPair,
     circle_net,
-    detour_rows,
     from_weighted_graph,
     intermediate_points,
     interval_net,
-    row_blocks,
     shortest_path_closure,
     snowflake,
     validate_space,
 )
-
-
-def detours(d):
-    """The whole detour matrix, read row block by row block as validation
-    and vertex enumeration read it."""
-    return np.concatenate([detour_rows(d, r0, r1) for r0, r1 in row_blocks(len(d))])
 
 
 class TestValidateSpace:
@@ -91,6 +83,19 @@ class TestValidateSpace:
         assert not np.shares_memory(space.dist, a) and a.flags.writeable
         view[0, 2] = view[2, 0] = 50.0
         assert space.d(0, 2) == 2.0 and not space.dist.flags.writeable
+
+    @pytest.mark.parametrize("block", [1, 1 << 17])
+    def test_negative_zero_diagonal_survives_admission(self, monkeypatch, block):
+        # the pass reads an infinite diagonal while it sums, then restores it bitwise
+        monkeypatch.setattr(metric_core, "BLOCK", block)
+        d = np.array([[-0.0, 1, 2, 1.5], [1, 0, 1, 1], [2, 1, -0.0, 1.5], [1.5, 1, 1.5, 0]])
+        space = validate_space(d)
+        assert np.signbit(space.dist.diagonal()).tolist() == [True, False, True, False]
+        assert space.vertices.tolist() == [[0, 1], [0, 3], [1, 2], [1, 3], [2, 3]]
+        d[0, 2] = d[2, 0] = 3.0  # a violation restores the diagonal before its search
+        with pytest.raises(TriangleViolation) as exc:
+            validate_space(d)
+        assert exc.value.witness == (0, 1, 2)
 
     def test_several_violations_report_the_first_third_point(self):
         # (0, 2) breaks through 1 (sum 4) and more deeply through 3 (sum 2),
@@ -288,7 +293,7 @@ class TestFromWeightedGraph:
         rng = np.random.default_rng(29)
         spaces = []
         with monkeypatch.context() as m:
-            m.setattr(metric_core, "detour_rows", None)
+            m.setattr(metric_core, "validate_space", None)
             for n in (2, 3, 5, 9, 17, 33):
                 w = 0.1 + 0.2  # 0.30000000000000004: sums of such weights tie by an ulp
                 edges = [(v - 1, v, float(rng.choice([w, 0.3, 1e-12, 1.0 + 2.0 ** -52])))
@@ -312,8 +317,14 @@ class TestFromWeightedGraph:
 
 
 def triangle_defect(d):
-    """The largest d(x, y) - fl(d(x, z) + d(z, y)) over third points z."""
-    return max(float((d[r0:r1] - detour_rows(d, r0, r1)).max()) for r0, r1 in row_blocks(len(d)))
+    """The largest d(x, y) - fl(d(x, z) + d(z, y)) over third points z, one
+    row x at a time: the sums through z at [z, y], z = x and z = y left out."""
+    n, worst = len(d), -np.inf
+    for x in range(n):
+        through = d[x, :, None] + d
+        through[x] = through[np.arange(n), np.arange(n)] = np.inf
+        worst = max(worst, float((d[x] - through.min(axis=0)).max()))
+    return worst
 
 
 def closure_bound(d):
@@ -556,13 +567,34 @@ def _reference_closure(d):
     return d
 
 
+def _admission(d):
+    """validate_space's refusal witness, or None beside the upper triangle
+    of the vertex mask its detour pass keeps."""
+    try:
+        space = validate_space(d)
+    except TriangleViolation as exc:
+        return exc.witness, None
+    return None, np.triu(space._vertex_mask, k=1)
+
+
+def _brute_admission(d):
+    """The same from the triple loops."""
+    tol = REL_TOL * d.max()
+    witness = _brute_violation(d, tol)
+    return witness, None if witness else np.triu(_brute_detours(d) > d + tol, k=1)
+
+
+def _same_admission(got, want):
+    return got[0] == want[0] and (got[1] is want[1] is None or np.array_equal(got[1], want[1]))
+
+
 class TestDetours:
     @pytest.mark.parametrize("kind", ["euclidean", "graph", "snowflake"])
     @pytest.mark.parametrize("n", [2, 3, 5, 12])
     def test_matches_triple_loop_bitwise(self, kind, n):
         for seed in range(3):
-            space = random_space(np.random.default_rng(seed), n, kind)
-            assert np.array_equal(detours(space.dist), _brute_detours(space.dist))
+            d = random_space(np.random.default_rng(seed), n, kind).dist
+            assert _same_admission(_admission(d), _brute_admission(d))
 
     def test_integer_metrics_with_exact_ties(self):
         rng = np.random.default_rng(5)
@@ -570,33 +602,34 @@ class TestDetours:
             n = int(rng.integers(2, 8))
             d = rng.integers(1, 4, size=(n, n)).astype(float)
             d = np.triu(d, 1) + np.triu(d, 1).T
-            assert np.array_equal(detours(d), _brute_detours(d))
+            assert _same_admission(_admission(d), _brute_admission(d))
 
     def test_two_points_have_no_detour_between_them(self):
-        # on the diagonal the other point is a third point: d(x, z) + d(z, x)
-        assert detours(np.array([[0.0, 1.0], [1.0, 0.0]])).tolist() == [[2, np.inf],
-                                                                         [np.inf, 2]]
+        assert _admission(np.array([[0.0, 1.0], [1.0, 0.0]]))[1].tolist() == [[False, True],
+                                                                            [False, False]]
 
     def test_path_midpoint_is_the_only_tight_detour(self):
         path = from_weighted_graph(3, [(0, 1, 1), (1, 2, 1)])
-        assert detours(path.dist).tolist() == [[2, 3, 2], [3, 2, 3], [2, 3, 2]]
+        assert _admission(path.dist)[1].tolist() == [[False, True, False], [False, False, True],
+                                                     [False, False, False]]
 
-    # n = 50: 1 and 5 give one third point per block, 2,450 gives blocks
-    # of 49 third points, 5,007 and 17,500 row blocks of 2 and 7 over all
-    # third points, 124,999 row blocks of 49; n = 49 is one block there
+    # n = 50: 1 and 5 give single rows and, up to the last rows, one third
+    # point per block, 2,450 a first row over 49 + 1 third points, 5,007 and
+    # 17,500 row blocks of 2 and 7 over all third points, 124,999 a block of
+    # 49 rows and a last row; n = 49 is one block there
     @pytest.mark.parametrize("block", [1, 5, 49 * 50, 2 * 50 * 50 + 7, 7 * 50 * 50,
                                        50 ** 3 - 1])
     def test_blocks_straddling_every_boundary(self, monkeypatch, block, brute_blocks):
         monkeypatch.setattr(metric_core, "BLOCK", block)
         for d, want in brute_blocks:
-            assert np.array_equal(detours(d), want)
+            assert _same_admission(_admission(d), want)
 
     @pytest.mark.parametrize("block", [1, 5, 49 * 50, 2 * 50 * 50 + 7, 7 * 50 * 50,
                                        50 ** 3 - 1])
     def test_validation_reads_every_row_block(self, monkeypatch, block, brute_blocks):
-        # the symmetric integer cases, and line metrics broken only in
-        # their last rows (by a shortcut) or only through them (a detour)
-        cases = [d for d, _ in brute_blocks if np.array_equal(d, d.T)]
+        # the integer cases, and line metrics broken only in their last
+        # rows (by a shortcut) or only through them (a detour)
+        cases = [d for d, _ in brute_blocks]
         for n in (3, 49, 50, 51):
             for bent in (2.5, 1.5):
                 d = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
@@ -616,7 +649,7 @@ class TestDetours:
                                        50 ** 3 - 1])
     def test_vertex_rows_match_the_brute_detours(self, monkeypatch, block, brute_blocks):
         spaces = [PointedMetricSpace(tuple(map(str, range(len(d)))), 0, shortest_path_closure(d))
-                  for d, _ in brute_blocks if np.array_equal(d, d.T)]
+                  for d, _ in brute_blocks]
         spaces += [interval_net(49), circle_net(50), line_net([0, 1e-12, 2e-12, 1, 2])]
         monkeypatch.setattr(metric_core, "BLOCK", block)
         for space in spaces:
@@ -627,16 +660,14 @@ class TestDetours:
 
 @pytest.fixture(scope="module")
 def brute_blocks():
-    """Integer matrices with exact ties, and asymmetric ones that pin the
-    operand order d(x, z) + d(z, y), beside their triple-loop detours."""
+    """Symmetric integer matrices with exact ties, beside their admission
+    by triple loops."""
     rng = np.random.default_rng(17)
     cases = []
     for n in (2, 3, 7, 49, 50, 51):
         ties = rng.integers(1, 4, size=(n, n)).astype(float)
         ties = np.triu(ties, 1) + np.triu(ties, 1).T
-        skew = rng.uniform(0.1, 1.0, size=(n, n))
-        np.fill_diagonal(skew, 0.0)
-        cases += [(d, _brute_detours(d)) for d in (ties, skew)]
+        cases.append((ties, _brute_admission(ties)))
     return cases
 
 
