@@ -7,8 +7,8 @@ operator equals the Lipschitz constant of the map.
 
 :func:`certify_isometry` is the one certification pass: it reads the
 map norm, computed once per map, and two independent algorithms then
-decide whether composition against a norm-one map preserves every
-function's norm:
+decide whether composition against the map preserves every function's
+norm (each fails a norm below ``1 - REL_TOL``, with its own witness):
 
 * the dual route reads, in one pass over the domain grouped by image,
   the closest preimage pair (x', y') of each vertex (x, y) of the
@@ -145,8 +145,7 @@ class IsometryCertificate:
     A negative verdict always carries a failing pair, a positive dual
     verdict one ``witnesses`` row per vertex (columns ``pair`` and
     ``preimage``, ``(k, 2)`` ``intp``, and ``domain_distance``; empty
-    otherwise), and a primal verdict the map's ``modulus`` unless the map
-    norm decided it.
+    otherwise), and a primal verdict the map's ``modulus``.
     """
 
     verdict: str  # "isometric" | "not_isometric"
@@ -196,11 +195,12 @@ def _dual_certificate(phi: LipschitzMap, vertices: np.ndarray) -> IsometryCertif
 
     For every vertex (x, y) the closest preimage pair (x', y') must have
     d(x, y)/d(x', y') at least ``1 - REL_TOL``, the primal's rule for the
-    modulus; the map is norm-one, so this is the attained ratio-one
-    condition. One pass reads every vertex's fibre block, row-major, from
-    the domain sorted by image, in :func:`row_blocks` of vertices sized by
-    the largest block, and keeps each block's witness columns; the first
-    failing vertex in list order is reported.
+    modulus; for a map of norm at most one this is the attained ratio-one
+    condition, and a norm below ``1 - REL_TOL`` fails the first vertex, as
+    the norm bounds each ratio. One pass reads every vertex's fibre block,
+    row-major, from the domain sorted by image, in :func:`row_blocks` of
+    vertices sized by the largest block, and keeps each block's witness
+    columns; the first failing vertex in list order is reported.
     """
     tolerances = {"tol_metric": phi.codomain.tol, "preimage_ratio": REL_TOL}
 
@@ -210,13 +210,15 @@ def _dual_certificate(phi: LipschitzMap, vertices: np.ndarray) -> IsometryCertif
             failing_pair=tuple(vertices[k].tolist()), tolerances=tolerances, notes=notes)
 
     img = np.asarray(phi.image)
-    order = np.argsort(img, kind="stable")  # the domain, fibre by fibre
     size = np.bincount(img, minlength=phi.codomain.n)
-    start = np.cumsum(size) - size
     px, py = vertices.T
-    target = phi.codomain.dist[px, py]
     empty = np.flatnonzero((size[px] == 0) | (size[py] == 0))
     stop = int(empty[0]) if empty.size else len(vertices)
+    if stop == 0:  # every collapse map: the domain need not be sorted
+        return failed(0, "pair has no preimage on one side")
+    order = np.argsort(img, kind="stable")  # the domain, fibre by fibre
+    start = np.cumsum(size) - size
+    target = phi.codomain.dist[px, py]
     cells = size[px[:stop]] * size[py[:stop]]
     kept = [(vertices[:0], vertices[:0], target[:0])]  # the witness columns, block by block
     for p0, p1 in row_blocks(stop, int(cells.max(initial=1))):
@@ -313,19 +315,18 @@ def certify_isometry(
     method: str = "both",
     pairs: Sequence[PointPair] | None = None,
 ):
-    """Run one or both certifiers over the codomain's vertices; with
-    ``both``, the two verdicts must be equal.
+    """Run one or both certifiers; with ``both``, the two verdicts must be equal.
 
     ``pairs`` is only a gate: a set that misses a vertex raises
     :class:`NotNorming` before any verdict, whatever the method, and a
-    norming set leaves the certificate as it is without one. A norm below
-    one names the first vertex; otherwise the primal alone reads no vertex.
-    The map norm, every preimage ratio and the modulus are compared with 1
-    within ``REL_TOL``; the codomain's ``tol``, a distance, decides only
-    which pairs are vertices, and the certificates report it as
-    ``tol_metric``. Disagreement raises
-    :class:`MethodDisagreement` with both certificates as dictionaries: an
-    implementation bug, surfaced loudly.
+    norming set leaves the certificate as it is without one. A map norm
+    above ``1 + REL_TOL`` raises :class:`MapNormExceedsOne`. Every smaller
+    norm goes to the certifiers, and bounds each preimage ratio and the
+    modulus, which are compared with 1 within ``REL_TOL``. The codomain's
+    ``tol``, a distance, decides only which pairs are vertices, which the
+    primal never reads, and the certificates report it as ``tol_metric``.
+    Disagreement raises :class:`MethodDisagreement` with both certificates
+    as dictionaries: an implementation bug, surfaced loudly.
     """
     if method not in ("dual", "primal", "both"):
         raise ValueError(f"unknown certification method {method!r}")
@@ -336,17 +337,8 @@ def certify_isometry(
         failing = is_norming(phi.codomain, pairs).failing_vertex
         if failing is not None:
             raise NotNorming(failing.as_tuple())
-    if norm.value < 1.0 - REL_TOL:  # a norm deficit: the certificates name the first vertex
-        dual, primal = (IsometryCertificate(
-            verdict="not_isometric", method=name,
-            failing_pair=tuple(extreme_molecules(phi.codomain)[0].tolist()),
-            tolerances={"tol_metric": phi.codomain.tol, "map_norm": REL_TOL},
-            notes=f"operator norm {norm.value!r} is strictly below one",
-        ) for name in ("dual_preimage", "primal_quotient"))
-    else:
-        dual = (_dual_certificate(phi, extreme_molecules(phi.codomain))
-                if method != "primal" else None)
-        primal = _primal_certificate(phi) if method != "dual" else None
+    dual = _dual_certificate(phi, extreme_molecules(phi.codomain)) if method != "primal" else None
+    primal = _primal_certificate(phi) if method != "dual" else None
     if method != "both":
         return dual if method == "dual" else primal
     if dual.verdict != primal.verdict:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InputError, InvariantFailure, NotZeroSum, SpaceMismatch
 from .lipschitz import LipschitzFunction, quotients
-from .metric_core import REL_TOL, PointedMetricSpace, PointPair, point_indices
+from .metric_core import REL_TOL, PointedMetricSpace, PointPair, point_indices, row_blocks
 
 ZERO_SUM_REL = 1e-12
 _LP_OPTIONS = {"primal_feasibility_tolerance": REL_TOL, "dual_feasibility_tolerance": REL_TOL}
@@ -376,7 +376,13 @@ def extreme_molecules(space: PointedMetricSpace) -> np.ndarray:
     vertex (:func:`metric_core.vertex_pairs`). The closest pair is one, as each detour is
     twice its distance or more, unless it lies within about ``space.tol``: bad input."""
     if not space.vertices.size:
-        x, y = divmod(int(np.argmin(space.dist + np.diag(np.full(space.n, np.inf)))), space.n)
+        n, closest = space.n, (np.inf, 0)
+        for r0, r1 in row_blocks(n, n):
+            rows = space.dist[r0:r1].copy()
+            np.fill_diagonal(rows[:, r0:], np.inf)
+            k = int(np.argmin(rows))
+            closest = min(closest, (float(rows.flat[k]), r0 * n + k))
+        x, y = divmod(closest[1], n)
         raise InputError(f"no pair is a vertex: points {x} and {y} lie {space.d(x, y)!r} "
                          f"apart, within about the metric tolerance {space.tol!r}")
     return space.vertices

@@ -24,6 +24,7 @@ from lipfree.composition import (
 from lipfree.errors import (
     BasePointNotPreserved,
     MapNormExceedsOne,
+    MethodDisagreement,
     NotNorming,
     SpaceMismatch,
 )
@@ -35,6 +36,7 @@ from lipfree.lipschitz import LipschitzFunction, lipschitz_norm
 from lipfree.metric_core import (
     REL_TOL,
     PointPair,
+    circle_net,
     from_weighted_graph,
     interval_net,
     shortest_path_closure,
@@ -318,9 +320,9 @@ class TestCertifyDual:
     @pytest.mark.parametrize("name", ["fold", "halving"])
     def test_caller_pair_set_checked_before_the_deficit_exit(self, monkeypatch,
                                                              method, name):
-        # halving's norm 1/2 decides its verdict without reading a pair,
-        # and the primal never reads one, yet a pair set that misses a
-        # vertex is refused as for fold, after one check
+        # halving's norm 1/2 fails both routes, and the primal never reads
+        # a pair, yet a pair set that misses a vertex is refused as for
+        # fold, before either route runs, after one check
         checks = []
         real = composition.is_norming
 
@@ -416,18 +418,24 @@ class TestCertifyPrimal:
             tracemalloc.stop()
         assert peak < 3 * n * n * 8
 
-    def test_strictly_contractive_short_circuits(self):
-        cert = certify_isometry_primal(builtin_map("halving", 4))
-        assert cert.verdict == "not_isometric"
-        assert "below one" in cert.notes
+    @pytest.mark.parametrize("mesh", [1, 4, 64])
+    def test_halving_has_modulus_zero_at_its_first_missed_point(self, mesh):
+        # halving at mesh n, of norm 1/2, misses the points n+1..2n: the
+        # quotient metric is infinite from n+1, so m = 0 at (0, n+1)
+        phi = builtin_map("halving", mesh)
+        cert = certify_isometry_primal(phi)
+        assert operator_norm(phi) == 0.5
+        assert (cert.verdict, cert.failing_pair, cert.modulus) == (
+            "not_isometric", (0, mesh + 1), 0.0)
+        assert cert.notes == "the quotient metric exceeds the codomain's distance"
 
-    def test_deficit_certificates_name_the_norm_tolerance(self):
-        report = certify_isometry(builtin_map("halving", 4), "both")
-        for cert in (report.dual, report.primal):
-            assert cert.tolerances["map_norm"] == REL_TOL
-        isometric = certify_isometry(builtin_map("fold", 4), "both")
-        assert "map_norm" not in isometric.dual.tolerances
-        assert "map_norm" not in isometric.primal.tolerances
+    def test_deficit_certificates_carry_each_routes_tolerances(self):
+        # a norm deficit is decided by the routes, each under its own rule
+        for name in ("halving", "fold"):
+            report = certify_isometry(builtin_map(name, 4), "both")
+            assert report.dual.tolerances == {"tol_metric": 1e-9, "preimage_ratio": REL_TOL}
+            assert report.primal.tolerances == {"tol_metric": 1e-9, "modulus": REL_TOL}
+            assert "modulus" in report.primal.to_dict()
 
 
 def _quotient_reference(phi):
@@ -595,9 +603,10 @@ class TestOnePass:
         pairs = list(phi.codomain.pairs()) if case == "norming_pairs" else None
         report = certify_isometry(phi, method, pairs=pairs)
         assert report.verdict == ("not_isometric" if case == "deficit" else "isometric")
-        # the primal alone reads no vertex; every other run reads the
-        # codomain's, computed once per space however often they are read
-        enumerates = case != "isometric" or method != "primal"
+        # the primal alone reads no vertex, deficit or not, unless a pair
+        # set is checked; every other run reads the codomain's, computed
+        # once per space however often they are read
+        enumerates = case == "norming_pairs" or method != "primal"
         assert calls == {"vertex_pairs": [phi.codomain] * enumerates, "norm_with_witness": 1}
         certify_isometry(phi, method, pairs=pairs)
         extreme_molecules(phi.codomain)
@@ -619,9 +628,11 @@ class TestOnePass:
         assert len(quotients) == 1
 
     @pytest.mark.parametrize("method", ["dual", "primal", "both"])
-    def test_deficit_names_the_first_vertex(self, method):
-        # a map of norm 1/2 onto each codomain; rows 0-2 of the line net
-        # hold no vertex, so its first vertex is (3, 4)
+    def test_each_route_names_its_own_deficit_pair(self, method):
+        # a map of norm 1/2 onto each codomain: the dual fails at the first
+        # vertex, whose preimage ratio is 1/2 (rows 0-2 of the line net hold
+        # no vertex, so its first vertex is (3, 4)); the primal reads m = 1/2
+        # at the first row-major pair of the closed quotient metric
         rng = np.random.default_rng(23)
         codomains = [random_space(rng, int(rng.integers(2, 12))) for _ in range(40)]
         codomains.append(line_net([0, 1e-12, 2e-12, 1, 2]))
@@ -629,12 +640,32 @@ class TestOnePass:
             domain = validate_space(2.0 * codomain.dist)
             phi = LipschitzMap(domain, codomain, tuple(range(codomain.n)))
             report = certify_isometry(phi, method)
-            certs = (report.dual, report.primal) if method == "both" else (report,)
-            want = tuple(extreme_molecules(codomain)[0].tolist())
-            for cert in certs:
-                assert cert.verdict == "not_isometric"
-                assert cert.failing_pair == want
-        assert want == (3, 4)
+            dual = report.dual if method == "both" else report
+            primal = report.primal if method == "both" else report
+            if method != "primal":
+                assert dual.verdict == "not_isometric"
+                assert dual.failing_pair == tuple(extreme_molecules(codomain)[0].tolist())
+            if method != "dual":
+                pair = _quotient_reference(phi)[3]
+                assert (primal.verdict, primal.failing_pair, primal.modulus) == (
+                    "not_isometric", pair, 0.5)
+        assert extreme_molecules(codomain)[0].tolist() == [3, 4]
+
+    def test_the_primal_reads_no_vertex(self, monkeypatch):
+        # a deficit is the primal's like any map: halving, collapse, and a
+        # map of norm 1/2 onto a space whose every pair is a vertex
+        circle = circle_net(256)
+        onto = LipschitzMap(validate_space(2.0 * circle.dist), circle, tuple(range(256)))
+        maps = [builtin_map("halving", 16), builtin_map("collapse", 16), onto]
+
+        def refuse(space):
+            raise AssertionError("the primal read a vertex")
+
+        monkeypatch.setattr(metric_core, "vertex_pairs", refuse)
+        certs = [certify_isometry(phi, "primal") for phi in maps]
+        assert [(c.verdict, c.failing_pair, c.modulus) for c in certs] == [
+            ("not_isometric", (0, 17), 0.0), ("not_isometric", (0, 1), 0.0),
+            ("not_isometric", (0, 1), 0.5)]
 
     def test_pass_builds_no_pair_object_per_vertex(self, monkeypatch):
         # nearly every pair of a plane cloud is a vertex; the pass reads
@@ -704,6 +735,38 @@ class TestCertifyBoth:
                     lipschitz_norm(compose(phi, f)).value
                     >= lipschitz_norm(f).value - 1e-9
                 )
+
+
+THRESHOLD = 1.0 - REL_TOL
+ULP = np.spacing(THRESHOLD)
+# two-point maps of norm about t: (domain distance, codomain distance)
+_TWO_POINT = {"b=t": lambda t: (1.0, t), "a=1/t": lambda t: (1.0 / t, 1.0),
+              "a=3": lambda t: (3.0, 3.0 * t), "a=0.1": lambda t: (0.1, 0.1 * t)}
+_SPLIT = pytest.mark.xfail(
+    strict=True, raises=MethodDisagreement,
+    reason="the dual reads d/c = 1 - REL_TOL exactly, the primal 1/(c/d) one ulp below")
+
+
+@pytest.mark.parametrize("k, family", [
+    pytest.param(k, family, marks=[_SPLIT] if (k, family) == (0, "b=t") else [])
+    for family in (*_TWO_POINT, "scaled") for k in range(-8, 9)])
+def test_maps_within_ulps_of_the_threshold_get_one_verdict(k, family):
+    # t = 1 - REL_TOL + k ulps, with norm deficits on the negative side;
+    # "scaled" maps three seeded codomains from their own metric over t
+    t = THRESHOLD + k * ULP
+    if family == "scaled":
+        rng = np.random.default_rng(59)
+        maps = [LipschitzMap(validate_space(c.dist / t), c, tuple(range(c.n)))
+                for c in (random_space(rng, n) for n in (5, 9, 14))]
+    else:
+        a, b = _TWO_POINT[family](t)
+        maps = [LipschitzMap(validate_space([[0, a], [a, 0]]),
+                             validate_space([[0, b], [b, 0]]), (0, 1))]
+    for phi in maps:
+        assert abs(operator_norm(phi) - THRESHOLD) <= 9 * ULP  # scaling rounds once more
+        verdict = certify_isometry(phi, "both").verdict
+        assert certify_isometry(phi, "dual").verdict == verdict
+        assert certify_isometry(phi, "primal").verdict == verdict
 
 
 def _loop_dual_certificate(phi, vertices):

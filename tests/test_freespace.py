@@ -491,6 +491,25 @@ class TestSpaceVertices:
                                r"1e-12 apart, within about the metric tolerance 1e-09$"):
                 extreme_molecules(copy)
 
+    def test_the_refusal_holds_no_square_temporary(self):
+        # 1,999 points 1e-13 apart, then 1.0: no pair is a vertex, and the
+        # closest-pair search reads the matrix by row blocks of 1 MiB, so
+        # it stays below a quarter of one n x n float matrix (7.6 MiB)
+        space = line_net([k * 1e-13 for k in range(1999)] + [1.0])
+        n = space.n
+        assert space.vertices.size == 0
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=r"^no pair is a vertex: points ") as refusal:
+                extreme_molecules(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+        # the pair the whole-matrix search names: the first row-major minimum
+        x, y = divmod(int(np.argmin(space.dist + np.diag(np.full(n, np.inf)))), n)
+        assert str(refusal.value).startswith(f"no pair is a vertex: points {x} and {y} lie ")
+
     def test_the_mask_goes_once_the_vertices_are_read(self):
         space = validate_space(circle_net(7).dist)
         assert space._vertex_mask.shape == (7, 7)
