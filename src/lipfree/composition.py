@@ -26,8 +26,8 @@ norm (each fails a norm below ``1 - REL_TOL``, with its own witness):
 
 The two routes are provably equivalent, so the ``both`` method fails
 loudly on disagreement: that outcome falsifies the implementation,
-never the mathematics. Both read "ratio one" as a ratio of at least
-``1 - REL_TOL``: a vertex's preimage ratio, or the modulus.
+never the mathematics. Both read "ratio one" as one rounded quotient of at
+least ``1 - REL_TOL``: a vertex's preimage ratio d/c, or the modulus's d/cbar.
 """
 
 from __future__ import annotations
@@ -268,7 +268,8 @@ def _fibre_rows(img: np.ndarray, dist: np.ndarray, n: int) -> Iterator[tuple[int
 
 def _primal_certificate(phi: LipschitzMap) -> IsometryCertificate:
     """Quotient criterion: the modulus m (see the module docstring) is at
-    least ``1 - REL_TOL``, each d/cbar read as the reciprocal of cbar/d.
+    least ``1 - REL_TOL``, each d/cbar one rounded quotient, as the dual's
+    preimage ratio and the map norm read it, so m never exceeds the norm.
 
     A point e without preimage gives m = 0 at the first pair of infinite
     cbar, (0, e), or (0, 1) if e is 0. Else lo = min d/c <= m <= the map
@@ -282,13 +283,14 @@ def _primal_certificate(phi: LipschitzMap) -> IsometryCertificate:
     if empty.size:
         modulus, pair = 0.0, (0, int(empty[0]) or 1)
     else:
-        rows = _fibre_rows(img, phi.domain.dist, n)
-        modulus = 1.0 / max(float(quotients(c, d[x0:x0 + len(c)], x0).max()) for x0, c in rows)
+        modulus = min(float(quotients(d[x0:x0 + len(c)].copy(), c, x0, np.inf).min())
+                      for x0, c in _fibre_rows(img, phi.domain.dist, n))
         if modulus < 1.0 - REL_TOL:
-            c = np.concatenate([c for _, c in _fibre_rows(img, phi.domain.dist, n)])
-            q = quotients(shortest_path_closure(c), d)
-            k = int(np.argmax(q))
-            modulus, pair = 1.0 / float(q.flat[k]), divmod(k, n)
+            cbar = shortest_path_closure(
+                np.concatenate([c for _, c in _fibre_rows(img, phi.domain.dist, n)]))
+            q = quotients(d.copy(), cbar, 0, np.inf)
+            k = int(np.argmin(q))
+            modulus, pair = float(q.flat[k]), divmod(k, n)
     if modulus >= 1.0 - REL_TOL:
         return IsometryCertificate(verdict="isometric", method="primal_quotient",
                                    tolerances=tolerances, modulus=modulus)

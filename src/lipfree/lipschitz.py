@@ -67,12 +67,13 @@ class LipNorm(NamedTuple):
     witness: tuple[int, int]
 
 
-def quotients(num: np.ndarray, den: np.ndarray, r0: int = 0) -> np.ndarray:
-    """num / den, divided in place into ``num``, with -1 at each (k, r0 + k), the
-    diagonal (0/0) of the square whose rows r0.. these are, so maxima skip it."""
+def quotients(num: np.ndarray, den: np.ndarray, r0: int = 0, diagonal: float = -1.0
+              ) -> np.ndarray:
+    """num / den, divided in place into ``num``, with ``diagonal`` at each (k, r0 + k), the
+    diagonal (0/0) of the square whose rows r0.. these are, so maxima (minima, at inf) skip it."""
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(num, den, out=num)
-    np.fill_diagonal(num[:, r0:], -1.0)
+    np.fill_diagonal(num[:, r0:], diagonal)
     return num
 
 
@@ -196,7 +197,7 @@ def interval_coordinates(space: PointedMetricSpace) -> np.ndarray:
 
 
 def peak_function(net: PointedMetricSpace, x: float) -> LipschitzFunction:
-    """Unit-slope bump anchored at a net point x.
+    """Unit-slope bump anchored at x, a coordinate the net records, bitwise.
 
     Values are the closed form of the antiderivative of 1 - |x - s|
     between x and each net point: sign(t-x) * (|t-x| - |t-x|^2 / 2),
@@ -205,10 +206,8 @@ def peak_function(net: PointedMetricSpace, x: float) -> LipschitzFunction:
     norm is 1 - h/2, attained inside the two cells adjacent to x.
     """
     coords = interval_coordinates(net)
-    hit = np.nonzero(np.abs(coords - x) <= 1e-12)[0]
-    if hit.size == 0:
+    if x not in coords:
         raise AnchorNotOnNet(x)
-    x = float(coords[hit[0]])
     u = np.abs(coords - x)
     g = np.sign(coords - x) * (u - u * u / 2.0)
     return LipschitzFunction(net, g, normalize=True)

@@ -14,11 +14,10 @@ value of an L-Lipschitz function within L times that, and a dimensionless
 quantity (a map norm or Lipschitz constant against 1, a face pairing, an LP
 in normalised units, two transport norms) within ``REL_TOL``, so verdicts
 ignore the unit of distance. A caller's ``tol`` only admits a matrix to
-:func:`validate_space`. Four finer constants stay, as ``REL_TOL`` would
+:func:`validate_space`. Three finer constants stay, as ``REL_TOL`` would
 loosen their checks: ``freespace.ZERO_SUM_REL`` admits a vector's sum, the
-simplex's 2e-13 pivot fixes the optimum the dual must match, the vertex LP's
-1e-10 weight cut keeps certificates that rebuild their molecule, and
-``peak_function``'s 1e-12 matches an anchor to an interval net's grid.
+simplex's 2e-13 pivot fixes the optimum the dual must match, and the vertex
+LP's 1e-10 weight cut keeps certificates that rebuild their molecule.
 """
 
 from __future__ import annotations

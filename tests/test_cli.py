@@ -526,6 +526,17 @@ class TestExitCodes:
                                     read_record(files["two"], (files["map"], "codomain"))]
         assert report["tolerances"] == {"tol_metric": REL_TOL}  # the diameter is 1
 
+    def test_a_ratio_at_the_threshold_exits_0(self, files, capsys):
+        # distance 1 onto 1 - REL_TOL: both certifiers read the one quotient d/c
+        near = write(files["dir"] / "near.json", {
+            "domain": "two.json", "image": [0, 1],
+            "codomain": {"metric": {"type": "matrix", "d": [[0, 1 - 1e-9], [1 - 1e-9, 0]]}}})
+        code, report, _ = run_in_process(capsys, "isometry", "--map", near)
+        assert code == 0
+        results = report["results"]
+        assert results["verdict"] == results["dual"]["verdict"] == "isometric"
+        assert results["primal"]["modulus"] == 0.999999999
+
     def test_tol_does_not_loosen_the_dual(self, files, capsys):
         # the vertex (1, 2) has its one preimage 1e-6 farther: --tol 1e-3
         # admits the spaces and leaves the ratio rule to both certifiers

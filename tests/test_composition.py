@@ -24,7 +24,6 @@ from lipfree.composition import (
 from lipfree.errors import (
     BasePointNotPreserved,
     MapNormExceedsOne,
-    MethodDisagreement,
     NotNorming,
     SpaceMismatch,
 )
@@ -440,8 +439,8 @@ class TestCertifyPrimal:
 
 def _quotient_reference(phi):
     """c from every pair of domain points, its textbook Floyd-Warshall
-    closure cbar, and 1 / max cbar/d off the diagonal with its first
-    row-major pair: the modulus by its definition, with lo = 1 / max c/d."""
+    closure cbar, and min d/cbar off the diagonal with its first row-major
+    pair: the modulus by its definition, with lo = min d/c."""
     n, img, d = phi.codomain.n, phi.image, phi.codomain.dist
     c = np.full((n, n), np.inf)
     for a in range(phi.domain.n):
@@ -452,11 +451,11 @@ def _quotient_reference(phi):
         for i in range(n):
             for j in range(n):
                 cbar[i, j] = min(cbar[i, j], cbar[i, k] + cbar[k, j])
-    off = ~np.eye(n, dtype=bool)
-    ratios = [(cbar[x, y] / d[x, y], (x, y)) for x in range(n) for y in range(n) if x != y]
-    worst = max(r for r, _ in ratios)
-    pair = next(p for r, p in ratios if r == worst)
-    return c, 1.0 / float((c / np.where(off, d, 1.0))[off].max()), 1.0 / worst, pair
+    off = [(x, y) for x in range(n) for y in range(n) if x != y]
+    ratios = [(float(d[x, y] / cbar[x, y]), (x, y)) for x, y in off]
+    modulus = min(r for r, _ in ratios)
+    pair = next(p for r, p in ratios if r == modulus)
+    return c, min(float(d[x, y] / c[x, y]) for x, y in off), modulus, pair
 
 
 def _shrunk_quotient(rng):
@@ -536,6 +535,15 @@ class TestQuotientModulus:
             outcomes.add((cert.verdict, closed, cert.primal.modulus == 0.0))
         assert outcomes == {("isometric", False, False), ("isometric", True, False),
                             ("not_isometric", True, False), ("not_isometric", True, True)}
+
+    def test_modulus_never_exceeds_the_map_norm(self):
+        # each d/c and d/cbar is one rounded quotient, as the map norm's, and the
+        # closure never shortens the closest fibre pair, so m <= Lip(phi) bitwise
+        rng = np.random.default_rng(2026)
+        for _ in range(400):
+            phi = random_one_lipschitz_map(rng, int(rng.integers(2, 13)), int(rng.integers(2, 10)))
+            report = certify_isometry(phi, "both")  # a split raises MethodDisagreement
+            assert report.primal.modulus <= operator_norm(phi)
 
     def test_distance_function_attains_the_modulus(self):
         # f = cbar(., x) at the failing pair (x, y): Lip(f o phi) = 1 and
@@ -742,14 +750,10 @@ ULP = np.spacing(THRESHOLD)
 # two-point maps of norm about t: (domain distance, codomain distance)
 _TWO_POINT = {"b=t": lambda t: (1.0, t), "a=1/t": lambda t: (1.0 / t, 1.0),
               "a=3": lambda t: (3.0, 3.0 * t), "a=0.1": lambda t: (0.1, 0.1 * t)}
-_SPLIT = pytest.mark.xfail(
-    strict=True, raises=MethodDisagreement,
-    reason="the dual reads d/c = 1 - REL_TOL exactly, the primal 1/(c/d) one ulp below")
 
 
 @pytest.mark.parametrize("k, family", [
-    pytest.param(k, family, marks=[_SPLIT] if (k, family) == (0, "b=t") else [])
-    for family in (*_TWO_POINT, "scaled") for k in range(-8, 9)])
+    (k, family) for family in (*_TWO_POINT, "scaled") for k in range(-8, 9)])
 def test_maps_within_ulps_of_the_threshold_get_one_verdict(k, family):
     # t = 1 - REL_TOL + k ulps, with norm deficits on the negative side;
     # "scaled" maps three seeded codomains from their own metric over t

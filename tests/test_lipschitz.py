@@ -369,8 +369,10 @@ class TestPeakFunction:
                     assert abs(coords[j] - 0.5) <= 1 / n + 1e-12
 
     def test_anchor_must_be_net_point(self):
+        # the anchor is matched bitwise: 0.1 + 0.2 is one ulp above 3/10
         with pytest.raises(AnchorNotOnNet):
-            peak_function(interval_net(4), 0.3)
+            peak_function(interval_net(10), 0.1 + 0.2)
+        assert peak_function(interval_net(3), 1 / 3).values[1] == 1 / 3 - (1 / 3) ** 2 / 2
 
     def test_non_interval_rejected(self):
         tri = from_weighted_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
