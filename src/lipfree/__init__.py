@@ -25,7 +25,6 @@ from .metric_core import (
 )
 from .lipschitz import (
     LipschitzFunction,
-    clamp_unit,
     interval_coordinates,
     lipschitz_norm,
     mcshane_extend,
@@ -74,7 +73,7 @@ __all__ = [
     "PointedMetricSpace", "PointPair", "validate_space", "from_weighted_graph",
     "interval_net", "circle_net", "snowflake", "intermediate_points",
     "LipschitzFunction", "lipschitz_norm", "pointwise_lip_at_scale",
-    "mcshane_extend", "peak_function", "clamp_unit", "interval_coordinates",
+    "mcshane_extend", "peak_function", "interval_coordinates",
     "FreeVector", "Molecule", "molecule", "pairing", "free_norm_primal",
     "free_norm_dual", "molecule_distance", "is_extreme_molecule",
     "extreme_molecules", "is_norming",

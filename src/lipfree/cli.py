@@ -40,7 +40,6 @@ from .freespace import (
     extreme_molecules,
     free_norm_dual,
     free_norm_primal,
-    is_norming,
 )
 from .geodesic import (
     check_geodesic_necessary,
@@ -82,19 +81,6 @@ def _parse_indices(flag: str, text: str, space) -> list[int]:
     if len(set(indices)) != len(indices):
         raise MalformedInput(flag, f"{text!r}: indices must be distinct")
     return indices
-
-
-def _parse_pairs(text: str, space) -> list[PointPair]:
-    """Semicolon-separated pairs of distinct points of ``space``."""
-    pairs = []
-    for chunk in filter(str.strip, text.split(";")):
-        indices = _parse_indices("--pairs", chunk, space)
-        if len(indices) != 2:
-            raise MalformedInput("--pairs", f"{chunk!r} is not a pair")
-        pairs.append(PointPair(*indices))
-    if not pairs:
-        raise MalformedInput("--pairs", "no pairs given")
-    return pairs
 
 
 def _certify(phi: LipschitzMap, args, tolerances):
@@ -159,12 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extremes", help="extreme molecule pairs of a space")
     p.add_argument("space")
     common(p, _cmd_extremes)
-
-    p = sub.add_parser("norming", help="is a pair set norming for the space?")
-    p.add_argument("space")
-    p.add_argument("--pairs", required=True,
-                   help="semicolon-separated pairs, e.g. '0,1;1,2'")
-    common(p, _cmd_norming)
 
     p = sub.add_parser("isometry", help="certify a composition operator")
     p.add_argument("--map", required=True, dest="map_path")
@@ -271,13 +251,6 @@ def _cmd_extremes(args):
     return _space_tolerances(space, args), {"pairs": pairs.tolist(), "count": len(pairs)}
 
 
-def _cmd_norming(args):
-    space = load_space(args.space, tol=args.tol)
-    norming, failing = is_norming(space, _parse_pairs(args.pairs, space))
-    return _space_tolerances(space, args), {
-        "is_norming": norming, "failing_vertex": list(failing.as_tuple()) if failing else None}
-
-
 def _cmd_isometry(args):
     phi = load_map(args.map_path, tol=args.tol)
     tolerances = {}
@@ -295,7 +268,10 @@ def _cmd_extend(args):
              if args.floor else None)
     if floor is not None and floor.space is not f.space:
         raise MalformedInput("--floor", "the floor's space is not the function's")
-    ext = mcshane_extend(f.space, subset, f.values[subset], floor=floor)
+    try:
+        ext = mcshane_extend(f.space, subset, f.values[subset], floor=floor)
+    except ValueError as exc:  # values too large for the float range
+        raise MalformedInput(f"{args.function}.values", str(exc)) from None
     return _space_tolerances(f.space, args), {
         "subset": subset, "values": ext.values.tolist(), "norm": lipschitz_norm(ext).value}
 

@@ -160,7 +160,8 @@ def mcshane_extend(
     ||g|| <= L and g <= f on the subset is supplied, F >= g holds
     automatically; both preconditions are checked, norms within REL_TOL
     relative and values within L * space.tol (the base value of f within
-    space.tol), and violations are reported.
+    space.tol), and violations are reported. An F that passes the float
+    range is a ValueError.
     """
     idx = point_indices(space, subset).tolist()
     if space.base not in idx:
@@ -185,7 +186,10 @@ def mcshane_extend(
             raise FloorExceedsFunction(idx[worst], float(floor.values[idx][worst]),
                                        float(v[worst]))
 
-    ext = inf_extension(space, idx, v, L)
+    with np.errstate(over="ignore"):  # a term past the float range is inf, refused below
+        ext = inf_extension(space, idx, v, L)
+    if not np.isfinite(ext).all():
+        raise ValueError(f"too large: the extension with constant {L!r} overflows")
     return LipschitzFunction(space, ext, normalize=False)
 
 
@@ -211,8 +215,3 @@ def peak_function(net: PointedMetricSpace, x: float) -> LipschitzFunction:
     u = np.abs(coords - x)
     g = np.sign(coords - x) * (u - u * u / 2.0)
     return LipschitzFunction(net, g, normalize=True)
-
-
-def clamp_unit(value: float) -> float:
-    """Clamp a real number into [0, 1]; 1-Lipschitz on the reals."""
-    return min(max(float(value), 0.0), 1.0)

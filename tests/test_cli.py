@@ -233,8 +233,9 @@ class TestExitCodes:
         assert report is None
         assert "input error: DisconnectedGraph" in err
 
-    def test_unknown_command_exits_2(self):
-        proc = run_cli("frobnicate")
+    @pytest.mark.parametrize("command", ["frobnicate", "norming"])
+    def test_unknown_command_exits_2(self, command):
+        proc = run_cli(command)
         assert proc.returncode == 2
 
     @pytest.mark.parametrize("argv, missing", [
@@ -339,14 +340,6 @@ class TestExitCodes:
         assert f"MalformedInput: --map: unknown builtin map {name!r}" in err
         assert "builtin:identity" in err
 
-    @pytest.mark.parametrize("pairs", ["a,b", "0,0", "0,7", "-1,2", "0,1,2", "0", ";"])
-    def test_bad_pairs_exit_2(self, files, capsys, pairs):
-        code, report, err = run_in_process(capsys, "norming", files["three"],
-                                           f"--pairs={pairs}")
-        assert code == 2
-        assert report is None
-        assert "MalformedInput: --pairs:" in err
-
     @pytest.mark.parametrize("pairs", ["0,1;1,2", "0,1;1,2;0,2", "0,2", "a,b"])
     @pytest.mark.parametrize("method", ["dual", "primal", "both"])
     def test_isometry_takes_no_pairs(self, files, capsys, method, pairs):
@@ -370,21 +363,30 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, error", [
         (("extend", "{fn}", "--subset", "0,9"), "--subset: point 9 is outside 0..4"),
         (("extend", "{fn}", "--subset=0,-1"), "--subset: point -1 is outside 0..4"),
-        (("norming", "{three}", "--pairs", "0,1;0,7"), "--pairs: point 7 is outside 0..2"),
         (("extend", "{fn}", "--subset", "0,1e308"),
          "--subset: '0,1e308' is not a list of integers"),
-        (("norming", "{three}", "--pairs", "0,1;1,1"), "--pairs: '1,1': indices must be distinct"),
+        (("extend", "{fn}", "--subset", "0,1,1"), "--subset: '0,1,1': indices must be distinct"),
         (("extend", "{fn}", "--subset", "0,1_0"),
          "--subset: '0,1_0' is not a list of integers"),  # int() reads it as 10
         (("extend", "{fn}", "--subset", "0,\u0663"),
          "--subset: '0,\u0663' is not a list of integers"),  # int() reads ARABIC-INDIC 3 as 3
-    ], ids=["subset_past_n", "subset_negative", "pairs_past_n", "subset_float", "pairs_repeat",
+    ], ids=["subset_past_n", "subset_negative", "subset_float", "subset_repeat",
             "subset_underscore", "subset_non_ascii_digit"])
     def test_index_flags_name_the_fault(self, files, capsys, argv, error):
         # one range rule and wording for every index, a flag's as a file's
         code, report, err = run_in_process(capsys, *[a.format(**files) for a in argv])
         assert (code, report) == (2, None)
         assert err == f"input error: MalformedInput: {error}\n"
+
+    def test_an_extension_past_the_float_range_exits_2(self, files, capsys):
+        # on the line 0, 1, 2, 3 the constant is 1e308, and 1e308 * d(0, 3)
+        # overflows; this input once raised a traceback
+        write_the_line(files["dir"])
+        f = write(files["dir"] / "big.json", {"space": "line.json", "values": [1e308, 1, 2, 3]})
+        code, report, err = run_in_process(capsys, "extend", f, "--subset", "0,1")
+        assert (code, report) == (2, None)
+        assert err == (f"input error: MalformedInput: {f}.values: too large: "
+                       "the extension with constant 1e+308 overflows\n")
 
     def test_flow_lp_disagreement_exits_3(self, files, capsys, monkeypatch):
         real = cli.free_norm_dual
@@ -491,7 +493,6 @@ class TestExitCodes:
 
     # two points 1e-12 apart, within the tolerance 1e-9: no pair is a vertex
     @pytest.mark.parametrize("command", [("extremes", "{space}"),
-                                         ("norming", "{space}", "--pairs", "0,1"),
                                          ("isometry", "--map", "{map}", "--method", "dual")])
     def test_a_space_without_vertices_is_refused(self, tmp_path, capsys, command):
         coords = [0, 1e-12, 2e-12, 1]
@@ -677,21 +678,16 @@ class TestCommands:
         results = report_of(run_cli("extremes", files["net"]))["results"]
         assert results["pairs"] == [[0, 1], [1, 2], [2, 3], [3, 4]]
 
-    @pytest.mark.parametrize("command", ["extremes", "norming"])
-    def test_admitting_tol_recorded_beside_the_metric_tol(self, files, capsys, command):
+    def test_admitting_tol_recorded_beside_the_metric_tol(self, files, capsys):
         # the triangle inequality is off by 0.1: --tol 0.2 admits the
         # space, and space.tol still decides that 1 lies between 0 and 2
         loose = write(files["dir"] / "loose.json", {
             "metric": {"type": "matrix", "d": [[0, 1, 2.1], [1, 0, 1], [2.1, 1, 0]]}})
-        pairs = ["--pairs", "0,1;1,2"] if command == "norming" else []
-        code, report, _ = run_in_process(capsys, command, loose, "--tol", "0.2", *pairs)
+        code, report, _ = run_in_process(capsys, "extremes", loose, "--tol", "0.2")
         assert code == 0
         assert report["tolerances"] == {"tol_metric": REL_TOL * 2.1, "tol_validation": 0.2}
-        if command == "extremes":
-            assert report["results"]["pairs"] == [[0, 1], [1, 2]]
-        else:
-            assert report["results"]["is_norming"] is True
-        code, report, _ = run_in_process(capsys, command, files["three"], *pairs)
+        assert report["results"]["pairs"] == [[0, 1], [1, 2]]
+        code, report, _ = run_in_process(capsys, "extremes", files["three"])
         assert report["tolerances"] == {"tol_metric": REL_TOL * 2.0}
 
     @pytest.mark.parametrize("form", ["matrix", "graph"])
@@ -711,8 +707,7 @@ class TestCommands:
             "domain": "net2.json", "codomain": "net2.json", "image": [0, 1, 2]})
         fn = write(files["dir"] / "net2_f.json", {"space": "net2.json", "values": [0, 1, 0]})
         admitted = {"tol_validation": 0.0} if form == "matrix" else {}
-        for argv in (("validate", space), ("extremes", space),
-                     ("norming", space, "--pairs", "0,1;1,2"), ("isometry", "--map", mp),
+        for argv in (("validate", space), ("extremes", space), ("isometry", "--map", mp),
                      ("extend", fn, "--subset", "0,1", "--floor", fn),
                      ("experiment", "geodesic", "--space", space, "--map", f"file:{mp}"),
                      ("experiment", "geodesic", "--space", space, "--map", "builtin:identity")):
@@ -722,12 +717,6 @@ class TestCommands:
             tolerances = {k: v for k, v in report["tolerances"].items()
                           if k not in ("r_loc", "eps")}  # the experiments' scales
             assert tolerances == {"tol_metric": REL_TOL * 1.0, **admitted}, argv[:2]
-
-    def test_norming(self, files):
-        proc = run_cli("norming", files["net"], "--pairs", "0,1;1,2;2,3;3,4")
-        assert report_of(proc)["results"]["is_norming"] is True
-        proc = run_cli("norming", files["net"], "--pairs", "0,4")
-        assert report_of(proc)["results"]["is_norming"] is False
 
     def test_isometry(self, files):
         proc = run_cli("isometry", "--map", files["map"], "--method", "both")
@@ -1144,7 +1133,6 @@ LOOSE = {"base": 0, "metric": {"type": "matrix",
 TOL_REACH = [
     ("validate", ("validate", "{d}/loose.json")),
     ("extremes", ("extremes", "{d}/loose.json")),
-    ("norming", ("norming", "{d}/loose.json", "--pairs", "0,1;1,2")),
     ("isometry", ("isometry", "--map", "{d}/loose_inline_three.json")),
     ("isometry", ("isometry", "--map", "{d}/loose_three.json")),
     ("isometry", ("isometry", "--map", "{d}/far_loose_inline.json")),
@@ -1223,7 +1211,6 @@ READS = [
     (("norm", "{fn}"), [("fn",), ("net", "fn", "space")]),
     (("freenorm", "{vec}"), [("vec",), ("two", "vec", "space")]),
     (("extremes", "{net}"), [("net",)]),
-    (("norming", "{net}", "--pairs", "0,1"), [("net",)]),
     (("isometry", "--map", "{map3}"),
      [("map3",), ("three", "map3", "domain"), ("three", "map3", "codomain")]),
     (("extend", "{f3}", "--subset", "0,1", "--floor", "{floor3}"),
@@ -1288,7 +1275,6 @@ COMMANDS = [
     ("norm", ("norm", "{fn}")),
     ("freenorm", ("freenorm", "{vec}")),
     ("extremes", ("extremes", "{net}")),
-    ("norming", ("norming", "{net}", "--pairs", "0,1;1,2;2,3;3,4")),
     ("isometry", ("isometry", "--map", "{map3}")),
     ("extend", ("extend", "{fn}", "--subset", "0,4")),
     ("experiment.interval", ("experiment", "interval", "--mesh", "4",
@@ -1641,35 +1627,27 @@ INDEX_TEXTS = ["0", "1", "3", "4", "9", "-1", "0.5", "1e308", "9" * 30, "a", "",
                "0x1"]
 
 
-def index_text(draw, chunks):
-    """Lists of point indices as a flag's text, "," within a list and ";"
-    between lists, perhaps with one entry replaced."""
-    texts = [[str(i) for i in chunk] for chunk in chunks]
+def index_text(draw, indices):
+    """A list of point indices as a flag's text, perhaps with one entry
+    replaced."""
+    texts = [str(i) for i in indices]
     if draw(st.booleans()):
-        chunk = draw(st.sampled_from(texts))
-        chunk[draw(st.integers(0, len(chunk) - 1))] = draw(st.sampled_from(INDEX_TEXTS))
-    return ";".join(",".join(chunk) for chunk in texts)
+        texts[draw(st.integers(0, len(texts) - 1))] = draw(st.sampled_from(INDEX_TEXTS))
+    return ",".join(texts)
 
 
 @st.composite
-def extend_or_norming_call(draw):
-    """The files and argv, ``{d}`` their folder, of a call on the 4-point
-    line: extend on a function file with a --subset and perhaps a --floor
-    file, each file perhaps mutated, or norming on the line or a mutated
-    space with --pairs."""
-    if draw(st.booleans()):
-        space = LINE if draw(st.booleans()) else draw(mutated_space_file())
-        pairs = index_text(draw, draw(st.lists(st.sampled_from(
-            [[0, 1], [1, 2], [2, 3], [0, 3], [1, 3], [0, 1, 2]]), min_size=1, max_size=4)))
-        return {"space.json": space}, ["norming", "{d}/space.json", f"--pairs={pairs}"]
-
+def extend_call(draw):
+    """The files and argv, ``{d}`` their folder, of extend on the 4-point
+    line: a function file with a --subset and perhaps a --floor file, each
+    file perhaps mutated."""
     def function(values):  # half of them whole, so that a share of calls extend
         return ({"space": "line.json", "values": values} if draw(st.booleans())
                 else values_on_the_line(draw, "values", values))
 
     files = {"f.json": function([0, 1, 2, 3])}
     subset = draw(st.sampled_from([[0, 1], [0, 3], [0, 1, 2, 3], [1, 2]]))
-    argv = ["extend", "{d}/f.json", f"--subset={index_text(draw, [subset])}"]
+    argv = ["extend", "{d}/f.json", f"--subset={index_text(draw, subset)}"]
     if draw(st.booleans()):
         files["floor.json"] = function(draw(st.sampled_from([[0, 0, 0, 0], [0, 2, 0, 0]])))
         argv.append("--floor={d}/floor.json")
@@ -1678,11 +1656,11 @@ def extend_or_norming_call(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(drawn=extend_or_norming_call())
-def test_extend_and_norming_never_fail(tmp_path_factory, drawn):
-    """extend and norming exit 0, 2 or 3 without a traceback or Python's own
-    wording on any function, floor or space file and any index flag, print
-    nothing on 2, and stop collecting reads."""
+@given(drawn=extend_call())
+def test_extend_never_fails(tmp_path_factory, drawn):
+    """extend exits 0, 2 or 3 without a traceback or Python's own wording
+    on any function or floor file and any --subset, prints nothing on 2,
+    and stops collecting reads."""
     files, argv = drawn
     folder = tmp_path_factory.getbasetemp() / "index_fuzz"
     folder.mkdir(exist_ok=True)

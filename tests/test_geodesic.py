@@ -371,6 +371,33 @@ class TestGeodesicSufficient:
         assert report.predicts_isometric
         assert report.worst_margin == pytest.approx(1.0)
 
+    @staticmethod
+    def _stretched_circle(n):
+        """k -> k onto circle_geodesic(n) from a cycle of n/2 edges of 2pi/n,
+        then n/2 of 4pi/n: norm 1, and the stretched half is compressed by 1/2."""
+        gs = circle_geodesic(n)
+        edges = [(k, (k + 1) % n, (2 if k < n // 2 else 4) * np.pi / n) for k in range(n)]
+        return LipschitzMap(from_weighted_graph(n, edges), gs.space, tuple(range(n))), gs
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 256])
+    def test_stretched_circle_is_not_isometric(self, n):
+        phi, _ = self._stretched_circle(n)
+        cert = certify_isometry(phi, "both")
+        assert cert.verdict == "not_isometric"
+        assert cert.primal.modulus == 0.5
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 2: margins are read per level set "
+                       "of the inverse projection, so a compressed point borrows the slope-one "
+                       "margin of the point across the circle")
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    def test_stretched_circle_is_not_predicted_isometric(self, n):
+        # eps < 1/2 from n = 32 on, below the modulus's shortfall
+        phi, gs = self._stretched_circle(n)
+        report = check_geodesic_sufficient(phi, gs)
+        assert report.eps < 0.5
+        assert report.predicts_isometric is False
+
 
 @pytest.mark.parametrize("block", [1, 7, 64, 2 ** 17])
 def test_cover_read_by_row_blocks_is_the_whole_minimum(monkeypatch, block):

@@ -12,7 +12,6 @@ from lipfree.errors import (
 )
 from lipfree.lipschitz import (
     LipschitzFunction,
-    clamp_unit,
     inf_extension,
     interval_coordinates,
     lipschitz_norm,
@@ -293,6 +292,14 @@ class TestMcshaneExtend:
             mcshane_extend(path3, [0, 2], [0.0, -0.4], floor=high)
         assert exc.value.witness == 2
 
+    def test_an_overflowing_extension_is_refused(self, path3):
+        # constant 1e308: F(2) = min(0 + 1e308 * 2, -1e308 + 1e308 * 1) overflows
+        # in its first term only, and is 0; on the line 0..3, F(3) overflows in both
+        assert mcshane_extend(path3, [0, 1], [0.0, -1e308]).values.tolist() == [0.0, -1e308, 0.0]
+        line = validate_space([[abs(i - j) for j in range(4)] for i in range(4)])
+        with pytest.raises(ValueError, match="extension with constant 1e\\+308 overflows"):
+            mcshane_extend(line, [0, 1], [0.0, 1 - 1e308])
+
     def test_subset_must_contain_base(self, path3):
         with pytest.raises(ValueError):
             mcshane_extend(path3, [1, 2], [0.0, 1.0])
@@ -378,17 +385,6 @@ class TestPeakFunction:
         tri = from_weighted_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         with pytest.raises(NotAnIntervalNet):
             peak_function(tri, 0.0)
-
-
-class TestClampUnit:
-    @pytest.mark.parametrize("value,expected", [(0.5, 0.5), (1.7, 1.0), (-0.3, 0.0)])
-    def test_examples(self, value, expected):
-        assert clamp_unit(value) == expected
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.floats(-5, 5), st.floats(-5, 5))
-    def test_one_lipschitz(self, a, b):
-        assert abs(clamp_unit(a) - clamp_unit(b)) <= abs(a - b)
 
 
 class TestIntervalCoordinates:
