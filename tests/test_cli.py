@@ -16,9 +16,9 @@ from conftest import brute_vertices
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lipfree import cli, composition, io, metric_core
-from lipfree.errors import MalformedInput
+from lipfree.errors import MalformedInput, NotNorming
 from lipfree.fixtures import builtin_map, circle_geodesic, random_space, tripod
-from lipfree.freespace import DualResult
+from lipfree.freespace import DualResult, is_norming
 from lipfree.geodesic import check_geodesic_necessary, check_interval_necessary
 from lipfree.io import geodesic_space_to_dict, space_to_dict
 from lipfree.metric_core import REL_TOL, PointPair, interval_net
@@ -352,7 +352,8 @@ class TestExitCodes:
         assert out == ""
         assert f"lipfree isometry: error: unrecognized arguments: --pairs {pairs}" in err
 
-    @pytest.mark.parametrize("subset", ["a", "0,9", "0,1,1", "0,-1", "1,2", ","])
+    @pytest.mark.parametrize("subset", ["a", "0,9", "0,1,1", "0,-1", "1,2", ",",
+                                        "a,b", "0,0", "-1,2", ";", "0;1", ""])
     def test_bad_subset_exits_2(self, files, capsys, subset):
         code, report, err = run_in_process(capsys, "extend", files["fn"],
                                            f"--subset={subset}")
@@ -677,6 +678,29 @@ class TestCommands:
     def test_extremes(self, files):
         results = report_of(run_cli("extremes", files["net"]))["results"]
         assert results["pairs"] == [[0, 1], [1, 2], [2, 3], [3, 4]]
+
+    @pytest.mark.parametrize("name", ["three", "net", "circle", "tripod"])
+    def test_a_pair_set_norms_when_it_lists_every_extremes_pair(self, files, capsys, name):
+        # the recipe that replaced the norming command: list every pair that
+        # extremes reports, in either order; isometry's pairs gate agrees,
+        # and listing every pair that is no vertex stands in for none
+        made = {"circle": metric_core.circle_net(6), "tripod": tripod(1.0, 3).space}
+        if name in made:
+            files[name] = write(files["dir"] / f"{name}.json", space_to_dict(made[name]))
+        code, report, _ = run_in_process(capsys, "extremes", files[name])
+        assert code == 0
+        vertices = [PointPair(x, y) for x, y in report["results"]["pairs"]]
+        space = io.load_space(files[name])
+        others = [p for p in space.pairs() if p not in vertices]  # none on the circle
+        phi = composition.identity_map(space)
+        assert is_norming(space, vertices) == (True, None)
+        assert is_norming(space, [PointPair(p.y, p.x) for p in vertices] + others).is_norming
+        composition.certify_isometry(phi, "both", pairs=vertices)
+        for k, vertex in enumerate(vertices):
+            rest = vertices[:k] + vertices[k + 1:] + others
+            assert is_norming(space, rest) == (False, vertex)
+            with pytest.raises(NotNorming):
+                composition.certify_isometry(phi, "both", pairs=rest)
 
     def test_admitting_tol_recorded_beside_the_metric_tol(self, files, capsys):
         # the triangle inequality is off by 0.1: --tol 0.2 admits the

@@ -23,6 +23,7 @@ from lipfree.composition import (
 )
 from lipfree.errors import (
     BasePointNotPreserved,
+    InputError,
     MapNormExceedsOne,
     NotNorming,
     SpaceMismatch,
@@ -306,6 +307,13 @@ class TestCertifyDual:
         net = interval_net(2)
         with pytest.raises(NotNorming):
             certify_isometry_dual(identity_map(net), pairs=[PointPair(0, 2)])
+
+    @pytest.mark.parametrize("method", ["dual", "primal", "both"])
+    def test_caller_pair_set_on_a_codomain_without_vertices_refused(self, method):
+        # the gate asks for the vertices before any route runs, the primal's too
+        space = line_net([0, 1e-12, 2e-12, 1])
+        with pytest.raises(InputError, match=r"^no pair is a vertex: points 0 and 1 lie "):
+            certify_isometry(identity_map(space), method, pairs=list(space.pairs()))
 
     @pytest.mark.parametrize("method", ["dual", "primal", "both"])
     def test_caller_pair_outside_the_codomain_rejected(self, path3, method):

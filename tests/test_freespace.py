@@ -649,6 +649,13 @@ class TestIsNorming:
         with pytest.raises(ValueError):
             is_norming(path3, [])
 
+    def test_a_space_without_vertices_is_refused(self):
+        # no pair set can list the vertices of a space that has none
+        space = line_net([0, 1e-12, 2e-12, 1])
+        with pytest.raises(InputError, match=r"^no pair is a vertex: points 0 and 1 lie "
+                           r"1e-12 apart, within about the metric tolerance 1e-09$"):
+            is_norming(space, list(space.pairs()))
+
     @pytest.mark.parametrize("pair", [(0, 3), (-1, 1)])
     def test_pair_outside_the_space_rejected(self, path3, pair):
         # a negative index would otherwise list the pair of the last point;
