@@ -23,13 +23,22 @@ import time
 
 def _inputs() -> dict:
     """Each input file's name and the object it holds, built when called."""
+    from math import pi
+
     from lipfree.fixtures import builtin_map, circle_geodesic, interval_geodesic
     from lipfree.io import geodesic_space_to_dict, space_to_dict
-    from lipfree.metric_core import circle_net, interval_net
+    from lipfree.metric_core import circle_net, from_weighted_graph, interval_net
 
     def identity(space, n):
         """The identity map file of ``space``, a file name or an inline space."""
         return {"domain": space, "codomain": space, "image": list(range(n))}
+
+    def stretched(n):
+        """k -> k onto circle_geodesic(n) from a cycle of n/2 edges of 2pi/n,
+        then n/2 of 4pi/n: norm 1 and modulus 1/2."""
+        edges = [(k, (k + 1) % n, (2 if k < n // 2 else 4) * pi / n) for k in range(n)]
+        return {"domain": space_to_dict(from_weighted_graph(n, edges)),
+                "codomain": f"geodesic{n}_space.json", "image": list(range(n))}
 
     return {
         # every pair of circle_net(1024) is a vertex
@@ -40,6 +49,9 @@ def _inputs() -> dict:
         "geodesic512.json": lambda: geodesic_space_to_dict(circle_geodesic(512)),
         "geodesic512_space.json": lambda: space_to_dict(circle_geodesic(512).space),
         "geodesic512_identity.json": lambda: identity("geodesic512_space.json", 512),
+        "geodesic256.json": lambda: geodesic_space_to_dict(circle_geodesic(256)),
+        "geodesic256_space.json": lambda: space_to_dict(circle_geodesic(256).space),
+        "stretched256.json": lambda: stretched(256),
         # builtin:K at mesh N as a map file into interval_net(N), whose one path is
         # 0..N. Fold at mesh 2048 is left out: its 4,097-point domain file alone
         # takes minutes to validate.
@@ -55,7 +67,8 @@ def _inputs() -> dict:
 
 
 # (subject of the summary line, lipfree arguments with {dir} the input folder,
-# what else the line reports: "", "report" for the report's size, or "verdict")
+# what else the line reports: "", "report" for the report's size, or "verdict"
+# for the certificate's verdict and the sufficient report's predicts_isometric)
 CASES = [
     *((f"`lipfree experiment interval --mesh 1024 --map builtin:{name}`",
        f"experiment interval --mesh 1024 --map builtin:{name}", "")
@@ -68,14 +81,18 @@ CASES = [
     ("`lipfree experiment geodesic` of the `circle_geodesic(512)` identity map file",
      "experiment geodesic --space {dir}/geodesic512.json --map {dir}/geodesic512_identity.json",
      "verdict"),
+    ("`lipfree experiment geodesic` of the stretched `circle_geodesic(256)` map file "
+     "(modulus 1/2)",
+     "experiment geodesic --space {dir}/geodesic256.json --map {dir}/stretched256.json",
+     "verdict"),
     *((f"`lipfree experiment geodesic` of a `builtin:{name}` mesh-{mesh} map file into "
        f"`interval_net({mesh})`",
        f"experiment geodesic --space {{dir}}/net{mesh}.json --map file:{{dir}}/{name}{mesh}.json",
        "verdict") for name, mesh in (("fold", 256), ("identity", 2048))),
 ]
 
-VERDICT = ("import json, sys; "
-           "print(json.load(open(sys.argv[1]))['results']['certificate']['verdict'])")
+VERDICT = ("import json, sys; r = json.load(open(sys.argv[1]))['results']; "
+           "print(r['certificate']['verdict'], json.dumps(r['sufficient']['predicts_isometric']))")
 
 
 def write(folder: str, name: str | None = None) -> None:
@@ -103,10 +120,10 @@ def run(src: str, side: str, folder: str) -> None:
             line += f", report {os.path.getsize(out) / 1e6 if code == 0 else 0.0:.1f} MB"
         line += f", exit {code}"
         if reads == "verdict":
-            verdict = (subprocess.run([sys.executable, "-c", VERDICT, out], check=True,
-                                      capture_output=True, text=True).stdout.strip()
-                       if code == 0 else "-")
-            line += f", verdict {verdict}"
+            verdict, predicts = (subprocess.run([sys.executable, "-c", VERDICT, out], check=True,
+                                                capture_output=True, text=True).stdout.split()
+                                 if code == 0 else ("-", "-"))
+            line += f", verdict {verdict}, predicts_isometric {predicts}"
         print(line, flush=True)
         if code == 0:
             os.remove(out)

@@ -7,12 +7,16 @@ how far a map is from acting isometrically, target by target; each
 row is (t, best_ratio, defect).
 """
 
+import numpy as np
+
 from lipfree import (
+    LipschitzMap,
     PointPair,
     certify_isometry,
     check_geodesic_necessary,
     check_geodesic_sufficient,
     check_interval_necessary,
+    from_weighted_graph,
     identity_map,
     inverse_projection,
 )
@@ -34,6 +38,18 @@ print(f"mesh {gs.mesh:.4f}; max defect along the half circle: "
 report = check_geodesic_sufficient(identity_map(gs.space), gs, r=gs.mesh)
 print(f"sufficiency margins: worst {report.worst_margin}; predicts isometric: "
       f"{report.predicts_isometric}")
+
+print("\n== a stretched circle: margins are read per codomain point ==")
+n = 32
+gs = circle_geodesic(n)
+edges = [(k, (k + 1) % n, (2 if k < n // 2 else 4) * np.pi / n) for k in range(n)]
+phi = LipschitzMap(from_weighted_graph(n, edges), gs.space, tuple(range(n)))
+report = check_geodesic_sufficient(phi, gs)
+point, margin = min(report.rows, key=lambda row: row[1])
+print("half the domain's edges are doubled, so k -> k compresses them by 1/2")
+print(f"point {point} reads margin {margin:.3f} < 1 - eps = {1 - report.eps:.3f}; "
+      f"predicts isometric: {report.predicts_isometric}; "
+      f"certificate: {certify_isometry(phi, 'both').verdict}")
 
 print("\n== defect profiles separate the fold from the halving map ==")
 for name in ("fold", "halving"):

@@ -204,6 +204,8 @@ def _cmd_validate(args):
 def _cmd_norm(args):
     f = load_function(args.function)
     value, witness = lipschitz_norm(f)
+    if value == math.inf:
+        raise MalformedInput(f"{args.function}.values", "too large: the Lipschitz norm overflows")
     return {"tol_metric": f.space.tol}, {"norm": value, "witness": list(witness)}
 
 

@@ -308,19 +308,19 @@ def check_geodesic_necessary(
 
 @dataclass(frozen=True)
 class SufficiencyReport:
-    """Image-density plus slope-one margins at mesh-snapped values.
+    """Image-density plus slope-one margins at attained codomain points.
 
-    ``rows`` holds (value, margin) with margin the best pointwise
-    constant at scale r over preimages of the value. The report
-    predicts isometric behavior at mesh scale when the density check
-    passes and every margin reaches 1 - eps.
+    ``rows`` holds (point, margin) per codomain point in the image, with
+    margin the best pointwise constant at scale r over the point's
+    preimages. The report predicts isometric behavior at mesh scale when
+    the density check passes and every margin reaches 1 - eps.
     """
 
     kind: str
     density_ok: bool
     max_gap: float
     gap_allowance: float
-    rows: tuple[tuple[float, float], ...]
+    rows: tuple[tuple[int, float], ...]
     worst_margin: float
     r: float
     eps: float
@@ -331,27 +331,14 @@ class SufficiencyReport:
         return {**vars(self), "rows": [list(r) for r in self.rows]}
 
 
-def _margins(phi: LipschitzMap, values: np.ndarray, r: float,
-             mesh: float) -> list[tuple[float, float]]:
-    """(c, m) per attained value snapped to the mesh, c: m is the largest
-    local slope at scale r of ``values`` over the domain points whose value
-    lies within the mesh of c, one ``reduceat`` over the slopes in value
-    order. No run is empty, since it holds the values snapped to c; the
-    appended entry lets a run end at the last point."""
-    slopes = local_slopes(LipschitzFunction(phi.domain, values, normalize=False), r)
-    centers = np.unique(np.round(values / mesh) * mesh)
-    order, lo, hi = _windows(values, centers, mesh)
-    best = np.maximum.reduceat(np.append(slopes[order], 0.0), np.ravel([lo, hi], "F"))[::2]
-    return list(zip(centers.tolist(), best.tolist()))
-
-
 def _sufficiency(kind: str, phi: LipschitzMap, projections: list[np.ndarray], mesh: float,
                  r: float | None, eps: float | None, extra: dict[str, Any]) -> SufficiencyReport:
     """Every codomain point must lie within twice the mesh of the image
     (otherwise the report is not dense and names the worst uncovered
-    point in ``extra``), and for each codomain vector P in
-    ``projections``, every mesh-snapped value of P(phi(.)) must have a
-    preimage at pointwise constant 1 - eps at scale r."""
+    point in ``extra``), and every attained codomain point z must have a
+    preimage at pointwise constant 1 - eps at scale r: its margin is the
+    largest local slope of P(phi(.)) over the fibre of z, the largest
+    over the codomain vectors P in ``projections``."""
     space, img = phi.codomain, np.asarray(phi.image)
     r, eps = _scales(mesh, space.diameter, r, eps)
     attained = np.unique(img)
@@ -360,13 +347,16 @@ def _sufficiency(kind: str, phi: LipschitzMap, projections: list[np.ndarray], me
     worst_point = int(np.argmax(cover))
     max_gap = float(cover[worst_point])
     dense = max_gap <= 2.0 * mesh
-    rows = []
+    best = np.zeros(space.n)
     for projection in projections:
-        rows += _margins(phi, projection[img], r, mesh)
-    worst = min(m for _, m in rows)
+        slopes = local_slopes(LipschitzFunction(phi.domain, projection[img], normalize=False), r)
+        np.maximum.at(best, img, slopes)
+    margins = best[attained]
+    worst = float(margins.min())
     return SufficiencyReport(
         kind=kind, density_ok=dense, max_gap=max_gap, gap_allowance=2.0 * mesh,
-        rows=tuple(rows), worst_margin=worst, r=r, eps=eps,
+        rows=tuple(zip(attained.tolist(), margins.tolist())),
+        worst_margin=worst, r=r, eps=eps,
         predicts_isometric=dense and worst >= 1.0 - eps,
         extra={"mesh": mesh, **extra, **({} if dense else {"worst_point": worst_point})})
 

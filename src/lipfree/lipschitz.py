@@ -39,10 +39,11 @@ class LipschitzFunction:
         v = np.asarray(self.values, dtype=float).copy()
         if v.shape != (self.space.n,):
             raise ValueError(f"expected {self.space.n} values, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("function values must be finite")
         if self.normalize and v[self.space.base] != 0.0:
-            v = v - v[self.space.base]
+            with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused
+                v = v - v[self.space.base]
+        if not np.all(np.isfinite(v)):
+            raise ValueError("function values must be finite, also less the base value")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -79,10 +80,12 @@ def quotients(num: np.ndarray, den: np.ndarray, r0: int = 0, diagonal: float = -
 
 def _largest_quotient(n: int, rows: Callable) -> tuple[float, tuple[int, int]]:
     """The largest off-diagonal num / den over n points and its first row-major pair (x < y
-    if symmetric); ``rows(r0, r1)`` gives rows r0:r1 of num and den, by :func:`row_blocks`."""
+    if symmetric); ``rows(r0, r1)`` gives rows r0:r1 of num and den, by :func:`row_blocks`.
+    A num or quotient past the float range reads as inf."""
     value, at = -np.inf, 0
     for r0, r1 in row_blocks(n, n):
-        q = quotients(*rows(r0, r1), r0)
+        with np.errstate(over="ignore"):
+            q = quotients(*rows(r0, r1), r0)
         k = int(np.argmax(q))
         if q.flat[k] > value:
             value, at = float(q.flat[k]), r0 * n + k
@@ -160,8 +163,8 @@ def mcshane_extend(
     ||g|| <= L and g <= f on the subset is supplied, F >= g holds
     automatically; both preconditions are checked, norms within REL_TOL
     relative and values within L * space.tol (the base value of f within
-    space.tol), and violations are reported. An F that passes the float
-    range is a ValueError.
+    space.tol), and violations are reported. An L, or an F whose values or
+    differences pass the float range, is a ValueError.
     """
     idx = point_indices(space, subset).tolist()
     if space.base not in idx:
@@ -175,6 +178,8 @@ def mcshane_extend(
     v -= vb
 
     L = sub_lipschitz_norm(space, idx, v)
+    if L == np.inf:
+        raise ValueError("too large: the Lipschitz constant on the subset overflows")
 
     if floor is not None:
         g_norm = lipschitz_norm(floor).value
@@ -186,9 +191,10 @@ def mcshane_extend(
             raise FloorExceedsFunction(idx[worst], float(floor.values[idx][worst]),
                                        float(v[worst]))
 
-    with np.errstate(over="ignore"):  # a term past the float range is inf, refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the float range
         ext = inf_extension(space, idx, v, L)
-    if not np.isfinite(ext).all():
+        spread = np.ptp(ext)  # finite when every value and difference is
+    if not np.isfinite(spread):
         raise ValueError(f"too large: the extension with constant {L!r} overflows")
     return LipschitzFunction(space, ext, normalize=False)
 

@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from lipfree.composition import (
+    LipschitzMap,
     certify_isometry,
     certify_isometry_dual,
     certify_isometry_primal,
@@ -45,7 +46,9 @@ from lipfree.freespace import (
     molecule_distance,
 )
 from lipfree.geodesic import (
+    DiscretizedGeodesicSpace,
     check_geodesic_necessary,
+    check_geodesic_sufficient,
     check_interval_necessary,
     check_interval_sufficient,
     inverse_projection,
@@ -361,8 +364,30 @@ def criterion_7_interval_necessary(family: dict | None = None) -> dict:
     }
 
 
-def criterion_8_interval_sufficient(family: dict | None = None) -> dict:
-    """Every builtin map passing the sufficiency check certifies isometric."""
+def stretched_circle(n: int) -> tuple[LipschitzMap, DiscretizedGeodesicSpace]:
+    """k -> k onto circle_geodesic(n) from a cycle of n/2 edges of 2pi/n,
+    then n/2 of 4pi/n: norm 1, and the stretched half is compressed by 1/2."""
+    gspace = circle_geodesic(n)
+    edges = [(k, (k + 1) % n, (2 if k < n // 2 else 4) * np.pi / n) for k in range(n)]
+    return LipschitzMap(from_weighted_graph(n, edges), gspace.space, tuple(range(n))), gspace
+
+
+def stretched_tripod(k: int) -> tuple[LipschitzMap, DiscretizedGeodesicSpace]:
+    """k -> k onto tripod(1, k) from the tripod with leg 3's edges doubled:
+    norm 1, and leg 3 is compressed by 1/2."""
+    gspace = tripod(1.0, k)
+    edges = [(0 if s == 0 else j * k + s, 1 + j * k + s, (2 if j == 2 else 1) / k)
+             for j in range(3) for s in range(k)]
+    image = tuple(range(1 + 3 * k))
+    return LipschitzMap(from_weighted_graph(1 + 3 * k, edges), gspace.space, image), gspace
+
+
+def criterion_8_sufficient(family: dict | None = None) -> dict:
+    """Every builtin map, and every stretched geodesic map or identity,
+    passing the sufficiency check certifies isometric; on the geodesic
+    families both certifiers agree (``certify_isometry`` raises
+    otherwise) and the modulus is the known one, 1/2 stretched and 1 for
+    the identity."""
     started = time.perf_counter()
     if family is None:
         family = _builtin_family_reports()
@@ -373,9 +398,23 @@ def criterion_8_interval_sufficient(family: dict | None = None) -> dict:
             passing.append([name, n])
             if entry["verdict"] != "isometric":
                 violations.append([name, n, entry["verdict"]])
+    # the sizes at which the default eps is below 1/2
+    for label, build, sizes in (("circle", stretched_circle, (32, 64, 128, 256)),
+                                ("tripod", stretched_tripod, (8, 16, 32, 64))):
+        for size in sizes:
+            stretched, gspace = build(size)
+            for name, phi, modulus in ((f"stretched_{label}", stretched, 0.5),
+                                       (f"{label}_identity", identity_map(gspace.space), 1.0)):
+                cert = certify_isometry(phi, "both")
+                if check_geodesic_sufficient(phi, gspace).predicts_isometric:
+                    passing.append([name, size])
+                    if cert.verdict != "isometric":
+                        violations.append([name, size, cert.verdict])
+                if cert.primal.modulus != modulus:
+                    violations.append([name, size, "modulus", cert.primal.modulus])
     return {
         "criterion": 8,
-        "name": "interval sufficient condition at mesh scale",
+        "name": "sufficient condition at mesh scale",
         "passing_maps": passing,
         "violations": violations,
         "runtime_s": time.perf_counter() - started,
@@ -472,7 +511,7 @@ def run_criteria() -> dict:
         criterion_5_molecule_distance_bound(),
         criterion_6_extension_exactness(),
         criterion_7_interval_necessary(family),
-        criterion_8_interval_sufficient(family),
+        criterion_8_sufficient(family),
         criterion_9_inverse_projections(),
         criterion_10_peak_localization(),
     ]

@@ -389,6 +389,31 @@ class TestExitCodes:
         assert err == (f"input error: MalformedInput: {f}.values: too large: "
                        "the extension with constant 1e+308 overflows\n")
 
+    @pytest.mark.parametrize("argv, space, values, reason", [
+        (("norm",), "line.json", [0, 1e308, -1e308, 0],
+         "too large: the Lipschitz norm overflows"),
+        (("norm",), "line.json", [1e308, -1e308, 0, 0],
+         "function values must be finite, also less the base value"),
+        (("extend", "--subset", "0,1"), "net4.json", [1e308, 0, 0, 0, 0],
+         "too large: the Lipschitz constant on the subset overflows"),
+        # the base between the two others: F = (0, -1e308, 1e308), whose
+        # values are finite but whose norm's difference is not
+        (("extend", "--subset", "0,1"), "split.json", [0, -1e308, 0],
+         "too large: the extension with constant 1e+308 overflows"),
+    ], ids=["norm_spread", "norm_base_shift", "extend_constant", "extend_spread"])
+    def test_values_whose_differences_pass_the_float_range_exit_2(self, files, capsys, argv,
+                                                                    space, values, reason):
+        # each once overflowed with numpy's RuntimeWarning on stderr; all but
+        # the third then exited 0 with "norm":Infinity, which is not JSON
+        write_the_line(files["dir"])
+        write(files["dir"] / "split.json", {
+            "labels": ["0", "-1", "1"], "base": 0,
+            "metric": {"type": "matrix", "d": [[0, 1, 1], [1, 0, 2], [1, 2, 0]]}})
+        f = write(files["dir"] / "big.json", {"space": space, "values": values})
+        code, report, err = run_in_process(capsys, argv[0], f, *argv[1:])
+        assert (code, report) == (2, None)
+        assert err == f"input error: MalformedInput: {f}.values: {reason}\n"
+
     def test_flow_lp_disagreement_exits_3(self, files, capsys, monkeypatch):
         real = cli.free_norm_dual
 

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from acceptance_criteria import stretched_circle, stretched_tripod
 from conftest import scaled
 from hypothesis import given, settings, strategies as st
 
@@ -371,32 +372,35 @@ class TestGeodesicSufficient:
         assert report.predicts_isometric
         assert report.worst_margin == pytest.approx(1.0)
 
-    @staticmethod
-    def _stretched_circle(n):
-        """k -> k onto circle_geodesic(n) from a cycle of n/2 edges of 2pi/n,
-        then n/2 of 4pi/n: norm 1, and the stretched half is compressed by 1/2."""
-        gs = circle_geodesic(n)
-        edges = [(k, (k + 1) % n, (2 if k < n // 2 else 4) * np.pi / n) for k in range(n)]
-        return LipschitzMap(from_weighted_graph(n, edges), gs.space, tuple(range(n))), gs
-
     @pytest.mark.parametrize("n", [16, 32, 64, 256])
     def test_stretched_circle_is_not_isometric(self, n):
-        phi, _ = self._stretched_circle(n)
+        phi, _ = stretched_circle(n)
         cert = certify_isometry(phi, "both")
         assert cert.verdict == "not_isometric"
         assert cert.primal.modulus == 0.5
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 2: margins are read per level set "
-                       "of the inverse projection, so a compressed point borrows the slope-one "
-                       "margin of the point across the circle")
     @pytest.mark.parametrize("n", [32, 64, 256])
     def test_stretched_circle_is_not_predicted_isometric(self, n):
-        # eps < 1/2 from n = 32 on, below the modulus's shortfall
-        phi, gs = self._stretched_circle(n)
+        # eps < 1/2 from n = 32 on, below the modulus's shortfall; a point
+        # on the stretched half reads its own margin, not that of the point
+        # across the circle with the same projected value
+        phi, gs = stretched_circle(n)
         report = check_geodesic_sufficient(phi, gs)
         assert report.eps < 0.5
         assert report.predicts_isometric is False
+        assert report.worst_margin == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("k", [8, 16, 64])
+    def test_stretched_tripod_is_not_isometric_nor_predicted(self, k):
+        # eps is 2/k < 1/2 from k = 8 on, below the modulus's shortfall
+        phi, gs = stretched_tripod(k)
+        cert = certify_isometry(phi, "both")
+        assert cert.verdict == "not_isometric"
+        assert cert.primal.modulus == 0.5
+        report = check_geodesic_sufficient(phi, gs)
+        assert report.eps < 0.5
+        assert report.predicts_isometric is False
+        assert report.worst_margin == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 2 ** 17])
@@ -490,7 +494,14 @@ def test_projection_reads_the_path_constant_kept_on_admission(monkeypatch):
         for x, y in sorted(gs.paths):
             for pair in (PointPair(x, y), PointPair(y, x)):
                 assert check_geodesic_necessary(phi, gs, pair).holds
-        assert check_geodesic_sufficient(phi, gs).predicts_isometric
+        report = check_geodesic_sufficient(phi, gs)
+        if gs is spaces[-1]:
+            # point 3 lies 1 from every other point, 250 radii at r = 0.004,
+            # so no slope at scale r vouches for it
+            assert not report.predicts_isometric
+            assert report.rows[3] == (3, 0.0)
+        else:
+            assert report.predicts_isometric
 
 
 def _without_path(report):
@@ -548,8 +559,14 @@ def _loop_profile_rows(values, num, dist, grid, r_loc):
     return rows
 
 
-def _loop_margins(slopes, values, centers, width):
-    return [(float(c), float(slopes[np.abs(values - c) <= width].max())) for c in centers]
+def _loop_margins(phi, projections, r):
+    """Per attained codomain point, the largest local slope over its fibre
+    and the projections, by a loop over the points: the reference for the
+    fibre maxima."""
+    img = np.asarray(phi.image)
+    slopes = [local_slopes(LipschitzFunction(phi.domain, p[img], normalize=False), r)
+              for p in projections]
+    return [(z, max(float(s[img == z].max()) for s in slopes)) for z in sorted(set(phi.image))]
 
 
 def _tied_values(rng, n):
@@ -558,7 +575,7 @@ def _tied_values(rng, n):
 
 
 class TestSortedWindowOracle:
-    """The window-based profile and margins against per-target loops."""
+    """The window-based profile and the fibre margins against loops."""
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14),
@@ -574,16 +591,19 @@ class TestSortedWindowOracle:
         assert list(got.rows) == _loop_profile_rows(values, table, domain.dist, grid, r)
 
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14),
-           r=st.sampled_from([0.1, 0.5, 2.0]), jitter=st.booleans())
-    def test_margins(self, seed, n, r, jitter):
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14), m=st.integers(2, 8),
+           paths=st.integers(1, 3), r=st.sampled_from([0.1, 0.5, 2.0]))
+    def test_margins(self, seed, n, m, paths, r):
         rng = np.random.default_rng(seed)
-        domain = random_space(rng, n)
-        values = _tied_values(rng, n) + rng.uniform(0.0, 0.2, size=n) * jitter
-        centers = np.unique(np.round(values / 0.25) * 0.25)
-        slopes = local_slopes(LipschitzFunction(domain, values, normalize=False), r)
-        got = geodesic._margins(identity_map(domain), values, r, 0.25)
-        assert got == _loop_margins(slopes, values, centers, 0.25)
+        domain, codomain = random_space(rng, n), random_space(rng, m)
+        image = rng.integers(m, size=n)
+        image[domain.base] = codomain.base
+        phi = LipschitzMap(domain, codomain, tuple(image.tolist()))
+        projections = [_tied_values(rng, m) for _ in range(paths)]
+        got = geodesic._sufficiency("oracle", phi, projections, 0.25, r, 0.5, {})
+        want = _loop_margins(phi, projections, r)
+        assert list(got.rows) == want
+        assert got.worst_margin == min(margin for _, margin in want)
 
     def test_windows_of_zero_one_and_two_points(self):
         domain = validate_space(np.array([[0, 1, 2, 3], [1, 0, 1, 2],
