@@ -108,12 +108,12 @@ def write(folder: str, name: str | None = None) -> None:
 def run(src: str, side: str, folder: str) -> None:
     out = os.path.join(folder, "report.json")
     for subject, args, reads in CASES:
-        argv = [sys.executable, "-m", "lipfree.cli",
-                *(a.format(dir=folder) for a in args.split()), "--out", out]
-        started = time.perf_counter()
-        child = subprocess.Popen(argv, env={**os.environ, "PYTHONPATH": src})
-        _, status, usage = os.wait4(child.pid, 0)  # this child's own peak
-        wall = time.perf_counter() - started
+        argv = [sys.executable, "-m", "lipfree.cli", *(a.format(dir=folder) for a in args.split())]
+        with open(out, "wb") as fh:  # the report is the child's stdout
+            started = time.perf_counter()
+            child = subprocess.Popen(argv, stdout=fh, env={**os.environ, "PYTHONPATH": src})
+            _, status, usage = os.wait4(child.pid, 0)  # this child's own peak
+            wall = time.perf_counter() - started
         code = os.waitstatus_to_exitcode(status)
         line = f"{subject} at {side}: {wall:.2f} s, child peak RSS {usage.ru_maxrss / 1024:.0f} MB"
         if reads == "report":

@@ -20,7 +20,6 @@ import math
 import re
 import sys
 import time
-from pathlib import Path
 
 from . import __version__
 from .composition import (
@@ -60,12 +59,8 @@ from .lipschitz import LipschitzFunction, lipschitz_norm, mcshane_extend
 from .metric_core import REL_TOL, PointPair, point_indices
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+def _emit(report: dict) -> None:
+    print(json.dumps(report, sort_keys=True, separators=(",", ":")))
 
 
 def _parse_indices(flag: str, text: str, space) -> list[int]:
@@ -83,13 +78,13 @@ def _parse_indices(flag: str, text: str, space) -> list[int]:
     return indices
 
 
-def _certify(phi: LipschitzMap, args, tolerances):
-    """Certify as the flags ask: (certificate, operator norm). Adds the
+def _certify(phi: LipschitzMap, args, tolerances, method="both"):
+    """Certify by ``method``: (certificate, operator norm). Adds the
     codomain's tolerances to ``tolerances``; a disagreement carries them
     to its report."""
     tolerances.update(_space_tolerances(phi.codomain, args))
     try:
-        cert = certify_isometry(phi, method=args.method)
+        cert = certify_isometry(phi, method=method)
     except MethodDisagreement as exc:
         exc.tolerances = tolerances
         raise
@@ -97,14 +92,13 @@ def _certify(phi: LipschitzMap, args, tolerances):
 
 
 def _check_numeric_flags(args) -> None:
-    """Reject a numeric flag that is not finite or lies outside its range."""
-    for flag, least, closed in (("--tol", 0.0, True), ("--mesh", 1, True),
-                                ("--r-loc", 0.0, False), ("--eps", 0.0, True)):
-        value = getattr(args, flag[2:].replace("-", "_"), None)
-        if value is None or (math.isfinite(value)
-                             and (value >= least if closed else value > least)):
+    """Reject a numeric flag that is not finite or lies outside its range; from
+    a mesh of 2**53 on, a net's coordinates k/n are no longer exact."""
+    for flag, least, below in (("--tol", 0.0, math.inf), ("--mesh", 1, 2**53)):
+        value = getattr(args, flag[2:], None)
+        if value is None or least <= value < below:  # nan fails both comparisons
             continue
-        bound = f"at least {least}" if closed else f"above {least}"
+        bound = f"below {below}" if below <= value < math.inf else f"at least {least}"
         raise MalformedInput(flag, f"{value!r} must be finite and {bound}")
 
 
@@ -117,11 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    certifiers = ("dual", "primal", "both")
-
     def common(p, handler, tol=True, methods=None):
         p.set_defaults(handler=handler, usage_error=p.error)  # leftovers name their command
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
         if tol:
             p.add_argument("--tol", type=float, default=None,
                            help="distance tolerance admitting the input spaces "
@@ -148,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("isometry", help="certify a composition operator")
     p.add_argument("--map", required=True, dest="map_path")
-    common(p, _cmd_isometry, methods=certifiers)
+    common(p, _cmd_isometry, methods=("dual", "primal", "both"))
 
     p = sub.add_parser("extend", help="norm-preserving extension from a subset")
     p.add_argument("function")
@@ -163,18 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--mesh", type=int, required=True, help="subdivisions n (mesh 1/n)")
     pi.add_argument("--map", required=True, dest="map_spec",
                     help="builtin:identity|fold|halving|collapse")
-    pi.add_argument("--r-loc", type=float, default=None, dest="r_loc")
-    pi.add_argument("--eps", type=float, default=None)
-    common(pi, _cmd_experiment, tol=False, methods=certifiers)
+    common(pi, _cmd_experiment, tol=False)
     pi.set_defaults(command="experiment.interval", tol=None, space=None)  # builds, reads no file
 
     pg = exp.add_parser("geodesic", help="run the geodesic checks on a map")
     pg.add_argument("--space", required=True, help="geodesic space file (with paths)")
     pg.add_argument("--map", required=True, dest="map_spec",
                     help="file path or builtin:identity")
-    pg.add_argument("--r-loc", type=float, default=None, dest="r_loc")
-    pg.add_argument("--eps", type=float, default=None)
-    common(pg, _cmd_experiment, methods=certifiers)
+    common(pg, _cmd_experiment)
     pg.set_defaults(command="experiment.geodesic", mesh=None)
 
     return parser
@@ -212,17 +199,17 @@ def _cmd_norm(args):
 def _cmd_freenorm(args):
     mu = load_free_vector(args.vector)
     tolerances = {"agreement": REL_TOL}
+    flow_value, plan = free_norm_primal(mu) if args.method != "lp" else (0.0, ())
+    lp_value, maximizer = free_norm_dual(mu) if args.method != "flow" else (0.0, None)
+    if not (math.isfinite(flow_value) and math.isfinite(lp_value)):
+        raise MalformedInput(f"{args.vector}.coeffs", "too large: the transport norm overflows")
     if args.method == "flow":
-        value, plan = free_norm_primal(mu)
-        return tolerances, {"method": "flow", "value": value,
+        return tolerances, {"method": "flow", "value": flow_value,
                             "plan": [list(p) for p in plan]}
     tolerances["lp_feasibility"] = REL_TOL
     if args.method == "lp":
-        value, maximizer = free_norm_dual(mu)
-        return tolerances, {"method": "lp", "value": value,
+        return tolerances, {"method": "lp", "value": lp_value,
                             "maximizer": maximizer.values.tolist()}
-    flow_value, plan = free_norm_primal(mu)
-    lp_value, maximizer = free_norm_dual(mu)
     gap = abs(flow_value - lp_value)
     agree = gap <= REL_TOL * flow_value  # relative at every scale
     results = {
@@ -256,7 +243,7 @@ def _cmd_extremes(args):
 def _cmd_isometry(args):
     phi = load_map(args.map_path, tol=args.tol)
     tolerances = {}
-    results, norm = _certify(phi, args, tolerances)
+    results, norm = _certify(phi, args, tolerances, args.method)
     results["operator_norm"] = norm
     return tolerances, results
 
@@ -296,14 +283,13 @@ def _cmd_experiment(args):
             raise MalformedInput("--map", "experiment interval runs builtin maps; "
                                  "check a map file with experiment geodesic --space")
         phi = builtin_map(name, args.mesh)
-        profiles = [check_interval_necessary(phi, r_loc=args.r_loc, eps=args.eps)]
+        profiles = [check_interval_necessary(phi)]
         sufficient = check_interval_sufficient(phi, profiles[0].r_loc, profiles[0].eps)
     else:
         gspace = load_geodesic_space(args.space, args.tol)
         phi = (identity_map(gspace.space) if builtin
                else load_map(name, codomain=gspace.space, tol=args.tol))
-        profiles = [check_geodesic_necessary(phi, gspace, PointPair(x, y),
-                                             r_loc=args.r_loc, eps=args.eps)
+        profiles = [check_geodesic_necessary(phi, gspace, PointPair(x, y))
                     for (x, y) in sorted(gspace.paths)]
         sufficient = check_geodesic_sufficient(phi, gspace, profiles[0].r_loc, profiles[0].eps)
     tolerances = {"r_loc": profiles[0].r_loc, "eps": profiles[0].eps}
@@ -331,7 +317,7 @@ def run(argv: list[str] | None = None) -> int:
     except MethodDisagreement as exc:
         report = _envelope(args.command, argv, inputs, exc.tolerances, exc.results, started)
         report["error"] = {"kind": "MethodDisagreement", "message": str(exc)}
-        _emit(report, args.out)
+        _emit(report)
         return 3
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
@@ -342,7 +328,7 @@ def run(argv: list[str] | None = None) -> int:
     finally:
         READS.reset(collecting)
     report = _envelope(args.command, argv, inputs, tolerances, results, started)
-    _emit(report, args.out)
+    _emit(report)
     return 0
 
 

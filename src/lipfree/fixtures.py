@@ -89,10 +89,9 @@ def builtin_map(name: str, n: int) -> LipschitzMap:
         net = interval_net(n)
         return LipschitzMap(net, net, tuple(range(n + 1)))
     if name == "fold":
-        domain = line_net([k / n for k in range(2 * n + 1)])
-        codomain = interval_net(n)
-        image = tuple(k if k <= n else 2 * n - k for k in range(2 * n + 1))
-        return LipschitzMap(domain, codomain, image)
+        k = np.arange(2 * n + 1)
+        domain = line_net(k / n)  # bitwise k / n, as interval_net's coordinates
+        return LipschitzMap(domain, interval_net(n), np.minimum(k, 2 * n - k))
     if name == "halving":
         domain = interval_net(n)
         codomain = interval_net(2 * n)

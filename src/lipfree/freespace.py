@@ -59,8 +59,9 @@ class FreeVector:
             raise ValueError(f"expected {self.space.n} coefficients, got {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        total = float(c.sum())
-        if abs(total) > ZERO_SUM_REL * max(float(np.abs(c).sum()), 1e-300):
+        with np.errstate(over="ignore"):  # past the float range a sum is inf
+            total, size = float(c.sum()), float(np.abs(c).sum())
+        if abs(total) > ZERO_SUM_REL * max(size, 1e-300):
             raise NotZeroSum(total)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -120,7 +121,8 @@ def pairing(f: LipschitzFunction, mu: FreeVector) -> float:
     """Duality pairing: the sum of f(x) * mu(x)."""
     if f.space is not mu.space:
         raise SpaceMismatch()
-    return float(np.dot(f.values, mu.coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
+        return float(np.dot(f.values, mu.coeffs))
 
 
 class FlowResult(NamedTuple):
@@ -238,7 +240,8 @@ def _transport(p: np.ndarray, q: np.ndarray, cost: np.ndarray):
         if parent[w] != root:
             src, dst = (w, parent[w]) if up[w] else (parent[w], w)
             alloc[(src, dst - m)] = flow[w]
-    value = float(sum(f * cost[i, j] for (i, j), f in alloc.items()))
+    with np.errstate(over="ignore"):  # past the float range: inf
+        value = float(sum(f * cost[i, j] for (i, j), f in alloc.items()))
     return value, alloc
 
 

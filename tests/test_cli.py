@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lipfree import cli, composition, io, metric_core
 from lipfree.errors import MalformedInput, NotNorming
-from lipfree.fixtures import builtin_map, circle_geodesic, random_space, tripod
+from lipfree.fixtures import BUILTIN_MAPS, builtin_map, circle_geodesic, random_space, tripod
 from lipfree.freespace import DualResult, is_norming
 from lipfree.geodesic import check_geodesic_necessary, check_interval_necessary
 from lipfree.io import geodesic_space_to_dict, space_to_dict
@@ -91,6 +91,14 @@ def files(tmp_path):
     geo = write(tmp_path / "tripod.json", geodesic_space_to_dict(tripod()))
     return {"two": two, "bad": bad, "vec": vec, "map": mp, "net": net,
             "fn": fn, "geo": geo, "three": three, "map3": map3, "dir": tmp_path}
+
+
+# One run of each experiment on the ``files`` fixture, by the command its report names
+EXPERIMENTS = {
+    "experiment.interval": ("experiment", "interval", "--mesh", "4", "--map", "builtin:fold"),
+    "experiment.geodesic": ("experiment", "geodesic", "--space", "{geo}",
+                            "--map", "builtin:identity"),
+}
 
 
 class TestExitCodes:
@@ -414,6 +422,27 @@ class TestExitCodes:
         assert (code, report) == (2, None)
         assert err == f"input error: MalformedInput: {f}.values: {reason}\n"
 
+    @pytest.mark.parametrize("method", ["flow", "lp", "both"])
+    @pytest.mark.parametrize("step", [10.0, 0.1])
+    def test_a_transport_norm_past_the_float_range_exits_2(self, files, capsys, method, step):
+        # (-1e308, 1e308, 0) on three points `step` apart: at 10 the norm is
+        # 1e309, which once exited 0 with "value":Infinity (or 3 as a
+        # disagreement of the two methods) beside numpy's RuntimeWarnings,
+        # which fail this test; at 0.1 it is 1e307
+        write(files["dir"] / "line3.json", {"base": 0, "metric": {"type": "matrix", "d": [
+            [0, step, 2 * step], [step, 0, step], [2 * step, step, 0]]}})
+        mu = write(files["dir"] / "big.json", {"space": "line3.json", "coeffs": [-1e308, 1e308, 0]})
+        code, report, err = run_in_process(capsys, "freenorm", mu, "--method", method)
+        if step > 1:
+            assert (code, report) == (2, None)
+            assert err == (f"input error: MalformedInput: {mu}.coeffs: "
+                           "too large: the transport norm overflows\n")
+        else:
+            assert (code, err) == (0, "")
+            results = report["results"]
+            values = [results[key] for key in ("value", "flow", "lp") if key in results]
+            assert values == [1e308 * step] * (2 if method == "both" else 1)
+
     def test_flow_lp_disagreement_exits_3(self, files, capsys, monkeypatch):
         real = cli.free_norm_dual
 
@@ -630,21 +659,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("isometry", "--map", "{map}", "--method", "bogus"),
         ("freenorm", "{vec}", "--method", "dual"),
-        ("experiment", "interval", "--mesh", "4", "--map", "builtin:fold",
-         "--method", "bogus"),
         ("experiment", "interval", "--mesh", "0", "--map", "builtin:fold"),
         ("experiment", "interval", "--mesh", "-3", "--map", "builtin:fold"),
-        ("experiment", "interval", "--mesh", "4", "--map", "builtin:fold", "--r-loc", "-1"),
-        ("experiment", "interval", "--mesh", "4", "--map", "builtin:fold", "--r-loc", "0"),
-        ("experiment", "interval", "--mesh", "4", "--map", "builtin:fold", "--r-loc", "nan"),
-        ("experiment", "interval", "--mesh", "4", "--map", "builtin:fold", "--eps", "-1"),
-        ("experiment", "interval", "--mesh", "4", "--map", "builtin:fold", "--eps", "inf"),
         ("experiment", "interval", "--mesh", "4", "--map", "builtin:fold", "--probe", "2"),
         ("experiment", "interval", "--mesh", "4", "--map", "builtin:fold", "--seed", "1"),
-        ("experiment", "geodesic", "--space", "{geo}", "--map", "builtin:identity",
-         "--r-loc", "-1"),
-        ("experiment", "geodesic", "--space", "{geo}", "--map", "builtin:identity",
-         "--eps", "nan"),
         ("norm", "{fn}", "--tol", "1e-9"),
         ("freenorm", "{vec}", "--tol", "1e-9"),
     ])
@@ -658,19 +676,34 @@ class TestExitCodes:
         assert out == ""
         assert "Traceback" not in err
 
-    def test_mesh_too_large_for_memory_exits_2(self, capsys, monkeypatch):
-        # a huge --mesh asks numpy for more memory than the machine has;
-        # the allocation is faked here rather than attempted
-        def too_large(name, n):
-            raise MemoryError(f"Unable to allocate an interval net with {n + 1} points")
+    @pytest.mark.parametrize("name, mesh", [*((name, 1000000) for name in BUILTIN_MAPS),
+                                            ("identity", 2**53 - 1)])
+    def test_mesh_too_large_for_memory_exits_2(self, capsys, monkeypatch, name, mesh):
+        # a huge --mesh asks numpy for more memory than the machine has, in
+        # the np.arange that each builtin starts from; the allocation is
+        # faked here rather than attempted (fold once built Python lists of
+        # 2 * mesh + 1 entries first, so a huge fold mesh filled memory)
+        def too_large(n):
+            raise MemoryError(f"Unable to allocate an array with shape ({n},)")
 
-        monkeypatch.setattr(cli, "builtin_map", too_large)
+        monkeypatch.setattr(np, "arange", too_large)
         code, report, err = run_in_process(capsys, "experiment", "interval",
-                                           "--mesh", "1000000", "--map", "builtin:identity")
-        assert code == 2
-        assert report is None
-        assert err == ("input error: MemoryError: Unable to allocate an interval net "
-                       "with 1000001 points\n")
+                                           "--mesh", str(mesh), "--map", f"builtin:{name}")
+        assert (code, report) == (2, None)
+        points = 2 * mesh + 1 if name == "fold" else mesh + 1
+        assert err == ("input error: MemoryError: Unable to allocate an array "
+                       f"with shape ({points},)\n")
+
+    @pytest.mark.parametrize("mesh", [2**53, 10**20, 10**400], ids=["2**53", "10**20", "10**400"])
+    def test_mesh_past_exact_coordinates_exits_2(self, capsys, mesh):
+        # from 2**53 on, k / n is not exact; 10**20 once ended in numpy's
+        # "Maximum allowed size exceeded" traceback. The mesh is refused
+        # before any map is built, so the map named makes no difference.
+        code, report, err = run_in_process(capsys, "experiment", "interval",
+                                           "--mesh", str(mesh), "--map", "builtin:identity")
+        assert (code, report) == (2, None)
+        assert err == (f"input error: MalformedInput: --mesh: {mesh} must be finite "
+                       f"and below {2**53}\n")
 
 
 class TestCommands:
@@ -778,12 +811,6 @@ class TestCommands:
         results = report_of(proc)["results"]
         assert results["values"] == [0, 0.25, 0.5, 0.75, 1.0]
         assert results["norm"] == pytest.approx(1.0)
-
-    def test_report_written_to_out(self, files):
-        out = files["dir"] / "report.json"
-        proc = run_cli("validate", files["two"], "--out", str(out))
-        assert proc.returncode == 0 and proc.stdout == ""
-        assert json.loads(out.read_text())["results"]["valid"] is True
 
 
 class TestOneDetourPassPerMatrix:
@@ -1039,16 +1066,25 @@ class TestExperiments:
         for reported, computed in profiles:
             assert reported["rows"] == [list(row) for row in computed.rows]
 
-    def test_out_writes_the_report_and_no_other_file(self, files, capsys):
-        out_dir = files["dir"] / "out"
-        out_dir.mkdir()
-        code, report, _ = run_in_process(
-            capsys, "experiment", "interval", "--mesh", "4", "--map", "builtin:fold",
-            "--out", str(out_dir / "report.json"))
-        assert code == 0 and report is None
-        assert [p.name for p in out_dir.iterdir()] == ["report.json"]
-        report = json.loads((out_dir / "report.json").read_text())
+    @pytest.mark.parametrize("argv", EXPERIMENTS.values(), ids=EXPERIMENTS)
+    def test_an_experiment_writes_no_file(self, files, capsys, monkeypatch, argv):
+        """The report goes to stdout, and nothing goes to the working directory."""
+        cwd = files["dir"] / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code, report, _ = run_in_process(capsys, *[a.format(**files) for a in argv])
+        assert code == 0
         assert report["results"]["certificate"]["verdict"] == "isometric"
+        assert list(cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", EXPERIMENTS.values(), ids=EXPERIMENTS)
+    def test_an_experiment_runs_both_certifiers(self, files, capsys, argv):
+        code, report, _ = run_in_process(capsys, *[a.format(**files) for a in argv])
+        assert code == 0
+        certificate = report["results"]["certificate"]
+        assert set(certificate) == {"verdict", "dual", "primal"}
+        assert (certificate["dual"]["method"], certificate["primal"]["method"]) == (
+            "dual_preimage", "primal_quotient")
 
     def test_interval_report_takes_the_geodesic_layout(self, files, capsys):
         interval, geodesic = [run_in_process(capsys, *argv)[1]["results"] for argv in (
@@ -1326,10 +1362,19 @@ COMMANDS = [
     ("extremes", ("extremes", "{net}")),
     ("isometry", ("isometry", "--map", "{map3}")),
     ("extend", ("extend", "{fn}", "--subset", "0,4")),
-    ("experiment.interval", ("experiment", "interval", "--mesh", "4",
-                             "--map", "builtin:fold")),
-    ("experiment.geodesic", ("experiment", "geodesic", "--space", "{geo}",
-                             "--map", "builtin:identity")),
+    *EXPERIMENTS.items(),
+]
+
+# (command, argv, a flag the CLI does not have): the report goes to stdout
+# alone, and an experiment runs both certifiers at the r_loc and eps
+# derived from its mesh and codomain
+REMOVED_FLAGS = [
+    *((command, argv, ("--out", "{dir}/report.json")) for command, argv in COMMANDS),
+    *((command, argv, flag) for command, argv in EXPERIMENTS.items() for flag in (
+        ("--r-loc", "0.5"), ("--eps", "0.1"), ("--method", "dual"), ("--method", "both"),
+        # values that were once refused as out of range, or as no certifier
+        ("--r-loc", "-1"), ("--r-loc", "0"), ("--r-loc", "nan"), ("--eps", "-1"),
+        ("--eps", "inf"), ("--eps", "nan"), ("--method", "bogus"))),
 ]
 
 
@@ -1355,6 +1400,21 @@ def test_unknown_flags_name_their_command(files, capsys, command, argv):
     assert out == ""
     assert err.startswith(f"usage: lipfree {leaf} [-h]")
     assert err.endswith(f"lipfree {leaf}: error: unrecognized arguments: --probe 5\n")
+
+
+@pytest.mark.parametrize("command, argv, flag", REMOVED_FLAGS,
+                         ids=[f"{c}{flag[0]}={flag[1]}" for c, _, flag in REMOVED_FLAGS])
+def test_removed_flags_are_usage_errors(files, capsys, command, argv, flag):
+    leaf = command.replace(".", " ")
+    with pytest.raises(SystemExit) as exc:
+        cli.run([a.format(**files) for a in (*argv, *flag)])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith(f"usage: lipfree {leaf} [-h]")
+    assert err.endswith(f"lipfree {leaf}: error: unrecognized arguments: "
+                        f"{' '.join(flag).format(**files)}\n")
+    assert "Traceback" not in err
+    assert not (files["dir"] / "report.json").exists()
 
 
 class TestDeterminism:

@@ -376,6 +376,20 @@ def test_a_norming_set_leaves_builtin_certificates_as_they_are(name):
         _pairs_change_nothing(builtin_map(name, mesh))
 
 
+def test_fold_is_the_net_folded_at_k_over_n():
+    """fold's domain is the line net on the coordinates k / n, 0 <= k <= 2n,
+    as Python divides them, and its image folds k onto min(k, 2n - k)."""
+    for n in range(1, 65):
+        phi = builtin_map("fold", n)
+        domain = line_net([k / n for k in range(2 * n + 1)])
+        assert (phi.domain.labels, phi.domain.meta) == (domain.labels, domain.meta)
+        assert phi.domain.dist.tobytes() == domain.dist.tobytes()
+        assert phi.domain.edges.tobytes() == domain.edges.tobytes()
+        assert phi.image == tuple(k if k <= n else 2 * n - k for k in range(2 * n + 1))
+        assert {type(k) for k in phi.image} == {int}
+        assert phi.codomain.dist.tobytes() == interval_net(n).dist.tobytes()
+
+
 class TestCertifyPrimal:
     def test_identity(self, path3):
         assert certify_isometry_primal(identity_map(path3)).verdict == "isometric"
