@@ -40,7 +40,7 @@ print(f"maximizing function pairs to {np.dot(maximizer.values, mu.coeffs):.12f}"
 print("\n== molecules are the unit vectors of transport ==")
 path = from_weighted_graph(3, [(0, 1, 1), (1, 2, 1)])
 m02 = molecule(path, 0, 2)
-print(f"norm of the (0,2) molecule: {free_norm_primal(m02.to_free_vector()).value}")
+print(f"norm of the (0,2) molecule: {free_norm_primal(m02).value}")
 
 print("\n== vertex test vs. metric betweenness ==")
 result = is_extreme_molecule(path, PointPair(0, 2))

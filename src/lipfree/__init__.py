@@ -33,14 +33,12 @@ from .lipschitz import (
 )
 from .freespace import (
     FreeVector,
-    Molecule,
     extreme_molecules,
     free_norm_dual,
     free_norm_primal,
     is_extreme_molecule,
     is_norming,
     molecule,
-    molecule_distance,
     pairing,
 )
 from .composition import (
@@ -74,9 +72,8 @@ __all__ = [
     "interval_net", "circle_net", "snowflake", "intermediate_points",
     "LipschitzFunction", "lipschitz_norm", "pointwise_lip_at_scale",
     "mcshane_extend", "peak_function", "interval_coordinates",
-    "FreeVector", "Molecule", "molecule", "pairing", "free_norm_primal",
-    "free_norm_dual", "molecule_distance", "is_extreme_molecule",
-    "extreme_molecules", "is_norming",
+    "FreeVector", "molecule", "pairing", "free_norm_primal", "free_norm_dual",
+    "is_extreme_molecule", "extreme_molecules", "is_norming",
     "LipschitzMap", "IsometryCertificate", "AgreementReport", "identity_map",
     "compose", "compose_maps", "push_forward", "operator_norm",
     "certify_isometry", "certify_isometry_dual", "certify_isometry_primal",

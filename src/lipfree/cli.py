@@ -284,14 +284,14 @@ def _cmd_experiment(args):
                                  "check a map file with experiment geodesic --space")
         phi = builtin_map(name, args.mesh)
         profiles = [check_interval_necessary(phi)]
-        sufficient = check_interval_sufficient(phi, profiles[0].r_loc, profiles[0].eps)
+        sufficient = check_interval_sufficient(phi)
     else:
         gspace = load_geodesic_space(args.space, args.tol)
         phi = (identity_map(gspace.space) if builtin
                else load_map(name, codomain=gspace.space, tol=args.tol))
         profiles = [check_geodesic_necessary(phi, gspace, PointPair(x, y))
                     for (x, y) in sorted(gspace.paths)]
-        sufficient = check_geodesic_sufficient(phi, gspace, profiles[0].r_loc, profiles[0].eps)
+        sufficient = check_geodesic_sufficient(phi, gspace)
     tolerances = {"r_loc": profiles[0].r_loc, "eps": profiles[0].eps}
     cert, norm = _certify(phi, args, tolerances)
     return tolerances, {

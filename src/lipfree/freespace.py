@@ -18,11 +18,13 @@ Strong duality makes the two values agree; their agreement on random
 instances is part of the acceptance suite, so neither route may be
 rewritten in terms of the other.
 
-The unit ball of the span of the molecules is the convex hull of the
-molecules and their negatives. Its vertices are the molecules with no
-third point metrically between their endpoints (Aliaga-Guirao), which
-:func:`extreme_molecules` reads from the space, one ``(k, 2)`` array of
-index pairs computed once per space (``space.vertices``); the LP vertex test
+A molecule (delta_x - delta_y) / d(x, y) is the :class:`FreeVector` that
+:func:`molecule` returns. The unit ball of the span of the molecules is
+the convex hull of the molecules and their negatives. Its vertices are
+the molecules with no third point metrically between their endpoints
+(Aliaga-Guirao), which :func:`extreme_molecules` reads from the space,
+one ``(k, 2)`` array of index pairs computed once per space
+(``space.vertices``); the LP vertex test
 :func:`is_extreme_molecule`, one face-filtered hull-membership LP in
 units of the pair's distance (so its tolerance ``REL_TOL`` is relative),
 is its independent oracle. A pair set norms exactly when it lists every
@@ -59,10 +61,11 @@ class FreeVector:
             raise ValueError(f"expected {self.space.n} coefficients, got {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        with np.errstate(over="ignore"):  # past the float range a sum is inf
-            total, size = float(c.sum()), float(np.abs(c).sum())
-        if abs(total) > ZERO_SUM_REL * max(size, 1e-300):
-            raise NotZeroSum(total)
+        e = int(np.frexp(np.abs(c).max())[1])  # in units of 2**e no sum overflows
+        total, size = float(np.ldexp(c, -e).sum()), float(np.ldexp(np.abs(c), -e).sum())
+        if abs(total) > ZERO_SUM_REL * size:
+            with np.errstate(over="ignore"):  # a total past the float range reads inf
+                raise NotZeroSum(float(np.ldexp(total, e)))
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -98,23 +101,14 @@ class FreeVector:
             raise SpaceMismatch()
 
 
-@dataclass(frozen=True)
-class Molecule:
-    """The normalized difference of two point evaluations."""
-
-    space: PointedMetricSpace
-    pair: PointPair
-
-    def to_free_vector(self) -> FreeVector:
-        c = np.zeros(self.space.n)
-        scale = 1.0 / self.space.d(self.pair.x, self.pair.y)
-        c[self.pair.x] = scale
-        c[self.pair.y] = -scale
-        return FreeVector(self.space, c)
-
-
-def molecule(space: PointedMetricSpace, x: int, y: int) -> Molecule:
-    return Molecule(space, PointPair(x, y))
+def molecule(space: PointedMetricSpace, x: int, y: int) -> FreeVector:
+    """The molecule (delta_x - delta_y) / d(x, y) of two distinct points."""
+    pair = PointPair(x, y)
+    scale = 1.0 / space.d(pair.x, pair.y)
+    c = np.zeros(space.n)
+    c[pair.x] = scale
+    c[pair.y] = -scale
+    return FreeVector(space, c)
 
 
 def pairing(f: LipschitzFunction, mu: FreeVector) -> float:
@@ -300,7 +294,8 @@ def free_norm_dual(mu: FreeVector) -> DualResult:
     pairs = np.arange(m * k)  # column i*k + j ships from x_i to y_j
     rows = np.concatenate([pairs // k, m + pairs % k])
     a_eq = sparse.csr_array((np.ones(2 * m * k), (rows, np.tile(pairs, 2))))
-    b_eq = np.concatenate([c[pos] / c[pos].sum(), c[neg] / c[neg].sum()])
+    s = np.ldexp(c, -int(np.frexp(np.abs(c).max())[1]))  # no part total overflows
+    b_eq = np.concatenate([s[pos] / s[pos].sum(), s[neg] / s[neg].sum()])
     res = linprog(cost.ravel() / unit, A_eq=a_eq, b_eq=b_eq, method="highs",
                   options={**_LP_OPTIONS, "presolve": False})
     if res.status != 0:
@@ -308,13 +303,6 @@ def free_norm_dual(mu: FreeVector) -> DualResult:
     b = -unit * res.eqlin.marginals[m:]
     g = LipschitzFunction(space, (space.dist[:, neg] + b).min(axis=1))
     return DualResult(pairing(g, mu), g)
-
-
-def molecule_distance(a: Molecule, b: Molecule) -> float:
-    """Transport norm of the difference of two molecules."""
-    if a.space is not b.space:
-        raise SpaceMismatch()
-    return free_norm_primal(a.to_free_vector() - b.to_free_vector()).value
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,14 @@ coordinate, which the interval checks pass in closed form to the bodies
 the geodesic checks run on each stored path's inverse projection.
 
 The checks in this module replace asymptotic statements about sequences
-with localized maxima at an explicit radius (``r_loc``, ``r``), a
-distance, and threshold ``eps`` on a defect or margin, a ratio. By
-default (:func:`_scales`) the radius is four times the mesh and ``eps``
-four times the mesh over the codomain's diameter, at most 1/2, so
-verdicts do not depend on the unit, and on an interval net of mesh 1/8
-or finer ``eps`` is four times the mesh: loose enough that the identity
-map passes at every mesh and tight enough that a halving map fails. The
-reports record both.
+with localized maxima at a radius (``r_loc``, ``r``), a distance, and a
+threshold ``eps`` on a defect or margin, a ratio. Both are derived
+(:func:`_scales`): the radius is four times the mesh and ``eps`` four
+times the mesh over the codomain's diameter, at most 1/2, so verdicts do
+not depend on the unit, and on an interval net of mesh 1/8 or finer
+``eps`` is four times the mesh: loose enough that the identity map passes
+at every mesh and tight enough that a halving map fails. The sufficiency
+checks' ``r`` is the one override left. The reports record both.
 """
 
 from __future__ import annotations
@@ -204,14 +204,12 @@ class DefectProfile:
         return {**vars(self), "rows": [list(r) for r in self.rows]}
 
 
-def _scales(mesh: float, diameter: float, r: float | None,
-            eps: float | None) -> tuple[float, float]:
-    """The given radius and eps, or by default 4 * mesh for the radius (a
-    distance) and 4 * mesh / diameter, capped at 1/2, for eps (a bound on
-    a ratio). A defect never exceeds 1, so an eps of 1 would pass any map."""
-    default = 4.0 * mesh
-    return (default if r is None else r,
-            min(default / diameter, 0.5) if eps is None else eps)
+def _scales(mesh: float, diameter: float, r: float | None = None) -> tuple[float, float]:
+    """The given radius, or by default 4 * mesh (a distance), and eps =
+    4 * mesh / diameter, capped at 1/2 (a bound on a ratio). A defect never
+    exceeds 1, so an eps of 1 would pass any map."""
+    radius = 4.0 * mesh if r is None else r
+    return radius, min(4.0 * mesh / diameter, 0.5)
 
 
 def _windows(values: np.ndarray, centers: Sequence[float],
@@ -233,7 +231,7 @@ def _windows(values: np.ndarray, centers: Sequence[float],
 
 def _defect_profile(kind: str, phi: LipschitzMap, projection: np.ndarray,
                     grid: Sequence[float], mesh: float, r_loc: float | None,
-                    eps: float | None, extra: dict[str, Any]) -> DefectProfile:
+                    extra: dict[str, Any]) -> DefectProfile:
     """Per target t, the largest |P(phi x') - P(phi y')| / d(x', y') over
     pairs of domain points whose value P(phi .) sits within r_loc of t (0
     when fewer than two do), P the codomain vector ``projection``.
@@ -244,7 +242,7 @@ def _defect_profile(kind: str, phi: LipschitzMap, projection: np.ndarray,
     once), and a run's best ratio is the largest entry
     with lo <= i < i + k = hi - 1, gathered for all targets at once; band
     rows are filled in :func:`row_blocks`."""
-    r_loc, eps = _scales(mesh, phi.codomain.diameter, r_loc, eps)
+    r_loc, eps = _scales(mesh, phi.codomain.diameter, r_loc)
     values = projection[np.asarray(phi.image)]
     order, lo, hi = _windows(values, grid, r_loc)
     n, width = order.size, int((hi - lo).max())
@@ -266,27 +264,18 @@ def _defect_profile(kind: str, phi: LipschitzMap, projection: np.ndarray,
                          extra={"mesh": mesh, **extra})
 
 
-def check_interval_necessary(
-    phi: LipschitzMap,
-    r_loc: float | None = None,
-    eps: float | None = None,
-) -> DefectProfile:
+def check_interval_necessary(phi: LipschitzMap) -> DefectProfile:
     """Localized ratio-one probe for maps into an interval net: the
     geodesic profile along the net's one path, whose inverse projection is
     the coordinate, at targets k/n. A norm-one map that acts isometrically
     must bring every defect below eps at mesh scale."""
     coords = interval_coordinates(phi.codomain)
     return _defect_profile("interval_necessary", phi, coords, coords.tolist(),
-                           1.0 / (coords.size - 1), r_loc, eps, {})
+                           1.0 / (coords.size - 1), None, {})
 
 
-def check_geodesic_necessary(
-    phi: LipschitzMap,
-    gspace: DiscretizedGeodesicSpace,
-    pair: PointPair,
-    r_loc: float | None = None,
-    eps: float | None = None,
-) -> DefectProfile:
+def check_geodesic_necessary(phi: LipschitzMap, gspace: DiscretizedGeodesicSpace,
+                             pair: PointPair) -> DefectProfile:
     """Defect profile along one stored path, seen through its inverse
     projection.
 
@@ -298,7 +287,7 @@ def check_geodesic_necessary(
         raise ValueError("map codomain is not the geodesic space")
     proj = inverse_projection(gspace, pair)
     return _defect_profile("geodesic_necessary", phi, proj.function.values,
-                           proj.cumulative, gspace.mesh, r_loc, eps,
+                           proj.cumulative, gspace.mesh, None,
                            {"pair": pair.as_tuple(), "path_length": proj.length})
 
 
@@ -332,7 +321,7 @@ class SufficiencyReport:
 
 
 def _sufficiency(kind: str, phi: LipschitzMap, projections: list[np.ndarray], mesh: float,
-                 r: float | None, eps: float | None, extra: dict[str, Any]) -> SufficiencyReport:
+                 r: float | None, extra: dict[str, Any]) -> SufficiencyReport:
     """Every codomain point must lie within twice the mesh of the image
     (otherwise the report is not dense and names the worst uncovered
     point in ``extra``), and every attained codomain point z must have a
@@ -340,7 +329,7 @@ def _sufficiency(kind: str, phi: LipschitzMap, projections: list[np.ndarray], me
     largest local slope of P(phi(.)) over the fibre of z, the largest
     over the codomain vectors P in ``projections``."""
     space, img = phi.codomain, np.asarray(phi.image)
-    r, eps = _scales(mesh, space.diameter, r, eps)
+    r, eps = _scales(mesh, space.diameter, r)
     attained = np.unique(img)
     cover = np.concatenate([space.dist[r0:r1, attained].min(axis=1)
                             for r0, r1 in row_blocks(space.n, attained.size)])
@@ -361,22 +350,16 @@ def _sufficiency(kind: str, phi: LipschitzMap, projections: list[np.ndarray], me
         extra={"mesh": mesh, **extra, **({} if dense else {"worst_point": worst_point})})
 
 
-def check_interval_sufficient(
-    phi: LipschitzMap, r: float | None = None, eps: float | None = None
-) -> SufficiencyReport:
+def check_interval_sufficient(phi: LipschitzMap, r: float | None = None) -> SufficiencyReport:
     """Slope-one sufficiency probe for maps into an interval net: the
     geodesic probe with the coordinate as its one path's projection."""
     coords = interval_coordinates(phi.codomain)
     return _sufficiency("interval_sufficient", phi, [coords], 1.0 / (coords.size - 1),
-                        r, eps, {})
+                        r, {})
 
 
-def check_geodesic_sufficient(
-    phi: LipschitzMap,
-    gspace: DiscretizedGeodesicSpace,
-    r: float | None = None,
-    eps: float | None = None,
-) -> SufficiencyReport:
+def check_geodesic_sufficient(phi: LipschitzMap, gspace: DiscretizedGeodesicSpace,
+                              r: float | None = None) -> SufficiencyReport:
     """Range density plus slope-one margins through every stored path, as
     :func:`_sufficiency` reads them with each path's inverse projection.
     """
@@ -385,4 +368,4 @@ def check_geodesic_sufficient(
     pairs = sorted(gspace.paths)
     return _sufficiency("geodesic_sufficient", phi,
                         [inverse_projection(gspace, PointPair(*p)).function.values for p in pairs],
-                        gspace.mesh, r, eps, {"paths": pairs})
+                        gspace.mesh, r, {"paths": pairs})

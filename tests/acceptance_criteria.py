@@ -43,7 +43,6 @@ from lipfree.freespace import (
     free_norm_primal,
     is_extreme_molecule,
     molecule,
-    molecule_distance,
 )
 from lipfree.geodesic import (
     DiscretizedGeodesicSpace,
@@ -118,7 +117,7 @@ def criterion_2_molecule_norms() -> dict:
     failures = []
     for name, space in _molecule_fixture_spaces():
         for pair in space.pairs():
-            value = free_norm_primal(molecule(space, pair.x, pair.y).to_free_vector()).value
+            value = free_norm_primal(molecule(space, pair.x, pair.y)).value
             err = abs(value - 1.0)
             worst = max(worst, err)
             checked += 1
@@ -263,7 +262,7 @@ def criterion_5_molecule_distance_bound() -> dict:
             for (x, y) in ordered:
                 if (u, v) == (x, y):
                     continue
-                dist = molecule_distance(m_uv, molecule(space, x, y))
+                dist = free_norm_primal(m_uv - molecule(space, x, y)).value
                 if dist >= 1.0:
                     guarded_out += 1
                     continue
@@ -319,18 +318,16 @@ def _builtin_family_reports() -> dict:
     """Shared certification and check reports for the builtin map family."""
     out = {}
     for n in MESHES:
-        h = 1.0 / n
         for name in ("identity", "fold", "halving", "collapse"):
             phi = builtin_map(name, n)
             cert = certify_isometry(phi, "both")
             entry = {
                 "operator_norm": operator_norm(phi),
                 "verdict": cert.verdict,
-                "sufficient": check_interval_sufficient(phi, r=4 * h, eps=4 * h),
+                "sufficient": check_interval_sufficient(phi),
             }
             if entry["operator_norm"] >= 1.0 - phi.codomain.tol:
-                entry["necessary"] = check_interval_necessary(
-                    phi, r_loc=4 * h, eps=4 * h)
+                entry["necessary"] = check_interval_necessary(phi)
             out[(name, n)] = entry
     return out
 

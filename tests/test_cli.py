@@ -443,6 +443,27 @@ class TestExitCodes:
             values = [results[key] for key in ("value", "flow", "lp") if key in results]
             assert values == [1e308 * step] * (2 if method == "both" else 1)
 
+    @pytest.mark.parametrize("method", ["flow", "lp", "both"])
+    @pytest.mark.parametrize("coeffs", [[1e308, 1e308, -1e308, -1e308], [1e308, 1e308, -1e308, 0]],
+                             ids=["zero_sum", "not_zero_sum"])
+    def test_part_totals_past_the_float_range(self, files, capsys, method, coeffs):
+        # on the line 0, 0.1, 0.2, 0.3 each part of the first vector totals
+        # 2e308; the LP once read 3e307 (3 with both), and the second vector
+        # passed the zero-sum check (3 from the LP), beside numpy's warnings
+        write(files["dir"] / "line4.json", {"base": 0, "metric": {"type": "matrix", "d": [
+            [0, 0.1, 0.2, 0.3], [0.1, 0, 0.1, 0.2], [0.2, 0.1, 0, 0.1], [0.3, 0.2, 0.1, 0]]}})
+        mu = write(files["dir"] / "big.json", {"space": "line4.json", "coeffs": coeffs})
+        code, report, err = run_in_process(capsys, "freenorm", mu, "--method", method)
+        if coeffs[-1]:
+            assert (code, err) == (0, "")
+            results = report["results"]
+            values = [results[key] for key in ("value", "flow", "lp") if key in results]
+            assert values == [4e307] * (2 if method == "both" else 1)
+        else:
+            assert (code, report) == (2, None)
+            assert err == (f"input error: MalformedInput: {mu}.coeffs: "
+                           "coefficients sum to 1e+308, not 0\n")
+
     def test_flow_lp_disagreement_exits_3(self, files, capsys, monkeypatch):
         real = cli.free_norm_dual
 

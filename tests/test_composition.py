@@ -103,14 +103,14 @@ class TestLipschitzMap:
 class TestPushForward:
     def test_molecule_pushes_to_scaled_molecule(self, path3, two_point):
         phi = LipschitzMap(path3, two_point, (0, 1, 0))
-        mu = molecule(path3, 1, 2).to_free_vector()
+        mu = molecule(path3, 1, 2)
         out = push_forward(phi, mu)
         # (delta_1 - delta_0) / d_N(1,2)
         assert np.allclose(out.coeffs, [-1.0, 1.0])
 
     def test_collapsed_pair_vanishes(self, path3, two_point):
         phi = LipschitzMap(path3, two_point, (0, 1, 0))
-        out = push_forward(phi, molecule(path3, 0, 2).to_free_vector())
+        out = push_forward(phi, molecule(path3, 0, 2))
         assert np.all(out.coeffs == 0.0)
 
     def test_zero_vector(self, path3, two_point):

@@ -31,7 +31,6 @@ from lipfree.freespace import (
     is_extreme_molecule,
     is_norming,
     molecule,
-    molecule_distance,
     pairing,
 )
 from lipfree.lipschitz import LipschitzFunction, lipschitz_norm
@@ -126,6 +125,18 @@ class TestFreeVector:
         with pytest.raises(SpaceMismatch):
             FreeVector(path3, [1, -1, 0]) + FreeVector(other, [1, -1, 0])
 
+    def test_part_totals_past_the_float_range(self):
+        # each part totals 2e308, past the float range; the sums run in units
+        # of a power of two, so neither the zero-sum check nor the LP overflows
+        line = validate_space([[0, 0.1, 0.2, 0.3], [0.1, 0, 0.1, 0.2],
+                               [0.2, 0.1, 0, 0.1], [0.3, 0.2, 0.1, 0]])
+        mu = FreeVector(line, [1e308, 1e308, -1e308, -1e308])
+        assert free_norm_primal(mu).value == free_norm_dual(mu).value == 4e307
+        with pytest.raises(NotZeroSum, match=r"sum to 1e\+308, not 0"):
+            FreeVector(line, [1e308, 1e308, -1e308, 0.0])
+        with pytest.raises(NotZeroSum, match="sum to inf, not 0"):
+            FreeVector(line, [1e308, 1e308, 0.0, 0.0])
+
 
 class TestFreeNormPrimal:
     def test_unnormalized_molecule_costs_distance(self, path3):
@@ -135,7 +146,7 @@ class TestFreeNormPrimal:
         assert plan == ((2, 0, 1.0),)
 
     def test_molecule_has_norm_one(self, path3):
-        assert free_norm_primal(molecule(path3, 0, 2).to_free_vector()).value == 1.0
+        assert free_norm_primal(molecule(path3, 0, 2)).value == 1.0
 
     def test_zero_vector(self, path3):
         assert free_norm_primal(FreeVector(path3, np.zeros(3))) == (0.0, ())
@@ -182,7 +193,7 @@ class TestFreeNormPrimal:
 
 class TestFreeNormDual:
     def test_molecule_maximizer_is_certified(self, path3):
-        value, maximizer = free_norm_dual(molecule(path3, 0, 2).to_free_vector())
+        value, maximizer = free_norm_dual(molecule(path3, 0, 2))
         assert value == pytest.approx(1.0, abs=1e-9)
         assert lipschitz_norm(maximizer).value <= 1 + 1e-9
         assert maximizer.values[path3.base] == 0.0
@@ -194,7 +205,7 @@ class TestFreeNormDual:
         assert lp_solves == []  # no support, no LP
 
     def test_opposite_molecules_cancel(self, path3):
-        mu = molecule(path3, 0, 2).to_free_vector() + molecule(path3, 2, 0).to_free_vector()
+        mu = molecule(path3, 0, 2) + molecule(path3, 2, 0)
         assert free_norm_dual(mu).value == pytest.approx(0.0, abs=1e-12)
 
     def test_agrees_with_primal_on_random_vectors(self):
@@ -328,27 +339,42 @@ class TestNormProperties:
         )
 
 
+class TestMolecule:
+    def test_refuses_a_pair_that_is_no_pair_of_points(self, path3):
+        for x, y, reason in ((1, 1, "distinct"), (-1, 0, ">= 0"), (0, 3, r"outside 0\.\.2")):
+            with pytest.raises(ValueError, match=reason):
+                molecule(path3, x, y)
+
+    @pytest.mark.parametrize("space", [
+        from_weighted_graph(3, [(0, 1, 1), (1, 2, 1)]), circle_net(5)], ids=["path3", "circle5"])
+    def test_coefficients_are_one_over_the_distance(self, space):
+        for x in range(space.n):
+            for y in range(space.n):
+                if x != y:
+                    want = np.zeros(space.n)
+                    want[x], want[y] = 1.0 / space.d(x, y), -1.0 / space.d(x, y)
+                    assert molecule(space, x, y).coeffs.tobytes() == want.tobytes()
+
+
 class TestMoleculeDistance:
     def test_same_molecule(self, path3):
         m = molecule(path3, 0, 1)
-        assert molecule_distance(m, m) == 0.0
+        assert free_norm_primal(m - m).value == 0.0
 
     def test_opposite_orientation(self, path3):
-        assert molecule_distance(molecule(path3, 0, 1), molecule(path3, 1, 0)) == \
-            pytest.approx(2.0, abs=1e-12)
+        value = free_norm_primal(molecule(path3, 0, 1) - molecule(path3, 1, 0)).value
+        assert value == pytest.approx(2.0, abs=1e-12)
 
     def test_path_pair_matches_dual_oracle(self, path3):
-        diff = molecule(path3, 0, 1).to_free_vector() - \
-            molecule(path3, 0, 2).to_free_vector()
-        oracle = free_norm_dual(diff).value
-        value = molecule_distance(molecule(path3, 0, 1), molecule(path3, 0, 2))
-        assert value == pytest.approx(oracle, abs=1e-9)
+        diff = molecule(path3, 0, 1) - molecule(path3, 0, 2)
+        value = free_norm_primal(diff).value
+        assert value == pytest.approx(free_norm_dual(diff).value, abs=1e-9)
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_space_mismatch(self, path3):
         other = from_weighted_graph(3, [(0, 1, 1), (1, 2, 1)])
         with pytest.raises(SpaceMismatch):
-            molecule_distance(molecule(path3, 0, 1), molecule(other, 0, 1))
+            molecule(path3, 0, 1) - molecule(other, 0, 1)
 
 
 class TestExtremeMolecules:
@@ -363,9 +389,9 @@ class TestExtremeMolecules:
         support = dict(result.certificate)
         assert support == {(0, 1): pytest.approx(0.5), (1, 2): pytest.approx(0.5)}
         # certificate really reconstructs the molecule
-        target = molecule(path3, 0, 2).to_free_vector().coeffs
+        target = molecule(path3, 0, 2).coeffs
         rebuilt = sum(
-            w * molecule(path3, u, v).to_free_vector().coeffs
+            w * molecule(path3, u, v).coeffs
             for (u, v), w in result.certificate
         )
         assert np.allclose(rebuilt, target, atol=1e-9)
@@ -673,5 +699,5 @@ class TestMoleculeNormInvariant:
     def test_every_molecule_is_unit(self, make):
         space = make()
         for pair in space.pairs():
-            value = free_norm_primal(molecule(space, pair.x, pair.y).to_free_vector()).value
+            value = free_norm_primal(molecule(space, pair.x, pair.y)).value
             assert abs(value - 1.0) <= 1e-9

@@ -219,7 +219,9 @@ class TestIntervalNecessary:
     def test_single_selected_point_reads_ratio_zero(self):
         # below the mesh each target selects only its own point, which has
         # no partner: the best ratio is 0, never the quotient diagonal's -1
-        report = check_interval_necessary(builtin_map("identity", 8), r_loc=1e-3)
+        coords = interval_coordinates(interval_net(8))
+        report = geodesic._defect_profile("interval_necessary", builtin_map("identity", 8),
+                                          coords, coords.tolist(), 1 / 8, 1e-3, {})
         assert [row[1:] for row in report.rows] == [(0.0, 1.0)] * 9
 
     def test_rows_expose_profile(self):
@@ -521,11 +523,11 @@ def test_interval_checks_are_the_geodesic_checks(name, n):
     phi = builtin_map(name, n)
     m = phi.codomain.n - 1
     gs = DiscretizedGeodesicSpace(phi.codomain, {(0, m): range(m + 1)})
-    for r, eps in ((None, None), (1 / n, None), (None, 0.01), (3 / n, 0.2)):
-        assert _without_path(check_interval_necessary(phi, r, eps)) == _without_path(
-            check_geodesic_necessary(phi, gs, PointPair(0, m), r, eps))
-        assert _without_path(check_interval_sufficient(phi, r, eps)) == _without_path(
-            check_geodesic_sufficient(phi, gs, r, eps))
+    assert _without_path(check_interval_necessary(phi)) == _without_path(
+        check_geodesic_necessary(phi, gs, PointPair(0, m)))
+    for r in (None, 1 / n, 3 / n):
+        assert _without_path(check_interval_sufficient(phi, r)) == _without_path(
+            check_geodesic_sufficient(phi, gs, r))
 
 
 class TestRefinement:
@@ -587,7 +589,7 @@ class TestSortedWindowOracle:
         table = np.abs(values[:, None] - values[None, :])
         grid = np.concatenate([values, rng.uniform(-1.0, 4.0, size=4), [-9.0, 9.0]])
         got = geodesic._defect_profile("oracle", identity_map(domain), values,
-                                       grid, 0.25, r, 0.5, {})
+                                       grid, 0.25, r, {})
         assert list(got.rows) == _loop_profile_rows(values, table, domain.dist, grid, r)
 
     @settings(max_examples=150, deadline=None)
@@ -600,7 +602,7 @@ class TestSortedWindowOracle:
         image[domain.base] = codomain.base
         phi = LipschitzMap(domain, codomain, tuple(image.tolist()))
         projections = [_tied_values(rng, m) for _ in range(paths)]
-        got = geodesic._sufficiency("oracle", phi, projections, 0.25, r, 0.5, {})
+        got = geodesic._sufficiency("oracle", phi, projections, 0.25, r, {})
         want = _loop_margins(phi, projections, r)
         assert list(got.rows) == want
         assert got.worst_margin == min(margin for _, margin in want)
@@ -615,7 +617,7 @@ class TestSortedWindowOracle:
         assert sorted(order[lo[2]:hi[2]].tolist()) == [1, 3]
         table = np.abs(values[:, None] - values[None, :])
         got = geodesic._defect_profile("oracle", identity_map(domain), values,
-                                       grid, 1.0, 0.0, 0.5, {})
+                                       grid, 1.0, 0.0, {})
         assert list(got.rows) == _loop_profile_rows(values, table, domain.dist, grid, 0.0)
         assert [row[1] for row in got.rows] == [0.0] * 5  # the tied pair has ratio 0
 
@@ -626,7 +628,8 @@ class TestSortedWindowOracle:
         coords = interval_coordinates(phi.codomain)
         img = np.asarray(phi.image)
         for r in (None, 0.0, 0.5 / mesh, 3.0 / mesh, 2.0):
-            report = check_interval_necessary(phi, r_loc=r)
+            report = check_interval_necessary(phi) if r is None else geodesic._defect_profile(
+                "interval_necessary", phi, coords, coords.tolist(), 1.0 / mesh, r, {})
             assert list(report.rows) == _loop_profile_rows(
                 coords[img], phi.codomain.dist[np.ix_(img, img)], phi.domain.dist,
                 coords, report.r_loc)
