@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 import time
 
@@ -48,34 +47,18 @@ from .geodesic import (
 )
 from .io import (
     READS,
-    _load_on_space,
     load_free_vector,
     load_function,
     load_geodesic_space,
     load_map,
     load_space,
 )
-from .lipschitz import LipschitzFunction, lipschitz_norm, mcshane_extend
-from .metric_core import REL_TOL, PointPair, point_indices
+from .lipschitz import lipschitz_norm
+from .metric_core import REL_TOL, PointPair
 
 
 def _emit(report: dict) -> None:
     print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-
-
-def _parse_indices(flag: str, text: str, space) -> list[int]:
-    """Comma-separated distinct points of ``space``, each ASCII digits with
-    an optional sign, in range by :func:`point_indices`."""
-    if not re.fullmatch(r"[+-]?[0-9]+(,[+-]?[0-9]+)*", text):
-        raise MalformedInput(flag, f"{text!r} is not a list of integers")
-    indices = [int(part) for part in text.split(",")]
-    try:
-        point_indices(space, indices)
-    except ValueError as exc:
-        raise MalformedInput(flag, str(exc)) from None
-    if len(set(indices)) != len(indices):
-        raise MalformedInput(flag, f"{text!r}: indices must be distinct")
-    return indices
 
 
 def _certify(phi: LipschitzMap, args, tolerances, method="both"):
@@ -116,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         if tol:
             p.add_argument("--tol", type=float, default=None,
                            help="distance tolerance admitting the input spaces "
-                                "(default 1e-9 * diameter)")
+                                f"(default {REL_TOL:g} * diameter)")
         if methods:
             p.add_argument("--method", default="both", choices=methods,
                            help="which algorithm(s) to run")
@@ -140,12 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("isometry", help="certify a composition operator")
     p.add_argument("--map", required=True, dest="map_path")
     common(p, _cmd_isometry, methods=("dual", "primal", "both"))
-
-    p = sub.add_parser("extend", help="norm-preserving extension from a subset")
-    p.add_argument("function")
-    p.add_argument("--subset", required=True, help="comma-separated point indices")
-    p.add_argument("--floor", default=None, help="optional floor function file")
-    common(p, _cmd_extend)
 
     p = sub.add_parser("experiment", help="mesh-scale isometry experiments")
     exp = p.add_subparsers(required=True)
@@ -246,23 +223,6 @@ def _cmd_isometry(args):
     results, norm = _certify(phi, args, tolerances, args.method)
     results["operator_norm"] = norm
     return tolerances, results
-
-
-def _cmd_extend(args):
-    f = load_function(args.function, tol=args.tol)
-    subset = _parse_indices("--subset", args.subset, f.space)
-    if f.space.base not in subset:
-        raise MalformedInput("--subset", f"must contain the base point {f.space.base}")
-    floor = (_load_on_space(args.floor, "values", LipschitzFunction, args.tol, f.space)
-             if args.floor else None)
-    if floor is not None and floor.space is not f.space:
-        raise MalformedInput("--floor", "the floor's space is not the function's")
-    try:
-        ext = mcshane_extend(f.space, subset, f.values[subset], floor=floor)
-    except ValueError as exc:  # values too large for the float range
-        raise MalformedInput(f"{args.function}.values", str(exc)) from None
-    return _space_tolerances(f.space, args), {
-        "subset": subset, "values": ext.values.tolist(), "norm": lipschitz_norm(ext).value}
 
 
 def _cmd_experiment(args):

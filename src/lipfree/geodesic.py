@@ -230,11 +230,11 @@ def _windows(values: np.ndarray, centers: Sequence[float],
 
 
 def _defect_profile(kind: str, phi: LipschitzMap, projection: np.ndarray,
-                    grid: Sequence[float], mesh: float, r_loc: float | None,
+                    grid: Sequence[float], mesh: float,
                     extra: dict[str, Any]) -> DefectProfile:
     """Per target t, the largest |P(phi x') - P(phi y')| / d(x', y') over
     pairs of domain points whose value P(phi .) sits within r_loc of t (0
-    when fewer than two do), P the codomain vector ``projection``.
+    when fewer than two do), P the codomain vector ``projection``, r_loc from ``mesh``.
 
     In value order each target's points are a run [lo, hi) of
     :func:`_windows`. Band entry (i, k - 1) is the largest ratio of point
@@ -242,7 +242,7 @@ def _defect_profile(kind: str, phi: LipschitzMap, projection: np.ndarray,
     once), and a run's best ratio is the largest entry
     with lo <= i < i + k = hi - 1, gathered for all targets at once; band
     rows are filled in :func:`row_blocks`."""
-    r_loc, eps = _scales(mesh, phi.codomain.diameter, r_loc)
+    r_loc, eps = _scales(mesh, phi.codomain.diameter)
     values = projection[np.asarray(phi.image)]
     order, lo, hi = _windows(values, grid, r_loc)
     n, width = order.size, int((hi - lo).max())
@@ -271,7 +271,7 @@ def check_interval_necessary(phi: LipschitzMap) -> DefectProfile:
     must bring every defect below eps at mesh scale."""
     coords = interval_coordinates(phi.codomain)
     return _defect_profile("interval_necessary", phi, coords, coords.tolist(),
-                           1.0 / (coords.size - 1), None, {})
+                           1.0 / (coords.size - 1), {})
 
 
 def check_geodesic_necessary(phi: LipschitzMap, gspace: DiscretizedGeodesicSpace,
@@ -287,7 +287,7 @@ def check_geodesic_necessary(phi: LipschitzMap, gspace: DiscretizedGeodesicSpace
         raise ValueError("map codomain is not the geodesic space")
     proj = inverse_projection(gspace, pair)
     return _defect_profile("geodesic_necessary", phi, proj.function.values,
-                           proj.cumulative, gspace.mesh, None,
+                           proj.cumulative, gspace.mesh,
                            {"pair": pair.as_tuple(), "path_length": proj.length})
 
 

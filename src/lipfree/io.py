@@ -184,18 +184,18 @@ def space_to_dict(space: PointedMetricSpace) -> dict:
     }
 
 
-def load_function(path: str | Path, tol: float | None = None) -> LipschitzFunction:
-    return _load_on_space(path, "values", LipschitzFunction, tol)
+def load_function(path: str | Path) -> LipschitzFunction:
+    return _load_on_space(path, "values", LipschitzFunction)
 
 
 def load_free_vector(path: str | Path) -> FreeVector:
     return _load_on_space(path, "coeffs", FreeVector)
 
 
-def _load_on_space(path: str | Path, key: str, build, tol=None, known=None):
+def _load_on_space(path: str | Path, key: str, build):
     """``build(space, values)`` of the file's ``space`` and list ``key``."""
     obj = read_json(path)
-    space = _resolve_space(obj, "space", path, tol, known)
+    space = _resolve_space(obj, "space", path)
     try:
         return build(space, _floats(obj, key, str(path)))
     except (NotZeroSum, ValueError) as exc:

@@ -266,8 +266,10 @@ def from_weighted_graph(
             raise MalformedInput("metric.edges",
                                  f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
         w = float(w)
-        if not (0 < w < np.inf):
+        if not (0 <= w < np.inf):
             raise NegativeDistance(int(i), int(j), w)
+        if w == 0 and i != j:
+            raise ZeroDistanceDistinctPoints(int(i), int(j))
         if w < d[i, j]:  # never on the diagonal, whose 0 no weight undercuts
             d[i, j] = d[j, i] = w
     graph = np.argwhere(np.triu(np.isfinite(d), k=1))

@@ -141,6 +141,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("metric, kind", [
         ({"type": "matrix", "d": [[0, 1], [2, 0]]}, "AsymmetricDistance"),
         ({"type": "graph", "n": 3, "edges": [[0, 1, 1]]}, "DisconnectedGraph"),
+        ({"type": "graph", "n": 2, "edges": [[0, 1, 0]]}, "ZeroDistanceDistinctPoints"),
     ])
     def test_exact_failure_names_no_given_tol(self, files, capsys, metric, kind):
         # a --tol beside a refusal by an exact test took no part in it
@@ -241,10 +242,14 @@ class TestExitCodes:
         assert report is None
         assert "input error: DisconnectedGraph" in err
 
-    @pytest.mark.parametrize("command", ["frobnicate", "norming"])
-    def test_unknown_command_exits_2(self, command):
-        proc = run_cli(command)
-        assert proc.returncode == 2
+    # extend with arguments it once ran on: the command is gone, not misused
+    @pytest.mark.parametrize("argv", [("frobnicate",), ("norming",),
+                                      ("extend", "{fn}", "--subset", "0,1")],
+                             ids=["frobnicate", "norming", "extend"])
+    def test_unknown_command_exits_2(self, files, argv):
+        proc = run_cli(*[a.format(**files) for a in argv])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"invalid choice: {argv[0]!r}" in proc.stderr
 
     @pytest.mark.parametrize("argv, missing", [
         ((), "command"),
@@ -274,6 +279,9 @@ class TestExitCodes:
         ({"metric": {"type": "graph", "n": 2, "edges": [[0, 1, "2"]]}}, "metric.edges"),
         ({"metric": {"type": "matrix", "d": [[0]]}}, "metric.d"),
         ({"metric": {"type": "graph", "n": 1, "edges": []}}, "metric.n"),
+        # a zero loop is no edge, as a positive one is, so the next edge is read
+        ({"metric": {"type": "graph", "n": 2, "edges": [[0, 0, 0], [0, 5, 1.0]]}},
+         "metric.edges"),
     ])
     def test_malformed_space_exits_2_without_traceback(self, files, space, where):
         path = write(files["dir"] / "malformed.json", space)
@@ -360,65 +368,17 @@ class TestExitCodes:
         assert out == ""
         assert f"lipfree isometry: error: unrecognized arguments: --pairs {pairs}" in err
 
-    @pytest.mark.parametrize("subset", ["a", "0,9", "0,1,1", "0,-1", "1,2", ",",
-                                        "a,b", "0,0", "-1,2", ";", "0;1", ""])
-    def test_bad_subset_exits_2(self, files, capsys, subset):
-        code, report, err = run_in_process(capsys, "extend", files["fn"],
-                                           f"--subset={subset}")
-        assert code == 2
-        assert report is None
-        assert "MalformedInput: --subset:" in err
-
-    @pytest.mark.parametrize("argv, error", [
-        (("extend", "{fn}", "--subset", "0,9"), "--subset: point 9 is outside 0..4"),
-        (("extend", "{fn}", "--subset=0,-1"), "--subset: point -1 is outside 0..4"),
-        (("extend", "{fn}", "--subset", "0,1e308"),
-         "--subset: '0,1e308' is not a list of integers"),
-        (("extend", "{fn}", "--subset", "0,1,1"), "--subset: '0,1,1': indices must be distinct"),
-        (("extend", "{fn}", "--subset", "0,1_0"),
-         "--subset: '0,1_0' is not a list of integers"),  # int() reads it as 10
-        (("extend", "{fn}", "--subset", "0,\u0663"),
-         "--subset: '0,\u0663' is not a list of integers"),  # int() reads ARABIC-INDIC 3 as 3
-    ], ids=["subset_past_n", "subset_negative", "subset_float", "subset_repeat",
-            "subset_underscore", "subset_non_ascii_digit"])
-    def test_index_flags_name_the_fault(self, files, capsys, argv, error):
-        # one range rule and wording for every index, a flag's as a file's
-        code, report, err = run_in_process(capsys, *[a.format(**files) for a in argv])
-        assert (code, report) == (2, None)
-        assert err == f"input error: MalformedInput: {error}\n"
-
-    def test_an_extension_past_the_float_range_exits_2(self, files, capsys):
-        # on the line 0, 1, 2, 3 the constant is 1e308, and 1e308 * d(0, 3)
-        # overflows; this input once raised a traceback
+    @pytest.mark.parametrize("values, reason", [
+        ([0, 1e308, -1e308, 0], "too large: the Lipschitz norm overflows"),
+        ([1e308, -1e308, 0, 0], "function values must be finite, also less the base value"),
+    ], ids=["norm_spread", "norm_base_shift"])
+    def test_values_whose_differences_pass_the_float_range_exit_2(self, files, capsys, values,
+                                                                    reason):
+        # each once overflowed with numpy's RuntimeWarning on stderr, then
+        # exited 0 with "norm":Infinity, which is not JSON
         write_the_line(files["dir"])
-        f = write(files["dir"] / "big.json", {"space": "line.json", "values": [1e308, 1, 2, 3]})
-        code, report, err = run_in_process(capsys, "extend", f, "--subset", "0,1")
-        assert (code, report) == (2, None)
-        assert err == (f"input error: MalformedInput: {f}.values: too large: "
-                       "the extension with constant 1e+308 overflows\n")
-
-    @pytest.mark.parametrize("argv, space, values, reason", [
-        (("norm",), "line.json", [0, 1e308, -1e308, 0],
-         "too large: the Lipschitz norm overflows"),
-        (("norm",), "line.json", [1e308, -1e308, 0, 0],
-         "function values must be finite, also less the base value"),
-        (("extend", "--subset", "0,1"), "net4.json", [1e308, 0, 0, 0, 0],
-         "too large: the Lipschitz constant on the subset overflows"),
-        # the base between the two others: F = (0, -1e308, 1e308), whose
-        # values are finite but whose norm's difference is not
-        (("extend", "--subset", "0,1"), "split.json", [0, -1e308, 0],
-         "too large: the extension with constant 1e+308 overflows"),
-    ], ids=["norm_spread", "norm_base_shift", "extend_constant", "extend_spread"])
-    def test_values_whose_differences_pass_the_float_range_exit_2(self, files, capsys, argv,
-                                                                    space, values, reason):
-        # each once overflowed with numpy's RuntimeWarning on stderr; all but
-        # the third then exited 0 with "norm":Infinity, which is not JSON
-        write_the_line(files["dir"])
-        write(files["dir"] / "split.json", {
-            "labels": ["0", "-1", "1"], "base": 0,
-            "metric": {"type": "matrix", "d": [[0, 1, 1], [1, 0, 2], [1, 2, 0]]}})
-        f = write(files["dir"] / "big.json", {"space": space, "values": values})
-        code, report, err = run_in_process(capsys, argv[0], f, *argv[1:])
+        f = write(files["dir"] / "big.json", {"space": "line.json", "values": values})
+        code, report, err = run_in_process(capsys, "norm", f)
         assert (code, report) == (2, None)
         assert err == f"input error: MalformedInput: {f}.values: {reason}\n"
 
@@ -519,53 +479,6 @@ class TestExitCodes:
         assert got == code
         assert report["results"]["agree"] is (code == 0)
         assert report["tolerances"]["agreement"] == REL_TOL
-
-    def test_tol_never_loosens_the_floor(self, files, capsys):
-        # f = (0, 1, 1) on the line 0-1-2 lies 0.5 below the floor (0, 1, 1.5)
-        # at point 2; --tol only admits the space, so 0.6 does not excuse it
-        f = write(files["dir"] / "f_line.json", {"space": "three.json", "values": [0, 1, 1]})
-        g = write(files["dir"] / "g_line.json", {"space": "three.json", "values": [0, 1, 1.5]})
-        for tol in ((), ("--tol", "0.6")):
-            code, report, err = run_in_process(capsys, "extend", f, "--subset", "0,1,2",
-                                               "--floor", g, *tol)
-            assert code == 2 and report is None
-            assert "FloorExceedsFunction" in err
-
-    # f = (0, 1, 2) on the line 0-1-2 ("three.json", base 0, labels a, b, c),
-    # and the floor (0, 1, 2) on a space that differs from it in one respect.
-    # On the equilateral triangle that floor has norm 2, above f's norm of 1.
-    FOREIGN_FLOORS = {
-        "triangle": {"base": 0, "labels": ["a", "b", "c"],
-                     "metric": {"type": "matrix", "d": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}},
-        "base": {"base": 1, "labels": ["a", "b", "c"],
-                 "metric": {"type": "matrix", "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}},
-        "label": {"base": 0, "labels": ["a", "b", "z"],
-                  "metric": {"type": "matrix", "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}},
-        "graph_path": {"base": 0, "labels": ["a", "b", "c"],
-                       "metric": {"type": "graph", "n": 3,
-                                  "edges": [[0, 1, 1.0], [1, 2, 1.5]]}},
-    }
-
-    @pytest.mark.parametrize("case", list(FOREIGN_FLOORS))
-    def test_floor_from_another_space_refused(self, files, capsys, case):
-        f = write(files["dir"] / "f3.json", {"space": "three.json", "values": [0, 1, 2]})
-        g = write(files["dir"] / "g.json", {"space": self.FOREIGN_FLOORS[case],
-                                            "values": [0, 1, 2]})
-        code, report, err = run_in_process(capsys, "extend", f, "--subset", "0,2", "--floor", g)
-        assert (code, report) == (2, None)
-        assert err == ("input error: MalformedInput: --floor: "
-                       "the floor's space is not the function's\n")
-
-    def test_floor_on_the_same_graph_is_accepted(self, files, capsys):
-        # a graph-form space is closed once per reference, and the two agree
-        graph = write(files["dir"] / "path.json", {
-            "metric": {"type": "graph", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}})
-        f = write(files["dir"] / "f.json", {"space": "path.json", "values": [0, 1, 2]})
-        g = write(files["dir"] / "g.json", {"space": json.loads(Path(graph).read_text()),
-                                            "values": [0, 0, 0.5]})
-        code, report, err = run_in_process(capsys, "extend", f, "--subset", "0,2", "--floor", g)
-        assert code == 0, err
-        assert report["results"]["values"] == [0, 1, 2]
 
     # two points 1e-12 apart, within the tolerance 1e-9: no pair is a vertex
     @pytest.mark.parametrize("command", [("extremes", "{space}"),
@@ -808,10 +721,8 @@ class TestCommands:
             "paths": [{"pair": [0, 2], "points": [0, 1, 2]}]})
         mp = write(files["dir"] / "net2_map.json", {
             "domain": "net2.json", "codomain": "net2.json", "image": [0, 1, 2]})
-        fn = write(files["dir"] / "net2_f.json", {"space": "net2.json", "values": [0, 1, 0]})
         admitted = {"tol_validation": 0.0} if form == "matrix" else {}
         for argv in (("validate", space), ("extremes", space), ("isometry", "--map", mp),
-                     ("extend", fn, "--subset", "0,1", "--floor", fn),
                      ("experiment", "geodesic", "--space", space, "--map", f"file:{mp}"),
                      ("experiment", "geodesic", "--space", space, "--map", "builtin:identity")):
             code, report, err = run_in_process(capsys, *argv, "--tol", "0")
@@ -826,13 +737,6 @@ class TestCommands:
         results = report_of(proc)["results"]
         assert results["verdict"] == "isometric"
         assert "wall_time_s" not in results  # wall times stay in the timing block
-
-    def test_extend(self, files):
-        proc = run_cli("extend", files["fn"], "--subset", "0,4")
-        results = report_of(proc)["results"]
-        assert results["values"] == [0, 0.25, 0.5, 0.75, 1.0]
-        assert results["norm"] == pytest.approx(1.0)
-
 
 class TestOneDetourPassPerMatrix:
     """A command admits each matrix it validates once, through the one pass
@@ -925,17 +829,42 @@ class TestOneDetourPassPerMatrix:
         assert report["results"]["certificate"]["verdict"] == "isometric"
         assert rows == {gspace.space.n: 1}  # the --space file's pass alone
 
+    # the domain named by path and the codomain its object again, inline or
+    # by the same path (a matrix by path: test_identity_map_file_admits_its_space_once);
+    # a matrix is admitted once, a graph closed once per reference and never admitted
+    @pytest.mark.parametrize("codomain, form", [("inline", "matrix"), ("inline", "graph"),
+                                                ("by_path", "graph")])
+    def test_a_codomain_equal_to_the_domain_file_is_that_space(self, tmp_path, capsys, rows,
+                                                              codomain, form):
+        metric = ({"type": "matrix", "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]} if form == "matrix"
+                  else {"type": "graph", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]})
+        write(tmp_path / "line.json", {"metric": metric})
+        path = write(tmp_path / "identity.json", {
+            "domain": "line.json", "image": [0, 1, 2],
+            "codomain": {"metric": metric} if codomain == "inline" else "line.json"})
+        phi = io.load_map(path)
+        assert phi.domain is phi.codomain
+        rows.clear()
+        code, report, err = run_in_process(capsys, "isometry", "--map", path)
+        assert code == 0, err
+        assert report["results"]["verdict"] == "isometric"
+        assert rows == ({3: 1} if form == "matrix" else {})
+
+    # a function or vector file's space, by path or inline, is admitted once
     @pytest.mark.parametrize("inline", [False, True], ids=["by_path", "inline"])
-    def test_floor_on_the_function_space_admitted_once(self, tmp_path, capsys, rows, inline):
+    @pytest.mark.parametrize("command, key, entries, value", [
+        ("norm", "values", [0, 1, 1], {"norm": 1.0}),
+        ("freenorm", "coeffs", [1, 0, -1], {"flow": 2.0, "lp": 2.0})], ids=["norm", "freenorm"])
+    def test_a_file_on_a_space_admits_it_once(self, tmp_path, capsys, rows, inline, command,
+                                              key, entries, value):
         line = {"metric": {"type": "matrix", "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}}
         write(tmp_path / "line.json", line)
-        f = write(tmp_path / "f.json", {"space": "line.json", "values": [0, 1, 2]})
-        g = write(tmp_path / "g.json", {"space": line if inline else "line.json",
-                                        "values": [0, 1, 1]})
+        path = write(tmp_path / "f.json", {"space": line if inline else "line.json",
+                                           key: entries})
         rows.clear()
-        code, report, err = run_in_process(capsys, "extend", f, "--subset", "0,2", "--floor", g)
+        code, report, err = run_in_process(capsys, command, path)
         assert code == 0, err
-        assert report["results"]["values"] == [0, 1, 2]
+        assert {k: report["results"][k] for k in value} == pytest.approx(value)
         assert rows == {3: 1}
 
     # A codomain one step from its domain is admitted on its own, to the
@@ -1243,11 +1172,8 @@ TOL_REACH = [
     ("isometry", ("isometry", "--map", "{d}/loose_three.json")),
     ("isometry", ("isometry", "--map", "{d}/far_loose_inline.json")),
     ("isometry", ("isometry", "--map", "{d}/far_loose.json")),
-    ("extend", ("extend", "{d}/f_loose_inline.json", "--subset", "0,1")),
-    ("extend", ("extend", "{d}/f_loose.json", "--subset", "0,1")),
-    # a floor lives on its function's space, which it shares here
-    ("extend", ("extend", "{d}/f_loose_inline.json", "--subset", "0,1",
-                "--floor", "{d}/floor_loose.json")),
+    # a codomain read with its domain in hand is that space, admitted with it
+    ("isometry", ("isometry", "--map", "{d}/loose_inline_loose.json")),
     ("experiment.geodesic", ("experiment", "geodesic", "--space", "{d}/loose_geo.json",
                              "--map", "builtin:identity")),
     ("experiment.geodesic", ("experiment", "geodesic", "--space", "{d}/three_geo.json",
@@ -1280,17 +1206,31 @@ class TestTolReach:
                 ("loose_inline_three", LOOSE, "three.json"),
                 ("loose_three", "loose.json", "three.json"),
                 ("far_loose_inline", "far.json", LOOSE),
-                ("far_loose", "far.json", "loose.json")):
+                ("far_loose", "far.json", "loose.json"),
+                ("loose_inline_loose", LOOSE, "loose.json")):
             write(d / f"{name}.json", {"domain": domain, "codomain": codomain,
                                        "image": image})
-        for name, space, values in (("f_loose_inline", LOOSE, [0, 1, 2]),
-                                    ("f_loose", "loose.json", [0, 1, 2]),
-                                    ("floor_loose", "loose.json", [0, 0, 0])):
-            write(d / f"{name}.json", {"space": space, "values": values})
         write(d / "loose_geo.json", {**LOOSE, "paths": [{"pair": [0, 1], "points": [0, 1]}]})
         write(d / "three_geo.json", {**three, "paths": [{"pair": [0, 2],
                                                          "points": [0, 1, 2]}]})
         return d
+
+    # norm and freenorm take no --tol: a space of their file is admitted at
+    # the default tolerance, which LOOSE fails, inline or by path
+    @pytest.mark.parametrize("space", [LOOSE, "loose.json"], ids=["inline", "by_path"])
+    @pytest.mark.parametrize("command, key, entries", [("norm", "values", [0, 1, 2]),
+                                                      ("freenorm", "coeffs", [1, 0, -1])],
+                             ids=["norm", "freenorm"])
+    def test_a_file_on_a_space_has_no_tol(self, tol_dir, capsys, space, command, key,
+                                          entries):
+        path = write(tol_dir / "on_loose.json", {"space": space, key: entries})
+        code, report, err = run_in_process(capsys, command, path)
+        assert (code, report) == (2, None)
+        assert err.startswith("input error: TriangleViolation")
+        with pytest.raises(SystemExit) as exc:
+            run_in_process(capsys, command, path, "--tol", "0.01")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 0.01" in capsys.readouterr().err
 
     def test_table_covers_every_command_with_tol(self):
         assert {command for command, _ in TOL_REACH} == commands_with_tol(cli.build_parser())
@@ -1319,8 +1259,6 @@ READS = [
     (("extremes", "{net}"), [("net",)]),
     (("isometry", "--map", "{map3}"),
      [("map3",), ("three", "map3", "domain"), ("three", "map3", "codomain")]),
-    (("extend", "{f3}", "--subset", "0,1", "--floor", "{floor3}"),
-     [("f3",), ("three", "f3", "space"), ("floor3",), ("three", "floor3", "space")]),
     # the map's codomain is read, and must be the --space file's space
     (("experiment", "geodesic", "--space", "{geo}", "--map", "file:{tripod_map}"),
      [("geo",), ("tripod_map",), ("tripod_space", "tripod_map", "domain"),
@@ -1334,8 +1272,6 @@ class TestInputs:
     def read_files(self, files):
         d = files["dir"]
         more = {
-            "f3": write(d / "f3.json", {"space": "three.json", "values": [0, 1, 2]}),
-            "floor3": write(d / "floor3.json", {"space": "three.json", "values": [0, 0, 0]}),
             "tripod_space": write(d / "tripod_space.json", space_to_dict(tripod().space)),
         }
         more["tripod_map"] = write(d / "tripod_map.json", {
@@ -1382,7 +1318,6 @@ COMMANDS = [
     ("freenorm", ("freenorm", "{vec}")),
     ("extremes", ("extremes", "{net}")),
     ("isometry", ("isometry", "--map", "{map3}")),
-    ("extend", ("extend", "{fn}", "--subset", "0,4")),
     *EXPERIMENTS.items(),
 ]
 
@@ -1747,59 +1682,6 @@ def test_geodesic_function_and_vector_files_never_fail(tmp_path_factory, drawn):
     code, out, err = run_captured(argv)
     assert io.READS.get() is None
     assert code in (0, 2) and "Traceback" not in err, err
-    assert not any(phrase in err for phrase in PYTHON_PHRASES), err
-    if code == 2:
-        assert out == "" and err.startswith("input error: ")
-
-
-# What an entry of an index flag may be replaced by
-INDEX_TEXTS = ["0", "1", "3", "4", "9", "-1", "0.5", "1e308", "9" * 30, "a", "", " 2", "True",
-               "0x1"]
-
-
-def index_text(draw, indices):
-    """A list of point indices as a flag's text, perhaps with one entry
-    replaced."""
-    texts = [str(i) for i in indices]
-    if draw(st.booleans()):
-        texts[draw(st.integers(0, len(texts) - 1))] = draw(st.sampled_from(INDEX_TEXTS))
-    return ",".join(texts)
-
-
-@st.composite
-def extend_call(draw):
-    """The files and argv, ``{d}`` their folder, of extend on the 4-point
-    line: a function file with a --subset and perhaps a --floor file, each
-    file perhaps mutated."""
-    def function(values):  # half of them whole, so that a share of calls extend
-        return ({"space": "line.json", "values": values} if draw(st.booleans())
-                else values_on_the_line(draw, "values", values))
-
-    files = {"f.json": function([0, 1, 2, 3])}
-    subset = draw(st.sampled_from([[0, 1], [0, 3], [0, 1, 2, 3], [1, 2]]))
-    argv = ["extend", "{d}/f.json", f"--subset={index_text(draw, subset)}"]
-    if draw(st.booleans()):
-        files["floor.json"] = function(draw(st.sampled_from([[0, 0, 0, 0], [0, 2, 0, 0]])))
-        argv.append("--floor={d}/floor.json")
-    return files, argv
-
-
-@settings(max_examples=150, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(drawn=extend_call())
-def test_extend_never_fails(tmp_path_factory, drawn):
-    """extend exits 0, 2 or 3 without a traceback or Python's own wording
-    on any function or floor file and any --subset, prints nothing on 2,
-    and stops collecting reads."""
-    files, argv = drawn
-    folder = tmp_path_factory.getbasetemp() / "index_fuzz"
-    folder.mkdir(exist_ok=True)
-    write_the_line(folder)
-    for name, obj in files.items():
-        write(folder / name, obj)
-    code, out, err = run_captured([arg.format(d=folder) for arg in argv])
-    assert io.READS.get() is None
-    assert code in (0, 2, 3) and "Traceback" not in err, err
     assert not any(phrase in err for phrase in PYTHON_PHRASES), err
     if code == 2:
         assert out == "" and err.startswith("input error: ")

@@ -221,7 +221,7 @@ class TestIntervalNecessary:
         # no partner: the best ratio is 0, never the quotient diagonal's -1
         coords = interval_coordinates(interval_net(8))
         report = geodesic._defect_profile("interval_necessary", builtin_map("identity", 8),
-                                          coords, coords.tolist(), 1 / 8, 1e-3, {})
+                                          coords, coords.tolist(), 1e-3 / 4, {})
         assert [row[1:] for row in report.rows] == [(0.0, 1.0)] * 9
 
     def test_rows_expose_profile(self):
@@ -589,7 +589,7 @@ class TestSortedWindowOracle:
         table = np.abs(values[:, None] - values[None, :])
         grid = np.concatenate([values, rng.uniform(-1.0, 4.0, size=4), [-9.0, 9.0]])
         got = geodesic._defect_profile("oracle", identity_map(domain), values,
-                                       grid, 0.25, r, {})
+                                       grid, r / 4, {})  # at radius 4 * mesh
         assert list(got.rows) == _loop_profile_rows(values, table, domain.dist, grid, r)
 
     @settings(max_examples=150, deadline=None)
@@ -617,7 +617,7 @@ class TestSortedWindowOracle:
         assert sorted(order[lo[2]:hi[2]].tolist()) == [1, 3]
         table = np.abs(values[:, None] - values[None, :])
         got = geodesic._defect_profile("oracle", identity_map(domain), values,
-                                       grid, 1.0, 0.0, {})
+                                       grid, 0.0, {})
         assert list(got.rows) == _loop_profile_rows(values, table, domain.dist, grid, 0.0)
         assert [row[1] for row in got.rows] == [0.0] * 5  # the tied pair has ratio 0
 
@@ -629,7 +629,7 @@ class TestSortedWindowOracle:
         img = np.asarray(phi.image)
         for r in (None, 0.0, 0.5 / mesh, 3.0 / mesh, 2.0):
             report = check_interval_necessary(phi) if r is None else geodesic._defect_profile(
-                "interval_necessary", phi, coords, coords.tolist(), 1.0 / mesh, r, {})
+                "interval_necessary", phi, coords, coords.tolist(), r / 4, {})
             assert list(report.rows) == _loop_profile_rows(
                 coords[img], phi.codomain.dist[np.ix_(img, img)], phi.domain.dist,
                 coords, report.r_loc)

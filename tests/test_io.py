@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lipfree.errors import InputError, MalformedInput
+from lipfree.errors import InputError, MalformedInput, ZeroDistanceDistinctPoints
 from lipfree.fixtures import circle_geodesic, tripod
 from lipfree.io import (
     geodesic_space_to_dict,
@@ -46,6 +46,19 @@ class TestSpaceFiles:
         })
         space = load_space(path)
         assert space.d(0, 2) == 2.0
+
+    @pytest.mark.parametrize("edges, refusal", [
+        ([[0, 1, 0]], ZeroDistanceDistinctPoints),
+        ([[0, 0, 0], [0, 1, 1]], None),  # a zero loop, like a positive one, is no edge
+    ], ids=["zero_edge", "zero_loop"])
+    def test_zero_weight_in_graph_form(self, tmp_path, edges, refusal):
+        path = write(tmp_path / "g.json", {"metric": {"type": "graph", "n": 2, "edges": edges}})
+        if refusal is None:
+            assert load_space(path).dist.tolist() == [[0, 1], [1, 0]]
+            return
+        with pytest.raises(refusal) as exc:
+            load_space(path)
+        assert str(exc.value) == "distinct points 0, 1 at distance 0"
 
     def test_missing_field_names_json_path(self, tmp_path):
         path = write(tmp_path / "bad.json", {"labels": ["a", "b"]})
@@ -257,8 +270,19 @@ class TestMapFiles:
         ([0, 3, 2], "point 3 is outside 0..2"),
         ([0, -1, 2], "point -1 is outside 0..2"),
         ([1e308, 1, 2], "expected an integer, got 1e+308"),
+        ([0, 10 ** 30, 2], f"point {10 ** 30} is outside 0..2"),  # compared before the cast
+        # texts int() reads as an index are strings here, never parsed
+        ([0, "1_0", 2], "expected an integer, got '1_0'"),
+        ([0, "\u0663", 2], "expected an integer, got '\u0663'"),
+        ([0, " 2", 2], "expected an integer, got ' 2'"),
+        ([0, "0x1", 2], "expected an integer, got '0x1'"),
+        ([0, "True", 2], "expected an integer, got 'True'"),
+        ([0, "", 2], "expected an integer, got ''"),
+        ([0, "9" * 30, 2], f"expected an integer, got {'9' * 30!r}"),
     ], ids=["null_entry", "string_entry", "float_entry", "bool_entry", "short", "long", "int",
-            "float", "null", "string", "past_n", "negative", "1e308"])
+            "float", "null", "string", "past_n", "negative", "1e308", "past_n_huge",
+            "underscore_string", "non_ascii_digit_string", "spaced_string", "hex_string",
+            "bool_string", "empty_string", "huge_string"])
     def test_malformed_image_names_json_path(self, tmp_path, space_file, image, reason):
         path = write(tmp_path / "m.json", {
             "domain": "space.json", "codomain": "space.json", "image": image,
@@ -303,6 +327,7 @@ class TestGeodesicFiles:
         ("points", None, ".paths[0].points", "expected a list of point indices"),
         ("points", [1, "0", 2], ".paths[0].points", "expected an integer, got '0'"),
         ("points", [1, 0, 4], ".paths[0].points", "point 4 is outside 0..3"),
+        ("points", [1, 10 ** 30, 2], ".paths[0].points", f"point {10 ** 30} is outside 0..3"),
         ("points", [], ".paths[0].points",
          "a path needs at least two points and must not repeat one"),
         ("points", [1, 0, 1, 2], ".paths[0].points",
@@ -311,7 +336,8 @@ class TestGeodesicFiles:
         ("points", [1, 3, 0, 2], ".paths[0].points",
          "point sequence is not metrically straight (defect 2.0)"),
     ], ids=["pair_object", "pair_int", "pair_short", "pair_long", "pair_bool", "pair_1e308",
-            "points_int", "points_null", "points_string", "points_past_n", "points_empty",
+            "points_int", "points_null", "points_string", "points_past_n",
+            "points_past_n_huge", "points_empty",
             "points_repeat", "points_off_pair", "points_crooked"])
     def test_path_refusal_names_the_fault(self, tmp_path, field, value, at, reason):
         # tripod(1, 1) stores one path, 1-0-2; each case replaces one of its fields

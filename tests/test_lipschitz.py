@@ -300,6 +300,40 @@ class TestMcshaneExtend:
         with pytest.raises(ValueError, match="extension with constant 1e\\+308 overflows"):
             mcshane_extend(line, [0, 1], [0.0, 1 - 1e308])
 
+    def test_an_overflowing_constant_is_refused(self):
+        # 1e308 over a distance of 1/4
+        with pytest.raises(ValueError, match="^too large: the Lipschitz constant on the subset "
+                                             "overflows$"):
+            mcshane_extend(interval_net(4), [0, 1], [0.0, -1e308])
+
+    def test_an_extension_whose_spread_overflows_is_refused(self):
+        # the base between -1 and 1: F = (0, -1e308, 1e308) is finite, and
+        # its norm's difference F(2) - F(1) is not
+        split = validate_space([[0, 1, 1], [1, 0, 2], [1, 2, 0]], labels=["0", "-1", "1"])
+        with pytest.raises(ValueError, match="^too large: the extension with constant 1e\\+308 "
+                                             "overflows$"):
+            mcshane_extend(split, [0, 1], [0.0, -1e308])
+
+    def test_the_two_ends_extend_to_the_line(self):
+        ext = mcshane_extend(interval_net(4), [0, 4], [0.0, 1.0])
+        assert ext.values.tolist() == [0, 0.25, 0.5, 0.75, 1.0]
+        assert lipschitz_norm(ext).value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("subset, f_sub, reason", [
+        ([0, 9], [0.0, 1.0], "point 9 is outside 0..4"),
+        ([0, -1], [0.0, 1.0], "point -1 is outside 0..4"),
+        ([-1, 2], [0.0, 1.0], "point -1 is outside 0..4"),
+        ([0, 10 ** 30], [0.0, 1.0], f"point {10 ** 30} is outside 0..4"),
+        ([1, 2], [0.0, 1.0], "subset must contain the base point"),
+        ([], [], "subset must contain the base point"),
+        ([0, 1], [0.0, 1.0, 2.0], "f_sub must align with subset"),
+    ], ids=["past_n", "negative", "negative_first", "past_n_huge", "no_base", "empty",
+            "misaligned"])
+    def test_a_subset_or_values_it_cannot_extend_from_are_refused(self, subset, f_sub, reason):
+        with pytest.raises(ValueError) as exc:
+            mcshane_extend(interval_net(4), subset, f_sub)
+        assert str(exc.value) == reason
+
     def test_subset_must_contain_base(self, path3):
         with pytest.raises(ValueError):
             mcshane_extend(path3, [1, 2], [0.0, 1.0])
@@ -342,6 +376,42 @@ class TestMcshaneExtend:
         assert exc.value.witness == 2
         with pytest.raises(TypeError):
             mcshane_extend(line, [0, 1, 2], [0.0, 1.0, 1.0], floor=floor, tol=0.6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), size=st.integers(1, 6), floor=st.sampled_from(
+    [None, "zero", "scaled"]), k=st.floats(0, 2), shift=st.floats(0, 2))
+def test_an_extension_restricts_exactly_keeps_its_norm_and_clears_its_floor(seed, size, floor,
+                                                                            k, shift):
+    """On a random space, subset and values, with no floor, the zero floor
+    or a scaled and lowered copy of the plain extension, mcshane_extend
+    either refuses the floor for a stated fault or returns an extension
+    equal to the values on the subset, of their norm, and above the floor."""
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, 7)
+    subset = [space.base, *(int(i) for i in rng.permutation(
+        [p for p in range(space.n) if p != space.base])[:size - 1])]
+    f_sub = rng.normal(size=len(subset)) * space.diameter
+    f_sub[0] = 0.0
+    L = sub_lipschitz_norm(space, subset, f_sub)
+    g = None
+    if floor is not None:
+        plain = mcshane_extend(space, subset, f_sub)
+        values = np.zeros(space.n) if floor == "zero" else k * plain.values - shift * L
+        g = LipschitzFunction(space, values)
+    try:
+        ext = mcshane_extend(space, subset, f_sub, floor=g)
+    except FloorNormTooLarge as exc:
+        assert lipschitz_norm(g).value > L and "exceeding the subset" in str(exc)
+        return
+    except FloorExceedsFunction as exc:
+        at = subset.index(exc.witness)
+        assert g.values[exc.witness] > f_sub[at]
+        return
+    assert ext.values[subset].tolist() == f_sub.tolist()
+    assert lipschitz_norm(ext).value == pytest.approx(L, rel=1e-12, abs=1e-12)
+    if g is not None:
+        assert np.all(ext.values >= g.values - 1e-9 * (L * space.diameter + 1))
 
 
 class TestPeakFunction:

@@ -243,8 +243,19 @@ class TestFromWeightedGraph:
             from_weighted_graph(4, [(0, 1, 1), (2, 3, 1)])
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(NegativeDistance):
+        # a zero weight puts distinct points at distance 0; it was once called negative
+        with pytest.raises(ZeroDistanceDistinctPoints) as exc:
             from_weighted_graph(2, [(0, 1, 0.0)])
+        assert exc.value.witness == (0, 1)
+        for edges in ([(0, 1, -1.0)], [(0, 0, -1.0), (0, 1, 1.0)]):  # a negative loop too
+            with pytest.raises(NegativeDistance):
+                from_weighted_graph(2, edges)
+
+    @pytest.mark.parametrize("w", [0.0, 2.0])
+    def test_a_nonnegative_loop_is_no_edge(self, w):
+        # a zero loop was once refused as a negative distance, a positive one ignored
+        space = from_weighted_graph(2, [(0, 0, w), (0, 1, 1.0)])
+        assert (space.dist.tolist(), space.edges.tolist()) == ([[0, 1], [1, 0]], [[0, 1]])
 
     def test_overflowing_path_is_malformed(self):
         # d(0, 2) = 2e308 overflows: once a RuntimeWarning, then DisconnectedGraph
