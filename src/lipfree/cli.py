@@ -3,9 +3,10 @@
 Every command emits a single JSON report with the same envelope:
 command, artifact version, the arguments it was given, the path and
 digest of every file it read (as :mod:`lipfree.io` recorded them), the
-tolerances that were in force, the command-specific results, and a
-timing block. No command is random: identical inputs and flags give
-identical reports apart from the timing block.
+tolerances that were in force (every space read is admitted at its own
+metric tolerance), the command-specific results, and a timing block.
+No command is random: identical inputs and flags give identical reports
+apart from the timing block.
 
 Exit codes: 0 for any computed verdict (a negative verdict is still a
 successful computation), 2 for usage and input errors, and 3 for internal
@@ -61,11 +62,11 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, sort_keys=True, separators=(",", ":")))
 
 
-def _certify(phi: LipschitzMap, args, tolerances, method="both"):
+def _certify(phi: LipschitzMap, tolerances, method="both"):
     """Certify by ``method``: (certificate, operator norm). Adds the
-    codomain's tolerances to ``tolerances``; a disagreement carries them
+    codomain's tolerance to ``tolerances``; a disagreement carries them
     to its report."""
-    tolerances.update(_space_tolerances(phi.codomain, args))
+    tolerances["tol_metric"] = phi.codomain.tol
     try:
         cert = certify_isometry(phi, method=method)
     except MethodDisagreement as exc:
@@ -75,14 +76,12 @@ def _certify(phi: LipschitzMap, args, tolerances, method="both"):
 
 
 def _check_numeric_flags(args) -> None:
-    """Reject a numeric flag that is not finite or lies outside its range; from
-    a mesh of 2**53 on, a net's coordinates k/n are no longer exact."""
-    for flag, least, below in (("--tol", 0.0, math.inf), ("--mesh", 1, 2**53)):
-        value = getattr(args, flag[2:], None)
-        if value is None or least <= value < below:  # nan fails both comparisons
-            continue
-        bound = f"below {below}" if below <= value < math.inf else f"at least {least}"
-        raise MalformedInput(flag, f"{value!r} must be finite and {bound}")
+    """Reject a ``--mesh`` below 1, or from 2**53 on, where a net's coordinates
+    k/n are no longer exact."""
+    mesh = getattr(args, "mesh", None)
+    if mesh is not None and not 1 <= mesh < 2**53:
+        bound = f"below {2**53}" if mesh >= 2**53 else "at least 1"
+        raise MalformedInput("--mesh", f"{mesh!r} must be finite and {bound}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,12 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, handler, tol=True, methods=None):
+    def common(p, handler, methods=None):
         p.set_defaults(handler=handler, usage_error=p.error)  # leftovers name their command
-        if tol:
-            p.add_argument("--tol", type=float, default=None,
-                           help="distance tolerance admitting the input spaces "
-                                f"(default {REL_TOL:g} * diameter)")
         if methods:
             p.add_argument("--method", default="both", choices=methods,
                            help="which algorithm(s) to run")
@@ -110,11 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norm", help="Lipschitz norm of a function file")
     p.add_argument("function")
-    common(p, _cmd_norm, tol=False)
+    common(p, _cmd_norm)
 
     p = sub.add_parser("freenorm", help="transport norm of a zero-sum vector file")
     p.add_argument("vector")
-    common(p, _cmd_freenorm, tol=False, methods=("flow", "lp", "both"))
+    common(p, _cmd_freenorm, methods=("flow", "lp", "both"))
 
     p = sub.add_parser("extremes", help="extreme molecule pairs of a space")
     p.add_argument("space")
@@ -131,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--mesh", type=int, required=True, help="subdivisions n (mesh 1/n)")
     pi.add_argument("--map", required=True, dest="map_spec",
                     help="builtin:identity|fold|halving|collapse")
-    common(pi, _cmd_experiment, tol=False)
-    pi.set_defaults(command="experiment.interval", tol=None, space=None)  # builds, reads no file
+    common(pi, _cmd_experiment)
+    pi.set_defaults(command="experiment.interval", space=None)  # builds, reads no file
 
     pg = exp.add_parser("geodesic", help="run the geodesic checks on a map")
     pg.add_argument("--space", required=True, help="geodesic space file (with paths)")
@@ -150,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args):
     try:
-        space = load_space(args.space, tol=args.tol)
+        space = load_space(args.space)
     except MalformedInput:
         raise
     except InputError as exc:
@@ -161,7 +156,7 @@ def _cmd_validate(args):
         }
         tol = getattr(exc, "tol", None)  # only the triangle check has one
         return {} if tol is None else {"tol_validation": tol}, results
-    return _space_tolerances(space, args), {
+    return {"tol_metric": space.tol}, {
         "valid": True, "points": space.n, "diameter": space.diameter}
 
 
@@ -204,23 +199,16 @@ def _cmd_freenorm(args):
     return tolerances, results
 
 
-def _space_tolerances(space, args) -> dict:
-    """``space.tol`` decides every comparison; a ``--tol`` only admitted a
-    matrix-form space (a graph-form one is never rechecked)."""
-    given = {} if args.tol is None or space.edges is not None else {"tol_validation": args.tol}
-    return {"tol_metric": space.tol, **given}
-
-
 def _cmd_extremes(args):
-    space = load_space(args.space, tol=args.tol)
+    space = load_space(args.space)
     pairs = extreme_molecules(space)
-    return _space_tolerances(space, args), {"pairs": pairs.tolist(), "count": len(pairs)}
+    return {"tol_metric": space.tol}, {"pairs": pairs.tolist(), "count": len(pairs)}
 
 
 def _cmd_isometry(args):
-    phi = load_map(args.map_path, tol=args.tol)
+    phi = load_map(args.map_path)
     tolerances = {}
-    results, norm = _certify(phi, args, tolerances, args.method)
+    results, norm = _certify(phi, tolerances, args.method)
     results["operator_norm"] = norm
     return tolerances, results
 
@@ -230,7 +218,7 @@ def _cmd_experiment(args):
     it is an interval builtin at ``--mesh``, whose coordinate projects its one
     path; into a geodesic space it is identity or a file map, read through
     each stored path's inverse projection. A builtin's name is checked before
-    any file is read; ``--tol`` admits every space read."""
+    any file is read."""
     names = BUILTIN_MAPS if args.space is None else ("identity",)
     builtin = args.map_spec.startswith("builtin:")
     name = (args.map_spec.split(":", 1)[1]
@@ -246,14 +234,13 @@ def _cmd_experiment(args):
         profiles = [check_interval_necessary(phi)]
         sufficient = check_interval_sufficient(phi)
     else:
-        gspace = load_geodesic_space(args.space, args.tol)
-        phi = (identity_map(gspace.space) if builtin
-               else load_map(name, codomain=gspace.space, tol=args.tol))
+        gspace = load_geodesic_space(args.space)
+        phi = (identity_map(gspace.space) if builtin else load_map(name, codomain=gspace.space))
         profiles = [check_geodesic_necessary(phi, gspace, PointPair(x, y))
                     for (x, y) in sorted(gspace.paths)]
         sufficient = check_geodesic_sufficient(phi, gspace)
     tolerances = {"r_loc": profiles[0].r_loc, "eps": profiles[0].eps}
-    cert, norm = _certify(phi, args, tolerances)
+    cert, norm = _certify(phi, tolerances)
     return tolerances, {
         "operator_norm": norm,
         "mesh": profiles[0].extra["mesh"],

@@ -119,7 +119,7 @@ def _floats(obj: dict, key: str, where: str) -> np.ndarray:
     return values
 
 
-def _space_from_dict(obj: dict, where: str, tol: float | None = None,
+def _space_from_dict(obj: dict, where: str,
                      known: PointedMetricSpace | None = None) -> PointedMetricSpace:
     """``obj``'s space, or ``known`` where it is that space (:func:`_same_space`), checked
     before validation for two matrices, else once ``obj`` is built (closed or admitted)."""
@@ -133,7 +133,7 @@ def _space_from_dict(obj: dict, where: str, tol: float | None = None,
         d = _floats(metric, "d", f"{where}.metric")
         if known is not None and known.edges is None and _same_space(known, d, base, labels):
             return known
-        build = partial(validate_space, d, base=base, labels=labels, tol=tol)
+        build = partial(validate_space, d, base=base, labels=labels)
     elif kind == "graph":
         n = _integer(_require(metric, "n", f"{where}.metric"), f"{where}.metric.n")
         edges = _require(metric, "edges", f"{where}.metric")
@@ -162,18 +162,18 @@ def _same_space(known: PointedMetricSpace, d: np.ndarray, base: int, labels) -> 
             and repr(tuple(labels)) == repr(known.labels))  # repr tells True from 1 and 1.0
 
 
-def _resolve_space(obj: dict, key: str, path: str | Path, tol: float | None = None,
+def _resolve_space(obj: dict, key: str, path: str | Path,
                    known: PointedMetricSpace | None = None) -> PointedMetricSpace:
     ref = _require(obj, key, str(path))
     if isinstance(ref, str):
         ref_path = Path(path).parent / ref  # an absolute reference stands alone
         obj = read_json(ref_path, via={"path": str(path), "field": key})
-        return _space_from_dict(obj, str(ref_path), tol, known)
-    return _space_from_dict(ref, f"{path}.{key}", tol, known)
+        return _space_from_dict(obj, str(ref_path), known)
+    return _space_from_dict(ref, f"{path}.{key}", known)
 
 
-def load_space(path: str | Path, tol: float | None = None) -> PointedMetricSpace:
-    return _space_from_dict(read_json(path), str(path), tol)
+def load_space(path: str | Path) -> PointedMetricSpace:
+    return _space_from_dict(read_json(path), str(path))
 
 
 def space_to_dict(space: PointedMetricSpace) -> dict:
@@ -202,23 +202,21 @@ def _load_on_space(path: str | Path, key: str, build):
         raise MalformedInput(f"{path}.{key}", str(exc)) from None
 
 
-def load_map(path: str | Path, codomain: PointedMetricSpace | None = None,
-             tol: float | None = None) -> LipschitzMap:
+def load_map(path: str | Path, codomain: PointedMetricSpace | None = None) -> LipschitzMap:
     """Both spaces read with ``codomain`` in hand, a codomain that is not it refused;
     with none given, the codomain is read with the domain in hand."""
     obj = read_json(path)
-    domain = _resolve_space(obj, "domain", path, tol, codomain)
-    read = _resolve_space(obj, "codomain", path, tol, domain if codomain is None else codomain)
+    domain = _resolve_space(obj, "domain", path, codomain)
+    read = _resolve_space(obj, "codomain", path, domain if codomain is None else codomain)
     if codomain is not None and read is not codomain:
         raise MalformedInput(f"{path}.codomain", "not the space given as the codomain")
     return LipschitzMap(domain, read, _indices(obj, "image", str(path), read, domain.n))
 
 
-def load_geodesic_space(path: str | Path,
-                        tol: float | None = None) -> DiscretizedGeodesicSpace:
+def load_geodesic_space(path: str | Path) -> DiscretizedGeodesicSpace:
     obj = read_json(path)
     where = str(path)
-    space = _space_from_dict(obj, where, tol)
+    space = _space_from_dict(obj, where)
     paths_field = _require(obj, "paths", where)
     if not isinstance(paths_field, list):
         raise MalformedInput(f"{where}.paths", "expected a list of paths")

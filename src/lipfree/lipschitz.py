@@ -19,6 +19,7 @@ from .errors import (
     FloorExceedsFunction,
     FloorNormTooLarge,
     NotAnIntervalNet,
+    SpaceMismatch,
 )
 from .metric_core import REL_TOL, PointedMetricSpace, gaps, point_indices, row_blocks
 
@@ -163,10 +164,14 @@ def mcshane_extend(
     ||g|| <= L and g <= f on the subset is supplied, F >= g holds
     automatically; both preconditions are checked, norms within REL_TOL
     relative and values within L * space.tol (the base value of f within
-    space.tol), and violations are reported. An L, or an F whose values or
-    differences pass the float range, is a ValueError.
+    space.tol), and violations are reported; a floor on another space is
+    SpaceMismatch. A subset that repeats a point, an L, or an F whose values
+    or differences pass the float range, is a ValueError.
     """
     idx = point_indices(space, subset).tolist()
+    if len(set(idx)) < len(idx):
+        repeated = next(p for k, p in enumerate(idx) if p in idx[:k])
+        raise ValueError(f"subset repeats point {repeated}")
     if space.base not in idx:
         raise ValueError("subset must contain the base point")
     v = np.asarray(f_sub, dtype=float).copy()
@@ -174,7 +179,7 @@ def mcshane_extend(
         raise ValueError("f_sub must align with subset")
     vb = v[idx.index(space.base)]
     if abs(vb) > space.tol:
-        raise ValueError(f"f_sub must vanish at the base point, got {vb!r}")
+        raise ValueError(f"f_sub must vanish at the base point, got {float(vb)!r}")
     v -= vb
 
     L = sub_lipschitz_norm(space, idx, v)
@@ -182,6 +187,8 @@ def mcshane_extend(
         raise ValueError("too large: the Lipschitz constant on the subset overflows")
 
     if floor is not None:
+        if floor.space is not space:
+            raise SpaceMismatch("the floor's space is not the function's")
         g_norm = lipschitz_norm(floor).value
         if g_norm > L * (1.0 + REL_TOL):
             raise FloorNormTooLarge(g_norm, L)

@@ -348,8 +348,14 @@ def snowflake(space: PointedMetricSpace, theta: float) -> PointedMetricSpace:
 
 
 def point_indices(space: PointedMetricSpace, points) -> np.ndarray:
-    """``points`` as ``intp``, or ValueError at one outside 0..n-1, compared before the cast."""
+    """``points`` as ``intp``, or ValueError at a float that is not whole (such as 1.5
+    or nan), then at one outside 0..n-1, both compared before the cast."""
     idx = np.asarray(points)
+    if idx.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):  # nan and inf leave nan
+            fractional = idx[~(idx % 1 == 0)]
+        if fractional.size:
+            raise ValueError(f"point {fractional[0]} is not an integer")
     outside = idx[(idx < 0) | (idx >= space.n)]
     if outside.size:
         raise ValueError(f"point {int(outside[0])} is outside 0..{space.n - 1}")

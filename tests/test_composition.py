@@ -93,6 +93,12 @@ class TestLipschitzMap:
         with pytest.raises(ValueError, match=rf"^point {k} is outside 0\.\.2$"):
             identity_map(path3)(k)
 
+    @pytest.mark.parametrize("k", [1.5, float("nan")])
+    def test_image_entry_that_is_no_integer_rejected(self, path3, k):
+        # (0, 1.5, 2) once became (0, 1, 2)
+        with pytest.raises(ValueError, match=rf"^point {k} is not an integer$"):
+            LipschitzMap(path3, path3, (0, k, 2))
+
     def test_compose_maps(self, path3):
         ident = identity_map(path3)
         collapse = LipschitzMap(path3, path3, (0, 0, 0))

@@ -146,14 +146,6 @@ class TestSpaceFiles:
             load_space(path)
         assert (exc.value.json_path, exc.value.reason) == (f"{path}.{where}", reason)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.5])
-    def test_tol_outside_finite_nonnegatives_refused(self, tmp_path, tol):
-        path = write(tmp_path / "bad.json", {
-            "metric": {"type": "matrix", "d": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}})
-        with pytest.raises(ValueError, match=rf"^tol {tol!r} must be finite and at least 0$"):
-            load_space(path, tol=tol)
-        assert load_space(path, tol=3.0).n == 3
-
     @pytest.mark.parametrize("d, named", [
         ([[0, 1], [True, 0]], "True"),
         ([[0, "1"], [1, 0]], "'1'"),

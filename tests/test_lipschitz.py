@@ -9,6 +9,7 @@ from lipfree.errors import (
     FloorExceedsFunction,
     FloorNormTooLarge,
     NotAnIntervalNet,
+    SpaceMismatch,
 )
 from lipfree.lipschitz import (
     LipschitzFunction,
@@ -327,12 +328,28 @@ class TestMcshaneExtend:
         ([1, 2], [0.0, 1.0], "subset must contain the base point"),
         ([], [], "subset must contain the base point"),
         ([0, 1], [0.0, 1.0, 2.0], "f_sub must align with subset"),
+        # a fraction or nan was once cast, to the point below or to the most negative index
+        ([0.5, 1], [0.0, 1.0], "point 0.5 is not an integer"),
+        ([0, float("nan")], [0.0, 1.0], "point nan is not an integer"),
+        # once refused as an overflow, with constant -inf, or as an overflowing constant
+        ([0, 1, 1], [0.0, 1.0, 1.0], "subset repeats point 1"),
+        ([0, 1, 1], [0.0, 1.0, 2.0], "subset repeats point 1"),
+        ([0, 1], [1.0, 2.0], "f_sub must vanish at the base point, got 1.0"),
     ], ids=["past_n", "negative", "negative_first", "past_n_huge", "no_base", "empty",
-            "misaligned"])
+            "misaligned", "fractional", "nan", "repeated", "repeated_unequal", "base_value"])
     def test_a_subset_or_values_it_cannot_extend_from_are_refused(self, subset, f_sub, reason):
         with pytest.raises(ValueError) as exc:
             mcshane_extend(interval_net(4), subset, f_sub)
         assert str(exc.value) == reason
+
+    def test_a_floor_on_another_space_is_refused(self):
+        # the same matrix with another base point is another space; its
+        # floor was once read by index, and the extension returned
+        three = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        other = validate_space(three.dist, base=1)
+        with pytest.raises(SpaceMismatch, match="^the floor's space is not the function's$"):
+            mcshane_extend(three, [0, 2], [0, 2], floor=LipschitzFunction(other, [0, 1, 2]))
+        assert mcshane_extend(three, [0, 2], [0, 2]).values.tolist() == [0, 1, 2]
 
     def test_subset_must_contain_base(self, path3):
         with pytest.raises(ValueError):

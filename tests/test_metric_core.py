@@ -54,6 +54,15 @@ class TestValidateSpace:
         with pytest.raises(ValueError, match=rf"^point {k} is outside 0\.\.4$"):
             net.d(0, k)
 
+    @pytest.mark.parametrize("k", [0.5, 1.5, float("nan"), float("inf"), -float("inf")])
+    def test_a_point_that_is_no_integer_rejected(self, k):
+        # 1.5 was once cast to 1, and nan to the most negative index
+        net = interval_net(4)
+        with pytest.raises(ValueError, match=rf"^point {k} is not an integer$"):
+            metric_core.point_indices(net, [0, k])
+        assert metric_core.point_indices(net, [0, 2.0]).tolist() == [0, 2]
+        assert metric_core.point_indices(net, []).tolist() == []
+
     def test_triangle_violation_reports_witness(self):
         with pytest.raises(TriangleViolation) as exc:
             validate_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
