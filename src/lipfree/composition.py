@@ -77,9 +77,12 @@ class LipschitzMap:
         object.__setattr__(self, "image", img)
 
     def __call__(self, x: int) -> int:
-        if not 0 <= x < len(self.image):
-            point_indices(self.domain, (x,))  # raises; a negative index is no point
-        return self.image[x]
+        if 0 <= x < len(self.image):  # a negative index is no point
+            try:
+                return self.image[x]
+            except TypeError:  # a float, which point_indices reads or refuses
+                pass
+        return self.image[point_indices(self.domain, (x,))[0]]
 
     def norm_with_witness(self) -> MapNorm:
         return self._norm

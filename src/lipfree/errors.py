@@ -69,23 +69,7 @@ class DisconnectedGraph(InputError):
         super().__init__(f"graph is disconnected: {reason}")
 
 
-# -- functions and extension --------------------------------------------------
-
-class FloorNormTooLarge(InputError):
-    def __init__(self, floor_norm: float, sub_norm: float):
-        super().__init__(
-            f"floor has Lipschitz norm {floor_norm!r} exceeding the "
-            f"subset function norm {sub_norm!r}"
-        )
-
-
-class FloorExceedsFunction(InputError):
-    def __init__(self, point: int, floor_value: float, f_value: float):
-        self.witness = point
-        super().__init__(
-            f"floor({point})={floor_value!r} exceeds f({point})={f_value!r} on the subset"
-        )
-
+# -- functions ----------------------------------------------------------------
 
 class NotAnIntervalNet(InputError):
     def __init__(self):  # an interval net is known by construction, never by its matrix

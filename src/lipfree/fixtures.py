@@ -235,10 +235,11 @@ def _random_table_map(rng: np.random.Generator, domain_n: int,
 
 
 def random_extension_instance(rng: np.random.Generator, n: int):
-    """(space, subset, f_sub, floor-or-None) with valid preconditions.
+    """(space, subset, f_sub, floor-or-None), f_sub vanishing at the base.
 
     Floors are lower inf-convolution envelopes from a random sub-subset,
-    so they sit below the function on the subset with no larger norm.
+    so they sit below the function on the subset with no larger norm,
+    and below its McShane extension everywhere.
     """
     space = random_space(rng, n)
     k = int(rng.integers(2, n + 1))

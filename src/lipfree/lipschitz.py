@@ -14,14 +14,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    AnchorNotOnNet,
-    FloorExceedsFunction,
-    FloorNormTooLarge,
-    NotAnIntervalNet,
-    SpaceMismatch,
-)
-from .metric_core import REL_TOL, PointedMetricSpace, gaps, point_indices, row_blocks
+from .errors import AnchorNotOnNet, NotAnIntervalNet
+from .metric_core import PointedMetricSpace, gaps, point_indices, row_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,19 +148,17 @@ def mcshane_extend(
     space: PointedMetricSpace,
     subset: Sequence[int],
     f_sub: Sequence[float],
-    floor: LipschitzFunction | None = None,
 ) -> LipschitzFunction:
-    """Norm-preserving extension from a subset, optionally above a floor.
+    """Norm-preserving extension from a subset.
 
     The extension is the inf-convolution F(z) = min over subset x of
     f(x) + L d(x, z) with L the Lipschitz norm of f on the sub-metric.
-    F restricts to f exactly and has norm L. When a floor g with
-    ||g|| <= L and g <= f on the subset is supplied, F >= g holds
-    automatically; both preconditions are checked, norms within REL_TOL
-    relative and values within L * space.tol (the base value of f within
-    space.tol), and violations are reported; a floor on another space is
-    SpaceMismatch. A subset that repeats a point, an L, or an F whose values
-    or differences pass the float range, is a ValueError.
+    F restricts to f exactly and has norm L, and is the largest such
+    extension: F >= g for every g of norm at most L with g <= f on the
+    subset (Weaver, *Lipschitz Algebras*, 2nd ed.). A subset without the
+    base point or repeating a point, a base value of f beyond space.tol,
+    or an L or F whose values or differences pass the float range, is a
+    ValueError.
     """
     idx = point_indices(space, subset).tolist()
     if len(set(idx)) < len(idx):
@@ -185,18 +177,6 @@ def mcshane_extend(
     L = sub_lipschitz_norm(space, idx, v)
     if L == np.inf:
         raise ValueError("too large: the Lipschitz constant on the subset overflows")
-
-    if floor is not None:
-        if floor.space is not space:
-            raise SpaceMismatch("the floor's space is not the function's")
-        g_norm = lipschitz_norm(floor).value
-        if g_norm > L * (1.0 + REL_TOL):
-            raise FloorNormTooLarge(g_norm, L)
-        gap = floor.values[idx] - v
-        worst = int(np.argmax(gap))
-        if gap[worst] > L * space.tol:  # a value of an L-Lipschitz function
-            raise FloorExceedsFunction(idx[worst], float(floor.values[idx][worst]),
-                                       float(v[worst]))
 
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the float range
         ext = inf_extension(space, idx, v, L)

@@ -8,16 +8,15 @@ validation's detour pass, the only one, which constructor-built matrices read
 too. Pairwise passes that would otherwise hold an n x n temporary read rows in
 the ranges of :func:`row_blocks`, the one place that sizes one.
 
-Every module follows one tolerance policy, kept here: a distance is
-compared within ``space.tol`` (``REL_TOL`` times the largest distance), a
-value of an L-Lipschitz function within L times that, and a dimensionless
-quantity (a map norm or Lipschitz constant against 1, a face pairing, an LP
-in normalised units, two transport norms) within ``REL_TOL``, so verdicts
-ignore the unit of distance. A caller's ``tol`` only admits a matrix to
-:func:`validate_space`. Three finer constants stay, as ``REL_TOL`` would
-loosen their checks: ``freespace.ZERO_SUM_REL`` admits a vector's sum, the
-simplex's 2e-13 pivot fixes the optimum the dual must match, and the vertex
-LP's 1e-10 weight cut keeps certificates that rebuild their molecule.
+Every module follows one tolerance policy, kept here: a distance, and a
+function's base value, is compared within ``space.tol`` (``REL_TOL`` times the
+largest distance), and a dimensionless quantity (a map norm or Lipschitz
+constant against 1, a face pairing, an LP in normalised units, two transport
+norms) within ``REL_TOL``, so verdicts ignore the unit of distance. Three
+finer constants stay, as ``REL_TOL`` would loosen their checks:
+``freespace.ZERO_SUM_REL`` admits a vector's sum, the simplex's 2e-13 pivot
+fixes the optimum the dual must match, and the vertex LP's 1e-10 weight cut
+keeps certificates that rebuild their molecule.
 """
 
 from __future__ import annotations
@@ -85,9 +84,12 @@ class PointedMetricSpace:
 
     def d(self, i: int, j: int) -> float:
         n = len(self.dist)
-        if not (0 <= i < n and 0 <= j < n):
-            point_indices(self, (i, j))  # raises; a negative index is no point
-        return float(self.dist[i, j])
+        if 0 <= i < n and 0 <= j < n:  # a negative index is no point
+            try:
+                return self.dist.item(i, j)
+            except TypeError:  # a bool or a float, which point_indices reads or refuses
+                pass
+        return self.dist.item(*point_indices(self, (i, j)).tolist())
 
     def pairs(self) -> Iterator["PointPair"]:
         """All ordered-up-to-sign pairs (i < j)."""
@@ -120,22 +122,18 @@ def validate_space(
     base: int = 0,
     labels: Sequence[str] | None = None,
     meta: Mapping[str, Any] | None = None,
-    tol: float | None = None,
 ) -> PointedMetricSpace:
     """Check the metric axioms of a copy of the matrix and wrap it in a space.
 
     One min-plus pass over the detours of the pairs x < y checks the triangle
-    inequality within ``REL_TOL * max(d)`` or an explicit absolute ``tol``,
-    finite and at least 0 (else ValueError), and marks the space's vertex pairs
-    within ``space.tol``, whatever ``tol`` admitted the matrix. A violation is
-    reported as the triple (i, j, k) of the first third point j that breaks a
-    pair and the first pair (i, k) it breaks; nothing is repaired. A matrix not
-    square or of fewer than two points, or a label list of the wrong length,
-    is malformed input at its path in a space file (``metric.d`` or ``labels``),
-    as is a distance above half the largest float, since two of them sum to inf.
+    inequality and marks the space's vertex pairs, both within ``space.tol``,
+    ``REL_TOL * max(d)``. A violation is reported as the triple (i, j, k) of
+    the first third point j that breaks a pair and the first pair (i, k) it
+    breaks; nothing is repaired. A matrix not square or of fewer than two
+    points, or a label list of the wrong length, is malformed input at its path
+    in a space file (``metric.d`` or ``labels``), as is a distance above half
+    the largest float, since two of them sum to inf.
     """
-    if tol is not None and not 0 <= tol < np.inf:
-        raise ValueError(f"tol {tol!r} must be finite and at least 0")
     d = np.array(dist, dtype=float)  # the caller's array stays theirs, and writeable
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise MalformedInput("metric.d", f"expected a square matrix, got shape {d.shape}")
@@ -163,8 +161,7 @@ def validate_space(
     top = float(d.max())
     if 2 * top == np.inf:  # checked before any distances are summed
         raise MalformedInput("metric.d", f"{top!r} is too large: sums overflow")
-    if tol is None:
-        tol = REL_TOL * top
+    tol = REL_TOL * top
     zero = d.diagonal().copy()  # 0.0 or -0.0, restored bitwise
     np.fill_diagonal(d, np.inf)  # so z = x and z = y never win a detour's minimum
     vertex = np.zeros((n, n), dtype=bool)
@@ -184,7 +181,7 @@ def validate_space(
                     i, k = (int(v) for v in bad[0])
                     raise TriangleViolation(i, j, k, float(d[i, k]), float(d[i, j]),
                                             float(d[j, k]), tol)
-        vertex[r0:r1, r0:] = through > d[r0:r1, r0:] + REL_TOL * top  # space.tol, whatever tol
+        vertex[r0:r1, r0:] = through > d[r0:r1, r0:] + tol
 
     labels = tuple(f"p{i}" for i in range(n)) if labels is None else tuple(labels)
     space = PointedMetricSpace(labels, base, d, dict(meta or {}))
@@ -227,8 +224,8 @@ def vertex_pairs(space: PointedMetricSpace) -> np.ndarray:
             through[k, xs] = through[k, ys] = np.inf  # z outside {x, y}
             found.append(edges[p0:p1][through.min(axis=1) > d[xs, ys] + space.tol])
         return np.concatenate(found)
-    if mask is None:  # validation's own mask; a tol of the diameter admits any triangle
-        mask = validate_space(d, space.base, tol=space.diameter)._vertex_mask
+    if mask is None:  # the mask of validation's pass, which checks the constructor's proof
+        mask = validate_space(d, space.base)._vertex_mask
     return np.argwhere(np.triu(mask, k=1))
 
 

@@ -284,14 +284,16 @@ def criterion_5_molecule_distance_bound() -> dict:
 
 
 def criterion_6_extension_exactness() -> dict:
-    """200 random extension instances: restriction, norm, floor, idempotence."""
+    """200 random extension instances: restriction, norm, floor, and that
+    re-extending from the subset and its first other point changes nothing."""
     started = time.perf_counter()
     rng = np.random.default_rng(1006)
     failures = []
+    re_extended = 0
     for k in range(200):
         space, subset, f_sub, floor = random_extension_instance(
             rng, int(rng.integers(3, 11)))
-        ext = mcshane_extend(space, subset, f_sub, floor=floor)
+        ext = mcshane_extend(space, subset, f_sub)
         restricted = ext.values[subset]
         if not np.array_equal(restricted, np.asarray(f_sub, dtype=float)):
             failures.append([k, "restriction"])
@@ -301,13 +303,18 @@ def criterion_6_extension_exactness() -> dict:
             failures.append([k, "norm", lipschitz_norm(ext).value, L])
         if floor is not None and np.any(floor.values - ext.values > 1e-9):
             failures.append([k, "floor"])
-        again = mcshane_extend(space, subset, f_sub, floor=ext)
-        if not np.array_equal(again.values, ext.values):
-            failures.append([k, "idempotence"])
+        z = next((p for p in range(space.n) if p not in subset), None)
+        if z is not None:
+            wider = sorted(subset + [z])
+            again = mcshane_extend(space, wider, ext.values[wider])
+            re_extended += 1
+            if np.any(np.abs(again.values - ext.values) > L * space.tol):
+                failures.append([k, "re-extension", z])
     return {
         "criterion": 6,
         "name": "inf-convolution extension exactness",
         "instances": 200,
+        "re_extended": re_extended,
         "failures": failures,
         "runtime_s": time.perf_counter() - started,
         "passed": not failures,

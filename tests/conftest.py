@@ -41,6 +41,13 @@ def brute_vertices(space):
     return np.argwhere(np.triu(through.min(axis=1) > d + space.tol, k=1))
 
 
+def triangle_defect(d):
+    """The largest d[i, k] - fl(d[i, j] + d[j, k]) over the whole (i, j, k)
+    tensor: 0 (at j = i) when every triangle holds in floating point."""
+    d = np.asarray(d)
+    return float((d[:, None, :] - (d[:, :, None] + d[None, :, :])).max())
+
+
 def whole_quotients(num, den):
     """num / den over one whole matrix, -1 on the diagonal."""
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.optimize
-from conftest import brute_vertices
+from conftest import brute_vertices, scaled
 from hypothesis import given, settings, strategies as st
 
 from lipfree import freespace, metric_core
@@ -36,6 +36,7 @@ from lipfree.freespace import (
 from lipfree.lipschitz import LipschitzFunction, lipschitz_norm
 from lipfree.metric_core import (
     REL_TOL,
+    PointedMetricSpace,
     PointPair,
     circle_net,
     from_weighted_graph,
@@ -488,26 +489,54 @@ class TestSpaceVertices:
         spaces += [interval_net(49), circle_net(50), line_net([0, 1e-12, 2e-12, 1, 2]),
                    tripod(1.0, 4).space, snowflake(tripod(1.0, 3).space, 0.6)]
         monkeypatch.setattr(metric_core, "BLOCK", block)
-        admitted = 0
+        refused = 0
         for space in spaces:
-            checked = [validate_space(space.dist)]
+            valid = validate_space(space.dist)
+            found = valid.vertices
+            assert found.dtype == np.intp and found.shape[1] == 2
+            assert not found.flags.writeable
+            assert extreme_molecules(valid) is found
+            assert np.array_equal(found, brute_vertices(valid))
+            assert np.array_equal(found, dataclasses.replace(valid).vertices)
             if space.n > 2:
-                # d(0, 1) above d(0, 2) + d(2, 1) by half the diameter: only a
-                # caller's tol admits it, and space.tol still decides the vertices
+                # d(0, 1) above d(0, 2) + d(2, 1) by half the diameter
                 d = space.dist.copy()
                 d[0, 1] = d[1, 0] = d[0, 2] + d[2, 1] + space.diameter / 2
                 with pytest.raises(TriangleViolation):
                     validate_space(d)
-                checked.append(validate_space(d, tol=float(d.max())))
-                admitted += 1
-            for valid in checked:
-                found = valid.vertices
-                assert found.dtype == np.intp and found.shape[1] == 2
-                assert not found.flags.writeable
-                assert extreme_molecules(valid) is found
-                assert np.array_equal(found, brute_vertices(valid))
-                assert np.array_equal(found, dataclasses.replace(valid).vertices)
-        assert admitted > 20
+                refused += 1
+        assert refused > 20
+
+    @pytest.mark.parametrize("family", ["circle", "snowflake_of_random", "snowflake_of_tripod",
+                                        "scaled"])
+    def test_constructor_matrices_pass_the_triangle_check(self, family):
+        # the pass that marks their vertices checks the triangles each constructor proved
+        rng = np.random.default_rng(47)
+        spaces = {
+            "circle": lambda: [circle_net(n) for n in range(3, 65)],
+            "snowflake_of_random": lambda: [
+                snowflake(random_space(rng, int(rng.integers(3, 12))), float(rng.uniform(0.1, 1)))
+                for _ in range(30)],
+            "snowflake_of_tripod": lambda: [snowflake(tripod(1.0, k).space, theta)
+                                            for k in (1, 3, 6) for theta in (0.3, 0.6, 0.9)],
+            "scaled": lambda: [scaled(random_space(rng, int(rng.integers(3, 12))), s)
+                               for s in (1e-12, 1e-6, 1e6, 1e12) for _ in range(8)],
+        }[family]()
+        for space in spaces:
+            assert space.edges is None and space._vertex_mask is None
+            assert np.array_equal(space.vertices, brute_vertices(space))
+
+    def test_a_constructor_matrix_that_breaks_a_triangle_is_refused(self):
+        # vertex enumeration checks the triangles of a matrix no validation
+        # read; a tolerance of the diameter once admitted d(0, 2) = 5 > 1 + 1
+        bad = PointedMetricSpace(("a", "b", "c"), 0, np.array([[0, 1, 5], [1, 0, 1], [5, 1, 0]]))
+        with pytest.raises(TriangleViolation) as exc:
+            bad.vertices
+        assert exc.value.witness == (0, 1, 2) and exc.value.tol == bad.tol
+        # a defect within space.tol is admitted, and leaves the middle point between
+        close = PointedMetricSpace(("a", "b", "c"), 0,
+                                   np.array([[0, 1, 2 + 1e-9], [1, 0, 1], [2 + 1e-9, 1, 0]]))
+        assert close.vertices.tolist() == [[0, 1], [1, 2]]
 
     def test_a_space_without_vertices_is_refused(self):
         # every pair has a point within 1e-9 of between; the closest lie 1e-12 apart
@@ -618,21 +647,21 @@ class TestEdgeEnumeration:
         assert peak < 8 * 2 ** 20
 
     def test_snowflake_of_a_tripod_reads_rows(self, monkeypatch):
-        # a matrix a constructor proved reads the admission pass, once, at a
-        # tol of its diameter, which admits any triangle
+        # a matrix a constructor proved reads the admission pass, once, at
+        # the default tolerance, the space's own
         passes = []
         real = metric_core.validate_space
 
-        def counted(d, base, tol):
-            passes.append((len(d), base, tol))
-            return real(d, base, tol=tol)
+        def counted(*args, **kwargs):
+            passes.append((len(args[0]), *args[1:], kwargs))
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(metric_core, "validate_space", counted)
         for k in (1, 3, 6):
             flake = snowflake(tripod(1.0, k).space, 0.6)
             passes.clear()
             found = extreme_molecules(flake)
-            assert passes == [(flake.n, flake.base, flake.diameter)]
+            assert passes == [(flake.n, flake.base, {})]
             assert np.array_equal(found, brute_vertices(flake))
 
 

@@ -4,13 +4,7 @@ from conftest import first_maximum, integer_space, whole_quotients
 from hypothesis import given, settings, strategies as st
 
 from lipfree import metric_core
-from lipfree.errors import (
-    AnchorNotOnNet,
-    FloorExceedsFunction,
-    FloorNormTooLarge,
-    NotAnIntervalNet,
-    SpaceMismatch,
-)
+from lipfree.errors import AnchorNotOnNet, NotAnIntervalNet
 from lipfree.lipschitz import (
     LipschitzFunction,
     inf_extension,
@@ -257,11 +251,11 @@ class TestMcshaneExtend:
         ext = mcshane_extend(path3, [0, 1], [0.0, 1.0])
         assert ext.values[2] == 2.0
 
-    def test_inactive_floor_changes_nothing(self, path3):
-        floor = LipschitzFunction(path3, np.zeros(3))
-        ext = mcshane_extend(path3, [0, 1], [0.0, 1.0], floor=floor)
+    def test_the_extension_clears_a_function_below_it(self, path3):
+        # 0 has norm 0 <= 1 and lies below (0, 1) on the subset
+        ext = mcshane_extend(path3, [0, 1], [0.0, 1.0])
         assert ext.values[2] == 2.0
-        assert np.all(ext.values >= floor.values - path3.tol)
+        assert np.all(ext.values >= 0.0)
 
     def test_restriction_is_exact_and_norm_preserved(self):
         rng = np.random.default_rng(11)
@@ -276,22 +270,11 @@ class TestMcshaneExtend:
         )
         assert lipschitz_norm(ext).value == pytest.approx(sub_norm, abs=1e-12)
 
-    def test_idempotent_with_self_floor(self, path3):
-        ext = mcshane_extend(path3, [0, 1], [0.0, 1.0])
-        again = mcshane_extend(path3, [0, 1], [0.0, 1.0], floor=ext)
+    def test_re_extending_from_a_wider_subset_changes_nothing(self):
+        ext = mcshane_extend(interval_net(4), [0, 2], [0.0, 1.0])
+        assert ext.values.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+        again = mcshane_extend(interval_net(4), [0, 2, 4], ext.values[[0, 2, 4]])
         assert np.array_equal(ext.values, again.values)
-
-    def test_floor_norm_too_large(self, path3):
-        steep = LipschitzFunction(path3, [0.0, -3.0, -6.0])
-        with pytest.raises(FloorNormTooLarge):
-            mcshane_extend(path3, [0, 1], [0.0, 1.0], floor=steep)
-
-    def test_floor_above_function(self, path3):
-        # norm 0.2 floor sitting above f_sub at point 2
-        high = LipschitzFunction(path3, [0.0, 0.2, 0.1], normalize=False)
-        with pytest.raises(FloorExceedsFunction) as exc:
-            mcshane_extend(path3, [0, 2], [0.0, -0.4], floor=high)
-        assert exc.value.witness == 2
 
     def test_an_overflowing_extension_is_refused(self, path3):
         # constant 1e308: F(2) = min(0 + 1e308 * 2, -1e308 + 1e308 * 1) overflows
@@ -342,13 +325,12 @@ class TestMcshaneExtend:
             mcshane_extend(interval_net(4), subset, f_sub)
         assert str(exc.value) == reason
 
-    def test_a_floor_on_another_space_is_refused(self):
-        # the same matrix with another base point is another space; its
-        # floor was once read by index, and the extension returned
+    def test_a_floor_or_a_tolerance_is_no_argument(self):
+        # a floor never changed the extension, which is the largest of its norm
         three = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        other = validate_space(three.dist, base=1)
-        with pytest.raises(SpaceMismatch, match="^the floor's space is not the function's$"):
-            mcshane_extend(three, [0, 2], [0, 2], floor=LipschitzFunction(other, [0, 1, 2]))
+        for extra in ({"floor": LipschitzFunction(three, np.zeros(3))}, {"tol": 0.6}):
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                mcshane_extend(three, [0, 2], [0, 2], **extra)
         assert mcshane_extend(three, [0, 2], [0, 2]).values.tolist() == [0, 1, 2]
 
     def test_subset_must_contain_base(self, path3):
@@ -378,21 +360,6 @@ class TestMcshaneExtend:
         ext = mcshane_extend(net, [0], [0.0])
         assert np.array_equal(ext.values, np.zeros(5))
         assert lipschitz_norm(ext).value == 0.0
-        zero = LipschitzFunction(net, np.zeros(5))
-        assert np.array_equal(mcshane_extend(net, [0], [0.0], floor=zero).values, np.zeros(5))
-        with pytest.raises(FloorNormTooLarge):
-            mcshane_extend(net, [0], [0.0], floor=LipschitzFunction(net, [0.0, 0, 0, 0, 0.1]))
-
-    def test_floor_values_compared_within_the_space_tolerance(self):
-        # f = (0, 1, 1) lies 0.5 below the floor (0, 1, 1.5) at point 2;
-        # no caller tolerance can excuse that
-        line = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        floor = LipschitzFunction(line, [0.0, 1.0, 1.5])
-        with pytest.raises(FloorExceedsFunction) as exc:
-            mcshane_extend(line, [0, 1, 2], [0.0, 1.0, 1.0], floor=floor)
-        assert exc.value.witness == 2
-        with pytest.raises(TypeError):
-            mcshane_extend(line, [0, 1, 2], [0.0, 1.0, 1.0], floor=floor, tol=0.6)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -400,10 +367,11 @@ class TestMcshaneExtend:
     [None, "zero", "scaled"]), k=st.floats(0, 2), shift=st.floats(0, 2))
 def test_an_extension_restricts_exactly_keeps_its_norm_and_clears_its_floor(seed, size, floor,
                                                                             k, shift):
-    """On a random space, subset and values, with no floor, the zero floor
-    or a scaled and lowered copy of the plain extension, mcshane_extend
-    either refuses the floor for a stated fault or returns an extension
-    equal to the values on the subset, of their norm, and above the floor."""
+    """On a random space, subset and values, mcshane_extend returns an
+    extension equal to the values on the subset, of their norm, and above
+    the floor, the zero function or a scaled and lowered copy of the plain
+    extension, wherever that floor is of no larger norm and lies below
+    the values on the subset."""
     rng = np.random.default_rng(seed)
     space = random_space(rng, 7)
     subset = [space.base, *(int(i) for i in rng.permutation(
@@ -416,18 +384,11 @@ def test_an_extension_restricts_exactly_keeps_its_norm_and_clears_its_floor(seed
         plain = mcshane_extend(space, subset, f_sub)
         values = np.zeros(space.n) if floor == "zero" else k * plain.values - shift * L
         g = LipschitzFunction(space, values)
-    try:
-        ext = mcshane_extend(space, subset, f_sub, floor=g)
-    except FloorNormTooLarge as exc:
-        assert lipschitz_norm(g).value > L and "exceeding the subset" in str(exc)
-        return
-    except FloorExceedsFunction as exc:
-        at = subset.index(exc.witness)
-        assert g.values[exc.witness] > f_sub[at]
-        return
+    ext = mcshane_extend(space, subset, f_sub)
     assert ext.values[subset].tolist() == f_sub.tolist()
     assert lipschitz_norm(ext).value == pytest.approx(L, rel=1e-12, abs=1e-12)
-    if g is not None:
+    if (g is not None and lipschitz_norm(g).value <= L * (1 + metric_core.REL_TOL)
+            and np.all(g.values[subset] - f_sub <= L * space.tol)):
         assert np.all(ext.values >= g.values - 1e-9 * (L * space.diameter + 1))
 
 

@@ -2,6 +2,7 @@ import inspect
 
 import numpy as np
 import pytest
+from conftest import triangle_defect
 from hypothesis import given, settings, strategies as st
 
 from lipfree.errors import (
@@ -15,6 +16,7 @@ from lipfree.errors import (
     ZeroDistanceDistinctPoints,
 )
 from lipfree import metric_core
+from lipfree.composition import identity_map
 from lipfree.fixtures import circle_geodesic, line_net, random_space, tripod
 from lipfree.freespace import extreme_molecules
 from lipfree.metric_core import (
@@ -56,26 +58,45 @@ class TestValidateSpace:
 
     @pytest.mark.parametrize("k", [0.5, 1.5, float("nan"), float("inf"), -float("inf")])
     def test_a_point_that_is_no_integer_rejected(self, k):
-        # 1.5 was once cast to 1, and nan to the most negative index
+        # 1.5 was once cast to 1, and nan to the most negative index; a
+        # distance to 1.5 or the image of 1.5 once raised IndexError or TypeError
         net = interval_net(4)
-        with pytest.raises(ValueError, match=rf"^point {k} is not an integer$"):
-            metric_core.point_indices(net, [0, k])
+        phi = identity_map(net)
+        for call in (lambda: metric_core.point_indices(net, [0, k]), lambda: net.d(0, k),
+                     lambda: net.d(k, 0), lambda: phi(k)):
+            with pytest.raises(ValueError, match=rf"^point {k} is not an integer$"):
+                call()
         assert metric_core.point_indices(net, [0, 2.0]).tolist() == [0, 2]
         assert metric_core.point_indices(net, []).tolist() == []
+        # a whole float or a bool reads as point_indices reads it
+        assert metric_core.point_indices(net, [0, True]).tolist() == [0, 1]
+        assert (net.d(0, 2.0), net.d(np.float64(2.0), 0), phi(2.0)) == (0.5, 0.5, 2)
+        assert (net.d(0, True), net.d(np.True_, 0), phi(True)) == (0.25, 0.25, 1)
+
+    @pytest.mark.parametrize("kind", [int, np.int8, np.int16, np.int32, np.int64, np.uint8,
+                                      np.uint64])
+    def test_a_point_of_any_integer_kind_is_read(self, kind):
+        # an integer takes the range test alone, and reads the matrix entry
+        net = interval_net(4)
+        phi = identity_map(net)
+        for i in range(5):
+            assert phi(kind(i)) == i
+            for j in range(5):
+                assert net.d(kind(i), kind(j)) == net.dist[i, j]
 
     def test_triangle_violation_reports_witness(self):
         with pytest.raises(TriangleViolation) as exc:
             validate_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
         assert exc.value.witness == (0, 1, 2)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -0.5, -1e-300])
-    def test_tol_outside_finite_nonnegatives_refused(self, tol):
-        # nan and inf once admitted this d(0, 2) = 5 > 1 + 1, and -0.5 named
-        # d[0][0] = 0 as a triangle violation at (0, 0, 0)
-        with pytest.raises(ValueError, match=rf"^tol {tol!r} must be finite and at least 0$"):
-            validate_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]], tol=tol)
-        with pytest.raises(ValueError, match=r"^tol "):
-            validate_space([[0, 1], [1, 0]], tol=tol)
+    def test_a_tolerance_is_no_argument(self):
+        # every matrix is admitted at its own space.tol; a caller's tol once
+        # admitted this d(0, 2) = 5 > 1 + 1
+        bad = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
+        with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
+            validate_space(bad, tol=5.0)
+        with pytest.raises(TypeError, match="positional arguments"):
+            validate_space(bad, 0, None, None, 5.0)
 
     def test_no_option_skips_the_triangle_check(self):
         # an edge list once let any caller skip it, and this d(0, 2) = 5 > 1 + 1
@@ -298,13 +319,13 @@ class TestFromWeightedGraph:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(2, 8), st.randoms(use_true_random=False))
     def test_output_is_exactly_metric(self, n, rnd):
-        # shortest-path output must pass validation with zero tolerance
+        # every triangle of the shortest-path output holds with no tolerance
         edges = [(rnd.randrange(v), v, 0.25 + rnd.random()) for v in range(1, n)]
         edges += [(rnd.randrange(n), rnd.randrange(n), 0.25 + rnd.random())
                   for _ in range(n)]
         edges = [(i, j, w) for i, j, w in edges if i != j]
         space = from_weighted_graph(n, edges)
-        validate_space(space.dist, tol=0.0)
+        assert triangle_defect(space.dist) <= 0.0
 
     def test_closure_of_near_degenerate_graphs_is_within_the_bound(self, monkeypatch):
         # the closure's rounding bound stands in for the triangle pass, so
@@ -475,7 +496,7 @@ class TestSnowflake:
     def test_output_is_exactly_metric(self, n, theta, rnd):
         edges = [(rnd.randrange(v), v, 0.5 + rnd.random()) for v in range(1, n)]
         space = from_weighted_graph(n, edges)
-        validate_space(snowflake(space, theta).dist, tol=0.0)
+        assert triangle_defect(snowflake(space, theta).dist) <= 0.0
 
     def test_exponent_range_enforced(self):
         space = validate_space([[0, 1], [1, 0]])

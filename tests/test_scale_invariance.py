@@ -12,7 +12,7 @@ import pytest
 from conftest import scaled
 
 from lipfree.composition import LipschitzMap, certify_isometry
-from lipfree.errors import FloorExceedsFunction, FloorNormTooLarge, MapNormExceedsOne
+from lipfree.errors import MapNormExceedsOne
 from lipfree.fixtures import (
     line_net,
     random_extension_instance,
@@ -20,7 +20,7 @@ from lipfree.fixtures import (
     random_space,
 )
 from lipfree.freespace import extreme_molecules, is_extreme_molecule
-from lipfree.lipschitz import LipschitzFunction, mcshane_extend
+from lipfree.lipschitz import mcshane_extend, sub_lipschitz_norm
 from lipfree.metric_core import REL_TOL, PointPair, validate_space
 
 SPACE_SCALES = (1e-9, 1e-3, 1e3, 1e9)
@@ -102,35 +102,29 @@ def test_norm_above_one_is_rejected_at_every_scale(s):
 
 
 @pytest.mark.parametrize("s", MAP_SCALES)
-def test_floor_norm_is_compared_relatively(s):
-    """The seeded floors attain the function's norm, so scaling them by
-    s keeps them admissible, and raising them by 1e-6 does not."""
+def test_an_extension_clears_its_floor_at_every_scale(s):
+    """The seeded floors lie below the function on the subset with no
+    larger norm, so with both scaled by s the extension stays above the
+    floor, within its norm times space.tol."""
     rng = np.random.default_rng(93)
     checked = 0
     for _ in range(60):
         space, subset, f_sub, floor = random_extension_instance(rng, int(rng.integers(3, 8)))
         if floor is None:
             continue
-        mcshane_extend(space, subset, s * f_sub,
-                       floor=LipschitzFunction(space, s * floor.values, normalize=False))
-        with pytest.raises(FloorNormTooLarge):
-            mcshane_extend(space, subset, s * f_sub, floor=LipschitzFunction(
-                space, (1.0 + 1e-6) * s * floor.values, normalize=False))
+        ext = mcshane_extend(space, subset, s * f_sub)
+        L = sub_lipschitz_norm(space, subset, s * f_sub)
+        assert np.all(ext.values >= s * floor.values - L * space.tol)
         checked += 1
     assert checked > 20
 
 
-@pytest.mark.parametrize("s", MAP_SCALES)
-@pytest.mark.parametrize("excess,admitted", [(1e-12, True), (1e-6, False)])
-def test_floor_values_are_compared_relatively(s, excess, admitted):
-    """f is s * (0, 1, 1) on {0, 1, 3} of the line {0, 1, 2, 3}, so its
-    norm is s; the floor, of norm about s / 2, exceeds it at point 3 by
-    s * excess. Values are compared within the norm times space.tol."""
-    space = line_net([0.0, 1.0, 2.0, 3.0])
-    floor = LipschitzFunction(space, s * np.array([0.0, 0.5, 1.0, 1.0 + excess]),
-                              normalize=False)
-    if admitted:
-        mcshane_extend(space, [0, 1, 3], s * np.array([0.0, 1.0, 1.0]), floor=floor)
-    else:
-        with pytest.raises(FloorExceedsFunction):
-            mcshane_extend(space, [0, 1, 3], s * np.array([0.0, 1.0, 1.0]), floor=floor)
+@pytest.mark.parametrize("s", SPACE_SCALES)
+def test_a_base_value_is_compared_within_the_space_tolerance(s):
+    """The one function value compared with a bound: f's value at the base
+    point is subtracted within space.tol and refused beyond it."""
+    space = line_net([0.0, s, 2 * s])
+    ext = mcshane_extend(space, [0, 2], [0.5 * space.tol, s])
+    assert (ext.values[0], ext.values[2]) == (0.0, s - 0.5 * space.tol)
+    with pytest.raises(ValueError, match="^f_sub must vanish at the base point, got "):
+        mcshane_extend(space, [0, 2], [2 * space.tol, s])
