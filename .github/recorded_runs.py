@@ -87,7 +87,7 @@ CASES = [
      "verdict"),
     *((f"`lipfree experiment geodesic` of a `builtin:{name}` mesh-{mesh} map file into "
        f"`interval_net({mesh})`",
-       f"experiment geodesic --space {{dir}}/net{mesh}.json --map file:{{dir}}/{name}{mesh}.json",
+       f"experiment geodesic --space {{dir}}/net{mesh}.json --map {{dir}}/{name}{mesh}.json",
        "verdict") for name, mesh in (("fold", 256), ("identity", 2048))),
 ]
 

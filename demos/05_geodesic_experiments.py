@@ -24,9 +24,9 @@ from lipfree.fixtures import builtin_map, circle_geodesic, tripod
 
 print("== the tripod's inverse projection, by hand ==")
 gs = tripod()
-proj = inverse_projection(gs, PointPair(1, 2))
+proj = inverse_projection(gs, PointPair(1, 2))  # computed when the path was admitted
 for i, label in enumerate(gs.space.labels):
-    print(f"  P({label}) = {proj.function.values[i]}")
+    print(f"  P({label}) = {proj.values[i]}")
 print("the third leaf lands at min over path points of arclength + distance"
       " = 1 + 1 = 2, clamped to the path length 2")
 

@@ -56,13 +56,11 @@ from .composition import (
 )
 from .geodesic import (
     DiscretizedGeodesicSpace,
-    InverseProjection,
     check_geodesic_necessary,
     check_geodesic_sufficient,
     check_interval_necessary,
     check_interval_sufficient,
     inverse_projection,
-    straight_path_check,
 )
 
 __version__ = "0.1.0"
@@ -77,8 +75,7 @@ __all__ = [
     "LipschitzMap", "IsometryCertificate", "AgreementReport", "identity_map",
     "compose", "compose_maps", "push_forward", "operator_norm",
     "certify_isometry", "certify_isometry_dual", "certify_isometry_primal",
-    "DiscretizedGeodesicSpace", "InverseProjection", "straight_path_check",
-    "inverse_projection", "check_interval_necessary", "check_interval_sufficient",
-    "check_geodesic_necessary", "check_geodesic_sufficient",
+    "DiscretizedGeodesicSpace", "inverse_projection", "check_interval_necessary",
+    "check_interval_sufficient", "check_geodesic_necessary", "check_geodesic_sufficient",
     "__version__",
 ]

@@ -75,15 +75,6 @@ def _certify(phi: LipschitzMap, tolerances, method="both"):
     return cert.to_dict(), operator_norm(phi)
 
 
-def _check_numeric_flags(args) -> None:
-    """Reject a ``--mesh`` below 1, or from 2**53 on, where a net's coordinates
-    k/n are no longer exact."""
-    mesh = getattr(args, "mesh", None)
-    if mesh is not None and not 1 <= mesh < 2**53:
-        bound = f"below {2**53}" if mesh >= 2**53 else "at least 1"
-        raise MalformedInput("--mesh", f"{mesh!r} must be finite and {bound}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lipfree",
@@ -134,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--map", required=True, dest="map_spec",
                     help="file path or builtin:identity")
     common(pg, _cmd_experiment)
-    pg.set_defaults(command="experiment.geodesic", mesh=None)
+    pg.set_defaults(command="experiment.geodesic")
 
     return parser
 
@@ -214,15 +205,18 @@ def _cmd_isometry(args):
 
 
 def _cmd_experiment(args):
-    """``--map`` is builtin:NAME, file:PATH or a bare path. Without ``--space``
-    it is an interval builtin at ``--mesh``, whose coordinate projects its one
-    path; into a geodesic space it is identity or a file map, read through
-    each stored path's inverse projection. A builtin's name is checked before
-    any file is read."""
+    """``--map`` is builtin:NAME or a path (``./builtin:x`` names such a file).
+    Without ``--space`` it is an interval builtin at ``--mesh`` (from 1 to below
+    2**53, past which a net's coordinates k/n are not exact), whose coordinate
+    projects its one path; into a geodesic space it is identity or a file map,
+    read through each stored path's inverse projection. ``--mesh``, then a
+    builtin's name, is checked before any file is read."""
+    if args.space is None and not 1 <= args.mesh < 2**53:
+        bound = f"below {2**53}" if args.mesh >= 2**53 else "at least 1"
+        raise MalformedInput("--mesh", f"{args.mesh!r} must be finite and {bound}")
     names = BUILTIN_MAPS if args.space is None else ("identity",)
     builtin = args.map_spec.startswith("builtin:")
-    name = (args.map_spec.split(":", 1)[1]
-            if builtin or args.map_spec.startswith("file:") else args.map_spec)
+    name = args.map_spec.split(":", 1)[1] if builtin else args.map_spec
     if builtin and name not in names:
         raise MalformedInput("--map", f"unknown builtin map {name!r}; choose from "
                              + ", ".join(f"builtin:{known}" for known in names))
@@ -259,7 +253,6 @@ def run(argv: list[str] | None = None) -> int:
     inputs: list[dict] = []
     collecting = READS.set(inputs)
     try:
-        _check_numeric_flags(args)
         tolerances, results = args.handler(args)
     except MethodDisagreement as exc:
         report = _envelope(args.command, argv, inputs, exc.tolerances, exc.results, started)

@@ -118,13 +118,19 @@ def operator_norm(phi: LipschitzMap) -> float:
 def push_forward(phi: LipschitzMap, mu: FreeVector) -> FreeVector:
     """Image of a zero-sum vector under the map's linearization.
 
-    Coefficients are aggregated over fibers; the zero sum is preserved
-    and the operation is linear in the vector.
+    Coefficients are aggregated over fibers, and the total's rounding residue,
+    summed in units of 2**e as :class:`FreeVector` does, is placed on the
+    codomain's base point, which leaves the pairing with every function
+    vanishing there unchanged. A fibre total past the float range is refused
+    as not finite.
     """
     if mu.space is not phi.domain:
         raise SpaceMismatch("vector does not live over the map's domain")
     out = np.zeros(phi.codomain.n)
-    np.add.at(out, np.asarray(phi.image), mu.coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the float range
+        np.add.at(out, np.asarray(phi.image), mu.coeffs)
+        e = int(np.frexp(np.abs(out).max())[1])
+        out[phi.codomain.base] -= np.ldexp(np.ldexp(out, -e).sum(), e)
     return FreeVector(phi.codomain, out)
 
 

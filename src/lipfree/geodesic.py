@@ -4,7 +4,9 @@ A discretized geodesic space is a graph-metric space together with
 explicitly stored straight paths: point sequences without repeats whose
 arclength differences match their pairwise distances in ratio, i.e.
 discrete isometric embeddings of an interval. Paths are pinned as data
-rather than recomputed so that every experiment is reproducible.
+rather than recomputed so that every experiment is reproducible, and each
+is projected once, on admission: its inverse projection, a norm-one
+function undoing its arclength, is what the geodesic checks read.
 
 An interval net is the model case: its one path 0..n projects to the
 coordinate, which the interval checks pass in closed form to the bodies
@@ -24,7 +26,7 @@ checks' ``r`` is the one override left. The reports record both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -39,11 +41,6 @@ from .lipschitz import (
     quotients,
 )
 from .metric_core import REL_TOL, PointedMetricSpace, PointPair, gaps, point_indices, row_blocks
-
-
-class StraightPathReport(NamedTuple):
-    ok: bool
-    defect: float
 
 
 def _straightness(space: PointedMetricSpace, candidate: Sequence[int]) -> tuple[float, float]:
@@ -63,17 +60,29 @@ def _straightness(space: PointedMetricSpace, candidate: Sequence[int]) -> tuple[
     return defect, constant
 
 
-def straight_path_check(space: PointedMetricSpace,
-                        candidate: Sequence[int]) -> StraightPathReport:
-    """Is the point sequence a discrete isometric embedding of an interval?
-    It is when the :func:`_straightness` defect is within ``REL_TOL``, as
-    the inverse projection's norm check needs."""
-    defect = _straightness(space, candidate)[0]
-    return StraightPathReport(defect <= REL_TOL, defect)
-
-
 def _cumulative(space: PointedMetricSpace, pts: Sequence[int]) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(space.dist[pts[:-1], pts[1:]])])
+
+
+def _project(space: PointedMetricSpace, pts: tuple[int, ...], constant: float) -> LipschitzFunction:
+    """A straight path's inverse projection: the largest extension of its
+    arclength with the path's own Lipschitz ``constant`` (the straightness
+    pass's, within ``REL_TOL`` of one), clamped into [0, L], L the path
+    length. Clamping never touches the path points, so composing with the
+    path is the identity exactly; all three invariants are verified."""
+    cum = _cumulative(space, pts)
+    length = float(cum[-1])
+    # the lower clamp is inactive because cum >= 0 and distances are nonnegative
+    values = np.minimum(np.maximum(inf_extension(space, pts, cum, constant), 0.0), length)
+    fn = LipschitzFunction(space, values, normalize=False)
+    norm = lipschitz_norm(fn).value
+    if abs(norm - 1.0) > REL_TOL:
+        raise InvariantFailure(f"inverse projection norm {norm!r} is not 1")
+    if not np.array_equal(fn.values[list(pts)], cum):
+        raise InvariantFailure("inverse projection does not restrict to arclength")
+    if np.any(fn.values < 0.0) or np.any(fn.values > length):
+        raise InvariantFailure("inverse projection leaves [0, L]")
+    return fn
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,19 +91,21 @@ class DiscretizedGeodesicSpace:
 
     ``mesh`` is the largest consecutive step over all stored paths. At
     least one path is needed, and each joins two distinct points, visits
-    no point twice and passes :func:`straight_path_check`; a path that
-    does not is refused as :class:`NotStraightPath`, naming its pair.
-    Each path's arclength constant is kept from that check.
+    no point twice and has a :func:`_straightness` defect within
+    ``REL_TOL``; a path that does not is refused as :class:`NotStraightPath`,
+    naming its pair. ``projections`` holds each stored pair's inverse
+    projection, computed by :func:`_project` right after its path's
+    straightness pass, with the constant that pass returns.
     """
 
     space: PointedMetricSpace
     paths: Mapping[tuple[int, int], tuple[int, ...]]
     mesh: float = field(init=False)
-    _constants: dict = field(init=False, default_factory=dict, repr=False)
-    _projections: dict = field(init=False, default_factory=dict, repr=False)
+    projections: Mapping[tuple[int, int], LipschitzFunction] = field(init=False, repr=False)
 
     def __post_init__(self):
         clean: dict[tuple[int, int], tuple[int, ...]] = {}
+        projections: dict[tuple[int, int], LipschitzFunction] = {}
         mesh = 0.0
         for pair, pts in dict(self.paths).items():
             try:  # every refusal of a path is one NotStraightPath naming its pair
@@ -108,76 +119,22 @@ class DiscretizedGeodesicSpace:
             except ValueError as exc:
                 raise NotStraightPath(pair, str(exc)) from None
             clean[pts[0], pts[-1]] = pts
-            self._constants[pts] = constant
+            projections[pts[0], pts[-1]] = _project(self.space, pts, constant)
             mesh = max(mesh, float(self.space.dist[pts[:-1], pts[1:]].max()))
         if not clean:
             raise ValueError("a geodesic space needs at least one stored path")
         object.__setattr__(self, "paths", clean)
+        object.__setattr__(self, "projections", projections)
         object.__setattr__(self, "mesh", mesh)
 
-    def path_for(self, pair: PointPair) -> tuple[int, ...]:
-        key = pair.as_tuple()
-        if key in self.paths:
-            return self.paths[key]
-        rev = (pair.y, pair.x)
-        if rev in self.paths:
-            return tuple(reversed(self.paths[rev]))
-        raise NoStoredPath(key)
 
-
-@dataclass(frozen=True, eq=False)
-class InverseProjection:
-    """A norm-one function undoing a straight path's parameterization.
-
-    P takes values in [0, L] with L the path length, equals the
-    cumulative arclength exactly on the path points, and has Lipschitz
-    norm one.
-    """
-
-    pair: PointPair
-    path: tuple[int, ...]
-    cumulative: tuple[float, ...]
-    function: LipschitzFunction
-
-    @property
-    def length(self) -> float:
-        return self.cumulative[-1]
-
-
-def inverse_projection(gspace: DiscretizedGeodesicSpace,
-                       pair: PointPair) -> InverseProjection:
-    """Extend the arclength parameter from a stored path to the space.
-
-    The extension is the largest-function inf-convolution with the
-    path's own Lipschitz constant, kept when the path passed
-    :func:`straight_path_check` on admission (one within ``REL_TOL``; a
-    reversed path's is its stored path's), with floor zero, then
-    clamped into [0, L]. Clamping never touches the path points, so
-    composing with the path is the identity exactly; all three invariants
-    are re-verified before returning, once per pair and space.
-    """
-    if pair in gspace._projections:
-        return gspace._projections[pair]
-    space = gspace.space
-    pts = gspace.path_for(pair)
-    cum = _cumulative(space, pts)
-    length = float(cum[-1])
-    constant = gspace._constants.get(pts, gspace._constants.get(pts[::-1]))
-    raw = inf_extension(space, pts, cum, constant)
-    # clamp to [0, L]; the lower clamp is inactive because cum >= 0 and
-    # distances are nonnegative
-    values = np.minimum(np.maximum(raw, 0.0), length)
-    fn = LipschitzFunction(space, values, normalize=False)
-
-    norm = lipschitz_norm(fn).value
-    if abs(norm - 1.0) > REL_TOL:
-        raise InvariantFailure(f"inverse projection norm {norm!r} is not 1")
-    if not np.array_equal(fn.values[list(pts)], cum):
-        raise InvariantFailure("inverse projection does not restrict to arclength")
-    if np.any(fn.values < 0.0) or np.any(fn.values > length):
-        raise InvariantFailure("inverse projection leaves [0, L]")
-    return gspace._projections.setdefault(
-        pair, InverseProjection(pair, pts, tuple(cum.tolist()), fn))
+def inverse_projection(gspace: DiscretizedGeodesicSpace, pair: PointPair) -> LipschitzFunction:
+    """The stored pair's inverse projection, computed on admission. A pair
+    that is not stored as given is a NoStoredPath, even if its reverse is."""
+    try:
+        return gspace.projections[pair.as_tuple()]
+    except KeyError:
+        raise NoStoredPath(pair.as_tuple()) from None
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +242,10 @@ def check_geodesic_necessary(phi: LipschitzMap, gspace: DiscretizedGeodesicSpace
     """
     if phi.codomain is not gspace.space:
         raise ValueError("map codomain is not the geodesic space")
-    proj = inverse_projection(gspace, pair)
-    return _defect_profile("geodesic_necessary", phi, proj.function.values,
-                           proj.cumulative, gspace.mesh,
-                           {"pair": pair.as_tuple(), "path_length": proj.length})
+    values = inverse_projection(gspace, pair).values
+    targets = values[list(gspace.paths[pair.as_tuple()])]  # the arclengths, bitwise
+    return _defect_profile("geodesic_necessary", phi, values, targets, gspace.mesh,
+                           {"pair": pair.as_tuple(), "path_length": float(targets[-1])})
 
 
 # ---------------------------------------------------------------------------
@@ -367,5 +324,5 @@ def check_geodesic_sufficient(phi: LipschitzMap, gspace: DiscretizedGeodesicSpac
         raise ValueError("map codomain is not the geodesic space")
     pairs = sorted(gspace.paths)
     return _sufficiency("geodesic_sufficient", phi,
-                        [inverse_projection(gspace, PointPair(*p)).function.values for p in pairs],
+                        [inverse_projection(gspace, PointPair(*p)).values for p in pairs],
                         gspace.mesh, r, {"paths": pairs})

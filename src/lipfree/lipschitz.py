@@ -155,10 +155,10 @@ def mcshane_extend(
     f(x) + L d(x, z) with L the Lipschitz norm of f on the sub-metric.
     F restricts to f exactly and has norm L, and is the largest such
     extension: F >= g for every g of norm at most L with g <= f on the
-    subset (Weaver, *Lipschitz Algebras*, 2nd ed.). A subset without the
-    base point or repeating a point, a base value of f beyond space.tol,
-    or an L or F whose values or differences pass the float range, is a
-    ValueError.
+    subset (Weaver, *Lipschitz Algebras*, 2nd ed.). f's base value is
+    subtracted first, as :class:`LipschitzFunction` does. A subset without
+    the base point or repeating a point, or an f less its base value, an L
+    or an F whose values or differences pass the float range, is a ValueError.
     """
     idx = point_indices(space, subset).tolist()
     if len(set(idx)) < len(idx):
@@ -169,10 +169,10 @@ def mcshane_extend(
     v = np.asarray(f_sub, dtype=float).copy()
     if v.shape != (len(idx),):
         raise ValueError("f_sub must align with subset")
-    vb = v[idx.index(space.base)]
-    if abs(vb) > space.tol:
-        raise ValueError(f"f_sub must vanish at the base point, got {float(vb)!r}")
-    v -= vb
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused
+        v -= v[idx.index(space.base)]
+    if not np.all(np.isfinite(v)):
+        raise ValueError("function values must be finite, also less the base value")
 
     L = sub_lipschitz_norm(space, idx, v)
     if L == np.inf:

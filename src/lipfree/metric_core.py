@@ -8,11 +8,12 @@ validation's detour pass, the only one, which constructor-built matrices read
 too. Pairwise passes that would otherwise hold an n x n temporary read rows in
 the ranges of :func:`row_blocks`, the one place that sizes one.
 
-Every module follows one tolerance policy, kept here: a distance, and a
-function's base value, is compared within ``space.tol`` (``REL_TOL`` times the
-largest distance), and a dimensionless quantity (a map norm or Lipschitz
-constant against 1, a face pairing, an LP in normalised units, two transport
-norms) within ``REL_TOL``, so verdicts ignore the unit of distance. Three
+Every module follows one tolerance policy, kept here: a distance is compared
+within ``space.tol`` (``REL_TOL`` times the largest distance), and a
+dimensionless quantity (a map norm or Lipschitz constant against 1, a face
+pairing, an LP in normalised units, two transport norms) within ``REL_TOL``,
+so verdicts ignore the unit of distance; no function value is compared with a
+bound, since a base value is subtracted. Three
 finer constants stay, as ``REL_TOL`` would loosen their checks:
 ``freespace.ZERO_SUM_REL`` admits a vector's sum, the simplex's 2e-13 pivot
 fixes the optimum the dual must match, and the vertex LP's 1e-10 weight cut

@@ -437,11 +437,12 @@ def criterion_9_inverse_projections() -> dict:
     for name, gspace in fixtures:
         for (x, y) in sorted(gspace.paths):
             proj = inverse_projection(gspace, PointPair(x, y))
-            norm = lipschitz_norm(proj.function).value
+            norm = lipschitz_norm(proj).value
             if abs(norm - 1.0) > 1e-9:
                 failures.append([name, "norm", norm])
-            on_path = proj.function.values[list(proj.path)]
-            if not np.array_equal(on_path, np.array(proj.cumulative)):
+            path = list(gspace.paths[x, y])
+            arclength = np.concatenate([[0.0], np.cumsum(gspace.space.dist[path[:-1], path[1:]])])
+            if not np.array_equal(proj.values[path], arclength):
                 failures.append([name, "restriction"])
             profile = check_geodesic_necessary(
                 identity_map(gspace.space), gspace, PointPair(x, y))

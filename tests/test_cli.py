@@ -671,7 +671,7 @@ class TestCommands:
         mp = write(files["dir"] / "net2_map.json", {
             "domain": "net2.json", "codomain": "net2.json", "image": [0, 1, 2]})
         for argv in (("validate", space), ("extremes", space), ("isometry", "--map", mp),
-                     ("experiment", "geodesic", "--space", space, "--map", f"file:{mp}"),
+                     ("experiment", "geodesic", "--space", space, "--map", mp),
                      ("experiment", "geodesic", "--space", space, "--map", "builtin:identity")):
             code, report, err = run_in_process(capsys, *argv)
             assert code == 0, err
@@ -738,7 +738,7 @@ class TestOneDetourPassPerMatrix:
     @pytest.mark.parametrize("by_path", [False, True], ids=["inline", "by_path"])
     @pytest.mark.parametrize("command, prefix", [
         (("isometry", "--map"), ""),
-        (("experiment", "geodesic", "--space", "geo.json", "--map"), "file:")],
+        (("experiment", "geodesic", "--space", "geo.json", "--map"), "")],
         ids=["isometry", "experiment_geodesic"])
     def test_identity_map_file_admits_its_space_once(self, tmp_path, capsys, rows, by_path,
                                                      command, prefix):
@@ -1050,8 +1050,8 @@ class TestExperiments:
         proc = run_cli("experiment", "interval", "--map", "builtin:fold")
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("spec", ["file:{d}/net_map.json", "{d}/net_map.json",
-                                      "file:{d}/missing.json"], ids=["file", "bare", "missing"])
+    @pytest.mark.parametrize("spec", ["./builtin:fold", "{d}/net_map.json", "{d}/missing.json"],
+                             ids=["dotted_builtin", "bare", "missing"])
     def test_a_file_map_takes_the_geodesic_route(self, files, capsys, spec):
         # refused before any file is read
         write(files["dir"] / "net_map.json", {"domain": "net4.json", "codomain": "net4.json",
@@ -1061,6 +1061,26 @@ class TestExperiments:
         assert (code, report) == (2, None)
         assert err == ("input error: MalformedInput: --map: experiment interval runs builtin "
                        "maps; check a map file with experiment geodesic --space\n")
+
+    def test_a_file_prefix_is_part_of_the_path(self, files, capsys, monkeypatch):
+        # file: once named the file after it; now --map is builtin:NAME or a path
+        d = files["dir"]
+        mp = write(d / "tripod_map.json", {"domain": "tripod.json", "codomain": "tripod.json",
+                                           "image": list(range(tripod().space.n))})
+        code, report, err = run_in_process(capsys, "experiment", "geodesic", "--space",
+                                           files["geo"], "--map", f"file:{mp}")
+        assert (code, report) == (2, None)
+        assert err == (f"input error: MalformedInput: file:{mp}: "
+                       "cannot read file: No such file or directory\n")
+        monkeypatch.chdir(d)
+        for name in ("file:tripod_map.json", "builtin:identity.json"):
+            write(d / name, json.loads(Path(mp).read_text()))
+        for spec in ("file:tripod_map.json", "./builtin:identity.json"):
+            code, report, err = run_in_process(capsys, "experiment", "geodesic", "--space",
+                                               files["geo"], "--map", spec)
+            assert code == 0, err
+            assert report["inputs"][1]["path"] == str(Path(spec))  # the file of that name
+            assert report["results"]["certificate"]["verdict"] == "isometric"
 
     @pytest.mark.parametrize("name", ["identity", "fold", "halving", "collapse"])
     def test_a_file_map_into_a_net_gets_the_builtin_verdicts(self, tmp_path, name):
@@ -1124,7 +1144,7 @@ SPACE_REACH = [
     ("experiment.geodesic", ("experiment", "geodesic", "--space", "{d}/loose_geo.json",
                              "--map", "builtin:identity")),
     ("experiment.geodesic", ("experiment", "geodesic", "--space", "{d}/three_geo.json",
-                             "--map", "file:{d}/loose_three.json")),
+                             "--map", "{d}/loose_three.json")),
 ]
 
 
@@ -1183,7 +1203,7 @@ READS = [
     (("isometry", "--map", "{map3}"),
      [("map3",), ("three", "map3", "domain"), ("three", "map3", "codomain")]),
     # the map's codomain is read, and must be the --space file's space
-    (("experiment", "geodesic", "--space", "{geo}", "--map", "file:{tripod_map}"),
+    (("experiment", "geodesic", "--space", "{geo}", "--map", "{tripod_map}"),
      [("geo",), ("tripod_map",), ("tripod_space", "tripod_map", "domain"),
       ("tripod_space", "tripod_map", "codomain")]),
     (("experiment", "interval", "--mesh", "4", "--map", "builtin:fold"), []),

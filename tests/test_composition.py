@@ -26,6 +26,7 @@ from lipfree.errors import (
     InputError,
     MapNormExceedsOne,
     NotNorming,
+    NotZeroSum,
     SpaceMismatch,
 )
 from lipfree.fixtures import builtin_map, circle_geodesic, interval_geodesic, line_net, \
@@ -135,6 +136,54 @@ class TestPushForward:
         phi = LipschitzMap(path3, two_point, (0, 1, 0))
         with pytest.raises(SpaceMismatch):
             push_forward(phi, FreeVector(two_point, [1.0, -1.0]))
+
+    def test_masses_cancelling_in_a_fibre_push_to_a_zero_sum_vector(self):
+        # the pushed sum was 4.7e-11 against a pushed vector of size 2e-3,
+        # once refused as NotZeroSum; the residue now sits on the base
+        domain, codomain = line_net([0.0, 1.0, 1.5]), line_net([0.0, 1.0])
+        mu = FreeVector(domain, [-1e-3, 1e6 + 1e-3, -1e6])
+        out = push_forward(LipschitzMap(domain, codomain, (0, 1, 1)), mu)
+        assert out.coeffs[1] == (1e6 + 1e-3) + -1e6
+        assert out.coeffs[0] == -out.coeffs[1]
+
+    def test_seeded_vectors_over_wide_scales_all_push_forward(self):
+        # masses from 1e-6 to 1e6 through quotient maps: 78 of these 1,988
+        # vectors were once refused; off the base each pushed coefficient is
+        # its fibre's sum, and a function vanishing at the base pairs with
+        # the pushed vector as its pullback pairs with the vector
+        rng, functions = np.random.default_rng(1), np.random.default_rng(2)
+        pushed = 0
+        for _ in range(2000):
+            phi = random_one_lipschitz_map(rng, 8, 5, "quotient")
+            n = phi.domain.n
+            c = rng.normal(size=n) * 10.0 ** rng.integers(-6, 7, size=n)
+            c[phi.domain.base] -= c.sum()
+            try:
+                mu = FreeVector(phi.domain, c)
+            except NotZeroSum:
+                continue
+            out = push_forward(phi, mu)
+            fibres = np.zeros(phi.codomain.n)
+            np.add.at(fibres, np.asarray(phi.image), mu.coeffs)
+            off = np.arange(phi.codomain.n) != phi.codomain.base
+            assert np.array_equal(out.coeffs[off], fibres[off])
+            f = random_lipschitz_function(functions, phi.codomain)  # vanishing at the base
+            assert pairing(f, out) == pytest.approx(pairing(compose(phi, f), mu),
+                                                    rel=1e-9, abs=1e-9 * np.abs(c).sum())
+            pushed += 1
+        assert pushed == 1988
+
+    def test_a_fibre_total_past_the_float_range_is_not_finite(self):
+        # two masses of 1e308 share a fibre: refused without an overflow warning
+        domain, codomain = line_net([0.0, 1.0, 2.0, 3.0]), line_net([0.0, 1.0, 2.0])
+        mu = FreeVector(domain, [-1e308, 1e308, 1e308, -1e308])
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            push_forward(LipschitzMap(domain, codomain, (0, 1, 1, 2)), mu)
+        # in fibres of their own they push forward, though a running sum of
+        # them passes the float range, since the residue is summed in units of 2**e
+        net = line_net([0.0, 1.0, 2.0, 3.0, 4.0])
+        mu = FreeVector(net, [0.0, 1e308, 1e308, -1e308, -1e308])
+        assert np.array_equal(push_forward(identity_map(net), mu).coeffs, mu.coeffs)
 
 
 class TestCompose:

@@ -25,7 +25,6 @@ from lipfree.geodesic import (
     check_interval_necessary,
     check_interval_sufficient,
     inverse_projection,
-    straight_path_check,
 )
 from lipfree.lipschitz import (
     LipschitzFunction,
@@ -53,35 +52,46 @@ def near_straight(step, k):
                                     [chord, step, 0, 1], [1, 1, 1, 0.0]]))
 
 
+def straightness(space, path):
+    """The path's straightness defect, and whether admission takes the
+    path, which it does exactly when the defect is within REL_TOL."""
+    defect = geodesic._straightness(space, path)[0]
+    try:
+        DiscretizedGeodesicSpace(space, {(path[0], path[-1]): path})
+    except NotStraightPath:
+        return defect, False
+    return defect, True
+
+
 class TestStraightPathCheck:
     def test_interval_full_run(self):
         net = interval_net(4)
-        ok, defect = straight_path_check(net, (0, 1, 2, 3, 4))
-        assert ok and defect == 0.0
+        defect, admitted = straightness(net, (0, 1, 2, 3, 4))
+        assert admitted and defect == 0.0
 
     def test_triangle_detour_fails(self):
         tri = from_weighted_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-        ok, defect = straight_path_check(tri, (0, 1, 2))
-        assert not ok
+        defect, admitted = straightness(tri, (0, 1, 2))
+        assert not admitted
         assert defect == pytest.approx(1.0)  # d(0,2)=1 against arclength 2
 
     def test_tripod_leaf_to_leaf(self):
         space = tripod().space
-        ok, defect = straight_path_check(space, (1, 0, 2))
-        assert ok and defect == 0.0
+        defect, admitted = straightness(space, (1, 0, 2))
+        assert admitted and defect == 0.0
 
     @pytest.mark.parametrize("step", (1e-1, 1e-3))
     @pytest.mark.parametrize("k", (0.25, 4.0))
     def test_defect_is_a_ratio(self, step, k):
-        ok, defect = straight_path_check(near_straight(step, k), (0, 1, 2))
-        assert ok == (k < 1)
+        defect, admitted = straightness(near_straight(step, k), (0, 1, 2))
+        assert admitted == (defect <= REL_TOL) == (k < 1)
         assert defect == pytest.approx(k * REL_TOL, rel=1e-3)
 
     def test_repeated_point_is_rejected_not_nan(self):
         space = validate_space(np.array([[0, 1, 2, 1.5], [1, 0, 1, 1],
                                          [2, 1, 0, 1.5], [1.5, 1, 1.5, 0]]))
         with pytest.raises(ValueError, match="repeat"):
-            straight_path_check(space, (0, 1, 1, 2))
+            geodesic._straightness(space, (0, 1, 1, 2))
         with pytest.raises(ValueError, match="repeat"):
             DiscretizedGeodesicSpace(space, {(0, 2): (0, 1, 1, 2)})
 
@@ -91,7 +101,7 @@ class TestStraightPathCheck:
         net = interval_net(4)
         for path in ((0, -1), (0, 5)):
             with pytest.raises(ValueError, match=r"outside 0\.\.4"):
-                straight_path_check(net, path)
+                geodesic._straightness(net, path)
         with pytest.raises(ValueError, match=r"outside 0\.\.4"):
             DiscretizedGeodesicSpace(net, {(0, -1): (0, 1, 2, 3, -1)})
 
@@ -110,8 +120,8 @@ class TestDiscretizedGeodesicSpace:
     @pytest.mark.parametrize("k", (0.25, 4.0))
     def test_admitted_paths_project_with_their_invariants(self, step, k):
         """A path is admitted exactly when its inverse projection can meet
-        its own norm check; inverse_projection raises InvariantFailure
-        otherwise."""
+        its own norm check, which admission runs and would otherwise
+        refuse with InvariantFailure."""
         space = near_straight(step, k)
         if k > 1:
             with pytest.raises(NotStraightPath):
@@ -119,7 +129,7 @@ class TestDiscretizedGeodesicSpace:
             return
         gs = DiscretizedGeodesicSpace(space, {(0, 2): (0, 1, 2)})
         proj = inverse_projection(gs, PointPair(0, 2))
-        assert abs(lipschitz_norm(proj.function).value - 1.0) <= REL_TOL
+        assert abs(lipschitz_norm(proj).value - 1.0) <= REL_TOL
 
     @pytest.mark.parametrize("path", [(), (1,), (1, 1), (1, 0, 1)])
     def test_short_or_repeating_path_refused_before_its_endpoints_are_read(self, path):
@@ -130,38 +140,44 @@ class TestDiscretizedGeodesicSpace:
     def test_missing_path(self):
         gs = tripod()
         with pytest.raises(NoStoredPath):
-            gs.path_for(PointPair(1, 3))
+            inverse_projection(gs, PointPair(1, 3))
 
-    def test_reversed_lookup(self):
+    def test_a_reversed_pair_is_no_stored_path(self):
+        # the tripod stores (1, 2) alone; its reverse is a pair of its own
         gs = tripod()
-        assert gs.path_for(PointPair(2, 1)) == (2, 0, 1)
+        assert list(gs.paths) == [(1, 2)]
+        with pytest.raises(NoStoredPath, match=r"pair \(2, 1\)$"):
+            inverse_projection(gs, PointPair(2, 1))
+        with pytest.raises(NoStoredPath):
+            check_geodesic_necessary(identity_map(gs.space), gs, PointPair(2, 1))
 
 
 class TestInverseProjection:
     def test_interval_gives_the_coordinate(self):
         gs = interval_geodesic(8)
         proj = inverse_projection(gs, PointPair(0, 8))
-        assert np.array_equal(proj.function.values, interval_coordinates(gs.space))
+        assert np.array_equal(proj.values, interval_coordinates(gs.space))
 
     def test_tripod_third_leaf_by_hand(self):
         # min over path points of arclength + distance: 0+2, 1+1, 2+2 -> 2
-        proj = inverse_projection(tripod(), PointPair(1, 2))
-        assert proj.function.values[3] == 2.0
-        assert proj.length == 2.0
+        gs = tripod()
+        proj = inverse_projection(gs, PointPair(1, 2))
+        assert proj.values[3] == 2.0
+        assert proj.values[gs.paths[1, 2][-1]] == 2.0  # the path length
 
     def test_invariants_hold_on_circle(self):
         gs = circle_geodesic(16)
+        path = list(gs.paths[0, 8])
+        arclength = np.concatenate([[0.0], np.cumsum(gs.space.dist[path[:-1], path[1:]])])
         proj = inverse_projection(gs, PointPair(0, 8))
-        assert abs(lipschitz_norm(proj.function).value - 1.0) <= 1e-9
-        assert np.array_equal(proj.function.values[list(proj.path)],
-                              np.array(proj.cumulative))
-        assert np.all((proj.function.values >= 0)
-                      & (proj.function.values <= proj.length))
+        assert abs(lipschitz_norm(proj).value - 1.0) <= 1e-9
+        assert np.array_equal(proj.values[path], arclength)
+        assert np.all((proj.values >= 0) & (proj.values <= arclength[-1]))
 
     def test_one_extension_per_path_for_both_checks(self, monkeypatch):
-        # two stored paths on a tripod: each check reads both projections
+        # two stored paths on a tripod: admission extends each once, and
+        # each check reads both projections without extending again
         base = tripod(1.0, 3)
-        gs = DiscretizedGeodesicSpace(base.space, {**base.paths, (6, 9): (6, 5, 4, 0, 7, 8, 9)})
         extensions = []
         real = geodesic.inf_extension
 
@@ -170,19 +186,19 @@ class TestInverseProjection:
             return real(*args)
 
         monkeypatch.setattr(geodesic, "inf_extension", counted)
+        gs = DiscretizedGeodesicSpace(base.space, {**base.paths, (6, 9): (6, 5, 4, 0, 7, 8, 9)})
+        assert [args[1] for args in extensions] == list(gs.paths.values())
         phi = identity_map(gs.space)
         for x, y in sorted(gs.paths):
             assert check_geodesic_necessary(phi, gs, PointPair(x, y)).holds
         assert check_geodesic_sufficient(phi, gs).predicts_isometric
-        assert len(extensions) == 2
         proj = inverse_projection(gs, PointPair(6, 9))
-        assert proj is inverse_projection(gs, PointPair(6, 9))
-        assert inverse_projection(gs, PointPair(9, 6)).path == proj.path[::-1]
-        assert len(extensions) == 3
+        assert proj is inverse_projection(gs, PointPair(6, 9)) is gs.projections[6, 9]
+        assert len(extensions) == 2
 
 
     def test_projected_space_is_freed_by_reference_counting(self):
-        # a cached projection holds no reference back to its space
+        # a stored projection holds no reference back to its geodesic space
         gs = circle_geodesic(8)
         inverse_projection(gs, PointPair(*sorted(gs.paths)[0]))
         ref = weakref.ref(gs)
@@ -424,7 +440,8 @@ def test_cover_read_by_row_blocks_is_the_whole_minimum(monkeypatch, block):
 
 def test_geodesic_checks_hold_no_space_sized_matrix():
     # a 1,025-point geodesic space, whose N x N float matrix is 8.4 MB:
-    # the cover and the inverse projection's extension read it by row blocks
+    # the cover, and the inverse projection's extension on admission, read
+    # it by row blocks
     gs = interval_geodesic(1024)
     pair = PointPair(0, 1024)
     checks = {"necessary": lambda phi, g: check_geodesic_necessary(phi, g, pair),
@@ -433,11 +450,10 @@ def test_geodesic_checks_hold_no_space_sized_matrix():
     tracemalloc.start()
     try:
         for name, check in checks.items():
-            fresh = DiscretizedGeodesicSpace(gs.space, gs.paths)  # no cached projection
-            phi = identity_map(fresh.space)
+            phi = identity_map(gs.space)
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            check(phi, fresh)
+            check(phi, DiscretizedGeodesicSpace(gs.space, gs.paths))  # admission projects
             peaks[name] = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -450,15 +466,14 @@ def test_path_admission_and_projection_read_one_block_at_a_time():
     # projection hold a few row blocks and O(n) vectors
     n = 2048
     net, small = interval_net(n), interval_net(2)
-    inverse_projection(DiscretizedGeodesicSpace(small, {(0, 2): (0, 1, 2)}), PointPair(0, 2))
+    DiscretizedGeodesicSpace(small, {(0, 2): (0, 1, 2)})  # admission projects
     tracemalloc.start()
     try:
         gs = DiscretizedGeodesicSpace(net, {(0, n): tuple(range(n + 1))})
-        proj = inverse_projection(gs, PointPair(0, n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(proj.function.values, net.meta["coords"])
+    assert np.array_equal(inverse_projection(gs, PointPair(0, n)).values, net.meta["coords"])
     assert peak < 4 * 8 * metric_core.BLOCK + 16 * 8 * net.n, peak
 
 
@@ -473,31 +488,33 @@ def test_straightness_defect_read_by_row_blocks_is_the_whole_maximum(monkeypatch
             cum = np.concatenate([[0.0], np.cumsum(space.dist[pts[:-1], pts[1:]])])
             ratios = quotients(np.abs(np.subtract.outer(cum, cum)), space.dist[np.ix_(pts, pts)])
             np.fill_diagonal(ratios, 1.0)
-            assert straight_path_check(space, pts).defect == np.max(np.abs(ratios - 1.0))
+            assert geodesic._straightness(space, pts)[0] == np.max(np.abs(ratios - 1.0))
 
 
 def test_projection_reads_the_path_constant_kept_on_admission(monkeypatch):
     # the arclength's constant on a path is the largest of the straightness
     # ratios, so projecting makes no second pairwise pass over the path
-    spaces = [circle_geodesic(16), tripod(1.0, 3), interval_geodesic(8),
-              DiscretizedGeodesicSpace(near_straight(1e-3, 0.25), {(0, 2): (0, 1, 2)})]
-    for gs in spaces:
+    builders = [lambda: circle_geodesic(16), lambda: tripod(1.0, 3), lambda: interval_geodesic(8),
+                lambda: DiscretizedGeodesicSpace(near_straight(1e-3, 0.25), {(0, 2): (0, 1, 2)})]
+    for build in builders:
+        gs = build()
         for pts in gs.paths.values():
             cum = np.concatenate([[0.0], np.cumsum(gs.space.dist[pts[:-1], pts[1:]])])
-            assert gs._constants[pts] == sub_lipschitz_norm(gs.space, pts, cum)
+            assert geodesic._straightness(gs.space, pts)[1] == sub_lipschitz_norm(
+                gs.space, pts, cum)
 
     def boom(*args):
         raise AssertionError("sub_lipschitz_norm ran")
 
     monkeypatch.setattr(lipschitz, "sub_lipschitz_norm", boom)
     monkeypatch.setattr(geodesic, "sub_lipschitz_norm", boom, raising=False)
-    for gs in spaces:
+    for build in builders:
+        gs = build()  # admission projects every stored path
         phi = identity_map(gs.space)
         for x, y in sorted(gs.paths):
-            for pair in (PointPair(x, y), PointPair(y, x)):
-                assert check_geodesic_necessary(phi, gs, pair).holds
+            assert check_geodesic_necessary(phi, gs, PointPair(x, y)).holds
         report = check_geodesic_sufficient(phi, gs)
-        if gs is spaces[-1]:
+        if build is builders[-1]:
             # point 3 lies 1 from every other point, 250 radii at r = 0.004,
             # so no slope at scale r vouches for it
             assert not report.predicts_isometric

@@ -317,13 +317,27 @@ class TestMcshaneExtend:
         # once refused as an overflow, with constant -inf, or as an overflowing constant
         ([0, 1, 1], [0.0, 1.0, 1.0], "subset repeats point 1"),
         ([0, 1, 1], [0.0, 1.0, 2.0], "subset repeats point 1"),
-        ([0, 1], [1.0, 2.0], "f_sub must vanish at the base point, got 1.0"),
+        # a value past the float range once the base value is subtracted, or not finite
+        ([0, 1], [1e308, -1e308], "function values must be finite, also less the base value"),
+        ([0, 1], [0.0, float("inf")], "function values must be finite, also less the base value"),
+        ([0, 1], [float("nan"), 1.0], "function values must be finite, also less the base value"),
     ], ids=["past_n", "negative", "negative_first", "past_n_huge", "no_base", "empty",
-            "misaligned", "fractional", "nan", "repeated", "repeated_unequal", "base_value"])
+            "misaligned", "fractional", "nan", "repeated", "repeated_unequal", "shift_overflows",
+            "inf_value", "nan_base_value"])
     def test_a_subset_or_values_it_cannot_extend_from_are_refused(self, subset, f_sub, reason):
         with pytest.raises(ValueError) as exc:
             mcshane_extend(interval_net(4), subset, f_sub)
         assert str(exc.value) == reason
+
+    @pytest.mark.parametrize("subset, f_sub", [([0, 4], [1.0, 2.0]), ([2, 0, 4], [3.0, -1.0, 5.0]),
+                                               ([0, 1], [5e-10, 1.0]), ([0, 1], [-1e300, 1e300])])
+    def test_a_base_value_is_subtracted(self, subset, f_sub):
+        # bitwise the extension of f_sub less its base value, as a function's is
+        net = interval_net(4)
+        shifted = np.asarray(f_sub) - f_sub[subset.index(net.base)]
+        ext = mcshane_extend(net, subset, f_sub)
+        assert np.array_equal(ext.values, mcshane_extend(net, subset, shifted).values)
+        assert ext.values[net.base] == 0.0
 
     def test_a_floor_or_a_tolerance_is_no_argument(self):
         # a floor never changed the extension, which is the largest of its norm

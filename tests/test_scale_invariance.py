@@ -120,11 +120,20 @@ def test_an_extension_clears_its_floor_at_every_scale(s):
 
 
 @pytest.mark.parametrize("s", SPACE_SCALES)
-def test_a_base_value_is_compared_within_the_space_tolerance(s):
-    """The one function value compared with a bound: f's value at the base
-    point is subtracted within space.tol and refused beyond it."""
-    space = line_net([0.0, s, 2 * s])
-    ext = mcshane_extend(space, [0, 2], [0.5 * space.tol, s])
-    assert (ext.values[0], ext.values[2]) == (0.0, s - 0.5 * space.tol)
-    with pytest.raises(ValueError, match="^f_sub must vanish at the base point, got "):
-        mcshane_extend(space, [0, 2], [2 * space.tol, s])
+@pytest.mark.parametrize("scaling", ["values", "distances"])
+def test_a_base_value_is_subtracted_at_every_scale(s, scaling):
+    """f's base value is a function value, so it is subtracted whatever the
+    scale of the values or of the distances, and compared with no distance:
+    the extension is bitwise that of f less its base value, and it is the
+    line through f's two values. [5e-10, 1.0] and ten times it were once
+    admitted and refused."""
+    space = line_net([0.0, 0.25 * s, 0.5 * s, 0.75 * s, s] if scaling == "distances"
+                     else [0.0, 0.25, 0.5, 0.75, 1.0])
+    coords = np.asarray(space.dist[0])
+    for f_sub in ([5e-10, 1.0], [5e-9, 10.0], [-0.5, 1.0]):
+        f_sub = np.asarray(f_sub) * (s if scaling == "values" else 1.0)
+        ext = mcshane_extend(space, [0, 4], f_sub)
+        less_base = mcshane_extend(space, [0, 4], f_sub - f_sub[0])
+        assert np.array_equal(ext.values, less_base.values)
+        line = (f_sub[1] - f_sub[0]) * coords / coords[-1]
+        assert ext.values == pytest.approx(line, rel=1e-12, abs=0.0)
